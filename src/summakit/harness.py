@@ -24,13 +24,7 @@ from .errors import (
 )
 from .conditions import inner_sums
 from .matrices import NormalMatrix, apply_lower, bar_columns, hat_columns, hat_inverse, hat_of
-from .series import (
-    FactorSequence,
-    SeriesSample,
-    delta_transform_via_hat,
-    x_norm,
-    y_norm_pow,
-)
+from .series import FactorSequence, SeriesSample, x_norm, y_norm_pow
 
 PROBE_DIFFERENCE = "difference"
 PROBE_SHIFT = "shift"
@@ -95,23 +89,7 @@ def _piecewise_probe_deltas(hat_cols: np.ndarray, v: int, kind: str, f_v, f_v1) 
     return out
 
 
-def run_probe(
-    A: NormalMatrix,
-    B: NormalMatrix,
-    lam: FactorSequence,
-    v: int,
-    kind: str,
-    k,
-    strict_paper: bool = False,
-) -> ProbeResult:
-    """Apply one coordinate probe through both matrices and take the norms.
-
-    The deltas are produced twice, from the piecewise closed forms and from
-    the generic hat transform, and cross-checked before the norms are
-    taken.  ``strict_paper`` switches the difference-probe y-norm diagonal
-    term from |b_vv lam_v|**k to b_vv |lam_v|**k (first power on b_vv) for
-    side-by-side comparison of the two published readings.
-    """
+def _check_probe_args(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, v: int, k) -> None:
     check_exponent(k)
     if A.size != B.size:
         raise SizeMismatchError(f"matrix orders differ: {A.order} vs {B.order}")
@@ -119,19 +97,13 @@ def run_probe(
         raise IndexOutOfRangeError(f"probe index v={v} needs v+1 <= {A.order}")
     if len(lam) < v + 2:
         raise LengthMismatchError(f"need factors through index {v + 1}, have {len(lam)}")
-    exact = A.exact and B.exact
-    one = 1 if exact else 1.0
-    ah = hat_columns(A, v + 1)
-    bh = hat_columns(B, v + 1)
+
+
+def _probe(ah, bh, lam: FactorSequence, v: int, kind: str, k, strict_paper: bool) -> ProbeResult:
+    """One probe from hat columns of A (``ah``) and B (``bh``) through v+1."""
+    one = 1 if is_exact(ah) and is_exact(bh) else 1.0
     dx = _piecewise_probe_deltas(ah, v, kind, one, one)
     dy = _piecewise_probe_deltas(bh, v, kind, lam.values[v], lam.values[v + 1])
-
-    generic = delta_transform_via_hat(A, probe_series(kind, v, A.size, exact))
-    gap = max(abs(p - q) for p, q in zip(dx.tolist(), generic.tolist()))
-    tol = 0 if exact else 1e-9 * max(1.0, float(np.max(np.abs(ah))))
-    if gap > tol:
-        raise AssertionError(f"piecewise probe deltas disagree with the hat transform by {gap}")
-
     xn = x_norm(dx)
     ypow = y_norm_pow(dy, k)
     if strict_paper and kind == PROBE_DIFFERENCE:
@@ -144,6 +116,28 @@ def run_probe(
     else:
         yn = float(ypow) ** (1.0 / float(k))
     return ProbeResult(kind, v, dx, dy, xn, yn)
+
+
+def run_probe(
+    A: NormalMatrix,
+    B: NormalMatrix,
+    lam: FactorSequence,
+    v: int,
+    kind: str,
+    k,
+    strict_paper: bool = False,
+) -> ProbeResult:
+    """Apply one coordinate probe through both matrices and take the norms.
+
+    The deltas come from the piecewise closed forms on hat columns v and
+    v+1; ``cli verify`` checks those closed forms against the generic hat
+    transform once per run, in its probe-consistency row.  ``strict_paper``
+    switches the difference-probe y-norm diagonal term from
+    |b_vv lam_v|**k to b_vv |lam_v|**k (first power on b_vv) for
+    side-by-side comparison of the two published readings.
+    """
+    _check_probe_args(A, B, lam, v, k)
+    return _probe(hat_columns(A, v + 1), hat_columns(B, v + 1), lam, v, kind, k, strict_paper)
 
 
 def inequality20_ratio(probe: ProbeResult) -> float:
@@ -165,15 +159,33 @@ def empirical_constant(
 
     Returns (max ratio, records) where each record is (kind, v, ratio).
     The value is reported evidence for the bound constant; it is never
-    asserted to converge.
+    asserted to converge.  Both hat matrices are built once and every
+    probe reads its two columns from them.
     """
     records = []
+    if A.order < 2:
+        return 0.0, records
+    _check_probe_args(A, B, lam, A.order - 1, k)
+    ah = hat_of(A).entries
+    bh = hat_of(B).entries
     for kind in kinds:
         for v in range(1, A.order):
-            probe = run_probe(A, B, lam, v, kind, k, strict_paper=strict_paper)
+            probe = _probe(ah, bh, lam, v, kind, k, strict_paper)
             records.append((kind, v, inequality20_ratio(probe)))
     best = max((r for _, _, r in records), default=0.0)
     return best, records
+
+
+def _middle_summands(A: NormalMatrix, BL: np.ndarray) -> np.ndarray:
+    """(BL[n,v] - BL[n,v+1]) / a_vv + BL[n,v+1] (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}), v < N.
+
+    ``BL`` is the B hat matrix with column v scaled by lam_v; the result is
+    the first part's middle summand, shared by :func:`decompose` and
+    :func:`build_cnv`.
+    """
+    Ad = A.diagonal
+    gap = (Ad[:-1] - np.diagonal(A.entries, -1)) / (Ad[:-1] * Ad[1:])
+    return (BL[:, :-1] - BL[:, 1:]) / Ad[:-1][None, :] + BL[:, 1:] * gap[None, :]
 
 
 def decompose(
@@ -214,19 +226,10 @@ def decompose(
     else:
         v0_retained = bool(np.max(np.abs(bar0 - 1.0)) > _ROW_SUM_TOL)
 
-    E = A.entries
-    Ad = A.diagonal
-    Bd = B.diagonal
     BL = bh.entries * lamv[None, :]
-
-    # middle summand: (BL[n,v] - BL[n,v+1]) / a_vv
-    #               + BL[n,v+1] (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1})
-    sub = np.asarray([E[i + 1, i] for i in range(N)]) if N else np.zeros(0, dtype=E.dtype)
-    gap = (Ad[:-1] - sub) / (Ad[:-1] * Ad[1:]) if N else np.zeros(0, dtype=E.dtype)
-    mid = (BL[:, :-1] - BL[:, 1:]) / Ad[:-1][None, :] + BL[:, 1:] * gap[None, :]
-    t1 = Bd * lamv / Ad * dx
+    t1 = B.diagonal * lamv / A.diagonal * dx
     if N:
-        t1 = t1 + np.tril(mid, -1) @ dx[:N]
+        t1 = t1 + np.tril(_middle_summands(A, BL), -1) @ dx[:N]
 
     t2 = inner_sums(BL, hat_inverse(A).entries) @ dx
 
@@ -248,14 +251,17 @@ def key_identity_check(
     Left side uses entries of the computed hat inverse; right side uses
     only entries of A (and the B-hat factors shared by both).  The two are
     algebraically identical, so the return value is pure numerical error.
-    Pass ``hat_b`` / ``inv_hat_a`` to amortize the inversion over sweeps.
+    ``v`` may also be an integer array, giving the gaps of row n at each
+    of its entries.  Pass ``hat_b`` / ``inv_hat_a`` to amortize the
+    inversion over sweeps.
     """
     if A.size != B.size:
         raise SizeMismatchError(f"matrix orders differ: {A.order} vs {B.order}")
-    if not (1 <= v <= n - 1 and n <= A.order):
+    v_lo, v_hi = (np.min(v), np.max(v)) if np.ndim(v) else (v, v)
+    if not (1 <= v_lo and v_hi <= n - 1 and n <= A.order):
         raise IndexOutOfRangeError(f"need 1 <= v <= n-1 and n <= {A.order}, got n={n}, v={v}")
-    if len(lam) < v + 2:
-        raise LengthMismatchError(f"need factors through index {v + 1}, have {len(lam)}")
+    if len(lam) < v_hi + 2:
+        raise LengthMismatchError(f"need factors through index {v_hi + 1}, have {len(lam)}")
     bh = (hat_b or hat_of(B)).entries
     ahp = (inv_hat_a or hat_inverse(A)).entries
     E = A.entries
@@ -300,19 +306,13 @@ def build_cnv(
     expo = (kf - 1.0) / kf**2 if strict_paper else (kf - 1.0) / kf
     fac = _row_factors(N, expo, exact)
 
-    E = A.entries
-    Ad = A.diagonal
-    Bd = B.diagonal
     lamv = lam.values[: N + 1]
     BL = hat_of(B).entries * lamv[None, :]
     out = np.zeros((N + 1, N + 1), dtype=object if exact and expo == 0.0 else float)
     if N:
-        sub = np.asarray([E[i + 1, i] for i in range(N)])
-        gap = (Ad[:-1] - sub) / (Ad[:-1] * Ad[1:])
-        mid = (BL[:, :-1] - BL[:, 1:]) / Ad[:-1][None, :] + BL[:, 1:] * gap[None, :]
-        mid = np.tril(mid, -1) * fac[:, None]
+        mid = np.tril(_middle_summands(A, BL), -1) * fac[:, None]
         out[:, 1:N] = mid[:, 1:]
-    diag_vals = fac * Bd * lamv / Ad
+    diag_vals = fac * B.diagonal * lamv / A.diagonal
     for n in range(1, N + 1):
         out[n, n] = diag_vals[n]
     return out

@@ -249,3 +249,63 @@ def test_riesz_adapted_lambda_flattens_c9(tmp_path):
     rows = [r for r in read_rows(out) if r["condition_id"] == "C9"]
     ratios = np.array([float(r["ratio"]) for r in rows])
     np.testing.assert_allclose(ratios, np.ones(len(ratios)), rtol=1e-12)
+
+
+def test_config_rejects_boolean_exponent(tmp_path, capsys):
+    # JSON true is a Python bool, which is an int; it must not read as k = 1
+    cfg = write_config(tmp_path, base_config(k=True))
+    assert main(["check", "--config", cfg]) == 2
+    assert "k must be" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# verify goldens
+# ---------------------------------------------------------------------------
+
+
+def verify_riesz_config():
+    # the benchmark's cesaro / riesz-0.5 pair at a small order
+    return base_config(N=40, k=2, matrix_b={"kind": "riesz", "generator": {"name": "power", "alpha": 0.5}})
+
+
+def verify_explicit_b_config():
+    # entries in (0, 1] whose rows sum to 1/8, 3/4, 15/8, ..., never to one: the v0-retained path
+    entries = [[(1 + (3 * n + 5 * v) % 7) / 8 for v in range(n + 1)] for n in range(13)]
+    return base_config(N=12, k=2, matrix_b={"kind": "explicit", "entries": entries})
+
+
+VERIFY_GOLDENS = [
+    ("verify_riesz_n40_k2.csv", verify_riesz_config, []),
+    ("verify_riesz_n40_k2_strict.json", verify_riesz_config, ["--format", "json", "--strict-paper-mode"]),
+    ("verify_explicit_b_n12_k2.csv", verify_explicit_b_config, []),
+]
+
+
+@pytest.mark.parametrize("golden, make_config, flags", VERIFY_GOLDENS, ids=[g[0] for g in VERIFY_GOLDENS])
+def test_verify_matches_golden(tmp_path, golden, make_config, flags):
+    cfg = write_config(tmp_path, make_config())
+    out = tmp_path / golden
+    assert main(["verify", "--config", cfg, "--out", str(out)] + flags) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_verify_hat_columns_calls_do_not_grow_with_order(tmp_path, monkeypatch):
+    # every hat quantity is built a fixed number of times per verify call
+    import summakit
+
+    real = summakit.matrices.hat_columns
+    holders = [m for m in vars(summakit).values() if getattr(m, "hat_columns", None) is real]
+    counts = []
+    for N in (20, 40):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in holders:
+            monkeypatch.setattr(module, "hat_columns", counting)
+        cfg = write_config(tmp_path, base_config(N=N, k=2), f"n{N}.json")
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / f"n{N}.csv")]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

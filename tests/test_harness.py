@@ -120,6 +120,18 @@ def test_empirical_constant_cesaro_family():
         assert r <= M
 
 
+def test_empirical_constant_records_equal_run_probe_ratios():
+    # probes read from one full hat matrix give the same bits as run_probe's column slices
+    rng = np.random.default_rng(67)
+    A = helpers.random_normal_matrix(rng, 14)
+    B = helpers.random_normal_matrix(rng, 14)
+    lam = sk.FactorSequence(rng.uniform(-1, 1, 16))
+    for strict in (False, True):
+        _, records = sk.empirical_constant(A, B, lam, 2, strict_paper=strict)
+        for kind, v, ratio in records:
+            assert ratio == sk.inequality20_ratio(sk.run_probe(A, B, lam, v, kind, 2, strict_paper=strict))
+
+
 def test_strict_paper_probe_differs_only_for_k_above_one():
     rng = np.random.default_rng(7)
     A = helpers.random_positive_matrix(rng, 10)
@@ -252,6 +264,23 @@ def test_key_identity_riesz_and_random_exact():
     for n in range(2, 9):
         for v in range(1, n):
             assert sk.key_identity_check(A2, B, lam, n, v, hat_b=hat_b, inv_hat_a=inv_a2) == 0
+
+
+def test_key_identity_row_vector_matches_scalar_calls():
+    rng = np.random.default_rng(71)
+    cases = [
+        (helpers.random_normal_matrix(rng, 12), helpers.random_normal_matrix(rng, 12), rng.uniform(-1, 1, 14)),
+        (helpers.random_rational_matrix(rng, 8), helpers.random_rational_matrix(rng, 8), helpers.random_rational_vector(rng, 10)),
+    ]
+    for A, B, lam_vals in cases:
+        lam = sk.FactorSequence(lam_vals)
+        hat_b, inv_a = sk.hat_of(B), sk.hat_inverse(A)
+        for n in range(2, A.order + 1):
+            row = sk.key_identity_check(A, B, lam, n, np.arange(1, n), hat_b=hat_b, inv_hat_a=inv_a)
+            scalar = [sk.key_identity_check(A, B, lam, n, v, hat_b=hat_b, inv_hat_a=inv_a) for v in range(1, n)]
+            assert list(row) == scalar
+    with pytest.raises(IndexOutOfRangeError):
+        sk.key_identity_check(A, B, lam, 4, np.arange(1, 5))
 
 
 def test_bar_algebra_step():
