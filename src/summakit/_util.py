@@ -3,7 +3,11 @@
 Every public operation runs on either float64 arrays (the production path)
 or object arrays of ``fractions.Fraction`` (the exact path used by test
 oracles at small truncation orders).  The helpers here keep those two paths
-behind one code surface.
+behind one code surface.  :func:`as_float` is the one point where exact
+values are rounded to float64: each Fraction is rounded once, correctly,
+exactly as ``float(x)`` rounds it, and float64 input passes through uncopied.
+:func:`check_pair` holds the argument checks shared by every function that
+takes a matrix pair and a factor sequence.
 """
 
 from __future__ import annotations
@@ -13,11 +17,16 @@ import numbers
 
 import numpy as np
 
-from .errors import BadExponentError
+from .errors import BadExponentError, LengthMismatchError, SizeMismatchError
 
 
 def is_exact(arr: np.ndarray) -> bool:
     return arr.dtype == object
+
+
+def as_float(values) -> np.ndarray:
+    """float64 view of ``values``: no copy for float64 arrays, float(x) per exact scalar."""
+    return np.asarray(values, dtype=float)
 
 
 def as_vector(values) -> np.ndarray:
@@ -45,14 +54,20 @@ def check_exponent(k) -> None:
         raise BadExponentError(f"k must be a real exponent >= 1, got {k!r}")
 
 
+def check_pair(A, B, lam, count: int) -> None:
+    """Two matrices of one order and at least ``count`` factors."""
+    if A.size != B.size:
+        raise SizeMismatchError(f"matrix orders differ: {A.order} vs {B.order}")
+    if len(lam) < count:
+        raise LengthMismatchError(f"need {count} factors, have {len(lam)}")
+
+
 def abs_pow(values, k):
     """Elementwise |x|**k, staying exact for object arrays with integer k."""
     arr = np.asarray(values)
     if arr.dtype == object and float(k).is_integer():
         return np.abs(arr) ** int(k)
-    if arr.dtype == object:
-        return np.abs(arr.astype(float)) ** float(k)
-    return np.abs(arr) ** float(k)
+    return np.abs(as_float(arr)) ** float(k)
 
 
 def index_pow(indices, expo, exact: bool):

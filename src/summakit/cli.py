@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -49,7 +50,6 @@ from .matrices import (
     NormalMatrix,
     WeightSequence,
     apply_lower,
-    cesaro_matrix,
     hat_inverse,
     hat_of,
     identity_matrix,
@@ -182,9 +182,7 @@ def build_matrix(spec: dict, order: int) -> NormalMatrix:
     kind = spec.get("kind")
     if kind == "identity":
         return identity_matrix(order)
-    if kind == "cesaro":
-        return cesaro_matrix(order)
-    if kind == "riesz":
+    if kind in ("cesaro", "riesz"):
         try:
             return riesz_matrix(weights_for(spec, order))
         except TailUnavailableError as exc:
@@ -239,7 +237,7 @@ def build_series(spec: dict, size: int) -> SeriesSample:
     if kind == "probe":
         v = spec.get("v", 0)
         probe_kind = spec.get("probe_kind", PROBE_DIFFERENCE)
-        if not isinstance(v, int) or not 0 <= v <= size - 2:
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= size - 2:
             raise ConfigError(f"series.probe v must be an integer in [0, {size - 2}], got {v!r}")
         if probe_kind not in (PROBE_DIFFERENCE, PROBE_SHIFT):
             raise ConfigError(f"series.probe_kind must be 'difference' or 'shift', got {probe_kind!r}")
@@ -340,43 +338,34 @@ def cmd_check(config: ExperimentConfig) -> int:
     B = build_matrix(config.matrix_b, N)
     lam = lambda_for(config, N + 2)
 
-    tail_order_a = matrix_max_order(config.matrix_a)
-    tail_order_b = matrix_max_order(config.matrix_b)
-
-    def tail_carrier(spec, own_max):
+    @functools.cache
+    def b_tail() -> NormalMatrix:
+        """B out to the tail cutoff, or as far as its spec reaches; built on first use."""
+        own_max = matrix_max_order(config.matrix_b)
         order = config.tail.cutoff if own_max is None else min(config.tail.cutoff, own_max)
-        return build_matrix(spec, order)
+        return build_matrix(config.matrix_b, order)
 
-    rows: list[dict] = []
-    reports: list[ConditionReport] = []
-    B_tail = None
-    for cid in config.conditions:
-        if cid == "C9":
-            reports.append(check_c9(A, B, lam, k))
-        elif cid == "C10":
-            if B_tail is None:
-                B_tail = tail_carrier(config.matrix_b, tail_order_b)
-            reports.append(check_c10(A, B_tail, lam, k, config.tail, v_max=N))
-        elif cid == "C11":
-            if B_tail is None:
-                B_tail = tail_carrier(config.matrix_b, tail_order_b)
-            reports.append(check_c11(B_tail, lam, k, config.tail, v_max=N))
-        elif cid == "C12":
-            reports.append(check_c12(A))
-        elif cid == "C13":
-            reports.append(check_c13(A))
-        elif cid == "C14":
-            reports.append(check_c14(B))
-        elif cid == "C15":
-            reports.append(check_c15(A))
-        elif cid == "C16":
-            reports.append(check_c16(A, B, lam))
-        elif cid == "TA":
-            p = weights_for(config.matrix_a, N)
-            q = weights_for(config.matrix_b, config.tail.cutoff)
-            reports.extend(check_theorem_a(p, q, lam, k, config.tail, n_max=N, delta_mode=config.delta_mode))
-    for rep in reports:
-        rows.extend(report_rows(rep))
+    checks = {
+        "C9": lambda: [check_c9(A, B, lam, k)],
+        "C10": lambda: [check_c10(A, b_tail(), lam, k, config.tail, v_max=N)],
+        "C11": lambda: [check_c11(b_tail(), lam, k, config.tail, v_max=N)],
+        "C12": lambda: [check_c12(A)],
+        "C13": lambda: [check_c13(A)],
+        "C14": lambda: [check_c14(B)],
+        "C15": lambda: [check_c15(A)],
+        "C16": lambda: [check_c16(A, B, lam)],
+        "TA": lambda: check_theorem_a(
+            weights_for(config.matrix_a, N),
+            weights_for(config.matrix_b, config.tail.cutoff),
+            lam,
+            k,
+            config.tail,
+            n_max=N,
+            delta_mode=config.delta_mode,
+        ),
+    }
+    reports = [rep for cid in config.conditions for rep in checks[cid]()]
+    rows = [row for rep in reports for row in report_rows(rep)]
     write_rows(CHECK_COLUMNS, rows, _meta(config, "check"), config.out_format, config.out_path)
     return EXIT_OK
 

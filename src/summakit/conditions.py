@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import abs_pow, accurate_sum, check_exponent, is_exact
+from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, is_exact
 from .errors import (
     LengthMismatchError,
     SizeMismatchError,
@@ -86,7 +86,7 @@ def classify_trend(indices, ratios, exact_style: bool = False, tol: float = _EXA
     final ratio has (at least) doubled since the half or quarter position;
     inconclusive in between.  Non-finite ratios force "growing".
     """
-    r = np.asarray(ratios, dtype=float)
+    r = as_float(ratios)
     if r.size == 0:
         return TREND_INCONCLUSIVE
     if not np.all(np.isfinite(r)):
@@ -111,7 +111,7 @@ def classify_trend(indices, ratios, exact_style: bool = False, tol: float = _EXA
 
 def _report(cid, indices, ratios, tail_cutoff=None, tail_warning=False) -> ConditionReport:
     idx = np.asarray(indices, dtype=int)
-    r = np.asarray([float(x) for x in ratios], dtype=float)
+    r = as_float(ratios).copy()  # owned: it is set read-only below
     if np.any(np.isnan(r)):
         raise ValueError(f"{cid}: NaN ratio produced from invalid upstream input")
     running = np.maximum.accumulate(r) if r.size else r
@@ -126,33 +126,41 @@ def _report(cid, indices, ratios, tail_cutoff=None, tail_warning=False) -> Condi
 def check_c9(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) -> ConditionReport:
     """|lambda_n| against n**(1/k-1) * a_nn / b_nn, for n = 1..N."""
     check_exponent(k)
-    if A.size != B.size:
-        raise SizeMismatchError(f"matrix orders differ: {A.order} vs {B.order}")
-    n_max = A.order
-    if len(lam) < n_max + 1:
-        raise LengthMismatchError(f"need {n_max + 1} factors, have {len(lam)}")
-    n = np.arange(1, n_max + 1)
-    da = np.asarray([float(x) for x in A.diagonal[1:]])
-    db = np.asarray([float(x) for x in B.diagonal[1:]])
-    lv = np.asarray([float(x) for x in lam.values[1 : n_max + 1]])
+    check_pair(A, B, lam, A.size)
+    n = np.arange(1, A.size)
+    da = as_float(A.diagonal[1:])
+    db = as_float(B.diagonal[1:])
+    lv = as_float(lam.values[1 : A.size])
     denom = n.astype(float) ** (1.0 / float(k) - 1.0) * np.abs(da / db)
     return _report("C9", n, np.abs(lv) / denom)
 
 
-def _tail_setup(tail: TailSpec, carrier_order: int, v_max: int):
-    """Clamp a tail request to what the carrier matrix can supply.
+def _tail_report(cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v_max: int, column, denominators):
+    """ratio_v = sum_{n=v+1..cutoff} n**(k-1) |column(bh, lv, v)|**k / denominators[v].
 
-    Returns (effective cutoff, report v_max, capped flag).  Raises when not
-    even a single tail term exists.
+    ``column`` maps rows v+1..cutoff of B-hat's leading columns (``bh``),
+    the factor values (``lv``) and v to the tested column over those rows.
+    A carrier B shorter than the cutoff clamps the sums to its order, and v
+    stops one short of the cutoff; either clamp sets the tail warning.
     """
-    cutoff_eff = min(tail.cutoff, carrier_order)
+    if len(lam) < v_max + 2:
+        raise LengthMismatchError(f"need {v_max + 2} factors, have {len(lam)}")
+    cutoff_eff = min(tail.cutoff, B.order)
     if cutoff_eff < 1:
-        raise TailUnavailableError(f"carrier of order {carrier_order} has no tail rows at all")
-    capped = cutoff_eff < tail.cutoff
-    if v_max > cutoff_eff - 1:
-        v_max = cutoff_eff - 1
-        capped = True
-    return cutoff_eff, v_max, capped
+        raise TailUnavailableError(f"carrier of order {B.order} has no tail rows at all")
+    warned = cutoff_eff < tail.cutoff or v_max > cutoff_eff - 1
+    v_max = min(v_max, cutoff_eff - 1)
+    bh = hat_columns(B, v_max + 1)
+    weights = np.arange(cutoff_eff + 1, dtype=float) ** (float(k) - 1.0)
+    ratios = []
+    for v in range(v_max + 1):
+        rows = slice(v + 1, cutoff_eff + 1)
+        terms = weights[rows] * as_float(abs_pow(column(bh[rows], lam.values, v), k))
+        total = accurate_sum(terms)
+        if terms.size and terms[-1] > tail.warn_threshold * total:
+            warned = True
+        ratios.append(total / denominators[v])
+    return _report(cid, np.arange(v_max + 1), ratios, tail.cutoff, warned)
 
 
 def check_c10(
@@ -173,22 +181,11 @@ def check_c10(
         v_max = min(A.order, B.order, len(lam) - 2)
     if A.order < v_max:
         raise SizeMismatchError(f"diagonal source of order {A.order} cannot cover v <= {v_max}")
-    if len(lam) < v_max + 2:
-        raise LengthMismatchError(f"need {v_max + 2} factors, have {len(lam)}")
-    cutoff_eff, v_max, warned = _tail_setup(tail, B.order, v_max)
-    bh = hat_columns(B, v_max + 1)
-    lv = lam.values
-    weights = np.arange(cutoff_eff + 1, dtype=float) ** (float(k) - 1.0)
-    ratios = []
-    for v in range(v_max + 1):
-        rows = slice(v + 1, cutoff_eff + 1)
-        diff = bh[rows, v] * lv[v] - bh[rows, v + 1] * lv[v + 1]
-        terms = weights[rows] * np.asarray([float(x) for x in abs_pow(diff, k)])
-        total = accurate_sum(terms)
-        if terms.size and terms[-1] > tail.warn_threshold * total:
-            warned = True
-        ratios.append(total / abs(float(A.diagonal[v])) ** float(k))
-    return _report("C10", np.arange(v_max + 1), ratios, tail.cutoff, warned)
+    # scalar powers: numpy's vectorized power can differ in the last digit
+    denominators = [abs(a) ** float(k) for a in as_float(A.diagonal[: v_max + 1]).tolist()]
+    return _tail_report(
+        "C10", B, lam, k, tail, v_max, lambda bh, lv, v: bh[:, v] * lv[v] - bh[:, v + 1] * lv[v + 1], denominators
+    )
 
 
 def check_c11(
@@ -205,27 +202,12 @@ def check_c11(
     check_exponent(k)
     if v_max is None:
         v_max = min(B.order, len(lam) - 2)
-    if len(lam) < v_max + 2:
-        raise LengthMismatchError(f"need {v_max + 2} factors, have {len(lam)}")
-    cutoff_eff, v_max, warned = _tail_setup(tail, B.order, v_max)
-    bh = hat_columns(B, v_max + 1)
-    lv = lam.values
-    weights = np.arange(cutoff_eff + 1, dtype=float) ** (float(k) - 1.0)
-    ratios = []
-    for v in range(v_max + 1):
-        rows = slice(v + 1, cutoff_eff + 1)
-        col = bh[rows, v + 1] * lv[v + 1]
-        terms = weights[rows] * np.asarray([float(x) for x in abs_pow(col, k)])
-        total = accurate_sum(terms)
-        if terms.size and terms[-1] > tail.warn_threshold * total:
-            warned = True
-        ratios.append(total)
-    return _report("C11", np.arange(v_max + 1), ratios, tail.cutoff, warned)
+    return _tail_report("C11", B, lam, k, tail, v_max, lambda bh, lv, v: bh[:, v + 1] * lv[v + 1], np.ones(v_max + 1))
 
 
 def check_c12(A: NormalMatrix) -> ConditionReport:
     """Column monotonicity a_{n-1,v} >= a_nv; ratios are violation sizes."""
-    E = np.asarray(A.entries, dtype=float) if A.exact else A.entries
+    E = as_float(A.entries)
     N = A.order
     if N == 0:
         return _report("C12", np.arange(0), [])
@@ -235,18 +217,19 @@ def check_c12(A: NormalMatrix) -> ConditionReport:
     return _report("C12", np.arange(1, N + 1), viol.max(axis=1))
 
 
+def _leading_bar_report(cid, M: NormalMatrix) -> ConditionReport:
+    """|bar_n0 - 1| for every row n of M: zero iff each row of M sums to one."""
+    return _report(cid, np.arange(M.size), np.abs(as_float(bar_columns(M, 0)[:, 0]) - 1.0))
+
+
 def check_c13(A: NormalMatrix) -> ConditionReport:
     """Leading bar column all ones; ratios are |bar_n0 - 1|."""
-    col = bar_columns(A, 0)[:, 0]
-    ratios = [abs(float(x) - 1.0) for x in col]
-    return _report("C13", np.arange(A.size), ratios)
+    return _leading_bar_report("C13", A)
 
 
 def check_c14(B: NormalMatrix) -> ConditionReport:
     """Same as check_c13 but for the second matrix of a pair."""
-    col = bar_columns(B, 0)[:, 0]
-    ratios = [abs(float(x) - 1.0) for x in col]
-    return _report("C14", np.arange(B.size), ratios)
+    return _leading_bar_report("C14", B)
 
 
 def check_c15(A: NormalMatrix) -> ConditionReport:
@@ -254,8 +237,8 @@ def check_c15(A: NormalMatrix) -> ConditionReport:
 
     ratio_n = |a_nn - a_{n+1,n}| / |a_nn a_{n+1,n+1}| for n = 0..N-1.
     """
-    d = np.asarray([float(x) for x in A.diagonal])
-    sub = np.asarray([float(A.entries[n + 1, n]) for n in range(A.order)])
+    d = as_float(A.diagonal)
+    sub = as_float(np.diagonal(A.entries, -1))
     ratios = np.abs(d[:-1] - sub) / np.abs(d[:-1] * d[1:])
     return _report("C15", np.arange(A.order), ratios)
 
@@ -279,21 +262,19 @@ def check_c16(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> Conditio
     A zero denominator with a positive numerator is reported as an infinite
     ratio and forces the "growing" verdict.
     """
-    if A.size != B.size:
-        raise SizeMismatchError(f"matrix orders differ: {A.order} vs {B.order}")
+    check_pair(A, B, lam, A.size)
     N = A.order
-    if len(lam) < N + 1:
-        raise LengthMismatchError(f"need {N + 1} factors, have {len(lam)}")
     lv = lam.values[: N + 1]
-    BL = np.asarray(np.abs(hat_of(B).entries * lv[None, :]), dtype=float)
-    W = np.asarray(np.abs(hat_inverse(A).entries), dtype=float)
+    BL = as_float(np.abs(hat_of(B).entries * lv[None, :]))
+    W = as_float(np.abs(hat_inverse(A).entries))
     inner = inner_sums(BL, W)
-    da = np.asarray([float(x) for x in A.diagonal])
-    db = np.asarray([float(x) for x in B.diagonal])
+    da = as_float(A.diagonal)
+    db = as_float(B.diagonal)
+    lvf = as_float(lv)
     ratios = []
     for n in range(1, N + 1):
         num = inner[n, : max(n - 1, 0)].max() if n >= 2 else 0.0
-        den = abs(db[n] / da[n]) * abs(float(lv[n]))
+        den = abs(db[n] / da[n]) * abs(lvf[n])
         if den == 0.0:
             ratios.append(0.0 if num == 0.0 else np.inf)
         else:
@@ -329,10 +310,7 @@ def w_sequence(
         terms = idx ** int(k - 1) * (qv[1 : cutoff + 1] / (Q[1 : cutoff + 1] * Q[:cutoff])) ** int(k)
     else:
         idx = np.arange(1, cutoff + 1, dtype=float)
-        ratio = np.asarray([float(x) for x in qv[1 : cutoff + 1]]) / (
-            np.asarray([float(x) for x in Q[1 : cutoff + 1]])
-            * np.asarray([float(x) for x in Q[:cutoff]])
-        )
+        ratio = as_float(qv[1 : cutoff + 1]) / (as_float(Q[1 : cutoff + 1]) * as_float(Q[:cutoff]))
         terms = idx ** (float(k) - 1.0) * ratio**float(k)
         exact = False
     values = []
@@ -385,12 +363,12 @@ def check_theorem_a(
     if q.order < n_max + 1:
         raise LengthMismatchError(f"need {n_max + 2} q-weights, have {len(q)}")
     W, warns = w_sequence(q, k, tail, n_max=n_max, with_warnings=True)
-    Wf = np.asarray([float(x) for x in W])
-    pv = np.asarray([float(x) for x in p.weights[: n_max + 1]])
-    P = np.asarray([float(x) for x in p.cumulative[: n_max + 1]])
-    qv = np.asarray([float(x) for x in q.weights[: n_max + 2]])
-    Q = np.asarray([float(x) for x in q.cumulative[: n_max + 2]])
-    lv = np.asarray([float(x) for x in lam.values[: n_max + 2]])
+    Wf = as_float(W)
+    pv = as_float(p.weights[: n_max + 1])
+    P = as_float(p.cumulative[: n_max + 1])
+    qv = as_float(q.weights[: n_max + 2])
+    Q = as_float(q.cumulative[: n_max + 2])
+    lv = as_float(lam.values[: n_max + 2])
 
     n = np.arange(1, n_max + 1)
     denom_a = n.astype(float) ** (1.0 / float(k) - 1.0) * np.abs(pv[1:] * Q[1:-1] / (P[1:] * qv[1:-1]))
@@ -425,4 +403,4 @@ def l1_lk_bound(C, k) -> L1LkBound:
     E = C.entries if isinstance(C, NormalMatrix) else np.asarray(C)
     powered = abs_pow(E, k)
     sums = np.asarray([accurate_sum(powered[:, v]) for v in range(E.shape[1])])
-    return L1LkBound(float(max(float(s) for s in sums)), sums)
+    return L1LkBound(float(max(as_float(sums))), sums)

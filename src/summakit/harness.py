@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_exponent, is_exact
+from ._util import check_exponent, check_pair, index_pow, is_exact
 from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
     LengthMismatchError,
-    SizeMismatchError,
 )
 from .conditions import inner_sums
 from .matrices import NormalMatrix, apply_lower, bar_columns, hat_columns, hat_inverse, hat_of
@@ -91,12 +90,9 @@ def _piecewise_probe_deltas(hat_cols: np.ndarray, v: int, kind: str, f_v, f_v1) 
 
 def _check_probe_args(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, v: int, k) -> None:
     check_exponent(k)
-    if A.size != B.size:
-        raise SizeMismatchError(f"matrix orders differ: {A.order} vs {B.order}")
     if not 0 <= v <= A.order - 1:
         raise IndexOutOfRangeError(f"probe index v={v} needs v+1 <= {A.order}")
-    if len(lam) < v + 2:
-        raise LengthMismatchError(f"need factors through index {v + 1}, have {len(lam)}")
+    check_pair(A, B, lam, v + 2)
 
 
 def _probe(ah, bh, lam: FactorSequence, v: int, kind: str, k, strict_paper: bool) -> ProbeResult:
@@ -204,11 +200,8 @@ def decompose(
     does too), otherwise it is exactly the retained first-column term and
     ``v0_retained`` is set.
     """
-    if A.size != B.size:
-        raise SizeMismatchError(f"matrix orders differ: {A.order} vs {B.order}")
+    check_pair(A, B, lam, A.size)
     N = A.order
-    if len(lam) < N + 1:
-        raise LengthMismatchError(f"need {N + 1} factors, have {len(lam)}")
     if len(a) < N + 1:
         raise LengthMismatchError(f"need {N + 1} coefficients, have {len(a)}")
     exact = A.exact and B.exact
@@ -255,13 +248,10 @@ def key_identity_check(
     of its entries.  Pass ``hat_b`` / ``inv_hat_a`` to amortize the
     inversion over sweeps.
     """
-    if A.size != B.size:
-        raise SizeMismatchError(f"matrix orders differ: {A.order} vs {B.order}")
     v_lo, v_hi = (np.min(v), np.max(v)) if np.ndim(v) else (v, v)
     if not (1 <= v_lo and v_hi <= n - 1 and n <= A.order):
         raise IndexOutOfRangeError(f"need 1 <= v <= n-1 and n <= {A.order}, got n={n}, v={v}")
-    if len(lam) < v_hi + 2:
-        raise LengthMismatchError(f"need factors through index {v_hi + 1}, have {len(lam)}")
+    check_pair(A, B, lam, v_hi + 2)
     bh = (hat_b or hat_of(B)).entries
     ahp = (inv_hat_a or hat_inverse(A)).entries
     E = A.entries
@@ -272,13 +262,17 @@ def key_identity_check(
     return abs(lhs - rhs)
 
 
-def _row_factors(order: int, expo: float, exact: bool) -> np.ndarray:
-    n = np.arange(order + 1)
-    if exact and float(expo) == 0.0:
-        out = np.ones(order + 1, dtype=object)
-        out[:] = 1
-        return out
-    return n.astype(float) ** float(expo)
+def _row_scaled(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, expo: float):
+    """Row factors n**expo, the diagonal terms n**expo b_nn lam_n / a_nn, and a zero array.
+
+    The shared set-up of :func:`build_cnv` and :func:`build_dnr`; the array
+    is exact only when both matrices are and the row factors are all one.
+    """
+    check_pair(A, B, lam, A.size)
+    exact = A.exact and B.exact
+    fac = index_pow(np.arange(A.size), expo, exact)
+    diag = fac * B.diagonal * lam.values[: A.size] / A.diagonal
+    return fac, diag, np.zeros((A.size, A.size), dtype=object if exact and expo == 0.0 else float)
 
 
 def build_cnv(
@@ -296,25 +290,15 @@ def build_cnv(
     k-th powers carry n**(1-1/k), the literal published weighting.
     """
     check_exponent(k)
-    if A.size != B.size:
-        raise SizeMismatchError(f"matrix orders differ: {A.order} vs {B.order}")
-    N = A.order
-    if len(lam) < N + 1:
-        raise LengthMismatchError(f"need {N + 1} factors, have {len(lam)}")
-    exact = A.exact and B.exact
     kf = float(k)
-    expo = (kf - 1.0) / kf**2 if strict_paper else (kf - 1.0) / kf
-    fac = _row_factors(N, expo, exact)
-
-    lamv = lam.values[: N + 1]
-    BL = hat_of(B).entries * lamv[None, :]
-    out = np.zeros((N + 1, N + 1), dtype=object if exact and expo == 0.0 else float)
+    fac, diag, out = _row_scaled(A, B, lam, (kf - 1.0) / kf**2 if strict_paper else (kf - 1.0) / kf)
+    N = A.order
     if N:
+        BL = hat_of(B).entries * lam.values[: N + 1][None, :]
         mid = np.tril(_middle_summands(A, BL), -1) * fac[:, None]
         out[:, 1:N] = mid[:, 1:]
-    diag_vals = fac * B.diagonal * lamv / A.diagonal
-    for n in range(1, N + 1):
-        out[n, n] = diag_vals[n]
+    idx = np.arange(1, N + 1)
+    out[idx, idx] = diag[1:]
     return out
 
 
@@ -324,17 +308,8 @@ def build_dnr(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) -> np.nd
     d_nr = n**(1-1/k) * b_nn lam_n / a_nn for 0 <= r <= n-2, zero elsewhere.
     """
     check_exponent(k)
-    if A.size != B.size:
-        raise SizeMismatchError(f"matrix orders differ: {A.order} vs {B.order}")
-    N = A.order
-    if len(lam) < N + 1:
-        raise LengthMismatchError(f"need {N + 1} factors, have {len(lam)}")
-    exact = A.exact and B.exact
     kf = float(k)
-    expo = (kf - 1.0) / kf
-    fac = _row_factors(N, expo, exact)
-    vals = fac * B.diagonal * lam.values[: N + 1] / A.diagonal
-    out = np.zeros((N + 1, N + 1), dtype=object if exact and expo == 0.0 else float)
-    for n in range(2, N + 1):
-        out[n, : n - 1] = vals[n]
+    _, diag, out = _row_scaled(A, B, lam, (kf - 1.0) / kf)
+    for n in range(2, A.size):
+        out[n, : n - 1] = diag[n]
     return out

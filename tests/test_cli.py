@@ -258,6 +258,43 @@ def test_config_rejects_boolean_exponent(tmp_path, capsys):
     assert "k must be" in capsys.readouterr().err
 
 
+def test_config_rejects_boolean_probe_index(tmp_path, capsys):
+    # same trap for the probe index: true must not read as v = 1
+    cfg = write_config(tmp_path, base_config(N=6, series={"kind": "probe", "v": True}))
+    assert main(["transform", "--config", cfg]) == 2
+    assert "series.probe v must be" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# check goldens
+# ---------------------------------------------------------------------------
+
+
+def check_riesz_config(k):
+    # the benchmark's cesaro / riesz-0.5 check at a small order, default 16N cutoff
+    return base_config(
+        N=60,
+        k=k,
+        matrix_b={"kind": "riesz", "generator": {"name": "power", "alpha": 0.5}},
+        tail={"cutoff": 960},
+        conditions=["C9", "C10", "C11", "C12", "C13", "C14", "C15", "C16", "TA"],
+    )
+
+
+CHECK_GOLDENS = [
+    ("check_riesz_n60_k2.csv", 2),
+    ("check_riesz_n60_k1p5.csv", 1.5),
+]
+
+
+@pytest.mark.parametrize("golden, k", CHECK_GOLDENS, ids=[g[0] for g in CHECK_GOLDENS])
+def test_check_matches_golden(tmp_path, golden, k):
+    cfg = write_config(tmp_path, check_riesz_config(k))
+    out = tmp_path / golden
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # verify goldens
 # ---------------------------------------------------------------------------

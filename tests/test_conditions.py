@@ -95,6 +95,26 @@ def test_c10_matches_rational_oracle():
         np.testing.assert_allclose(rep.ratios[v], expected, rtol=1e-12)
 
 
+def test_c10_c11_riesz_fraction_weights_match_rational_oracle():
+    # the exact path: Fraction hat columns and factors, rounded once per term
+    rng = np.random.default_rng(79)
+    N, cutoff = 5, 14
+    for _ in range(3):
+        A = sk.riesz_matrix(helpers.random_rational_weights(rng, N + 1))
+        B = sk.riesz_matrix(helpers.random_rational_weights(rng, cutoff + 1))
+        lam_vals = helpers.random_rational_vector(rng, N + 2)
+        lam = sk.FactorSequence(lam_vals)
+        bh = oracles.hat_rows(oracles.to_rows(B))
+        for k in (1, 2, 3):
+            c10 = sk.check_c10(A, B, lam, k, sk.TailSpec(cutoff), v_max=N)
+            c11 = sk.check_c11(B, lam, k, sk.TailSpec(cutoff), v_max=N)
+            for v in range(N + 1):
+                want10 = oracles.c10_tail(bh, list(lam_vals), k, v, cutoff) / abs(A.diagonal[v]) ** k
+                want11 = oracles.c11_tail(bh, list(lam_vals), k, v, cutoff)
+                np.testing.assert_allclose(c10.ratios[v], float(want10), rtol=1e-12)
+                np.testing.assert_allclose(c11.ratios[v], float(want11), rtol=1e-12)
+
+
 def test_c10_caps_at_matrix_size_with_warning():
     A = sk.cesaro_matrix(8)
     B = sk.cesaro_matrix(16)
