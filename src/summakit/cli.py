@@ -134,6 +134,14 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _number(spec: dict, key: str, default: float, where: str) -> float:
+    """``spec[key]`` as a float; JSON true/false and non-numbers are config errors."""
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _generated_weights(spec: dict, order: int) -> np.ndarray:
     gen = spec.get("generator", "ones")
     if isinstance(gen, str):
@@ -143,10 +151,10 @@ def _generated_weights(spec: dict, order: int) -> np.ndarray:
     if name == "ones":
         return np.ones(order + 1)
     if name == "power":
-        alpha = float(gen.get("alpha", 0.0))
+        alpha = _number(gen, "alpha", 0.0, "generator")
         return (n + 1.0) ** alpha
     if name == "geometric":
-        ratio = float(gen.get("ratio", 1.0))
+        ratio = _number(gen, "ratio", 1.0, "generator")
         if ratio <= 0:
             raise ConfigError(f"geometric weight ratio must be positive, got {ratio!r}")
         return ratio**n
@@ -179,12 +187,17 @@ def matrix_max_order(spec: dict) -> int | None:
 
 
 def build_matrix(spec: dict, order: int) -> NormalMatrix:
+    return _build_matrix(spec, order, order)
+
+
+def _build_matrix(spec: dict, order: int, weights_order: int) -> NormalMatrix:
+    """The matrix of ``spec`` at ``order``; a weighted mean carries its weights through ``weights_order``."""
     kind = spec.get("kind")
     if kind == "identity":
         return identity_matrix(order)
     if kind in ("cesaro", "riesz"):
         try:
-            return riesz_matrix(weights_for(spec, order))
+            return riesz_matrix(weights_for(spec, weights_order), order)
         except TailUnavailableError as exc:
             # short explicit weights at the base order are a config problem,
             # not a tail problem
@@ -202,9 +215,9 @@ def build_matrix(spec: dict, order: int) -> NormalMatrix:
 def build_lambda(spec: dict, count: int, k: float, diag_a=None, diag_b=None) -> FactorSequence:
     kind = spec.get("kind")
     if kind == "constant":
-        return FactorSequence(np.full(count, float(spec.get("value", 1.0))))
+        return FactorSequence(np.full(count, _number(spec, "value", 1.0, "lambda")))
     if kind == "power":
-        alpha = float(spec.get("alpha", 0.0))
+        alpha = _number(spec, "alpha", 0.0, "lambda")
         vals = np.arange(count, dtype=float) ** alpha
         vals[0] = 1.0
         return FactorSequence(vals)
@@ -231,7 +244,7 @@ def build_series(spec: dict, size: int) -> SeriesSample:
             raise ConfigError(f"series.coefficients must supply at least {size} entries")
         return SeriesSample(np.asarray(coeffs, dtype=float)[:size])
     if kind == "alternating":
-        beta = float(spec.get("beta", 1.0))
+        beta = _number(spec, "beta", 1.0, "series")
         n = np.arange(size, dtype=float)
         return SeriesSample((-1.0) ** np.arange(size) / (n + 1.0) ** beta)
     if kind == "probe":
@@ -335,15 +348,19 @@ def cmd_check(config: ExperimentConfig) -> int:
     N = config.order
     k = config.k
     A = build_matrix(config.matrix_a, N)
-    B = build_matrix(config.matrix_b, N)
+    # B out to the tail cutoff, or as far as its spec reaches (a spec short of N
+    # fails with its own message): a weighted mean carries its weights that far,
+    # and C10, C11 and TA read the tails from them
+    own_max = matrix_max_order(config.matrix_b)
+    reach = config.tail.cutoff if own_max is None else max(N, min(config.tail.cutoff, own_max))
+    B = _build_matrix(config.matrix_b, N, reach)
+    q_tail = B.weights if reach == config.tail.cutoff else None
     lam = lambda_for(config, N + 2)
 
     @functools.cache
     def b_tail() -> NormalMatrix:
-        """B out to the tail cutoff, or as far as its spec reaches; built on first use."""
-        own_max = matrix_max_order(config.matrix_b)
-        order = config.tail.cutoff if own_max is None else min(config.tail.cutoff, own_max)
-        return build_matrix(config.matrix_b, order)
+        """The C10/C11 carrier: B itself when it carries weights, else B built densely out to ``reach`` on first use."""
+        return B if B.weights is not None else build_matrix(config.matrix_b, reach)
 
     checks = {
         "C9": lambda: [check_c9(A, B, lam, k)],
@@ -356,7 +373,8 @@ def cmd_check(config: ExperimentConfig) -> int:
         "C16": lambda: [check_c16(A, B, lam)],
         "TA": lambda: check_theorem_a(
             weights_for(config.matrix_a, N),
-            weights_for(config.matrix_b, config.tail.cutoff),
+            # without weights through the cutoff, weights_for raises the spec's own error
+            q_tail if q_tail is not None else weights_for(config.matrix_b, config.tail.cutoff),
             lam,
             k,
             config.tail,
@@ -435,12 +453,12 @@ def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int =
     M, _records = empirical_constant(A, B, lam, k, strict_paper=strict_paper)
     record("empirical-bound-constant", M, informational=True)
 
-    dec = decompose(A, B, lam, series)
+    hat_b = hat_of(B)
+    inv_hat_a = hat_inverse(A)
+    dec = decompose(A, B, lam, series, hat_a=hat_a, hat_b=hat_b, inv_hat_a=inv_hat_a)
     record("decomposition-residual", float(dec.residual), VERIFY_TOLERANCES["decomposition-residual"] * scale)
     record("decomposition-v0-retained", 1.0 if dec.v0_retained else 0.0, informational=True)
 
-    hat_b = hat_of(B)
-    inv_hat_a = hat_inverse(A)
     worst_key = 0.0
     for n in range(2, N + 1):
         gaps = key_identity_check(A, B, lam, n, np.arange(1, n), hat_b=hat_b, inv_hat_a=inv_hat_a)
@@ -461,7 +479,7 @@ def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int =
         rand_lam = FactorSequence(rng.uniform(-1.0, 1.0, size=N + 2))
         rand_series = SeriesSample(coeffs)
         sweep_scale = max(1.0, float(np.max(np.abs(rand_series.partial_sums))))
-        rand_dec = decompose(A, B, rand_lam, rand_series)
+        rand_dec = decompose(A, B, rand_lam, rand_series, hat_a=hat_a, hat_b=hat_b, inv_hat_a=inv_hat_a)
         record(
             f"decomposition-residual-sweep-{sweep}",
             float(rand_dec.residual),

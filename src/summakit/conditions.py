@@ -13,6 +13,7 @@ requested cutoff.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -135,31 +136,97 @@ def check_c9(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) -> Condit
     return _report("C9", n, np.abs(lv) / denom)
 
 
-def _tail_report(cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v_max: int, column, denominators):
+def _suffix_sums(terms, count: int) -> np.ndarray:
+    """sum(terms[j:]) for j = 0..count-1, in one backward pass.
+
+    Exact scalars are added exactly.  A float64 term is a dyadic rational
+    d * 2**e, so the floats are added exactly as integers on their smallest
+    exponent and each suffix is rounded once, by correctly rounded integer
+    division: every value is bit-identical to ``math.fsum(terms[j:])``.  A
+    suffix holding an inf or NaN term is inf or NaN, as with fsum.
+    """
+    if is_exact(terms):
+        return np.asarray(list(itertools.accumulate(reversed(terms.tolist())))[::-1][:count], dtype=object)
+    t = as_float(terms)
+    finite = np.isfinite(t)
+    mant, expo = np.frexp(np.where(finite, t, 0.0))
+    low = min(int(expo.min()) - 53, 0)
+    digits = (mant * 2.0**53).astype(np.int64).tolist()
+    shifts = (expo - 53 - low).tolist()
+    sums = list(itertools.accumulate(d << s for d, s in zip(reversed(digits), reversed(shifts))))[::-1]
+    scale = 1 << -low
+    out = np.asarray([s / scale for s in sums[:count]])
+    if not finite.all():
+        out = out + np.cumsum(np.where(finite, 0.0, t)[::-1])[::-1][:count]
+    return out
+
+
+def _w_terms(q: WeightSequence, k, cutoff: int):
+    """n**(k-1) (q_n / (Q_n Q_{n-1}))**k for n = 1..cutoff; exact for exact q at integer k."""
+    qv = q.weights
+    Q = q.cumulative
+    if is_exact(qv) and float(k).is_integer():
+        idx = np.arange(1, cutoff + 1, dtype=object)
+        return idx ** int(k - 1) * (qv[1 : cutoff + 1] / (Q[1 : cutoff + 1] * Q[:cutoff])) ** int(k)
+    idx = np.arange(1, cutoff + 1, dtype=float)
+    ratio = as_float(qv[1 : cutoff + 1]) / (as_float(Q[1 : cutoff + 1]) * as_float(Q[:cutoff]))
+    return idx ** (float(k) - 1.0) * ratio**float(k)
+
+
+def _delta(q: WeightSequence, lv, count: int):
+    """Q_v lam_{v+1} - Q_{v-1} lam_v for v = 0..count-1, with Q_{-1} = 0.
+
+    Evaluated as q_v lam_{v+1} + Q_{v-1} (lam_{v+1} - lam_v): the literal
+    difference of two products of size Q_v |lam| can cancel to a value
+    smaller by a factor of order v**2 (lam_n = 1/(n+1), unit weights), and
+    its relative error grows by that factor.
+    """
+    Q_prev = np.concatenate(([0], q.cumulative[:count]))[:count]
+    lam_next = lv[1 : count + 1]
+    return q.weights[:count] * lam_next + Q_prev * (lam_next - lv[:count])
+
+
+def _tail_report(
+    cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v_max: int, column, coefficient, denominators
+):
     """ratio_v = sum_{n=v+1..cutoff} n**(k-1) |column(bh, lv, v)|**k / denominators[v].
 
     ``column`` maps rows v+1..cutoff of B-hat's leading columns (``bh``),
     the factor values (``lv``) and v to the tested column over those rows.
-    A carrier B shorter than the cutoff clamps the sums to its order, and v
-    stops one short of the cutoff; either clamp sets the tail warning.
+    When B carries weights q, no hat column is formed: over rows n > v the
+    tested column is q_n / (Q_n Q_{n-1}) times a constant of v, and
+    ``coefficient(q, lv, count)`` gives that constant for v < count (up to
+    sign), so ratio_v = |coefficient_v|**k T_v / denominators[v] with the
+    W tail T_v = sum_{n>v} n**(k-1) (q_n / (Q_n Q_{n-1}))**k.  The carrier
+    is the weight sequence then, and B's dense entries otherwise.  A carrier
+    shorter than the cutoff clamps the sums to its order, and v stops one
+    short of the cutoff; either clamp sets the tail warning.
     """
     if len(lam) < v_max + 2:
         raise LengthMismatchError(f"need {v_max + 2} factors, have {len(lam)}")
-    cutoff_eff = min(tail.cutoff, B.order)
+    carrier = B.order if B.weights is None else B.weights.order
+    cutoff_eff = min(tail.cutoff, carrier)
     if cutoff_eff < 1:
-        raise TailUnavailableError(f"carrier of order {B.order} has no tail rows at all")
+        raise TailUnavailableError(f"carrier of order {carrier} has no tail rows at all")
     warned = cutoff_eff < tail.cutoff or v_max > cutoff_eff - 1
     v_max = min(v_max, cutoff_eff - 1)
-    bh = hat_columns(B, v_max + 1)
-    weights = np.arange(cutoff_eff + 1, dtype=float) ** (float(k) - 1.0)
-    ratios = []
-    for v in range(v_max + 1):
-        rows = slice(v + 1, cutoff_eff + 1)
-        terms = weights[rows] * as_float(abs_pow(column(bh[rows], lam.values, v), k))
-        total = accurate_sum(terms)
-        if terms.size and terms[-1] > tail.warn_threshold * total:
-            warned = True
-        ratios.append(total / denominators[v])
+    if B.weights is not None:
+        terms = _w_terms(B.weights, k, cutoff_eff)
+        coef = abs_pow(coefficient(B.weights, lam.values, v_max + 1), k)
+        totals = coef * _suffix_sums(terms, v_max + 1)
+        warned = warned or bool(np.any(coef * terms[-1] > tail.warn_threshold * totals))
+    else:
+        bh = hat_columns(B, v_max + 1)
+        weights = np.arange(cutoff_eff + 1, dtype=float) ** (float(k) - 1.0)
+        totals = []
+        for v in range(v_max + 1):
+            rows = slice(v + 1, cutoff_eff + 1)
+            terms = weights[rows] * as_float(abs_pow(column(bh[rows], lam.values, v), k))
+            total = accurate_sum(terms)
+            if terms.size and terms[-1] > tail.warn_threshold * total:
+                warned = True
+            totals.append(total)
+    ratios = as_float(totals) / as_float(denominators[: v_max + 1])
     return _report(cid, np.arange(v_max + 1), ratios, tail.cutoff, warned)
 
 
@@ -184,7 +251,15 @@ def check_c10(
     # scalar powers: numpy's vectorized power can differ in the last digit
     denominators = [abs(a) ** float(k) for a in as_float(A.diagonal[: v_max + 1]).tolist()]
     return _tail_report(
-        "C10", B, lam, k, tail, v_max, lambda bh, lv, v: bh[:, v] * lv[v] - bh[:, v + 1] * lv[v + 1], denominators
+        "C10",
+        B,
+        lam,
+        k,
+        tail,
+        v_max,
+        lambda bh, lv, v: bh[:, v] * lv[v] - bh[:, v + 1] * lv[v + 1],
+        _delta,
+        denominators,
     )
 
 
@@ -202,7 +277,17 @@ def check_c11(
     check_exponent(k)
     if v_max is None:
         v_max = min(B.order, len(lam) - 2)
-    return _tail_report("C11", B, lam, k, tail, v_max, lambda bh, lv, v: bh[:, v + 1] * lv[v + 1], np.ones(v_max + 1))
+    return _tail_report(
+        "C11",
+        B,
+        lam,
+        k,
+        tail,
+        v_max,
+        lambda bh, lv, v: bh[:, v + 1] * lv[v + 1],
+        lambda q, lv, count: q.cumulative[:count] * lv[1 : count + 1],
+        np.ones(v_max + 1),
+    )
 
 
 def check_c12(A: NormalMatrix) -> ConditionReport:
@@ -302,30 +387,15 @@ def w_sequence(
         n_max = cutoff - 1
     if n_max > cutoff - 1:
         raise TailUnavailableError(f"W_{n_max} has no terms below cutoff {cutoff}")
-    exact = is_exact(q.weights)
-    qv = q.weights
-    Q = q.cumulative
-    if exact and float(k).is_integer():
-        idx = np.arange(1, cutoff + 1, dtype=object)
-        terms = idx ** int(k - 1) * (qv[1 : cutoff + 1] / (Q[1 : cutoff + 1] * Q[:cutoff])) ** int(k)
+    terms = _w_terms(q, k, cutoff)
+    totals = _suffix_sums(terms, n_max + 1)
+    warns = np.asarray(terms[-1] > tail.warn_threshold * totals, dtype=bool)
+    if is_exact(totals) and k == 1:
+        w = totals
     else:
-        idx = np.arange(1, cutoff + 1, dtype=float)
-        ratio = as_float(qv[1 : cutoff + 1]) / (as_float(Q[1 : cutoff + 1]) * as_float(Q[:cutoff]))
-        terms = idx ** (float(k) - 1.0) * ratio**float(k)
-        exact = False
-    values = []
-    warns = []
-    last = terms[-1]
-    for n in range(n_max + 1):
-        total = accurate_sum(terms[n:])
-        warns.append(bool(last > tail.warn_threshold * total))
-        if exact and k == 1:
-            values.append(total)
-        else:
-            values.append(float(total) ** (1.0 / float(k)))
-    w = np.asarray(values, dtype=object if (exact and k == 1) else float)
+        w = np.asarray([float(t) ** (1.0 / float(k)) for t in totals.tolist()])
     if with_warnings:
-        return w, np.asarray(warns, dtype=bool)
+        return w, warns
     return w
 
 
@@ -349,7 +419,8 @@ def check_theorem_a(
 
     ``delta_mode`` picks the difference convention for (b): "forward" is
     Q_{n-1} lam_n - Q_n lam_{n+1}; "backward" is Q_{n-1} lam_n -
-    Q_{n-2} lam_{n-1}.
+    Q_{n-2} lam_{n-1}.  Both are evaluated without cancellation, by the
+    same formula as C10's difference.
     """
     check_exponent(k)
     if delta_mode not in ("forward", "backward"):
@@ -375,10 +446,9 @@ def check_theorem_a(
     rep_a = _report("TA_a", n, np.abs(lv[1:-1]) / denom_a)
 
     if delta_mode == "forward":
-        delta = Q[:-2] * lv[1:-1] - Q[1:-1] * lv[2:]
+        delta = as_float(_delta(q, lam.values, n_max + 1)[1:])
     else:
-        qprev2 = np.concatenate([[0.0], Q[: n_max - 1]])
-        delta = Q[:-2] * lv[1:-1] - qprev2 * lv[:n_max]
+        delta = as_float(_delta(q, lam.values, n_max))
     ratios_b = np.abs(Wf[1:] * delta) * P[1:] / pv[1:]
     warned = bool(np.any(warns[1:]))
     rep_b = _report("TA_b", n, ratios_b, tail.cutoff, warned)

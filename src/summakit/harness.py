@@ -22,7 +22,7 @@ from .errors import (
     LengthMismatchError,
 )
 from .conditions import inner_sums
-from .matrices import NormalMatrix, apply_lower, bar_columns, hat_columns, hat_inverse, hat_of
+from .matrices import NormalMatrix, apply_lower, hat_columns, hat_inverse, hat_of
 from .series import FactorSequence, SeriesSample, x_norm, y_norm_pow
 
 PROBE_DIFFERENCE = "difference"
@@ -189,6 +189,9 @@ def decompose(
     B: NormalMatrix,
     lam: FactorSequence,
     a: SeriesSample,
+    hat_a: NormalMatrix | None = None,
+    hat_b: NormalMatrix | None = None,
+    inv_hat_a: NormalMatrix | None = None,
 ) -> Decomposition:
     """Split the B-transformed factored deltas into the two bounded parts.
 
@@ -198,7 +201,8 @@ def decompose(
     unit leading bar column the v = 0 contribution reduces to the term the
     classical display keeps implicit (and vanishes when the first matrix
     does too), otherwise it is exactly the retained first-column term and
-    ``v0_retained`` is set.
+    ``v0_retained`` is set.  Pass ``hat_a`` / ``hat_b`` / ``inv_hat_a`` to
+    share them between decompositions of several series.
     """
     check_pair(A, B, lam, A.size)
     N = A.order
@@ -208,23 +212,22 @@ def decompose(
     coeffs = a.coefficients[: N + 1]
     lamv = lam.values[: N + 1]
 
-    ah = hat_of(A)
-    bh = hat_of(B)
-    dx = apply_lower(ah, coeffs)
+    bh = (hat_b or hat_of(B)).entries
+    dx = apply_lower(hat_a or hat_of(A), coeffs)
     dy = apply_lower(bh, coeffs * lamv)
 
-    bar0 = bar_columns(B, 0)[:, 0]
+    bar0 = B.entries.sum(axis=1)  # the leading bar column
     if exact:
         v0_retained = any(x != 1 for x in bar0.tolist())
     else:
         v0_retained = bool(np.max(np.abs(bar0 - 1.0)) > _ROW_SUM_TOL)
 
-    BL = bh.entries * lamv[None, :]
+    BL = bh * lamv[None, :]
     t1 = B.diagonal * lamv / A.diagonal * dx
     if N:
         t1 = t1 + np.tril(_middle_summands(A, BL), -1) @ dx[:N]
 
-    t2 = inner_sums(BL, hat_inverse(A).entries) @ dx
+    t2 = inner_sums(BL, (inv_hat_a or hat_inverse(A)).entries) @ dx
 
     residual = max(abs(x) for x in (dy - t1 - t2).tolist())
     return Decomposition(t1=t1, t2=t2, delta_y=dy, residual=residual, v0_retained=v0_retained)

@@ -93,6 +93,27 @@ def c11_tail(bh, lam, k, v, cutoff):
     return total
 
 
+def weighted_mean_hat_columns(weights, v_lo, v_hi, cutoff):
+    """Hat columns v_lo..v_hi of the weighted mean a_ni = q_i / Q_n, rows 0..cutoff.
+
+    From the definitions alone: bar_nv = sum_{i=v..n} q_i / Q_n and
+    hat_nv = bar_nv - bar_{n-1,v}.  Row n is a dict keyed by column, which
+    is all :func:`c10_tail` and :func:`c11_tail` read of it.
+    """
+    Q = partial_sums(weights)
+    rows = [dict() for _ in range(cutoff + 1)]
+    for v in range(v_lo, v_hi + 1):
+        prev = Fraction(0)
+        tail = Fraction(0)
+        for n in range(cutoff + 1):
+            if n >= v:
+                tail += weights[n]
+            bar = tail / Q[n]
+            rows[n][v] = bar - prev if n >= 1 else bar
+            prev = bar
+    return rows
+
+
 def c16_inner(bh, ahp, lam, n, r):
     total = Fraction(0)
     for v in range(r + 2, n + 1):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import summakit
 from summakit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -263,6 +267,55 @@ def test_config_rejects_boolean_probe_index(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(N=6, series={"kind": "probe", "v": True}))
     assert main(["transform", "--config", cfg]) == 2
     assert "series.probe v must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        ("check", {"lambda": {"kind": "constant", "value": True}}, "lambda.value"),
+        ("check", {"lambda": {"kind": "power", "alpha": True}}, "lambda.alpha"),
+        ("check", {"lambda": {"kind": "constant", "value": "1"}}, "lambda.value"),
+        ("check", {"matrix_b": {"kind": "riesz", "generator": {"name": "power", "alpha": True}}}, "generator.alpha"),
+        (
+            "check",
+            {"matrix_b": {"kind": "riesz", "generator": {"name": "geometric", "ratio": True}}},
+            "generator.ratio",
+        ),
+        ("transform", {"series": {"kind": "alternating", "beta": True}}, "series.beta"),
+    ],
+)
+def test_config_rejects_non_numeric_values(tmp_path, capsys, command, overrides, field):
+    # JSON true is a Python bool, which is an int; it must not read as 1.0
+    cfg = write_config(tmp_path, base_config(N=6, **overrides))
+    assert main([command, "--config", cfg]) == 2
+    assert f"{field} must be a number" in capsys.readouterr().err
+
+
+def test_check_weighted_mean_tail_memory_stays_near_order_n(tmp_path):
+    # cutoff 16N = 16000: a dense (cutoff+1)**2 carrier of B would take about
+    # 4 GB; the child's address space is capped so that one fails fast
+    config = base_config(
+        N=1000,
+        k=2,
+        matrix_b={"kind": "riesz", "generator": {"name": "power", "alpha": 0.5}},
+        conditions=["C9", "C10", "C11", "C12", "C13", "C14", "C15", "C16", "TA"],
+    )
+    del config["tail"]
+    cfg = write_config(tmp_path, config)
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from summakit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(summakit.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, "-c", code, "check", "--config", cfg, "--out", str(tmp_path / "n1000.csv")]
+    proc = subprocess.Popen(argv, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss / 1024 < 400  # ru_maxrss is in KiB on Linux
+    assert len(read_rows(tmp_path / "n1000.csv")) == 11 * 1000 + 4  # C10, C11, C13, C14 have a row v = 0
 
 
 # ---------------------------------------------------------------------------

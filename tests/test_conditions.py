@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 import summakit as sk
-from summakit.conditions import TREND_BOUNDED, TREND_GROWING
+from summakit.conditions import TREND_BOUNDED, TREND_GROWING, _suffix_sums
 from summakit.errors import BadExponentError, SizeMismatchError, TailUnavailableError
 
 import helpers
@@ -144,7 +145,68 @@ def test_c11_riesz_equals_w_tail_product():
     Q = q.cumulative
     for v in range(1, N + 1):
         expected = (Q[v] * abs(lam.values[v + 1])) ** k * W[v] ** k
-        np.testing.assert_allclose(rep.ratios[v], expected, rtol=1e-9)
+        np.testing.assert_allclose(rep.ratios[v], expected, rtol=1e-13)
+
+
+def test_suffix_sums_bit_equal_to_fsum():
+    # one backward sweep of exact integer sums, rounded once per suffix
+    rng = np.random.default_rng(83)
+    wide = rng.choice([-1.0, 1.0], 400) * rng.uniform(1.0, 2.0, 400) * 2.0 ** rng.integers(-1000, 1000, 400)
+    spread = rng.uniform(0.0, 1.0, 300) * 10.0 ** rng.integers(-20, 15, 300)
+    with_zeros = np.where(rng.uniform(size=300) < 0.3, 0.0, spread)
+    subnormal = np.concatenate([rng.integers(1, 2**20, 50) * 5e-324, [2.0**-1022, 2.0**-1000, 1e-310]])
+    decades = 10.0 ** rng.uniform(-20, 15, 2000)
+    for terms in (wide, with_zeros, subnormal, decades, np.array([0.1]), np.zeros(3)):
+        got = _suffix_sums(terms, terms.size)
+        want = np.asarray([math.fsum(terms[j:]) for j in range(terms.size)])
+        assert got.tobytes() == want.tobytes()
+    assert _suffix_sums(decades, 7).tobytes() == np.asarray([math.fsum(decades[j:]) for j in range(7)]).tobytes()
+    special = np.array([1.0, np.nan, 2.0, np.inf, 3.0])
+    np.testing.assert_array_equal(_suffix_sums(special, 5), [math.fsum(special[j:]) for j in range(5)])
+
+
+def test_suffix_sums_exact_on_fractions():
+    rng = np.random.default_rng(84)
+    terms = helpers.random_rational_vector(rng, 60)
+    got = _suffix_sums(terms, 60)
+    assert got.dtype == object
+    assert got.tolist() == [sum(terms[j:].tolist(), F(0)) for j in range(60)]
+
+
+def test_c10_c11_float_riesz_match_exact_oracle_at_long_cutoff():
+    # float weights and factors taken as exact values; the oracle forms hat
+    # columns from the definition and sums every term in rational arithmetic
+    rng = np.random.default_rng(85)
+    N, cutoff = 6, 400
+    q_vals = rng.integers(1, 10, cutoff + 1).astype(float)
+    B = sk.riesz_matrix(sk.WeightSequence(q_vals), order=N)
+    A = sk.riesz_matrix(helpers.random_positive_weights(rng, N + 1))
+    lam_vals = rng.uniform(-1.0, 1.0, N + 2)
+    lam = [F(x) for x in lam_vals]
+    q = [F(x) for x in q_vals]
+    for k in (1, 2):
+        c10 = sk.check_c10(A, B, sk.FactorSequence(lam_vals), k, sk.TailSpec(cutoff), v_max=N)
+        c11 = sk.check_c11(B, sk.FactorSequence(lam_vals), k, sk.TailSpec(cutoff), v_max=N)
+        for v in range(N + 1):
+            bh = oracles.weighted_mean_hat_columns(q, v, v + 1, cutoff)
+            want10 = oracles.c10_tail(bh, lam, k, v, cutoff) / abs(F(A.diagonal[v])) ** k
+            want11 = oracles.c11_tail(bh, lam, k, v, cutoff)
+            np.testing.assert_allclose(c10.ratios[v], float(want10), rtol=1e-13)
+            np.testing.assert_allclose(c11.ratios[v], float(want11), rtol=1e-13)
+
+
+def test_c10_is_theorem_a_condition_b_to_the_k():
+    # riesz pair: C10_v = |Delta_v|**k T_v / a_vv**k and TA_b_v = |W_v Delta_v| P_v / p_v, W_v**k = T_v
+    rng = np.random.default_rng(86)
+    N, cutoff = 40, 640
+    tail = sk.TailSpec(cutoff)
+    for k in (1, 1.5, 2, 3.7):
+        p = helpers.random_positive_weights(rng, N + 1)
+        q = helpers.random_positive_weights(rng, cutoff + 1)
+        lam = sk.FactorSequence(rng.uniform(-1.0, 1.0, N + 2))
+        c10 = sk.check_c10(sk.riesz_matrix(p), sk.riesz_matrix(q, order=N), lam, k, tail, v_max=N)
+        _, tb, _ = sk.check_theorem_a(p, q, lam, k, tail, n_max=N, delta_mode="forward")
+        np.testing.assert_allclose(c10.ratios[1:], tb.ratios**k, rtol=1e-13)
 
 
 def test_c12_riesz_never_violates():
