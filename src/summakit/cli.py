@@ -37,19 +37,18 @@ from .conditions import (
 from .errors import ConfigError, SummakitError, TailUnavailableError
 from .harness import (
     PROBE_DIFFERENCE,
+    PROBE_KINDS,
     PROBE_SHIFT,
-    _piecewise_probe_deltas,
     build_cnv,
     build_dnr,
     decompose,
-    empirical_constant,
     key_identity_check,
+    ProbePass,
     probe_series,
 )
 from .matrices import (
     NormalMatrix,
     WeightSequence,
-    apply_lower,
     hat_inverse,
     hat_of,
     identity_matrix,
@@ -142,6 +141,16 @@ def _number(spec: dict, key: str, default: float, where: str) -> float:
     return float(value)
 
 
+def _numbers(values, where: str) -> np.ndarray:
+    """A JSON list of numbers as a float array; true/false and non-numbers are config errors."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
+    for i, x in enumerate(values):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ConfigError(f"{where}[{i}] must be a number, got {x!r}")
+    return np.asarray(values, dtype=float)
+
+
 def _generated_weights(spec: dict, order: int) -> np.ndarray:
     gen = spec.get("generator", "ones")
     if isinstance(gen, str):
@@ -172,7 +181,7 @@ def weights_for(spec: dict, order: int) -> WeightSequence:
         w = spec["weights"]
         if len(w) < order + 1:
             raise TailUnavailableError(f"need {order + 1} explicit weights, have {len(w)}")
-        return WeightSequence(np.asarray(w, dtype=float)[: order + 1])
+        return WeightSequence(_numbers(w[: order + 1], "weights"))
     return WeightSequence(_generated_weights(spec, order))
 
 
@@ -208,7 +217,7 @@ def _build_matrix(spec: dict, order: int, weights_order: int) -> NormalMatrix:
             raise ConfigError("explicit matrix needs nonempty 'entries'")
         if len(entries) < order + 1:
             raise ConfigError(f"explicit matrix has {len(entries)} rows, need {order + 1}")
-        return make_normal([row for row in entries[: order + 1]], order)
+        return make_normal([_numbers(row, f"entries[{n}]") for n, row in enumerate(entries[: order + 1])], order)
     raise ConfigError(f"unknown matrix kind {kind!r}")
 
 
@@ -218,14 +227,14 @@ def build_lambda(spec: dict, count: int, k: float, diag_a=None, diag_b=None) -> 
         return FactorSequence(np.full(count, _number(spec, "value", 1.0, "lambda")))
     if kind == "power":
         alpha = _number(spec, "alpha", 0.0, "lambda")
-        vals = np.arange(count, dtype=float) ** alpha
-        vals[0] = 1.0
+        vals = np.ones(count)
+        vals[1:] = np.arange(1, count, dtype=float) ** alpha
         return FactorSequence(vals)
     if kind == "explicit":
         vals = spec.get("values")
         if vals is None or len(vals) < count:
             raise ConfigError(f"lambda.values must supply at least {count} entries")
-        return FactorSequence(np.asarray(vals, dtype=float)[:count])
+        return FactorSequence(_numbers(vals[:count], "lambda.values"))
     if kind == "riesz_adapted":
         if diag_a is None or diag_b is None or len(diag_a) < count:
             raise ConfigError(f"lambda.riesz_adapted needs matrix diagonals through index {count - 1}")
@@ -242,7 +251,7 @@ def build_series(spec: dict, size: int) -> SeriesSample:
         coeffs = spec.get("coefficients")
         if not coeffs or len(coeffs) < size:
             raise ConfigError(f"series.coefficients must supply at least {size} entries")
-        return SeriesSample(np.asarray(coeffs, dtype=float)[:size])
+        return SeriesSample(_numbers(coeffs[:size], "series.coefficients"))
     if kind == "alternating":
         beta = _number(spec, "beta", 1.0, "series")
         n = np.arange(size, dtype=float)
@@ -252,7 +261,7 @@ def build_series(spec: dict, size: int) -> SeriesSample:
         probe_kind = spec.get("probe_kind", PROBE_DIFFERENCE)
         if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= size - 2:
             raise ConfigError(f"series.probe v must be an integer in [0, {size - 2}], got {v!r}")
-        if probe_kind not in (PROBE_DIFFERENCE, PROBE_SHIFT):
+        if probe_kind not in PROBE_KINDS:
             raise ConfigError(f"series.probe_kind must be 'difference' or 'shift', got {probe_kind!r}")
         return probe_series(probe_kind, v, size)
     raise ConfigError(f"unknown series kind {kind!r}")
@@ -416,6 +425,24 @@ def cmd_transform(config: ExperimentConfig) -> int:
 VERIFY_COLUMNS = ["check", "value", "tolerance", "status"]
 
 
+def _probe_checks(A: NormalMatrix, hat_a: NormalMatrix, hat_b: NormalMatrix, lam, k, strict_paper: bool):
+    """One probe pass: its gap to the definition, and the bound constant in the chosen and the plain reading.
+
+    By definition a probe's x-side deltas are the first difference in n of A
+    applied to its partial sums: e_v for the difference probe, so column v of A,
+    and the step 1_{n > v} for the shift probe, so A's reversed row cumulative sum.
+    """
+    probes = ProbePass(hat_a.entries, hat_b.entries, lam, k)
+    E = A.entries
+    steps = np.cumsum(E[:, ::-1], axis=1)[:, ::-1]
+    gap = max(
+        np.max(np.abs(probes.delta_x[PROBE_DIFFERENCE] - np.diff(E, axis=0, prepend=0.0)[:, :-1])),
+        np.max(np.abs(probes.delta_x[PROBE_SHIFT] - np.diff(steps, axis=0, prepend=0.0)[:, 1:])),
+    )
+    M = probes.constant(strict_paper)[0]
+    return gap, M, probes.constant()[0] if strict_paper else M
+
+
 def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int = 0) -> int:
     N = config.order
     k = config.k
@@ -440,20 +467,12 @@ def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int =
         rows.append({"check": name, "value": float(value), "tolerance": tolerance, "status": status})
         log.info("%s: value=%.3e status=%s", name, float(value), status)
 
-    # probe closed forms against the generic hat transform, all v, both kinds
     hat_a = hat_of(A)
-    worst_gap = 0.0
-    for kind in (PROBE_DIFFERENCE, PROBE_SHIFT):
-        for v in range(N):
-            closed = _piecewise_probe_deltas(hat_a.entries, v, kind, 1.0, 1.0)
-            generic = apply_lower(hat_a, probe_series(kind, v, N + 1).coefficients)
-            worst_gap = max(worst_gap, float(np.max(np.abs(closed - generic))))
-    record("probe-consistency", worst_gap, VERIFY_TOLERANCES["probe-consistency"] * scale)
-
-    M, _records = empirical_constant(A, B, lam, k, strict_paper=strict_paper)
+    hat_b = hat_of(B)
+    gap, M, M_plain = _probe_checks(A, hat_a, hat_b, lam, k, strict_paper)
+    record("probe-consistency", gap, VERIFY_TOLERANCES["probe-consistency"] * scale)
     record("empirical-bound-constant", M, informational=True)
 
-    hat_b = hat_of(B)
     inv_hat_a = hat_inverse(A)
     dec = decompose(A, B, lam, series, hat_a=hat_a, hat_b=hat_b, inv_hat_a=inv_hat_a)
     record("decomposition-residual", float(dec.residual), VERIFY_TOLERANCES["decomposition-residual"] * scale)
@@ -470,7 +489,6 @@ def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int =
     if strict_paper:
         strict_sup = l1_lk_bound(build_cnv(A, B, lam, k, strict_paper=True), k).sup
         record("cnv-column-bound-strict", strict_sup, informational=True)
-        M_plain, _ = empirical_constant(A, B, lam, k, strict_paper=False)
         record("strict-vs-plain-bound-gap", abs(M - M_plain), informational=True)
 
     rng = np.random.default_rng(seed)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, is_exact
+from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, is_exact, norm_weights
 from .errors import (
     LengthMismatchError,
     SizeMismatchError,
@@ -186,21 +186,19 @@ def _delta(q: WeightSequence, lv, count: int):
     return q.weights[:count] * lam_next + Q_prev * (lam_next - lv[:count])
 
 
-def _tail_report(
-    cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v_max: int, column, coefficient, denominators
-):
-    """ratio_v = sum_{n=v+1..cutoff} n**(k-1) |column(bh, lv, v)|**k / denominators[v].
+def _tail_report(cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v_max: int, denominators):
+    """ratio_v = sum_{n=v+1..cutoff} n**(k-1) |M_nv|**k / denominators[v].
 
-    ``column`` maps rows v+1..cutoff of B-hat's leading columns (``bh``),
-    the factor values (``lv``) and v to the tested column over those rows.
-    When B carries weights q, no hat column is formed: over rows n > v the
-    tested column is q_n / (Q_n Q_{n-1}) times a constant of v, and
-    ``coefficient(q, lv, count)`` gives that constant for v < count (up to
-    sign), so ratio_v = |coefficient_v|**k T_v / denominators[v] with the
-    W tail T_v = sum_{n>v} n**(k-1) (q_n / (Q_n Q_{n-1}))**k.  The carrier
-    is the weight sequence then, and B's dense entries otherwise.  A carrier
+    M is the difference (C10) or shift (C11) probe matrix of B-hat and the
+    factors (:func:`probe_deltas`).  When B carries weights q, no hat column
+    is formed: over rows n > v column v of M is q_n / (Q_n Q_{n-1}) times
+    Delta_v (C10) or Q_v lam_{v+1} (C11), up to sign, so ratio_v is that
+    coefficient to the k times the W tail T_v = sum_{n>v} n**(k-1)
+    (q_n / (Q_n Q_{n-1}))**k, over denominators[v].  The carrier is the
+    weight sequence then, and B's dense entries otherwise.  A carrier
     shorter than the cutoff clamps the sums to its order, and v stops one
-    short of the cutoff; either clamp sets the tail warning.
+    short of the cutoff; either clamp sets the tail warning, as does a last
+    term that is still material.
     """
     if len(lam) < v_max + 2:
         raise LengthMismatchError(f"need {v_max + 2} factors, have {len(lam)}")
@@ -210,33 +208,26 @@ def _tail_report(
         raise TailUnavailableError(f"carrier of order {carrier} has no tail rows at all")
     warned = cutoff_eff < tail.cutoff or v_max > cutoff_eff - 1
     v_max = min(v_max, cutoff_eff - 1)
+    shift = cid == "C11"
     if B.weights is not None:
-        terms = _w_terms(B.weights, k, cutoff_eff)
-        coef = abs_pow(coefficient(B.weights, lam.values, v_max + 1), k)
+        q = B.weights
+        terms = _w_terms(q, k, cutoff_eff)
+        coef = q.cumulative[: v_max + 1] * lam.values[1 : v_max + 2] if shift else _delta(q, lam.values, v_max + 1)
+        coef = abs_pow(coef, k)
         totals = coef * _suffix_sums(terms, v_max + 1)
-        warned = warned or bool(np.any(coef * terms[-1] > tail.warn_threshold * totals))
+        last = coef * terms[-1]
     else:
-        bh = hat_columns(B, v_max + 1)
-        weights = np.arange(cutoff_eff + 1, dtype=float) ** (float(k) - 1.0)
-        totals = []
-        for v in range(v_max + 1):
-            rows = slice(v + 1, cutoff_eff + 1)
-            terms = weights[rows] * as_float(abs_pow(column(bh[rows], lam.values, v), k))
-            total = accurate_sum(terms)
-            if terms.size and terms[-1] > tail.warn_threshold * total:
-                warned = True
-            totals.append(total)
+        M = np.tril(probe_deltas(hat_columns(B, v_max + 1)[: cutoff_eff + 1], lam.values)[shift], -1)
+        w = norm_weights(cutoff_eff + 1, k, is_exact(M))
+        totals = column_sums(M, k, w)
+        last = w[-1] * abs_pow(M[-1], k)
+    warned = warned or bool(np.any(last > tail.warn_threshold * totals))
     ratios = as_float(totals) / as_float(denominators[: v_max + 1])
     return _report(cid, np.arange(v_max + 1), ratios, tail.cutoff, warned)
 
 
 def check_c10(
-    A: NormalMatrix,
-    B: NormalMatrix,
-    lam: FactorSequence,
-    k,
-    tail: TailSpec,
-    v_max: int | None = None,
+    A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v_max: int | None = None
 ) -> ConditionReport:
     """Column-difference tails of B-hat times factors, against a_vv**k.
 
@@ -250,26 +241,10 @@ def check_c10(
         raise SizeMismatchError(f"diagonal source of order {A.order} cannot cover v <= {v_max}")
     # scalar powers: numpy's vectorized power can differ in the last digit
     denominators = [abs(a) ** float(k) for a in as_float(A.diagonal[: v_max + 1]).tolist()]
-    return _tail_report(
-        "C10",
-        B,
-        lam,
-        k,
-        tail,
-        v_max,
-        lambda bh, lv, v: bh[:, v] * lv[v] - bh[:, v + 1] * lv[v + 1],
-        _delta,
-        denominators,
-    )
+    return _tail_report("C10", B, lam, k, tail, v_max, denominators)
 
 
-def check_c11(
-    B: NormalMatrix,
-    lam: FactorSequence,
-    k,
-    tail: TailSpec,
-    v_max: int | None = None,
-) -> ConditionReport:
+def check_c11(B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v_max: int | None = None) -> ConditionReport:
     """Shifted-column tails of B-hat times factors, against the constant 1.
 
     ratio_v = sum_{n=v+1..cutoff} n**(k-1) |bhat_{n,v+1} lam_{v+1}|**k
@@ -277,17 +252,7 @@ def check_c11(
     check_exponent(k)
     if v_max is None:
         v_max = min(B.order, len(lam) - 2)
-    return _tail_report(
-        "C11",
-        B,
-        lam,
-        k,
-        tail,
-        v_max,
-        lambda bh, lv, v: bh[:, v + 1] * lv[v + 1],
-        lambda q, lv, count: q.cumulative[:count] * lv[1 : count + 1],
-        np.ones(v_max + 1),
-    )
+    return _tail_report("C11", B, lam, k, tail, v_max, np.ones(v_max + 1))
 
 
 def check_c12(A: NormalMatrix) -> ConditionReport:
@@ -326,6 +291,23 @@ def check_c15(A: NormalMatrix) -> ConditionReport:
     sub = as_float(np.diagonal(A.entries, -1))
     ratios = np.abs(d[:-1] - sub) / np.abs(d[:-1] * d[1:])
     return _report("C15", np.arange(A.order), ratios)
+
+
+def probe_deltas(H: np.ndarray, lv) -> tuple[np.ndarray, np.ndarray]:
+    """Every probe's transform through the hat columns ``H``, one column per v.
+
+    With BL = H diag(lv), column v of D = BL[:, v] - BL[:, v+1] is the
+    transform of the difference probe e_v - e_{v+1} scaled by the factors
+    ``lv``, and column v of S = BL[:, v+1] that of the shift probe e_{v+1}.
+    Below row v these are the columns that C10 and C11 sum.
+    """
+    BL = H * lv[None, : H.shape[1]]
+    return BL[:, :-1] - BL[:, 1:], BL[:, 1:]
+
+
+def column_sums(M: np.ndarray, k, w=None) -> np.ndarray:
+    """accurate_sum(w * |M[:, j]|**k) for every column j; no weights when ``w`` is None."""
+    return np.asarray([accurate_sum(abs_pow(col, k) if w is None else w * abs_pow(col, k)) for col in M.T])
 
 
 def inner_sums(BL: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -470,7 +452,5 @@ def l1_lk_bound(C, k) -> L1LkBound:
     absolutely summable sequences into k-power summable ones.
     """
     check_exponent(k)
-    E = C.entries if isinstance(C, NormalMatrix) else np.asarray(C)
-    powered = abs_pow(E, k)
-    sums = np.asarray([accurate_sum(powered[:, v]) for v in range(E.shape[1])])
+    sums = column_sums(C.entries if isinstance(C, NormalMatrix) else np.asarray(C), k)
     return L1LkBound(float(max(as_float(sums))), sums)

@@ -15,18 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_exponent, check_pair, index_pow, is_exact
+from ._util import check_exponent, check_pair, index_pow, is_exact, norm_weights
 from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
     LengthMismatchError,
 )
-from .conditions import inner_sums
+from .conditions import column_sums, inner_sums, probe_deltas
 from .matrices import NormalMatrix, apply_lower, hat_columns, hat_inverse, hat_of
-from .series import FactorSequence, SeriesSample, x_norm, y_norm_pow
+from .series import FactorSequence, SeriesSample
 
 PROBE_DIFFERENCE = "difference"
 PROBE_SHIFT = "shift"
+PROBE_KINDS = (PROBE_DIFFERENCE, PROBE_SHIFT)
 
 _ROW_SUM_TOL = 1e-12
 
@@ -61,7 +62,7 @@ class Decomposition:
 
 def probe_series(kind: str, v: int, size: int, exact: bool = False) -> SeriesSample:
     """Coefficient sequence e_v - e_{v+1} (difference) or e_{v+1} (shift)."""
-    if kind not in (PROBE_DIFFERENCE, PROBE_SHIFT):
+    if kind not in PROBE_KINDS:
         raise ValueError(f"unknown probe kind {kind!r}")
     if not 0 <= v <= size - 2:
         raise IndexOutOfRangeError(f"probe at v={v} needs v+1 within size {size}")
@@ -75,19 +76,6 @@ def probe_series(kind: str, v: int, size: int, exact: bool = False) -> SeriesSam
     return SeriesSample(coeffs)
 
 
-def _piecewise_probe_deltas(hat_cols: np.ndarray, v: int, kind: str, f_v, f_v1) -> np.ndarray:
-    """Closed-form probe deltas from two hat columns scaled by f_v, f_{v+1}."""
-    size = hat_cols.shape[0]
-    exact = is_exact(hat_cols)
-    out = np.zeros(size, dtype=object if exact else float)
-    if kind == PROBE_DIFFERENCE:
-        out[v] = hat_cols[v, v] * f_v
-        out[v + 1 :] = hat_cols[v + 1 :, v] * f_v - hat_cols[v + 1 :, v + 1] * f_v1
-    else:
-        out[v + 1 :] = hat_cols[v + 1 :, v + 1] * f_v1
-    return out
-
-
 def _check_probe_args(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, v: int, k) -> None:
     check_exponent(k)
     if not 0 <= v <= A.order - 1:
@@ -95,45 +83,61 @@ def _check_probe_args(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, v: 
     check_pair(A, B, lam, v + 2)
 
 
-def _probe(ah, bh, lam: FactorSequence, v: int, kind: str, k, strict_paper: bool) -> ProbeResult:
-    """One probe from hat columns of A (``ah``) and B (``bh``) through v+1."""
-    one = 1 if is_exact(ah) and is_exact(bh) else 1.0
-    dx = _piecewise_probe_deltas(ah, v, kind, one, one)
-    dy = _piecewise_probe_deltas(bh, v, kind, lam.values[v], lam.values[v + 1])
-    xn = x_norm(dx)
-    ypow = y_norm_pow(dy, k)
-    if strict_paper and kind == PROBE_DIFFERENCE:
-        w_v = 1.0 if v == 0 else float(v) ** (float(k) - 1.0)
-        diag_term = w_v * abs(float(bh[v, v]) * float(lam.values[v])) ** float(k)
-        strict_term = w_v * abs(float(bh[v, v])) * abs(float(lam.values[v])) ** float(k)
-        ypow = float(ypow) - diag_term + strict_term
-    if k == 1:
-        yn = ypow
-    else:
-        yn = float(ypow) ** (1.0 / float(k))
-    return ProbeResult(kind, v, dx, dy, xn, yn)
+class ProbePass:
+    """Both probe kinds at every v = 0..m-1, read off hat columns 0..m of A and B.
+
+    ``delta_x[kind]`` and ``delta_y[kind]`` hold the deltas through A and B,
+    column v for the probe at v (see :func:`~summakit.conditions.probe_deltas`);
+    ``x_norm[kind]`` and ``y_pow[kind]`` hold each column's x-norm and
+    y-norm**k.
+    """
+
+    def __init__(self, hat_a: np.ndarray, hat_b: np.ndarray, lam: FactorSequence, k):
+        unit = np.ones(hat_a.shape[1], dtype=object if is_exact(hat_a) and is_exact(hat_b) else float)
+        self.k, self.b_diag, self.lv = k, np.diagonal(hat_b), lam.values
+        self.delta_x = dict(zip(PROBE_KINDS, probe_deltas(hat_a, unit)))
+        self.delta_y = dict(zip(PROBE_KINDS, probe_deltas(hat_b, lam.values)))
+        self.x_norm = {kind: column_sums(d, 1) for kind, d in self.delta_x.items()}
+        self.y_pow = {
+            kind: column_sums(d, k, norm_weights(d.shape[0], k, is_exact(d))) for kind, d in self.delta_y.items()
+        }
+
+    def probe(self, kind: str, v: int, strict_paper: bool = False) -> ProbeResult:
+        """The probe at v; ``strict_paper`` swaps the difference probe's |b_vv lam_v|**k for b_vv |lam_v|**k."""
+        kf = float(self.k)
+        ypow = self.y_pow[kind][v]
+        if strict_paper and kind == PROBE_DIFFERENCE:
+            w_v = 1.0 if v == 0 else float(v) ** (kf - 1.0)
+            b, f = float(self.b_diag[v]), float(self.lv[v])
+            ypow = float(ypow) - w_v * abs(b * f) ** kf + w_v * abs(b) * abs(f) ** kf
+        yn = ypow if self.k == 1 else float(ypow) ** (1.0 / kf)
+        return ProbeResult(kind, v, self.delta_x[kind][:, v], self.delta_y[kind][:, v], self.x_norm[kind][v], yn)
+
+    def constant(self, strict_paper: bool = False):
+        """(largest ratio, records (kind, v, ratio)) over v = 1..m-1 and both kinds."""
+        records = [
+            (kind, v, inequality20_ratio(self.probe(kind, v, strict_paper)))
+            for kind in PROBE_KINDS
+            for v in range(1, self.x_norm[kind].size)
+        ]
+        return max((r for _, _, r in records), default=0.0), records
 
 
 def run_probe(
-    A: NormalMatrix,
-    B: NormalMatrix,
-    lam: FactorSequence,
-    v: int,
-    kind: str,
-    k,
-    strict_paper: bool = False,
+    A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, v: int, kind: str, k, strict_paper: bool = False
 ) -> ProbeResult:
     """Apply one coordinate probe through both matrices and take the norms.
 
-    The deltas come from the piecewise closed forms on hat columns v and
-    v+1; ``cli verify`` checks those closed forms against the generic hat
-    transform once per run, in its probe-consistency row.  ``strict_paper``
-    switches the difference-probe y-norm diagonal term from
-    |b_vv lam_v|**k to b_vv |lam_v|**k (first power on b_vv) for
-    side-by-side comparison of the two published readings.
+    The deltas are column v of the probe matrices of hat columns 0..v+1;
+    ``cli verify`` checks those columns against the definition, the first
+    difference of A applied to the probe's partial sums, in its
+    probe-consistency row.  ``strict_paper`` switches the difference-probe
+    y-norm diagonal term from |b_vv lam_v|**k to b_vv |lam_v|**k (first
+    power on b_vv) for side-by-side comparison of the two published
+    readings.
     """
     _check_probe_args(A, B, lam, v, k)
-    return _probe(hat_columns(A, v + 1), hat_columns(B, v + 1), lam, v, kind, k, strict_paper)
+    return ProbePass(hat_columns(A, v + 1), hat_columns(B, v + 1), lam, k).probe(kind, v, strict_paper)
 
 
 def inequality20_ratio(probe: ProbeResult) -> float:
@@ -143,45 +147,33 @@ def inequality20_ratio(probe: ProbeResult) -> float:
     return float(probe.y_norm) / float(probe.x_norm)
 
 
-def empirical_constant(
-    A: NormalMatrix,
-    B: NormalMatrix,
-    lam: FactorSequence,
-    k,
-    kinds: tuple = (PROBE_DIFFERENCE, PROBE_SHIFT),
-    strict_paper: bool = False,
-):
+def empirical_constant(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k, strict_paper: bool = False):
     """Largest probe-norm ratio over v = 1..N-1 and both probe kinds.
 
     Returns (max ratio, records) where each record is (kind, v, ratio).
     The value is reported evidence for the bound constant; it is never
-    asserted to converge.  Both hat matrices are built once and every
-    probe reads its two columns from them.
+    asserted to converge.  Every probe is one column of the probe
+    matrices of the two full hat matrices.
     """
-    records = []
     if A.order < 2:
-        return 0.0, records
+        return 0.0, []
     _check_probe_args(A, B, lam, A.order - 1, k)
-    ah = hat_of(A).entries
-    bh = hat_of(B).entries
-    for kind in kinds:
-        for v in range(1, A.order):
-            probe = _probe(ah, bh, lam, v, kind, k, strict_paper)
-            records.append((kind, v, inequality20_ratio(probe)))
-    best = max((r for _, _, r in records), default=0.0)
-    return best, records
+    return ProbePass(hat_of(A).entries, hat_of(B).entries, lam, k).constant(strict_paper)
 
 
-def _middle_summands(A: NormalMatrix, BL: np.ndarray) -> np.ndarray:
-    """(BL[n,v] - BL[n,v+1]) / a_vv + BL[n,v+1] (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}), v < N.
+def _middle_summands(A: NormalMatrix, B: NormalMatrix, lv, hat_b: NormalMatrix | None = None) -> np.ndarray:
+    """D / a_vv + S (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}), v < N.
 
-    ``BL`` is the B hat matrix with column v scaled by lam_v; the result is
-    the first part's middle summand, shared by :func:`decompose` and
-    :func:`build_cnv`.
+    D and S are the difference and shift probe matrices of B-hat (``hat_b``
+    when given) and the factors ``lv``; the result is the first part's
+    middle summand, shared by :func:`decompose` and :func:`build_cnv`.
     """
     Ad = A.diagonal
     gap = (Ad[:-1] - np.diagonal(A.entries, -1)) / (Ad[:-1] * Ad[1:])
-    return (BL[:, :-1] - BL[:, 1:]) / Ad[:-1][None, :] + BL[:, 1:] * gap[None, :]
+    D, S = probe_deltas((hat_b or hat_of(B)).entries, lv)
+    D = D / Ad[:-1][None, :]  # a new array: the differences are freed before S * gap is formed
+    D += S * gap[None, :]
+    return D
 
 
 def decompose(
@@ -212,7 +204,8 @@ def decompose(
     coeffs = a.coefficients[: N + 1]
     lamv = lam.values[: N + 1]
 
-    bh = (hat_b or hat_of(B)).entries
+    hat_b = hat_b or hat_of(B)
+    bh = hat_b.entries
     dx = apply_lower(hat_a or hat_of(A), coeffs)
     dy = apply_lower(bh, coeffs * lamv)
 
@@ -222,12 +215,11 @@ def decompose(
     else:
         v0_retained = bool(np.max(np.abs(bar0 - 1.0)) > _ROW_SUM_TOL)
 
-    BL = bh * lamv[None, :]
     t1 = B.diagonal * lamv / A.diagonal * dx
     if N:
-        t1 = t1 + np.tril(_middle_summands(A, BL), -1) @ dx[:N]
+        t1 = t1 + np.tril(_middle_summands(A, B, lamv, hat_b), -1) @ dx[:N]
 
-    t2 = inner_sums(BL, (inv_hat_a or hat_inverse(A)).entries) @ dx
+    t2 = inner_sums(bh * lamv[None, :], (inv_hat_a or hat_inverse(A)).entries) @ dx
 
     residual = max(abs(x) for x in (dy - t1 - t2).tolist())
     return Decomposition(t1=t1, t2=t2, delta_y=dy, residual=residual, v0_retained=v0_retained)
@@ -297,8 +289,7 @@ def build_cnv(
     fac, diag, out = _row_scaled(A, B, lam, (kf - 1.0) / kf**2 if strict_paper else (kf - 1.0) / kf)
     N = A.order
     if N:
-        BL = hat_of(B).entries * lam.values[: N + 1][None, :]
-        mid = np.tril(_middle_summands(A, BL), -1) * fac[:, None]
+        mid = np.tril(_middle_summands(A, B, lam.values), -1) * fac[:, None]
         out[:, 1:N] = mid[:, 1:]
     idx = np.arange(1, N + 1)
     out[idx, idx] = diag[1:]

@@ -282,6 +282,14 @@ def test_config_rejects_boolean_probe_index(tmp_path, capsys):
             "generator.ratio",
         ),
         ("transform", {"series": {"kind": "alternating", "beta": True}}, "series.beta"),
+        ("check", {"lambda": {"kind": "explicit", "values": [1.0, True] + [1.0] * 6}}, "lambda.values[1]"),
+        ("transform", {"series": {"kind": "explicit", "coefficients": [True] + [1.0] * 6}}, "series.coefficients[0]"),
+        ("check", {"matrix_b": {"kind": "riesz", "weights": [1.0, 2.0, True] + [1.0] * 200}}, "weights[2]"),
+        (
+            "check",
+            {"matrix_b": {"kind": "explicit", "entries": [[1.0], [0.5, True]] + [[0.5] * (n + 1) for n in range(2, 7)]}},
+            "entries[1][1]",
+        ),
     ],
 )
 def test_config_rejects_non_numeric_values(tmp_path, capsys, command, overrides, field):
@@ -289,6 +297,15 @@ def test_config_rejects_non_numeric_values(tmp_path, capsys, command, overrides,
     cfg = write_config(tmp_path, base_config(N=6, **overrides))
     assert main([command, "--config", cfg]) == 2
     assert f"{field} must be a number" in capsys.readouterr().err
+
+
+def test_power_lambda_with_negative_alpha_starts_at_one_without_warnings(tmp_path):
+    # n = 0 is never raised to the power: 0**-1 would warn of a division by zero
+    from summakit.cli import build_lambda
+
+    np.testing.assert_array_equal(build_lambda({"kind": "power", "alpha": -1.0}, 5, 2.0).values, [1, 1, 1 / 2, 1 / 3, 1 / 4])
+    cfg = write_config(tmp_path, base_config(N=12, **{"lambda": {"kind": "power", "alpha": -1.0}}))
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "report.csv")]) == 0
 
 
 def test_check_weighted_mean_tail_memory_stays_near_order_n(tmp_path):
@@ -334,15 +351,39 @@ def check_riesz_config(k):
     )
 
 
+def check_dense_b_config(matrix_b, tail):
+    # C10/C11 read from B's dense hat columns: explicit and identity B carry no weights
+    return base_config(
+        N=12,
+        k=1.5,
+        matrix_b=matrix_b,
+        **{"lambda": {"kind": "explicit", "values": [(-1) ** n / (n + 1) for n in range(14)]}},
+        tail=tail,
+        conditions=["C10", "C11"],
+    )
+
+
+def check_explicit_b_config():
+    # entries out to order 40, past N = 12: the tails run over all of them
+    entries = [[(1 + (3 * n + 5 * v) % 7) / (8 * (n + 1)) for v in range(n + 1)] for n in range(41)]
+    return check_dense_b_config({"kind": "explicit", "entries": entries}, {"cutoff": 40})
+
+
+def check_identity_b_config():
+    return check_dense_b_config({"kind": "identity"}, {})
+
+
 CHECK_GOLDENS = [
-    ("check_riesz_n60_k2.csv", 2),
-    ("check_riesz_n60_k1p5.csv", 1.5),
+    ("check_riesz_n60_k2.csv", lambda: check_riesz_config(2)),
+    ("check_riesz_n60_k1p5.csv", lambda: check_riesz_config(1.5)),
+    ("check_explicit_b_n12_k1p5.csv", check_explicit_b_config),
+    ("check_identity_b_n12_k1p5.csv", check_identity_b_config),
 ]
 
 
-@pytest.mark.parametrize("golden, k", CHECK_GOLDENS, ids=[g[0] for g in CHECK_GOLDENS])
-def test_check_matches_golden(tmp_path, golden, k):
-    cfg = write_config(tmp_path, check_riesz_config(k))
+@pytest.mark.parametrize("golden, make_config", CHECK_GOLDENS, ids=[g[0] for g in CHECK_GOLDENS])
+def test_check_matches_golden(tmp_path, golden, make_config):
+    cfg = write_config(tmp_path, make_config())
     out = tmp_path / golden
     assert main(["check", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
@@ -385,17 +426,21 @@ def test_verify_hat_columns_calls_do_not_grow_with_order(tmp_path, monkeypatch):
 
     real = summakit.matrices.hat_columns
     holders = [m for m in vars(summakit).values() if getattr(m, "hat_columns", None) is real]
-    counts = []
-    for N in (20, 40):
-        calls = []
+    counts = {}
+    for strict in ([], ["--strict-paper-mode"]):
+        for N in (20, 40):
+            calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+            def counting(*args, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
 
-        for module in holders:
-            monkeypatch.setattr(module, "hat_columns", counting)
-        cfg = write_config(tmp_path, base_config(N=N, k=2), f"n{N}.json")
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / f"n{N}.csv")]) == 0
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+            for module in holders:
+                monkeypatch.setattr(module, "hat_columns", counting)
+            cfg = write_config(tmp_path, base_config(N=N, k=2), f"n{N}.json")
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path / f"n{N}.csv")] + strict) == 0
+            counts[bool(strict), N] = len(calls)
+    assert counts[False, 20] == counts[False, 40]
+    assert counts[True, 20] == counts[True, 40]
+    # one probe pass serves both readings; only build_cnv's strict array needs one more hat matrix
+    assert counts[True, 20] <= counts[False, 20] + 1

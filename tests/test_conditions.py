@@ -89,11 +89,13 @@ def test_c10_matches_rational_oracle():
     lam = sk.FactorSequence(helpers.random_rational_vector(rng, 8))
     k = 2
     rep = sk.check_c10(A, B, lam, k, sk.TailSpec(12), v_max=6)
+    c11 = sk.check_c11(B, lam, k, sk.TailSpec(12), v_max=6)
     bh = oracles.hat_rows(oracles.to_rows(B))
     for v in range(7):
         total = oracles.c10_tail(bh, list(lam.values), k, v, 12)
         expected = float(total) / abs(float(A.diagonal[v])) ** k
         np.testing.assert_allclose(rep.ratios[v], expected, rtol=1e-12)
+        np.testing.assert_allclose(c11.ratios[v], float(oracles.c11_tail(bh, list(lam.values), k, v, 12)), rtol=1e-12)
 
 
 def test_c10_c11_riesz_fraction_weights_match_rational_oracle():

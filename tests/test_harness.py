@@ -132,6 +132,23 @@ def test_empirical_constant_records_equal_run_probe_ratios():
             assert ratio == sk.inequality20_ratio(sk.run_probe(A, B, lam, v, kind, 2, strict_paper=strict))
 
 
+def test_probe_pass_is_the_definition_exactly_rational():
+    # the x-side deltas are the first difference in n of A applied to the partial
+    # sums: column v of A for e_v - e_{v+1}, A's reversed row cumulative sum for e_{v+1}
+    rng = np.random.default_rng(83)
+    A = helpers.random_rational_matrix(rng, 9)
+    B = helpers.random_rational_matrix(rng, 9)
+    lam = sk.FactorSequence(helpers.random_rational_vector(rng, 11))
+    probes = sk.ProbePass(sk.hat_of(A).entries, sk.hat_of(B).entries, lam, 2)
+    E = A.entries
+    steps = np.cumsum(E[:, ::-1], axis=1)[:, ::-1]
+    assert (probes.delta_x[sk.PROBE_DIFFERENCE] == np.diff(E, axis=0, prepend=0)[:, :-1]).all()
+    assert (probes.delta_x[sk.PROBE_SHIFT] == np.diff(steps, axis=0, prepend=0)[:, 1:]).all()
+    M_strict, strict = probes.constant(strict_paper=True)
+    assert (M_strict, strict) == sk.empirical_constant(A, B, lam, 2, strict_paper=True)
+    assert probes.constant() == sk.empirical_constant(A, B, lam, 2)
+
+
 def test_strict_paper_probe_differs_only_for_k_above_one():
     rng = np.random.default_rng(7)
     A = helpers.random_positive_matrix(rng, 10)
