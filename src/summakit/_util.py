@@ -49,6 +49,12 @@ def accurate_sum(values):
     return math.fsum(arr)
 
 
+def nan_max(values, default=0.0):
+    """Largest of ``values`` (exact scalars stay exact), or NaN if any is NaN: Python's ``max`` skips a NaN not in first place."""
+    vals = list(values)
+    return math.nan if any(x != x for x in vals) else max(vals, default=default)
+
+
 def check_exponent(k) -> None:
     if not isinstance(k, numbers.Real) or not k >= 1:
         raise BadExponentError(f"k must be a real exponent >= 1, got {k!r}")

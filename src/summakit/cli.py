@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import logging
+import math
 import os
 import sys
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from .conditions import (
-    ConditionReport,
     TailSpec,
     check_c9,
     check_c10,
@@ -34,6 +34,7 @@ from .conditions import (
     check_theorem_a,
     l1_lk_bound,
 )
+from ._util import nan_max
 from .errors import ConfigError, SummakitError, TailUnavailableError
 from .harness import (
     PROBE_DIFFERENCE,
@@ -89,10 +90,9 @@ class ExperimentConfig:
         self.order = data.get("N")
         if not isinstance(self.order, int) or self.order < 2:
             raise ConfigError(f"N must be an integer >= 2, got {self.order!r}")
-        self.k = data.get("k", 1.0)
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, float)) or not self.k >= 1:
-            raise ConfigError(f"k must be a real number >= 1, got {self.k!r}")
-        self.k = float(self.k)
+        self.k = _finite(data.get("k", 1.0))
+        if self.k is None or not self.k >= 1:
+            raise ConfigError(f"k must be a number >= 1, got {data.get('k')!r}")
         self.matrix_a = data.get("matrix_a", {"kind": "cesaro"})
         self.matrix_b = data.get("matrix_b", {"kind": "cesaro"})
         self.lambda_spec = data.get("lambda", {"kind": "constant", "value": 1.0})
@@ -101,6 +101,9 @@ class ExperimentConfig:
             spec = getattr(self, key if key in ("matrix_a", "matrix_b") else key + "_spec")
             if not isinstance(spec, dict) or "kind" not in spec:
                 raise ConfigError(f"{key} must be an object with a 'kind' tag")
+            for field in ("weights", "entries", "values", "coefficients"):
+                if field in spec and not isinstance(spec[field], list):
+                    raise ConfigError(f"{key}.{field} must be a list, got {spec[field]!r}")
         tail = data.get("tail", {})
         if not isinstance(tail, dict):
             raise ConfigError("tail must be an object")
@@ -118,9 +121,11 @@ class ExperimentConfig:
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"output.format must be 'csv' or 'json', got {self.out_format!r}")
         self.out_path = out.get("path")
+        if self.out_path is not None and not isinstance(self.out_path, str):
+            raise ConfigError(f"output.path must be a string, got {self.out_path!r}")
         conds = data.get("conditions", list(CONDITION_IDS))
         known = set(CONDITION_IDS) | {"TA"}
-        if not isinstance(conds, list) or not conds or any(c not in known for c in conds):
+        if not isinstance(conds, list) or not conds or any(not isinstance(c, str) or c not in known for c in conds):
             raise ConfigError(f"conditions must be a nonempty list drawn from {sorted(known)}")
         self.conditions = conds
         self.delta_mode = data.get("delta_mode", "forward")
@@ -133,28 +138,43 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _number(spec: dict, key: str, default: float, where: str) -> float:
-    """``spec[key]`` as a float; JSON true/false and non-numbers are config errors."""
-    value = spec.get(key, default)
+def _finite(value) -> float | None:
+    """A JSON number as a finite float; None for true/false, non-numbers, NaN, infinities and integers past float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _number(spec: dict, key: str, default: float, where: str) -> float:
+    """``spec[key]`` as a float; anything :func:`_finite` refuses is a config error."""
+    value = spec.get(key, default)
+    x = _finite(value)
+    if x is None:
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    return x
 
 
 def _numbers(values, where: str) -> np.ndarray:
-    """A JSON list of numbers as a float array; true/false and non-numbers are config errors."""
+    """A JSON list of numbers as a float array; anything :func:`_finite` refuses is a config error."""
     if not isinstance(values, list):
         raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
-    for i, x in enumerate(values):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"{where}[{i}] must be a number, got {x!r}")
-    return np.asarray(values, dtype=float)
+    xs = [_finite(x) for x in values]
+    if None in xs:
+        i = xs.index(None)
+        raise ConfigError(f"{where}[{i}] must be a number, got {values[i]!r}")
+    return np.asarray(xs, dtype=float)
 
 
 def _generated_weights(spec: dict, order: int) -> np.ndarray:
     gen = spec.get("generator", "ones")
     if isinstance(gen, str):
         gen = {"name": gen}
+    if not isinstance(gen, dict):
+        raise ConfigError(f"generator must be a name or an object, got {gen!r}")
     name = gen.get("name")
     n = np.arange(order + 1, dtype=float)
     if name == "ones":
@@ -272,29 +292,40 @@ def build_series(spec: dict, size: int) -> SeriesSample:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+FLOAT_COLUMNS = frozenset(("ratio", "running_sup", "transform", "delta", "term", "running_total", "value", "tolerance"))
 
 
-def write_rows(columns: list[str], rows: list[dict], meta: dict, fmt: str, path: str | None) -> None:
+def _cells(column: str, values: list) -> list[str]:
+    """One CSV column in one pass: floats with 17 significant digits, flags as true/false, None as ''."""
+    if column in FLOAT_COLUMNS:
+        return ["" if x is None else "%.17g" % x for x in values]  # the bytes of format(x, ".17g"), in less time
+    if column == "tail_warning":
+        return ["true" if x else "false" for x in values]
+    return ["" if x is None else str(x) for x in values]
+
+
+def write_rows(columns: list[str], blocks: list[tuple], meta: dict, fmt: str, path: str | None) -> None:
+    """Write a report table as CSV or JSON.
+
+    Each block is a run of rows with one entry per column: an array or list
+    of per-row values, or a value constant within the block.
+    """
+    rows = []
+    for block in blocks:
+        block = [v.tolist() if isinstance(v, np.ndarray) else v for v in block]
+        size = next(len(v) for v in block if isinstance(v, list))
+        if fmt == "csv":  # a column's cells in one pass, a constant's once
+            block = [_cells(c, v) if isinstance(v, list) else _cells(c, [v])[0] for c, v in zip(columns, block)]
+        rows += zip(*(v if isinstance(v, list) else [v] * size for v in block))
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+        writer.writerows(rows)
         text = buf.getvalue()
     else:
-        payload = {"meta": meta, "rows": [{c: row[c] for c in columns} for row in rows]}
-        text = json.dumps(payload, indent=2, allow_nan=True, default=_fmt) + "\n"
+        rows = [dict(zip(columns, row)) for row in rows]
+        text = json.dumps({"meta": meta, "rows": rows}, indent=2, allow_nan=True) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -313,23 +344,6 @@ def _meta(config: ExperimentConfig, command: str, extra: dict | None = None) -> 
     if extra:
         meta.update(extra)
     return meta
-
-
-def report_rows(rep: ConditionReport) -> list[dict]:
-    rows = []
-    for i in range(rep.indices.size):
-        rows.append(
-            {
-                "condition_id": rep.condition_id,
-                "v_or_n": int(rep.indices[i]),
-                "ratio": float(rep.ratios[i]),
-                "running_sup": float(rep.running_sup[i]),
-                "trend": rep.trend,
-                "tail_cutoff": rep.tail_cutoff,
-                "tail_warning": rep.tail_warning,
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +406,8 @@ def cmd_check(config: ExperimentConfig) -> int:
         ),
     }
     reports = [rep for cid in config.conditions for rep in checks[cid]()]
-    rows = [row for rep in reports for row in report_rows(rep)]
-    write_rows(CHECK_COLUMNS, rows, _meta(config, "check"), config.out_format, config.out_path)
+    blocks = [(r.condition_id, r.indices, r.ratios, r.running_sup, r.trend, r.tail_cutoff, r.tail_warning) for r in reports]
+    write_rows(CHECK_COLUMNS, blocks, _meta(config, "check"), config.out_format, config.out_path)
     return EXIT_OK
 
 
@@ -407,18 +421,9 @@ def cmd_transform(config: ExperimentConfig) -> int:
     transformed = transform_partial_sums(A, series)
     deltas = delta_transform_via_hat(A, series)
     profile = abs_k_profile(A, series, config.k)
-    rows = []
-    for n in range(N + 1):
-        rows.append(
-            {
-                "n": n,
-                "transform": float(transformed[n]),
-                "delta": float(deltas[n]),
-                "term": float(profile.terms[n - 1]) if n >= 1 else 0.0,
-                "running_total": float(profile.running_total[n - 1]) if n >= 1 else 0.0,
-            }
-        )
-    write_rows(TRANSFORM_COLUMNS, rows, _meta(config, "transform"), config.out_format, config.out_path)
+    term, total = (np.concatenate(([0.0], x)) for x in (profile.terms, profile.running_total))  # from n = 1
+    block = (np.arange(N + 1), transformed, deltas, term, total)
+    write_rows(TRANSFORM_COLUMNS, [block], _meta(config, "transform"), config.out_format, config.out_path)
     return EXIT_OK
 
 
@@ -435,9 +440,11 @@ def _probe_checks(A: NormalMatrix, hat_a: NormalMatrix, hat_b: NormalMatrix, lam
     probes = ProbePass(hat_a.entries, hat_b.entries, lam, k)
     E = A.entries
     steps = np.cumsum(E[:, ::-1], axis=1)[:, ::-1]
-    gap = max(
-        np.max(np.abs(probes.delta_x[PROBE_DIFFERENCE] - np.diff(E, axis=0, prepend=0.0)[:, :-1])),
-        np.max(np.abs(probes.delta_x[PROBE_SHIFT] - np.diff(steps, axis=0, prepend=0.0)[:, 1:])),
+    gap = nan_max(
+        (
+            np.max(np.abs(probes.delta_x[PROBE_DIFFERENCE] - np.diff(E, axis=0, prepend=0.0)[:, :-1])),
+            np.max(np.abs(probes.delta_x[PROBE_SHIFT] - np.diff(steps, axis=0, prepend=0.0)[:, 1:])),
+        )
     )
     M = probes.constant(strict_paper)[0]
     return gap, M, probes.constant()[0] if strict_paper else M
@@ -452,19 +459,12 @@ def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int =
     series = build_series(config.series_spec, N + 1)
     scale = max(1.0, float(np.max(np.abs(series.partial_sums))))
 
-    rows = []
-    failed = False
+    table = {column: [] for column in VERIFY_COLUMNS}
 
     def record(name, value, tolerance=None, informational=False):
-        nonlocal failed
-        if informational or tolerance is None:
-            status = "info"
-        elif value <= tolerance:
-            status = "pass"
-        else:
-            status = "fail"
-            failed = True
-        rows.append({"check": name, "value": float(value), "tolerance": tolerance, "status": status})
+        status = "info" if informational or tolerance is None else "pass" if value <= tolerance else "fail"
+        for column, entry in zip(table.values(), (name, float(value), tolerance, status)):
+            column.append(entry)
         log.info("%s: value=%.3e status=%s", name, float(value), status)
 
     hat_a = hat_of(A)
@@ -478,10 +478,10 @@ def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int =
     record("decomposition-residual", float(dec.residual), VERIFY_TOLERANCES["decomposition-residual"] * scale)
     record("decomposition-v0-retained", 1.0 if dec.v0_retained else 0.0, informational=True)
 
-    worst_key = 0.0
-    for n in range(2, N + 1):
-        gaps = key_identity_check(A, B, lam, n, np.arange(1, n), hat_b=hat_b, inv_hat_a=inv_hat_a)
-        worst_key = max(worst_key, float(np.max(gaps)))
+    worst_key = nan_max(
+        np.max(key_identity_check(A, B, lam, n, np.arange(1, n), hat_b=hat_b, inv_hat_a=inv_hat_a))
+        for n in range(2, N + 1)
+    )
     record("key-identity", worst_key, VERIFY_TOLERANCES["key-identity"])
 
     record("cnv-column-bound", l1_lk_bound(build_cnv(A, B, lam, k), k).sup, informational=True)
@@ -505,8 +505,8 @@ def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int =
         )
 
     meta = _meta(config, "verify", {"tolerances": VERIFY_TOLERANCES, "strict_paper": strict_paper, "seed": seed})
-    write_rows(VERIFY_COLUMNS, rows, meta, config.out_format, config.out_path)
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+    write_rows(VERIFY_COLUMNS, [tuple(table.values())], meta, config.out_format, config.out_path)
+    return EXIT_VERIFY_FAILED if "fail" in table["status"] else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

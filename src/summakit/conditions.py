@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, is_exact, norm_weights
+from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, is_exact, nan_max, norm_weights
 from .errors import (
     LengthMismatchError,
     SizeMismatchError,
@@ -453,4 +453,4 @@ def l1_lk_bound(C, k) -> L1LkBound:
     """
     check_exponent(k)
     sums = column_sums(C.entries if isinstance(C, NormalMatrix) else np.asarray(C), k)
-    return L1LkBound(float(max(as_float(sums))), sums)
+    return L1LkBound(float(nan_max(as_float(sums))), sums)

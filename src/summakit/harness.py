@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_exponent, check_pair, index_pow, is_exact, norm_weights
+from ._util import check_exponent, check_pair, index_pow, is_exact, nan_max, norm_weights
 from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
@@ -120,7 +120,7 @@ class ProbePass:
             for kind in PROBE_KINDS
             for v in range(1, self.x_norm[kind].size)
         ]
-        return max((r for _, _, r in records), default=0.0), records
+        return nan_max(r for _, _, r in records), records
 
 
 def run_probe(
@@ -221,7 +221,7 @@ def decompose(
 
     t2 = inner_sums(bh * lamv[None, :], (inv_hat_a or hat_inverse(A)).entries) @ dx
 
-    residual = max(abs(x) for x in (dy - t1 - t2).tolist())
+    residual = nan_max(abs(x) for x in (dy - t1 - t2).tolist())
     return Decomposition(t1=t1, t2=t2, delta_y=dy, residual=residual, v0_retained=v0_retained)
 
 

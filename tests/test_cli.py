@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -82,6 +84,14 @@ def test_check_rejects_unparseable_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_check_rejects_integer_too_long_to_read(tmp_path, capsys):
+    # Python's json refuses integers of more than 4300 digits with a ValueError that is no JSONDecodeError
+    bad = tmp_path / "long.json"
+    bad.write_text('{"N": 8, "k": 1' + "0" * 5000 + "}")
+    assert main(["check", "--config", str(bad)]) == 2
+    assert "config error: cannot read" in capsys.readouterr().err
+
+
 def test_check_tail_unavailable_exit_code(tmp_path, capsys):
     # explicit riesz weights cannot reach the cutoff needed by the W tail
     cfg = write_config(
@@ -120,22 +130,30 @@ def test_transform_rejects_short_series(tmp_path, capsys):
     assert "series" in capsys.readouterr().err
 
 
+def transform_golden_config():
+    return {
+        "matrix_a": {"kind": "cesaro"},
+        "matrix_b": {"kind": "cesaro"},
+        "lambda": {"kind": "constant", "value": 1.0},
+        "series": {"kind": "alternating", "beta": 1.0},
+        "k": 1,
+        "N": 8,
+        "tail": {"cutoff": 128},
+    }
+
+
 def test_transform_matches_golden(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "matrix_a": {"kind": "cesaro"},
-            "matrix_b": {"kind": "cesaro"},
-            "lambda": {"kind": "constant", "value": 1.0},
-            "series": {"kind": "alternating", "beta": 1.0},
-            "k": 1,
-            "N": 8,
-            "tail": {"cutoff": 128},
-        },
-    )
+    cfg = write_config(tmp_path, transform_golden_config())
     out = tmp_path / "tr.csv"
     assert main(["transform", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "transform_cesaro_alt_n8_k1.csv").read_bytes()
+
+
+def test_transform_json_matches_golden(tmp_path):
+    cfg = write_config(tmp_path, transform_golden_config())
+    out = tmp_path / "tr.json"
+    assert main(["transform", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    assert out.read_bytes() == (GOLDEN / "transform_cesaro_alt_n8_k1.json").read_bytes()
 
 
 def test_reports_deterministic_across_runs(tmp_path):
@@ -290,13 +308,44 @@ def test_config_rejects_boolean_probe_index(tmp_path, capsys):
             {"matrix_b": {"kind": "explicit", "entries": [[1.0], [0.5, True]] + [[0.5] * (n + 1) for n in range(2, 7)]}},
             "entries[1][1]",
         ),
+        # Python's json parses NaN, Infinity and -Infinity; integers past float range overflow
+        ("check", {"k": math.inf}, "k"),
+        ("check", {"k": 10**400}, "k"),
+        ("check", {"lambda": {"kind": "constant", "value": math.nan}}, "lambda.value"),
+        ("check", {"lambda": {"kind": "constant", "value": -math.inf}}, "lambda.value"),
+        ("check", {"lambda": {"kind": "constant", "value": 10**400}}, "lambda.value"),
+        ("check", {"lambda": {"kind": "explicit", "values": [1.0, 1.0, math.nan] + [1.0] * 5}}, "lambda.values[2]"),
+        ("check", {"matrix_b": {"kind": "riesz", "generator": {"name": "power", "alpha": math.inf}}}, "generator.alpha"),
+        ("check", {"matrix_b": {"kind": "riesz", "weights": [1.0, math.inf] + [1.0] * 200}}, "weights[1]"),
+        ("transform", {"series": {"kind": "explicit", "coefficients": [1.0, -math.inf] + [1.0] * 5}}, "series.coefficients[1]"),
     ],
 )
 def test_config_rejects_non_numeric_values(tmp_path, capsys, command, overrides, field):
-    # JSON true is a Python bool, which is an int; it must not read as 1.0
+    # JSON true is a Python bool, which is an int; it must not read as 1.0; nor may a non-finite number reach the numerics
     cfg = write_config(tmp_path, base_config(N=6, **overrides))
     assert main([command, "--config", cfg]) == 2
     assert f"{field} must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        ("check", {"lambda": {"kind": "explicit", "values": 5}}, "lambda.values"),
+        ("check", {"matrix_b": {"kind": "riesz", "weights": 5}}, "matrix_b.weights"),
+        ("check", {"matrix_a": {"kind": "explicit", "entries": 5}}, "matrix_a.entries"),
+        ("transform", {"series": {"kind": "explicit", "coefficients": 5}}, "series.coefficients"),
+        ("verify", {"series": {"kind": "explicit", "coefficients": 5}}, "series.coefficients"),
+        ("check", {"matrix_b": {"kind": "riesz", "generator": 5}}, "generator"),
+        ("check", {"conditions": [["C9"]]}, "conditions"),
+        # an integer path was opened as that file descriptor; a list cannot touch a descriptor if this regresses
+        ("check", {"output": {"path": ["report.csv"]}}, "output.path"),
+    ],
+)
+def test_config_rejects_malformed_shapes(tmp_path, capsys, command, overrides, field):
+    # each one used to end in a traceback and exit 1, the code of a failed verify
+    cfg = write_config(tmp_path, base_config(N=6, **overrides))
+    assert main([command, "--config", cfg]) == 2
+    assert f"config error: {field} must be" in capsys.readouterr().err
 
 
 def test_power_lambda_with_negative_alpha_starts_at_one_without_warnings(tmp_path):
@@ -374,18 +423,19 @@ def check_identity_b_config():
 
 
 CHECK_GOLDENS = [
-    ("check_riesz_n60_k2.csv", lambda: check_riesz_config(2)),
-    ("check_riesz_n60_k1p5.csv", lambda: check_riesz_config(1.5)),
-    ("check_explicit_b_n12_k1p5.csv", check_explicit_b_config),
-    ("check_identity_b_n12_k1p5.csv", check_identity_b_config),
+    ("check_riesz_n60_k2.csv", lambda: check_riesz_config(2), []),
+    ("check_riesz_n60_k2.json", lambda: check_riesz_config(2), ["--format", "json"]),
+    ("check_riesz_n60_k1p5.csv", lambda: check_riesz_config(1.5), []),
+    ("check_explicit_b_n12_k1p5.csv", check_explicit_b_config, []),
+    ("check_identity_b_n12_k1p5.csv", check_identity_b_config, []),
 ]
 
 
-@pytest.mark.parametrize("golden, make_config", CHECK_GOLDENS, ids=[g[0] for g in CHECK_GOLDENS])
-def test_check_matches_golden(tmp_path, golden, make_config):
+@pytest.mark.parametrize("golden, make_config, flags", CHECK_GOLDENS, ids=[g[0] for g in CHECK_GOLDENS])
+def test_check_matches_golden(tmp_path, golden, make_config, flags):
     cfg = write_config(tmp_path, make_config())
     out = tmp_path / golden
-    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["check", "--config", cfg, "--out", str(out)] + flags) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
@@ -444,3 +494,75 @@ def test_verify_hat_columns_calls_do_not_grow_with_order(tmp_path, monkeypatch):
     assert counts[True, 20] == counts[True, 40]
     # one probe pass serves both readings; only build_cnv's strict array needs one more hat matrix
     assert counts[True, 20] <= counts[False, 20] + 1
+
+
+def test_verify_hides_no_nan_key_identity_gap(tmp_path, monkeypatch):
+    # one NaN gap in one row of the sweep: the row reads nan and fails, and so does the run
+    import summakit.cli as cli
+
+    real = cli.key_identity_check
+
+    def one_nan_gap(A, B, lam, n, v, **kwargs):
+        gaps = np.array(real(A, B, lam, n, v, **kwargs), dtype=float)
+        if n == 5:
+            gaps[2] = np.nan
+        return gaps
+
+    monkeypatch.setattr(cli, "key_identity_check", one_nan_gap)
+    cfg = write_config(tmp_path, base_config(N=12, k=2))
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    row = {r["check"]: r for r in read_rows(out)}["key-identity"]
+    assert (row["value"], row["status"]) == ("nan", "fail")
+
+
+def test_verify_hides_no_nan_probe_consistency_gap(tmp_path, monkeypatch):
+    # a NaN in the shift probes, the second of the two gaps the row reduces
+    import summakit.cli as cli
+
+    class PoisonedShift(cli.ProbePass):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.delta_x[cli.PROBE_SHIFT] = self.delta_x[cli.PROBE_SHIFT].copy()
+            self.delta_x[cli.PROBE_SHIFT][4, 2] = np.nan
+
+    monkeypatch.setattr(cli, "ProbePass", PoisonedShift)
+    cfg = write_config(tmp_path, base_config(N=12, k=2))
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    row = {r["check"]: r for r in read_rows(out)}["probe-consistency"]
+    assert (row["value"], row["status"]) == ("nan", "fail")
+
+
+def csv_cell_is(cell: str, value) -> bool:
+    """A CSV cell spells its JSON value: '' is null, true/false are booleans, numbers are equal."""
+    if value is None or isinstance(value, bool):
+        return cell == {None: "", True: "true", False: "false"}[value]
+    if isinstance(value, (int, float)):
+        return cell == str(value) if isinstance(value, int) else float(cell) == value
+    return cell == value
+
+
+CROSS_FORMAT = [
+    ("check", lambda: check_riesz_config(1.5), []),
+    ("check", check_explicit_b_config, []),
+    ("transform", transform_golden_config, []),
+    ("verify", verify_explicit_b_config, []),
+    ("verify", verify_riesz_config, ["--strict-paper-mode"]),
+]
+
+
+@pytest.mark.parametrize("command, make_config, flags", CROSS_FORMAT)
+def test_csv_cells_equal_json_values(tmp_path, command, make_config, flags):
+    cfg = write_config(tmp_path, make_config())
+    reports = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"report.{fmt}"
+        assert main([command, "--config", cfg, "--out", str(out), "--format", fmt] + flags) == 0
+        reports[fmt] = out.read_text()
+    header, *lines = list(csv.reader(reports["csv"].splitlines()))
+    rows = json.loads(reports["json"])["rows"]
+    assert len(lines) == len(rows) > 0
+    for line, row in zip(lines, rows):
+        assert list(row) == header
+        assert all(csv_cell_is(cell, row[c]) for c, cell in zip(header, line)), (line, row)

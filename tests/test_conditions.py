@@ -488,6 +488,17 @@ def test_l1_lk_single_column():
     np.testing.assert_allclose(bound.column_sums, [4.0, 0.0, 0.0, 0.0])
 
 
+def test_l1_lk_sup_is_nan_when_a_column_sum_is():
+    N = 12
+    lam = np.ones(N + 2)
+    lam[1:] = np.arange(1, N + 2) ** -0.5
+    lam[5] = np.nan
+    B = sk.riesz_matrix(sk.WeightSequence((np.arange(N + 1) + 1.0) ** 0.5))
+    bound = sk.l1_lk_bound(sk.build_cnv(sk.cesaro_matrix(N), B, sk.FactorSequence(lam), 2), 2)
+    assert np.isnan(bound.column_sums).any() and not np.isnan(bound.column_sums[-1])
+    assert math.isnan(bound.sup)
+
+
 def test_l1_lk_bad_exponent():
     with pytest.raises(BadExponentError):
         sk.l1_lk_bound(np.eye(3), 0.9)

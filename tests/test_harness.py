@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -165,6 +166,35 @@ def test_strict_paper_probe_differs_only_for_k_above_one():
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
+
+
+def riesz_pair_with_nan_factor(N, index):
+    # the benchmark's cesaro / riesz-0.5 pair, lambda_n = n**-0.5 but one NaN factor
+    A = sk.cesaro_matrix(N)
+    B = sk.riesz_matrix(sk.WeightSequence((np.arange(N + 1) + 1.0) ** 0.5))
+    values = np.ones(N + 2)
+    values[1:] = np.arange(1, N + 2) ** -0.5
+    values[index] = np.nan
+    return A, B, sk.FactorSequence(values)
+
+
+def test_empirical_constant_is_nan_when_a_probe_ratio_is():
+    A, B, lam = riesz_pair_with_nan_factor(12, 5)
+    M, records = sk.empirical_constant(A, B, lam, 2)
+    assert any(math.isnan(r) for _, _, r in records)
+    assert math.isnan(M)
+
+
+def test_decompose_residual_is_nan_when_a_gap_is():
+    # a NaN in one B-hat entry below row 0: a NaN factor would reach every row through the matrix products
+    A, B, lam = riesz_pair_with_nan_factor(12, 0)
+    lam = helpers.ones_factors(14)
+    poisoned = sk.hat_of(B).entries.copy()
+    poisoned[6, 2] = np.nan
+    dec = sk.decompose(A, B, lam, sk.SeriesSample(np.linspace(1.0, -1.0, 13)), hat_b=sk.NormalMatrix(poisoned))
+    gaps = dec.delta_y - dec.t1 - dec.t2
+    assert not math.isnan(gaps[0]) and math.isnan(gaps[6])
+    assert math.isnan(dec.residual)
 
 
 def test_decompose_identity_matrices():

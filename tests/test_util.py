@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
 
-from summakit._util import as_float
+from summakit._util import as_float, nan_max
 
 
 def test_as_float_rounds_fractions_like_float():
@@ -22,3 +23,14 @@ def test_as_float_shares_float64_input():
     x = np.linspace(-1.0, 1.0, 11)
     assert np.shares_memory(as_float(x), x)
     assert np.shares_memory(as_float(x[2:7]), x)
+
+
+def test_nan_max_propagates_nan_wherever_it_stands():
+    # Python's max keeps the first value when every comparison with a NaN is false
+    assert max([1.0, math.nan, 2.0]) == 2.0
+    for values in ([1.0, math.nan, 2.0], [math.nan, 1.0], [2.0, np.float64("nan")]):
+        assert math.isnan(nan_max(values))
+    assert nan_max([1.0, 3.0, 2.0]) == 3.0
+    assert nan_max([]) == 0.0
+    exact = nan_max(iter([F(0), F(-1, 3), F(0)]))
+    assert exact == 0 and isinstance(exact, F)
