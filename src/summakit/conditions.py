@@ -150,7 +150,7 @@ def _suffix_sums(terms, count: int) -> np.ndarray:
     t = as_float(terms)
     finite = np.isfinite(t)
     mant, expo = np.frexp(np.where(finite, t, 0.0))
-    low = min(int(expo.min()) - 53, 0)
+    low = min(int(expo.min(initial=53)) - 53, 0)  # 53: an empty input has no exponents
     digits = (mant * 2.0**53).astype(np.int64).tolist()
     shifts = (expo - 53 - low).tolist()
     sums = list(itertools.accumulate(d << s for d, s in zip(reversed(digits), reversed(shifts))))[::-1]
@@ -161,16 +161,21 @@ def _suffix_sums(terms, count: int) -> np.ndarray:
     return out
 
 
-def _w_terms(q: WeightSequence, k, cutoff: int):
-    """n**(k-1) (q_n / (Q_n Q_{n-1}))**k for n = 1..cutoff; exact for exact q at integer k."""
+def _w_terms(q: WeightSequence, k, cutoff: int, index_power=None):
+    """n**index_power (q_n / (Q_n Q_{n-1}))**k for n = 1..cutoff, index_power k - 1 unless given.
+
+    Exact for exact q when k and the index power are integers.
+    """
+    if index_power is None:
+        index_power = k - 1
     qv = q.weights
     Q = q.cumulative
-    if is_exact(qv) and float(k).is_integer():
+    if is_exact(qv) and float(k).is_integer() and float(index_power).is_integer():
         idx = np.arange(1, cutoff + 1, dtype=object)
-        return idx ** int(k - 1) * (qv[1 : cutoff + 1] / (Q[1 : cutoff + 1] * Q[:cutoff])) ** int(k)
+        return idx ** int(index_power) * (qv[1 : cutoff + 1] / (Q[1 : cutoff + 1] * Q[:cutoff])) ** int(k)
     idx = np.arange(1, cutoff + 1, dtype=float)
     ratio = as_float(qv[1 : cutoff + 1]) / (as_float(Q[1 : cutoff + 1]) * as_float(Q[:cutoff]))
-    return idx ** (float(k) - 1.0) * ratio**float(k)
+    return idx ** float(index_power) * ratio**float(k)
 
 
 def _delta(q: WeightSequence, lv, count: int):

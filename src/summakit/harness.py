@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_exponent, check_pair, index_pow, is_exact, nan_max, norm_weights
+from ._util import abs_pow, check_exponent, check_pair, index_pow, is_exact, nan_max, norm_weights
 from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
     LengthMismatchError,
 )
-from .conditions import column_sums, inner_sums, probe_deltas
-from .matrices import NormalMatrix, apply_lower, hat_columns, hat_inverse, hat_of
+from .conditions import _delta, _suffix_sums, _w_terms, column_sums, probe_deltas
+from .matrices import NormalMatrix, WeightSequence, apply_lower, hat_columns, hat_inverse, hat_of
 from .series import FactorSequence, SeriesSample
 
 PROBE_DIFFERENCE = "difference"
@@ -83,24 +83,54 @@ def _check_probe_args(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, v: 
     check_pair(A, B, lam, v + 2)
 
 
+def _probe_pows(deltas: dict, k, w: WeightSequence | None, lv) -> dict:
+    """Each probe's sum_n n**(k-1) |delta_nv|**k (weight one at n = 0), for both kinds.
+
+    Read from the columns of ``deltas``, or, when the matrix is the weighted
+    mean of ``w``, from its weights in O(rows): over rows n > v both probe
+    columns are w_n / (W_n W_{n-1}) times -Delta_v (difference) or
+    W_v lam_{v+1} (shift), the columns C10 and C11 sum, so each sum is the
+    diagonal term plus that factor**k times the W tail T_v through the last row.
+    """
+    if w is None:
+        return {kind: column_sums(d, k, norm_weights(d.shape[0], k, is_exact(d))) for kind, d in deltas.items()}
+    last, m = deltas[PROBE_SHIFT].shape[0] - 1, deltas[PROBE_SHIFT].shape[1]
+    tail = _suffix_sums(_w_terms(w, k, last), m)
+    diag = norm_weights(m, k, is_exact(tail)) * abs_pow(w.weights[:m] / w.cumulative[:m] * lv[:m], k)
+    return {
+        PROBE_DIFFERENCE: diag + abs_pow(_delta(w, lv, m), k) * tail,
+        PROBE_SHIFT: abs_pow(w.cumulative[:m] * lv[1 : m + 1], k) * tail,
+    }
+
+
 class ProbePass:
     """Both probe kinds at every v = 0..m-1, read off hat columns 0..m of A and B.
 
-    ``delta_x[kind]`` and ``delta_y[kind]`` hold the deltas through A and B,
-    column v for the probe at v (see :func:`~summakit.conditions.probe_deltas`);
-    ``x_norm[kind]`` and ``y_pow[kind]`` hold each column's x-norm and
-    y-norm**k.
+    ``hat_a`` and ``hat_b`` are those hat columns, all of them when not
+    given.  ``delta_x[kind]`` and ``delta_y[kind]`` hold the deltas through A
+    and B, column v for the probe at v (see
+    :func:`~summakit.conditions.probe_deltas`); ``x_norm[kind]`` and
+    ``y_pow[kind]`` hold each probe's x-norm and y-norm**k, read from the
+    weights of a matrix that carries them (:func:`_probe_pows`).
     """
 
-    def __init__(self, hat_a: np.ndarray, hat_b: np.ndarray, lam: FactorSequence, k):
+    def __init__(
+        self,
+        A: NormalMatrix,
+        B: NormalMatrix,
+        lam: FactorSequence,
+        k,
+        hat_a: np.ndarray | None = None,
+        hat_b: np.ndarray | None = None,
+    ):
+        hat_a = hat_of(A).entries if hat_a is None else hat_a
+        hat_b = hat_of(B).entries if hat_b is None else hat_b
         unit = np.ones(hat_a.shape[1], dtype=object if is_exact(hat_a) and is_exact(hat_b) else float)
         self.k, self.b_diag, self.lv = k, np.diagonal(hat_b), lam.values
         self.delta_x = dict(zip(PROBE_KINDS, probe_deltas(hat_a, unit)))
         self.delta_y = dict(zip(PROBE_KINDS, probe_deltas(hat_b, lam.values)))
-        self.x_norm = {kind: column_sums(d, 1) for kind, d in self.delta_x.items()}
-        self.y_pow = {
-            kind: column_sums(d, k, norm_weights(d.shape[0], k, is_exact(d))) for kind, d in self.delta_y.items()
-        }
+        self.x_norm = _probe_pows(self.delta_x, 1, A.weights, unit)
+        self.y_pow = _probe_pows(self.delta_y, k, B.weights, lam.values)
 
     def probe(self, kind: str, v: int, strict_paper: bool = False) -> ProbeResult:
         """The probe at v; ``strict_paper`` swaps the difference probe's |b_vv lam_v|**k for b_vv |lam_v|**k."""
@@ -137,7 +167,7 @@ def run_probe(
     readings.
     """
     _check_probe_args(A, B, lam, v, k)
-    return ProbePass(hat_columns(A, v + 1), hat_columns(B, v + 1), lam, k).probe(kind, v, strict_paper)
+    return ProbePass(A, B, lam, k, hat_columns(A, v + 1), hat_columns(B, v + 1)).probe(kind, v, strict_paper)
 
 
 def inequality20_ratio(probe: ProbeResult) -> float:
@@ -153,12 +183,13 @@ def empirical_constant(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k,
     Returns (max ratio, records) where each record is (kind, v, ratio).
     The value is reported evidence for the bound constant; it is never
     asserted to converge.  Every probe is one column of the probe
-    matrices of the two full hat matrices.
+    matrices of the two full hat matrices; a weighted mean's norms are read
+    from its weights.
     """
     if A.order < 2:
         return 0.0, []
     _check_probe_args(A, B, lam, A.order - 1, k)
-    return ProbePass(hat_of(A).entries, hat_of(B).entries, lam, k).constant(strict_paper)
+    return ProbePass(A, B, lam, k).constant(strict_paper)
 
 
 def _middle_summands(A: NormalMatrix, B: NormalMatrix, lv, hat_b: NormalMatrix | None = None) -> np.ndarray:
@@ -219,7 +250,8 @@ def decompose(
     if N:
         t1 = t1 + np.tril(_middle_summands(A, B, lamv, hat_b), -1) @ dx[:N]
 
-    t2 = inner_sums(bh * lamv[None, :], (inv_hat_a or hat_inverse(A)).entries) @ dx
+    # the inner sums of C16 applied to dx, as two matrix-vector products
+    t2 = (bh * lamv[None, :]) @ (np.tril((inv_hat_a or hat_inverse(A)).entries, -2) @ dx)
 
     residual = nan_max(abs(x) for x in (dy - t1 - t2).tolist())
     return Decomposition(t1=t1, t2=t2, delta_y=dy, residual=residual, v0_retained=v0_retained)
@@ -248,26 +280,51 @@ def key_identity_check(
         raise IndexOutOfRangeError(f"need 1 <= v <= n-1 and n <= {A.order}, got n={n}, v={v}")
     check_pair(A, B, lam, v_hi + 2)
     bh = (hat_b or hat_of(B)).entries
-    ahp = (inv_hat_a or hat_inverse(A)).entries
-    E = A.entries
-    f_v = bh[n, v] * lam.values[v]
-    f_v1 = bh[n, v + 1] * lam.values[v + 1]
+    f = lam.values
+    return _key_gaps(bh[n, v] * f[v], bh[n, v + 1] * f[v + 1], (inv_hat_a or hat_inverse(A)).entries, A.entries, v)
+
+
+def key_identity_gaps(
+    A: NormalMatrix,
+    B: NormalMatrix,
+    lam: FactorSequence,
+    hat_b: NormalMatrix | None = None,
+    inv_hat_a: NormalMatrix | None = None,
+) -> np.ndarray:
+    """Every gap of :func:`key_identity_check` in one evaluation over the triangle.
+
+    Entry [n, v - 1] is the gap at (n, v) for 1 <= v <= n - 1 <= N - 1, with
+    the same bits as the scalar and row calls, and zero outside that range.
+    """
+    N = A.order
+    check_pair(A, B, lam, N + 1)
+    F = (hat_b or hat_of(B)).entries * lam.values[None, : N + 1]
+    gaps = _key_gaps(F[:, 1:N], F[:, 2:], (inv_hat_a or hat_inverse(A)).entries, A.entries, np.arange(1, N))
+    return np.where(np.tri(N + 1, max(N - 1, 0), -2, dtype=bool), gaps, 0)
+
+
+def _key_gaps(f_v, f_v1, ahp, E, v):
+    """|lhs - rhs| of the adjacent-inverse rearrangement at column(s) v.
+
+    ``f_v`` and ``f_v1`` are the factored B-hat entries at v and v + 1 of one
+    row, or of every row, column j holding v[j]; ``ahp`` is the A-hat inverse.
+    """
     lhs = f_v * ahp[v, v] + f_v1 * ahp[v + 1, v]
     rhs = (f_v - f_v1) / E[v, v] + f_v1 * (E[v, v] - E[v + 1, v]) / (E[v, v] * E[v + 1, v + 1])
     return abs(lhs - rhs)
 
 
 def _row_scaled(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, expo: float):
-    """Row factors n**expo, the diagonal terms n**expo b_nn lam_n / a_nn, and a zero array.
+    """Row factors n**expo and the diagonal terms n**expo b_nn lam_n / a_nn.
 
-    The shared set-up of :func:`build_cnv` and :func:`build_dnr`; the array
-    is exact only when both matrices are and the row factors are all one.
+    The shared set-up of :func:`build_cnv` and :func:`build_dnr`; the terms
+    are exact only when both matrices are and the row factors are all one.
     """
     check_pair(A, B, lam, A.size)
     exact = A.exact and B.exact
     fac = index_pow(np.arange(A.size), expo, exact)
     diag = fac * B.diagonal * lam.values[: A.size] / A.diagonal
-    return fac, diag, np.zeros((A.size, A.size), dtype=object if exact and expo == 0.0 else float)
+    return fac, diag if exact and expo == 0.0 else np.asarray(diag, dtype=float)
 
 
 def build_cnv(
@@ -286,7 +343,8 @@ def build_cnv(
     """
     check_exponent(k)
     kf = float(k)
-    fac, diag, out = _row_scaled(A, B, lam, (kf - 1.0) / kf**2 if strict_paper else (kf - 1.0) / kf)
+    fac, diag = _row_scaled(A, B, lam, (kf - 1.0) / kf**2 if strict_paper else (kf - 1.0) / kf)
+    out = np.zeros((A.size, A.size), dtype=diag.dtype)
     N = A.order
     if N:
         mid = np.tril(_middle_summands(A, B, lam.values), -1) * fac[:, None]
@@ -303,7 +361,44 @@ def build_dnr(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) -> np.nd
     """
     check_exponent(k)
     kf = float(k)
-    _, diag, out = _row_scaled(A, B, lam, (kf - 1.0) / kf)
-    for n in range(2, A.size):
-        out[n, : n - 1] = diag[n]
-    return out
+    _, diag = _row_scaled(A, B, lam, (kf - 1.0) / kf)
+    return np.where(np.tri(A.size, k=-2, dtype=bool), diag[:, None], 0)
+
+
+def cnv_column_sums(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k, strict_paper: bool = False) -> np.ndarray:
+    """Column k-power sums of :func:`build_cnv`'s array, v = 0..N.
+
+    For a weighted-mean pair, weights p of A and q of B, the array is not
+    formed.  The gap factor of a weighted mean is exactly 1, so below the
+    diagonal column v is n**e q_n / (Q_n Q_{n-1}) (Q_v lam_{v+1} -
+    Delta_v P_v / p_v), with n**e the row factor, and column v >= 1 sums to
+    v**(e k) |b_vv lam_v / a_vv|**k + |Q_v lam_{v+1} - Delta_v P_v / p_v|**k T_v:
+    T_v is the W tail through row N with index power e k, which is k - 1, or
+    (k - 1) / k with ``strict_paper``.
+    """
+    check_exponent(k)
+    if A.weights is None or B.weights is None:
+        return column_sums(build_cnv(A, B, lam, k, strict_paper), k)
+    check_pair(A, B, lam, A.size)
+    N, size = A.order, A.size
+    power = (float(k) - 1.0) / float(k) if strict_paper else k - 1
+    p, q, lv = A.weights, B.weights, lam.values
+    tail = _suffix_sums(_w_terms(q, k, N, power), N)
+    ratio = q.weights[:size] / q.cumulative[:size] * lv[:size] / (p.weights[:size] / p.cumulative[:size])
+    diag = index_pow(np.arange(size), power, is_exact(tail)) * abs_pow(ratio, k)
+    mid = q.cumulative[:N] * lv[1:size] - _delta(q, lv, N) * p.cumulative[:N] / p.weights[:N]
+    sums = diag + np.concatenate((abs_pow(mid, k) * tail, [0]))
+    sums[0] = 0
+    return sums
+
+
+def dnr_column_sums(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) -> np.ndarray:
+    """Column k-power sums of :func:`build_dnr`'s array, r = 0..N, from one suffix sweep.
+
+    Column r holds the row value d_n at rows n >= r + 2, so it sums to the
+    suffix sum of |d_n|**k from n = r + 2: the same bits as summing the column.
+    """
+    check_exponent(k)
+    kf = float(k)
+    _, diag = _row_scaled(A, B, lam, (kf - 1.0) / kf)
+    return np.concatenate((_suffix_sums(abs_pow(diag, k), A.size), [0, 0]))[2:]

@@ -205,7 +205,23 @@ def bar_of(A: NormalMatrix) -> np.ndarray:
 
 
 def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
-    """Leading columns 0..v_hi of the hat matrix, over all rows of A."""
+    """Leading columns 0..v_hi of the hat matrix, over all rows of A.
+
+    A weighted mean's hat matrix is read from its weights p:
+    hat_nv = p_n P_{v-1} / (P_n P_{n-1}) for 1 <= v < n, with the diagonal
+    p_n / P_n of A itself and column 0 exactly zero below row 0.  Other
+    matrices difference the rows of :func:`bar_columns`.
+    """
+    if A.weights is not None:
+        size = A.size
+        v_hi = min(v_hi, size - 1)
+        p = A.weights.weights[:size]
+        P = A.weights.cumulative[:size]
+        coef = np.concatenate(([0], p[1:] / (P[1:] * P[:-1])))  # row 0 is its diagonal alone
+        hat = np.tril(coef[:, None] * np.concatenate(([0], P[:v_hi]))[None, :])
+        idx = np.arange(v_hi + 1)
+        hat[idx, idx] = p[: v_hi + 1] / P[: v_hi + 1]
+        return hat
     bar = bar_columns(A, v_hi)
     hat = bar.copy()
     hat[1:] -= bar[:-1]

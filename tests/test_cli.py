@@ -357,6 +357,20 @@ def test_power_lambda_with_negative_alpha_starts_at_one_without_warnings(tmp_pat
     assert main(["check", "--config", cfg, "--out", str(tmp_path / "report.csv")]) == 0
 
 
+def run_under_2_gib_cap(argv):
+    """Exit code and peak RSS in MB of ``summakit argv`` in a child whose address space is capped at 2 GiB."""
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from summakit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(summakit.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.Popen([sys.executable, "-c", code] + argv, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
 def test_check_weighted_mean_tail_memory_stays_near_order_n(tmp_path):
     # cutoff 16N = 16000: a dense (cutoff+1)**2 carrier of B would take about
     # 4 GB; the child's address space is capped so that one fails fast
@@ -368,20 +382,22 @@ def test_check_weighted_mean_tail_memory_stays_near_order_n(tmp_path):
     )
     del config["tail"]
     cfg = write_config(tmp_path, config)
-    code = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-        "from summakit.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(summakit.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
-    argv = [sys.executable, "-c", code, "check", "--config", cfg, "--out", str(tmp_path / "n1000.csv")]
-    proc = subprocess.Popen(argv, env=env)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert usage.ru_maxrss / 1024 < 400  # ru_maxrss is in KiB on Linux
+    code, peak_mb = run_under_2_gib_cap(["check", "--config", cfg, "--out", str(tmp_path / "n1000.csv")])
+    assert code == 0
+    assert peak_mb < 400
     assert len(read_rows(tmp_path / "n1000.csv")) == 11 * 1000 + 4  # C10, C11, C13, C14 have a row v = 0
+
+
+def test_verify_weighted_mean_order_2000_fits_under_a_2_gib_cap(tmp_path):
+    # the probe norms and column bounds come from the weights; what is left is a fixed
+    # number of dense (N+1)**2 arrays: 370 MB peak RSS, measured on a 2-core x86-64 host
+    config = base_config(N=2000, k=2, matrix_b={"kind": "riesz", "generator": {"name": "power", "alpha": 0.5}})
+    del config["tail"]
+    cfg = write_config(tmp_path, config)
+    code, peak_mb = run_under_2_gib_cap(["verify", "--config", cfg, "--out", str(tmp_path / "n2000.csv")])
+    assert code == 0
+    assert peak_mb < 600
+    assert {r["status"] for r in read_rows(tmp_path / "n2000.csv")} <= {"pass", "info"}
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +513,17 @@ def test_verify_hat_columns_calls_do_not_grow_with_order(tmp_path, monkeypatch):
 
 
 def test_verify_hides_no_nan_key_identity_gap(tmp_path, monkeypatch):
-    # one NaN gap in one row of the sweep: the row reads nan and fails, and so does the run
+    # one NaN gap, at (n, v) = (5, 3), in the sweep's triangle: the row reads nan and fails, and so does the run
     import summakit.cli as cli
 
-    real = cli.key_identity_check
+    real = cli.key_identity_gaps
 
-    def one_nan_gap(A, B, lam, n, v, **kwargs):
-        gaps = np.array(real(A, B, lam, n, v, **kwargs), dtype=float)
-        if n == 5:
-            gaps[2] = np.nan
+    def one_nan_gap(*args, **kwargs):
+        gaps = np.array(real(*args, **kwargs), dtype=float)
+        gaps[5, 2] = np.nan
         return gaps
 
-    monkeypatch.setattr(cli, "key_identity_check", one_nan_gap)
+    monkeypatch.setattr(cli, "key_identity_gaps", one_nan_gap)
     cfg = write_config(tmp_path, base_config(N=12, k=2))
     out = tmp_path / "verify.csv"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1

@@ -122,15 +122,19 @@ def test_empirical_constant_cesaro_family():
 
 
 def test_empirical_constant_records_equal_run_probe_ratios():
-    # probes read from one full hat matrix give the same bits as run_probe's column slices
+    # probes read from one full hat matrix give the same bits as run_probe's column slices,
+    # on dense columns and, for a weighted-mean pair, on weights
     rng = np.random.default_rng(67)
-    A = helpers.random_normal_matrix(rng, 14)
-    B = helpers.random_normal_matrix(rng, 14)
     lam = sk.FactorSequence(rng.uniform(-1, 1, 16))
-    for strict in (False, True):
-        _, records = sk.empirical_constant(A, B, lam, 2, strict_paper=strict)
-        for kind, v, ratio in records:
-            assert ratio == sk.inequality20_ratio(sk.run_probe(A, B, lam, v, kind, 2, strict_paper=strict))
+    pairs = [
+        (helpers.random_normal_matrix(rng, 14), helpers.random_normal_matrix(rng, 14)),
+        (sk.cesaro_matrix(14), sk.riesz_matrix(helpers.random_positive_weights(rng, 15, 0.5, 2.0))),
+    ]
+    for A, B in pairs:
+        for strict in (False, True):
+            _, records = sk.empirical_constant(A, B, lam, 2, strict_paper=strict)
+            for kind, v, ratio in records:
+                assert ratio == sk.inequality20_ratio(sk.run_probe(A, B, lam, v, kind, 2, strict_paper=strict))
 
 
 def test_probe_pass_is_the_definition_exactly_rational():
@@ -140,7 +144,7 @@ def test_probe_pass_is_the_definition_exactly_rational():
     A = helpers.random_rational_matrix(rng, 9)
     B = helpers.random_rational_matrix(rng, 9)
     lam = sk.FactorSequence(helpers.random_rational_vector(rng, 11))
-    probes = sk.ProbePass(sk.hat_of(A).entries, sk.hat_of(B).entries, lam, 2)
+    probes = sk.ProbePass(A, B, lam, 2)
     E = A.entries
     steps = np.cumsum(E[:, ::-1], axis=1)[:, ::-1]
     assert (probes.delta_x[sk.PROBE_DIFFERENCE] == np.diff(E, axis=0, prepend=0)[:, :-1]).all()
@@ -322,10 +326,15 @@ def test_key_identity_row_vector_matches_scalar_calls():
     for A, B, lam_vals in cases:
         lam = sk.FactorSequence(lam_vals)
         hat_b, inv_a = sk.hat_of(B), sk.hat_inverse(A)
+        # the whole triangle at once: the same bits, zero outside 1 <= v <= n - 1
+        gaps = sk.key_identity_gaps(A, B, lam, hat_b=hat_b, inv_hat_a=inv_a)
+        assert gaps.shape == (A.size, A.order - 1)
+        assert not np.any(np.triu(gaps, -1))
         for n in range(2, A.order + 1):
             row = sk.key_identity_check(A, B, lam, n, np.arange(1, n), hat_b=hat_b, inv_hat_a=inv_a)
             scalar = [sk.key_identity_check(A, B, lam, n, v, hat_b=hat_b, inv_hat_a=inv_a) for v in range(1, n)]
             assert list(row) == scalar
+            assert list(gaps[n, : n - 1]) == scalar
     with pytest.raises(IndexOutOfRangeError):
         sk.key_identity_check(A, B, lam, 4, np.arange(1, 5))
 
@@ -419,6 +428,58 @@ def test_build_dnr_matches_rational_oracle():
     a_rows, b_rows = oracles.to_rows(A), oracles.to_rows(B)
     for r in range(13):
         assert bound.column_sums[r] == oracles.dnr_colsum_pow(a_rows, b_rows, list(lam.values), 1, r)
+
+
+WEIGHT_NATIVE_K = [1, 1.5, 2, 3.7]
+
+
+@pytest.mark.parametrize("k", WEIGHT_NATIVE_K)
+def test_weight_native_norms_match_dense_columns(k):
+    # a weighted-mean pair's probe norms, bound constants and c_nv column sums read from the
+    # weights, beside the same quantities reduced from the dense columns
+    rng = np.random.default_rng(89)
+    for N in (12, 300):
+        riesz = sk.riesz_matrix(sk.WeightSequence((np.arange(N + 1) + 1.0) ** 0.5))
+        pairs = [
+            (sk.cesaro_matrix(N), riesz, 1.0 / np.sqrt(np.maximum(np.arange(N + 2), 1))),
+            (
+                sk.riesz_matrix(helpers.random_positive_weights(rng, N + 1, 0.5, 2.0)),
+                sk.riesz_matrix(helpers.random_positive_weights(rng, N + 1, 0.5, 2.0)),
+                rng.uniform(-1, 1, N + 2),
+            ),
+        ]
+        for A, B, lam_vals in pairs:
+            lam = sk.FactorSequence(lam_vals)
+            hat_a, hat_b = sk.hat_of(A).entries, sk.hat_of(B).entries
+            # the same matrices without their weights take the dense columns
+            dense = sk.ProbePass(sk.NormalMatrix(A.entries), sk.NormalMatrix(B.entries), lam, k, hat_a, hat_b)
+            native = sk.ProbePass(A, B, lam, k, hat_a, hat_b)
+            for kind in (sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT):
+                np.testing.assert_allclose(native.x_norm[kind], dense.x_norm[kind], rtol=1e-13)
+                np.testing.assert_allclose(native.y_pow[kind], dense.y_pow[kind], rtol=1e-13)
+            for strict in (False, True):
+                np.testing.assert_allclose(native.constant(strict)[0], dense.constant(strict)[0], rtol=1e-13)
+                sums = sk.cnv_column_sums(A, B, lam, k, strict_paper=strict)
+                assert sums[0] == 0.0
+                dense_sums = sk.l1_lk_bound(sk.build_cnv(A, B, lam, k, strict), k).column_sums
+                np.testing.assert_allclose(sums, dense_sums, rtol=1e-13)
+                # N + 1 factors are all that either path reads
+                short = sk.FactorSequence(lam_vals[: N + 1])
+                assert np.array_equal(sk.cnv_column_sums(A, B, short, k, strict_paper=strict), sums)
+
+
+@pytest.mark.parametrize("k", WEIGHT_NATIVE_K)
+def test_dnr_column_sums_are_the_dense_column_sums_bit_for_bit(k):
+    rng = np.random.default_rng(97)
+    N = 300
+    lam = sk.FactorSequence(rng.uniform(-1, 1, N + 2))
+    pairs = [
+        (sk.cesaro_matrix(N), sk.riesz_matrix(sk.WeightSequence((np.arange(N + 1) + 1.0) ** 0.5))),
+        (helpers.random_positive_matrix(rng, N), helpers.random_normal_matrix(rng, N)),
+    ]
+    for A, B in pairs:
+        dense = sk.l1_lk_bound(sk.build_dnr(A, B, lam, k), k).column_sums
+        assert np.array_equal(sk.dnr_column_sums(A, B, lam, k), dense)
 
 
 def test_necessity_wiring_y_norm_and_c10():

@@ -154,6 +154,27 @@ def test_hat_columns_slices_hat_of():
     np.testing.assert_array_equal(cols, full[:, :5])
 
 
+def test_weighted_mean_hat_is_its_closed_form():
+    # hat_nv = p_n P_{v-1} / (P_n P_{n-1}): a few ulp from the rational definition at
+    # order 800, A's own diagonal, and column 0 exactly zero below row 0; integer
+    # weights keep the cumulative sums exact, so the gap is the formula's alone
+    N = 800
+    for weights in (np.ones(N + 1), np.random.default_rng(13).integers(1, 10, N + 1).astype(float)):
+        A = sk.riesz_matrix(sk.WeightSequence(weights))
+        H = sk.hat_of(A).entries
+        assert np.array_equal(np.diagonal(H), A.diagonal)
+        assert not np.any(H[1:, 0])
+        np.testing.assert_array_equal(sk.hat_columns(A, 5), H[:, :6])
+        exact = [F(x) for x in weights.tolist()]
+        for lo, hi in ((1, 3), (399, 401), (797, 799)):
+            cols = oracles.weighted_mean_hat_columns(exact, lo, hi, N)
+            for v in range(lo, hi + 1):
+                np.testing.assert_allclose(H[v:, v], [float(cols[n][v]) for n in range(v, N + 1)], rtol=4e-16)
+    # exact weights give the definition exactly
+    A = sk.riesz_matrix(helpers.random_rational_weights(np.random.default_rng(19), 10))
+    assert sk.hat_of(A).entries.tolist() == oracles.hat_rows(oracles.to_rows(A))
+
+
 def test_invert_identity():
     inv = sk.invert_hat(sk.identity_matrix(4))
     assert np.all(inv.entries == np.eye(5))
