@@ -41,5 +41,9 @@ class DegenerateProbeError(SummakitError):
     """A probe produced a zero norm, so no bound ratio can be formed."""
 
 
+class WeightOverflowError(SummakitError):
+    """A float weight or cumulative weight sum is not finite; the message names the first such index."""
+
+
 class ConfigError(SummakitError):
     """An experiment configuration failed validation; message names the field."""

@@ -192,30 +192,22 @@ def empirical_constant(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k,
     return ProbePass(A, B, lam, k).constant(strict_paper)
 
 
-def _middle_summands(A: NormalMatrix, B: NormalMatrix, lv, hat_b: NormalMatrix | None = None) -> np.ndarray:
+def _middle_summands(A: NormalMatrix, B: NormalMatrix, lv) -> np.ndarray:
     """D / a_vv + S (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}), v < N.
 
-    D and S are the difference and shift probe matrices of B-hat (``hat_b``
-    when given) and the factors ``lv``; the result is the first part's
-    middle summand, shared by :func:`decompose` and :func:`build_cnv`.
+    D and S are the difference and shift probe matrices of B-hat and the
+    factors ``lv``; the result is the first part's middle summand, shared by
+    :func:`decompose` and :func:`build_cnv`.
     """
     Ad = A.diagonal
     gap = (Ad[:-1] - np.diagonal(A.entries, -1)) / (Ad[:-1] * Ad[1:])
-    D, S = probe_deltas((hat_b or hat_of(B)).entries, lv)
+    D, S = probe_deltas(hat_of(B).entries, lv)
     D = D / Ad[:-1][None, :]  # a new array: the differences are freed before S * gap is formed
     D += S * gap[None, :]
     return D
 
 
-def decompose(
-    A: NormalMatrix,
-    B: NormalMatrix,
-    lam: FactorSequence,
-    a: SeriesSample,
-    hat_a: NormalMatrix | None = None,
-    hat_b: NormalMatrix | None = None,
-    inv_hat_a: NormalMatrix | None = None,
-) -> Decomposition:
+def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSample) -> Decomposition:
     """Split the B-transformed factored deltas into the two bounded parts.
 
     t1 carries the diagonal term plus the columnwise-difference and
@@ -224,8 +216,8 @@ def decompose(
     unit leading bar column the v = 0 contribution reduces to the term the
     classical display keeps implicit (and vanishes when the first matrix
     does too), otherwise it is exactly the retained first-column term and
-    ``v0_retained`` is set.  Pass ``hat_a`` / ``hat_b`` / ``inv_hat_a`` to
-    share them between decompositions of several series.
+    ``v0_retained`` is set.  The hat matrices and A's hat inverse are the
+    ones the matrices keep, so decompositions of several series share them.
     """
     check_pair(A, B, lam, A.size)
     N = A.order
@@ -235,9 +227,8 @@ def decompose(
     coeffs = a.coefficients[: N + 1]
     lamv = lam.values[: N + 1]
 
-    hat_b = hat_b or hat_of(B)
-    bh = hat_b.entries
-    dx = apply_lower(hat_a or hat_of(A), coeffs)
+    bh = hat_of(B).entries
+    dx = apply_lower(hat_of(A), coeffs)
     dy = apply_lower(bh, coeffs * lamv)
 
     bar0 = B.entries.sum(axis=1)  # the leading bar column
@@ -248,10 +239,10 @@ def decompose(
 
     t1 = B.diagonal * lamv / A.diagonal * dx
     if N:
-        t1 = t1 + np.tril(_middle_summands(A, B, lamv, hat_b), -1) @ dx[:N]
+        t1 = t1 + np.tril(_middle_summands(A, B, lamv), -1) @ dx[:N]
 
     # the inner sums of C16 applied to dx, as two matrix-vector products
-    t2 = (bh * lamv[None, :]) @ (np.tril((inv_hat_a or hat_inverse(A)).entries, -2) @ dx)
+    t2 = (bh * lamv[None, :]) @ (np.tril(hat_inverse(A).entries, -2) @ dx)
 
     residual = nan_max(abs(x) for x in (dy - t1 - t2).tolist())
     return Decomposition(t1=t1, t2=t2, delta_y=dy, residual=residual, v0_retained=v0_retained)
@@ -272,8 +263,8 @@ def key_identity_check(
     only entries of A (and the B-hat factors shared by both).  The two are
     algebraically identical, so the return value is pure numerical error.
     ``v`` may also be an integer array, giving the gaps of row n at each
-    of its entries.  Pass ``hat_b`` / ``inv_hat_a`` to amortize the
-    inversion over sweeps.
+    of its entries.  ``hat_b`` / ``inv_hat_a``, when given, stand in for
+    the hat matrix B keeps and the hat inverse A keeps.
     """
     v_lo, v_hi = (np.min(v), np.max(v)) if np.ndim(v) else (v, v)
     if not (1 <= v_lo and v_hi <= n - 1 and n <= A.order):
@@ -284,13 +275,7 @@ def key_identity_check(
     return _key_gaps(bh[n, v] * f[v], bh[n, v + 1] * f[v + 1], (inv_hat_a or hat_inverse(A)).entries, A.entries, v)
 
 
-def key_identity_gaps(
-    A: NormalMatrix,
-    B: NormalMatrix,
-    lam: FactorSequence,
-    hat_b: NormalMatrix | None = None,
-    inv_hat_a: NormalMatrix | None = None,
-) -> np.ndarray:
+def key_identity_gaps(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> np.ndarray:
     """Every gap of :func:`key_identity_check` in one evaluation over the triangle.
 
     Entry [n, v - 1] is the gap at (n, v) for 1 <= v <= n - 1 <= N - 1, with
@@ -298,8 +283,8 @@ def key_identity_gaps(
     """
     N = A.order
     check_pair(A, B, lam, N + 1)
-    F = (hat_b or hat_of(B)).entries * lam.values[None, : N + 1]
-    gaps = _key_gaps(F[:, 1:N], F[:, 2:], (inv_hat_a or hat_inverse(A)).entries, A.entries, np.arange(1, N))
+    F = hat_of(B).entries * lam.values[None, : N + 1]
+    gaps = _key_gaps(F[:, 1:N], F[:, 2:], hat_inverse(A).entries, A.entries, np.arange(1, N))
     return np.where(np.tri(N + 1, max(N - 1, 0), -2, dtype=bool), gaps, 0)
 
 

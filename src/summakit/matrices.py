@@ -11,15 +11,21 @@ the row tail-sum  sum_{i=v..n} a_ni,  and the series-to-series matrix
 matrix inherits A's diagonal, hence stays normal and invertible by forward
 substitution.  For a weighted mean the inverse is known in closed form and
 is bidiagonal; ``hat_inverse`` uses it, so entries that vanish exactly stay
-exactly zero.
+exactly zero.  Both are computed once per matrix and kept on it.
 """
 
 from __future__ import annotations
 
+import logging
+import time
+from fractions import Fraction
+
 import numpy as np
 
 from ._util import as_vector, is_exact
-from .errors import LengthMismatchError, ShapeMismatchError, ZeroDiagonalError
+from .errors import LengthMismatchError, ShapeMismatchError, WeightOverflowError, ZeroDiagonalError
+
+log = logging.getLogger("summakit")
 
 
 class NormalMatrix:
@@ -31,7 +37,7 @@ class NormalMatrix:
     :func:`riesz_matrix` (it may run past the order), None for any other.
     """
 
-    __slots__ = ("entries", "weights")
+    __slots__ = ("entries", "weights", "_hat", "_hat_inverse")
 
     def __init__(self, entries: np.ndarray, weights: WeightSequence | None = None):
         entries = np.asarray(entries)
@@ -70,7 +76,8 @@ class NormalMatrix:
 class WeightSequence:
     """Positive weights p_0..p_N with cached cumulative sums P_n.
 
-    The convention P_{-1} = 0 is honored by :meth:`cum_before`.
+    The convention P_{-1} = 0 is honored by :meth:`cum_before`.  Float
+    weights that overflow raise a :class:`~summakit.errors.WeightOverflowError`.
     """
 
     __slots__ = ("weights", "cumulative")
@@ -82,7 +89,12 @@ class WeightSequence:
         for n, p in enumerate(w):
             if not p > 0:
                 raise ValueError(f"weight p_{n} = {p} is not positive")
-        c = np.cumsum(w)
+        with np.errstate(over="ignore"):
+            c = np.cumsum(w)
+        if not is_exact(w) and not np.isfinite(c[-1]):  # the sums grow: the first inf is an inf weight or an overflow
+            n = int(np.argmin(np.isfinite(c)))
+            quantity = "weight" if np.isinf(w[n]) else "cumulative weight sum"
+            raise WeightOverflowError(f"the {quantity} at n = {n} is not finite (float overflow)")
         w.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -134,12 +146,7 @@ def make_normal(entries, order: int | None = None) -> NormalMatrix:
 
 
 def identity_matrix(order: int, exact: bool = False) -> NormalMatrix:
-    if exact:
-        ent = np.zeros((order + 1, order + 1), dtype=object)
-        for n in range(order + 1):
-            ent[n, n] = 1
-        return NormalMatrix(ent)
-    return NormalMatrix(np.eye(order + 1))
+    return NormalMatrix(np.eye(order + 1, dtype=object if exact else float))
 
 
 def riesz_matrix(w: WeightSequence, order: int | None = None) -> NormalMatrix:
@@ -154,21 +161,12 @@ def riesz_matrix(w: WeightSequence, order: int | None = None) -> NormalMatrix:
         raise LengthMismatchError(f"need {order + 1} weights, have {len(w)}")
     p = w.weights[: order + 1]
     P = w.cumulative[: order + 1]
-    if is_exact(p):
-        ent = np.zeros((order + 1, order + 1), dtype=object)
-        for n in range(order + 1):
-            ent[n, : n + 1] = [pv / P[n] for pv in p[: n + 1]]
-        return NormalMatrix(ent, w)
     return NormalMatrix(np.tril(p[None, :] / P[:, None]), w)
 
 
 def cesaro_matrix(order: int, exact: bool = False) -> NormalMatrix:
     """Arithmetic-mean matrix: the unit-weight Riesz matrix."""
-    if exact:
-        from fractions import Fraction
-
-        return riesz_matrix(WeightSequence([Fraction(1)] * (order + 1)))
-    return riesz_matrix(WeightSequence(np.ones(order + 1)))
+    return riesz_matrix(WeightSequence(np.full(order + 1, Fraction(1) if exact else 1.0)))
 
 
 def bar_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
@@ -228,12 +226,24 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
     return np.tril(hat)
 
 
+def _kept(A: NormalMatrix, slot: str, name: str, build) -> NormalMatrix:
+    """The matrix in A's private ``slot``, computed by ``build()`` on first use; each computation is logged with its time."""
+    M = getattr(A, slot, None)
+    if M is None:
+        start = time.perf_counter()
+        M = build()
+        log.debug("computed the %s of order %d in %.6f s", name, A.order, time.perf_counter() - start)
+        object.__setattr__(A, slot, M)
+    return M
+
+
 def hat_of(A: NormalMatrix) -> NormalMatrix:
     """Series-to-series semimatrix; row 0 copies bar, later rows difference it.
 
-    Its diagonal equals A's diagonal, so the result is again normal.
+    Its diagonal equals A's diagonal, so the result is again normal.  It is
+    computed once per A: later calls return the same read-only matrix.
     """
-    return NormalMatrix(hat_columns(A, A.order))
+    return _kept(A, "_hat", "hat matrix", lambda: NormalMatrix(hat_columns(A, A.order)))
 
 
 def invert_hat(H: NormalMatrix) -> NormalMatrix:
@@ -259,12 +269,17 @@ def hat_inverse(A: NormalMatrix) -> NormalMatrix:
     diagonal P_n / p_n, subdiagonal entry (n+1, n) equal to -P_{n-1} / p_n
     (zero at n = 0), and exact zeros everywhere else, on the float path
     as well as the exact one.  Other matrices go through :func:`invert_hat`.
+    It is computed once per A, like the hat matrix.
     """
     if A.weights is None:
-        return invert_hat(hat_of(A))
-    size = A.size
-    p = A.weights.weights[:size]
-    P = A.weights.cumulative[:size]
+        hat = hat_of(A)  # kept, and timed, on its own
+        return _kept(A, "_hat_inverse", "hat inverse", lambda: invert_hat(hat))
+    return _kept(A, "_hat_inverse", "hat inverse", lambda: _bidiagonal_inverse(A.weights, A.size))
+
+
+def _bidiagonal_inverse(w: WeightSequence, size: int) -> NormalMatrix:
+    p = w.weights[:size]
+    P = w.cumulative[:size]
     X = np.zeros((size, size), dtype=p.dtype)
     idx = np.arange(size)
     X[idx, idx] = P / p

@@ -2,8 +2,10 @@ import csv
 import json
 import math
 import os
+import logging
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +92,18 @@ def test_check_rejects_integer_too_long_to_read(tmp_path, capsys):
     bad.write_text('{"N": 8, "k": 1' + "0" * 5000 + "}")
     assert main(["check", "--config", str(bad)]) == 2
     assert "config error: cannot read" in capsys.readouterr().err
+
+
+def test_check_names_overflowing_generated_weights(tmp_path, capsys):
+    # geometric weights 2**n: Q_n first leaves float range at n = 1023
+    matrix_b = {"kind": "riesz", "generator": {"name": "geometric", "ratio": 2}}
+    cfg = write_config(tmp_path, base_config(N=40, k=2, matrix_b=matrix_b, tail={"cutoff": 1600}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error: the cumulative weight sum at n = 1023 is not finite" in err
+    assert "RuntimeWarning" not in err and "NaN" not in err
 
 
 def test_check_tail_unavailable_exit_code(tmp_path, capsys):
@@ -508,8 +522,18 @@ def test_verify_hat_columns_calls_do_not_grow_with_order(tmp_path, monkeypatch):
             counts[bool(strict), N] = len(calls)
     assert counts[False, 20] == counts[False, 40]
     assert counts[True, 20] == counts[True, 40]
-    # one probe pass serves both readings; only build_cnv's strict array needs one more hat matrix
-    assert counts[True, 20] <= counts[False, 20] + 1
+    # one probe pass serves both readings, and each matrix keeps its hat matrix
+    assert counts[True, 20] == counts[False, 20]
+
+
+def test_verify_debug_log_shows_each_matrix_computed_once(tmp_path, caplog):
+    cfg = write_config(tmp_path, verify_explicit_b_config())
+    out = tmp_path / "verify.csv"
+    caplog.set_level(logging.DEBUG, logger="summakit")
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    built = [r.getMessage().split(" in ")[0] for r in caplog.records if r.getMessage().startswith("computed the")]
+    assert sorted(built) == ["computed the hat inverse of order 12"] + ["computed the hat matrix of order 12"] * 2
+    assert out.read_bytes() == (GOLDEN / "verify_explicit_b_n12_k2.csv").read_bytes()
 
 
 def test_verify_hides_no_nan_key_identity_gap(tmp_path, monkeypatch):

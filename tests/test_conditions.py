@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import summakit as sk
-from summakit.conditions import TREND_BOUNDED, TREND_GROWING, _suffix_sums
+from summakit.conditions import TREND_BOUNDED, TREND_GROWING, _suffix_sums, inner_sums
 from summakit.errors import BadExponentError, SizeMismatchError, TailUnavailableError
 
 import helpers
@@ -295,7 +295,8 @@ def test_c16_matches_rational_oracle():
 
 def test_c16_weighted_mean_pairs_exactly_zero():
     # a weighted-mean A has a bidiagonal hat inverse, so every inner sum is
-    # an empty or all-zero sum: exactly 0.0 on every BLAS build
+    # an empty or all-zero sum: exactly 0.0 on every BLAS build; the report
+    # reads this in O(N), the dense product over the closed-form inverse is the reference
     rng = np.random.default_rng(67)
     N = 200
     power = sk.WeightSequence((np.arange(N + 1) + 1.0) ** 0.5)
@@ -312,6 +313,21 @@ def test_c16_weighted_mean_pairs_exactly_zero():
         rep = sk.check_c16(A, B, lam)
         assert np.all(rep.ratios == 0.0)
         assert rep.trend == TREND_BOUNDED
+        BL = np.abs(sk.hat_of(B).entries * lam.values[None, :])
+        assert not np.any(inner_sums(BL, np.abs(sk.hat_inverse(A).entries)))
+
+
+def test_c16_weighted_mean_nan_factor_or_diagonal_still_raises():
+    # the O(N) report divides by the dense path's denominators, so a NaN there still raises
+    A = sk.cesaro_matrix(12)
+    lam_vals = np.ones(13)
+    lam_vals[5] = np.nan
+    with pytest.raises(ValueError, match="C16: NaN"):
+        sk.check_c16(A, A, sk.FactorSequence(lam_vals))
+    B = np.tril(np.ones((13, 13)))
+    B[4, 4] = np.nan
+    with pytest.raises(ValueError, match="C16: NaN"):
+        sk.check_c16(A, sk.NormalMatrix(B), helpers.ones_factors(13))
 
 
 def test_c16_weighted_mean_exact_path_is_zero():

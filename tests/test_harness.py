@@ -190,15 +190,47 @@ def test_empirical_constant_is_nan_when_a_probe_ratio_is():
 
 
 def test_decompose_residual_is_nan_when_a_gap_is():
-    # a NaN in one B-hat entry below row 0: a NaN factor would reach every row through the matrix products
+    # a NaN in one entry of B below row 0 reaches B-hat rows 6 and 7 only;
+    # a NaN factor would reach every row through the matrix products
     A, B, lam = riesz_pair_with_nan_factor(12, 0)
     lam = helpers.ones_factors(14)
-    poisoned = sk.hat_of(B).entries.copy()
+    poisoned = B.entries.copy()
     poisoned[6, 2] = np.nan
-    dec = sk.decompose(A, B, lam, sk.SeriesSample(np.linspace(1.0, -1.0, 13)), hat_b=sk.NormalMatrix(poisoned))
+    dec = sk.decompose(A, sk.NormalMatrix(poisoned), lam, sk.SeriesSample(np.linspace(1.0, -1.0, 13)))
     gaps = dec.delta_y - dec.t1 - dec.t2
     assert not math.isnan(gaps[0]) and math.isnan(gaps[6])
     assert math.isnan(dec.residual)
+
+
+def test_each_matrix_computes_its_hat_and_hat_inverse_once(monkeypatch):
+    # on an explicit pair every one of these reads the hat matrices and A's hat inverse
+    import summakit.conditions
+    import summakit.harness
+    import summakit.matrices
+
+    calls = []
+    for name in ("hat_columns", "invert_hat"):
+        real = getattr(summakit.matrices, name)
+
+        def counting(M, *args, _name=name, _real=real):
+            calls.append((_name, M))
+            return _real(M, *args)
+
+        for module in (summakit.matrices, summakit.conditions, summakit.harness):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    rng = np.random.default_rng(29)
+    A, B = helpers.random_normal_matrix(rng, 10), helpers.random_normal_matrix(rng, 10)
+    lam = sk.FactorSequence(rng.uniform(0.5, 1.5, 12))
+    sk.check_c16(A, B, lam)
+    for _ in range(2):
+        sk.decompose(A, B, lam, sk.SeriesSample(rng.uniform(-1.0, 1.0, 11)))
+    sk.empirical_constant(A, B, lam, 2)
+    sk.key_identity_gaps(A, B, lam)
+    sk.cnv_column_sums(A, B, lam, 2)
+    built = [M for name, M in calls if name == "hat_columns"]
+    assert len(built) == 2 and {id(M) for M in built} == {id(A), id(B)}
+    assert [M for name, M in calls if name == "invert_hat"] == [sk.hat_of(A)]
 
 
 def test_decompose_identity_matrices():
@@ -327,7 +359,7 @@ def test_key_identity_row_vector_matches_scalar_calls():
         lam = sk.FactorSequence(lam_vals)
         hat_b, inv_a = sk.hat_of(B), sk.hat_inverse(A)
         # the whole triangle at once: the same bits, zero outside 1 <= v <= n - 1
-        gaps = sk.key_identity_gaps(A, B, lam, hat_b=hat_b, inv_hat_a=inv_a)
+        gaps = sk.key_identity_gaps(A, B, lam)
         assert gaps.shape == (A.size, A.order - 1)
         assert not np.any(np.triu(gaps, -1))
         for n in range(2, A.order + 1):

@@ -1,10 +1,12 @@
+import logging
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 import summakit as sk
-from summakit.errors import LengthMismatchError, ShapeMismatchError, ZeroDiagonalError
+from summakit.errors import LengthMismatchError, ShapeMismatchError, WeightOverflowError, ZeroDiagonalError
 
 import helpers
 import oracles
@@ -56,6 +58,37 @@ def test_weight_sequence_validation():
     assert w.cum_before(2) == 3.0
 
 
+with np.errstate(over="ignore"):
+    GEOMETRIC_2 = 2.0 ** np.arange(1601.0)  # inf from n = 1024 on
+
+
+@pytest.mark.parametrize(
+    "weights, quantity, index",
+    [
+        (GEOMETRIC_2, "cumulative weight sum", 1023),  # 2**1024 - 1 rounds past float range
+        ([1.0, 2.0, np.inf, 1.0], "weight", 2),
+        ([1e308, 1e308, 1.0], "cumulative weight sum", 1),
+    ],
+)
+def test_weight_sequence_refuses_overflowing_float_weights(weights, quantity, index):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is named, not warned about
+        with pytest.raises(WeightOverflowError) as exc:
+            sk.WeightSequence(weights)
+    assert str(exc.value) == f"the {quantity} at n = {index} is not finite (float overflow)"
+
+
+def test_weight_sequence_keeps_fraction_weights_past_float_range():
+    w = sk.WeightSequence(np.asarray([F(2) ** 1100, F(1), F(3)], dtype=object))
+    assert w.cumulative[-1] == F(2) ** 1100 + 4
+
+
+def test_exact_identity_entries_are_ints():
+    eye = sk.identity_matrix(3, exact=True).entries
+    assert eye.dtype == object and eye.tolist() == np.eye(4).tolist()
+    assert all(type(x) is int for x in eye.ravel())
+
+
 def test_riesz_unit_weights():
     m = sk.riesz_matrix(sk.WeightSequence(np.ones(4)))
     for n in range(4):
@@ -67,6 +100,8 @@ def test_riesz_explicit_weights_exact():
     m = sk.riesz_matrix(w)
     assert m.entries[1, 0] == F(1, 3) and m.entries[1, 1] == F(2, 3)
     assert list(m.entries[2, :3]) == [F(1, 7), F(2, 7), F(4, 7)]
+    # Fraction on and below the diagonal, int 0 above it
+    assert [type(x) for x in m.entries.ravel()] == [F, int, int, F, F, int, F, F, F]
 
 
 def test_riesz_bar_first_column_ones():
@@ -246,6 +281,21 @@ def test_hat_inverse_without_weights_uses_forward_substitution():
     rng = np.random.default_rng(89)
     m = helpers.random_rational_matrix(rng, 6)
     assert np.all(sk.hat_inverse(m).entries == sk.invert_hat(sk.hat_of(m)).entries)
+
+
+@pytest.mark.parametrize("make", [lambda: sk.cesaro_matrix(9), lambda: helpers.random_normal_matrix(np.random.default_rng(3), 9)])
+def test_hat_and_hat_inverse_are_computed_once_and_kept(make, caplog):
+    A = make()
+    caplog.set_level(logging.DEBUG, logger="summakit")
+    H, X = sk.hat_of(A), sk.hat_inverse(A)
+    assert sk.hat_of(A) is H and sk.hat_inverse(A) is X
+    for M in (H, X):
+        with pytest.raises(ValueError):
+            M.entries[1, 0] = 2.0
+    # one DEBUG line per computed matrix: which one, its order and its time
+    built = [r.getMessage() for r in caplog.records if r.name == "summakit" and r.levelno == logging.DEBUG]
+    assert [m.split(" of order")[0] for m in built] == ["computed the hat matrix", "computed the hat inverse"]
+    assert all(" of order 9 in " in m and m.endswith(" s") for m in built)
 
 
 def test_apply_lower_identity():
