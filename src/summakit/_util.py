@@ -7,11 +7,13 @@ behind one code surface.  :func:`as_float` is the one point where exact
 values are rounded to float64: each Fraction is rounded once, correctly,
 exactly as ``float(x)`` rounds it, and float64 input passes through uncopied.
 :func:`check_pair` holds the argument checks shared by every function that
-takes a matrix pair and a factor sequence.
+takes a matrix pair and a factor sequence.  :func:`suffix_sums` is the
+exact suffix-sum kernel of the W tails and the d_nr bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 
@@ -47,6 +49,31 @@ def accurate_sum(values):
     if arr.dtype == object:
         return sum(arr.tolist(), start=0)
     return math.fsum(arr)
+
+
+def suffix_sums(terms, count: int) -> np.ndarray:
+    """sum(terms[j:]) for j = 0..count-1, in one backward pass.
+
+    Exact scalars are added exactly.  A float64 term is a dyadic rational
+    d * 2**e, so the floats are added exactly as integers on their smallest
+    exponent and each suffix is rounded once, by correctly rounded integer
+    division: every value is bit-identical to ``math.fsum(terms[j:])``.  A
+    suffix holding an inf or NaN term is inf or NaN, as with fsum.
+    """
+    if is_exact(terms):
+        return np.asarray(list(itertools.accumulate(reversed(terms.tolist())))[::-1][:count], dtype=object)
+    t = as_float(terms)
+    finite = np.isfinite(t)
+    mant, expo = np.frexp(np.where(finite, t, 0.0))
+    low = min(int(expo.min(initial=53)) - 53, 0)  # 53: an empty input has no exponents
+    digits = (mant * 2.0**53).astype(np.int64).tolist()
+    shifts = (expo - 53 - low).tolist()
+    sums = list(itertools.accumulate(d << s for d, s in zip(reversed(digits), reversed(shifts))))[::-1]
+    scale = 1 << -low
+    out = np.asarray([s / scale for s in sums[:count]])
+    if not finite.all():
+        out = out + np.cumsum(np.where(finite, 0.0, t)[::-1])[::-1][:count]
+    return out
 
 
 def nan_max(values, default=0.0):

@@ -13,7 +13,6 @@ requested cutoff.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,11 +58,6 @@ class TailSpec:
             raise ValueError(f"tail cutoff must be a positive index, got {self.cutoff!r}")
         if not 0.0 < self.warn_threshold < 1.0:
             raise ValueError(f"warn_threshold must lie in (0, 1), got {self.warn_threshold!r}")
-
-
-def default_tail(order: int) -> TailSpec:
-    """Default tail: sixteen times the working order."""
-    return TailSpec(cutoff=16 * max(order, 1))
 
 
 @dataclass(frozen=True)
@@ -136,61 +130,6 @@ def check_c9(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) -> Condit
     return _report("C9", n, np.abs(lv) / denom)
 
 
-def _suffix_sums(terms, count: int) -> np.ndarray:
-    """sum(terms[j:]) for j = 0..count-1, in one backward pass.
-
-    Exact scalars are added exactly.  A float64 term is a dyadic rational
-    d * 2**e, so the floats are added exactly as integers on their smallest
-    exponent and each suffix is rounded once, by correctly rounded integer
-    division: every value is bit-identical to ``math.fsum(terms[j:])``.  A
-    suffix holding an inf or NaN term is inf or NaN, as with fsum.
-    """
-    if is_exact(terms):
-        return np.asarray(list(itertools.accumulate(reversed(terms.tolist())))[::-1][:count], dtype=object)
-    t = as_float(terms)
-    finite = np.isfinite(t)
-    mant, expo = np.frexp(np.where(finite, t, 0.0))
-    low = min(int(expo.min(initial=53)) - 53, 0)  # 53: an empty input has no exponents
-    digits = (mant * 2.0**53).astype(np.int64).tolist()
-    shifts = (expo - 53 - low).tolist()
-    sums = list(itertools.accumulate(d << s for d, s in zip(reversed(digits), reversed(shifts))))[::-1]
-    scale = 1 << -low
-    out = np.asarray([s / scale for s in sums[:count]])
-    if not finite.all():
-        out = out + np.cumsum(np.where(finite, 0.0, t)[::-1])[::-1][:count]
-    return out
-
-
-def _w_terms(q: WeightSequence, k, cutoff: int, index_power=None):
-    """n**index_power (q_n / (Q_n Q_{n-1}))**k for n = 1..cutoff, index_power k - 1 unless given.
-
-    Exact for exact q when k and the index power are integers.
-    """
-    if index_power is None:
-        index_power = k - 1
-    qv = q.weights
-    Q = q.cumulative
-    if is_exact(qv) and float(k).is_integer() and float(index_power).is_integer():
-        idx = np.arange(1, cutoff + 1, dtype=object)
-        return idx ** int(index_power) * (qv[1 : cutoff + 1] / (Q[1 : cutoff + 1] * Q[:cutoff])) ** int(k)
-    idx = np.arange(1, cutoff + 1, dtype=float)
-    ratio = as_float(qv[1 : cutoff + 1]) / (as_float(Q[1 : cutoff + 1]) * as_float(Q[:cutoff]))
-    return idx ** float(index_power) * ratio**float(k)
-
-
-def _delta(q: WeightSequence, lv, count: int):
-    """Q_v lam_{v+1} - Q_{v-1} lam_v for v = 0..count-1, with Q_{-1} = 0.
-
-    Evaluated as q_v lam_{v+1} + Q_{v-1} (lam_{v+1} - lam_v): the literal
-    difference of two products of size Q_v |lam| can cancel to a value
-    smaller by a factor of order v**2 (lam_n = 1/(n+1), unit weights), and
-    its relative error grows by that factor.
-    """
-    Q_prev = np.concatenate(([0], q.cumulative[:count]))[:count]
-    lam_next = lv[1 : count + 1]
-    return q.weights[:count] * lam_next + Q_prev * (lam_next - lv[:count])
-
-
 def _tail_report(cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v_max: int, denominators):
     """ratio_v = sum_{n=v+1..cutoff} n**(k-1) |M_nv|**k / denominators[v].
 
@@ -216,11 +155,11 @@ def _tail_report(cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v
     shift = cid == "C11"
     if B.weights is not None:
         q = B.weights
-        terms = _w_terms(q, k, cutoff_eff)
-        coef = q.cumulative[: v_max + 1] * lam.values[1 : v_max + 2] if shift else _delta(q, lam.values, v_max + 1)
+        T, last = q.tail(k, cutoff_eff, v_max + 1)
+        coef = q.cumulative[: v_max + 1] * lam.values[1 : v_max + 2] if shift else q.delta(lam.values, v_max + 1)
         coef = abs_pow(coef, k)
-        totals = coef * _suffix_sums(terms, v_max + 1)
-        last = coef * terms[-1]
+        totals = coef * T
+        last = coef * last
     else:
         M = np.tril(probe_deltas(hat_columns(B, v_max + 1)[: cutoff_eff + 1], lam.values)[shift], -1)
         w = norm_weights(cutoff_eff + 1, k, is_exact(M))
@@ -266,9 +205,7 @@ def check_c12(A: NormalMatrix) -> ConditionReport:
     N = A.order
     if N == 0:
         return _report("C12", np.arange(0), [])
-    diff = E[1:] - E[:-1]
-    allowed = np.tril(np.ones((N, N + 1), dtype=bool), 0)
-    viol = np.where(allowed, np.maximum(diff, 0.0), 0.0)
+    viol = np.tril(np.maximum(E[1:] - E[:-1], 0.0))
     return _report("C12", np.arange(1, N + 1), viol.max(axis=1))
 
 
@@ -321,9 +258,11 @@ def inner_sums(BL: np.ndarray, W: np.ndarray) -> np.ndarray:
     ``BL`` is lower triangular.  The product runs over the part of W below
     its subdiagonal only, so no diagonal or subdiagonal term is added and
     then subtracted: a sum whose terms are all zero comes out as exactly
-    zero, and entries with r > n - 2 are empty sums.
+    zero, and entries with r > n - 2 are empty sums.  It runs over columns
+    v >= 2 of BL only, the ones some inner sum reads, so a non-finite
+    BL[n, 0] or BL[n, 1] reaches no sum through a product with zero.
     """
-    return BL @ np.tril(W, -2)
+    return BL[:, 2:] @ np.tril(W, -2)[2:]
 
 
 def check_c16(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> ConditionReport:
@@ -349,17 +288,11 @@ def check_c16(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> Conditio
     return _report("C16", np.arange(1, N + 1), ratios[1:])
 
 
-def w_sequence(
-    q: WeightSequence,
-    k,
-    tail: TailSpec,
-    n_max: int | None = None,
-    with_warnings: bool = False,
-):
+def w_sequence(q: WeightSequence, k, tail: TailSpec, n_max: int | None = None):
     """Tail quantity W_n = {sum_{v>n} v**(k-1) (q_v/(Q_v Q_{v-1}))**k}**(1/k).
 
-    Truncated at ``tail.cutoff``; per-n warning flags mark tails whose last
-    term still exceeds ``warn_threshold`` times the accumulated sum.
+    Truncated at ``tail.cutoff``: the k-th root of :meth:`WeightSequence.tail`
+    through that row, exact for exact weights when k = 1.
     """
     check_exponent(k)
     cutoff = tail.cutoff
@@ -369,16 +302,10 @@ def w_sequence(
         n_max = cutoff - 1
     if n_max > cutoff - 1:
         raise TailUnavailableError(f"W_{n_max} has no terms below cutoff {cutoff}")
-    terms = _w_terms(q, k, cutoff)
-    totals = _suffix_sums(terms, n_max + 1)
-    warns = np.asarray(terms[-1] > tail.warn_threshold * totals, dtype=bool)
-    if is_exact(totals) and k == 1:
-        w = totals
-    else:
-        w = np.asarray([float(t) ** (1.0 / float(k)) for t in totals.tolist()])
-    if with_warnings:
-        return w, warns
-    return w
+    T = q.tail(k, cutoff, n_max + 1)[0]
+    if is_exact(T) and k == 1:
+        return T.copy()
+    return np.asarray([float(t) ** (1.0 / float(k)) for t in T.tolist()])
 
 
 def check_theorem_a(
@@ -415,8 +342,8 @@ def check_theorem_a(
         raise LengthMismatchError(f"need {n_max + 2} factors, have {len(lam)}")
     if q.order < n_max + 1:
         raise LengthMismatchError(f"need {n_max + 2} q-weights, have {len(q)}")
-    W, warns = w_sequence(q, k, tail, n_max=n_max, with_warnings=True)
-    Wf = as_float(W)
+    Wf = as_float(w_sequence(q, k, tail, n_max=n_max))
+    T, last = q.tail(k, tail.cutoff, n_max + 1)  # W's own sums: a still material last term warns
     pv = as_float(p.weights[: n_max + 1])
     P = as_float(p.cumulative[: n_max + 1])
     qv = as_float(q.weights[: n_max + 2])
@@ -428,11 +355,11 @@ def check_theorem_a(
     rep_a = _report("TA_a", n, np.abs(lv[1:-1]) / denom_a)
 
     if delta_mode == "forward":
-        delta = as_float(_delta(q, lam.values, n_max + 1)[1:])
+        delta = as_float(q.delta(lam.values, n_max + 1)[1:])
     else:
-        delta = as_float(_delta(q, lam.values, n_max))
+        delta = as_float(q.delta(lam.values, n_max))
     ratios_b = np.abs(Wf[1:] * delta) * P[1:] / pv[1:]
-    warned = bool(np.any(warns[1:]))
+    warned = bool(np.any(last > tail.warn_threshold * T[1:]))
     rep_b = _report("TA_b", n, ratios_b, tail.cutoff, warned)
 
     ratios_c = Q[1:-1] * np.abs(lv[2:]) * Wf[1:]

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import abs_pow, check_exponent, check_pair, index_pow, is_exact, nan_max, norm_weights
+from ._util import abs_pow, check_exponent, check_pair, index_pow, is_exact, nan_max, norm_weights, suffix_sums
 from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
     LengthMismatchError,
 )
-from .conditions import _delta, _suffix_sums, _w_terms, column_sums, probe_deltas
+from .conditions import column_sums, probe_deltas
 from .matrices import NormalMatrix, WeightSequence, apply_lower, hat_columns, hat_inverse, hat_of
 from .series import FactorSequence, SeriesSample
 
@@ -95,10 +95,10 @@ def _probe_pows(deltas: dict, k, w: WeightSequence | None, lv) -> dict:
     if w is None:
         return {kind: column_sums(d, k, norm_weights(d.shape[0], k, is_exact(d))) for kind, d in deltas.items()}
     last, m = deltas[PROBE_SHIFT].shape[0] - 1, deltas[PROBE_SHIFT].shape[1]
-    tail = _suffix_sums(_w_terms(w, k, last), m)
+    tail = w.tail(k, last, m)[0]
     diag = norm_weights(m, k, is_exact(tail)) * abs_pow(w.weights[:m] / w.cumulative[:m] * lv[:m], k)
     return {
-        PROBE_DIFFERENCE: diag + abs_pow(_delta(w, lv, m), k) * tail,
+        PROBE_DIFFERENCE: diag + abs_pow(w.delta(lv, m), k) * tail,
         PROBE_SHIFT: abs_pow(w.cumulative[:m] * lv[1 : m + 1], k) * tail,
     }
 
@@ -368,10 +368,10 @@ def cnv_column_sums(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k, st
     N, size = A.order, A.size
     power = (float(k) - 1.0) / float(k) if strict_paper else k - 1
     p, q, lv = A.weights, B.weights, lam.values
-    tail = _suffix_sums(_w_terms(q, k, N, power), N)
+    tail = q.tail(k, N, N, power)[0]
     ratio = q.weights[:size] / q.cumulative[:size] * lv[:size] / (p.weights[:size] / p.cumulative[:size])
     diag = index_pow(np.arange(size), power, is_exact(tail)) * abs_pow(ratio, k)
-    mid = q.cumulative[:N] * lv[1:size] - _delta(q, lv, N) * p.cumulative[:N] / p.weights[:N]
+    mid = q.cumulative[:N] * lv[1:size] - q.delta(lv, N) * p.cumulative[:N] / p.weights[:N]
     sums = diag + np.concatenate((abs_pow(mid, k) * tail, [0]))
     sums[0] = 0
     return sums
@@ -386,4 +386,4 @@ def dnr_column_sums(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) ->
     check_exponent(k)
     kf = float(k)
     _, diag = _row_scaled(A, B, lam, (kf - 1.0) / kf)
-    return np.concatenate((_suffix_sums(abs_pow(diag, k), A.size), [0, 0]))[2:]
+    return np.concatenate((suffix_sums(abs_pow(diag, k), A.size), [0, 0]))[2:]

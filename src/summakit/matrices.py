@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import as_vector, is_exact
+from ._util import as_float, as_vector, is_exact, suffix_sums
 from .errors import LengthMismatchError, ShapeMismatchError, WeightOverflowError, ZeroDiagonalError
 
 log = logging.getLogger("summakit")
@@ -78,9 +78,10 @@ class WeightSequence:
 
     The convention P_{-1} = 0 is honored by :meth:`cum_before`.  Float
     weights that overflow raise a :class:`~summakit.errors.WeightOverflowError`.
+    The W tails of :meth:`tail` are kept on the sequence once computed.
     """
 
-    __slots__ = ("weights", "cumulative")
+    __slots__ = ("weights", "cumulative", "_tails")
 
     def __init__(self, weights):
         w = as_vector(weights)
@@ -99,6 +100,7 @@ class WeightSequence:
         c.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "cumulative", c)
+        object.__setattr__(self, "_tails", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightSequence is immutable")
@@ -115,6 +117,42 @@ class WeightSequence:
         if n <= 0:
             return 0 if is_exact(self.weights) else 0.0
         return self.cumulative[n - 1]
+
+    def tail(self, k, rows: int, count: int, index_power=None):
+        """W tails T_v = sum_{n=v+1..rows} n**e (p_n / (P_n P_{n-1}))**k for v < count, and their last term.
+
+        The index power e is ``index_power``, k - 1 unless given.  The sums come from one
+        :func:`~summakit._util.suffix_sums` sweep, exact for exact weights when
+        k and the index power are integers.  Each argument tuple is swept once
+        per sequence: later calls return the same read-only sums.
+        """
+        if index_power is None:
+            index_power = k - 1
+        key = (k, rows, count, index_power)
+        if key not in self._tails:
+            p, P = self.weights, self.cumulative
+            if is_exact(p) and float(k).is_integer() and float(index_power).is_integer():
+                idx = np.arange(1, rows + 1, dtype=object)
+                terms = idx ** int(index_power) * (p[1 : rows + 1] / (P[1 : rows + 1] * P[:rows])) ** int(k)
+            else:
+                ratio = as_float(p[1 : rows + 1]) / (as_float(P[1 : rows + 1]) * as_float(P[:rows]))
+                terms = np.arange(1, rows + 1, dtype=float) ** float(index_power) * ratio ** float(k)
+            sums = suffix_sums(terms, count)
+            sums.setflags(write=False)
+            self._tails[key] = sums, terms[-1] if rows else 0
+        return self._tails[key]
+
+    def delta(self, lv, count: int):
+        """P_v lam_{v+1} - P_{v-1} lam_v for v = 0..count-1, with P_{-1} = 0.
+
+        Evaluated as p_v lam_{v+1} + P_{v-1} (lam_{v+1} - lam_v): the literal
+        difference of two products of size P_v |lam| can cancel to a value
+        smaller by a factor of order v**2 (lam_n = 1/(n+1), unit weights), and
+        its relative error grows by that factor.
+        """
+        P_prev = np.concatenate(([0], self.cumulative[:count]))[:count]
+        lam_next = lv[1 : count + 1]
+        return self.weights[:count] * lam_next + P_prev * (lam_next - lv[:count])
 
 
 def make_normal(entries, order: int | None = None) -> NormalMatrix:

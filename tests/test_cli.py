@@ -526,6 +526,34 @@ def test_verify_hat_columns_calls_do_not_grow_with_order(tmp_path, monkeypatch):
     assert counts[True, 20] == counts[False, 20]
 
 
+def test_each_weight_tail_is_swept_once(tmp_path, monkeypatch):
+    # C10, C11 and TA share one sweep of B's weights; verify sweeps A's and B's weights
+    # once each for the probe norms (the c_nv bound reuses B's), the d_nr row values,
+    # and with --strict-paper-mode B's weights once more at index power (k - 1) / k
+    import summakit
+
+    real = summakit._util.suffix_sums
+    holders = [m for m in vars(summakit).values() if getattr(m, "suffix_sums", None) is real]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in holders:
+        monkeypatch.setattr(module, "suffix_sums", counting)
+    riesz = {"kind": "riesz", "generator": {"name": "power", "alpha": 0.5}}
+    tails = base_config(N=40, k=2, matrix_b=riesz, tail={"cutoff": 640}, conditions=["C10", "C11", "TA"])
+    check = write_config(tmp_path, tails)
+    verify = write_config(tmp_path, base_config(N=40, k=2, matrix_b=riesz), "verify.json")
+    counts = []
+    for command, cfg, *flags in (("check", check), ("verify", verify), ("verify", verify, "--strict-paper-mode")):
+        calls.clear()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out.csv"), *flags]) == 0
+        counts.append(len(calls))
+    assert counts == [1, 3, 4]
+
+
 def test_verify_debug_log_shows_each_matrix_computed_once(tmp_path, caplog):
     cfg = write_config(tmp_path, verify_explicit_b_config())
     out = tmp_path / "verify.csv"

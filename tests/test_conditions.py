@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import summakit as sk
-from summakit.conditions import TREND_BOUNDED, TREND_GROWING, _suffix_sums, inner_sums
+from summakit._util import suffix_sums
+from summakit.conditions import TREND_BOUNDED, TREND_GROWING, inner_sums
 from summakit.errors import BadExponentError, SizeMismatchError, TailUnavailableError
 
 import helpers
@@ -159,18 +160,18 @@ def test_suffix_sums_bit_equal_to_fsum():
     subnormal = np.concatenate([rng.integers(1, 2**20, 50) * 5e-324, [2.0**-1022, 2.0**-1000, 1e-310]])
     decades = 10.0 ** rng.uniform(-20, 15, 2000)
     for terms in (wide, with_zeros, subnormal, decades, np.array([0.1]), np.zeros(3)):
-        got = _suffix_sums(terms, terms.size)
+        got = suffix_sums(terms, terms.size)
         want = np.asarray([math.fsum(terms[j:]) for j in range(terms.size)])
         assert got.tobytes() == want.tobytes()
-    assert _suffix_sums(decades, 7).tobytes() == np.asarray([math.fsum(decades[j:]) for j in range(7)]).tobytes()
+    assert suffix_sums(decades, 7).tobytes() == np.asarray([math.fsum(decades[j:]) for j in range(7)]).tobytes()
     special = np.array([1.0, np.nan, 2.0, np.inf, 3.0])
-    np.testing.assert_array_equal(_suffix_sums(special, 5), [math.fsum(special[j:]) for j in range(5)])
+    np.testing.assert_array_equal(suffix_sums(special, 5), [math.fsum(special[j:]) for j in range(5)])
 
 
 def test_suffix_sums_exact_on_fractions():
     rng = np.random.default_rng(84)
     terms = helpers.random_rational_vector(rng, 60)
-    got = _suffix_sums(terms, 60)
+    got = suffix_sums(terms, 60)
     assert got.dtype == object
     assert got.tolist() == [sum(terms[j:].tolist(), F(0)) for j in range(60)]
 
@@ -328,6 +329,24 @@ def test_c16_weighted_mean_nan_factor_or_diagonal_still_raises():
     B[4, 4] = np.nan
     with pytest.raises(ValueError, match="C16: NaN"):
         sk.check_c16(A, sk.NormalMatrix(B), helpers.ones_factors(13))
+
+
+def test_c16_reads_no_lam_0_on_either_path():
+    # no inner sum reads column 0 or 1 of B-hat Lambda, so a NaN lam_0 leaves the dense
+    # report's bits as they are; lam_1 is the n = 1 denominator, so a NaN there raises
+    N = 12
+    B = sk.riesz_matrix(sk.WeightSequence((np.arange(N + 1) + 1.0) ** 0.5))
+    dense, weighted = sk.NormalMatrix(sk.cesaro_matrix(N).entries), sk.cesaro_matrix(N)
+    lam_vals = 1.0 / (np.arange(N + 1) + 1.0)
+    want = sk.check_c16(dense, B, sk.FactorSequence(lam_vals))
+    lam_vals[0] = np.nan
+    got = sk.check_c16(dense, B, sk.FactorSequence(lam_vals))
+    assert got.ratios.tobytes() == want.ratios.tobytes() and got.trend == want.trend
+    assert np.all(sk.check_c16(weighted, B, sk.FactorSequence(lam_vals)).ratios == 0.0)
+    lam_vals[:2] = 1.0, np.nan
+    for A in (dense, weighted):
+        with pytest.raises(ValueError, match="C16: NaN"):
+            sk.check_c16(A, B, sk.FactorSequence(lam_vals))
 
 
 def test_c16_weighted_mean_exact_path_is_zero():

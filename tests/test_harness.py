@@ -501,6 +501,20 @@ def test_weight_native_norms_match_dense_columns(k):
 
 
 @pytest.mark.parametrize("k", WEIGHT_NATIVE_K)
+def test_strict_cnv_sums_first_leave_the_plain_sums_bits(k):
+    # the two bounds keep their W tails apart: index power k - 1 and (k - 1) / k
+    def pair():
+        return sk.cesaro_matrix(40), sk.riesz_matrix(sk.WeightSequence((np.arange(41) + 1.0) ** 0.5))
+
+    lam = sk.FactorSequence(1.0 / np.sqrt(np.arange(42) + 1.0))
+    plain = sk.cnv_column_sums(*pair(), lam, k)
+    A, B = pair()
+    strict = sk.cnv_column_sums(A, B, lam, k, strict_paper=True)
+    assert sk.cnv_column_sums(A, B, lam, k).tobytes() == plain.tobytes()
+    assert (strict.tobytes() == plain.tobytes()) == (k == 1)
+
+
+@pytest.mark.parametrize("k", WEIGHT_NATIVE_K)
 def test_dnr_column_sums_are_the_dense_column_sums_bit_for_bit(k):
     rng = np.random.default_rng(97)
     N = 300

@@ -1,4 +1,5 @@
 import logging
+import math
 import warnings
 from fractions import Fraction as F
 
@@ -81,6 +82,26 @@ def test_weight_sequence_refuses_overflowing_float_weights(weights, quantity, in
 def test_weight_sequence_keeps_fraction_weights_past_float_range():
     w = sk.WeightSequence(np.asarray([F(2) ** 1100, F(1), F(3)], dtype=object))
     assert w.cumulative[-1] == F(2) ** 1100 + 4
+
+
+def test_weight_tail_is_swept_once_and_kept_read_only():
+    # T_v = sum_{n=v+1..rows} n**(k-1) (p_n / (P_n P_{n-1}))**k, one fsum per v
+    p = (np.arange(41) + 1.0) ** 0.5
+    w = sk.WeightSequence(p)
+    P = w.cumulative
+    terms = np.arange(1, 41) ** 1.0 * (p[1:] / (P[1:] * P[:-1])) ** 2.0
+    T, last = w.tail(2, 40, 10)
+    assert T.tobytes() == np.asarray([math.fsum(terms[v:]) for v in range(10)]).tobytes()
+    assert last == terms[-1]
+    assert w.tail(2, 40, 10)[0] is T and w.tail(2, 40, 10, 1)[0] is T
+    assert w.tail(2, 40, 10, 0.5)[0] is not T
+    with pytest.raises(ValueError, match="read-only"):
+        T[0] = 0.0
+    exact = sk.WeightSequence(np.asarray([F(n + 1) for n in range(9)], dtype=object))
+    T, last = exact.tail(1, 8, 8)
+    assert T.dtype == object and not T.flags.writeable
+    W = sk.w_sequence(exact, 1, sk.TailSpec(8), n_max=7)  # the caller's own copy
+    assert W.tolist() == T.tolist() and W.flags.writeable and W is not T
 
 
 def test_exact_identity_entries_are_ints():

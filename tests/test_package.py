@@ -1,0 +1,26 @@
+"""Checks that read the package's source and the README as files."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a helper two modules need has one public home (as _util.suffix_sums), not a private name in one of them
+    found = []
+    for path in sorted((ROOT / "src" / "summakit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "summakit"):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names if _private(alias.name)]
+    assert found == []
+
+
+def test_readme_quick_start_runs():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
