@@ -2,15 +2,14 @@
 identity verification sweeps, emitted as deterministic CSV or JSON reports.
 
 Exit codes carry operational status only: 0 success, 1 verification
-tolerance failure, 2 configuration error, 3 unavailable tail.  Boundedness
-verdicts are data inside the reports, never exit codes.
+tolerance failure, 2 configuration error or an order too large to allocate,
+3 unavailable tail.  Boundedness verdicts are report data, never exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import logging
@@ -213,18 +212,14 @@ def matrix_max_order(spec: dict) -> int | None:
     return None
 
 
-def build_matrix(spec: dict, order: int) -> NormalMatrix:
-    return _build_matrix(spec, order, order)
-
-
-def _build_matrix(spec: dict, order: int, weights_order: int) -> NormalMatrix:
-    """The matrix of ``spec`` at ``order``; a weighted mean carries its weights through ``weights_order``."""
+def build_matrix(spec: dict, order: int, reach: int | None = None) -> NormalMatrix:
+    """The matrix of ``spec`` at ``order``; a weighted mean carries its weights through ``reach`` (``order`` when None)."""
     kind = spec.get("kind")
     if kind == "identity":
         return identity_matrix(order)
     if kind in ("cesaro", "riesz"):
         try:
-            return riesz_matrix(weights_for(spec, weights_order), order)
+            return riesz_matrix(weights_for(spec, order if reach is None else reach), order)
         except TailUnavailableError as exc:
             # short explicit weights at the base order are a config problem,
             # not a tail problem
@@ -369,24 +364,18 @@ def cmd_check(config: ExperimentConfig) -> int:
     N = config.order
     k = config.k
     A = build_matrix(config.matrix_a, N)
-    # B out to the tail cutoff, or as far as its spec reaches (a spec short of N
-    # fails with its own message): a weighted mean carries its weights that far,
-    # and C10, C11 and TA read the tails from them
+    # C10, C11 and TA read B to the cutoff, or as far as its spec reaches (a spec short of N fails
+    # with its own message): a weighted mean's weights, the identity's order, an explicit B's rows
     own_max = matrix_max_order(config.matrix_b)
     reach = config.tail.cutoff if own_max is None else max(N, min(config.tail.cutoff, own_max))
-    B = _build_matrix(config.matrix_b, N, reach)
-    q_tail = B.weights if reach == config.tail.cutoff else None
+    B = build_matrix(config.matrix_b, N, reach)
+    tail_b = B if B.weights is not None or reach == N else build_matrix(config.matrix_b, reach)
     lam = lambda_for(config, N + 2)
-
-    @functools.cache
-    def b_tail() -> NormalMatrix:
-        """The C10/C11 carrier: B itself when it carries weights, else B built densely out to ``reach`` on first use."""
-        return B if B.weights is not None else build_matrix(config.matrix_b, reach)
 
     checks = {
         "C9": lambda: [check_c9(A, B, lam, k)],
-        "C10": lambda: [check_c10(A, b_tail(), lam, k, config.tail, v_max=N)],
-        "C11": lambda: [check_c11(b_tail(), lam, k, config.tail, v_max=N)],
+        "C10": lambda: [check_c10(A, tail_b, lam, k, config.tail, v_max=N)],
+        "C11": lambda: [check_c11(tail_b, lam, k, config.tail, v_max=N)],
         "C12": lambda: [check_c12(A)],
         "C13": lambda: [check_c13(A)],
         "C14": lambda: [check_c14(B)],
@@ -395,7 +384,7 @@ def cmd_check(config: ExperimentConfig) -> int:
         "TA": lambda: check_theorem_a(
             weights_for(config.matrix_a, N),
             # without weights through the cutoff, weights_for raises the spec's own error
-            q_tail if q_tail is not None else weights_for(config.matrix_b, config.tail.cutoff),
+            B.weights if reach == config.tail.cutoff and B.weights is not None else weights_for(config.matrix_b, config.tail.cutoff),
             lam,
             k,
             config.tail,
@@ -552,6 +541,9 @@ def main(argv: list[str] | None = None) -> int:
     except TailUnavailableError as exc:
         print(f"tail unavailable: {exc}", file=sys.stderr)
         return EXIT_TAIL
+    except MemoryError as exc:  # numpy's message names the size and shape it could not allocate
+        print(f"out of memory: {args.command} at N = {config.order}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConfigError, SummakitError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,7 +27,6 @@ from .errors import (
 from .matrices import (
     NormalMatrix,
     WeightSequence,
-    bar_columns,
     hat_columns,
     hat_inverse,
     hat_of,
@@ -139,7 +138,9 @@ def _tail_report(cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v
     Delta_v (C10) or Q_v lam_{v+1} (C11), up to sign, so ratio_v is that
     coefficient to the k times the W tail T_v = sum_{n>v} n**(k-1)
     (q_n / (Q_n Q_{n-1}))**k, over denominators[v].  The carrier is the
-    weight sequence then, and B's dense entries otherwise.  A carrier
+    weight sequence then.  On the identity the column is -lam_{v+1} (C10) or
+    lam_{v+1} (C11) in row v + 1 alone: the sum is (v+1)**(k-1) |lam_{v+1}|**k
+    and the carrier is the order.  Other matrices are dense carriers.  A carrier
     shorter than the cutoff clamps the sums to its order, and v stops one
     short of the cutoff; either clamp sets the tail warning, as does a last
     term that is still material.
@@ -160,6 +161,9 @@ def _tail_report(cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v
         coef = abs_pow(coef, k)
         totals = coef * T
         last = coef * last
+    elif B.is_identity:
+        totals = norm_weights(v_max + 2, k, B.exact)[1:] * abs_pow(lam.values[1 : v_max + 2], k)
+        last = np.where(np.arange(v_max + 1) == cutoff_eff - 1, totals, 0)
     else:
         M = np.tril(probe_deltas(hat_columns(B, v_max + 1)[: cutoff_eff + 1], lam.values)[shift], -1)
         w = norm_weights(cutoff_eff + 1, k, is_exact(M))
@@ -201,17 +205,17 @@ def check_c11(B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v_max: in
 
 def check_c12(A: NormalMatrix) -> ConditionReport:
     """Column monotonicity a_{n-1,v} >= a_nv; ratios are violation sizes."""
-    E = as_float(A.entries)
     N = A.order
-    if N == 0:
-        return _report("C12", np.arange(0), [])
+    if N == 0 or A.weights is not None:  # p_v / P_{n-1} >= p_v / P_n: float division is monotone
+        return _report("C12", np.arange(1, N + 1), np.zeros(N))
+    E = as_float(A.entries)
     viol = np.tril(np.maximum(E[1:] - E[:-1], 0.0))
     return _report("C12", np.arange(1, N + 1), viol.max(axis=1))
 
 
 def _leading_bar_report(cid, M: NormalMatrix) -> ConditionReport:
     """|bar_n0 - 1| for every row n of M: zero iff each row of M sums to one."""
-    return _report(cid, np.arange(M.size), np.abs(as_float(bar_columns(M, 0)[:, 0]) - 1.0))
+    return _report(cid, np.arange(M.size), np.abs(as_float(M.row_sums) - 1.0))
 
 
 def check_c13(A: NormalMatrix) -> ConditionReport:
@@ -230,7 +234,7 @@ def check_c15(A: NormalMatrix) -> ConditionReport:
     ratio_n = |a_nn - a_{n+1,n}| / |a_nn a_{n+1,n+1}| for n = 0..N-1.
     """
     d = as_float(A.diagonal)
-    sub = as_float(np.diagonal(A.entries, -1))
+    sub = as_float(A.subdiagonal)
     ratios = np.abs(d[:-1] - sub) / np.abs(d[:-1] * d[1:])
     return _report("C15", np.arange(A.order), ratios)
 

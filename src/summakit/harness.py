@@ -126,7 +126,7 @@ class ProbePass:
         hat_a = hat_of(A).entries if hat_a is None else hat_a
         hat_b = hat_of(B).entries if hat_b is None else hat_b
         unit = np.ones(hat_a.shape[1], dtype=object if is_exact(hat_a) and is_exact(hat_b) else float)
-        self.k, self.b_diag, self.lv = k, np.diagonal(hat_b), lam.values
+        self.k, self.b_diag, self.lv = k, B.diagonal, lam.values
         self.delta_x = dict(zip(PROBE_KINDS, probe_deltas(hat_a, unit)))
         self.delta_y = dict(zip(PROBE_KINDS, probe_deltas(hat_b, lam.values)))
         self.x_norm = _probe_pows(self.delta_x, 1, A.weights, unit)
@@ -200,7 +200,7 @@ def _middle_summands(A: NormalMatrix, B: NormalMatrix, lv) -> np.ndarray:
     :func:`decompose` and :func:`build_cnv`.
     """
     Ad = A.diagonal
-    gap = (Ad[:-1] - np.diagonal(A.entries, -1)) / (Ad[:-1] * Ad[1:])
+    gap = (Ad[:-1] - A.subdiagonal) / (Ad[:-1] * Ad[1:])
     D, S = probe_deltas(hat_of(B).entries, lv)
     D = D / Ad[:-1][None, :]  # a new array: the differences are freed before S * gap is formed
     D += S * gap[None, :]
@@ -231,7 +231,7 @@ def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSa
     dx = apply_lower(hat_of(A), coeffs)
     dy = apply_lower(bh, coeffs * lamv)
 
-    bar0 = B.entries.sum(axis=1)  # the leading bar column
+    bar0 = B.row_sums  # the leading bar column
     if exact:
         v0_retained = any(x != 1 for x in bar0.tolist())
     else:
@@ -259,9 +259,9 @@ def key_identity_check(
 ):
     """Absolute gap in the adjacent-inverse rearrangement at one (n, v).
 
-    Left side uses entries of the computed hat inverse; right side uses
-    only entries of A (and the B-hat factors shared by both).  The two are
-    algebraically identical, so the return value is pure numerical error.
+    Left side uses entries of the computed hat inverse; right side uses only
+    A's diagonal and subdiagonal (and the B-hat factors shared by both).  The
+    two are algebraically identical, so the return value is pure numerical error.
     ``v`` may also be an integer array, giving the gaps of row n at each
     of its entries.  ``hat_b`` / ``inv_hat_a``, when given, stand in for
     the hat matrix B keeps and the hat inverse A keeps.
@@ -272,7 +272,7 @@ def key_identity_check(
     check_pair(A, B, lam, v_hi + 2)
     bh = (hat_b or hat_of(B)).entries
     f = lam.values
-    return _key_gaps(bh[n, v] * f[v], bh[n, v + 1] * f[v + 1], (inv_hat_a or hat_inverse(A)).entries, A.entries, v)
+    return _key_gaps(bh[n, v] * f[v], bh[n, v + 1] * f[v + 1], (inv_hat_a or hat_inverse(A)).entries, A, v)
 
 
 def key_identity_gaps(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> np.ndarray:
@@ -284,18 +284,19 @@ def key_identity_gaps(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> 
     N = A.order
     check_pair(A, B, lam, N + 1)
     F = hat_of(B).entries * lam.values[None, : N + 1]
-    gaps = _key_gaps(F[:, 1:N], F[:, 2:], hat_inverse(A).entries, A.entries, np.arange(1, N))
+    gaps = _key_gaps(F[:, 1:N], F[:, 2:], hat_inverse(A).entries, A, np.arange(1, N))
     return np.where(np.tri(N + 1, max(N - 1, 0), -2, dtype=bool), gaps, 0)
 
 
-def _key_gaps(f_v, f_v1, ahp, E, v):
+def _key_gaps(f_v, f_v1, ahp, A: NormalMatrix, v):
     """|lhs - rhs| of the adjacent-inverse rearrangement at column(s) v.
 
     ``f_v`` and ``f_v1`` are the factored B-hat entries at v and v + 1 of one
     row, or of every row, column j holding v[j]; ``ahp`` is the A-hat inverse.
     """
+    d, sub = A.diagonal, A.subdiagonal
     lhs = f_v * ahp[v, v] + f_v1 * ahp[v + 1, v]
-    rhs = (f_v - f_v1) / E[v, v] + f_v1 * (E[v, v] - E[v + 1, v]) / (E[v, v] * E[v + 1, v + 1])
+    rhs = (f_v - f_v1) / d[v] + f_v1 * (d[v] - sub[v]) / (d[v] * d[v + 1])
     return abs(lhs - rhs)
 
 

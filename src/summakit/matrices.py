@@ -29,45 +29,78 @@ log = logging.getLogger("summakit")
 
 
 class NormalMatrix:
-    """Dense lower-triangular matrix with a nonzero diagonal.
-
-    ``entries`` is a read-only square ndarray (float64 or object dtype for
-    exact rational work); everything above the diagonal is identically zero.
-    ``weights`` is the WeightSequence of a weighted-mean matrix built by
-    :func:`riesz_matrix` (it may run past the order), None for any other.
+    """Lower-triangular matrix with a nonzero diagonal, held as dense ``entries``
+    (float64, or object dtype for exact rational work), as the WeightSequence
+    ``weights`` of a weighted mean (it may run past the order), or as its order
+    alone (the identity).  The last two compute ``entries`` on first read and
+    keep them; the diagonal, subdiagonal and row sums read the structure in O(N).
     """
 
-    __slots__ = ("entries", "weights", "_hat", "_hat_inverse")
+    __slots__ = ("size", "exact", "weights", "_entries", "_built", "_hat", "_hat_inverse")
 
-    def __init__(self, entries: np.ndarray, weights: WeightSequence | None = None):
+    def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ShapeMismatchError(f"expected a square array, got shape {entries.shape}")
-        for n in range(entries.shape[0]):
-            if entries[n, n] == 0:
-                raise ZeroDiagonalError(n)
+        self._hold(entries.shape[0], is_exact(entries), None, entries)
         entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "weights", weights)
+
+    def _hold(self, *values) -> NormalMatrix:
+        """Set size, exact, weights and entries, and check the diagonal; a structure skips ``__init__`` for this."""
+        for name, value in zip(("size", "exact", "weights", "_entries"), values):
+            object.__setattr__(self, name, value)
+        zeros = np.flatnonzero(self.diagonal == 0)
+        if zeros.size:
+            raise ZeroDiagonalError(int(zeros[0]))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalMatrix is immutable")
 
     @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-    @property
     def order(self) -> int:
-        return self.entries.shape[0] - 1
+        return self.size - 1
 
     @property
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.entries)
+    def is_identity(self) -> bool:
+        """True for a matrix built by :func:`identity_matrix`, which holds only its order."""
+        return self._entries is None and self.weights is None
 
     @property
-    def exact(self) -> bool:
-        return is_exact(self.entries)
+    def entries(self) -> np.ndarray:
+        """The (N+1) x (N+1) array; when computed from a structure it is kept beside it, and no other read uses it."""
+        return self._entries if self._entries is not None else _kept(self, "_built", "entries", self._dense)
+
+    def _weights(self):
+        return self.weights.weights[: self.size], self.weights.cumulative[: self.size]
+
+    def _dense(self) -> np.ndarray:
+        if self.weights is None:
+            E = np.eye(self.size, dtype=object if self.exact else float)
+        else:
+            p, P = self._weights()
+            E = np.tril(p[None, :] / P[:, None])
+        E.setflags(write=False)
+        return E
+
+    def _band(self, offset: int) -> np.ndarray:
+        """a_{n+offset,n} for n = 0..N-offset."""
+        if self._entries is not None:
+            return np.diagonal(self._entries, -offset)
+        if self.weights is None:
+            return np.full(self.size - offset, 1 - offset, dtype=object if self.exact else float)
+        p, P = self._weights()
+        return p[: self.size - offset] / P[offset:]
+
+    diagonal = property(lambda self: self._band(0), doc="a_nn for n = 0..N.")
+    subdiagonal = property(lambda self: self._band(1), doc="a_{n+1,n} for n = 0..N-1.")
+
+    @property
+    def row_sums(self) -> np.ndarray:
+        """sum_v a_nv for n = 0..N, the leading bar column: exactly one on a weighted mean and the identity."""
+        if self._entries is not None:
+            return self._entries.sum(axis=1)
+        return np.ones(self.size, dtype=object if self.exact else float)
 
     def __repr__(self):
         return f"NormalMatrix(order={self.order}, exact={self.exact})"
@@ -184,22 +217,20 @@ def make_normal(entries, order: int | None = None) -> NormalMatrix:
 
 
 def identity_matrix(order: int, exact: bool = False) -> NormalMatrix:
-    return NormalMatrix(np.eye(order + 1, dtype=object if exact else float))
+    return NormalMatrix.__new__(NormalMatrix)._hold(order + 1, exact, None, None)
 
 
 def riesz_matrix(w: WeightSequence, order: int | None = None) -> NormalMatrix:
     """Weighted-mean matrix a_nv = p_v / P_n for v <= n.
 
     Every row sums to one, so the associated bar matrix has a leading
-    column of ones.
+    column of ones.  The matrix holds ``w``, not its entries.
     """
     if order is None:
         order = w.order
     if w.order < order:
         raise LengthMismatchError(f"need {order + 1} weights, have {len(w)}")
-    p = w.weights[: order + 1]
-    P = w.cumulative[: order + 1]
-    return NormalMatrix(np.tril(p[None, :] / P[:, None]), w)
+    return NormalMatrix.__new__(NormalMatrix)._hold(order + 1, is_exact(w.weights), w, None)
 
 
 def cesaro_matrix(order: int, exact: bool = False) -> NormalMatrix:
@@ -227,7 +258,7 @@ def bar_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
     # the (n, n) entry is a single-term tail sum; pin it so no rounding from
     # the prefix subtraction leaks into the diagonal
     idx = np.arange(v_hi + 1)
-    bar[idx, idx] = np.diagonal(E)[: v_hi + 1]
+    bar[idx, idx] = A.diagonal[: v_hi + 1]
     return bar
 
 
@@ -249,10 +280,8 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
     matrices difference the rows of :func:`bar_columns`.
     """
     if A.weights is not None:
-        size = A.size
-        v_hi = min(v_hi, size - 1)
-        p = A.weights.weights[:size]
-        P = A.weights.cumulative[:size]
+        v_hi = min(v_hi, A.size - 1)
+        p, P = A._weights()
         coef = np.concatenate(([0], p[1:] / (P[1:] * P[:-1])))  # row 0 is its diagonal alone
         hat = np.tril(coef[:, None] * np.concatenate(([0], P[:v_hi]))[None, :])
         idx = np.arange(v_hi + 1)
@@ -265,7 +294,7 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
 
 
 def _kept(A: NormalMatrix, slot: str, name: str, build) -> NormalMatrix:
-    """The matrix in A's private ``slot``, computed by ``build()`` on first use; each computation is logged with its time."""
+    """The value in A's private ``slot``, computed by ``build()`` on first use; each computation is logged with its time."""
     M = getattr(A, slot, None)
     if M is None:
         start = time.perf_counter()
@@ -279,8 +308,11 @@ def hat_of(A: NormalMatrix) -> NormalMatrix:
     """Series-to-series semimatrix; row 0 copies bar, later rows difference it.
 
     Its diagonal equals A's diagonal, so the result is again normal.  It is
-    computed once per A: later calls return the same read-only matrix.
+    computed once per A: later calls return the same read-only matrix.  The
+    identity is its own hat matrix.
     """
+    if A.is_identity:
+        return A
     return _kept(A, "_hat", "hat matrix", lambda: NormalMatrix(hat_columns(A, A.order)))
 
 
@@ -312,14 +344,13 @@ def hat_inverse(A: NormalMatrix) -> NormalMatrix:
     if A.weights is None:
         hat = hat_of(A)  # kept, and timed, on its own
         return _kept(A, "_hat_inverse", "hat inverse", lambda: invert_hat(hat))
-    return _kept(A, "_hat_inverse", "hat inverse", lambda: _bidiagonal_inverse(A.weights, A.size))
+    return _kept(A, "_hat_inverse", "hat inverse", lambda: _bidiagonal_inverse(A))
 
 
-def _bidiagonal_inverse(w: WeightSequence, size: int) -> NormalMatrix:
-    p = w.weights[:size]
-    P = w.cumulative[:size]
-    X = np.zeros((size, size), dtype=p.dtype)
-    idx = np.arange(size)
+def _bidiagonal_inverse(A: NormalMatrix) -> NormalMatrix:
+    p, P = A._weights()
+    X = np.zeros((A.size, A.size), dtype=p.dtype)
+    idx = np.arange(A.size)
     X[idx, idx] = P / p
     X[idx[2:], idx[1:-1]] = -P[:-2] / p[1:-1]
     return NormalMatrix(X)

@@ -371,18 +371,23 @@ def test_power_lambda_with_negative_alpha_starts_at_one_without_warnings(tmp_pat
     assert main(["check", "--config", cfg, "--out", str(tmp_path / "report.csv")]) == 0
 
 
-def run_under_2_gib_cap(argv):
-    """Exit code and peak RSS in MB of ``summakit argv`` in a child whose address space is capped at 2 GiB."""
+def run_under_cap(argv, gib=2):
+    """Exit code, peak RSS in MB and stderr of ``summakit argv`` in a child whose address space is capped at ``gib`` GiB.
+
+    The peak is the child's own high-water mark (VmHWM, Linux).  Its ru_maxrss would also
+    count the test process's resident memory at the moment it started the child.
+    """
     code = (
         "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({gib << 30}, {gib << 30}))\n"
         "from summakit.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
+        "code = main(sys.argv[1:])\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+        "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(summakit.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.Popen([sys.executable, "-c", code] + argv, env=env)
-    _, status, usage = os.wait4(proc.pid, 0)
-    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+    proc = subprocess.run([sys.executable, "-c", code] + argv, env=env, capture_output=True, text=True)
+    return proc.returncode, int(proc.stdout or 0) / 1024, proc.stderr  # VmHWM is in kB
 
 
 def test_check_weighted_mean_tail_memory_stays_near_order_n(tmp_path):
@@ -396,7 +401,7 @@ def test_check_weighted_mean_tail_memory_stays_near_order_n(tmp_path):
     )
     del config["tail"]
     cfg = write_config(tmp_path, config)
-    code, peak_mb = run_under_2_gib_cap(["check", "--config", cfg, "--out", str(tmp_path / "n1000.csv")])
+    code, peak_mb, _ = run_under_cap(["check", "--config", cfg, "--out", str(tmp_path / "n1000.csv")])
     assert code == 0
     assert peak_mb < 400
     assert len(read_rows(tmp_path / "n1000.csv")) == 11 * 1000 + 4  # C10, C11, C13, C14 have a row v = 0
@@ -408,10 +413,46 @@ def test_verify_weighted_mean_order_2000_fits_under_a_2_gib_cap(tmp_path):
     config = base_config(N=2000, k=2, matrix_b={"kind": "riesz", "generator": {"name": "power", "alpha": 0.5}})
     del config["tail"]
     cfg = write_config(tmp_path, config)
-    code, peak_mb = run_under_2_gib_cap(["verify", "--config", cfg, "--out", str(tmp_path / "n2000.csv")])
+    code, peak_mb, _ = run_under_cap(["verify", "--config", cfg, "--out", str(tmp_path / "n2000.csv")])
     assert code == 0
     assert peak_mb < 600
     assert {r["status"] for r in read_rows(tmp_path / "n2000.csv")} <= {"pass", "info"}
+
+
+RIESZ_B = {"kind": "riesz", "generator": {"name": "power", "alpha": 0.5}}
+ALL_CONDITIONS = ["C9", "C10", "C11", "C12", "C13", "C14", "C15", "C16", "TA"]
+
+
+def test_check_weighted_pair_order_20000_fits_under_a_1_gib_cap(tmp_path):
+    # one dense (N+1)**2 matrix alone is 2.98 GiB here: the pair is read from its weights
+    # (1.0 s and 128 MB peak RSS, measured on a 2-core x86-64 host)
+    config = base_config(N=20000, k=2, matrix_b=RIESZ_B, conditions=ALL_CONDITIONS)
+    del config["tail"]  # cutoff 16N = 320 000
+    cfg = write_config(tmp_path, config)
+    code, peak_mb, err = run_under_cap(["check", "--config", cfg, "--out", str(tmp_path / "n20000.csv")], gib=1)
+    assert (code, err) == (0, "")
+    assert len(read_rows(tmp_path / "n20000.csv")) == 11 * 20000 + 4
+
+
+def test_check_identity_b_reads_its_tails_in_closed_form(tmp_path):
+    # no (cutoff+1)**2 identity carrier: 33 MB peak RSS against 427 MB with one
+    config = base_config(N=400, k=1.5, matrix_b={"kind": "identity"}, conditions=ALL_CONDITIONS[:-1])
+    del config["tail"]
+    cfg = write_config(tmp_path, config)
+    code, peak_mb, _ = run_under_cap(["check", "--config", cfg, "--out", str(tmp_path / "n400.csv")])
+    assert code == 0
+    assert peak_mb < 100
+
+
+def test_out_of_memory_is_one_line_and_exit_2(tmp_path):
+    # verify still forms dense order-N arrays: at N = 20 000 under a 1 GiB cap the first one fails
+    config = base_config(N=20000, k=2, matrix_b=RIESZ_B)
+    del config["tail"]
+    cfg = write_config(tmp_path, config)
+    code, _, err = run_under_cap(["verify", "--config", cfg, "--out", str(tmp_path / "v.csv")], gib=1)
+    assert code == 2
+    assert err.startswith("out of memory: verify at N = 20000: Unable to allocate 2.98 GiB")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -554,14 +595,66 @@ def test_each_weight_tail_is_swept_once(tmp_path, monkeypatch):
     assert counts == [1, 3, 4]
 
 
+def computed(caplog):
+    return [r.getMessage().split(" in ")[0] for r in caplog.records if r.getMessage().startswith("computed the")]
+
+
 def test_verify_debug_log_shows_each_matrix_computed_once(tmp_path, caplog):
     cfg = write_config(tmp_path, verify_explicit_b_config())
     out = tmp_path / "verify.csv"
     caplog.set_level(logging.DEBUG, logger="summakit")
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
-    built = [r.getMessage().split(" in ")[0] for r in caplog.records if r.getMessage().startswith("computed the")]
-    assert sorted(built) == ["computed the hat inverse of order 12"] + ["computed the hat matrix of order 12"] * 2
+    # A is a weighted mean: its entries are computed once, for the probe-consistency definition
+    assert sorted(computed(caplog)) == [
+        "computed the entries of order 12",
+        "computed the hat inverse of order 12",
+    ] + ["computed the hat matrix of order 12"] * 2
     assert out.read_bytes() == (GOLDEN / "verify_explicit_b_n12_k2.csv").read_bytes()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every matrix the CLI builds, in build order."""
+    import summakit.cli as cli
+
+    matrices = []
+    real = cli.build_matrix
+
+    def keep(*args):
+        matrices.append(real(*args))
+        return matrices[-1]
+
+    monkeypatch.setattr(cli, "build_matrix", keep)
+    return matrices
+
+
+@pytest.mark.parametrize(
+    "matrix_b, conditions",
+    [(RIESZ_B, ALL_CONDITIONS), ({"kind": "cesaro"}, ALL_CONDITIONS), ({"kind": "identity"}, ALL_CONDITIONS[:-1])],
+    ids=["riesz", "cesaro", "identity"],
+)
+def test_check_on_a_structured_pair_computes_no_matrix(tmp_path, caplog, built, matrix_b, conditions):
+    # a weighted mean is its weights and the identity its order: no entries, hat matrix or hat inverse
+    cfg = write_config(tmp_path, base_config(N=40, k=2, matrix_b=matrix_b, tail={"cutoff": 640}, conditions=conditions))
+    caplog.set_level(logging.DEBUG, logger="summakit")
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "check.csv")]) == 0
+    assert computed(caplog) == []
+    for M in built:  # each first read computes them: none was read in the run
+        M.entries
+    assert len(computed(caplog)) == len(built) >= 2
+
+
+def test_verify_on_the_riesz_pair_computes_a_entries_once_and_b_entries_never(tmp_path, caplog, built):
+    cfg = write_config(tmp_path, base_config(N=40, k=2, matrix_b=RIESZ_B))
+    caplog.set_level(logging.DEBUG, logger="summakit")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "verify.csv")]) == 0
+    assert computed(caplog).count("computed the entries of order 40") == 1
+    A, B = built
+    caplog.clear()
+    A.entries  # kept: no second computation
+    assert computed(caplog) == []
+    B.entries  # the first read of B's entries
+    assert computed(caplog) == ["computed the entries of order 40"]
 
 
 def test_verify_hides_no_nan_key_identity_gap(tmp_path, monkeypatch):

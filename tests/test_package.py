@@ -20,6 +20,19 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert found == []
 
 
+def test_only_matrices_reads_a_diagonal():
+    # how a matrix is stored is decided in matrices.py alone: every other module reads its
+    # diagonal, subdiagonal and row sums through NormalMatrix, never out of an array
+    found = []
+    for path in sorted((ROOT / "src" / "summakit").glob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "diagonal" and getattr(node.value, "id", None) == "np":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_readme_quick_start_runs():
     text = (ROOT / "README.md").read_text()
     block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
