@@ -8,7 +8,8 @@ values are rounded to float64: each Fraction is rounded once, correctly,
 exactly as ``float(x)`` rounds it, and float64 input passes through uncopied.
 :func:`check_pair` holds the argument checks shared by every function that
 takes a matrix pair and a factor sequence.  :func:`suffix_sums` is the
-exact suffix-sum kernel of the W tails and the d_nr bound.
+exact suffix-sum kernel of the W tails and the d_nr bound;
+:func:`prefix_sums` gives the running sums of a weighted mean's hat products.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ def accurate_sum(values):
     if arr.dtype == object:
         return sum(arr.tolist(), start=0)
     return math.fsum(arr)
+
+
+def prefix_sums(values) -> np.ndarray:
+    """sum(values[:j]) for j = 0..len(values): a leading 0, then the running sums."""
+    return np.concatenate(([0], np.cumsum(values)))
 
 
 def suffix_sums(terms, count: int) -> np.ndarray:

@@ -32,12 +32,11 @@ from .conditions import (
     check_c16,
     check_theorem_a,
 )
-from ._util import as_float, nan_max
+from ._util import as_float
 from .errors import ConfigError, SummakitError, TailUnavailableError
 from .harness import (
     PROBE_DIFFERENCE,
     PROBE_KINDS,
-    PROBE_SHIFT,
     cnv_column_sums,
     decompose,
     dnr_column_sums,
@@ -420,22 +419,11 @@ VERIFY_COLUMNS = ["check", "value", "tolerance", "status"]
 def _probe_checks(A: NormalMatrix, B: NormalMatrix, lam, k, strict_paper: bool):
     """One probe pass: its gap to the definition, and the bound constant in the chosen and the plain reading.
 
-    By definition a probe's x-side deltas are the first difference in n of A
-    applied to its partial sums: e_v for the difference probe, so column v of A,
-    and the step 1_{n > v} for the shift probe, so A's reversed row cumulative sum.
-    A weighted mean's norms are read from its weights.
+    A weighted mean's deltas and norms are read from its weights (see :class:`ProbePass`).
     """
     probes = ProbePass(A, B, lam, k)
-    E = A.entries
-    steps = np.cumsum(E[:, ::-1], axis=1)[:, ::-1]
-    gap = nan_max(
-        (
-            np.max(np.abs(probes.delta_x[PROBE_DIFFERENCE] - np.diff(E, axis=0, prepend=0.0)[:, :-1])),
-            np.max(np.abs(probes.delta_x[PROBE_SHIFT] - np.diff(steps, axis=0, prepend=0.0)[:, 1:])),
-        )
-    )
     M = probes.constant(strict_paper)[0]
-    return gap, M, probes.constant()[0] if strict_paper else M
+    return probes.definition_gap(), M, probes.constant()[0] if strict_paper else M
 
 
 def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int = 0) -> int:

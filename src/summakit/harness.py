@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import abs_pow, check_exponent, check_pair, index_pow, is_exact, nan_max, norm_weights, suffix_sums
+from ._util import abs_pow, check_exponent, check_pair, index_pow, is_exact, nan_max, norm_weights, prefix_sums, suffix_sums
 from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
     LengthMismatchError,
 )
 from .conditions import column_sums, probe_deltas
-from .matrices import NormalMatrix, WeightSequence, apply_lower, hat_columns, hat_inverse, hat_of
+from .matrices import NormalMatrix, WeightSequence, apply_hat, hat_columns, hat_inverse, hat_inverse_bands, hat_of
 from .series import FactorSequence, SeriesSample
 
 PROBE_DIFFERENCE = "difference"
@@ -83,35 +83,75 @@ def _check_probe_args(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, v: 
     check_pair(A, B, lam, v + 2)
 
 
-def _probe_pows(deltas: dict, k, w: WeightSequence | None, lv) -> dict:
-    """Each probe's sum_n n**(k-1) |delta_nv|**k (weight one at n = 0), for both kinds.
+@dataclass(frozen=True)
+class _WeightedProbes:
+    """Both probe kinds at v = 0..m-1 through the weighted mean of ``weights``, no column formed.
 
-    Read from the columns of ``deltas``, or, when the matrix is the weighted
-    mean of ``w``, from its weights in O(rows): over rows n > v both probe
-    columns are w_n / (W_n W_{n-1}) times -Delta_v (difference) or
-    W_v lam_{v+1} (shift), the columns C10 and C11 sum, so each sum is the
-    diagonal term plus that factor**k times the W tail T_v through the last row.
+    Column v is ``diag[kind][v]`` at row v and ``rows[n] * scalars[kind][v]``
+    at rows n > v: ``rows`` holds w_n / (W_n W_{n-1}) (see
+    :meth:`~summakit.matrices.WeightSequence.hat_rows`), and the scalars are
+    -Delta_v (difference) and W_v lam_{v+1} (shift), the columns C10 and C11 sum.
     """
-    if w is None:
-        return {kind: column_sums(d, k, norm_weights(d.shape[0], k, is_exact(d))) for kind, d in deltas.items()}
-    last, m = deltas[PROBE_SHIFT].shape[0] - 1, deltas[PROBE_SHIFT].shape[1]
-    tail = w.tail(k, last, m)[0]
-    diag = norm_weights(m, k, is_exact(tail)) * abs_pow(w.weights[:m] / w.cumulative[:m] * lv[:m], k)
-    return {
-        PROBE_DIFFERENCE: diag + abs_pow(w.delta(lv, m), k) * tail,
-        PROBE_SHIFT: abs_pow(w.cumulative[:m] * lv[1 : m + 1], k) * tail,
-    }
+
+    weights: WeightSequence
+    rows: np.ndarray
+    scalars: dict
+    diag: dict
+
+    @classmethod
+    def of(cls, w: WeightSequence, size: int, m: int, lv) -> _WeightedProbes:
+        shift = w.cumulative[:m] * lv[1 : m + 1]
+        scalars = {PROBE_DIFFERENCE: -w.delta(lv, m), PROBE_SHIFT: shift}
+        diag = {PROBE_DIFFERENCE: w.weights[:m] / w.cumulative[:m] * lv[:m], PROBE_SHIFT: np.zeros_like(shift)}
+        return cls(w, w.hat_rows(size), scalars, diag)
+
+    def column(self, kind: str, v: int) -> np.ndarray:
+        col = self.rows * self.scalars[kind][v]
+        col[: v + 1] = 0
+        col[v] = self.diag[kind][v]
+        return col
+
+    def pows(self, k) -> dict:
+        """Each probe's sum_n n**(k-1) |delta_nv|**k: the diagonal term plus |scalar|**k times the W tail T_v through the last row."""
+        m = self.diag[PROBE_DIFFERENCE].size
+        tail = self.weights.tail(k, self.rows.size - 1, m)[0]
+        w = norm_weights(m, k, is_exact(tail))
+        return {kind: w * abs_pow(self.diag[kind], k) + abs_pow(s, k) * tail for kind, s in self.scalars.items()}
+
+
+def _probe_deltas(M: NormalMatrix, hat, m: int, lv):
+    """M's probes at v = 0..m-1: factored on a weighted mean, else the columns of :func:`probe_deltas` over ``hat``."""
+    if M.weights is not None:
+        return _WeightedProbes.of(M.weights, M.size, m, lv)
+    return dict(zip(PROBE_KINDS, probe_deltas(hat_of(M).entries if hat is None else hat, lv)))
+
+
+def _probe_pows(deltas, k) -> dict:
+    """Each probe's sum_n n**(k-1) |delta_nv|**k (weight one at n = 0), for both kinds, in O(rows) on a weighted mean."""
+    if isinstance(deltas, _WeightedProbes):
+        return deltas.pows(k)
+    return {kind: column_sums(d, k, norm_weights(d.shape[0], k, is_exact(d))) for kind, d in deltas.items()}
+
+
+def _column(deltas, kind: str, v: int) -> np.ndarray:
+    return deltas.column(kind, v) if isinstance(deltas, _WeightedProbes) else deltas[kind][:, v]
+
+
+def _suffix_max(values) -> np.ndarray:
+    """max(values[j:]) for every j; a NaN reaches every j at or before it."""
+    return np.maximum.accumulate(values[::-1])[::-1]
 
 
 class ProbePass:
-    """Both probe kinds at every v = 0..m-1, read off hat columns 0..m of A and B.
+    """Both probe kinds at every v = 0..m-1, through A and B.
 
-    ``hat_a`` and ``hat_b`` are those hat columns, all of them when not
-    given.  ``delta_x[kind]`` and ``delta_y[kind]`` hold the deltas through A
-    and B, column v for the probe at v (see
-    :func:`~summakit.conditions.probe_deltas`); ``x_norm[kind]`` and
-    ``y_pow[kind]`` hold each probe's x-norm and y-norm**k, read from the
-    weights of a matrix that carries them (:func:`_probe_pows`).
+    A weighted-mean side reads its weights in O(N) and forms no column
+    (``_WeightedProbes``).  Any other side reads its hat columns 0..m,
+    ``hat_a`` or ``hat_b`` when given and all of them when not: its
+    ``delta_x[kind]`` or ``delta_y[kind]`` hold the deltas, column v for the
+    probe at v (see :func:`~summakit.conditions.probe_deltas`).  m is one
+    less than the number of given hat columns, or N.  ``x_norm[kind]`` and
+    ``y_pow[kind]`` hold each probe's x-norm and y-norm**k.
     """
 
     def __init__(
@@ -123,34 +163,71 @@ class ProbePass:
         hat_a: np.ndarray | None = None,
         hat_b: np.ndarray | None = None,
     ):
-        hat_a = hat_of(A).entries if hat_a is None else hat_a
-        hat_b = hat_of(B).entries if hat_b is None else hat_b
-        unit = np.ones(hat_a.shape[1], dtype=object if is_exact(hat_a) and is_exact(hat_b) else float)
-        self.k, self.b_diag, self.lv = k, B.diagonal, lam.values
-        self.delta_x = dict(zip(PROBE_KINDS, probe_deltas(hat_a, unit)))
-        self.delta_y = dict(zip(PROBE_KINDS, probe_deltas(hat_b, lam.values)))
-        self.x_norm = _probe_pows(self.delta_x, 1, A.weights, unit)
-        self.y_pow = _probe_pows(self.delta_y, k, B.weights, lam.values)
+        given = [h for h in (hat_a, hat_b) if h is not None]
+        m = given[0].shape[1] - 1 if given else A.order
+        unit = np.ones(m + 1, dtype=object if A.exact and B.exact else float)
+        self.A, self.k, self.b_diag, self.lv = A, k, B.diagonal, lam.values
+        self.delta_x = _probe_deltas(A, hat_a, m, unit)
+        self.delta_y = _probe_deltas(B, hat_b, m, lam.values)
+        self.x_norm = _probe_pows(self.delta_x, 1)
+        self.y_pow = _probe_pows(self.delta_y, k)
 
-    def probe(self, kind: str, v: int, strict_paper: bool = False) -> ProbeResult:
-        """The probe at v; ``strict_paper`` swaps the difference probe's |b_vv lam_v|**k for b_vv |lam_v|**k."""
+    def _y_norm(self, kind: str, v: int, strict_paper: bool):
         kf = float(self.k)
         ypow = self.y_pow[kind][v]
         if strict_paper and kind == PROBE_DIFFERENCE:
             w_v = 1.0 if v == 0 else float(v) ** (kf - 1.0)
             b, f = float(self.b_diag[v]), float(self.lv[v])
             ypow = float(ypow) - w_v * abs(b * f) ** kf + w_v * abs(b) * abs(f) ** kf
-        yn = ypow if self.k == 1 else float(ypow) ** (1.0 / kf)
-        return ProbeResult(kind, v, self.delta_x[kind][:, v], self.delta_y[kind][:, v], self.x_norm[kind][v], yn)
+        return ypow if self.k == 1 else float(ypow) ** (1.0 / kf)
+
+    def probe(self, kind: str, v: int, strict_paper: bool = False) -> ProbeResult:
+        """The probe at v; ``strict_paper`` swaps the difference probe's |b_vv lam_v|**k for b_vv |lam_v|**k."""
+        dx, dy = _column(self.delta_x, kind, v), _column(self.delta_y, kind, v)
+        return ProbeResult(kind, v, dx, dy, self.x_norm[kind][v], self._y_norm(kind, v, strict_paper))
 
     def constant(self, strict_paper: bool = False):
-        """(largest ratio, records (kind, v, ratio)) over v = 1..m-1 and both kinds."""
+        """(largest ratio, records (kind, v, ratio)) over v = 1..m-1 and both kinds, read from the norms alone."""
         records = [
-            (kind, v, inequality20_ratio(self.probe(kind, v, strict_paper)))
+            (kind, v, _ratio(kind, v, self._y_norm(kind, v, strict_paper), x))
             for kind in PROBE_KINDS
-            for v in range(1, self.x_norm[kind].size)
+            for v, x in enumerate(self.x_norm[kind].tolist()[1:], 1)
         ]
         return nan_max(r for _, _, r in records), records
+
+    def definition_gap(self) -> float:
+        """Largest gap between the x-side deltas and their definition, over every v < m and row n.
+
+        By definition a probe's x-side deltas are the first difference in n of
+        A applied to its partial sums: e_v for the difference probe, so column v
+        of A, and the step 1_{n > v} for the shift probe, so A's reversed row
+        cumulative sum.  On a weighted mean, weights p, that difference is
+        -p_v d_n (difference) and P_v d_n (shift) at rows n > v, with
+        d_n = 1/P_{n-1} - 1/P_n, and p_v / P_v and 0 at row v.  Against
+        rows[n] * s_v the gap at (n, v) is at most
+        |rows[n] - d_n| |s_v| + |d_n| |s_v - t_v|, t_v the defined scalar: its
+        largest value over n > v is two suffix maxima, O(N) for all of them.
+        """
+        x = self.delta_x
+        m = self.x_norm[PROBE_DIFFERENCE].size
+        if not isinstance(x, _WeightedProbes):
+            E = self.A.entries
+            steps = np.cumsum(E[:, ::-1], axis=1)[:, ::-1]
+            return nan_max(
+                (
+                    np.max(np.abs(x[PROBE_DIFFERENCE] - np.diff(E, axis=0, prepend=0.0)[:, :m])),
+                    np.max(np.abs(x[PROBE_SHIFT] - np.diff(steps, axis=0, prepend=0.0)[:, 1 : m + 1])),
+                )
+            )
+        p, P = x.weights.weights[: x.rows.size], x.weights.cumulative[: x.rows.size]
+        d = np.concatenate(([0], 1 / P[:-1] - 1 / P[1:]))
+        rows_gap, rows_size = (_suffix_max(np.abs(r))[1 : m + 1] for r in (x.rows - d, d))
+        defined = {PROBE_DIFFERENCE: (-p[:m], p[:m] / P[:m]), PROBE_SHIFT: (P[:m], 0)}
+        gaps = []
+        for kind, (t, diag) in defined.items():
+            s = x.scalars[kind]
+            gaps += [np.max(np.abs(s) * rows_gap + np.abs(s - t) * rows_size), np.max(np.abs(x.diag[kind] - diag))]
+        return nan_max(gaps)
 
 
 def run_probe(
@@ -167,14 +244,19 @@ def run_probe(
     readings.
     """
     _check_probe_args(A, B, lam, v, k)
-    return ProbePass(A, B, lam, k, hat_columns(A, v + 1), hat_columns(B, v + 1)).probe(kind, v, strict_paper)
+    hats = (None if M.weights is not None else hat_columns(M, v + 1) for M in (A, B))
+    return ProbePass(A, B, lam, k, *hats).probe(kind, v, strict_paper)
 
 
 def inequality20_ratio(probe: ProbeResult) -> float:
     """Ratio of the probe's y-norm to its x-norm."""
-    if probe.x_norm == 0:
-        raise DegenerateProbeError(f"probe {probe.probe_kind} at v={probe.v} has zero x-norm")
-    return float(probe.y_norm) / float(probe.x_norm)
+    return _ratio(probe.probe_kind, probe.v, probe.y_norm, probe.x_norm)
+
+
+def _ratio(kind: str, v: int, y_norm, x_norm) -> float:
+    if x_norm == 0:
+        raise DegenerateProbeError(f"probe {kind} at v={v} has zero x-norm")
+    return float(y_norm) / float(x_norm)
 
 
 def empirical_constant(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k, strict_paper: bool = False):
@@ -192,6 +274,12 @@ def empirical_constant(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k,
     return ProbePass(A, B, lam, k).constant(strict_paper)
 
 
+def _gap_factors(A: NormalMatrix):
+    """a_vv and (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}) for v < N."""
+    Ad = A.diagonal
+    return Ad[:-1], (Ad[:-1] - A.subdiagonal) / (Ad[:-1] * Ad[1:])
+
+
 def _middle_summands(A: NormalMatrix, B: NormalMatrix, lv) -> np.ndarray:
     """D / a_vv + S (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}), v < N.
 
@@ -199,12 +287,25 @@ def _middle_summands(A: NormalMatrix, B: NormalMatrix, lv) -> np.ndarray:
     factors ``lv``; the result is the first part's middle summand, shared by
     :func:`decompose` and :func:`build_cnv`.
     """
-    Ad = A.diagonal
-    gap = (Ad[:-1] - A.subdiagonal) / (Ad[:-1] * Ad[1:])
+    Ad, gap = _gap_factors(A)
     D, S = probe_deltas(hat_of(B).entries, lv)
-    D = D / Ad[:-1][None, :]  # a new array: the differences are freed before S * gap is formed
+    D = D / Ad[None, :]  # a new array: the differences are freed before S * gap is formed
     D += S * gap[None, :]
     return D
+
+
+def _middle_sums(A: NormalMatrix, B: NormalMatrix, lv, x) -> np.ndarray:
+    """sum_{v<n} (middle summand at (n, v)) x_v for n = 0..N, one prefix sum on a weighted-mean B.
+
+    There column v of D and S is q_n / (Q_n Q_{n-1}) times -Delta_v and
+    Q_v lam_{v+1} below the diagonal (``_WeightedProbes``), so the summand
+    at n > v is that row factor times m_v = -Delta_v / a_vv + Q_v lam_{v+1} gap_v.
+    """
+    if B.weights is None:
+        return np.tril(_middle_summands(A, B, lv), -1) @ x
+    Ad, gap = _gap_factors(A)
+    y = _WeightedProbes.of(B.weights, B.size, A.order, lv)
+    return y.rows * prefix_sums((y.scalars[PROBE_DIFFERENCE] / Ad + y.scalars[PROBE_SHIFT] * gap) * x)
 
 
 def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSample) -> Decomposition:
@@ -218,6 +319,12 @@ def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSa
     does too), otherwise it is exactly the retained first-column term and
     ``v0_retained`` is set.  The hat matrices and A's hat inverse are the
     ones the matrices keep, so decompositions of several series share them.
+
+    A weighted mean forms none of them, and each part is O(N): its hat
+    products dx, dy are one prefix sum each (:func:`~summakit.matrices.apply_hat`),
+    on a weighted-mean B t1's middle sums are one prefix sum of m_v dx_v
+    (:func:`_middle_sums`), and on a weighted-mean A the hat inverse is
+    bidiagonal, so t2 is exactly 0.
     """
     check_pair(A, B, lam, A.size)
     N = A.order
@@ -227,9 +334,8 @@ def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSa
     coeffs = a.coefficients[: N + 1]
     lamv = lam.values[: N + 1]
 
-    bh = hat_of(B).entries
-    dx = apply_lower(hat_of(A), coeffs)
-    dy = apply_lower(bh, coeffs * lamv)
+    dx = apply_hat(A, coeffs)
+    dy = apply_hat(B, coeffs * lamv)
 
     bar0 = B.row_sums  # the leading bar column
     if exact:
@@ -239,10 +345,12 @@ def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSa
 
     t1 = B.diagonal * lamv / A.diagonal * dx
     if N:
-        t1 = t1 + np.tril(_middle_summands(A, B, lamv), -1) @ dx[:N]
+        t1 = t1 + _middle_sums(A, B, lamv, dx[:N])
 
-    # the inner sums of C16 applied to dx, as two matrix-vector products
-    t2 = (bh * lamv[None, :]) @ (np.tril(hat_inverse(A).entries, -2) @ dx)
+    if A.weights is None:  # the inner sums of C16 applied to dx, as two matrix-vector products
+        t2 = (hat_of(B).entries * lamv[None, :]) @ (np.tril(hat_inverse(A).entries, -2) @ dx)
+    else:
+        t2 = np.zeros_like(dx)
 
     residual = nan_max(abs(x) for x in (dy - t1 - t2).tolist())
     return Decomposition(t1=t1, t2=t2, delta_y=dy, residual=residual, v0_retained=v0_retained)
@@ -257,11 +365,13 @@ def key_identity_check(
     hat_b: NormalMatrix | None = None,
     inv_hat_a: NormalMatrix | None = None,
 ):
-    """Absolute gap in the adjacent-inverse rearrangement at one (n, v).
+    """Relative gap in the adjacent-inverse rearrangement at one (n, v).
 
     Left side uses entries of the computed hat inverse; right side uses only
     A's diagonal and subdiagonal (and the B-hat factors shared by both).  The
-    two are algebraically identical, so the return value is pure numerical error.
+    two are algebraically identical, so the return value is pure numerical
+    error: |lhs - rhs| divided by the size of the two sides, the sum of the
+    absolute values of the terms each one adds (see :func:`_key_gaps`).
     ``v`` may also be an integer array, giving the gaps of row n at each
     of its entries.  ``hat_b`` / ``inv_hat_a``, when given, stand in for
     the hat matrix B keeps and the hat inverse A keeps.
@@ -272,32 +382,51 @@ def key_identity_check(
     check_pair(A, B, lam, v_hi + 2)
     bh = (hat_b or hat_of(B)).entries
     f = lam.values
-    return _key_gaps(bh[n, v] * f[v], bh[n, v + 1] * f[v + 1], (inv_hat_a or hat_inverse(A)).entries, A, v)
+    inv_d, inv_s = (inv_hat_a.diagonal, inv_hat_a.subdiagonal) if inv_hat_a else hat_inverse_bands(A)
+    return _key_gaps(bh[n, v] * f[v], bh[n, v + 1] * f[v + 1], inv_d[v], inv_s[v], A, v)
 
 
 def key_identity_gaps(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> np.ndarray:
-    """Every gap of :func:`key_identity_check` in one evaluation over the triangle.
+    """The largest gap of :func:`key_identity_check` in each column of the triangle.
 
-    Entry [n, v - 1] is the gap at (n, v) for 1 <= v <= n - 1 <= N - 1, with
-    the same bits as the scalar and row calls, and zero outside that range.
+    Entry v - 1 is the largest gap at (n, v) over n = v+1..N, for v = 1..N-1.
+    An explicit B evaluates the whole triangle, with the same bits as the
+    scalar and row calls.  On a weighted-mean B, F[n, v] = bhat_nv lam_v is
+    q_n / (Q_n Q_{n-1}) times Q_{v-1} lam_v at every (n, v) it reads, so the
+    factor of row n cancels from the relative gap: one evaluation on the
+    per-v values Q_{v-1} lam_v gives the gap at every n > v, in O(N).  A
+    weighted-mean A's hat inverse is read as its two bands.
     """
     N = A.order
     check_pair(A, B, lam, N + 1)
+    v = np.arange(1, N)
+    inv_d, inv_s = (band[v] for band in hat_inverse_bands(A))
+    if B.weights is not None:
+        F = np.concatenate(([0], B.weights.cumulative[:N])) * lam.values[: N + 1]
+        return _key_gaps(F[1:N], F[2:], inv_d, inv_s, A, v)
     F = hat_of(B).entries * lam.values[None, : N + 1]
-    gaps = _key_gaps(F[:, 1:N], F[:, 2:], hat_inverse(A).entries, A, np.arange(1, N))
-    return np.where(np.tri(N + 1, max(N - 1, 0), -2, dtype=bool), gaps, 0)
+    gaps = _key_gaps(F[:, 1:N], F[:, 2:], inv_d, inv_s, A, v)
+    return np.where(np.tri(N + 1, max(N - 1, 0), -2, dtype=bool), gaps, 0).max(axis=0)
 
 
-def _key_gaps(f_v, f_v1, ahp, A: NormalMatrix, v):
-    """|lhs - rhs| of the adjacent-inverse rearrangement at column(s) v.
+def _key_gaps(f_v, f_v1, inv_d, inv_s, A: NormalMatrix, v):
+    """|lhs - rhs| of the adjacent-inverse rearrangement at column(s) v, relative to the size of the two sides.
 
     ``f_v`` and ``f_v1`` are the factored B-hat entries at v and v + 1 of one
-    row, or of every row, column j holding v[j]; ``ahp`` is the A-hat inverse.
+    row, or of every row, column j holding v[j]; ``inv_d`` and ``inv_s`` are
+    the A-hat inverse's entries (v, v) and (v + 1, v).  The size is the sum
+    of the absolute values of the terms the two sides add, with
+    (f_v - f_v1) / a_vv counted as its two terms: the scale of their
+    round-off.  A gap whose terms are all zero is 0.
     """
     d, sub = A.diagonal, A.subdiagonal
-    lhs = f_v * ahp[v, v] + f_v1 * ahp[v + 1, v]
-    rhs = (f_v - f_v1) / d[v] + f_v1 * (d[v] - sub[v]) / (d[v] * d[v + 1])
-    return abs(lhs - rhs)
+    lhs = f_v * inv_d, f_v1 * inv_s
+    shift = f_v1 * (d[v] - sub[v]) / (d[v] * d[v + 1])
+    gap = abs(lhs[0] + lhs[1] - ((f_v - f_v1) / d[v] + shift))
+    size = abs(lhs[0]) + abs(lhs[1]) + (abs(f_v) + abs(f_v1)) / abs(d[v]) + abs(shift)
+    if np.ndim(size):
+        return gap / np.where(size == 0, 1, size)
+    return gap / size if size else gap
 
 
 def _row_scaled(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, expo: float):

@@ -11,7 +11,10 @@ the row tail-sum  sum_{i=v..n} a_ni,  and the series-to-series matrix
 matrix inherits A's diagonal, hence stays normal and invertible by forward
 substitution.  For a weighted mean the inverse is known in closed form and
 is bidiagonal; ``hat_inverse`` uses it, so entries that vanish exactly stay
-exactly zero.  Both are computed once per matrix and kept on it.
+exactly zero.  Both are computed once per matrix and kept on it, and
+``invert_hat`` keeps the inverse it computes on the matrix it inverts.  A
+weighted mean's hat matrix is read from its weights: ``apply_hat`` multiplies
+by it and ``hat_inverse_bands`` gives its inverse's two bands in O(N).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import as_float, as_vector, is_exact, suffix_sums
+from ._util import as_float, as_vector, is_exact, prefix_sums, suffix_sums
 from .errors import LengthMismatchError, ShapeMismatchError, WeightOverflowError, ZeroDiagonalError
 
 log = logging.getLogger("summakit")
@@ -36,7 +39,7 @@ class NormalMatrix:
     keep them; the diagonal, subdiagonal and row sums read the structure in O(N).
     """
 
-    __slots__ = ("size", "exact", "weights", "_entries", "_built", "_hat", "_hat_inverse")
+    __slots__ = ("size", "exact", "weights", "_entries", "_built", "_hat", "_hat_inverse", "_inverse")
 
     def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries)
@@ -175,6 +178,15 @@ class WeightSequence:
             self._tails[key] = sums, terms[-1] if rows else 0
         return self._tails[key]
 
+    def hat_rows(self, count: int) -> np.ndarray:
+        """c_n = p_n / (P_n P_{n-1}) for n = 0..count-1, and 0 at n = 0.
+
+        Row n of the weighted mean's hat matrix is c_n P_{v-1} for 1 <= v <= n
+        (at v = n that is its diagonal p_n / P_n) and 0 at v = 0 below row 0.
+        """
+        p, P = self.weights[:count], self.cumulative[:count]
+        return np.concatenate(([0], p[1:] / (P[1:] * P[:-1])))
+
     def delta(self, lv, count: int):
         """P_v lam_{v+1} - P_{v-1} lam_v for v = 0..count-1, with P_{-1} = 0.
 
@@ -282,7 +294,7 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
     if A.weights is not None:
         v_hi = min(v_hi, A.size - 1)
         p, P = A._weights()
-        coef = np.concatenate(([0], p[1:] / (P[1:] * P[:-1])))  # row 0 is its diagonal alone
+        coef = A.weights.hat_rows(A.size)  # row 0 is its diagonal alone
         hat = np.tril(coef[:, None] * np.concatenate(([0], P[:v_hi]))[None, :])
         idx = np.arange(v_hi + 1)
         hat[idx, idx] = p[: v_hi + 1] / P[: v_hi + 1]
@@ -320,8 +332,13 @@ def invert_hat(H: NormalMatrix) -> NormalMatrix:
     """Two-sided inverse of a normal matrix by columnwise forward substitution.
 
     No pivoting is needed: the diagonal is nonzero by the type invariant.
-    O(size^3) worst case, BLAS-backed inner products on the float path.
+    O(size^3) worst case, BLAS-backed inner products on the float path.  It
+    is computed once per H: later calls return the same read-only matrix.
     """
+    return _kept(H, "_inverse", "hat inverse", lambda: _forward_substitution(H))
+
+
+def _forward_substitution(H: NormalMatrix) -> NormalMatrix:
     L = H.entries
     size = L.shape[0]
     X = np.zeros((size, size), dtype=L.dtype)
@@ -339,21 +356,53 @@ def hat_inverse(A: NormalMatrix) -> NormalMatrix:
     diagonal P_n / p_n, subdiagonal entry (n+1, n) equal to -P_{n-1} / p_n
     (zero at n = 0), and exact zeros everywhere else, on the float path
     as well as the exact one.  Other matrices go through :func:`invert_hat`.
-    It is computed once per A, like the hat matrix.
+    It is computed once per A, like the hat matrix; the forward substitution
+    keeps its result on the hat matrix.
     """
     if A.weights is None:
-        hat = hat_of(A)  # kept, and timed, on its own
-        return _kept(A, "_hat_inverse", "hat inverse", lambda: invert_hat(hat))
+        return invert_hat(hat_of(A))
     return _kept(A, "_hat_inverse", "hat inverse", lambda: _bidiagonal_inverse(A))
 
 
-def _bidiagonal_inverse(A: NormalMatrix) -> NormalMatrix:
+def hat_inverse_bands(A: NormalMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal (n, n) for n = 0..N and subdiagonal (n+1, n) for n = 0..N-1 of ``hat_inverse(A)``.
+
+    A weighted mean's are P_n / p_n and -P_{n-1} / p_n (0 at n = 0), read
+    from its weights with no matrix formed; other matrices' are read off
+    their hat inverse.
+    """
+    if A.weights is None:
+        X = hat_inverse(A)
+        return X.diagonal, X.subdiagonal
     p, P = A._weights()
-    X = np.zeros((A.size, A.size), dtype=p.dtype)
+    return P / p, np.concatenate(([0], -P[:-2] / p[1:-1]))[: A.order]
+
+
+def _bidiagonal_inverse(A: NormalMatrix) -> NormalMatrix:
+    diag, sub = hat_inverse_bands(A)
+    X = np.zeros((A.size, A.size), dtype=diag.dtype)
     idx = np.arange(A.size)
-    X[idx, idx] = P / p
-    X[idx[2:], idx[1:-1]] = -P[:-2] / p[1:-1]
+    X[idx, idx] = diag
+    X[idx[1:], idx[:-1]] = sub
     return NormalMatrix(X)
+
+
+def apply_hat(A: NormalMatrix, x) -> np.ndarray:
+    """``hat_of(A)`` applied to x: result_n = sum_{v=0..n} hat_nv x_v.
+
+    For a weighted mean no matrix is formed: row n of its hat matrix is
+    c_n P_{v-1} (:meth:`WeightSequence.hat_rows`) below the diagonal, so the
+    product is c_n times one prefix sum of P_{v-1} x_v, plus the diagonal
+    term a_nn x_n.  Other matrices multiply their kept hat matrix.
+    """
+    if A.weights is None:
+        return apply_lower(hat_of(A), x)
+    xs = as_vector(x)
+    if xs.size < A.size:
+        raise LengthMismatchError(f"need {A.size} values, have {xs.size}")
+    xs = xs[: A.size]
+    below = prefix_sums(np.concatenate(([0], A.weights.cumulative[: A.order])) * xs)[:-1]
+    return A.weights.hat_rows(A.size) * below + A.diagonal * xs
 
 
 def apply_lower(M, x) -> np.ndarray:

@@ -1,11 +1,19 @@
-"""Brute-force oracles in exact rational arithmetic.
+"""Brute-force oracles in exact rational arithmetic, and 40-digit ones at production orders.
 
 Everything here is written as naive loops over plain Python lists of
 Fractions, deliberately independent of the library's vectorized kernels,
-so it can serve as the reference side of every comparison.
+so it can serve as the reference side of every comparison.  The ``mp_``
+oracles of a weighted-mean pair run in O(N) at 40 significant digits
+(mpmath), from the definitions rather than the library's factored forms: a
+float input is converted exactly, so their values differ from the exact
+ones by about 1e-40 relative, far below float64 round-off.
 """
 
 from fractions import Fraction
+
+import mpmath
+
+MP_DIGITS = 40
 
 
 def to_rows(mat):
@@ -154,3 +162,85 @@ def dnr_colsum_pow(a_rows, b_rows, lam, k, r):
     for n in range(r + 2, size):
         total += n ** (k - 1) * abs(b_rows[n][n] * lam[n] / a_rows[n][n]) ** k
     return total
+
+
+# ---------------------------------------------------------------------------
+# 40-digit oracles of a weighted-mean pair (weights p of A, q of B)
+# ---------------------------------------------------------------------------
+
+
+def mp_list(values):
+    """mpf values: a float exactly, a Fraction as its 40-digit quotient."""
+    with mpmath.workdps(MP_DIGITS):
+        return [mpmath.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpmath.mpf(x) for x in values]
+
+
+def mp_row_factors(weights):
+    """(c_n, d_n) for n = 1..N: c_n = p_n / (P_n P_{n-1}) and d_n = 1/P_{n-1} - 1/P_n, equal in exact arithmetic.
+
+    d_n is the factor of row n in the first difference of the weighted mean,
+    a_nv - a_{n-1,v} = -p_v d_n for v < n.
+    """
+    with mpmath.workdps(MP_DIGITS):
+        p = mp_list(weights)
+        P = partial_sums(p)
+        return [p[n] / (P[n] * P[n - 1]) for n in range(1, len(p))], [1 / P[n - 1] - 1 / P[n] for n in range(1, len(p))]
+
+
+def mp_delta_transform(weights, x):
+    """First difference in n of the weighted mean applied to the partial sums of x: hat(A) x by definition."""
+    with mpmath.workdps(MP_DIGITS):
+        p, x = mp_list(weights), mp_list(x)
+        out, prev, total, weight, s = [], mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0)
+        for n in range(len(x)):
+            s += x[n]
+            total += p[n] * s
+            weight += p[n]
+            out.append(total / weight - prev)
+            prev = total / weight
+        return out
+
+
+def mp_first_part(p_weights, q_weights, lam, dx):
+    """t1_n = b_nn lam_n / a_nn dx_n + sum_{v<n} (D_nv / a_vv + S_nv g_v) dx_v, in O(N).
+
+    bhat_nv = Q_{v-1} e_n below the diagonal, e_n = 1/Q_{n-1} - 1/Q_n, so
+    D_nv = e_n (Q_{v-1} lam_v - Q_v lam_{v+1}) and S_nv = e_n Q_v lam_{v+1} at n > v;
+    g_v = (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}) from A's entries p_v / P_n.
+    """
+    with mpmath.workdps(MP_DIGITS):
+        p, q, lam, dx = mp_list(p_weights), mp_list(q_weights), mp_list(lam), mp_list(dx)
+        P, Q = partial_sums(p), partial_sums(q)
+        out, acc = [], mpmath.mpf(0)
+        for n in range(len(dx)):
+            e_n = 1 / Q[n - 1] - 1 / Q[n] if n else 0
+            out.append(q[n] / Q[n] * lam[n] / (p[n] / P[n]) * dx[n] + e_n * acc)
+            if n + 1 < len(dx):
+                a_vv, a_next, a_sub = p[n] / P[n], p[n + 1] / P[n + 1], p[n] / P[n + 1]
+                Q_prev = Q[n - 1] if n else 0
+                mid = (Q_prev * lam[n] - Q[n] * lam[n + 1]) / a_vv + Q[n] * lam[n + 1] * (a_vv - a_sub) / (a_vv * a_next)
+                acc += mid * dx[n]
+        return out
+
+
+def mp_key_gaps(p_weights, q_weights, lam):
+    """|lhs - rhs| / (size of the two sides) of the adjacent-inverse identity at every v = 1..N-1.
+
+    The row factor e_n of bhat cancels, so column v reads f_v = Q_{v-1} lam_v
+    and f_{v+1} = Q_v lam_{v+1}.  The hat inverse's entries come from A-hat by
+    forward substitution: 1 / ahat_vv and -ahat_{v+1,v} / (ahat_vv ahat_{v+1,v+1}),
+    with ahat_{v+1,v} = P_{v-1} (1/P_v - 1/P_{v+1}).
+    """
+    with mpmath.workdps(MP_DIGITS):
+        p, q, lam = mp_list(p_weights), mp_list(q_weights), mp_list(lam)
+        P, Q = partial_sums(p), partial_sums(q)
+        out = []
+        for v in range(1, len(p) - 1):
+            d, d1, sub = p[v] / P[v], p[v + 1] / P[v + 1], p[v] / P[v + 1]
+            inv_d, inv_s = 1 / d, -(P[v - 1] * (1 / P[v] - 1 / P[v + 1])) / (d * d1)
+            f_v, f_v1 = Q[v - 1] * lam[v], Q[v] * lam[v + 1]
+            lhs = (f_v * inv_d, f_v1 * inv_s)
+            shift = f_v1 * (d - sub) / (d * d1)
+            size = abs(lhs[0]) + abs(lhs[1]) + (abs(f_v) + abs(f_v1)) / d + abs(shift)
+            out.append(abs(lhs[0] + lhs[1] - ((f_v - f_v1) / d + shift)) / size)
+        return out

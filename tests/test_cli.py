@@ -408,8 +408,8 @@ def test_check_weighted_mean_tail_memory_stays_near_order_n(tmp_path):
 
 
 def test_verify_weighted_mean_order_2000_fits_under_a_2_gib_cap(tmp_path):
-    # the probe norms and column bounds come from the weights; what is left is a fixed
-    # number of dense (N+1)**2 arrays: 370 MB peak RSS, measured on a 2-core x86-64 host
+    # every verify row reads the weights in O(N): 37 MB peak RSS (370 MB while the
+    # decompositions and the probe pass formed dense arrays), measured on a 2-core x86-64 host
     config = base_config(N=2000, k=2, matrix_b={"kind": "riesz", "generator": {"name": "power", "alpha": 0.5}})
     del config["tail"]
     cfg = write_config(tmp_path, config)
@@ -445,14 +445,27 @@ def test_check_identity_b_reads_its_tails_in_closed_form(tmp_path):
 
 
 def test_out_of_memory_is_one_line_and_exit_2(tmp_path):
-    # verify still forms dense order-N arrays: at N = 20 000 under a 1 GiB cap the first one fails
+    # transform still multiplies by the dense order-N matrix A: at N = 20 000 under a 1 GiB cap it fails
     config = base_config(N=20000, k=2, matrix_b=RIESZ_B)
     del config["tail"]
     cfg = write_config(tmp_path, config)
-    code, _, err = run_under_cap(["verify", "--config", cfg, "--out", str(tmp_path / "v.csv")], gib=1)
+    code, _, err = run_under_cap(["transform", "--config", cfg, "--out", str(tmp_path / "t.csv")], gib=1)
     assert code == 2
-    assert err.startswith("out of memory: verify at N = 20000: Unable to allocate 2.98 GiB")
+    assert err.startswith("out of memory: transform at N = 20000: Unable to allocate 2.98 GiB")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_weighted_pair_order_20000_fits_under_a_1_gib_cap(tmp_path):
+    # one dense (N+1)**2 matrix alone is 2.98 GiB here: every verify row reads the weights
+    # (0.16 s and 46 MB peak RSS, measured on a 2-core x86-64 host)
+    config = base_config(N=20000, k=2, matrix_b=RIESZ_B)
+    del config["tail"]
+    cfg = write_config(tmp_path, config)
+    code, peak_mb, err = run_under_cap(["verify", "--config", cfg, "--out", str(tmp_path / "v.csv")], gib=1)
+    assert (code, err) == (0, "")
+    assert peak_mb < 200
+    rows = read_rows(tmp_path / "v.csv")
+    assert len(rows) == 10 and {r["status"] for r in rows} <= {"pass", "info"}
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +617,8 @@ def test_verify_debug_log_shows_each_matrix_computed_once(tmp_path, caplog):
     out = tmp_path / "verify.csv"
     caplog.set_level(logging.DEBUG, logger="summakit")
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
-    # A is a weighted mean: its entries are computed once, for the probe-consistency definition
-    assert sorted(computed(caplog)) == [
-        "computed the entries of order 12",
-        "computed the hat inverse of order 12",
-    ] + ["computed the hat matrix of order 12"] * 2
+    # A is a weighted mean and computes nothing; the explicit B computes its hat matrix once
+    assert computed(caplog) == ["computed the hat matrix of order 12"]
     assert out.read_bytes() == (GOLDEN / "verify_explicit_b_n12_k2.csv").read_bytes()
 
 
@@ -644,28 +654,28 @@ def test_check_on_a_structured_pair_computes_no_matrix(tmp_path, caplog, built, 
     assert len(computed(caplog)) == len(built) >= 2
 
 
-def test_verify_on_the_riesz_pair_computes_a_entries_once_and_b_entries_never(tmp_path, caplog, built):
+def test_verify_on_the_riesz_pair_computes_no_matrix(tmp_path, caplog, built):
+    # every row reads the weights: no entries, hat matrix or hat inverse, strict reading included
     cfg = write_config(tmp_path, base_config(N=40, k=2, matrix_b=RIESZ_B))
     caplog.set_level(logging.DEBUG, logger="summakit")
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "verify.csv")]) == 0
-    assert computed(caplog).count("computed the entries of order 40") == 1
-    A, B = built
-    caplog.clear()
-    A.entries  # kept: no second computation
+    for flags in ([], ["--strict-paper-mode"]):
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "verify.csv"), *flags]) == 0
     assert computed(caplog) == []
-    B.entries  # the first read of B's entries
-    assert computed(caplog) == ["computed the entries of order 40"]
+    A, B = built[:2]
+    A.entries  # the first reads of A's and B's entries
+    B.entries
+    assert computed(caplog) == ["computed the entries of order 40"] * 2
 
 
 def test_verify_hides_no_nan_key_identity_gap(tmp_path, monkeypatch):
-    # one NaN gap, at (n, v) = (5, 3), in the sweep's triangle: the row reads nan and fails, and so does the run
+    # one NaN among the per-v gaps, at v = 3: the row reads nan and fails, and so does the run
     import summakit.cli as cli
 
     real = cli.key_identity_gaps
 
     def one_nan_gap(*args, **kwargs):
         gaps = np.array(real(*args, **kwargs), dtype=float)
-        gaps[5, 2] = np.nan
+        gaps[2] = np.nan
         return gaps
 
     monkeypatch.setattr(cli, "key_identity_gaps", one_nan_gap)
@@ -677,17 +687,37 @@ def test_verify_hides_no_nan_key_identity_gap(tmp_path, monkeypatch):
 
 
 def test_verify_hides_no_nan_probe_consistency_gap(tmp_path, monkeypatch):
-    # a NaN in the shift probes, the second of the two gaps the row reduces
+    # a NaN in the shift probes' scalar at v = 2 (the cesaro A is a weighted mean), not the first gap the row reduces
     import summakit.cli as cli
 
     class PoisonedShift(cli.ProbePass):
         def __init__(self, *args):
             super().__init__(*args)
-            self.delta_x[cli.PROBE_SHIFT] = self.delta_x[cli.PROBE_SHIFT].copy()
-            self.delta_x[cli.PROBE_SHIFT][4, 2] = np.nan
+            scalars = self.delta_x.scalars
+            scalars[summakit.PROBE_SHIFT] = scalars[summakit.PROBE_SHIFT].copy()
+            scalars[summakit.PROBE_SHIFT][2] = np.nan
 
     monkeypatch.setattr(cli, "ProbePass", PoisonedShift)
     cfg = write_config(tmp_path, base_config(N=12, k=2))
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    row = {r["check"]: r for r in read_rows(out)}["probe-consistency"]
+    assert (row["value"], row["status"]) == ("nan", "fail")
+
+
+def test_verify_hides_no_nan_probe_consistency_gap_on_an_explicit_a(tmp_path, monkeypatch):
+    # an explicit A keeps its dense deltas: a NaN among the shift probes' deltas fails the row
+    import summakit.cli as cli
+
+    class PoisonedShift(cli.ProbePass):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.delta_x[summakit.PROBE_SHIFT] = self.delta_x[summakit.PROBE_SHIFT].copy()
+            self.delta_x[summakit.PROBE_SHIFT][4, 2] = np.nan
+
+    monkeypatch.setattr(cli, "ProbePass", PoisonedShift)
+    entries = [[1.0 / (n + 1)] * (n + 1) for n in range(13)]
+    cfg = write_config(tmp_path, base_config(N=12, k=2, matrix_a={"kind": "explicit", "entries": entries}))
     out = tmp_path / "verify.csv"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
     row = {r["check"]: r for r in read_rows(out)}["probe-consistency"]

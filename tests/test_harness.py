@@ -203,13 +203,14 @@ def test_decompose_residual_is_nan_when_a_gap_is():
 
 
 def test_each_matrix_computes_its_hat_and_hat_inverse_once(monkeypatch):
-    # on an explicit pair every one of these reads the hat matrices and A's hat inverse
+    # on an explicit pair every one of these reads the hat matrices and A's hat inverse;
+    # invert_hat may be called again, but its forward substitution runs once
     import summakit.conditions
     import summakit.harness
     import summakit.matrices
 
     calls = []
-    for name in ("hat_columns", "invert_hat"):
+    for name in ("hat_columns", "_forward_substitution"):
         real = getattr(summakit.matrices, name)
 
         def counting(M, *args, _name=name, _real=real):
@@ -230,7 +231,7 @@ def test_each_matrix_computes_its_hat_and_hat_inverse_once(monkeypatch):
     sk.cnv_column_sums(A, B, lam, 2)
     built = [M for name, M in calls if name == "hat_columns"]
     assert len(built) == 2 and {id(M) for M in built} == {id(A), id(B)}
-    assert [M for name, M in calls if name == "invert_hat"] == [sk.hat_of(A)]
+    assert [M for name, M in calls if name == "_forward_substitution"] == [sk.hat_of(A)]
 
 
 def test_decompose_identity_matrices():
@@ -358,17 +359,50 @@ def test_key_identity_row_vector_matches_scalar_calls():
     for A, B, lam_vals in cases:
         lam = sk.FactorSequence(lam_vals)
         hat_b, inv_a = sk.hat_of(B), sk.hat_inverse(A)
-        # the whole triangle at once: the same bits, zero outside 1 <= v <= n - 1
+        # the whole triangle at once: entry v - 1 is the largest of column v's gaps, bit for bit
         gaps = sk.key_identity_gaps(A, B, lam)
-        assert gaps.shape == (A.size, A.order - 1)
-        assert not np.any(np.triu(gaps, -1))
+        assert gaps.shape == (A.order - 1,)
+        columns = [[] for _ in range(A.order - 1)]
         for n in range(2, A.order + 1):
             row = sk.key_identity_check(A, B, lam, n, np.arange(1, n), hat_b=hat_b, inv_hat_a=inv_a)
             scalar = [sk.key_identity_check(A, B, lam, n, v, hat_b=hat_b, inv_hat_a=inv_a) for v in range(1, n)]
             assert list(row) == scalar
-            assert list(gaps[n, : n - 1]) == scalar
+            for v, gap in enumerate(scalar, 1):
+                columns[v - 1].append(gap)
+        assert list(gaps) == [max(column) for column in columns]
     with pytest.raises(IndexOutOfRangeError):
         sk.key_identity_check(A, B, lam, 4, np.arange(1, 5))
+
+
+def test_key_identity_gap_is_relative_to_the_size_of_its_terms():
+    # cesaro and riesz-0.5 as explicit entries at N = 1000: the absolute gap reached 3.9e-11 against
+    # the row's 1e-11, mostly round-off of the dense hat of A; relative to the terms it is 6.6e-12
+    N = 1000
+    A = sk.NormalMatrix(sk.cesaro_matrix(N).entries)
+    B = sk.NormalMatrix(sk.riesz_matrix(sk.WeightSequence((np.arange(N + 1) + 1.0) ** 0.5)).entries)
+    lam = helpers.ones_factors(N + 2)
+    assert np.max(sk.key_identity_gaps(A, B, lam)) <= 1e-11
+    # a 1e-9 change to one entry of the hat inverse that the identity reads still fails, at any v
+    X = sk.hat_inverse(A).entries
+    for v in (1, 500, N - 1):
+        for n in (v, v + 1):
+            changed = X.copy()
+            changed[n, v] *= 1 + 1e-9
+            assert sk.key_identity_check(A, B, lam, N, v, inv_hat_a=sk.NormalMatrix(changed)) > 1e-11
+    changed = X.copy()
+    changed[1, 1] += 1e-9
+    assert sk.key_identity_check(A, B, lam, N, 1, inv_hat_a=sk.NormalMatrix(changed)) > 1e-11
+
+
+def test_key_identity_gap_of_zero_terms_is_exactly_zero():
+    # no 0/0: with zero factors both sides add only zeros, and the gap is 0 on both paths
+    rng = np.random.default_rng(59)
+    A = helpers.random_rational_matrix(rng, 6)
+    zeros = sk.FactorSequence(np.asarray([F(0)] * 8, dtype=object))
+    for B in (helpers.random_rational_matrix(rng, 6), sk.riesz_matrix(helpers.random_rational_weights(rng, 7))):
+        assert sk.key_identity_check(A, B, zeros, 5, 2) == 0
+        assert list(sk.key_identity_gaps(A, B, zeros)) == [0] * 5
+    assert list(sk.key_identity_gaps(sk.cesaro_matrix(6), sk.cesaro_matrix(6), sk.FactorSequence(np.zeros(8)))) == [0.0] * 5
 
 
 def test_bar_algebra_step():

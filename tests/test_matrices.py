@@ -319,6 +319,57 @@ def test_hat_and_hat_inverse_are_computed_once_and_kept(make, caplog):
     assert all(" of order 9 in " in m and m.endswith(" s") for m in built)
 
 
+def test_invert_hat_keeps_its_inverse_on_the_inverted_matrix(monkeypatch):
+    # hat_inverse(A) is invert_hat(hat_of(A)), so inverting the kept hat matrix again computes nothing
+    import summakit.matrices
+
+    inverted = []
+    real = summakit.matrices._forward_substitution
+
+    def counting(H):
+        inverted.append(H)
+        return real(H)
+
+    monkeypatch.setattr(summakit.matrices, "_forward_substitution", counting)
+    rng = np.random.default_rng(101)
+    A = helpers.random_rational_matrix(rng, 8)
+    X = sk.hat_inverse(A)
+    assert sk.invert_hat(sk.hat_of(A)) is X and sk.hat_inverse(A) is X
+    assert inverted == [sk.hat_of(A)]
+    M = helpers.random_normal_matrix(rng, 6)  # any normal matrix keeps its own inverse
+    assert sk.invert_hat(M) is sk.invert_hat(M)
+    assert inverted == [sk.hat_of(A), M]
+
+
+def test_hat_inverse_bands_of_a_weighted_mean_form_no_matrix(caplog):
+    rng = np.random.default_rng(103)
+    for A in (sk.cesaro_matrix(30), sk.riesz_matrix(helpers.random_positive_weights(rng, 31))):
+        caplog.set_level(logging.DEBUG, logger="summakit")
+        caplog.clear()
+        diag, sub = sk.matrices.hat_inverse_bands(A)
+        assert caplog.records == []
+        X = sk.hat_inverse(A)  # the bidiagonal matrix, bit for bit from the same bands
+        assert diag.tobytes() == X.diagonal.tobytes() and sub.tobytes() == X.subdiagonal.tobytes()
+
+
+def test_apply_hat_reads_a_weighted_mean_from_its_weights(caplog):
+    rng = np.random.default_rng(107)
+    x = rng.uniform(-1.0, 1.0, 41)
+    A = sk.riesz_matrix(helpers.random_positive_weights(rng, 41))
+    caplog.set_level(logging.DEBUG, logger="summakit")
+    got = sk.matrices.apply_hat(A, x)
+    assert caplog.records == []
+    np.testing.assert_allclose(got, sk.apply_lower(sk.hat_of(A), x), rtol=1e-13, atol=1e-15)
+    # exact weights give the definition exactly; other matrices multiply their hat matrix
+    E = sk.riesz_matrix(helpers.random_rational_weights(rng, 9))
+    xs = helpers.random_rational_vector(rng, 9)
+    assert list(sk.matrices.apply_hat(E, xs)) == oracles.matvec(oracles.hat_rows(oracles.to_rows(E)), list(xs))
+    M = helpers.random_normal_matrix(rng, 8)
+    assert np.array_equal(sk.matrices.apply_hat(M, x), sk.apply_lower(sk.hat_of(M), x))
+    with pytest.raises(LengthMismatchError):
+        sk.matrices.apply_hat(A, x[:40])
+
+
 def test_apply_lower_identity():
     x = np.array([3.0, -1.0, 2.0])
     np.testing.assert_array_equal(sk.apply_lower(sk.identity_matrix(2), x), x)

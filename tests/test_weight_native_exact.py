@@ -57,3 +57,35 @@ def test_weight_native_sums_equal_the_rational_oracles(data):
             assert dnr[v] == expected
         else:
             assert float(dnr[v]) == pytest.approx(float(expected), rel=1e-13, abs=1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_weight_native_verify_rows_equal_the_dense_rows_exactly(data):
+    # decompose, the key-identity gaps and the probe pass read a weighted side from its weights;
+    # in exact arithmetic every value equals the dense path's on the same matrices' entries
+    N = data.draw(st.integers(2, 7), label="N")
+    p, q = (data.draw(st.lists(POSITIVE, min_size=N + 1, max_size=N + 1), label=name) for name in "pq")
+    lam = sk.FactorSequence(np.asarray(data.draw(st.lists(FACTORS, min_size=N + 2, max_size=N + 2), label="lam"), dtype=object))
+    coeffs = np.asarray(data.draw(st.lists(FACTORS, min_size=N + 1, max_size=N + 1), label="a"), dtype=object)
+    A, B = (sk.riesz_matrix(sk.WeightSequence(np.asarray(w, dtype=object))) for w in (p, q))
+    dense_a, dense_b = sk.NormalMatrix(A.entries), sk.NormalMatrix(B.entries)
+    series = sk.SeriesSample(coeffs)
+
+    dense = sk.decompose(dense_a, dense_b, lam, series)
+    dense_probes = sk.ProbePass(dense_a, dense_b, lam, 2)
+    assert dense.residual == 0 and dense_probes.definition_gap() == 0
+    for X, Y in ((A, B), (A, dense_b), (dense_a, B)):
+        dec = sk.decompose(X, Y, lam, series)
+        assert dec.residual == 0
+        for part in ("t1", "t2", "delta_y"):
+            assert list(getattr(dec, part)) == list(getattr(dense, part))
+        gaps = sk.key_identity_gaps(X, Y, lam)
+        assert len(gaps) == N - 1 and all(g == 0 for g in gaps)
+        probes = sk.ProbePass(X, Y, lam, 2)
+        assert probes.definition_gap() == 0
+        for kind in (sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT):
+            for v in range(N):
+                got, want = probes.probe(kind, v), dense_probes.probe(kind, v)
+                assert list(got.delta_x) == list(want.delta_x) and list(got.delta_y) == list(want.delta_y)
+                assert (got.x_norm, got.y_norm) == (want.x_norm, want.y_norm)
