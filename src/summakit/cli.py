@@ -21,6 +21,8 @@ import numpy as np
 
 from . import __version__
 from .conditions import (
+    PROBE_DIFFERENCE,
+    PROBE_KINDS,
     TailSpec,
     check_c9,
     check_c10,
@@ -35,8 +37,6 @@ from .conditions import (
 from ._util import as_float
 from .errors import ConfigError, SummakitError, TailUnavailableError
 from .harness import (
-    PROBE_DIFFERENCE,
-    PROBE_KINDS,
     cnv_column_sums,
     decompose,
     dnr_column_sums,

@@ -134,11 +134,9 @@ def _tail_report(cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v
 
     M is the difference (C10) or shift (C11) probe matrix of B-hat and the
     factors (:func:`probe_deltas`).  When B carries weights q, no hat column
-    is formed: over rows n > v column v of M is q_n / (Q_n Q_{n-1}) times
-    Delta_v (C10) or Q_v lam_{v+1} (C11), up to sign, so ratio_v is that
-    coefficient to the k times the W tail T_v = sum_{n>v} n**(k-1)
-    (q_n / (Q_n Q_{n-1}))**k, over denominators[v].  The carrier is the
-    weight sequence then.  On the identity the column is -lam_{v+1} (C10) or
+    is formed: the numerator is the probe's scalar to the k times the W tail
+    T_v (:meth:`WeightedProbes.tails`), and the carrier is the weight
+    sequence.  On the identity the column is -lam_{v+1} (C10) or
     lam_{v+1} (C11) in row v + 1 alone: the sum is (v+1)**(k-1) |lam_{v+1}|**k
     and the carrier is the order.  Other matrices are dense carriers.  A carrier
     shorter than the cutoff clamps the sums to its order, and v stops one
@@ -155,12 +153,8 @@ def _tail_report(cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v
     v_max = min(v_max, cutoff_eff - 1)
     shift = cid == "C11"
     if B.weights is not None:
-        q = B.weights
-        T, last = q.tail(k, cutoff_eff, v_max + 1)
-        coef = q.cumulative[: v_max + 1] * lam.values[1 : v_max + 2] if shift else q.delta(lam.values, v_max + 1)
-        coef = abs_pow(coef, k)
-        totals = coef * T
-        last = coef * last
+        probes = WeightedProbes.of(B.weights, B.size, v_max + 1, lam.values)
+        totals, last = probes.tails(PROBE_KINDS[shift], k, cutoff_eff)
     elif B.is_identity:
         totals = norm_weights(v_max + 2, k, B.exact)[1:] * abs_pow(lam.values[1 : v_max + 2], k)
         last = np.where(np.arange(v_max + 1) == cutoff_eff - 1, totals, 0)
@@ -239,6 +233,11 @@ def check_c15(A: NormalMatrix) -> ConditionReport:
     return _report("C15", np.arange(A.order), ratios)
 
 
+PROBE_DIFFERENCE = "difference"
+PROBE_SHIFT = "shift"
+PROBE_KINDS = (PROBE_DIFFERENCE, PROBE_SHIFT)
+
+
 def probe_deltas(H: np.ndarray, lv) -> tuple[np.ndarray, np.ndarray]:
     """Every probe's transform through the hat columns ``H``, one column per v.
 
@@ -254,6 +253,71 @@ def probe_deltas(H: np.ndarray, lv) -> tuple[np.ndarray, np.ndarray]:
 def column_sums(M: np.ndarray, k, w=None) -> np.ndarray:
     """accurate_sum(w * |M[:, j]|**k) for every column j; no weights when ``w`` is None."""
     return np.asarray([accurate_sum(abs_pow(col, k) if w is None else w * abs_pow(col, k)) for col in M.T])
+
+
+class DenseProbes(dict):
+    """The arrays D and S of :func:`probe_deltas`, keyed by probe kind: column v is the probe at v."""
+
+    def column(self, kind: str, v: int) -> np.ndarray:
+        return self[kind][:, v]
+
+    def pows(self, k) -> dict:
+        """Each probe's sum_n n**(k-1) |delta_nv|**k, weight one at n = 0."""
+        return {kind: column_sums(d, k, norm_weights(d.shape[0], k, is_exact(d))) for kind, d in self.items()}
+
+
+@dataclass(frozen=True)
+class WeightedProbes:
+    """Both probe kinds at v = 0..m-1 through the weighted mean of ``weights``, no column formed.
+
+    Column v is ``diag[kind][v]`` at row v and ``rows[n] * scalars[kind][v]``
+    at rows n > v: ``rows`` holds w_n / (W_n W_{n-1})
+    (:meth:`~summakit.matrices.WeightSequence.hat_rows`), and the scalars are
+    -Delta_v (difference) and W_v lam_{v+1} (shift).  Below row v these are
+    the columns C10 and C11 sum, so a probe's y-norm**k is its diagonal term
+    plus its C10/C11 numerator: |scalar|**k times the W tail T_v (:meth:`tails`).
+    """
+
+    weights: WeightSequence
+    rows: np.ndarray
+    scalars: dict
+    diag: dict
+
+    @classmethod
+    def of(cls, w: WeightSequence, size: int, m: int, lv) -> WeightedProbes:
+        shift = w.cumulative[:m] * lv[1 : m + 1]
+        scalars = {PROBE_DIFFERENCE: -w.delta(lv, m), PROBE_SHIFT: shift}
+        diag = {PROBE_DIFFERENCE: w.weights[:m] / w.cumulative[:m] * lv[:m], PROBE_SHIFT: np.zeros_like(shift)}
+        return cls(w, w.hat_rows(size), scalars, diag)
+
+    def column(self, kind: str, v: int) -> np.ndarray:
+        col = self.rows * self.scalars[kind][v]
+        col[: v + 1] = 0
+        col[v] = self.diag[kind][v]
+        return col
+
+    def tails(self, kind, k, rows: int, scalars=None, index_power=None):
+        """|s_v|**k T_v for every v, and |s_v|**k times T_v's last term.
+
+        s is the scalars of probe ``kind``, or ``scalars`` when given; T_v is
+        the W tail through row ``rows`` (:meth:`~summakit.matrices.WeightSequence.tail`).
+        """
+        s = self.scalars[kind] if scalars is None else scalars
+        T, last = self.weights.tail(k, rows, s.size, index_power)
+        coef = abs_pow(s, k)
+        return coef * T, coef * last
+
+    def pows(self, k) -> dict:
+        """Each probe's sum_n n**(k-1) |delta_nv|**k: the diagonal term plus its tail through the last row."""
+        tails = {kind: self.tails(kind, k, self.rows.size - 1)[0] for kind in PROBE_KINDS}
+        return {kind: norm_weights(t.size, k, is_exact(t)) * abs_pow(self.diag[kind], k) + t for kind, t in tails.items()}
+
+
+def probe_columns(M: NormalMatrix, lv):
+    """M's probes at v = 0..N-1 with the factors ``lv``: read from the weights of a weighted mean, else from its hat matrix."""
+    if M.weights is not None:
+        return WeightedProbes.of(M.weights, M.size, M.order, lv)
+    return DenseProbes(zip(PROBE_KINDS, probe_deltas(hat_of(M).entries, lv)))
 
 
 def inner_sums(BL: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -15,19 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import abs_pow, check_exponent, check_pair, index_pow, is_exact, nan_max, norm_weights, prefix_sums, suffix_sums
+from ._util import abs_pow, check_exponent, check_pair, index_pow, is_exact, nan_max, prefix_sums, suffix_sums
 from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
     LengthMismatchError,
 )
-from .conditions import column_sums, probe_deltas
-from .matrices import NormalMatrix, WeightSequence, apply_hat, hat_columns, hat_inverse, hat_inverse_bands, hat_of
+from .conditions import PROBE_DIFFERENCE, PROBE_KINDS, PROBE_SHIFT, WeightedProbes, column_sums, probe_columns, probe_deltas
+from .matrices import NormalMatrix, apply_hat, hat_inverse, hat_inverse_bands, hat_of
 from .series import FactorSequence, SeriesSample
-
-PROBE_DIFFERENCE = "difference"
-PROBE_SHIFT = "shift"
-PROBE_KINDS = (PROBE_DIFFERENCE, PROBE_SHIFT)
 
 _ROW_SUM_TOL = 1e-12
 
@@ -80,61 +76,7 @@ def _check_probe_args(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, v: 
     check_exponent(k)
     if not 0 <= v <= A.order - 1:
         raise IndexOutOfRangeError(f"probe index v={v} needs v+1 <= {A.order}")
-    check_pair(A, B, lam, v + 2)
-
-
-@dataclass(frozen=True)
-class _WeightedProbes:
-    """Both probe kinds at v = 0..m-1 through the weighted mean of ``weights``, no column formed.
-
-    Column v is ``diag[kind][v]`` at row v and ``rows[n] * scalars[kind][v]``
-    at rows n > v: ``rows`` holds w_n / (W_n W_{n-1}) (see
-    :meth:`~summakit.matrices.WeightSequence.hat_rows`), and the scalars are
-    -Delta_v (difference) and W_v lam_{v+1} (shift), the columns C10 and C11 sum.
-    """
-
-    weights: WeightSequence
-    rows: np.ndarray
-    scalars: dict
-    diag: dict
-
-    @classmethod
-    def of(cls, w: WeightSequence, size: int, m: int, lv) -> _WeightedProbes:
-        shift = w.cumulative[:m] * lv[1 : m + 1]
-        scalars = {PROBE_DIFFERENCE: -w.delta(lv, m), PROBE_SHIFT: shift}
-        diag = {PROBE_DIFFERENCE: w.weights[:m] / w.cumulative[:m] * lv[:m], PROBE_SHIFT: np.zeros_like(shift)}
-        return cls(w, w.hat_rows(size), scalars, diag)
-
-    def column(self, kind: str, v: int) -> np.ndarray:
-        col = self.rows * self.scalars[kind][v]
-        col[: v + 1] = 0
-        col[v] = self.diag[kind][v]
-        return col
-
-    def pows(self, k) -> dict:
-        """Each probe's sum_n n**(k-1) |delta_nv|**k: the diagonal term plus |scalar|**k times the W tail T_v through the last row."""
-        m = self.diag[PROBE_DIFFERENCE].size
-        tail = self.weights.tail(k, self.rows.size - 1, m)[0]
-        w = norm_weights(m, k, is_exact(tail))
-        return {kind: w * abs_pow(self.diag[kind], k) + abs_pow(s, k) * tail for kind, s in self.scalars.items()}
-
-
-def _probe_deltas(M: NormalMatrix, hat, m: int, lv):
-    """M's probes at v = 0..m-1: factored on a weighted mean, else the columns of :func:`probe_deltas` over ``hat``."""
-    if M.weights is not None:
-        return _WeightedProbes.of(M.weights, M.size, m, lv)
-    return dict(zip(PROBE_KINDS, probe_deltas(hat_of(M).entries if hat is None else hat, lv)))
-
-
-def _probe_pows(deltas, k) -> dict:
-    """Each probe's sum_n n**(k-1) |delta_nv|**k (weight one at n = 0), for both kinds, in O(rows) on a weighted mean."""
-    if isinstance(deltas, _WeightedProbes):
-        return deltas.pows(k)
-    return {kind: column_sums(d, k, norm_weights(d.shape[0], k, is_exact(d))) for kind, d in deltas.items()}
-
-
-def _column(deltas, kind: str, v: int) -> np.ndarray:
-    return deltas.column(kind, v) if isinstance(deltas, _WeightedProbes) else deltas[kind][:, v]
+    check_pair(A, B, lam, A.size)
 
 
 def _suffix_max(values) -> np.ndarray:
@@ -143,34 +85,22 @@ def _suffix_max(values) -> np.ndarray:
 
 
 class ProbePass:
-    """Both probe kinds at every v = 0..m-1, through A and B.
+    """Both probe kinds at every v = 0..N-1, through A and B.
 
-    A weighted-mean side reads its weights in O(N) and forms no column
-    (``_WeightedProbes``).  Any other side reads its hat columns 0..m,
-    ``hat_a`` or ``hat_b`` when given and all of them when not: its
-    ``delta_x[kind]`` or ``delta_y[kind]`` hold the deltas, column v for the
-    probe at v (see :func:`~summakit.conditions.probe_deltas`).  m is one
-    less than the number of given hat columns, or N.  ``x_norm[kind]`` and
+    ``delta_x`` and ``delta_y`` are :func:`~summakit.conditions.probe_columns`
+    of A (unit factors) and of B: a weighted-mean side reads its weights in
+    O(N) and forms no column, any other side holds the deltas over its kept
+    hat matrix, column v for the probe at v.  ``x_norm[kind]`` and
     ``y_pow[kind]`` hold each probe's x-norm and y-norm**k.
     """
 
-    def __init__(
-        self,
-        A: NormalMatrix,
-        B: NormalMatrix,
-        lam: FactorSequence,
-        k,
-        hat_a: np.ndarray | None = None,
-        hat_b: np.ndarray | None = None,
-    ):
-        given = [h for h in (hat_a, hat_b) if h is not None]
-        m = given[0].shape[1] - 1 if given else A.order
-        unit = np.ones(m + 1, dtype=object if A.exact and B.exact else float)
+    def __init__(self, A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k):
+        unit = np.ones(A.size, dtype=object if A.exact and B.exact else float)
         self.A, self.k, self.b_diag, self.lv = A, k, B.diagonal, lam.values
-        self.delta_x = _probe_deltas(A, hat_a, m, unit)
-        self.delta_y = _probe_deltas(B, hat_b, m, lam.values)
-        self.x_norm = _probe_pows(self.delta_x, 1)
-        self.y_pow = _probe_pows(self.delta_y, k)
+        self.delta_x = probe_columns(A, unit)
+        self.delta_y = probe_columns(B, lam.values)
+        self.x_norm = self.delta_x.pows(1)
+        self.y_pow = self.delta_y.pows(k)
 
     def _y_norm(self, kind: str, v: int, strict_paper: bool):
         kf = float(self.k)
@@ -183,7 +113,7 @@ class ProbePass:
 
     def probe(self, kind: str, v: int, strict_paper: bool = False) -> ProbeResult:
         """The probe at v; ``strict_paper`` swaps the difference probe's |b_vv lam_v|**k for b_vv |lam_v|**k."""
-        dx, dy = _column(self.delta_x, kind, v), _column(self.delta_y, kind, v)
+        dx, dy = self.delta_x.column(kind, v), self.delta_y.column(kind, v)
         return ProbeResult(kind, v, dx, dy, self.x_norm[kind][v], self._y_norm(kind, v, strict_paper))
 
     def constant(self, strict_paper: bool = False):
@@ -210,7 +140,7 @@ class ProbePass:
         """
         x = self.delta_x
         m = self.x_norm[PROBE_DIFFERENCE].size
-        if not isinstance(x, _WeightedProbes):
+        if self.A.weights is None:
             E = self.A.entries
             steps = np.cumsum(E[:, ::-1], axis=1)[:, ::-1]
             return nan_max(
@@ -235,17 +165,15 @@ def run_probe(
 ) -> ProbeResult:
     """Apply one coordinate probe through both matrices and take the norms.
 
-    The deltas are column v of the probe matrices of hat columns 0..v+1;
-    ``cli verify`` checks those columns against the definition, the first
-    difference of A applied to the probe's partial sums, in its
-    probe-consistency row.  ``strict_paper`` switches the difference-probe
-    y-norm diagonal term from |b_vv lam_v|**k to b_vv |lam_v|**k (first
-    power on b_vv) for side-by-side comparison of the two published
-    readings.
+    The probe at v of one :class:`ProbePass`; ``cli verify`` checks its
+    columns against the definition, the first difference of A applied to
+    the probe's partial sums, in its probe-consistency row.  ``strict_paper``
+    switches the difference-probe y-norm diagonal term from |b_vv lam_v|**k
+    to b_vv |lam_v|**k (first power on b_vv) for side-by-side comparison of
+    the two published readings.
     """
     _check_probe_args(A, B, lam, v, k)
-    hats = (None if M.weights is not None else hat_columns(M, v + 1) for M in (A, B))
-    return ProbePass(A, B, lam, k, *hats).probe(kind, v, strict_paper)
+    return ProbePass(A, B, lam, k).probe(kind, v, strict_paper)
 
 
 def inequality20_ratio(probe: ProbeResult) -> float:
@@ -298,13 +226,14 @@ def _middle_sums(A: NormalMatrix, B: NormalMatrix, lv, x) -> np.ndarray:
     """sum_{v<n} (middle summand at (n, v)) x_v for n = 0..N, one prefix sum on a weighted-mean B.
 
     There column v of D and S is q_n / (Q_n Q_{n-1}) times -Delta_v and
-    Q_v lam_{v+1} below the diagonal (``_WeightedProbes``), so the summand
-    at n > v is that row factor times m_v = -Delta_v / a_vv + Q_v lam_{v+1} gap_v.
+    Q_v lam_{v+1} below the diagonal (:class:`~summakit.conditions.WeightedProbes`),
+    so the summand at n > v is that row factor times
+    m_v = -Delta_v / a_vv + Q_v lam_{v+1} gap_v.
     """
     if B.weights is None:
         return np.tril(_middle_summands(A, B, lv), -1) @ x
     Ad, gap = _gap_factors(A)
-    y = _WeightedProbes.of(B.weights, B.size, A.order, lv)
+    y = WeightedProbes.of(B.weights, B.size, A.order, lv)
     return y.rows * prefix_sums((y.scalars[PROBE_DIFFERENCE] / Ad + y.scalars[PROBE_SHIFT] * gap) * x)
 
 
@@ -392,18 +321,18 @@ def key_identity_gaps(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> 
     Entry v - 1 is the largest gap at (n, v) over n = v+1..N, for v = 1..N-1.
     An explicit B evaluates the whole triangle, with the same bits as the
     scalar and row calls.  On a weighted-mean B, F[n, v] = bhat_nv lam_v is
-    q_n / (Q_n Q_{n-1}) times Q_{v-1} lam_v at every (n, v) it reads, so the
-    factor of row n cancels from the relative gap: one evaluation on the
-    per-v values Q_{v-1} lam_v gives the gap at every n > v, in O(N).  A
-    weighted-mean A's hat inverse is read as its two bands.
+    q_n / (Q_n Q_{n-1}) times Q_{v-1} lam_v, the shift probe's scalar at
+    v - 1, at every (n, v) it reads, so the factor of row n cancels from the
+    relative gap: one evaluation on those scalars gives the gap at every
+    n > v, in O(N).  A weighted-mean A's hat inverse is read as its two bands.
     """
     N = A.order
     check_pair(A, B, lam, N + 1)
     v = np.arange(1, N)
     inv_d, inv_s = (band[v] for band in hat_inverse_bands(A))
     if B.weights is not None:
-        F = np.concatenate(([0], B.weights.cumulative[:N])) * lam.values[: N + 1]
-        return _key_gaps(F[1:N], F[2:], inv_d, inv_s, A, v)
+        F = WeightedProbes.of(B.weights, B.size, N, lam.values).scalars[PROBE_SHIFT]
+        return _key_gaps(F[:-1], F[1:], inv_d, inv_s, A, v)
     F = hat_of(B).entries * lam.values[None, : N + 1]
     gaps = _key_gaps(F[:, 1:N], F[:, 2:], inv_d, inv_s, A, v)
     return np.where(np.tri(N + 1, max(N - 1, 0), -2, dtype=bool), gaps, 0).max(axis=0)
@@ -498,11 +427,12 @@ def cnv_column_sums(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k, st
     N, size = A.order, A.size
     power = (float(k) - 1.0) / float(k) if strict_paper else k - 1
     p, q, lv = A.weights, B.weights, lam.values
-    tail = q.tail(k, N, N, power)[0]
+    y = WeightedProbes.of(q, size, N, lv)
+    mid = y.scalars[PROBE_SHIFT] + y.scalars[PROBE_DIFFERENCE] * p.cumulative[:N] / p.weights[:N]
+    below = y.tails(None, k, N, mid, power)[0]
     ratio = q.weights[:size] / q.cumulative[:size] * lv[:size] / (p.weights[:size] / p.cumulative[:size])
-    diag = index_pow(np.arange(size), power, is_exact(tail)) * abs_pow(ratio, k)
-    mid = q.cumulative[:N] * lv[1:size] - q.delta(lv, N) * p.cumulative[:N] / p.weights[:N]
-    sums = diag + np.concatenate((abs_pow(mid, k) * tail, [0]))
+    diag = index_pow(np.arange(size), power, is_exact(below)) * abs_pow(ratio, k)
+    sums = diag + np.concatenate((below, [0]))
     sums[0] = 0
     return sums
 

@@ -112,8 +112,7 @@ class NormalMatrix:
 class WeightSequence:
     """Positive weights p_0..p_N with cached cumulative sums P_n.
 
-    The convention P_{-1} = 0 is honored by :meth:`cum_before`.  Float
-    weights that overflow raise a :class:`~summakit.errors.WeightOverflowError`.
+    Float weights that overflow raise a :class:`~summakit.errors.WeightOverflowError`.
     The W tails of :meth:`tail` are kept on the sequence once computed.
     """
 
@@ -147,12 +146,6 @@ class WeightSequence:
     @property
     def order(self) -> int:
         return self.weights.size - 1
-
-    def cum_before(self, n: int):
-        """P_{n-1}, with P_{-1} = 0."""
-        if n <= 0:
-            return 0 if is_exact(self.weights) else 0.0
-        return self.cumulative[n - 1]
 
     def tail(self, k, rows: int, count: int, index_power=None):
         """W tails T_v = sum_{n=v+1..rows} n**e (p_n / (P_n P_{n-1}))**k for v < count, and their last term.
@@ -357,8 +350,10 @@ def hat_inverse(A: NormalMatrix) -> NormalMatrix:
     (zero at n = 0), and exact zeros everywhere else, on the float path
     as well as the exact one.  Other matrices go through :func:`invert_hat`.
     It is computed once per A, like the hat matrix; the forward substitution
-    keeps its result on the hat matrix.
+    keeps its result on the hat matrix.  The identity is its own hat inverse.
     """
+    if A.is_identity:
+        return A
     if A.weights is None:
         return invert_hat(hat_of(A))
     return _kept(A, "_hat_inverse", "hat inverse", lambda: _bidiagonal_inverse(A))

@@ -667,6 +667,15 @@ def test_verify_on_the_riesz_pair_computes_no_matrix(tmp_path, caplog, built):
     assert computed(caplog) == ["computed the entries of order 40"] * 2
 
 
+def test_verify_with_an_identity_a_computes_no_hat_inverse(tmp_path, caplog):
+    # the identity is its own hat inverse: the key identity and t2 read its ones and zeros
+    cfg = write_config(tmp_path, base_config(N=40, k=2, matrix_a={"kind": "identity"}, matrix_b=RIESZ_B))
+    caplog.set_level(logging.DEBUG, logger="summakit")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "verify.csv")]) == 0
+    # A's entries for its dense probes and t2, B's hat matrix for the c_nv array of the mixed pair
+    assert computed(caplog) == ["computed the entries of order 40", "computed the hat matrix of order 40"]
+
+
 def test_verify_hides_no_nan_key_identity_gap(tmp_path, monkeypatch):
     # one NaN among the per-v gaps, at v = 3: the row reads nan and fails, and so does the run
     import summakit.cli as cli

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import summakit as sk
-from summakit.errors import DegenerateProbeError, IndexOutOfRangeError
+from summakit.conditions import column_sums
+from summakit.errors import DegenerateProbeError, IndexOutOfRangeError, LengthMismatchError
 
 import helpers
 import oracles
@@ -88,6 +89,14 @@ def test_probe_cesaro_exact_small():
 def test_probe_index_out_of_range():
     with pytest.raises(IndexOutOfRangeError):
         sk.run_probe(sk.identity_matrix(4), sk.identity_matrix(4), helpers.ones_factors(6), 4, sk.PROBE_SHIFT, 1)
+
+
+def test_probe_needs_a_factor_for_every_row():
+    # a probe is one column of the pass over every v, which reads lam_0..lam_N
+    rng = np.random.default_rng(7)
+    for A in (helpers.random_normal_matrix(rng, 8), sk.cesaro_matrix(8)):
+        with pytest.raises(LengthMismatchError):
+            sk.run_probe(A, A, helpers.ones_factors(8), 1, sk.PROBE_DIFFERENCE, 1)
 
 
 def test_inequality20_zero_factors():
@@ -499,10 +508,31 @@ def test_build_dnr_matches_rational_oracle():
 WEIGHT_NATIVE_K = [1, 1.5, 2, 3.7]
 
 
+def _dense_probe_pows(hat, lv, k):
+    # each probe's sum_n n**(k-1) |delta_nv|**k, reduced from the dense columns of probe_deltas
+    w = np.arange(hat.shape[0], dtype=float) ** (k - 1.0)
+    w[0] = 1.0
+    return dict(zip((sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT), (column_sums(d, k, w) for d in sk.probe_deltas(hat, lv))))
+
+
+def _dense_constant(x_norm, y_pow, b_diag, lv, k, strict):
+    # the largest y-norm / x-norm over v >= 1 and both kinds; strict swaps |b_vv lam_v|**k for b_vv |lam_v|**k
+    ratios = []
+    for kind in (sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT):
+        ypow = y_pow[kind].copy()
+        if strict and kind == sk.PROBE_DIFFERENCE:
+            v = np.arange(ypow.size, dtype=float)
+            w = np.where(v == 0, 1.0, v ** (k - 1.0))
+            b, f = b_diag[: ypow.size], lv[: ypow.size]
+            ypow += w * (np.abs(b) * np.abs(f) ** k - np.abs(b * f) ** k)
+        ratios.extend(ypow[1:] ** (1.0 / k) / x_norm[kind][1:])
+    return max(ratios)
+
+
 @pytest.mark.parametrize("k", WEIGHT_NATIVE_K)
 def test_weight_native_norms_match_dense_columns(k):
     # a weighted-mean pair's probe norms, bound constants and c_nv column sums read from the
-    # weights, beside the same quantities reduced from the dense columns
+    # weights, beside the same quantities reduced from the dense columns of the closed-form hats
     rng = np.random.default_rng(89)
     for N in (12, 300):
         riesz = sk.riesz_matrix(sk.WeightSequence((np.arange(N + 1) + 1.0) ** 0.5))
@@ -516,15 +546,15 @@ def test_weight_native_norms_match_dense_columns(k):
         ]
         for A, B, lam_vals in pairs:
             lam = sk.FactorSequence(lam_vals)
-            hat_a, hat_b = sk.hat_of(A).entries, sk.hat_of(B).entries
-            # the same matrices without their weights take the dense columns
-            dense = sk.ProbePass(sk.NormalMatrix(A.entries), sk.NormalMatrix(B.entries), lam, k, hat_a, hat_b)
-            native = sk.ProbePass(A, B, lam, k, hat_a, hat_b)
+            x_norm = _dense_probe_pows(sk.hat_of(A).entries, np.ones(N + 1), 1)
+            y_pow = _dense_probe_pows(sk.hat_of(B).entries, lam_vals, k)
+            native = sk.ProbePass(A, B, lam, k)
             for kind in (sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT):
-                np.testing.assert_allclose(native.x_norm[kind], dense.x_norm[kind], rtol=1e-13)
-                np.testing.assert_allclose(native.y_pow[kind], dense.y_pow[kind], rtol=1e-13)
+                np.testing.assert_allclose(native.x_norm[kind], x_norm[kind], rtol=1e-13)
+                np.testing.assert_allclose(native.y_pow[kind], y_pow[kind], rtol=1e-13)
             for strict in (False, True):
-                np.testing.assert_allclose(native.constant(strict)[0], dense.constant(strict)[0], rtol=1e-13)
+                dense_constant = _dense_constant(x_norm, y_pow, B.diagonal, lam_vals, k, strict)
+                np.testing.assert_allclose(native.constant(strict)[0], dense_constant, rtol=1e-13)
                 sums = sk.cnv_column_sums(A, B, lam, k, strict_paper=strict)
                 assert sums[0] == 0.0
                 dense_sums = sk.l1_lk_bound(sk.build_cnv(A, B, lam, k, strict), k).column_sums
@@ -563,21 +593,24 @@ def test_dnr_column_sums_are_the_dense_column_sums_bit_for_bit(k):
 
 
 def test_necessity_wiring_y_norm_and_c10():
-    # the y-norm k-th power of a difference probe splits into the diagonal
-    # term plus exactly the c10 numerator truncated at the same order
+    # the y-norm k-th power of a difference probe splits into the diagonal term plus exactly
+    # the c10 numerator truncated at the same order, and a shift probe's is its c11 numerator:
+    # on a dense B's probe columns and on a weighted mean's
     rng = np.random.default_rng(59)
     N, k = 20, 2
     A = helpers.random_positive_matrix(rng, N)
-    B = helpers.random_positive_matrix(rng, N)
     lam = sk.FactorSequence(rng.uniform(0.2, 1.0, N + 2))
-    rep = sk.check_c10(A, B, lam, k, sk.TailSpec(N), v_max=N - 1)
-    bh = sk.hat_of(B).entries
-    for v in range(1, N):
-        probe = sk.run_probe(A, B, lam, v, sk.PROBE_DIFFERENCE, k)
-        ypow = sk.y_norm_pow(probe.delta_y, k)
-        diag_term = float(v) ** (k - 1.0) * abs(bh[v, v] * lam.values[v]) ** k
-        numerator = rep.ratios[v] * abs(float(A.diagonal[v])) ** k
-        np.testing.assert_allclose(ypow, diag_term + numerator, rtol=1e-12)
+    weighted = sk.riesz_matrix(helpers.random_positive_weights(rng, N + 1, 0.5, 2.0))
+    for B in (helpers.random_positive_matrix(rng, N), weighted):
+        c10 = sk.check_c10(A, B, lam, k, sk.TailSpec(N), v_max=N - 1)
+        c11 = sk.check_c11(B, lam, k, sk.TailSpec(N), v_max=N - 1)
+        for v in range(1, N):
+            probe = sk.run_probe(A, B, lam, v, sk.PROBE_DIFFERENCE, k)
+            diag_term = float(v) ** (k - 1.0) * abs(B.diagonal[v] * lam.values[v]) ** k
+            numerator = c10.ratios[v] * abs(float(A.diagonal[v])) ** k
+            np.testing.assert_allclose(sk.y_norm_pow(probe.delta_y, k), diag_term + numerator, rtol=1e-12)
+            shift = sk.run_probe(A, B, lam, v, sk.PROBE_SHIFT, k)
+            np.testing.assert_allclose(sk.y_norm_pow(shift.delta_y, k), c11.ratios[v], rtol=1e-12)
 
 
 def test_t2_bounded_by_c16_and_dnr():

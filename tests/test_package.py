@@ -33,6 +33,19 @@ def test_only_matrices_reads_a_diagonal():
     assert found == []
 
 
+def test_only_matrices_and_conditions_read_a_weight_sequences_formulas():
+    # a weighted mean's Delta_v, W tail and hat rows are read through the probe columns of
+    # conditions.WeightedProbes: no other module evaluates them
+    found = []
+    for path in sorted((ROOT / "src" / "summakit").glob("*.py")):
+        if path.name in ("matrices.py", "conditions.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("delta", "tail", "hat_rows"):
+                found.append(f"{path.name}:{node.lineno} .{node.func.attr}(")
+    assert found == []
+
+
 def test_readme_quick_start_runs():
     text = (ROOT / "README.md").read_text()
     block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
