@@ -416,16 +416,6 @@ def cmd_transform(config: ExperimentConfig) -> int:
 VERIFY_COLUMNS = ["check", "value", "tolerance", "status"]
 
 
-def _probe_checks(A: NormalMatrix, B: NormalMatrix, lam, k, strict_paper: bool):
-    """One probe pass: its gap to the definition, and the bound constant in the chosen and the plain reading.
-
-    A weighted mean's deltas and norms are read from its weights (see :class:`ProbePass`).
-    """
-    probes = ProbePass(A, B, lam, k)
-    M = probes.constant(strict_paper)[0]
-    return probes.definition_gap(), M, probes.constant()[0] if strict_paper else M
-
-
 def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int = 0) -> int:
     N = config.order
     k = config.k
@@ -443,8 +433,9 @@ def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int =
             column.append(entry)
         log.info("%s: value=%.3e status=%s", name, float(value), status)
 
-    gap, M, M_plain = _probe_checks(A, B, lam, k, strict_paper)
-    record("probe-consistency", gap, VERIFY_TOLERANCES["probe-consistency"] * scale)
+    probes = ProbePass(A, B, lam, k)  # a weighted mean's deltas and norms are read from its weights
+    M = probes.constant(strict_paper)[0]
+    record("probe-consistency", probes.definition_gap(), VERIFY_TOLERANCES["probe-consistency"] * scale)
     record("empirical-bound-constant", M, informational=True)
 
     dec = decompose(A, B, lam, series)
@@ -460,7 +451,7 @@ def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int =
     if strict_paper:
         strict_sup = np.max(as_float(cnv_column_sums(A, B, lam, k, strict_paper=True)))
         record("cnv-column-bound-strict", strict_sup, informational=True)
-        record("strict-vs-plain-bound-gap", abs(M - M_plain), informational=True)
+        record("strict-vs-plain-bound-gap", abs(M - probes.constant()[0]), informational=True)
 
     rng = np.random.default_rng(seed)
     for sweep in range(3):

@@ -13,7 +13,7 @@ requested cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -225,12 +225,10 @@ def check_c14(B: NormalMatrix) -> ConditionReport:
 def check_c15(A: NormalMatrix) -> ConditionReport:
     """Diagonal-to-subdiagonal gap against the diagonal product.
 
-    ratio_n = |a_nn - a_{n+1,n}| / |a_nn a_{n+1,n+1}| for n = 0..N-1.
+    ratio_n = |a_nn - a_{n+1,n}| / |a_nn a_{n+1,n+1}| for n = 0..N-1, the gap
+    factor :meth:`~summakit.matrices.NormalMatrix.gap`: exactly 1 on a weighted mean.
     """
-    d = as_float(A.diagonal)
-    sub = as_float(A.subdiagonal)
-    ratios = np.abs(d[:-1] - sub) / np.abs(d[:-1] * d[1:])
-    return _report("C15", np.arange(A.order), ratios)
+    return _report("C15", np.arange(A.order), np.abs(as_float(A.gap())))
 
 
 PROBE_DIFFERENCE = "difference"
@@ -265,6 +263,10 @@ class DenseProbes(dict):
         """Each probe's sum_n n**(k-1) |delta_nv|**k, weight one at n = 0."""
         return {kind: column_sums(d, k, norm_weights(d.shape[0], k, is_exact(d))) for kind, d in self.items()}
 
+    def pow(self, kind: str, v: int, k):
+        """The probe at v's entry of :meth:`pows`, with the same bits, from its column alone."""
+        return DenseProbes({kind: self[kind][:, v : v + 1]}).pows(k)[kind][0]
+
 
 @dataclass(frozen=True)
 class WeightedProbes:
@@ -282,6 +284,7 @@ class WeightedProbes:
     rows: np.ndarray
     scalars: dict
     diag: dict
+    _pows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, w: WeightSequence, size: int, m: int, lv) -> WeightedProbes:
@@ -308,9 +311,17 @@ class WeightedProbes:
         return coef * T, coef * last
 
     def pows(self, k) -> dict:
-        """Each probe's sum_n n**(k-1) |delta_nv|**k: the diagonal term plus its tail through the last row."""
-        tails = {kind: self.tails(kind, k, self.rows.size - 1)[0] for kind in PROBE_KINDS}
-        return {kind: norm_weights(t.size, k, is_exact(t)) * abs_pow(self.diag[kind], k) + t for kind, t in tails.items()}
+        """Each probe's sum_n n**(k-1) |delta_nv|**k: the diagonal term plus its tail through the last row, kept per k."""
+        if k not in self._pows:
+            tails = {kind: self.tails(kind, k, self.rows.size - 1)[0] for kind in PROBE_KINDS}
+            self._pows[k] = {
+                kind: norm_weights(t.size, k, is_exact(t)) * abs_pow(self.diag[kind], k) + t for kind, t in tails.items()
+            }
+        return self._pows[k]
+
+    def pow(self, kind: str, v: int, k):
+        """The probe at v's entry of :meth:`pows`."""
+        return self.pows(k)[kind][v]
 
 
 def probe_columns(M: NormalMatrix, lv):

@@ -12,6 +12,7 @@ infinite statements themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,8 +91,8 @@ class ProbePass:
     ``delta_x`` and ``delta_y`` are :func:`~summakit.conditions.probe_columns`
     of A (unit factors) and of B: a weighted-mean side reads its weights in
     O(N) and forms no column, any other side holds the deltas over its kept
-    hat matrix, column v for the probe at v.  ``x_norm[kind]`` and
-    ``y_pow[kind]`` hold each probe's x-norm and y-norm**k.
+    hat matrix, column v for the probe at v.  ``x_norm[kind]`` and ``y_pow[kind]`` hold each
+    probe's x-norm and y-norm**k, reduced on first read; :meth:`probe` reduces a dense side's columns at v alone.
     """
 
     def __init__(self, A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k):
@@ -99,12 +100,12 @@ class ProbePass:
         self.A, self.k, self.b_diag, self.lv = A, k, B.diagonal, lam.values
         self.delta_x = probe_columns(A, unit)
         self.delta_y = probe_columns(B, lam.values)
-        self.x_norm = self.delta_x.pows(1)
-        self.y_pow = self.delta_y.pows(k)
 
-    def _y_norm(self, kind: str, v: int, strict_paper: bool):
+    x_norm = cached_property(lambda self: self.delta_x.pows(1))
+    y_pow = cached_property(lambda self: self.delta_y.pows(self.k))
+
+    def _y_norm(self, kind: str, v: int, strict_paper: bool, ypow):
         kf = float(self.k)
-        ypow = self.y_pow[kind][v]
         if strict_paper and kind == PROBE_DIFFERENCE:
             w_v = 1.0 if v == 0 else float(v) ** (kf - 1.0)
             b, f = float(self.b_diag[v]), float(self.lv[v])
@@ -114,12 +115,13 @@ class ProbePass:
     def probe(self, kind: str, v: int, strict_paper: bool = False) -> ProbeResult:
         """The probe at v; ``strict_paper`` swaps the difference probe's |b_vv lam_v|**k for b_vv |lam_v|**k."""
         dx, dy = self.delta_x.column(kind, v), self.delta_y.column(kind, v)
-        return ProbeResult(kind, v, dx, dy, self.x_norm[kind][v], self._y_norm(kind, v, strict_paper))
+        y_norm = self._y_norm(kind, v, strict_paper, self.delta_y.pow(kind, v, self.k))
+        return ProbeResult(kind, v, dx, dy, self.delta_x.pow(kind, v, 1), y_norm)
 
     def constant(self, strict_paper: bool = False):
         """(largest ratio, records (kind, v, ratio)) over v = 1..m-1 and both kinds, read from the norms alone."""
         records = [
-            (kind, v, _ratio(kind, v, self._y_norm(kind, v, strict_paper), x))
+            (kind, v, _ratio(kind, v, self._y_norm(kind, v, strict_paper, self.y_pow[kind][v]), x))
             for kind in PROBE_KINDS
             for v, x in enumerate(self.x_norm[kind].tolist()[1:], 1)
         ]
@@ -139,7 +141,7 @@ class ProbePass:
         largest value over n > v is two suffix maxima, O(N) for all of them.
         """
         x = self.delta_x
-        m = self.x_norm[PROBE_DIFFERENCE].size
+        m = self.A.order
         if self.A.weights is None:
             E = self.A.entries
             steps = np.cumsum(E[:, ::-1], axis=1)[:, ::-1]
@@ -202,39 +204,32 @@ def empirical_constant(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k,
     return ProbePass(A, B, lam, k).constant(strict_paper)
 
 
-def _gap_factors(A: NormalMatrix):
-    """a_vv and (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}) for v < N."""
-    Ad = A.diagonal
-    return Ad[:-1], (Ad[:-1] - A.subdiagonal) / (Ad[:-1] * Ad[1:])
-
-
 def _middle_summands(A: NormalMatrix, B: NormalMatrix, lv) -> np.ndarray:
-    """D / a_vv + S (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}), v < N.
+    """D / a_vv + S gap_v, v < N, gap_v A's :meth:`~summakit.matrices.NormalMatrix.gap`.
 
     D and S are the difference and shift probe matrices of B-hat and the
     factors ``lv``; the result is the first part's middle summand, shared by
     :func:`decompose` and :func:`build_cnv`.
     """
-    Ad, gap = _gap_factors(A)
     D, S = probe_deltas(hat_of(B).entries, lv)
-    D = D / Ad[None, :]  # a new array: the differences are freed before S * gap is formed
-    D += S * gap[None, :]
+    D = D / A.diagonal[None, :-1]  # a new array: the differences are freed before S * gap is formed
+    D += S * A.gap()[None, :]
     return D
 
 
-def _middle_sums(A: NormalMatrix, B: NormalMatrix, lv, x) -> np.ndarray:
-    """sum_{v<n} (middle summand at (n, v)) x_v for n = 0..N, one prefix sum on a weighted-mean B.
-
-    There column v of D and S is q_n / (Q_n Q_{n-1}) times -Delta_v and
-    Q_v lam_{v+1} below the diagonal (:class:`~summakit.conditions.WeightedProbes`),
-    so the summand at n > v is that row factor times
-    m_v = -Delta_v / a_vv + Q_v lam_{v+1} gap_v.
+def _middle_scalars(A: NormalMatrix, y: WeightedProbes) -> np.ndarray:
+    """m_v = -Delta_v / a_vv + Q_v lam_{v+1} gap_v, v < N, from a weighted-mean B's :class:`~summakit.conditions.WeightedProbes`
+    ``y``: the middle summand at n > v is m_v times their row factor q_n / (Q_n Q_{n-1}).
     """
+    return y.scalars[PROBE_DIFFERENCE] / A.diagonal[:-1] + y.scalars[PROBE_SHIFT] * A.gap()
+
+
+def _middle_sums(A: NormalMatrix, B: NormalMatrix, lv, x) -> np.ndarray:
+    """sum_{v<n} (middle summand at (n, v)) x_v for n = 0..N; on a weighted-mean B one prefix sum of m_v x_v."""
     if B.weights is None:
         return np.tril(_middle_summands(A, B, lv), -1) @ x
-    Ad, gap = _gap_factors(A)
     y = WeightedProbes.of(B.weights, B.size, A.order, lv)
-    return y.rows * prefix_sums((y.scalars[PROBE_DIFFERENCE] / Ad + y.scalars[PROBE_SHIFT] * gap) * x)
+    return y.rows * prefix_sums(_middle_scalars(A, y) * x)
 
 
 def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSample) -> Decomposition:
@@ -297,7 +292,7 @@ def key_identity_check(
     """Relative gap in the adjacent-inverse rearrangement at one (n, v).
 
     Left side uses entries of the computed hat inverse; right side uses only
-    A's diagonal and subdiagonal (and the B-hat factors shared by both).  The
+    A's diagonal and gap factor at v (and the B-hat factors shared by both).  The
     two are algebraically identical, so the return value is pure numerical
     error: |lhs - rhs| divided by the size of the two sides, the sum of the
     absolute values of the terms each one adds (see :func:`_key_gaps`).
@@ -348,11 +343,11 @@ def _key_gaps(f_v, f_v1, inv_d, inv_s, A: NormalMatrix, v):
     (f_v - f_v1) / a_vv counted as its two terms: the scale of their
     round-off.  A gap whose terms are all zero is 0.
     """
-    d, sub = A.diagonal, A.subdiagonal
+    d = A.diagonal[v]
     lhs = f_v * inv_d, f_v1 * inv_s
-    shift = f_v1 * (d[v] - sub[v]) / (d[v] * d[v + 1])
-    gap = abs(lhs[0] + lhs[1] - ((f_v - f_v1) / d[v] + shift))
-    size = abs(lhs[0]) + abs(lhs[1]) + (abs(f_v) + abs(f_v1)) / abs(d[v]) + abs(shift)
+    shift = f_v1 * A.gap(v)
+    gap = abs(lhs[0] + lhs[1] - ((f_v - f_v1) / d + shift))
+    size = abs(lhs[0]) + abs(lhs[1]) + (abs(f_v) + abs(f_v1)) / abs(d) + abs(shift)
     if np.ndim(size):
         return gap / np.where(size == 0, 1, size)
     return gap / size if size else gap
@@ -412,26 +407,21 @@ def build_dnr(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) -> np.nd
 def cnv_column_sums(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k, strict_paper: bool = False) -> np.ndarray:
     """Column k-power sums of :func:`build_cnv`'s array, v = 0..N.
 
-    For a weighted-mean pair, weights p of A and q of B, the array is not
-    formed.  The gap factor of a weighted mean is exactly 1, so below the
-    diagonal column v is n**e q_n / (Q_n Q_{n-1}) (Q_v lam_{v+1} -
-    Delta_v P_v / p_v), with n**e the row factor, and column v >= 1 sums to
-    v**(e k) |b_vv lam_v / a_vv|**k + |Q_v lam_{v+1} - Delta_v P_v / p_v|**k T_v:
-    T_v is the W tail through row N with index power e k, which is k - 1, or
-    (k - 1) / k with ``strict_paper``.
+    For a weighted-mean B, weights q, the array is not formed.  Below the
+    diagonal column v is n**e q_n / (Q_n Q_{n-1}) m_v, with n**e the row
+    factor and m_v of :func:`_middle_scalars`, so column v >= 1 sums to
+    v**(e k) |b_vv lam_v / a_vv|**k + |m_v|**k T_v: T_v is the W tail through
+    row N with index power e k, which is k - 1, or (k - 1) / k with ``strict_paper``.
     """
     check_exponent(k)
-    if A.weights is None or B.weights is None:
+    if B.weights is None:
         return column_sums(build_cnv(A, B, lam, k, strict_paper), k)
     check_pair(A, B, lam, A.size)
     N, size = A.order, A.size
     power = (float(k) - 1.0) / float(k) if strict_paper else k - 1
-    p, q, lv = A.weights, B.weights, lam.values
-    y = WeightedProbes.of(q, size, N, lv)
-    mid = y.scalars[PROBE_SHIFT] + y.scalars[PROBE_DIFFERENCE] * p.cumulative[:N] / p.weights[:N]
-    below = y.tails(None, k, N, mid, power)[0]
-    ratio = q.weights[:size] / q.cumulative[:size] * lv[:size] / (p.weights[:size] / p.cumulative[:size])
-    diag = index_pow(np.arange(size), power, is_exact(below)) * abs_pow(ratio, k)
+    y = WeightedProbes.of(B.weights, size, N, lam.values)
+    below = y.tails(None, k, N, _middle_scalars(A, y), power)[0]
+    diag = index_pow(np.arange(size), power, is_exact(below)) * abs_pow(B.diagonal * lam.values[:size] / A.diagonal, k)
     sums = diag + np.concatenate((below, [0]))
     sums[0] = 0
     return sums

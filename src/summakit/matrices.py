@@ -36,7 +36,7 @@ class NormalMatrix:
     (float64, or object dtype for exact rational work), as the WeightSequence
     ``weights`` of a weighted mean (it may run past the order), or as its order
     alone (the identity).  The last two compute ``entries`` on first read and
-    keep them; the diagonal, subdiagonal and row sums read the structure in O(N).
+    keep them; the diagonal, subdiagonal, row sums and gap factor read the structure in O(N).
     """
 
     __slots__ = ("size", "exact", "weights", "_entries", "_built", "_hat", "_hat_inverse", "_inverse")
@@ -104,6 +104,14 @@ class NormalMatrix:
         if self._entries is not None:
             return self._entries.sum(axis=1)
         return np.ones(self.size, dtype=object if self.exact else float)
+
+    def gap(self, v=None):
+        """(a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}) for v < N, or at ``v``: exactly 1 on a weighted mean and the identity."""
+        v = np.arange(self.order) if v is None else v
+        if self._entries is None:
+            return np.ones(self.order, dtype=object if self.exact else float)[v]
+        E = self._entries
+        return (E[v, v] - E[v + 1, v]) / (E[v, v] * E[v + 1, v + 1])
 
     def __repr__(self):
         return f"NormalMatrix(order={self.order}, exact={self.exact})"

@@ -244,3 +244,47 @@ def mp_key_gaps(p_weights, q_weights, lam):
             size = abs(lhs[0]) + abs(lhs[1]) + (abs(f_v) + abs(f_v1)) / d + abs(shift)
             out.append(abs(lhs[0] + lhs[1] - ((f_v - f_v1) / d + shift)) / size)
         return out
+
+
+def mp_weighted_mean_bands(weights):
+    """Diagonal p_v / P_v and subdiagonal p_v / P_{v+1} of the weighted mean of ``weights``."""
+    with mpmath.workdps(MP_DIGITS):
+        p = mp_list(weights)
+        P = partial_sums(p)
+        return [p[v] / P[v] for v in range(len(p))], [p[v] / P[v + 1] for v in range(len(p) - 1)]
+
+
+def mp_cnv_column_sums(a_bands, q_weights, lam, k, index_powers):
+    """Column k-power sums of the first part's array c_nv at v = 0..N for a weighted-mean B, in O(N).
+
+    One list of sums per index power e in ``index_powers`` (k - 1 plain,
+    (k - 1) / k strict).  A enters through its diagonal and subdiagonal
+    ``a_bands`` alone.  Column v >= 1 holds v**(e/k) b_vv lam_v / a_vv at
+    row v and n**(e/k) (D_nv / a_vv + S_nv g_v) at rows n > v, with
+    g_v = (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}) and D, S as in
+    :func:`mp_first_part`: that summand is e_n times
+    m_v = (Q_{v-1} lam_v - Q_v lam_{v+1}) / a_vv + Q_v lam_{v+1} g_v, so the
+    column sums to v**e |b_vv lam_v / a_vv|**k + |m_v|**k sum_{n>v} n**e |e_n|**k.
+    """
+    with mpmath.workdps(MP_DIGITS):
+        d, sub = (mp_list(band) for band in a_bands)
+        q, lam = mp_list(q_weights), mp_list(lam)
+        inv_Q = [1 / Q for Q in partial_sums(q)]
+        N = len(d) - 1
+        k = mp_list([k])[0]
+        row = [abs(inv_Q[n - 1] - inv_Q[n]) ** k for n in range(1, N + 1)]  # |e_n|**k at n = 1..N
+        diag = [abs(q[v] * inv_Q[v] * lam[v] / d[v]) ** k for v in range(1, N + 1)]
+        mid = []
+        for v in range(1, N):
+            shift = lam[v + 1] / inv_Q[v]
+            g = (d[v] - sub[v]) / (d[v] * d[v + 1])
+            mid.append(abs((lam[v] / inv_Q[v - 1] - shift) / d[v] + shift * g) ** k)
+        out = []
+        for e in mp_list(index_powers):
+            sums, tail = [], mpmath.mpf(0)  # tail = sum_{n > v} n**e |e_n|**k
+            for v in range(N, 0, -1):
+                index = mpmath.mpf(v) ** e
+                sums.append(index * diag[v - 1] + (mid[v - 1] * tail if v < N else 0))
+                tail += index * row[v - 1]
+            out.append([mpmath.mpf(0)] + sums[::-1])
+        return out

@@ -386,7 +386,8 @@ def run_under_cap(argv, gib=2):
         "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(summakit.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", code] + argv, env=env, capture_output=True, text=True)
+    # a hung child fails the test after five minutes instead of holding the runner
+    proc = subprocess.run([sys.executable, "-c", code] + argv, env=env, capture_output=True, text=True, timeout=300)
     return proc.returncode, int(proc.stdout or 0) / 1024, proc.stderr  # VmHWM is in kB
 
 

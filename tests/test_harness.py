@@ -146,6 +146,22 @@ def test_empirical_constant_records_equal_run_probe_ratios():
                 assert ratio == sk.inequality20_ratio(sk.run_probe(A, B, lam, v, kind, 2, strict_paper=strict))
 
 
+def test_run_probe_reduces_only_the_two_columns_it_reads(monkeypatch):
+    # a dense side sums the column of its probe alone, not all N columns of both kinds
+    import summakit.conditions
+
+    real, reduced = summakit.conditions.accurate_sum, []
+    monkeypatch.setattr(summakit.conditions, "accurate_sum", lambda values: reduced.append(len(values)) or real(values))
+    rng = np.random.default_rng(71)
+    N = 20
+    A, B = helpers.random_normal_matrix(rng, N), helpers.random_normal_matrix(rng, N)
+    lam = sk.FactorSequence(rng.uniform(-1, 1, N + 2))
+    for kind in (sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT):
+        reduced.clear()
+        sk.run_probe(A, B, lam, 7, kind, 2)
+        assert reduced == [N + 1, N + 1]  # the x-side column, then the y-side one
+
+
 def test_probe_pass_is_the_definition_exactly_rational():
     # the x-side deltas are the first difference in n of A applied to the partial
     # sums: column v of A for e_v - e_{v+1}, A's reversed row cumulative sum for e_{v+1}
@@ -532,7 +548,8 @@ def _dense_constant(x_norm, y_pow, b_diag, lv, k, strict):
 @pytest.mark.parametrize("k", WEIGHT_NATIVE_K)
 def test_weight_native_norms_match_dense_columns(k):
     # a weighted-mean pair's probe norms, bound constants and c_nv column sums read from the
-    # weights, beside the same quantities reduced from the dense columns of the closed-form hats
+    # weights, beside the same quantities reduced from the dense columns of the closed-form hats;
+    # the c_nv sums read a weighted-mean B from its weights beside an explicit A too
     rng = np.random.default_rng(89)
     for N in (12, 300):
         riesz = sk.riesz_matrix(sk.WeightSequence((np.arange(N + 1) + 1.0) ** 0.5))
@@ -543,6 +560,7 @@ def test_weight_native_norms_match_dense_columns(k):
                 sk.riesz_matrix(helpers.random_positive_weights(rng, N + 1, 0.5, 2.0)),
                 rng.uniform(-1, 1, N + 2),
             ),
+            (helpers.random_normal_matrix(np.random.default_rng(N), N), riesz, 1.0 / np.sqrt(np.maximum(np.arange(N + 2), 1))),
         ]
         for A, B, lam_vals in pairs:
             lam = sk.FactorSequence(lam_vals)

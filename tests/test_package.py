@@ -46,6 +46,31 @@ def test_only_matrices_and_conditions_read_a_weight_sequences_formulas():
     assert found == []
 
 
+def _attribute_reads(module, attr):
+    """The qualified name of the function around each ``.attr`` in ``module``'s source."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse((ROOT / "src" / "summakit" / module).read_text()), ())
+    return found
+
+
+def test_the_gap_factor_and_the_cumulative_weights_are_read_in_one_place_each():
+    # (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}) is NormalMatrix.gap: conditions and harness read no
+    # subdiagonal but the stand-in hat inverse key_identity_check accepts, and harness reads a
+    # weight sequence's cumulative sums only to check the probes against their definition
+    assert _attribute_reads("conditions.py", "subdiagonal") == []
+    assert set(_attribute_reads("harness.py", "subdiagonal")) == {"key_identity_check"}
+    assert set(_attribute_reads("harness.py", "cumulative")) == {"ProbePass.definition_gap"}
+
+
 def test_readme_quick_start_runs():
     text = (ROOT / "README.md").read_text()
     block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]

@@ -80,6 +80,9 @@ def test_weight_native_verify_rows_equal_the_dense_rows_exactly(data):
         assert dec.residual == 0
         for part in ("t1", "t2", "delta_y"):
             assert list(getattr(dec, part)) == list(getattr(dense, part))
+        for strict in (False, True):  # at k = 1 the row factors are one: a weighted-mean Y's O(N) sums are exact
+            cnv = sk.l1_lk_bound(sk.build_cnv(X, Y, lam, 1, strict), 1).column_sums
+            assert list(sk.cnv_column_sums(X, Y, lam, 1, strict)) == list(cnv)
         gaps = sk.key_identity_gaps(X, Y, lam)
         assert len(gaps) == N - 1 and all(g == 0 for g in gaps)
         probes = sk.ProbePass(X, Y, lam, 2)

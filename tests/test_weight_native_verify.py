@@ -114,6 +114,26 @@ def test_weight_native_rows_match_the_40_digit_oracles(beta_a, beta_b):
     assert probes.definition_gap() <= 4 * EPS
 
 
+# (beta of A, beta of B, k): every beta on each side and every k once, each k plain and strict,
+# on the weighted pair and on an explicit A (the weighted mean's dense twin) with a weighted-mean B,
+# whose gap factor is evaluated from its float entries; the oracle reads those entries exactly
+CNV_CASES = [(0.0, 0.5, 1), (0.5, 2.0, 1.5), (2.0, 0.0, 2), (0.0, 0.5, 3.7)]
+
+
+@pytest.mark.parametrize("beta_a, beta_b, k", CNV_CASES)
+def test_cnv_column_sums_match_the_40_digit_oracle(beta_a, beta_b, k):
+    N = N_MP
+    p, q, lam = power_weights(beta_a, N), power_weights(beta_b, N), power_factors(N)
+    A, B, factors = sk.riesz_matrix(sk.WeightSequence(p)), sk.riesz_matrix(sk.WeightSequence(q)), sk.FactorSequence(lam)
+    explicit = sk.NormalMatrix(A.entries)
+    for X, bands in ((A, oracles.mp_weighted_mean_bands(p)), (explicit, (explicit.diagonal, explicit.subdiagonal))):
+        plain, strict = oracles.mp_cnv_column_sums(bands, q, lam[: N + 1], k, (k - 1, (k - 1) / k))
+        for strict_paper, want in ((False, plain), (True, strict)):
+            got = sk.cnv_column_sums(X, B, factors, k, strict_paper=strict_paper)
+            assert got[0] == 0
+            assert elementwise(got[1:], want[1:]) <= 80 * EPS
+
+
 def riesz_pair(N=40):
     A = sk.cesaro_matrix(N)
     B = sk.riesz_matrix(sk.WeightSequence(power_weights(0.5, N)))
