@@ -284,46 +284,104 @@ def build_series(spec: dict, size: int) -> SeriesSample:
 # ---------------------------------------------------------------------------
 
 
-FLOAT_COLUMNS = frozenset(("ratio", "running_sup", "transform", "delta", "term", "running_total", "value", "tolerance"))
+def _csv_cell(x) -> str:
+    """One CSV cell: floats with 17 significant digits, flags as true/false, None empty, text as csv.writer spells it.
+
+    Only text holding a comma, quote or line break is handed to csv, as which
+    line breaks it quotes varies with the Python version.  csv leaves any
+    other text bare, and an empty cell too in a row of two or more cells.
+    """
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return "%.17g" % x  # the bytes of format(x, ".17g"), in less time
+    if isinstance(x, int):
+        return "%d" % x
+    text = "" if x is None else str(x)
+    if "," not in text and '"' not in text and "\r" not in text and "\n" not in text:
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text,))
+    return buf.getvalue()[:-1]
 
 
-def _cells(column: str, values: list) -> list[str]:
-    """One CSV column in one pass: floats with 17 significant digits, flags as true/false, None as ''."""
-    if column in FLOAT_COLUMNS:
-        return ["" if x is None else "%.17g" % x for x in values]  # the bytes of format(x, ".17g"), in less time
-    if column == "tail_warning":
-        return ["true" if x else "false" for x in values]
-    return ["" if x is None else str(x) for x in values]
+def _field(values, fmt: str) -> tuple[str, list]:
+    """The row-template field of a per-row entry, and the values it takes.
+
+    Integer arrays and float arrays are formatted by the template itself; in
+    JSON a float array only when all finite, as ``%r`` is the repr ``json``
+    prints.  Every other entry is spelled cell by cell, in JSON by one
+    ``json.dumps`` call: json escapes a line break in a string, so a raw one
+    parts the cells.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu":
+            return "%d", values.tolist()
+        if values.dtype.kind == "f" and (fmt == "csv" or np.isfinite(values).all()):
+            return ("%.17g" if fmt == "csv" else "%r"), values.tolist()
+        values = values.tolist()
+    if fmt == "csv":
+        return "%s", [_csv_cell(x) for x in values]
+    return "%s", json.dumps(values, separators=("\n", ": "))[1:-1].split("\n") if values else []
+
+
+def _size(block: tuple) -> int:
+    """A block's row count, the length of its first per-row entry."""
+    return next(len(v) for v in block if isinstance(v, (np.ndarray, list)))
+
+
+def _block(block: tuple, fmt: str) -> tuple[list[str], int, tuple]:
+    """A block's row-template fields, its row count, and its per-row values row after row; constants are baked in."""
+    fields, columns = [], []
+    for v in block:
+        if isinstance(v, (np.ndarray, list)):
+            field, values = _field(v, fmt)
+            columns.append(values)
+        else:
+            field = (json.dumps(v) if fmt == "json" else _csv_cell(v)).replace("%", "%%")
+        fields.append(field)
+    size = _size(block)
+    flat = [None] * (size * len(columns))
+    for j, values in enumerate(columns):
+        flat[j :: len(columns)] = values
+    return fields, size, tuple(flat)
+
+
+def _report_texts(columns: list[str], blocks: list[tuple], meta: dict, fmt: str):
+    """The report's text: its head, then one text per block, then (JSON) its close."""
+    if fmt == "csv":
+        yield ",".join(map(_csv_cell, columns)) + "\n"
+        for block in blocks:
+            fields, size, values = _block(block, fmt)
+            yield ((",".join(fields) + "\n") * size) % values
+        return
+    # the layout of json.dumps({"meta": meta, "rows": rows}, indent=2), which closes an object with "\n}"
+    yield json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "rows": ['
+    keys = [json.dumps(c).replace("%", "%%") for c in columns]
+    rows = 0
+    for block in blocks:
+        fields, size, values = _block(block, fmt)
+        row = ",\n    {\n" + ",\n".join("      %s: %s" % kv for kv in zip(keys, fields)) + "\n    }"
+        text = (row * size) % values
+        yield text if rows else text[1:]  # no comma before the first row
+        rows += size
+    yield "\n  ]\n}\n" if rows else "]\n}\n"
 
 
 def write_rows(columns: list[str], blocks: list[tuple], meta: dict, fmt: str, path: str | None) -> None:
     """Write a report table as CSV or JSON.
 
     Each block is a run of rows with one entry per column: an array or list
-    of per-row values, or a value constant within the block.
+    of per-row values, or a value constant within the block.  A block is
+    formatted through one row template and written before the next is formatted.
     """
-    rows = []
-    for block in blocks:
-        block = [v.tolist() if isinstance(v, np.ndarray) else v for v in block]
-        size = next(len(v) for v in block if isinstance(v, list))
-        if fmt == "csv":  # a column's cells in one pass, a constant's once
-            block = [_cells(c, v) if isinstance(v, list) else _cells(c, [v])[0] for c, v in zip(columns, block)]
-        rows += zip(*(v if isinstance(v, list) else [v] * size for v in block))
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        rows = [dict(zip(columns, row)) for row in rows]
-        text = json.dumps({"meta": meta, "rows": rows}, indent=2, allow_nan=True) + "\n"
+    texts = _report_texts(columns, blocks, meta, fmt)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        log.info("wrote %s report with %d rows to %s", fmt, len(rows), path)
+            fh.writelines(texts)
+        log.info("wrote %s report with %d rows to %s", fmt, sum(map(_size, blocks)), path)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _meta(config: ExperimentConfig, command: str, extra: dict | None = None) -> dict:

@@ -6,12 +6,17 @@ so it can serve as the reference side of every comparison.  The ``mp_``
 oracles of a weighted-mean pair run in O(N) at 40 significant digits
 (mpmath), from the definitions rather than the library's factored forms: a
 float input is converted exactly, so their values differ from the exact
-ones by about 1e-40 relative, far below float64 round-off.
+ones by about 1e-40 relative, far below float64 round-off.  ``report_text``
+is the reference side of the report writer.
 """
 
+import csv
+import io
+import json
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 MP_DIGITS = 40
 
@@ -288,3 +293,43 @@ def mp_cnv_column_sums(a_bands, q_weights, lam, k, index_powers):
                 tail += index * row[v - 1]
             out.append([mpmath.mpf(0)] + sums[::-1])
         return out
+
+
+# ---------------------------------------------------------------------------
+# the report writer: every row zipped into one list, printed by csv.writer or json.dumps
+# ---------------------------------------------------------------------------
+
+FLOAT_COLUMNS = frozenset(("ratio", "running_sup", "transform", "delta", "term", "running_total", "value", "tolerance"))
+
+
+def _cells(column, values):
+    """One CSV column in one pass: floats with 17 significant digits, flags as true/false, None as ''."""
+    if column in FLOAT_COLUMNS:
+        return ["" if x is None else "%.17g" % x for x in values]
+    if column == "tail_warning":
+        return ["true" if x else "false" for x in values]
+    return ["" if x is None else str(x) for x in values]
+
+
+def report_text(columns, blocks, meta, fmt):
+    """The text ``cli.write_rows`` writes for these blocks.
+
+    Cells are spelled by column name: a ``FLOAT_COLUMNS`` column with
+    ``'%.17g'``, ``tail_warning`` as true/false, any other with ``str``.  The
+    reports' schemas keep floats, flags and the other values in those columns.
+    """
+    rows = []
+    for block in blocks:
+        block = [v.tolist() if isinstance(v, np.ndarray) else v for v in block]
+        size = next(len(v) for v in block if isinstance(v, list))
+        if fmt == "csv":
+            block = [_cells(c, v) if isinstance(v, list) else _cells(c, [v])[0] for c, v in zip(columns, block)]
+        rows += zip(*(v if isinstance(v, list) else [v] * size for v in block))
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        return buf.getvalue()
+    rows = [dict(zip(columns, row)) for row in rows]
+    return json.dumps({"meta": meta, "rows": rows}, indent=2, allow_nan=True) + "\n"

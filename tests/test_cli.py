@@ -435,6 +435,20 @@ def test_check_weighted_pair_order_20000_fits_under_a_1_gib_cap(tmp_path):
     assert len(read_rows(tmp_path / "n20000.csv")) == 11 * 20000 + 4
 
 
+def test_check_json_order_20000_stays_under_200_mb(tmp_path):
+    # each block is formatted through one row template and written before the next:
+    # 84 MB peak RSS and 0.69 s (442 MB and 3.28 s when the rows went through
+    # json.dumps(indent=2) as one list), measured on a 2-core x86-64 host
+    config = base_config(N=20000, k=2, matrix_b=RIESZ_B, conditions=ALL_CONDITIONS)
+    del config["tail"]
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "n20000.json"
+    code, peak_mb, err = run_under_cap(["check", "--config", cfg, "--out", str(out), "--format", "json"], gib=1)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out.read_text())["rows"]) == 11 * 20000 + 4
+    assert peak_mb < 200
+
+
 def test_check_identity_b_reads_its_tails_in_closed_form(tmp_path):
     # no (cutoff+1)**2 identity carrier: 33 MB peak RSS against 427 MB with one
     config = base_config(N=400, k=1.5, matrix_b={"kind": "identity"}, conditions=ALL_CONDITIONS[:-1])
