@@ -14,9 +14,11 @@ exact suffix-sum kernel of the W tails and the d_nr bound;
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import numbers
+import operator
 
 import numpy as np
 
@@ -64,22 +66,45 @@ def suffix_sums(terms, count: int) -> np.ndarray:
     d * 2**e, so the floats are added exactly as integers on their smallest
     exponent and each suffix is rounded once, by correctly rounded integer
     division: every value is bit-identical to ``math.fsum(terms[j:])``.  A
-    suffix holding an inf or NaN term is inf or NaN, as with fsum.
+    suffix holding an inf or NaN term is inf or NaN, as with fsum.  The
+    terms are split a chunk at a time, and those past ``count`` go into one
+    running sum, so only ``count`` suffixes are ever held.
     """
+    count = min(count, len(terms))
     if is_exact(terms):
-        return np.asarray(list(itertools.accumulate(reversed(terms.tolist())))[::-1][:count], dtype=object)
+        return np.asarray(_last_running_sums(reversed(terms.tolist()), count), dtype=object)
     t = as_float(terms)
     finite = np.isfinite(t)
-    mant, expo = np.frexp(np.where(finite, t, 0.0))
-    low = min(int(expo.min(initial=53)) - 53, 0)  # 53: an empty input has no exponents
-    digits = (mant * 2.0**53).astype(np.int64).tolist()
-    shifts = (expo - 53 - low).tolist()
-    sums = list(itertools.accumulate(d << s for d, s in zip(reversed(digits), reversed(shifts))))[::-1]
+
+    def frexp(lo, hi):
+        return np.frexp(np.where(finite[lo:hi], t[lo:hi], 0.0))
+
+    chunks = range(0, t.size, _CHUNK)
+    low = min(min((int(frexp(i, i + _CHUNK)[1].min()) for i in chunks), default=53) - 53, 0)  # 53: no terms
+
+    def ints(lo, hi):
+        mant, expo = frexp(lo, hi)
+        return map(operator.lshift, (mant * 2.0**53).astype(np.int64).tolist(), (expo - 53 - low).tolist())
+
+    rest = itertools.chain.from_iterable(ints(i, i + _CHUNK) for i in range(count, t.size, _CHUNK))
+    sums = _last_running_sums(itertools.chain(rest, reversed(list(ints(0, count)))), count)
     scale = 1 << -low
-    out = np.asarray([s / scale for s in sums[:count]])
+    out = np.asarray([s / scale for s in sums], dtype=float)
     if not finite.all():
         out = out + np.cumsum(np.where(finite, 0.0, t)[::-1])[::-1][:count]
     return out
+
+
+_CHUNK = 1 << 16
+
+
+def _last_running_sums(terms, count: int) -> list:
+    """The last ``count`` running sums of ``terms``, the last one first.
+
+    Given the terms from the back, with the first ``count`` last, these are
+    sum(terms[j:]) for j = 0..count-1; the earlier sums are dropped as they go.
+    """
+    return list(collections.deque(itertools.accumulate(terms), maxlen=count))[::-1]
 
 
 def nan_max(values, default=0.0):
@@ -105,7 +130,7 @@ def abs_pow(values, k):
     """Elementwise |x|**k, staying exact for object arrays with integer k."""
     arr = np.asarray(values)
     if arr.dtype == object and float(k).is_integer():
-        return np.abs(arr) ** int(k)
+        return np.abs(arr) if k == 1 else np.abs(arr) ** int(k)
     return np.abs(as_float(arr)) ** float(k)
 
 

@@ -154,14 +154,23 @@ def _number(spec: dict, key: str, default: float, where: str) -> float:
 
 
 def _numbers(values, where: str) -> np.ndarray:
-    """A JSON list of numbers as a float array; anything :func:`_finite` refuses is a config error."""
+    """A JSON list of numbers as a float array; anything :func:`_finite` refuses is a config error.
+
+    A list of ints and floats alone is converted and checked in one array
+    pass; only a list that fails it is searched cell by cell for the first
+    value to name.
+    """
     if not isinstance(values, list):
         raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
-    xs = [_finite(x) for x in values]
-    if None in xs:
-        i = xs.index(None)
-        raise ConfigError(f"{where}[{i}] must be a number, got {values[i]!r}")
-    return np.asarray(xs, dtype=float)
+    if set(map(type, values)) <= {int, float}:  # bool is a type of its own
+        try:
+            xs = np.asarray(values, dtype=float)
+        except OverflowError:  # an int past float range
+            xs = None
+        if xs is not None and np.isfinite(xs).all():
+            return xs
+    i = next(i for i, x in enumerate(values) if _finite(x) is None)
+    raise ConfigError(f"{where}[{i}] must be a number, got {values[i]!r}")
 
 
 def _generated_weights(spec: dict, order: int) -> np.ndarray:

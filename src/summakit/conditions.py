@@ -161,7 +161,7 @@ def _tail_report(cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v
     else:
         M = np.tril(probe_deltas(hat_columns(B, v_max + 1)[: cutoff_eff + 1], lam.values)[shift], -1)
         w = norm_weights(cutoff_eff + 1, k, is_exact(M))
-        totals = column_sums(M, k, w)
+        totals = column_sums(M, k, w, lower=True)
         last = w[-1] * abs_pow(M[-1], k)
     warned = warned or bool(np.any(last > tail.warn_threshold * totals))
     ratios = as_float(totals) / as_float(denominators[: v_max + 1])
@@ -244,28 +244,76 @@ def probe_deltas(H: np.ndarray, lv) -> tuple[np.ndarray, np.ndarray]:
     ``lv``, and column v of S = BL[:, v+1] that of the shift probe e_{v+1}.
     Below row v these are the columns that C10 and C11 sum.
     """
-    BL = H * lv[None, : H.shape[1]]
+    BL = _scaled_columns(H, lv)
     return BL[:, :-1] - BL[:, 1:], BL[:, 1:]
 
 
-def column_sums(M: np.ndarray, k, w=None) -> np.ndarray:
-    """accurate_sum(w * |M[:, j]|**k) for every column j; no weights when ``w`` is None."""
-    return np.asarray([accurate_sum(abs_pow(col, k) if w is None else w * abs_pow(col, k)) for col in M.T])
+def _scaled_columns(H: np.ndarray, lv) -> np.ndarray:
+    """H diag(lv) for the lower-triangular hat columns ``H``.
+
+    On exact (object) arrays only the lower triangle is multiplied: the
+    zeros above it stay plain ints, so nothing downstream does rational
+    arithmetic on them.
+    """
+    lv = lv[: H.shape[1]]
+    if not is_exact(H):
+        return H * lv[None, :]
+    BL = np.zeros(H.shape, dtype=object)
+    for n in range(H.shape[0]):
+        BL[n, : n + 1] = H[n, : n + 1] * lv[: n + 1]
+    return BL
+
+
+def column_sums(M: np.ndarray, k, w=None, lower: bool = False) -> np.ndarray:
+    """accurate_sum(w * |M[:, j]|**k) for every column j; no weights when ``w`` is None or all ones.
+
+    With ``lower`` column j is zero above row j, and only rows j.. are read.
+    """
+    if w is not None and np.all(w == 1):
+        w = None
+    sums = []
+    for j, col in enumerate(M.T):
+        lo = j if lower else 0
+        terms = abs_pow(col[lo:], k)
+        sums.append(accurate_sum(terms if w is None else w[lo:] * terms))
+    return np.asarray(sums)
+
+
+def _pows(M: np.ndarray, k) -> np.ndarray:
+    """sum_n n**(k-1) |M_nv|**k for every column v of a probe array, weight one at n = 0."""
+    return column_sums(M, k, norm_weights(M.shape[0], k, is_exact(M)), lower=True)
 
 
 class DenseProbes(dict):
-    """The arrays D and S of :func:`probe_deltas`, keyed by probe kind: column v is the probe at v."""
+    """The probes of :func:`probe_deltas` through the hat columns ``H`` and the factors ``lv``.
+
+    Keyed by probe kind, the arrays D and S are formed when read and not
+    kept; an array set on the mapping stands in for the one it would form.
+    Column v is the probe at v: :meth:`column` forms it from hat columns v
+    and v + 1 alone, with the same bits.
+    """
+
+    def __init__(self, H: np.ndarray, lv):
+        super().__init__()
+        self.H, self.lv = H, lv
+
+    def __missing__(self, kind: str) -> np.ndarray:
+        return self._arrays()[kind]
+
+    def _arrays(self) -> dict:
+        return {**dict(zip(PROBE_KINDS, probe_deltas(self.H, self.lv))), **self}
 
     def column(self, kind: str, v: int) -> np.ndarray:
-        return self[kind][:, v]
+        shift = self.H[:, v + 1] * self.lv[v + 1]
+        return self.H[:, v] * self.lv[v] - shift if kind == PROBE_DIFFERENCE else shift
 
     def pows(self, k) -> dict:
         """Each probe's sum_n n**(k-1) |delta_nv|**k, weight one at n = 0."""
-        return {kind: column_sums(d, k, norm_weights(d.shape[0], k, is_exact(d))) for kind, d in self.items()}
+        return {kind: _pows(d, k) for kind, d in self._arrays().items()}
 
     def pow(self, kind: str, v: int, k):
         """The probe at v's entry of :meth:`pows`, with the same bits, from its column alone."""
-        return DenseProbes({kind: self[kind][:, v : v + 1]}).pows(k)[kind][0]
+        return _pows(self.column(kind, v)[:, None], k)[0]
 
 
 @dataclass(frozen=True)
@@ -328,7 +376,7 @@ def probe_columns(M: NormalMatrix, lv):
     """M's probes at v = 0..N-1 with the factors ``lv``: read from the weights of a weighted mean, else from its hat matrix."""
     if M.weights is not None:
         return WeightedProbes.of(M.weights, M.size, M.order, lv)
-    return DenseProbes(zip(PROBE_KINDS, probe_deltas(hat_of(M).entries, lv)))
+    return DenseProbes(hat_of(M).entries, lv)
 
 
 def inner_sums(BL: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -359,7 +407,7 @@ def check_c16(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> Conditio
     lv = lam.values[: N + 1]
     nums = np.zeros(N + 1)
     if A.weights is None:
-        inner = inner_sums(as_float(np.abs(hat_of(B).entries * lv[None, :])), as_float(np.abs(hat_inverse(A).entries)))
+        inner = inner_sums(as_float(np.abs(_scaled_columns(hat_of(B).entries, lv))), as_float(np.abs(hat_inverse(A).entries)))
         nums[2:] = [inner[n, : n - 1].max() for n in range(2, N + 1)]
     den = np.abs(as_float(B.diagonal) / as_float(A.diagonal)) * np.abs(as_float(lv))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero denominator is resolved by np.where

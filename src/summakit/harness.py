@@ -23,10 +23,11 @@ from .errors import (
     LengthMismatchError,
 )
 from .conditions import PROBE_DIFFERENCE, PROBE_KINDS, PROBE_SHIFT, WeightedProbes, column_sums, probe_columns, probe_deltas
-from .matrices import NormalMatrix, apply_hat, hat_inverse, hat_inverse_bands, hat_of
+from .matrices import NormalMatrix, apply_hat, apply_lower, hat_inverse, hat_inverse_bands, hat_of
 from .series import FactorSequence, SeriesSample
 
 _ROW_SUM_TOL = 1e-12
+_ROWS = 256  # rows of the key-identity triangle evaluated at once on a dense B
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,8 @@ def _middle_summands(A: NormalMatrix, B: NormalMatrix, lv) -> np.ndarray:
     """D / a_vv + S gap_v, v < N, gap_v A's :meth:`~summakit.matrices.NormalMatrix.gap`.
 
     D and S are the difference and shift probe matrices of B-hat and the
-    factors ``lv``; the result is the first part's middle summand, shared by
-    :func:`decompose` and :func:`build_cnv`.
+    factors ``lv``; the result is the first part's middle summand, the array
+    of :func:`build_cnv`.
     """
     D, S = probe_deltas(hat_of(B).entries, lv)
     D = D / A.diagonal[None, :-1]  # a new array: the differences are freed before S * gap is formed
@@ -224,12 +225,30 @@ def _middle_scalars(A: NormalMatrix, y: WeightedProbes) -> np.ndarray:
     return y.scalars[PROBE_DIFFERENCE] / A.diagonal[:-1] + y.scalars[PROBE_SHIFT] * A.gap()
 
 
-def _middle_sums(A: NormalMatrix, B: NormalMatrix, lv, x) -> np.ndarray:
-    """sum_{v<n} (middle summand at (n, v)) x_v for n = 0..N; on a weighted-mean B one prefix sum of m_v x_v."""
-    if B.weights is None:
-        return np.tril(_middle_summands(A, B, lv), -1) @ x
-    y = WeightedProbes.of(B.weights, B.size, A.order, lv)
-    return y.rows * prefix_sums(_middle_scalars(A, y) * x)
+def _first_part(A: NormalMatrix, B: NormalMatrix, lv, dx) -> np.ndarray:
+    """t1_n = b_nn lam_n / a_nn dx_n + sum_{v<n} (middle summand at (n, v)) dx_v for n = 0..N.
+
+    On a weighted-mean B the middle sums are one prefix sum of m_v dx_v; on
+    the identity the summand is (gap_{n-1} - 1 / a_{n-1,n-1}) lam_n at
+    v = n - 1 alone.  On any other B, with y_v = dx_v / a_vv, w_0 = 0 and
+    w_v = gap_{v-1} dx_{v-1} - y_{v-1}, the summand's two parts
+    (BL_nv - BL_{n,v+1}) y_v and BL_{n,v+1} gap_v dx_v regroup by B-hat
+    column, and with the diagonal term t1 is one product through B-hat:
+    t1 = hat(B) (lam (y + w)).  No (N+1)^2 summand array is formed.
+    """
+    N = A.order
+    if B.weights is None and not B.is_identity:
+        y = dx / A.diagonal
+        w = np.concatenate(([0], A.gap() * dx[:N] - y[:N]))
+        return apply_hat(B, lv * (y + w))
+    t1 = B.diagonal * lv / A.diagonal * dx
+    if not N:
+        return t1
+    if B.is_identity:
+        t1[1:] += (-lv[1:] / A.diagonal[:-1] + lv[1:] * A.gap()) * dx[:N]
+        return t1
+    y = WeightedProbes.of(B.weights, B.size, N, lv)
+    return t1 + y.rows * prefix_sums(_middle_scalars(A, y) * dx[:N])
 
 
 def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSample) -> Decomposition:
@@ -247,8 +266,10 @@ def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSa
     A weighted mean forms none of them, and each part is O(N): its hat
     products dx, dy are one prefix sum each (:func:`~summakit.matrices.apply_hat`),
     on a weighted-mean B t1's middle sums are one prefix sum of m_v dx_v
-    (:func:`_middle_sums`), and on a weighted-mean A the hat inverse is
-    bidiagonal, so t2 is exactly 0.
+    (:func:`_first_part`), and on a weighted-mean A the hat inverse is
+    bidiagonal, so t2 is exactly 0.  A dense side forms no array it only
+    reduces: t1 is one product through B-hat, and t2 is B-hat applied to lam
+    times the part of A's hat inverse below its subdiagonal applied to dx.
     """
     check_pair(A, B, lam, A.size)
     N = A.order
@@ -267,12 +288,9 @@ def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSa
     else:
         v0_retained = bool(np.max(np.abs(bar0 - 1.0)) > _ROW_SUM_TOL)
 
-    t1 = B.diagonal * lamv / A.diagonal * dx
-    if N:
-        t1 = t1 + _middle_sums(A, B, lamv, dx[:N])
-
+    t1 = _first_part(A, B, lamv, dx)
     if A.weights is None:  # the inner sums of C16 applied to dx, as two matrix-vector products
-        t2 = (hat_of(B).entries * lamv[None, :]) @ (np.tril(hat_inverse(A).entries, -2) @ dx)
+        t2 = apply_hat(B, lamv * apply_lower(np.tril(hat_inverse(A).entries, -2), dx))
     else:
         t2 = np.zeros_like(dx)
 
@@ -328,9 +346,14 @@ def key_identity_gaps(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> 
     if B.weights is not None:
         F = WeightedProbes.of(B.weights, B.size, N, lam.values).scalars[PROBE_SHIFT]
         return _key_gaps(F[:-1], F[1:], inv_d, inv_s, A, v)
-    F = hat_of(B).entries * lam.values[None, : N + 1]
-    gaps = _key_gaps(F[:, 1:N], F[:, 2:], inv_d, inv_s, A, v)
-    return np.where(np.tri(N + 1, max(N - 1, 0), -2, dtype=bool), gaps, 0).max(axis=0)
+    H, f = hat_of(B).entries, lam.values[: N + 1]
+    worst = np.zeros(max(N - 1, 0))
+    for lo in range(2, N + 1, _ROWS):  # a block of rows at a time bounds the temporaries
+        F = H[lo : lo + _ROWS] * f[None, :]
+        gaps = _key_gaps(F[:, 1:N], F[:, 2:], inv_d, inv_s, A, v)
+        below = np.arange(lo, lo + F.shape[0])[:, None] > v[None, :]  # (n, v) with v <= n - 1
+        worst = np.maximum(worst, np.where(below, gaps, 0).max(axis=0))
+    return worst
 
 
 def _key_gaps(f_v, f_v1, inv_d, inv_s, A: NormalMatrix, v):
@@ -347,6 +370,8 @@ def _key_gaps(f_v, f_v1, inv_d, inv_s, A: NormalMatrix, v):
     lhs = f_v * inv_d, f_v1 * inv_s
     shift = f_v1 * A.gap(v)
     gap = abs(lhs[0] + lhs[1] - ((f_v - f_v1) / d + shift))
+    if not np.ndim(gap) and gap == 0:  # 0 / size is 0: the size is not needed
+        return gap
     size = abs(lhs[0]) + abs(lhs[1]) + (abs(f_v) + abs(f_v1)) / abs(d) + abs(shift)
     if np.ndim(size):
         return gap / np.where(size == 0, 1, size)
@@ -415,7 +440,7 @@ def cnv_column_sums(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k, st
     """
     check_exponent(k)
     if B.weights is None:
-        return column_sums(build_cnv(A, B, lam, k, strict_paper), k)
+        return column_sums(build_cnv(A, B, lam, k, strict_paper), k, lower=True)
     check_pair(A, B, lam, A.size)
     N, size = A.order, A.size
     power = (float(k) - 1.0) / float(k) if strict_paper else k - 1

@@ -7,19 +7,27 @@ makes the truncation lossless: every output with row index <= N is exact.
 The module also builds the two semimatrices associated with a normal
 matrix A: the series-to-sequence matrix ``bar_of(A)`` whose (n, v) entry is
 the row tail-sum  sum_{i=v..n} a_ni,  and the series-to-series matrix
-``hat_of(A)`` obtained by differencing consecutive bar rows.  The hat
-matrix inherits A's diagonal, hence stays normal and invertible by forward
-substitution.  For a weighted mean the inverse is known in closed form and
+``hat_of(A)``, the first difference of bar in n.  Entry (n, v) of the hat
+matrix is the tail sum of row n of A less row n - 1, so it is built by
+differencing rows of A first and then summing each row from its diagonal
+down: no entry is the difference of two larger sums.  The hat matrix
+inherits A's diagonal, hence stays normal and invertible; ``invert_hat``
+inverts it by halves, with forward substitution on blocks of 64 rows or
+fewer.  For a weighted mean the inverse is known in closed form and
 is bidiagonal; ``hat_inverse`` uses it, so entries that vanish exactly stay
 exactly zero.  Both are computed once per matrix and kept on it, and
 ``invert_hat`` keeps the inverse it computes on the matrix it inverts.  A
 weighted mean's hat matrix is read from its weights: ``apply_hat`` multiplies
 by it and ``hat_inverse_bands`` gives its inverse's two bands in O(N).
+On exact (object) arrays, products and sums run over the lower triangle
+only, so no arithmetic touches the zeros above the diagonal.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
+import operator
 import time
 from fractions import Fraction
 
@@ -101,8 +109,9 @@ class NormalMatrix:
     @property
     def row_sums(self) -> np.ndarray:
         """sum_v a_nv for n = 0..N, the leading bar column: exactly one on a weighted mean and the identity."""
-        if self._entries is not None:
-            return self._entries.sum(axis=1)
+        E = self._entries
+        if E is not None:
+            return _tail_sums(E, 0, difference=False)[:, 0] if self.exact else E.sum(axis=1)
         return np.ones(self.size, dtype=object if self.exact else float)
 
     def gap(self, v=None):
@@ -217,11 +226,11 @@ def make_normal(entries, order: int | None = None) -> NormalMatrix:
         if all(w == len(rows) for w in widths):
             square = np.asarray([as_vector(r) for r in rows])
         elif all(w == n + 1 for n, w in enumerate(widths)):
-            vals = [x for r in rows for x in r]
-            exact = as_vector(vals).dtype == object
+            rows = [as_vector(r) for r in rows]
+            exact = any(is_exact(r) for r in rows)
             square = np.zeros((len(rows), len(rows)), dtype=object if exact else float)
             for n, r in enumerate(rows):
-                square[n, : n + 1] = as_vector(r)
+                square[n, : n + 1] = r
         else:
             raise ShapeMismatchError(f"row lengths {widths} fit neither a triangle nor a square")
     if order is not None and square.shape[0] != order + 1:
@@ -251,28 +260,40 @@ def cesaro_matrix(order: int, exact: bool = False) -> NormalMatrix:
     return riesz_matrix(WeightSequence(np.full(order + 1, Fraction(1) if exact else 1.0)))
 
 
+def _tail_sums(E: np.ndarray, v_hi: int, difference: bool) -> np.ndarray:
+    """Columns 0..v_hi of T's row tail sums sum_{i=v..n} T[n, i], zero for v > n.
+
+    T is the lower-triangular E, or with ``difference`` E with each row less
+    the row above (row 0 as it is).  Each row is summed from its diagonal
+    down to v, so no sum is a difference of two larger ones.  Float rows
+    are one ``cumsum``; exact rows are differenced and summed over their
+    lower triangle only.
+    """
+    size = E.shape[0]
+    v_hi = min(v_hi, size - 1)
+    if is_exact(E):
+        out = np.zeros((size, v_hi + 1), dtype=object)
+        rows = E.tolist()
+        for n, row in enumerate(rows):
+            terms = row[: n + 1]
+            if difference and n:
+                terms[:n] = map(operator.sub, terms[:n], rows[n - 1][:n])
+            sums = list(itertools.accumulate(reversed(terms)))[::-1]  # sums[v] = sum(terms[v:])
+            out[n, : min(n, v_hi) + 1] = sums[: v_hi + 1]
+        return out
+    T = np.diff(E, axis=0, prepend=0.0) if difference else E
+    sums = np.empty(T.shape)
+    np.cumsum(T[:, ::-1], axis=1, out=sums[:, ::-1])
+    return sums if v_hi == size - 1 else sums[:, : v_hi + 1].copy()
+
+
 def bar_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
     """Leading columns 0..v_hi of the bar matrix, over all rows of A.
 
-    bar[n, v] = sum_{i=v..n} a_ni, zero for v > n.  Computed from row
-    prefix sums so only O(size * v_hi) memory is touched, which matters
-    when A is built out to a long tail cutoff.
+    bar[n, v] = sum_{i=v..n} a_ni, zero for v > n, each row summed from its
+    diagonal down.
     """
-    E = A.entries
-    size = E.shape[0]
-    v_hi = min(v_hi, size - 1)
-    rowsum = E.sum(axis=1)
-    bar = np.empty((size, v_hi + 1), dtype=E.dtype)
-    bar[:, 0] = rowsum
-    if v_hi >= 1:
-        prefix = np.cumsum(E[:, :v_hi], axis=1)
-        bar[:, 1:] = rowsum[:, None] - prefix
-    bar = np.tril(bar)
-    # the (n, n) entry is a single-term tail sum; pin it so no rounding from
-    # the prefix subtraction leaks into the diagonal
-    idx = np.arange(v_hi + 1)
-    bar[idx, idx] = A.diagonal[: v_hi + 1]
-    return bar
+    return _tail_sums(A.entries, v_hi, difference=False)
 
 
 def bar_of(A: NormalMatrix) -> np.ndarray:
@@ -289,8 +310,10 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
 
     A weighted mean's hat matrix is read from its weights p:
     hat_nv = p_n P_{v-1} / (P_n P_{n-1}) for 1 <= v < n, with the diagonal
-    p_n / P_n of A itself and column 0 exactly zero below row 0.  Other
-    matrices difference the rows of :func:`bar_columns`.
+    p_n / P_n of A itself and column 0 exactly zero below row 0.  For other
+    matrices hat_nv = bar_nv - bar_{n-1,v} = sum_{i=v..n} (a_ni - a_{n-1,i}):
+    the rows of A are differenced first and then summed from the diagonal
+    down, so the diagonal is A's own and no entry cancels two row sums.
     """
     if A.weights is not None:
         v_hi = min(v_hi, A.size - 1)
@@ -300,10 +323,7 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
         idx = np.arange(v_hi + 1)
         hat[idx, idx] = p[: v_hi + 1] / P[: v_hi + 1]
         return hat
-    bar = bar_columns(A, v_hi)
-    hat = bar.copy()
-    hat[1:] -= bar[:-1]
-    return np.tril(hat)
+    return _tail_sums(A.entries, v_hi, difference=True)
 
 
 def _kept(A: NormalMatrix, slot: str, name: str, build) -> NormalMatrix:
@@ -318,7 +338,7 @@ def _kept(A: NormalMatrix, slot: str, name: str, build) -> NormalMatrix:
 
 
 def hat_of(A: NormalMatrix) -> NormalMatrix:
-    """Series-to-series semimatrix; row 0 copies bar, later rows difference it.
+    """Series-to-series semimatrix: row n holds the tail sums of row n of A less row n - 1 (:func:`hat_columns`).
 
     Its diagonal equals A's diagonal, so the result is again normal.  It is
     computed once per A: later calls return the same read-only matrix.  The
@@ -329,25 +349,49 @@ def hat_of(A: NormalMatrix) -> NormalMatrix:
     return _kept(A, "_hat", "hat matrix", lambda: NormalMatrix(hat_columns(A, A.order)))
 
 
+_BLOCK = 64
+
+
 def invert_hat(H: NormalMatrix) -> NormalMatrix:
-    """Two-sided inverse of a normal matrix by columnwise forward substitution.
+    """Two-sided inverse of a normal matrix, by halves down to blocks of 64 rows or fewer.
 
-    No pivoting is needed: the diagonal is nonzero by the type invariant.
-    O(size^3) worst case, BLAS-backed inner products on the float path.  It
-    is computed once per H: later calls return the same read-only matrix.
+    With H = [[L11, 0], [L21, L22]] the inverse is [[X11, 0], [-X22 L21 X11, X22]]:
+    the inverses of the two diagonal blocks and two matrix products, BLAS-3
+    on the float path.  A block of :data:`_BLOCK` rows or fewer is inverted
+    by forward substitution, so an exact matrix of that size forms no
+    product over the zeros of a triangular block.  No pivoting is
+    needed: the diagonal is nonzero by the type invariant.  It is computed
+    once per H: later calls return the same read-only matrix.
     """
-    return _kept(H, "_inverse", "hat inverse", lambda: _forward_substitution(H))
+    return _kept(H, "_inverse", "hat inverse", lambda: NormalMatrix(_lower_inverse(H.entries)))
 
 
-def _forward_substitution(H: NormalMatrix) -> NormalMatrix:
-    L = H.entries
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    size = L.shape[0]
+    if size <= _BLOCK:
+        return _forward_substitution(L)
+    h = size // 2
+    X = np.zeros_like(L)
+    X[:h, :h] = X11 = _lower_inverse(L[:h, :h])
+    X[h:, h:] = X22 = _lower_inverse(L[h:, h:])
+    X[h:, :h] = -(X22 @ (L[h:, :h] @ X11))
+    return X
+
+
+def _forward_substitution(L: np.ndarray) -> np.ndarray:
+    """Float rows of the inverse one product at a time; exact columns entry by entry, over the lower triangle only."""
     size = L.shape[0]
     X = np.zeros((size, size), dtype=L.dtype)
+    if not is_exact(L):
+        for n in range(size):
+            X[n, :n] = -(L[n, :n] @ X[:n, :n]) / L[n, n]
+            X[n, n] = 1 / L[n, n]
+        return X
     for v in range(size):
         X[v, v] = 1 / L[v, v]
         for n in range(v + 1, size):
             X[n, v] = -np.dot(L[n, v:n], X[v:n, v]) / L[n, n]
-    return NormalMatrix(X)
+    return X
 
 
 def hat_inverse(A: NormalMatrix) -> NormalMatrix:
@@ -357,7 +401,7 @@ def hat_inverse(A: NormalMatrix) -> NormalMatrix:
     diagonal P_n / p_n, subdiagonal entry (n+1, n) equal to -P_{n-1} / p_n
     (zero at n = 0), and exact zeros everywhere else, on the float path
     as well as the exact one.  Other matrices go through :func:`invert_hat`.
-    It is computed once per A, like the hat matrix; the forward substitution
+    It is computed once per A, like the hat matrix; :func:`invert_hat`
     keeps its result on the hat matrix.  The identity is its own hat inverse.
     """
     if A.is_identity:
@@ -409,9 +453,18 @@ def apply_hat(A: NormalMatrix, x) -> np.ndarray:
 
 
 def apply_lower(M, x) -> np.ndarray:
-    """result_n = sum_{v=0..n} M_nv x_v for a lower-triangular M."""
+    """result_n = sum_{v=0..n} M_nv x_v for a lower-triangular M.
+
+    Float arrays are one ``np.dot``; on exact (object) arrays each row is
+    summed over its lower triangle only, so the zeros above the diagonal
+    are never multiplied.
+    """
     E = M.entries if isinstance(M, NormalMatrix) else np.asarray(M)
     xs = as_vector(x)
-    if xs.size < E.shape[0]:
-        raise LengthMismatchError(f"need {E.shape[0]} values, have {xs.size}")
-    return np.dot(E, xs[: E.shape[0]])
+    size = E.shape[0]
+    if xs.size < size:
+        raise LengthMismatchError(f"need {size} values, have {xs.size}")
+    xs = xs[:size]
+    if is_exact(E) or is_exact(xs):
+        return np.asarray([np.dot(E[n, : n + 1], xs[: n + 1]) for n in range(size)], dtype=object)
+    return np.dot(E, xs)

@@ -127,6 +127,37 @@ def weighted_mean_hat_columns(weights, v_lo, v_hi, cutoff):
     return rows
 
 
+def lower_inverse(rows):
+    """Inverse of a lower-triangular matrix with nonzero diagonal, by forward substitution over its entries."""
+    size = len(rows)
+    inv = [[Fraction(0)] * size for _ in range(size)]
+    for v in range(size):
+        inv[v][v] = 1 / rows[v][v]
+        for n in range(v + 1, size):
+            inv[n][v] = -sum((rows[n][i] * inv[i][v] for i in range(v, n)), Fraction(0)) / rows[n][n]
+    return inv
+
+
+def decompose_parts(a_rows, b_rows, lam, coeffs):
+    """(dx, dy, t1, t2) of the two-part split, every sum from its definition.
+
+    dx = hat(A) a and dy = hat(B) (lam a); t1_n = b_nn lam_n / a_nn dx_n plus
+    the middle summands at v < n times dx_v; t2_n = sum over r <= n - 2 and
+    v = r+2..n of bhat_nv lam_v ahat'_vr dx_r, ahat' the inverse of A's hat matrix.
+    """
+    size = len(a_rows)
+    ah, bh = hat_rows(a_rows), hat_rows(b_rows)
+    inv = lower_inverse(ah)
+    dx = matvec(ah, coeffs)
+    dy = matvec(bh, [c * f for c, f in zip(coeffs, lam)])
+    t1, t2 = [], []
+    for n in range(size):
+        mid = sum((_middle_summand(a_rows, bh, lam, n, v) * dx[v] for v in range(n)), Fraction(0))
+        t1.append(b_rows[n][n] * lam[n] / a_rows[n][n] * dx[n] + mid)
+        t2.append(sum((bh[n][v] * lam[v] * inv[v][r] * dx[r] for r in range(n - 1) for v in range(r + 2, n + 1)), Fraction(0)))
+    return dx, dy, t1, t2
+
+
 def c16_inner(bh, ahp, lam, n, r):
     total = Fraction(0)
     for v in range(r + 2, n + 1):

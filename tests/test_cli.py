@@ -332,6 +332,14 @@ def test_config_rejects_boolean_probe_index(tmp_path, capsys):
         ("check", {"matrix_b": {"kind": "riesz", "generator": {"name": "power", "alpha": math.inf}}}, "generator.alpha"),
         ("check", {"matrix_b": {"kind": "riesz", "weights": [1.0, math.inf] + [1.0] * 200}}, "weights[1]"),
         ("transform", {"series": {"kind": "explicit", "coefficients": [1.0, -math.inf] + [1.0] * 5}}, "series.coefficients[1]"),
+        # a list is checked in one array pass: a numeric string, a null and a huge int must still be named
+        ("check", {"matrix_b": {"kind": "riesz", "weights": [1.0, 2.0, 1.0, "2.0"] + [1.0] * 200}}, "weights[3]"),
+        ("check", {"lambda": {"kind": "explicit", "values": [1.0] * 4 + [None] + [1.0] * 3}}, "lambda.values[4]"),
+        (
+            "check",
+            {"matrix_b": {"kind": "explicit", "entries": [[1.0], [0.5, 0.5], [0.5, 10**400, 0.5]] + [[0.5] * (n + 1) for n in range(3, 7)]}},
+            "entries[2][1]",
+        ),
     ],
 )
 def test_config_rejects_non_numeric_values(tmp_path, capsys, command, overrides, field):
@@ -687,8 +695,8 @@ def test_verify_with_an_identity_a_computes_no_hat_inverse(tmp_path, caplog):
     cfg = write_config(tmp_path, base_config(N=40, k=2, matrix_a={"kind": "identity"}, matrix_b=RIESZ_B))
     caplog.set_level(logging.DEBUG, logger="summakit")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "verify.csv")]) == 0
-    # A's entries for its dense probes and t2, B's hat matrix for the c_nv array of the mixed pair
-    assert computed(caplog) == ["computed the entries of order 40", "computed the hat matrix of order 40"]
+    # A's entries for its dense probes and t2; t2 goes through B-hat as one prefix sum of the weighted B
+    assert computed(caplog) == ["computed the entries of order 40"]
 
 
 def test_verify_hides_no_nan_key_identity_gap(tmp_path, monkeypatch):

@@ -229,13 +229,13 @@ def test_decompose_residual_is_nan_when_a_gap_is():
 
 def test_each_matrix_computes_its_hat_and_hat_inverse_once(monkeypatch):
     # on an explicit pair every one of these reads the hat matrices and A's hat inverse;
-    # invert_hat may be called again, but its forward substitution runs once
+    # invert_hat may be called again, but it inverts the hat entries once
     import summakit.conditions
     import summakit.harness
     import summakit.matrices
 
     calls = []
-    for name in ("hat_columns", "_forward_substitution"):
+    for name in ("hat_columns", "_lower_inverse"):
         real = getattr(summakit.matrices, name)
 
         def counting(M, *args, _name=name, _real=real):
@@ -256,7 +256,7 @@ def test_each_matrix_computes_its_hat_and_hat_inverse_once(monkeypatch):
     sk.cnv_column_sums(A, B, lam, 2)
     built = [M for name, M in calls if name == "hat_columns"]
     assert len(built) == 2 and {id(M) for M in built} == {id(A), id(B)}
-    assert [M for name, M in calls if name == "_forward_substitution"] == [sk.hat_of(A)]
+    assert [id(M) for name, M in calls if name == "_lower_inverse"] == [id(sk.hat_of(A).entries)]
 
 
 def test_decompose_identity_matrices():
