@@ -435,7 +435,7 @@ def cmd_check(config: ExperimentConfig) -> int:
     own_max = matrix_max_order(config.matrix_b)
     reach = config.tail.cutoff if own_max is None else max(N, min(config.tail.cutoff, own_max))
     B = build_matrix(config.matrix_b, N, reach)
-    tail_b = B if B.weights is not None or reach == N else build_matrix(config.matrix_b, reach)
+    tail_b = B if B.reach == reach else build_matrix(config.matrix_b, reach)
     lam = lambda_for(config, N + 2)
 
     checks = {
@@ -450,7 +450,7 @@ def cmd_check(config: ExperimentConfig) -> int:
         "TA": lambda: check_theorem_a(
             weights_for(config.matrix_a, N),
             # without weights through the cutoff, weights_for raises the spec's own error
-            B.weights if reach == config.tail.cutoff and B.weights is not None else weights_for(config.matrix_b, config.tail.cutoff),
+            B.weights if B.reach == config.tail.cutoff else weights_for(config.matrix_b, config.tail.cutoff),
             lam,
             k,
             config.tail,

@@ -13,24 +13,21 @@ requested cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, is_exact, nan_max, norm_weights
+from ._util import (
+    abs_pow, accurate_sum, as_float, check_exponent, check_pair, index_pow, is_exact, nan_max, norm_weights, prefix_sums
+)
 from .errors import (
     LengthMismatchError,
     SizeMismatchError,
     TailUnavailableError,
 )
-from .matrices import (
-    NormalMatrix,
-    WeightSequence,
-    hat_columns,
-    hat_inverse,
-    hat_of,
-)
+from .matrices import NormalMatrix, WeightSequence, apply_hat, far_inverse, hat_columns, hat_of
 from .series import FactorSequence
 
 TREND_BOUNDED = "bounded-looking"
@@ -133,36 +130,21 @@ def _tail_report(cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v
     """ratio_v = sum_{n=v+1..cutoff} n**(k-1) |M_nv|**k / denominators[v].
 
     M is the difference (C10) or shift (C11) probe matrix of B-hat and the
-    factors (:func:`probe_deltas`).  When B carries weights q, no hat column
-    is formed: the numerator is the probe's scalar to the k times the W tail
-    T_v (:meth:`WeightedProbes.tails`), and the carrier is the weight
-    sequence.  On the identity the column is -lam_{v+1} (C10) or
-    lam_{v+1} (C11) in row v + 1 alone: the sum is (v+1)**(k-1) |lam_{v+1}|**k
-    and the carrier is the order.  Other matrices are dense carriers.  A carrier
+    factors, and the sums are the :meth:`~DenseProbes.tails` of B's probe
+    columns (:func:`probe_columns`), read through B's tail carrier: its rows
+    through :attr:`~summakit.matrices.NormalMatrix.reach`.  A carrier
     shorter than the cutoff clamps the sums to its order, and v stops one
     short of the cutoff; either clamp sets the tail warning, as does a last
     term that is still material.
     """
     if len(lam) < v_max + 2:
         raise LengthMismatchError(f"need {v_max + 2} factors, have {len(lam)}")
-    carrier = B.order if B.weights is None else B.weights.order
-    cutoff_eff = min(tail.cutoff, carrier)
+    cutoff_eff = min(tail.cutoff, B.reach)
     if cutoff_eff < 1:
-        raise TailUnavailableError(f"carrier of order {carrier} has no tail rows at all")
+        raise TailUnavailableError(f"carrier of order {B.reach} has no tail rows at all")
     warned = cutoff_eff < tail.cutoff or v_max > cutoff_eff - 1
     v_max = min(v_max, cutoff_eff - 1)
-    shift = cid == "C11"
-    if B.weights is not None:
-        probes = WeightedProbes.of(B.weights, B.size, v_max + 1, lam.values)
-        totals, last = probes.tails(PROBE_KINDS[shift], k, cutoff_eff)
-    elif B.is_identity:
-        totals = norm_weights(v_max + 2, k, B.exact)[1:] * abs_pow(lam.values[1 : v_max + 2], k)
-        last = np.where(np.arange(v_max + 1) == cutoff_eff - 1, totals, 0)
-    else:
-        M = np.tril(probe_deltas(hat_columns(B, v_max + 1)[: cutoff_eff + 1], lam.values)[shift], -1)
-        w = norm_weights(cutoff_eff + 1, k, is_exact(M))
-        totals = column_sums(M, k, w, lower=True)
-        last = w[-1] * abs_pow(M[-1], k)
+    totals, last = probe_columns(B, lam.values, v_max + 1).tails(PROBE_KINDS[cid == "C11"], k, cutoff_eff)
     warned = warned or bool(np.any(last > tail.warn_threshold * totals))
     ratios = as_float(totals) / as_float(denominators[: v_max + 1])
     return _report(cid, np.arange(v_max + 1), ratios, tail.cutoff, warned)
@@ -198,13 +180,8 @@ def check_c11(B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v_max: in
 
 
 def check_c12(A: NormalMatrix) -> ConditionReport:
-    """Column monotonicity a_{n-1,v} >= a_nv; ratios are violation sizes."""
-    N = A.order
-    if N == 0 or A.weights is not None:  # p_v / P_{n-1} >= p_v / P_n: float division is monotone
-        return _report("C12", np.arange(1, N + 1), np.zeros(N))
-    E = as_float(A.entries)
-    viol = np.tril(np.maximum(E[1:] - E[:-1], 0.0))
-    return _report("C12", np.arange(1, N + 1), viol.max(axis=1))
+    """Column monotonicity a_{n-1,v} >= a_nv; ratios are violation sizes (:meth:`~summakit.matrices.NormalMatrix.rises`)."""
+    return _report("C12", np.arange(1, A.order + 1), A.rises())
 
 
 def _leading_bar_report(cid, M: NormalMatrix) -> ConditionReport:
@@ -284,18 +261,28 @@ def _pows(M: np.ndarray, k) -> np.ndarray:
     return column_sums(M, k, norm_weights(M.shape[0], k, is_exact(M)), lower=True)
 
 
-class DenseProbes(dict):
-    """The probes of :func:`probe_deltas` through the hat columns ``H`` and the factors ``lv``.
+_ROWS = 256  # rows of the key-identity triangle evaluated at once on a dense B
 
-    Keyed by probe kind, the arrays D and S are formed when read and not
-    kept; an array set on the mapping stands in for the one it would form.
-    Column v is the probe at v: :meth:`column` forms it from hat columns v
-    and v + 1 alone, with the same bits.
+
+class DenseProbes(dict):
+    """The probes at v = 0..m-1 through M's hat columns and the factors ``lv`` (:func:`probe_deltas`).
+
+    The hat columns 0..m are formed on first read: M's kept hat matrix when
+    m is M's order, else :func:`~summakit.matrices.hat_columns`, so a long
+    tail carrier keeps no hat matrix.  Keyed by probe kind, the arrays D
+    and S are formed when read and not kept; an array set on the mapping
+    stands in for the one it would form.  Column v is the probe at v:
+    :meth:`column` forms it from hat columns v and v + 1 alone, with the same
+    bits.  On the identity the C10/C11 tails and t1 are closed forms.
     """
 
-    def __init__(self, H: np.ndarray, lv):
+    def __init__(self, M: NormalMatrix, lv, m: int):
         super().__init__()
-        self.H, self.lv = H, lv
+        self.M, self.lv, self.m, self.identity = M, lv, m, M.is_identity
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return hat_of(self.M).entries if self.m == self.M.order else hat_columns(self.M, self.m)
 
     def __missing__(self, kind: str) -> np.ndarray:
         return self._arrays()[kind]
@@ -315,31 +302,103 @@ class DenseProbes(dict):
         """The probe at v's entry of :meth:`pows`, with the same bits, from its column alone."""
         return _pows(self.column(kind, v)[:, None], k)[0]
 
+    def tails(self, kind: str, k, rows: int):
+        """The C10/C11 sums sum_{n=v+1..rows} n**(k-1) |delta_nv|**k of probe ``kind``, and their last terms.
 
-@dataclass(frozen=True)
+        On the identity column v is -lam_{v+1} (difference) or lam_{v+1}
+        (shift) in row v + 1 alone, so the sum is (v+1)**(k-1) |lam_{v+1}|**k.
+        """
+        if self.identity:
+            totals = norm_weights(self.m + 1, k, self.M.exact)[1:] * abs_pow(self.lv[1 : self.m + 1], k)
+            return totals, np.where(np.arange(self.m) == rows - 1, totals, 0)
+        D = np.tril(probe_deltas(self.H[: rows + 1], self.lv)[kind == PROBE_SHIFT], -1)
+        w = norm_weights(rows + 1, k, is_exact(D))
+        return column_sums(D, k, w, lower=True), w[-1] * abs_pow(D[-1], k)
+
+    def middle(self, A: NormalMatrix) -> np.ndarray:
+        """The first part's middle summands D / a_vv + S gap_v, v < N, gap_v A's :meth:`~summakit.matrices.NormalMatrix.gap`."""
+        D, S = probe_deltas(self.H, self.lv)
+        D = D / A.diagonal[None, :-1]  # a new array: the differences are freed before S * gap is formed
+        D += S * A.gap()[None, :]
+        return D
+
+    def first_part(self, A: NormalMatrix, dx) -> np.ndarray:
+        """t1_n = b_nn lam_n / a_nn dx_n + sum_{v<n} (middle summand at (n, v)) dx_v for n = 0..N.
+
+        With y_v = dx_v / a_vv, w_0 = 0 and w_v = gap_{v-1} dx_{v-1} - y_{v-1},
+        the summand's two parts (BL_nv - BL_{n,v+1}) y_v and BL_{n,v+1} gap_v dx_v
+        regroup by B-hat column, and with the diagonal term t1 is one product
+        through B-hat: t1 = hat(B) (lam (y + w)), with no summand array formed.
+        On the identity the summand is (gap_{n-1} - 1 / a_{n-1,n-1}) lam_n at v = n - 1 alone.
+        """
+        N, lv = A.order, self.lv[: A.size]
+        if not self.identity:
+            y = dx / A.diagonal
+            w = np.concatenate(([0], A.gap() * dx[:N] - y[:N]))
+            return apply_hat(self.M, lv * (y + w))
+        t1 = self.M.diagonal * lv / A.diagonal * dx
+        if N:
+            t1[1:] += (-lv[1:] / A.diagonal[:-1] + lv[1:] * A.gap()) * dx[:N]
+        return t1
+
+    def factored_rows(self):
+        """Blocks (F, n) of the key-identity triangle, F[i, v] = bhat_nv lam_v at row n[i], over rows 2..N."""
+        N = self.M.order
+        for lo in range(2, N + 1, _ROWS):  # a block of rows at a time bounds the temporaries
+            F = self.H[lo : lo + _ROWS] * self.lv[None, : N + 1]
+            yield F, np.arange(lo, lo + F.shape[0])
+
+    def cnv(self, A: NormalMatrix, fac, diag) -> np.ndarray:
+        """The c_nv array: fac_n times the middle summand at 1 <= v < n, and diag_n at v = n >= 1."""
+        out = np.zeros((A.size, A.size), dtype=diag.dtype)
+        N = A.order
+        if N:
+            out[:, 1:N] = (np.tril(self.middle(A), -1) * fac[:, None])[:, 1:]
+        idx = np.arange(1, N + 1)
+        out[idx, idx] = diag[1:]
+        return out
+
+    def cnv_sums(self, A: NormalMatrix, k, fac, diag, power) -> np.ndarray:
+        return column_sums(self.cnv(A, fac, diag), k, lower=True)  # power is the weighted form's
+
+    def definition_gap(self) -> float:
+        """Largest gap between the unit-factor deltas and their definition, over every v < m and row n.
+
+        By definition a probe's x-side deltas are the first difference in n of
+        M applied to its partial sums: e_v for the difference probe, so column
+        v of M, and the step 1_{n > v} for the shift probe, so M's reversed row
+        cumulative sum.
+        """
+        E, m = self.M.entries, self.m
+        steps = np.cumsum(E[:, ::-1], axis=1)[:, ::-1]
+        return nan_max(
+            (
+                np.max(np.abs(self[PROBE_DIFFERENCE] - np.diff(E, axis=0, prepend=0.0)[:, :m])),
+                np.max(np.abs(self[PROBE_SHIFT] - np.diff(steps, axis=0, prepend=0.0)[:, 1 : m + 1])),
+            )
+        )
+
+
 class WeightedProbes:
-    """Both probe kinds at v = 0..m-1 through the weighted mean of ``weights``, no column formed.
+    """Both probe kinds at v = 0..m-1 through the weighted mean M, weights q, no column formed.
 
     Column v is ``diag[kind][v]`` at row v and ``rows[n] * scalars[kind][v]``
-    at rows n > v: ``rows`` holds w_n / (W_n W_{n-1})
+    at rows n > v: ``rows`` holds q_n / (Q_n Q_{n-1})
     (:meth:`~summakit.matrices.WeightSequence.hat_rows`), and the scalars are
-    -Delta_v (difference) and W_v lam_{v+1} (shift).  Below row v these are
+    -Delta_v (difference) and Q_v lam_{v+1} (shift).  Below row v these are
     the columns C10 and C11 sum, so a probe's y-norm**k is its diagonal term
     plus its C10/C11 numerator: |scalar|**k times the W tail T_v (:meth:`tails`).
+    The row factor comes out of every sum over the columns, so each is O(N).
     """
 
-    weights: WeightSequence
-    rows: np.ndarray
-    scalars: dict
-    diag: dict
-    _pows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @classmethod
-    def of(cls, w: WeightSequence, size: int, m: int, lv) -> WeightedProbes:
+    def __init__(self, M: NormalMatrix, lv, m: int):
+        w = self.weights = M.weights
+        self.M, self.lv, self.m = M, lv, m
         shift = w.cumulative[:m] * lv[1 : m + 1]
-        scalars = {PROBE_DIFFERENCE: -w.delta(lv, m), PROBE_SHIFT: shift}
-        diag = {PROBE_DIFFERENCE: w.weights[:m] / w.cumulative[:m] * lv[:m], PROBE_SHIFT: np.zeros_like(shift)}
-        return cls(w, w.hat_rows(size), scalars, diag)
+        self.scalars = {PROBE_DIFFERENCE: -w.delta(lv, m), PROBE_SHIFT: shift}
+        self.diag = {PROBE_DIFFERENCE: w.weights[:m] / w.cumulative[:m] * lv[:m], PROBE_SHIFT: np.zeros_like(shift)}
+        self.rows = w.hat_rows(M.size)
+        self._pows = {}
 
     def column(self, kind: str, v: int) -> np.ndarray:
         col = self.rows * self.scalars[kind][v]
@@ -371,12 +430,62 @@ class WeightedProbes:
         """The probe at v's entry of :meth:`pows`."""
         return self.pows(k)[kind][v]
 
+    def middle(self, A: NormalMatrix) -> np.ndarray:
+        """m_v = -Delta_v / a_vv + Q_v lam_{v+1} gap_v, v < N: the middle summand at n > v is ``rows[n]`` m_v."""
+        return self.scalars[PROBE_DIFFERENCE] / A.diagonal[:-1] + self.scalars[PROBE_SHIFT] * A.gap()
 
-def probe_columns(M: NormalMatrix, lv):
-    """M's probes at v = 0..N-1 with the factors ``lv``: read from the weights of a weighted mean, else from its hat matrix."""
-    if M.weights is not None:
-        return WeightedProbes.of(M.weights, M.size, M.order, lv)
-    return DenseProbes(hat_of(M).entries, lv)
+    def first_part(self, A: NormalMatrix, dx) -> np.ndarray:
+        """t1 of :meth:`DenseProbes.first_part`, its middle sums one prefix sum of m_v dx_v."""
+        t1 = self.M.diagonal * self.lv[: A.size] / A.diagonal * dx
+        return t1 + self.rows * prefix_sums(self.middle(A) * dx[: A.order]) if A.order else t1
+
+    def factored_rows(self):
+        """:meth:`DenseProbes.factored_rows` in one row standing for every row n > v.
+
+        bhat_nv lam_v is ``rows[n]`` times Q_{v-1} lam_v, the shift scalar at
+        v - 1, so the factor of row n cancels from every relative gap.
+        """
+        yield np.concatenate(([0], self.scalars[PROBE_SHIFT]))[None, :], np.array([self.m])
+
+    def cnv_sums(self, A: NormalMatrix, k, fac, diag, power) -> np.ndarray:
+        """The column k-power sums of :meth:`DenseProbes.cnv`'s array, which is not formed, nor ``fac`` and ``diag`` read.
+
+        Below the diagonal column v is n**e rows[n] m_v (:meth:`middle`), so
+        column v >= 1 sums to v**power |b_vv lam_v / a_vv|**k + |m_v|**k T_v,
+        T_v the W tail through row N with index power ``power`` = e k.
+        """
+        below = self.tails(None, k, A.order, self.middle(A), power)[0]
+        own = abs_pow(self.M.diagonal * self.lv[: A.size] / A.diagonal, k)
+        sums = index_pow(np.arange(A.size), power, is_exact(below)) * own + np.concatenate((below, [0]))
+        sums[0] = 0
+        return sums
+
+    def definition_gap(self) -> float:
+        """:meth:`DenseProbes.definition_gap` in O(N).
+
+        On a weighted mean, weights p, the definition is -p_v d_n (difference)
+        and P_v d_n (shift) at rows n > v, with d_n = 1/P_{n-1} - 1/P_n, and
+        p_v / P_v and 0 at row v.  Against rows[n] * s_v the gap at (n, v) is
+        at most |rows[n] - d_n| |s_v| + |d_n| |s_v - t_v|, t_v the defined
+        scalar: its largest value over n > v is two suffix maxima.
+        """
+        m, size = self.m, self.rows.size
+        p, P = self.weights.weights[:size], self.weights.cumulative[:size]
+        d = np.concatenate(([0], 1 / P[:-1] - 1 / P[1:]))
+        # the suffix maxima max(|r_j|, j >= n); a NaN reaches every n at or before it
+        rows_gap, rows_size = (np.maximum.accumulate(np.abs(r)[::-1])[::-1][1 : m + 1] for r in (self.rows - d, d))
+        defined = {PROBE_DIFFERENCE: (-p[:m], p[:m] / P[:m]), PROBE_SHIFT: (P[:m], 0)}
+        gaps = []
+        for kind, (t, diag) in defined.items():
+            s = self.scalars[kind]
+            gaps += [np.max(np.abs(s) * rows_gap + np.abs(s - t) * rows_size), np.max(np.abs(self.diag[kind] - diag))]
+        return nan_max(gaps)
+
+
+def probe_columns(M: NormalMatrix, lv, m: int | None = None):
+    """M's probes at v = 0..m-1 (m is M's order when None) with the factors ``lv``: the one switch on how
+    M is stored.  A weighted mean's are read from its weights, any other matrix's from its hat columns."""
+    return (DenseProbes if M.weights is None else WeightedProbes)(M, lv, M.order if m is None else m)
 
 
 def inner_sums(BL: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -398,16 +507,18 @@ def check_c16(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> Conditio
     For each n the worst ratio over r <= n-2 of
     sum_{v=r+2..n} |bhat_nv| |ahat'_vr lam_v|  /  (|b_nn / a_nn| |lam_n|).
     A zero denominator with a positive numerator is reported as an infinite
-    ratio and forces the "growing" verdict.  When A is a weighted mean its
-    hat inverse is bidiagonal, so every inner sum is empty or a sum of
-    zeros: the numerators are exactly 0, read in O(N) with no matrix formed.
+    ratio and forces the "growing" verdict.  When A is a weighted mean or
+    the identity its hat inverse is bidiagonal (``far_inverse`` is None),
+    so every inner sum is empty or a sum of zeros: the numerators are
+    exactly 0, read in O(N) with no matrix formed.
     """
     check_pair(A, B, lam, A.size)
     N = A.order
     lv = lam.values[: N + 1]
     nums = np.zeros(N + 1)
-    if A.weights is None:
-        inner = inner_sums(as_float(np.abs(_scaled_columns(hat_of(B).entries, lv))), as_float(np.abs(hat_inverse(A).entries)))
+    W = far_inverse(A)
+    if W is not None:
+        inner = inner_sums(as_float(np.abs(_scaled_columns(hat_of(B).entries, lv))), as_float(np.abs(W)))
         nums[2:] = [inner[n, : n - 1].max() for n in range(2, N + 1)]
     den = np.abs(as_float(B.diagonal) / as_float(A.diagonal)) * np.abs(as_float(lv))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero denominator is resolved by np.where

@@ -16,18 +16,17 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import abs_pow, check_exponent, check_pair, index_pow, is_exact, nan_max, prefix_sums, suffix_sums
+from ._util import abs_pow, check_exponent, check_pair, index_pow, nan_max, suffix_sums
 from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
     LengthMismatchError,
 )
-from .conditions import PROBE_DIFFERENCE, PROBE_KINDS, PROBE_SHIFT, WeightedProbes, column_sums, probe_columns, probe_deltas
-from .matrices import NormalMatrix, apply_hat, apply_lower, hat_inverse, hat_inverse_bands, hat_of
+from .conditions import PROBE_DIFFERENCE, PROBE_KINDS, DenseProbes, probe_columns
+from .matrices import NormalMatrix, apply_hat, apply_lower, far_inverse, hat_inverse_bands, hat_of
 from .series import FactorSequence, SeriesSample
 
 _ROW_SUM_TOL = 1e-12
-_ROWS = 256  # rows of the key-identity triangle evaluated at once on a dense B
 
 
 @dataclass(frozen=True)
@@ -81,24 +80,18 @@ def _check_probe_args(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, v: 
     check_pair(A, B, lam, A.size)
 
 
-def _suffix_max(values) -> np.ndarray:
-    """max(values[j:]) for every j; a NaN reaches every j at or before it."""
-    return np.maximum.accumulate(values[::-1])[::-1]
-
-
 class ProbePass:
     """Both probe kinds at every v = 0..N-1, through A and B.
 
     ``delta_x`` and ``delta_y`` are :func:`~summakit.conditions.probe_columns`
-    of A (unit factors) and of B: a weighted-mean side reads its weights in
-    O(N) and forms no column, any other side holds the deltas over its kept
-    hat matrix, column v for the probe at v.  ``x_norm[kind]`` and ``y_pow[kind]`` hold each
-    probe's x-norm and y-norm**k, reduced on first read; :meth:`probe` reduces a dense side's columns at v alone.
+    of A (unit factors) and of B, column v for the probe at v.
+    ``x_norm[kind]`` and ``y_pow[kind]`` hold each probe's x-norm and
+    y-norm**k, reduced on first read; :meth:`probe` reduces the columns at v alone.
     """
 
     def __init__(self, A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k):
         unit = np.ones(A.size, dtype=object if A.exact and B.exact else float)
-        self.A, self.k, self.b_diag, self.lv = A, k, B.diagonal, lam.values
+        self.k, self.b_diag, self.lv = k, B.diagonal, lam.values
         self.delta_x = probe_columns(A, unit)
         self.delta_y = probe_columns(B, lam.values)
 
@@ -129,38 +122,8 @@ class ProbePass:
         return nan_max(r for _, _, r in records), records
 
     def definition_gap(self) -> float:
-        """Largest gap between the x-side deltas and their definition, over every v < m and row n.
-
-        By definition a probe's x-side deltas are the first difference in n of
-        A applied to its partial sums: e_v for the difference probe, so column v
-        of A, and the step 1_{n > v} for the shift probe, so A's reversed row
-        cumulative sum.  On a weighted mean, weights p, that difference is
-        -p_v d_n (difference) and P_v d_n (shift) at rows n > v, with
-        d_n = 1/P_{n-1} - 1/P_n, and p_v / P_v and 0 at row v.  Against
-        rows[n] * s_v the gap at (n, v) is at most
-        |rows[n] - d_n| |s_v| + |d_n| |s_v - t_v|, t_v the defined scalar: its
-        largest value over n > v is two suffix maxima, O(N) for all of them.
-        """
-        x = self.delta_x
-        m = self.A.order
-        if self.A.weights is None:
-            E = self.A.entries
-            steps = np.cumsum(E[:, ::-1], axis=1)[:, ::-1]
-            return nan_max(
-                (
-                    np.max(np.abs(x[PROBE_DIFFERENCE] - np.diff(E, axis=0, prepend=0.0)[:, :m])),
-                    np.max(np.abs(x[PROBE_SHIFT] - np.diff(steps, axis=0, prepend=0.0)[:, 1 : m + 1])),
-                )
-            )
-        p, P = x.weights.weights[: x.rows.size], x.weights.cumulative[: x.rows.size]
-        d = np.concatenate(([0], 1 / P[:-1] - 1 / P[1:]))
-        rows_gap, rows_size = (_suffix_max(np.abs(r))[1 : m + 1] for r in (x.rows - d, d))
-        defined = {PROBE_DIFFERENCE: (-p[:m], p[:m] / P[:m]), PROBE_SHIFT: (P[:m], 0)}
-        gaps = []
-        for kind, (t, diag) in defined.items():
-            s = x.scalars[kind]
-            gaps += [np.max(np.abs(s) * rows_gap + np.abs(s - t) * rows_size), np.max(np.abs(x.diag[kind] - diag))]
-        return nan_max(gaps)
+        """The largest gap between A's probe deltas and their definition (:meth:`~summakit.conditions.DenseProbes.definition_gap`)."""
+        return self.delta_x.definition_gap()
 
 
 def run_probe(
@@ -205,52 +168,6 @@ def empirical_constant(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k,
     return ProbePass(A, B, lam, k).constant(strict_paper)
 
 
-def _middle_summands(A: NormalMatrix, B: NormalMatrix, lv) -> np.ndarray:
-    """D / a_vv + S gap_v, v < N, gap_v A's :meth:`~summakit.matrices.NormalMatrix.gap`.
-
-    D and S are the difference and shift probe matrices of B-hat and the
-    factors ``lv``; the result is the first part's middle summand, the array
-    of :func:`build_cnv`.
-    """
-    D, S = probe_deltas(hat_of(B).entries, lv)
-    D = D / A.diagonal[None, :-1]  # a new array: the differences are freed before S * gap is formed
-    D += S * A.gap()[None, :]
-    return D
-
-
-def _middle_scalars(A: NormalMatrix, y: WeightedProbes) -> np.ndarray:
-    """m_v = -Delta_v / a_vv + Q_v lam_{v+1} gap_v, v < N, from a weighted-mean B's :class:`~summakit.conditions.WeightedProbes`
-    ``y``: the middle summand at n > v is m_v times their row factor q_n / (Q_n Q_{n-1}).
-    """
-    return y.scalars[PROBE_DIFFERENCE] / A.diagonal[:-1] + y.scalars[PROBE_SHIFT] * A.gap()
-
-
-def _first_part(A: NormalMatrix, B: NormalMatrix, lv, dx) -> np.ndarray:
-    """t1_n = b_nn lam_n / a_nn dx_n + sum_{v<n} (middle summand at (n, v)) dx_v for n = 0..N.
-
-    On a weighted-mean B the middle sums are one prefix sum of m_v dx_v; on
-    the identity the summand is (gap_{n-1} - 1 / a_{n-1,n-1}) lam_n at
-    v = n - 1 alone.  On any other B, with y_v = dx_v / a_vv, w_0 = 0 and
-    w_v = gap_{v-1} dx_{v-1} - y_{v-1}, the summand's two parts
-    (BL_nv - BL_{n,v+1}) y_v and BL_{n,v+1} gap_v dx_v regroup by B-hat
-    column, and with the diagonal term t1 is one product through B-hat:
-    t1 = hat(B) (lam (y + w)).  No (N+1)^2 summand array is formed.
-    """
-    N = A.order
-    if B.weights is None and not B.is_identity:
-        y = dx / A.diagonal
-        w = np.concatenate(([0], A.gap() * dx[:N] - y[:N]))
-        return apply_hat(B, lv * (y + w))
-    t1 = B.diagonal * lv / A.diagonal * dx
-    if not N:
-        return t1
-    if B.is_identity:
-        t1[1:] += (-lv[1:] / A.diagonal[:-1] + lv[1:] * A.gap()) * dx[:N]
-        return t1
-    y = WeightedProbes.of(B.weights, B.size, N, lv)
-    return t1 + y.rows * prefix_sums(_middle_scalars(A, y) * dx[:N])
-
-
 def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSample) -> Decomposition:
     """Split the B-transformed factored deltas into the two bounded parts.
 
@@ -263,13 +180,12 @@ def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSa
     ``v0_retained`` is set.  The hat matrices and A's hat inverse are the
     ones the matrices keep, so decompositions of several series share them.
 
-    A weighted mean forms none of them, and each part is O(N): its hat
-    products dx, dy are one prefix sum each (:func:`~summakit.matrices.apply_hat`),
-    on a weighted-mean B t1's middle sums are one prefix sum of m_v dx_v
-    (:func:`_first_part`), and on a weighted-mean A the hat inverse is
-    bidiagonal, so t2 is exactly 0.  A dense side forms no array it only
-    reduces: t1 is one product through B-hat, and t2 is B-hat applied to lam
-    times the part of A's hat inverse below its subdiagonal applied to dx.
+    dx and dy are :func:`~summakit.matrices.apply_hat` products, and t1 is
+    the ``first_part`` of B's :func:`~summakit.conditions.probe_columns`.
+    t2 is B-hat applied to lam times the part of A's hat inverse below its
+    subdiagonal (:func:`~summakit.matrices.far_inverse`) applied to dx, and
+    exactly 0 when that inverse is bidiagonal.  On a weighted-mean pair each
+    part is O(N) and no matrix is formed.
     """
     check_pair(A, B, lam, A.size)
     N = A.order
@@ -288,11 +204,9 @@ def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSa
     else:
         v0_retained = bool(np.max(np.abs(bar0 - 1.0)) > _ROW_SUM_TOL)
 
-    t1 = _first_part(A, B, lamv, dx)
-    if A.weights is None:  # the inner sums of C16 applied to dx, as two matrix-vector products
-        t2 = apply_hat(B, lamv * apply_lower(np.tril(hat_inverse(A).entries, -2), dx))
-    else:
-        t2 = np.zeros_like(dx)
+    t1 = probe_columns(B, lamv).first_part(A, dx)
+    W = far_inverse(A)  # the inner sums of C16 applied to dx, as two matrix-vector products
+    t2 = np.zeros_like(dx) if W is None else apply_hat(B, lamv * apply_lower(W, dx))
 
     residual = nan_max(abs(x) for x in (dy - t1 - t2).tolist())
     return Decomposition(t1=t1, t2=t2, delta_y=dy, residual=residual, v0_retained=v0_retained)
@@ -331,28 +245,19 @@ def key_identity_check(
 def key_identity_gaps(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> np.ndarray:
     """The largest gap of :func:`key_identity_check` in each column of the triangle.
 
-    Entry v - 1 is the largest gap at (n, v) over n = v+1..N, for v = 1..N-1.
-    An explicit B evaluates the whole triangle, with the same bits as the
-    scalar and row calls.  On a weighted-mean B, F[n, v] = bhat_nv lam_v is
-    q_n / (Q_n Q_{n-1}) times Q_{v-1} lam_v, the shift probe's scalar at
-    v - 1, at every (n, v) it reads, so the factor of row n cancels from the
-    relative gap: one evaluation on those scalars gives the gap at every
-    n > v, in O(N).  A weighted-mean A's hat inverse is read as its two bands.
+    Entry v - 1 is the largest gap at (n, v) over n = v+1..N, for v = 1..N-1,
+    read from the ``factored_rows`` of B's :func:`~summakit.conditions.probe_columns`:
+    blocks of the whole triangle, with the same bits as the scalar and row
+    calls, or on a weighted-mean B one row standing for every row, O(N).
     """
     N = A.order
     check_pair(A, B, lam, N + 1)
     v = np.arange(1, N)
     inv_d, inv_s = (band[v] for band in hat_inverse_bands(A))
-    if B.weights is not None:
-        F = WeightedProbes.of(B.weights, B.size, N, lam.values).scalars[PROBE_SHIFT]
-        return _key_gaps(F[:-1], F[1:], inv_d, inv_s, A, v)
-    H, f = hat_of(B).entries, lam.values[: N + 1]
     worst = np.zeros(max(N - 1, 0))
-    for lo in range(2, N + 1, _ROWS):  # a block of rows at a time bounds the temporaries
-        F = H[lo : lo + _ROWS] * f[None, :]
+    for F, n in probe_columns(B, lam.values).factored_rows():
         gaps = _key_gaps(F[:, 1:N], F[:, 2:], inv_d, inv_s, A, v)
-        below = np.arange(lo, lo + F.shape[0])[:, None] > v[None, :]  # (n, v) with v <= n - 1
-        worst = np.maximum(worst, np.where(below, gaps, 0).max(axis=0))
+        worst = np.maximum(worst, np.where(n[:, None] > v[None, :], gaps, 0).max(axis=0))  # (n, v) with v <= n - 1
     return worst
 
 
@@ -378,14 +283,16 @@ def _key_gaps(f_v, f_v1, inv_d, inv_s, A: NormalMatrix, v):
     return gap / size if size else gap
 
 
-def _row_scaled(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, expo: float):
-    """Row factors n**expo and the diagonal terms n**expo b_nn lam_n / a_nn.
+def _row_scaled(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k, strict_paper: bool = False):
+    """Row factors n**e and the diagonal terms n**e b_nn lam_n / a_nn, e = (k-1)/k, or (k-1)/k**2 with ``strict_paper``.
 
     The shared set-up of :func:`build_cnv` and :func:`build_dnr`; the terms
     are exact only when both matrices are and the row factors are all one.
     """
+    check_exponent(k)
     check_pair(A, B, lam, A.size)
-    exact = A.exact and B.exact
+    kf, exact = float(k), A.exact and B.exact
+    expo = (kf - 1.0) / kf**2 if strict_paper else (kf - 1.0) / kf
     fac = index_pow(np.arange(A.size), expo, exact)
     diag = fac * B.diagonal * lam.values[: A.size] / A.diagonal
     return fac, diag if exact and expo == 0.0 else np.asarray(diag, dtype=float)
@@ -403,19 +310,10 @@ def build_cnv(
     c_nv = n**(1-1/k) * (middle summand) for 1 <= v <= n-1, and
     c_nn = n**(1-1/k) * b_nn lam_n / a_nn, rows n >= 1; zero elsewhere.
     ``strict_paper`` moves the row factor to n**((k-1)/k**2) so that the
-    k-th powers carry n**(1-1/k), the literal published weighting.
+    k-th powers carry n**(1-1/k), the literal published weighting.  It is
+    formed through B-hat on every B: the reference :func:`cnv_column_sums` is checked against.
     """
-    check_exponent(k)
-    kf = float(k)
-    fac, diag = _row_scaled(A, B, lam, (kf - 1.0) / kf**2 if strict_paper else (kf - 1.0) / kf)
-    out = np.zeros((A.size, A.size), dtype=diag.dtype)
-    N = A.order
-    if N:
-        mid = np.tril(_middle_summands(A, B, lam.values), -1) * fac[:, None]
-        out[:, 1:N] = mid[:, 1:]
-    idx = np.arange(1, N + 1)
-    out[idx, idx] = diag[1:]
-    return out
+    return DenseProbes(B, lam.values, B.order).cnv(A, *_row_scaled(A, B, lam, k, strict_paper))
 
 
 def build_dnr(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) -> np.ndarray:
@@ -423,33 +321,19 @@ def build_dnr(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) -> np.nd
 
     d_nr = n**(1-1/k) * b_nn lam_n / a_nn for 0 <= r <= n-2, zero elsewhere.
     """
-    check_exponent(k)
-    kf = float(k)
-    _, diag = _row_scaled(A, B, lam, (kf - 1.0) / kf)
+    _, diag = _row_scaled(A, B, lam, k)
     return np.where(np.tri(A.size, k=-2, dtype=bool), diag[:, None], 0)
 
 
 def cnv_column_sums(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k, strict_paper: bool = False) -> np.ndarray:
-    """Column k-power sums of :func:`build_cnv`'s array, v = 0..N.
+    """Column k-power sums of :func:`build_cnv`'s array, v = 0..N: the ``cnv_sums`` of B's
+    :func:`~summakit.conditions.probe_columns`.
 
-    For a weighted-mean B, weights q, the array is not formed.  Below the
-    diagonal column v is n**e q_n / (Q_n Q_{n-1}) m_v, with n**e the row
-    factor and m_v of :func:`_middle_scalars`, so column v >= 1 sums to
-    v**(e k) |b_vv lam_v / a_vv|**k + |m_v|**k T_v: T_v is the W tail through
-    row N with index power e k, which is k - 1, or (k - 1) / k with ``strict_paper``.
+    On a weighted-mean B the array is not formed: its column sums are W tails
+    with index power k - 1, or (k - 1) / k with ``strict_paper``.
     """
-    check_exponent(k)
-    if B.weights is None:
-        return column_sums(build_cnv(A, B, lam, k, strict_paper), k, lower=True)
-    check_pair(A, B, lam, A.size)
-    N, size = A.order, A.size
-    power = (float(k) - 1.0) / float(k) if strict_paper else k - 1
-    y = WeightedProbes.of(B.weights, size, N, lam.values)
-    below = y.tails(None, k, N, _middle_scalars(A, y), power)[0]
-    diag = index_pow(np.arange(size), power, is_exact(below)) * abs_pow(B.diagonal * lam.values[:size] / A.diagonal, k)
-    sums = diag + np.concatenate((below, [0]))
-    sums[0] = 0
-    return sums
+    fac, diag = _row_scaled(A, B, lam, k, strict_paper)
+    return probe_columns(B, lam.values).cnv_sums(A, k, fac, diag, (float(k) - 1.0) / float(k) if strict_paper else k - 1)
 
 
 def dnr_column_sums(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) -> np.ndarray:
@@ -458,7 +342,5 @@ def dnr_column_sums(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) ->
     Column r holds the row value d_n at rows n >= r + 2, so it sums to the
     suffix sum of |d_n|**k from n = r + 2: the same bits as summing the column.
     """
-    check_exponent(k)
-    kf = float(k)
-    _, diag = _row_scaled(A, B, lam, (kf - 1.0) / kf)
+    _, diag = _row_scaled(A, B, lam, k)
     return np.concatenate((suffix_sums(abs_pow(diag, k), A.size), [0, 0]))[2:]

@@ -78,6 +78,11 @@ class NormalMatrix:
         return self._entries is None and self.weights is None
 
     @property
+    def reach(self) -> int:
+        """The last row the matrix can be read to: its weights' order on a weighted mean, else its order."""
+        return self.order if self.weights is None else self.weights.order
+
+    @property
     def entries(self) -> np.ndarray:
         """The (N+1) x (N+1) array; when computed from a structure it is kept beside it, and no other read uses it."""
         return self._entries if self._entries is not None else _kept(self, "_built", "entries", self._dense)
@@ -121,6 +126,14 @@ class NormalMatrix:
             return np.ones(self.order, dtype=object if self.exact else float)[v]
         E = self._entries
         return (E[v, v] - E[v + 1, v]) / (E[v, v] * E[v + 1, v + 1])
+
+    def rises(self) -> np.ndarray:
+        """max_v max(a_nv - a_{n-1,v}, 0) for n = 1..N, C12's violations: exactly zero on the identity and on a
+        weighted mean, where a_{n-1,v} - a_nv = p_v (1/P_{n-1} - 1/P_n) >= 0 holds in floats too."""
+        if self._entries is None:
+            return np.zeros(self.order)
+        E = as_float(self._entries)
+        return np.tril(np.maximum(E[1:] - E[:-1], 0.0)).max(axis=1)
 
     def __repr__(self):
         return f"NormalMatrix(order={self.order}, exact={self.exact})"
@@ -409,6 +422,12 @@ def hat_inverse(A: NormalMatrix) -> NormalMatrix:
     if A.weights is None:
         return invert_hat(hat_of(A))
     return _kept(A, "_hat_inverse", "hat inverse", lambda: _bidiagonal_inverse(A))
+
+
+def far_inverse(A: NormalMatrix) -> np.ndarray | None:
+    """``hat_inverse(A)`` below its subdiagonal (entries (n, r), r <= n - 2), or None when that inverse is
+    bidiagonal, on a weighted mean and on the identity: every sum over it is then empty or a sum of zeros."""
+    return None if A._entries is None else np.tril(hat_inverse(A).entries, -2)
 
 
 def hat_inverse_bands(A: NormalMatrix) -> tuple[np.ndarray, np.ndarray]:

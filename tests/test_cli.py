@@ -645,6 +645,16 @@ def test_verify_debug_log_shows_each_matrix_computed_once(tmp_path, caplog):
     assert out.read_bytes() == (GOLDEN / "verify_explicit_b_n12_k2.csv").read_bytes()
 
 
+def test_check_keeps_only_the_leading_hat_columns_of_a_dense_tail_carrier(tmp_path, caplog):
+    # C10/C11 read hat columns 0..N + 1 of the 41-row B: the carrier never computes its (cutoff+1)**2 hat matrix
+    cfg = write_config(tmp_path, check_explicit_b_config())
+    out = tmp_path / "check.csv"
+    caplog.set_level(logging.DEBUG, logger="summakit")
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    assert "computed the hat matrix of order 40" not in computed(caplog)
+    assert out.read_bytes() == (GOLDEN / "check_explicit_b_n12_k1p5.csv").read_bytes()
+
+
 @pytest.fixture
 def built(monkeypatch):
     """Every matrix the CLI builds, in build order."""
@@ -662,13 +672,19 @@ def built(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "matrix_b, conditions",
-    [(RIESZ_B, ALL_CONDITIONS), ({"kind": "cesaro"}, ALL_CONDITIONS), ({"kind": "identity"}, ALL_CONDITIONS[:-1])],
-    ids=["riesz", "cesaro", "identity"],
+    "matrix_a, matrix_b, conditions",
+    [
+        ({"kind": "cesaro"}, RIESZ_B, ALL_CONDITIONS),
+        ({"kind": "cesaro"}, {"kind": "cesaro"}, ALL_CONDITIONS),
+        ({"kind": "cesaro"}, {"kind": "identity"}, ALL_CONDITIONS[:-1]),
+        ({"kind": "identity"}, RIESZ_B, ALL_CONDITIONS[:-1]),  # C12 and C16 are zeros by structure, as on a weighted mean
+    ],
+    ids=["riesz", "cesaro", "identity", "identity-a"],
 )
-def test_check_on_a_structured_pair_computes_no_matrix(tmp_path, caplog, built, matrix_b, conditions):
+def test_check_on_a_structured_pair_computes_no_matrix(tmp_path, caplog, built, matrix_a, matrix_b, conditions):
     # a weighted mean is its weights and the identity its order: no entries, hat matrix or hat inverse
-    cfg = write_config(tmp_path, base_config(N=40, k=2, matrix_b=matrix_b, tail={"cutoff": 640}, conditions=conditions))
+    config = base_config(N=40, k=2, matrix_a=matrix_a, matrix_b=matrix_b, tail={"cutoff": 640}, conditions=conditions)
+    cfg = write_config(tmp_path, config)
     caplog.set_level(logging.DEBUG, logger="summakit")
     assert main(["check", "--config", cfg, "--out", str(tmp_path / "check.csv")]) == 0
     assert computed(caplog) == []
@@ -695,7 +711,7 @@ def test_verify_with_an_identity_a_computes_no_hat_inverse(tmp_path, caplog):
     cfg = write_config(tmp_path, base_config(N=40, k=2, matrix_a={"kind": "identity"}, matrix_b=RIESZ_B))
     caplog.set_level(logging.DEBUG, logger="summakit")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "verify.csv")]) == 0
-    # A's entries for its dense probes and t2; t2 goes through B-hat as one prefix sum of the weighted B
+    # A's entries for its dense probes and their definition; t2 is zeros, as A's hat inverse is bidiagonal
     assert computed(caplog) == ["computed the entries of order 40"]
 
 

@@ -46,14 +46,14 @@ def test_only_matrices_and_conditions_read_a_weight_sequences_formulas():
     assert found == []
 
 
-def _attribute_reads(module, attr):
-    """The qualified name of the function around each ``.attr`` in ``module``'s source."""
+def _attribute_reads(module, attr, of=(ast.AST,)):
+    """The qualified name of the function around each ``.attr`` of an ``of`` node in ``module``'s source."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if isinstance(node, ast.Attribute) and node.attr == attr:
+        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.value, of):
             found.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -62,13 +62,66 @@ def _attribute_reads(module, attr):
     return found
 
 
-def test_the_gap_factor_and_the_cumulative_weights_are_read_in_one_place_each():
+def _storage_reads(module):
+    """(function, attribute) of each read of how a matrix is stored: its weights, its cumulative weights, whether
+    it is the identity, and its entries, unless read off a call result such as hat_of(B), which is always dense."""
+    reads = {(f, attr) for attr in ("weights", "cumulative", "is_identity") for f in _attribute_reads(module, attr)}
+    return reads | {(f, "entries") for f in _attribute_reads(module, "entries", (ast.Name, ast.Attribute))}
+
+
+def _storage_branches(module):
+    """The functions whose if-tests read ``.weights`` or ``.is_identity``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, (ast.If, ast.IfExp, ast.While)):
+            if any(isinstance(n, ast.Attribute) and n.attr in ("weights", "is_identity") for n in ast.walk(node.test)):
+                found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse((ROOT / "src" / "summakit" / module).read_text()), ())
+    return found
+
+
+def test_the_gap_factor_and_the_storage_of_a_matrix_are_read_in_one_place_each():
     # (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}) is NormalMatrix.gap: conditions and harness read no
-    # subdiagonal but the stand-in hat inverse key_identity_check accepts, and harness reads a
-    # weight sequence's cumulative sums only to check the probes against their definition
+    # subdiagonal but the stand-in hat inverse key_identity_check accepts
     assert _attribute_reads("conditions.py", "subdiagonal") == []
     assert set(_attribute_reads("harness.py", "subdiagonal")) == {"key_identity_check"}
-    assert set(_attribute_reads("harness.py", "cumulative")) == {"ProbePass.definition_gap"}
+    # a matrix is dense entries, a weight sequence or the identity's order: outside matrices.py the
+    # path is picked by conditions.probe_columns and its two probe classes alone. check_theorem_a takes
+    # weight sequences and l1_lk_bound an array or a matrix, by contract; cli hands TA B's weights
+    assert _storage_reads("harness.py") == set()
+    allowed = {"probe_columns", "DenseProbes", "WeightedProbes", "check_theorem_a", "l1_lk_bound"}
+    assert {f.split(".")[0] for f, _ in _storage_reads("conditions.py")} <= allowed
+    assert _storage_reads("cli.py") == {("cmd_check", "weights")}
+    modules = [p.name for p in (ROOT / "src" / "summakit").glob("*.py") if p.name != "matrices.py"]
+    assert set().union(*map(_storage_branches, modules)) == {"probe_columns"}
+
+
+def _names_used(tree):
+    """Every name a module's code reads, in annotations too."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_every_imported_name_is_used():
+    # no linter runs here or in CI: a name a module imports and never reads is dead code left by a move
+    found = []
+    for path in sorted((ROOT / "src" / "summakit").glob("*.py")):
+        if path.name == "__init__.py":  # it imports to re-export
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used and name != "annotations":
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 def test_readme_quick_start_runs():
