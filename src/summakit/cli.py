@@ -546,18 +546,19 @@ def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int =
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="summakit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, descr in (
         ("check", "evaluate the configured factor conditions"),
         ("transform", "emit the matrix transform and k-norm profile of a series"),
         ("verify", "run the identity verification suite"),
     ):
-        p = sub.add_parser(name, help=descr)
+        p = commands[name] = sub.add_parser(name, help=descr)
         p.add_argument("--config", required=True, help="path to the experiment JSON config")
         p.add_argument("--out", help="output file path (defaults to config output.path or stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format override")
-        p.add_argument("--tail-cutoff", type=int, help="tail cutoff override")
-        p.add_argument("--strict-paper-mode", action="store_true", help="use the literal published displays where they differ")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized verify sweeps")
+    commands["check"].add_argument("--tail-cutoff", type=int, help="tail cutoff override")
+    commands["verify"].add_argument("--strict-paper-mode", action="store_true", help="use the literal published displays where they differ")
+    commands["verify"].add_argument("--seed", type=int, default=0, help="seed for randomized verify sweeps")
     return parser
 
 
@@ -571,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.tail_cutoff is not None:
+        if args.command == "check" and args.tail_cutoff is not None:
             data = dict(data)
             data["tail"] = dict(data.get("tail", {}), cutoff=args.tail_cutoff)
         config = ExperimentConfig(data)

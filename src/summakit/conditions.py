@@ -273,7 +273,7 @@ class DenseProbes(dict):
     and S are formed when read and not kept; an array set on the mapping
     stands in for the one it would form.  Column v is the probe at v:
     :meth:`column` forms it from hat columns v and v + 1 alone, with the same
-    bits.  On the identity the C10/C11 tails and t1 are closed forms.
+    bits.  On the identity the C10/C11 tails are a closed form (:meth:`tails`).
     """
 
     def __init__(self, M: NormalMatrix, lv, m: int):
@@ -328,18 +328,12 @@ class DenseProbes(dict):
         With y_v = dx_v / a_vv, w_0 = 0 and w_v = gap_{v-1} dx_{v-1} - y_{v-1},
         the summand's two parts (BL_nv - BL_{n,v+1}) y_v and BL_{n,v+1} gap_v dx_v
         regroup by B-hat column, and with the diagonal term t1 is one product
-        through B-hat: t1 = hat(B) (lam (y + w)), with no summand array formed.
-        On the identity the summand is (gap_{n-1} - 1 / a_{n-1,n-1}) lam_n at v = n - 1 alone.
+        through B-hat: t1 = hat(B) (lam (y + w)), with no summand array formed,
+        and O(N) on the identity, whose :func:`~summakit.matrices.apply_hat` is x itself.
         """
-        N, lv = A.order, self.lv[: A.size]
-        if not self.identity:
-            y = dx / A.diagonal
-            w = np.concatenate(([0], A.gap() * dx[:N] - y[:N]))
-            return apply_hat(self.M, lv * (y + w))
-        t1 = self.M.diagonal * lv / A.diagonal * dx
-        if N:
-            t1[1:] += (-lv[1:] / A.diagonal[:-1] + lv[1:] * A.gap()) * dx[:N]
-        return t1
+        y = dx / A.diagonal
+        w = np.concatenate(([0], A.gap() * dx[: A.order] - y[: A.order]))
+        return apply_hat(self.M, self.lv[: A.size] * (y + w))
 
     def factored_rows(self):
         """Blocks (F, n) of the key-identity triangle, F[i, v] = bhat_nv lam_v at row n[i], over rows 2..N."""

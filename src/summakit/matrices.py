@@ -152,9 +152,9 @@ class WeightSequence:
         w = as_vector(weights)
         if w.ndim != 1 or w.size == 0:
             raise ShapeMismatchError("weights must be a nonempty 1-D sequence")
-        for n, p in enumerate(w):
-            if not p > 0:
-                raise ValueError(f"weight p_{n} = {p} is not positive")
+        if not np.all(w > 0):  # a NaN is not positive either
+            n = int(np.argmin(w > 0))
+            raise ValueError(f"weight p_{n} = {w[n]} is not positive")
         with np.errstate(over="ignore"):
             c = np.cumsum(w)
         if not is_exact(w) and not np.isfinite(c[-1]):  # the sums grow: the first inf is an inf weight or an overflow
@@ -459,7 +459,8 @@ def apply_hat(A: NormalMatrix, x) -> np.ndarray:
     For a weighted mean no matrix is formed: row n of its hat matrix is
     c_n P_{v-1} (:meth:`WeightSequence.hat_rows`) below the diagonal, so the
     product is c_n times one prefix sum of P_{v-1} x_v, plus the diagonal
-    term a_nn x_n.  Other matrices multiply their kept hat matrix.
+    term a_nn x_n.  Other matrices multiply their hat matrix by :func:`apply_lower`:
+    the identity is its own, so its product is x itself, O(N) too.
     """
     if A.weights is None:
         return apply_lower(hat_of(A), x)
@@ -472,18 +473,25 @@ def apply_hat(A: NormalMatrix, x) -> np.ndarray:
 
 
 def apply_lower(M, x) -> np.ndarray:
-    """result_n = sum_{v=0..n} M_nv x_v for a lower-triangular M.
+    """result_n = sum_{v=0..n} M_nv x_v for a lower-triangular M: an array, or a NormalMatrix read as it is stored.
 
-    Float arrays are one ``np.dot``; on exact (object) arrays each row is
-    summed over its lower triangle only, so the zeros above the diagonal
-    are never multiplied.
+    A structure forms no matrix and is O(N): the identity gives x itself, a weighted mean
+    (1/P_n) sum_{v<=n} p_v x_v, each sum correctly rounded by :func:`~summakit._util.suffix_sums`
+    on the reversed terms.  Float entries are one ``np.dot``; on exact (object) entries each row
+    is summed over its lower triangle only, so the zeros above the diagonal are never multiplied.
     """
-    E = M.entries if isinstance(M, NormalMatrix) else np.asarray(M)
+    E = M._entries if isinstance(M, NormalMatrix) else np.asarray(M)
+    size = M.size if E is None else E.shape[0]
     xs = as_vector(x)
-    size = E.shape[0]
     if xs.size < size:
         raise LengthMismatchError(f"need {size} values, have {xs.size}")
     xs = xs[:size]
+    if E is None and M.weights is None:
+        return xs.astype(object) if M.exact else xs.copy()
+    if E is None:
+        p, P = M._weights()
+        return suffix_sums((p * xs)[::-1], size)[::-1] / P
     if is_exact(E) or is_exact(xs):
         return np.asarray([np.dot(E[n, : n + 1], xs[: n + 1]) for n in range(size)], dtype=object)
     return np.dot(E, xs)
+

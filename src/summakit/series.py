@@ -15,7 +15,7 @@ import numpy as np
 
 from ._util import abs_pow, accurate_sum, as_vector, check_exponent, is_exact, norm_weights
 from .errors import LengthMismatchError
-from .matrices import NormalMatrix, apply_lower, hat_of
+from .matrices import NormalMatrix, apply_hat, apply_lower
 
 
 class SeriesSample:
@@ -84,9 +84,7 @@ class AbsKProfile:
 
 
 def transform_partial_sums(A: NormalMatrix, s: SeriesSample) -> np.ndarray:
-    """Sequence-to-sequence transform: out_n = sum_{v<=n} a_nv s_v."""
-    if len(s) < A.size:
-        raise LengthMismatchError(f"series of length {len(s)} too short for order {A.order}")
+    """Sequence-to-sequence transform: out_n = sum_{v<=n} a_nv s_v, by :func:`~summakit.matrices.apply_lower`."""
     return apply_lower(A, s.partial_sums)
 
 
@@ -95,11 +93,9 @@ def delta_transform_via_hat(A: NormalMatrix, a: SeriesSample) -> np.ndarray:
 
     out_0 equals a_00 * a_0; for n >= 1 it matches
     transform_partial_sums(A, a)[n] - transform_partial_sums(A, a)[n-1]
-    up to rounding.
+    up to rounding.  It is :func:`~summakit.matrices.apply_hat`: O(N) on a weighted mean or the identity.
     """
-    if len(a) < A.size:
-        raise LengthMismatchError(f"series of length {len(a)} too short for order {A.order}")
-    return apply_lower(hat_of(A), a.coefficients)
+    return apply_hat(A, a.coefficients)
 
 
 def factored_series(a: SeriesSample, lam: FactorSequence) -> SeriesSample:

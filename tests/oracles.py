@@ -12,6 +12,7 @@ is the reference side of the report writer.
 
 import csv
 import io
+import itertools
 import json
 from fractions import Fraction
 
@@ -223,18 +224,21 @@ def mp_row_factors(weights):
         return [p[n] / (P[n] * P[n - 1]) for n in range(1, len(p))], [1 / P[n - 1] - 1 / P[n] for n in range(1, len(p))]
 
 
+def mp_weighted_mean(weights, s):
+    """The weighted mean applied to the sequence s: sum_{v<=n} p_v s_v / P_n."""
+    with mpmath.workdps(MP_DIGITS):
+        out, total, weight = [], mpmath.mpf(0), mpmath.mpf(0)
+        for p, x in zip(mp_list(weights), mp_list(s)):
+            total += p * x
+            weight += p
+            out.append(total / weight)
+        return out
+
+
 def mp_delta_transform(weights, x):
     """First difference in n of the weighted mean applied to the partial sums of x: hat(A) x by definition."""
     with mpmath.workdps(MP_DIGITS):
-        p, x = mp_list(weights), mp_list(x)
-        out, prev, total, weight, s = [], mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0)
-        for n in range(len(x)):
-            s += x[n]
-            total += p[n] * s
-            weight += p[n]
-            out.append(total / weight - prev)
-            prev = total / weight
-        return out
+        return first_differences(mp_weighted_mean(weights, itertools.accumulate(mp_list(x))))
 
 
 def mp_first_part(p_weights, q_weights, lam, dx):

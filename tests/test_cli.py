@@ -261,6 +261,17 @@ def test_tail_cutoff_flag_overrides(tmp_path):
     assert all(row["tail_cutoff"] == "512" for row in rows)
 
 
+@pytest.mark.parametrize(
+    "command, flag", [("transform", ["--seed", "1"]), ("check", ["--strict-paper-mode"]), ("verify", ["--tail-cutoff", "512"])]
+)
+def test_each_command_refuses_a_flag_it_does_not_read(tmp_path, capsys, command, flag):
+    cfg = write_config(tmp_path, base_config())
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", cfg, *flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_probe_series_config(tmp_path):
     cfg = write_config(tmp_path, base_config(series={"kind": "probe", "probe_kind": "difference", "v": 3}))
     out = tmp_path / "tr.csv"
@@ -468,14 +479,26 @@ def test_check_identity_b_reads_its_tails_in_closed_form(tmp_path):
 
 
 def test_out_of_memory_is_one_line_and_exit_2(tmp_path):
-    # transform still multiplies by the dense order-N matrix A: at N = 20 000 under a 1 GiB cap it fails
+    # verify on an identity B still reads its dense order-N probes: at N = 20 000 under a 1 GiB cap it fails
+    config = base_config(N=20000, k=2, matrix_b={"kind": "identity"})
+    del config["tail"]
+    cfg = write_config(tmp_path, config)
+    code, _, err = run_under_cap(["verify", "--config", cfg, "--out", str(tmp_path / "v.csv")], gib=1)
+    assert code == 2
+    assert err.startswith("out of memory: verify at N = 20000: Unable to allocate 2.98 GiB")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_transform_weighted_pair_order_20000_fits_under_a_1_gib_cap(tmp_path):
+    # A is read from its weights: 0.11 s and 40 MB peak RSS, where the dense A and its
+    # hat matrix would take 2.98 GiB each, measured on a 2-core x86-64 host
     config = base_config(N=20000, k=2, matrix_b=RIESZ_B)
     del config["tail"]
     cfg = write_config(tmp_path, config)
-    code, _, err = run_under_cap(["transform", "--config", cfg, "--out", str(tmp_path / "t.csv")], gib=1)
-    assert code == 2
-    assert err.startswith("out of memory: transform at N = 20000: Unable to allocate 2.98 GiB")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    code, peak_mb, err = run_under_cap(["transform", "--config", cfg, "--out", str(tmp_path / "t.csv")], gib=1)
+    assert (code, err) == (0, "")
+    assert peak_mb < 200
+    assert len(read_rows(tmp_path / "t.csv")) == 20001
 
 
 def test_verify_weighted_pair_order_20000_fits_under_a_1_gib_cap(tmp_path):
@@ -691,6 +714,17 @@ def test_check_on_a_structured_pair_computes_no_matrix(tmp_path, caplog, built, 
     for M in built:  # each first read computes them: none was read in the run
         M.entries
     assert len(computed(caplog)) == len(built) >= 2
+
+
+@pytest.mark.parametrize("matrix_a", [{"kind": "cesaro"}, RIESZ_B, {"kind": "identity"}], ids=["cesaro", "riesz", "identity"])
+def test_transform_on_a_structured_a_computes_no_matrix(tmp_path, caplog, built, matrix_a):
+    # the transform, its first difference and the k-norm profile read A as it is stored
+    cfg = write_config(tmp_path, base_config(N=40, k=2, matrix_a=matrix_a))
+    caplog.set_level(logging.DEBUG, logger="summakit")
+    assert main(["transform", "--config", cfg, "--out", str(tmp_path / "transform.csv")]) == 0
+    assert computed(caplog) == []
+    built[0].entries  # the first read of A's entries
+    assert computed(caplog) == ["computed the entries of order 40"]
 
 
 def test_verify_on_the_riesz_pair_computes_no_matrix(tmp_path, caplog, built):

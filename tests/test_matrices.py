@@ -57,6 +57,19 @@ def test_weight_sequence_validation():
     np.testing.assert_allclose(w.cumulative, [1.0, 3.0, 7.0])
 
 
+@pytest.mark.parametrize(
+    "bad, shown",
+    [(0.0, "0.0"), (-2.0, "-2.0"), (math.nan, "nan"), (F(0), "0"), (F(-1, 3), "-1/3")],
+)
+def test_weight_sequence_names_the_first_weight_that_is_not_positive(bad, shown):
+    # NaN is not positive; the first bad index is named, in float and in exact sequences alike
+    weights = [F(n + 1) for n in range(9)] if isinstance(bad, F) else list(np.arange(1.0, 10.0))
+    weights[6] = weights[8] = bad
+    with pytest.raises(ValueError) as exc:
+        sk.WeightSequence(np.asarray(weights, dtype=object) if isinstance(bad, F) else weights)
+    assert str(exc.value) == f"weight p_6 = {shown} is not positive"
+
+
 with np.errstate(over="ignore"):
     GEOMETRIC_2 = 2.0 ** np.arange(1601.0)  # inf from n = 1024 on
 
@@ -371,6 +384,26 @@ def test_apply_hat_reads_a_weighted_mean_from_its_weights(caplog):
 def test_apply_lower_identity():
     x = np.array([3.0, -1.0, 2.0])
     np.testing.assert_array_equal(sk.apply_lower(sk.identity_matrix(2), x), x)
+
+
+def test_apply_lower_reads_a_structure_as_it_is_stored(caplog):
+    # no entries are formed: the identity gives x, a weighted mean one correctly rounded sum per row over P_n
+    rng = np.random.default_rng(211)
+    x = rng.uniform(-1.0, 1.0, 41)
+    A, I = sk.riesz_matrix(helpers.random_positive_weights(rng, 41)), sk.identity_matrix(40)
+    p = A.weights.weights
+    caplog.set_level(logging.DEBUG, logger="summakit")
+    got = sk.apply_lower(A, x)
+    out = sk.apply_lower(I, x)
+    assert caplog.records == []
+    assert got.tolist() == [math.fsum(p[: n + 1] * x[: n + 1]) / A.weights.cumulative[n] for n in range(41)]
+    assert out.tolist() == x.tolist() and out is not x
+    E = sk.riesz_matrix(helpers.random_rational_weights(rng, 9))
+    xs = helpers.random_rational_vector(rng, 9)
+    assert list(sk.apply_lower(E, xs)) == oracles.matvec(oracles.to_rows(E), list(xs))
+    assert list(sk.apply_lower(sk.identity_matrix(8, exact=True), xs)) == list(xs)
+    with pytest.raises(LengthMismatchError):
+        sk.apply_lower(A, x[:40])
 
 
 def test_apply_lower_row_stochastic_preserves_constants():

@@ -46,20 +46,25 @@ def test_only_matrices_and_conditions_read_a_weight_sequences_formulas():
     assert found == []
 
 
-def _attribute_reads(module, attr, of=(ast.AST,)):
-    """The qualified name of the function around each ``.attr`` of an ``of`` node in ``module``'s source."""
+def _where(module, match):
+    """The qualified name of the function around each node of ``module``'s source that ``match`` accepts."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.value, of):
+        if match(node):
             found.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse((ROOT / "src" / "summakit" / module).read_text()), ())
     return found
+
+
+def _attribute_reads(module, attr, of=(ast.AST,)):
+    """The qualified name of the function around each ``.attr`` of an ``of`` node in ``module``'s source."""
+    return _where(module, lambda n: isinstance(n, ast.Attribute) and n.attr == attr and isinstance(n.value, of))
 
 
 def _storage_reads(module):
@@ -100,6 +105,22 @@ def test_the_gap_factor_and_the_storage_of_a_matrix_are_read_in_one_place_each()
     assert _storage_reads("cli.py") == {("cmd_check", "weights")}
     modules = [p.name for p in (ROOT / "src" / "summakit").glob("*.py") if p.name != "matrices.py"]
     assert set().union(*map(_storage_branches, modules)) == {"probe_columns"}
+    # the identity's one closed form in DenseProbes is its C10/C11 tails: t1 is the generic product
+    reads = _where("conditions.py", lambda n: isinstance(n, ast.Attribute) and n.attr == "identity" and isinstance(n.ctx, ast.Load))
+    assert reads == ["DenseProbes.tails"]
+
+
+def test_dense_hat_matrices_are_formed_in_named_places_only():
+    # a product with A or A-hat is matrices.apply_lower or apply_hat, which read how A is stored. A dense hat
+    # matrix is formed where a dense B is read column by column, and for key_identity_check's stand-ins
+    calls = {
+        (path.name, f)
+        for path in (ROOT / "src" / "summakit").glob("*.py")
+        if path.name != "matrices.py"
+        for f in _where(path.name, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "hat_of")
+    }
+    assert calls == {("conditions.py", "DenseProbes.H"), ("conditions.py", "check_c16"), ("harness.py", "key_identity_check")}
+    assert _attribute_reads("series.py", "entries") == []
 
 
 def _names_used(tree):

@@ -1,10 +1,11 @@
-"""The weight-native verify rows against 40-digit oracles, and with one factor off by 1e-9.
+"""The weight-native verify and transform rows against 40-digit oracles, and with one factor off by 1e-9.
 
 On a weighted-mean pair, ``decompose``'s hat products and first part, the
-key-identity gaps and the probe-consistency row's factors are read from the
-weights in O(N).  At N = 2000, for power weights (n + 1)**beta, each is
-checked against the mpmath oracles of ``oracles.py`` within a stated bound
-in units of eps (about four times the worst error measured; CHANGES.md gives
+key-identity gaps, the probe-consistency row's factors and ``transform``'s
+columns are read from the weights in O(N).  At N = 2000, for power weights
+(n + 1)**beta, each is checked against the mpmath oracles of ``oracles.py``
+within a stated bound in units of eps (about four times the worst error
+measured, or below the error of the dense path it replaced; CHANGES.md gives
 the measured values).  The exact-arithmetic comparison with the dense path
 is in ``test_weight_native_exact.py``.
 """
@@ -112,6 +113,17 @@ def test_weight_native_rows_match_the_40_digit_oracles(beta_a, beta_b):
     assert elementwise(-x.scalars[sk.PROBE_DIFFERENCE], oracles.mp_list(p[:N])) <= 32 * EPS
     assert elementwise(x.scalars[sk.PROBE_SHIFT], oracles.partial_sums(oracles.mp_list(p))[:N]) <= 32 * EPS
     assert probes.definition_gap() <= 4 * EPS
+
+
+def test_transform_rows_match_the_40_digit_oracles():
+    # the transform and delta columns of ``transform`` on a riesz power-0.5 A and the alternating series, beta = 1:
+    # 1.28e-15 (5.8 eps) and 6.6e-15 worst relative error; the dense products they replace gave 1.44e-15 and 2.05e-12
+    N = N_MP
+    p = power_weights(0.5, N)
+    a = sk.SeriesSample((-1.0) ** np.arange(N + 1) / (np.arange(N + 1) + 1.0))
+    A = sk.riesz_matrix(sk.WeightSequence(p))
+    assert elementwise(sk.transform_partial_sums(A, a), oracles.mp_weighted_mean(p, a.partial_sums)) <= 6 * EPS
+    assert elementwise(sk.delta_transform_via_hat(A, a), oracles.mp_delta_transform(p, a.coefficients)) <= 128 * EPS
 
 
 # (beta of A, beta of B, k): every beta on each side and every k once, each k plain and strict,
