@@ -8,8 +8,8 @@ values are rounded to float64: each Fraction is rounded once, correctly,
 exactly as ``float(x)`` rounds it, and float64 input passes through uncopied.
 :func:`check_pair` holds the argument checks shared by every function that
 takes a matrix pair and a factor sequence.  :func:`suffix_sums` is the
-exact suffix-sum kernel of the W tails and the d_nr bound;
-:func:`prefix_sums` gives the running sums of a weighted mean's hat products.
+exact suffix-sum kernel of the W tails, the d_nr bound, a weighted mean's
+transform and the running totals of an absolute k-norm profile.
 """
 
 from __future__ import annotations
@@ -54,11 +54,6 @@ def accurate_sum(values):
     return math.fsum(arr)
 
 
-def prefix_sums(values) -> np.ndarray:
-    """sum(values[:j]) for j = 0..len(values): a leading 0, then the running sums."""
-    return np.concatenate(([0], np.cumsum(values)))
-
-
 def suffix_sums(terms, count: int) -> np.ndarray:
     """sum(terms[j:]) for j = 0..count-1, in one backward pass.
 
@@ -66,7 +61,9 @@ def suffix_sums(terms, count: int) -> np.ndarray:
     d * 2**e, so the floats are added exactly as integers on their smallest
     exponent and each suffix is rounded once, by correctly rounded integer
     division: every value is bit-identical to ``math.fsum(terms[j:])``.  A
-    suffix holding an inf or NaN term is inf or NaN, as with fsum.  The
+    suffix holding an inf or NaN term is inf or NaN, as with fsum, and one
+    whose finite terms add up past float range rounds to inf, where fsum
+    raises an OverflowError.  The
     terms are split a chunk at a time, and those past ``count`` go into one
     running sum, so only ``count`` suffixes are ever held.
     """
@@ -89,7 +86,11 @@ def suffix_sums(terms, count: int) -> np.ndarray:
     rest = itertools.chain.from_iterable(ints(i, i + _CHUNK) for i in range(count, t.size, _CHUNK))
     sums = _last_running_sums(itertools.chain(rest, reversed(list(ints(0, count)))), count)
     scale = 1 << -low
-    out = np.asarray([s / scale for s in sums], dtype=float)
+    try:
+        out = np.asarray([s / scale for s in sums], dtype=float)
+    except OverflowError:  # a quotient of 2**1024 - 2**970 or more rounds to inf
+        limit = (2**1024 - 2**970) * scale
+        out = np.asarray([s / scale if abs(s) < limit else math.inf if s > 0 else -math.inf for s in sums], dtype=float)
     if not finite.all():
         out = out + np.cumsum(np.where(finite, 0.0, t)[::-1])[::-1][:count]
     return out

@@ -2,8 +2,9 @@
 identity verification sweeps, emitted as deterministic CSV or JSON reports.
 
 Exit codes carry operational status only: 0 success, 1 verification
-tolerance failure, 2 configuration error or an order too large to allocate,
-3 unavailable tail.  Boundedness verdicts are report data, never exit codes.
+tolerance failure, 2 configuration error, an unwritable report path or an
+order too large to allocate, 3 unavailable tail.  Boundedness verdicts are
+report data, never exit codes.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .series import (
     FactorSequence,
     SeriesSample,
     abs_k_profile,
-    delta_transform_via_hat,
     transform_partial_sums,
 )
 
@@ -472,10 +472,9 @@ def cmd_transform(config: ExperimentConfig) -> int:
     A = build_matrix(config.matrix_a, N)
     series = build_series(config.series_spec, N + 1)
     transformed = transform_partial_sums(A, series)
-    deltas = delta_transform_via_hat(A, series)
     profile = abs_k_profile(A, series, config.k)
     term, total = (np.concatenate(([0.0], x)) for x in (profile.terms, profile.running_total))  # from n = 1
-    block = (np.arange(N + 1), transformed, deltas, term, total)
+    block = (np.arange(N + 1), transformed, profile.deltas, term, total)
     write_rows(TRANSFORM_COLUMNS, [block], _meta(config, "transform"), config.out_format, config.out_path)
     return EXIT_OK
 
@@ -588,6 +587,9 @@ def main(argv: list[str] | None = None) -> int:
     except TailUnavailableError as exc:
         print(f"tail unavailable: {exc}", file=sys.stderr)
         return EXIT_TAIL
+    except OSError as exc:  # the report could not be written: a missing directory, a directory path, a full disk
+        print(f"config error: cannot write {config.out_path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except MemoryError as exc:  # numpy's message names the size and shape it could not allocate
         print(f"out of memory: {args.command} at N = {config.order}: {exc}", file=sys.stderr)
         return EXIT_CONFIG

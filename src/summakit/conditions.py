@@ -19,15 +19,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import (
-    abs_pow, accurate_sum, as_float, check_exponent, check_pair, index_pow, is_exact, nan_max, norm_weights, prefix_sums
-)
+from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, index_pow, is_exact, nan_max, norm_weights
 from .errors import (
     LengthMismatchError,
     SizeMismatchError,
     TailUnavailableError,
 )
-from .matrices import NormalMatrix, WeightSequence, apply_hat, far_inverse, hat_columns, hat_of
+from .matrices import NormalMatrix, WeightSequence, far_inverse, hat_columns, hat_of
 from .series import FactorSequence
 
 TREND_BOUNDED = "bounded-looking"
@@ -315,26 +313,6 @@ class DenseProbes(dict):
         w = norm_weights(rows + 1, k, is_exact(D))
         return column_sums(D, k, w, lower=True), w[-1] * abs_pow(D[-1], k)
 
-    def middle(self, A: NormalMatrix) -> np.ndarray:
-        """The first part's middle summands D / a_vv + S gap_v, v < N, gap_v A's :meth:`~summakit.matrices.NormalMatrix.gap`."""
-        D, S = probe_deltas(self.H, self.lv)
-        D = D / A.diagonal[None, :-1]  # a new array: the differences are freed before S * gap is formed
-        D += S * A.gap()[None, :]
-        return D
-
-    def first_part(self, A: NormalMatrix, dx) -> np.ndarray:
-        """t1_n = b_nn lam_n / a_nn dx_n + sum_{v<n} (middle summand at (n, v)) dx_v for n = 0..N.
-
-        With y_v = dx_v / a_vv, w_0 = 0 and w_v = gap_{v-1} dx_{v-1} - y_{v-1},
-        the summand's two parts (BL_nv - BL_{n,v+1}) y_v and BL_{n,v+1} gap_v dx_v
-        regroup by B-hat column, and with the diagonal term t1 is one product
-        through B-hat: t1 = hat(B) (lam (y + w)), with no summand array formed,
-        and O(N) on the identity, whose :func:`~summakit.matrices.apply_hat` is x itself.
-        """
-        y = dx / A.diagonal
-        w = np.concatenate(([0], A.gap() * dx[: A.order] - y[: A.order]))
-        return apply_hat(self.M, self.lv[: A.size] * (y + w))
-
     def factored_rows(self):
         """Blocks (F, n) of the key-identity triangle, F[i, v] = bhat_nv lam_v at row n[i], over rows 2..N."""
         N = self.M.order
@@ -343,11 +321,14 @@ class DenseProbes(dict):
             yield F, np.arange(lo, lo + F.shape[0])
 
     def cnv(self, A: NormalMatrix, fac, diag) -> np.ndarray:
-        """The c_nv array: fac_n times the middle summand at 1 <= v < n, and diag_n at v = n >= 1."""
+        """The c_nv array: fac_n times the middle summand D / a_vv + S gap_v (A's gap) at 1 <= v < n, diag_n at v = n >= 1."""
         out = np.zeros((A.size, A.size), dtype=diag.dtype)
         N = A.order
         if N:
-            out[:, 1:N] = (np.tril(self.middle(A), -1) * fac[:, None])[:, 1:]
+            D, S = probe_deltas(self.H, self.lv)
+            D = D / A.diagonal[None, :-1]  # a new array: the differences are freed before S * gap is formed
+            D += S * A.gap()[None, :]
+            out[:, 1:N] = (np.tril(D, -1) * fac[:, None])[:, 1:]
         idx = np.arange(1, N + 1)
         out[idx, idx] = diag[1:]
         return out
@@ -424,15 +405,6 @@ class WeightedProbes:
         """The probe at v's entry of :meth:`pows`."""
         return self.pows(k)[kind][v]
 
-    def middle(self, A: NormalMatrix) -> np.ndarray:
-        """m_v = -Delta_v / a_vv + Q_v lam_{v+1} gap_v, v < N: the middle summand at n > v is ``rows[n]`` m_v."""
-        return self.scalars[PROBE_DIFFERENCE] / A.diagonal[:-1] + self.scalars[PROBE_SHIFT] * A.gap()
-
-    def first_part(self, A: NormalMatrix, dx) -> np.ndarray:
-        """t1 of :meth:`DenseProbes.first_part`, its middle sums one prefix sum of m_v dx_v."""
-        t1 = self.M.diagonal * self.lv[: A.size] / A.diagonal * dx
-        return t1 + self.rows * prefix_sums(self.middle(A) * dx[: A.order]) if A.order else t1
-
     def factored_rows(self):
         """:meth:`DenseProbes.factored_rows` in one row standing for every row n > v.
 
@@ -444,11 +416,13 @@ class WeightedProbes:
     def cnv_sums(self, A: NormalMatrix, k, fac, diag, power) -> np.ndarray:
         """The column k-power sums of :meth:`DenseProbes.cnv`'s array, which is not formed, nor ``fac`` and ``diag`` read.
 
-        Below the diagonal column v is n**e rows[n] m_v (:meth:`middle`), so
-        column v >= 1 sums to v**power |b_vv lam_v / a_vv|**k + |m_v|**k T_v,
-        T_v the W tail through row N with index power ``power`` = e k.
+        Below the diagonal column v is n**e rows[n] m_v, the middle summand with
+        m_v = -Delta_v / a_vv + Q_v lam_{v+1} gap_v, so column v >= 1 sums to
+        v**power |b_vv lam_v / a_vv|**k + |m_v|**k T_v, T_v the W tail through
+        row N with index power ``power`` = e k.
         """
-        below = self.tails(None, k, A.order, self.middle(A), power)[0]
+        middle = self.scalars[PROBE_DIFFERENCE] / A.diagonal[:-1] + self.scalars[PROBE_SHIFT] * A.gap()
+        below = self.tails(None, k, A.order, middle, power)[0]
         own = abs_pow(self.M.diagonal * self.lv[: A.size] / A.diagonal, k)
         sums = index_pow(np.arange(A.size), power, is_exact(below)) * own + np.concatenate((below, [0]))
         sums[0] = 0

@@ -180,12 +180,16 @@ def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSa
     ``v0_retained`` is set.  The hat matrices and A's hat inverse are the
     ones the matrices keep, so decompositions of several series share them.
 
-    dx and dy are :func:`~summakit.matrices.apply_hat` products, and t1 is
-    the ``first_part`` of B's :func:`~summakit.conditions.probe_columns`.
-    t2 is B-hat applied to lam times the part of A's hat inverse below its
-    subdiagonal (:func:`~summakit.matrices.far_inverse`) applied to dx, and
-    exactly 0 when that inverse is bidiagonal.  On a weighted-mean pair each
-    part is O(N) and no matrix is formed.
+    Each part is B-hat applied to lam times a part of A's hat inverse applied
+    to dx, by :func:`~summakit.matrices.apply_hat`, as are dx and dy.  With
+    y_v = dx_v / a_vv and BL = B-hat diag(lam), the two parts of t1's middle
+    summand, (BL_nv - BL_{n,v+1}) y_v and BL_{n,v+1} gap_v dx_v (A's
+    :meth:`~summakit.matrices.NormalMatrix.gap`), regroup by B-hat column, so
+    with the diagonal term t1 = hat(B) (lam near), where
+    near_v = y_v + gap_{v-1} dx_{v-1} - y_{v-1} is the inverse's diagonal and
+    subdiagonal applied to dx, written as in the key identity.  t2 takes the
+    part below the subdiagonal (:func:`~summakit.matrices.far_inverse`),
+    exactly 0 when it is bidiagonal.  Each part is O(N) on a weighted-mean pair.
     """
     check_pair(A, B, lam, A.size)
     N = A.order
@@ -204,7 +208,9 @@ def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSa
     else:
         v0_retained = bool(np.max(np.abs(bar0 - 1.0)) > _ROW_SUM_TOL)
 
-    t1 = probe_columns(B, lamv).first_part(A, dx)
+    y = dx / A.diagonal
+    near = y + np.concatenate(([0], A.gap() * dx[:N] - y[:N]))
+    t1 = apply_hat(B, lamv * near)
     W = far_inverse(A)  # the inner sums of C16 applied to dx, as two matrix-vector products
     t2 = np.zeros_like(dx) if W is None else apply_hat(B, lamv * apply_lower(W, dx))
 

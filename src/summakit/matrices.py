@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import as_float, as_vector, is_exact, prefix_sums, suffix_sums
+from ._util import as_float, as_vector, is_exact, suffix_sums
 from .errors import LengthMismatchError, ShapeMismatchError, WeightOverflowError, ZeroDiagonalError
 
 log = logging.getLogger("summakit")
@@ -468,7 +468,8 @@ def apply_hat(A: NormalMatrix, x) -> np.ndarray:
     if xs.size < A.size:
         raise LengthMismatchError(f"need {A.size} values, have {xs.size}")
     xs = xs[: A.size]
-    below = prefix_sums(np.concatenate(([0], A.weights.cumulative[: A.order])) * xs)[:-1]
+    terms = np.concatenate(([0], A.weights.cumulative[: A.order])) * xs
+    below = np.concatenate(([0], np.cumsum(terms[:-1])))  # below_n = sum_{v<n} terms_v
     return A.weights.hat_rows(A.size) * below + A.diagonal * xs
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import abs_pow, accurate_sum, as_vector, check_exponent, is_exact, norm_weights
+from ._util import abs_pow, accurate_sum, as_vector, check_exponent, is_exact, norm_weights, suffix_sums
 from .errors import LengthMismatchError
 from .matrices import NormalMatrix, apply_hat, apply_lower
 
@@ -67,14 +67,16 @@ class FactorSequence:
 class AbsKProfile:
     """Termwise profile of the truncated absolute k-norm.
 
-    ``terms[i]`` is n**(k-1) * |delta_n|**k at n = i+1 (the n = 0 term is
-    excluded here; the norm accessors below add it with weight one).
-    ``running_total`` is the nondecreasing cumulative sum of ``terms``.
+    ``deltas`` holds delta_n for n = 0..N, and ``terms[i]`` is
+    n**(k-1) * |delta_n|**k at n = i+1 (the n = 0 term is excluded here; the
+    norm accessors below add it with weight one).  ``running_total`` is the
+    nondecreasing cumulative sum of ``terms``, each total correctly rounded.
     """
 
     k: float
     terms: np.ndarray
     running_total: np.ndarray
+    deltas: np.ndarray
 
     @property
     def total(self):
@@ -106,13 +108,12 @@ def factored_series(a: SeriesSample, lam: FactorSequence) -> SeriesSample:
 
 
 def abs_k_profile(A: NormalMatrix, a: SeriesSample, k) -> AbsKProfile:
-    """Terms n**(k-1) |delta_n|**k for n = 1..N and their running totals."""
+    """Terms n**(k-1) |delta_n|**k for n = 1..N and their running totals, each correctly rounded (``suffix_sums``)."""
     check_exponent(k)
     deltas = delta_transform_via_hat(A, a)
-    exact = is_exact(deltas)
-    w = norm_weights(deltas.size, k, exact)
+    w = norm_weights(deltas.size, k, is_exact(deltas))
     terms = w[1:] * abs_pow(deltas[1:], k)
-    return AbsKProfile(k=k, terms=terms, running_total=np.cumsum(terms))
+    return AbsKProfile(k=k, terms=terms, running_total=suffix_sums(terms[::-1], terms.size)[::-1], deltas=deltas)
 
 
 def x_norm(deltas) -> float:

@@ -286,6 +286,24 @@ def mp_key_gaps(p_weights, q_weights, lam):
         return out
 
 
+def mp_w_tail(weights, k, rows, count):
+    """W tails T_v = sum_{n=v+1..rows} n**(k-1) (q_n / (Q_n Q_{n-1}))**k for v = 0..count-1, in O(rows).
+
+    Q holds the 40-digit cumulative sums of the weights, not the float ones
+    the library reads; one backward sweep from row ``rows`` gives every T_v.
+    """
+    with mpmath.workdps(MP_DIGITS):
+        q = mp_list(weights[: rows + 1])
+        Q = partial_sums(q)
+        k = int(k) if float(k).is_integer() else mp_list([k])[0]  # an integer power is a product: the same value, sooner
+        tails, total = [], mpmath.mpf(0)
+        for n in range(rows, 0, -1):
+            total += n ** (k - 1) * (q[n] / (Q[n] * Q[n - 1])) ** k  # now T_{n-1}
+            if n <= count:
+                tails.append(total)
+        return tails[::-1]
+
+
 def mp_weighted_mean_bands(weights):
     """Diagonal p_v / P_v and subdiagonal p_v / P_{v+1} of the weighted mean of ``weights``."""
     with mpmath.workdps(MP_DIGITS):

@@ -94,6 +94,15 @@ def test_check_rejects_integer_too_long_to_read(tmp_path, capsys):
     assert "config error: cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, reason", [("missing/r.csv", "No such file or directory"), (".", "Is a directory")])
+def test_a_report_path_that_cannot_be_written_is_one_line_and_exit_2(tmp_path, capsys, where, reason):
+    # exit 1 is a verify tolerance failure: an unwritable --out is a config error, with no traceback
+    cfg = write_config(tmp_path, base_config())
+    out = str(tmp_path / where)
+    assert main(["check", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: cannot write {out}: {reason}\n"
+
+
 def test_check_names_overflowing_generated_weights(tmp_path, capsys):
     # geometric weights 2**n: Q_n first leaves float range at n = 1023
     matrix_b = {"kind": "riesz", "generator": {"name": "geometric", "ratio": 2}}

@@ -105,9 +105,21 @@ def test_the_gap_factor_and_the_storage_of_a_matrix_are_read_in_one_place_each()
     assert _storage_reads("cli.py") == {("cmd_check", "weights")}
     modules = [p.name for p in (ROOT / "src" / "summakit").glob("*.py") if p.name != "matrices.py"]
     assert set().union(*map(_storage_branches, modules)) == {"probe_columns"}
-    # the identity's one closed form in DenseProbes is its C10/C11 tails: t1 is the generic product
+    # the identity's one closed form in DenseProbes is its C10/C11 tails
     reads = _where("conditions.py", lambda n: isinstance(n, ast.Attribute) and n.attr == "identity" and isinstance(n.ctx, ast.Load))
     assert reads == ["DenseProbes.tails"]
+
+
+def test_t1_is_one_product_through_b_hat_and_decompose_reads_no_probe_class():
+    # both parts of decompose are B-hat applied to lam times a part of A-hat's inverse applied to dx, on
+    # every B: the probe classes carry no closed form of t1, and are built where probe columns are reduced
+    calls = [
+        f
+        for path in sorted((ROOT / "src" / "summakit").glob("*.py"))
+        for f in _where(path.name, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "probe_columns")
+    ]
+    assert sorted(calls) == ["ProbePass.__init__", "ProbePass.__init__", "_tail_report", "cnv_column_sums", "key_identity_gaps"]
+    assert _where("conditions.py", lambda n: isinstance(n, ast.FunctionDef) and n.name == "first_part") == []
 
 
 def test_dense_hat_matrices_are_formed_in_named_places_only():

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -123,6 +125,21 @@ def test_profile_running_total_monotone():
     prof = sk.abs_k_profile(m, sk.SeriesSample(rng.uniform(-1, 1, 21)), 1.3)
     assert np.all(prof.terms >= 0)
     assert np.all(np.diff(prof.running_total) >= 0)
+
+
+def test_profile_running_totals_are_correctly_rounded():
+    # riesz power-0.5 A, alternating series, k = 2: np.cumsum of the terms drifts 1.8e-15 relative by
+    # N = 2000. Each total is the exact sum of the float terms through n rounded once, so it is
+    # math.fsum of them; the exact sums are one Fraction accumulation, as fsum at every n is O(N^2)
+    N = 10**4
+    A = sk.riesz_matrix(sk.WeightSequence((np.arange(N + 1) + 1.0) ** 0.5))
+    a = sk.SeriesSample((-1.0) ** np.arange(N + 1) / (np.arange(N + 1) + 1.0))
+    prof = sk.abs_k_profile(A, a, 2)
+    terms = prof.terms.tolist()
+    assert prof.running_total.tolist() == [float(s) for s in itertools.accumulate(map(F, terms))]
+    for n in (1, 2, 10, 999, N):
+        assert prof.running_total[n - 1] == math.fsum(terms[:n])
+    np.testing.assert_array_equal(prof.deltas, sk.delta_transform_via_hat(A, a))
 
 
 def test_profile_bad_exponent():

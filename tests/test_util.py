@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from summakit._util import as_float, nan_max
+from summakit._util import as_float, nan_max, suffix_sums
 
 
 def test_as_float_rounds_fractions_like_float():
@@ -34,3 +34,12 @@ def test_nan_max_propagates_nan_wherever_it_stands():
     assert nan_max([]) == 0.0
     exact = nan_max(iter([F(0), F(-1, 3), F(0)]))
     assert exact == 0 and isinstance(exact, F)
+
+
+def test_suffix_sums_past_float_range_are_inf():
+    # fsum raises an OverflowError on these sums; each is rounded to the float it would reach: inf
+    big = np.finfo(float).max
+    got = suffix_sums(np.array([big, big, 1.0, -big, -big]), 5)
+    assert got.tolist() == [1.0, -big, -math.inf, -math.inf, -big]  # exact sums 1, 1 - big, 1 - 2 big, -2 big, -big
+    assert suffix_sums(np.array([big, 2.0**970, 0.0]), 3).tolist() == [math.inf, 2.0**970, 0.0]
+    assert suffix_sums(np.array([big, 2.0**969]), 2).tolist() == [big, 2.0**969]  # below the rounding midpoint

@@ -1,8 +1,9 @@
-"""The weight-native verify and transform rows against 40-digit oracles, and with one factor off by 1e-9.
+"""The weight-native verify, check and transform rows against 40-digit oracles, and with one factor off by 1e-9.
 
 On a weighted-mean pair, ``decompose``'s hat products and first part, the
-key-identity gaps, the probe-consistency row's factors and ``transform``'s
-columns are read from the weights in O(N).  At N = 2000, for power weights
+key-identity gaps, the probe-consistency row's factors, ``transform``'s
+columns, the W tail and the C10, C11 and TA rows built on it are read from
+the weights in O(N).  At N = 2000, for power weights
 (n + 1)**beta, each is checked against the mpmath oracles of ``oracles.py``
 within a stated bound in units of eps (about four times the worst error
 measured, or below the error of the dense path it replaced; CHANGES.md gives
@@ -76,6 +77,7 @@ def test_mp_oracles_are_the_rational_definitions():
     assert close(c, [ah[n][n] / sum(p[:n]) for n in range(1, N + 1)])
     assert close(d, [(a_rows[n - 1][0] - a_rows[n][0]) / p[0] for n in range(1, N + 1)])
     assert all(abs(g) <= 1e-35 for g in oracles.mp_key_gaps(p, q, lam))
+    assert close(oracles.mp_w_tail(q, 2, N, N), [oracles.w_tail_pow(q, 2, v, N) for v in range(N)])
 
 
 @pytest.mark.parametrize("beta_a, beta_b", POWER_PAIRS)
@@ -144,6 +146,45 @@ def test_cnv_column_sums_match_the_40_digit_oracle(beta_a, beta_b, k):
             got = sk.cnv_column_sums(X, B, factors, k, strict_paper=strict_paper)
             assert got[0] == 0
             assert elementwise(got[1:], want[1:]) <= 80 * EPS
+
+
+# (beta of B, k): every beta at k = 2, and beta = 0.5 at k = 1.5; the worst errors measured, in eps, were
+# 9.3 (T), 6.5 (W), 13.5 (C10), 11.0 (C11), 8.0 (TA_b) and 5.7 (TA_c), each at beta = 0.5
+W_CASES = [(0.0, 2), (0.5, 2), (2.0, 2), (0.5, 1.5)]
+W_BOUNDS = {"T": 40, "W": 28, "C10": 56, "C11": 48, "TA_b": 32, "TA_c": 24}
+
+
+@pytest.mark.parametrize("beta, k", W_CASES)
+def test_w_tail_c10_c11_and_ta_match_the_40_digit_oracle(beta, k):
+    # a cesaro A and a riesz power-beta B carrying its weights to the cutoff 16 N: one oracle sweep per case
+    N, cutoff = N_MP, 16 * N_MP
+    q, lam = power_weights(beta, cutoff), power_factors(N)
+    T = oracles.mp_w_tail(q, k, cutoff, N + 1)
+    with mpmath.workdps(oracles.MP_DIGITS):
+        Q, f, kk = oracles.partial_sums(oracles.mp_list(q[: N + 2])), oracles.mp_list(lam), oracles.mp_list([k])[0]
+        delta = [Q[v] * f[v + 1] - (Q[v - 1] * f[v] if v else 0) for v in range(N + 1)]
+        W = [t ** (1 / kk) for t in T]
+        want = {
+            "T": T,
+            "W": W,
+            "C10": [abs(delta[v] * (v + 1)) ** kk * T[v] for v in range(N + 1)],  # over a_vv**k = (v + 1)**-k
+            "C11": [abs(Q[v] * f[v + 1]) ** kk * T[v] for v in range(N + 1)],
+            "TA_b": [abs(W[n] * delta[n]) * (n + 1) for n in range(1, N + 1)],  # times P_n / p_n = n + 1
+            "TA_c": [Q[n] * abs(f[n + 1]) * W[n] for n in range(1, N + 1)],
+        }
+    weights, tail, factors = sk.WeightSequence(q), sk.TailSpec(cutoff), sk.FactorSequence(lam)
+    A, B = sk.cesaro_matrix(N), sk.riesz_matrix(weights, order=N)
+    _, ta_b, ta_c = sk.check_theorem_a(A.weights, weights, factors, k, tail, n_max=N)
+    got = {
+        "T": weights.tail(k, cutoff, N + 1)[0],
+        "W": sk.w_sequence(weights, k, tail, n_max=N),
+        "C10": sk.check_c10(A, B, factors, k, tail, v_max=N).ratios,
+        "C11": sk.check_c11(B, factors, k, tail, v_max=N).ratios,
+        "TA_b": ta_b.ratios,
+        "TA_c": ta_c.ratios,
+    }
+    for row, bound in W_BOUNDS.items():
+        assert elementwise(got[row], want[row]) <= bound * EPS, row
 
 
 def riesz_pair(N=40):
