@@ -6,10 +6,13 @@ oracles at small truncation orders).  The helpers here keep those two paths
 behind one code surface.  :func:`as_float` is the one point where exact
 values are rounded to float64: each Fraction is rounded once, correctly,
 exactly as ``float(x)`` rounds it, and float64 input passes through uncopied.
-:func:`check_pair` holds the argument checks shared by every function that
-takes a matrix pair and a factor sequence.  :func:`suffix_sums` is the
-exact suffix-sum kernel of the W tails, the d_nr bound, a weighted mean's
-transform and the running totals of an absolute k-norm profile.
+:func:`numerators` is the exact path's one conversion: it writes int and
+Fraction entries as integer numerators over their least common denominator,
+so the exact kernels run as integer arithmetic and form one Fraction per
+result entry.  :func:`check_pair` holds the argument checks shared by every
+function that takes a matrix pair and a factor sequence.  :func:`suffix_sums`
+is the exact suffix-sum kernel of the W tails, the d_nr bound and the
+running totals of an absolute k-norm profile.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import itertools
 import math
 import numbers
 import operator
+from fractions import Fraction
 
 import numpy as np
 
@@ -46,11 +50,37 @@ def as_vector(values) -> np.ndarray:
     return arr.astype(float)
 
 
+def numerators(values):
+    """(nums, den) with values[i] == nums[i] / den, all integers, den the least common denominator of the int and
+    Fraction ``values``, or of a float64 array's dyadic rationals (a non-finite float counts as 0); None for any other
+    entry type, whose values keep their own arithmetic."""
+    if isinstance(values, np.ndarray) and not is_exact(values):
+        mant, expo = np.frexp(np.where(np.isfinite(values), values, 0.0))
+        low = min(int(expo.min(initial=53)) - 53, 0)
+        return list(map(operator.lshift, (mant * 2.0**53).astype(np.int64).tolist(), (expo - 53 - low).tolist())), 1 << -low
+    vals = values.tolist() if isinstance(values, np.ndarray) else values
+    if not all(isinstance(x, (int, Fraction)) for x in vals):
+        return None
+    den = math.lcm(*[x.denominator for x in vals])
+    return [x.numerator * (den // x.denominator) for x in vals], den
+
+
+def quotients(nums, dens) -> np.ndarray:
+    """nums[i] / dens[i] for integers, each correctly rounded to float64: +-inf from size 2**1024 - 2**970 on."""
+    nums, dens = list(nums), list(dens)
+    try:
+        return np.asarray(list(map(operator.truediv, nums, dens)), dtype=float)
+    except OverflowError:  # int division raises where the rounded quotient is inf
+        inf = [math.inf if (n > 0) == (d > 0) else -math.inf for n, d in zip(nums, dens)]
+        return np.asarray([n / d if abs(n) < (2**1024 - 2**970) * abs(d) else i for n, d, i in zip(nums, dens, inf)])
+
+
 def accurate_sum(values):
-    """Compensated sum for floats, plain sum for exact scalars."""
+    """Compensated sum for floats; exact scalars as one integer sum over their common denominator."""
     arr = np.asarray(values)
     if arr.dtype == object:
-        return sum(arr.tolist(), start=0)
+        parts = numerators(arr)
+        return sum(arr.tolist(), start=0) if parts is None or parts[1] == 1 else Fraction(sum(parts[0]), parts[1])
     return math.fsum(arr)
 
 
@@ -85,12 +115,7 @@ def suffix_sums(terms, count: int) -> np.ndarray:
 
     rest = itertools.chain.from_iterable(ints(i, i + _CHUNK) for i in range(count, t.size, _CHUNK))
     sums = _last_running_sums(itertools.chain(rest, reversed(list(ints(0, count)))), count)
-    scale = 1 << -low
-    try:
-        out = np.asarray([s / scale for s in sums], dtype=float)
-    except OverflowError:  # a quotient of 2**1024 - 2**970 or more rounds to inf
-        limit = (2**1024 - 2**970) * scale
-        out = np.asarray([s / scale if abs(s) < limit else math.inf if s > 0 else -math.inf for s in sums], dtype=float)
+    out = quotients(sums, itertools.repeat(1 << -low, len(sums)))
     if not finite.all():
         out = out + np.cumsum(np.where(finite, 0.0, t)[::-1])[::-1][:count]
     return out

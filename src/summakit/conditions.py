@@ -321,15 +321,14 @@ class DenseProbes(dict):
             yield F, np.arange(lo, lo + F.shape[0])
 
     def cnv(self, A: NormalMatrix, fac, diag) -> np.ndarray:
-        """The c_nv array: fac_n times the middle summand D / a_vv + S gap_v (A's gap) at 1 <= v < n, diag_n at v = n >= 1."""
+        """The c_nv array: fac_n times the middle summand D / a_vv + S gap_v (A's gap) at 1 <= v < n, diag_n at v = n >= 1;
+        each row is formed at 1 <= v < n alone, so no arithmetic touches the zeros around it."""
         out = np.zeros((A.size, A.size), dtype=diag.dtype)
-        N = A.order
-        if N:
-            D, S = probe_deltas(self.H, self.lv)
-            D = D / A.diagonal[None, :-1]  # a new array: the differences are freed before S * gap is formed
-            D += S * A.gap()[None, :]
-            out[:, 1:N] = (np.tril(D, -1) * fac[:, None])[:, 1:]
-        idx = np.arange(1, N + 1)
+        BL, d, gap = _scaled_columns(self.H, self.lv), A.diagonal, A.gap()
+        for n in range(2, A.size):
+            S = BL[n, 2 : n + 1]
+            out[n, 1:n] = ((BL[n, 1:n] - S) / d[1:n] + S * gap[1:n]) * fac[n]
+        idx = np.arange(1, A.size)
         out[idx, idx] = diag[1:]
         return out
 

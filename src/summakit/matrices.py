@@ -19,8 +19,10 @@ exactly zero.  Both are computed once per matrix and kept on it, and
 ``invert_hat`` keeps the inverse it computes on the matrix it inverts.  A
 weighted mean's hat matrix is read from its weights: ``apply_hat`` multiplies
 by it and ``hat_inverse_bands`` gives its inverse's two bands in O(N).
-On exact (object) arrays, products and sums run over the lower triangle
-only, so no arithmetic touches the zeros above the diagonal.
+On exact (object) arrays the hat and bar sums, the hat inverse and the
+products run over the lower triangle only, as integer arithmetic on each
+row's numerators over one denominator (:func:`~summakit._util.numerators`),
+with one Fraction per result entry; a row holding a float keeps its own.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import as_float, as_vector, is_exact, suffix_sums
+from ._util import as_float, as_vector, is_exact, numerators, quotients, suffix_sums
 from .errors import LengthMismatchError, ShapeMismatchError, WeightOverflowError, ZeroDiagonalError
 
 log = logging.getLogger("summakit")
@@ -47,7 +49,7 @@ class NormalMatrix:
     keep them; the diagonal, subdiagonal, row sums and gap factor read the structure in O(N).
     """
 
-    __slots__ = ("size", "exact", "weights", "_entries", "_built", "_hat", "_hat_inverse", "_inverse")
+    __slots__ = ("size", "exact", "weights", "_entries", "_built", "_hat", "_hat_inverse", "_inverse", "_gap")
 
     def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries)
@@ -92,12 +94,9 @@ class NormalMatrix:
 
     def _dense(self) -> np.ndarray:
         if self.weights is None:
-            E = np.eye(self.size, dtype=object if self.exact else float)
-        else:
-            p, P = self._weights()
-            E = np.tril(p[None, :] / P[:, None])
-        E.setflags(write=False)
-        return E
+            return np.eye(self.size, dtype=object if self.exact else float)
+        p, P = self._weights()
+        return np.tril(p[None, :] / P[:, None])
 
     def _band(self, offset: int) -> np.ndarray:
         """a_{n+offset,n} for n = 0..N-offset."""
@@ -120,12 +119,14 @@ class NormalMatrix:
         return np.ones(self.size, dtype=object if self.exact else float)
 
     def gap(self, v=None):
-        """(a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}) for v < N, or at ``v``: exactly 1 on a weighted mean and the identity."""
-        v = np.arange(self.order) if v is None else v
+        """(a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}) for v < N, or at ``v``: exactly 1 on a weighted mean and the identity,
+        on dense entries evaluated once, in O(N), and kept read-only."""
         if self._entries is None:
-            return np.ones(self.order, dtype=object if self.exact else float)[v]
-        E = self._entries
-        return (E[v, v] - E[v + 1, v]) / (E[v, v] * E[v + 1, v + 1])
+            g = np.ones(self.order, dtype=object if self.exact else float)
+        else:
+            d = self.diagonal
+            g = _kept(self, "_gap", "gap factor", lambda: (d[:-1] - self.subdiagonal) / (d[:-1] * d[1:]))
+        return g if v is None else g[v]
 
     def rises(self) -> np.ndarray:
         """max_v max(a_nv - a_{n-1,v}, 0) for n = 1..N, C12's violations: exactly zero on the identity and on a
@@ -280,7 +281,7 @@ def _tail_sums(E: np.ndarray, v_hi: int, difference: bool) -> np.ndarray:
     the row above (row 0 as it is).  Each row is summed from its diagonal
     down to v, so no sum is a difference of two larger ones.  Float rows
     are one ``cumsum``; exact rows are differenced and summed over their
-    lower triangle only.
+    lower triangle only, as numerators over one denominator with the row above.
     """
     size = E.shape[0]
     v_hi = min(v_hi, size - 1)
@@ -288,11 +289,12 @@ def _tail_sums(E: np.ndarray, v_hi: int, difference: bool) -> np.ndarray:
         out = np.zeros((size, v_hi + 1), dtype=object)
         rows = E.tolist()
         for n, row in enumerate(rows):
-            terms = row[: n + 1]
-            if difference and n:
-                terms[:n] = map(operator.sub, terms[:n], rows[n - 1][:n])
-            sums = list(itertools.accumulate(reversed(terms)))[::-1]  # sums[v] = sum(terms[v:])
-            out[n, : min(n, v_hi) + 1] = sums[: v_hi + 1]
+            vals = row[: n + 1] + (rows[n - 1][:n] if difference else [])
+            nums, den = numerators(vals) or (vals, None)
+            terms = nums[: n + 1]
+            terms[: len(vals) - n - 1] = map(operator.sub, terms, nums[n + 1 :])
+            sums = list(itertools.accumulate(reversed(terms)))[::-1][: v_hi + 1]  # sums[v] = sum(terms[v:])
+            out[n, : len(sums)] = sums if den is None else [Fraction(x, den) for x in sums]
         return out
     T = np.diff(E, axis=0, prepend=0.0) if difference else E
     sums = np.empty(T.shape)
@@ -340,11 +342,13 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
 
 
 def _kept(A: NormalMatrix, slot: str, name: str, build) -> NormalMatrix:
-    """The value in A's private ``slot``, computed by ``build()`` on first use; each computation is logged with its time."""
+    """The value in A's private ``slot``, computed by ``build()`` on first use and kept read-only; each is logged with its time."""
     M = getattr(A, slot, None)
     if M is None:
         start = time.perf_counter()
         M = build()
+        if isinstance(M, np.ndarray):
+            M.setflags(write=False)
         log.debug("computed the %s of order %d in %.6f s", name, A.order, time.perf_counter() - start)
         object.__setattr__(A, slot, M)
     return M
@@ -371,16 +375,19 @@ def invert_hat(H: NormalMatrix) -> NormalMatrix:
     With H = [[L11, 0], [L21, L22]] the inverse is [[X11, 0], [-X22 L21 X11, X22]]:
     the inverses of the two diagonal blocks and two matrix products, BLAS-3
     on the float path.  A block of :data:`_BLOCK` rows or fewer is inverted
-    by forward substitution, so an exact matrix of that size forms no
-    product over the zeros of a triangular block.  No pivoting is
-    needed: the diagonal is nonzero by the type invariant.  It is computed
-    once per H: later calls return the same read-only matrix.
+    by forward substitution, and so is a matrix of int and Fraction entries,
+    fraction free and unsplit: no product over the zeros of a block.  No
+    pivoting is needed: the diagonal is nonzero by the type invariant.  It is
+    computed once per H: later calls return the same read-only matrix.
     """
     return _kept(H, "_inverse", "hat inverse", lambda: NormalMatrix(_lower_inverse(H.entries)))
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
     size = L.shape[0]
+    rows = [numerators(L[n, : n + 1]) for n in range(size)] if is_exact(L) else [None]
+    if None not in rows:
+        return _fraction_free_inverse(rows)
     if size <= _BLOCK:
         return _forward_substitution(L)
     h = size // 2
@@ -388,6 +395,20 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     X[:h, :h] = X11 = _lower_inverse(L[:h, :h])
     X[h:, h:] = X22 = _lower_inverse(L[h:, h:])
     X[h:, :h] = -(X22 @ (L[h:, :h] @ X11))
+    return X
+
+
+def _fraction_free_inverse(rows: list) -> np.ndarray:
+    """The inverse of rows R_n / d_n of integers (:func:`~summakit._util.numerators`): column v solves R x = d_v e_v, its
+    entries through row n numerators over R_v[v] ... R_n[n], the running product of the scaled diagonal."""
+    X = np.zeros((len(rows), len(rows)), dtype=object)
+    for v in range(len(rows)):
+        ys, D = [rows[v][1]], rows[v][0][v]
+        for R, _ in rows[v + 1 :]:
+            r = R[v + len(ys)]
+            ys = [y * r for y in ys] + [-sum(map(operator.mul, R[v:], ys))]
+            D *= r
+        X[v:, v] = [Fraction(y, D) for y in ys]
     return X
 
 
@@ -477,9 +498,10 @@ def apply_lower(M, x) -> np.ndarray:
     """result_n = sum_{v=0..n} M_nv x_v for a lower-triangular M: an array, or a NormalMatrix read as it is stored.
 
     A structure forms no matrix and is O(N): the identity gives x itself, a weighted mean
-    (1/P_n) sum_{v<=n} p_v x_v, each sum correctly rounded by :func:`~summakit._util.suffix_sums`
-    on the reversed terms.  Float entries are one ``np.dot``; on exact (object) entries each row
-    is summed over its lower triangle only, so the zeros above the diagonal are never multiplied.
+    (1/P_n) sum_{v<=n} p_v x_v, on floats its numerator summed exactly as integers and divided by
+    P_n in one correctly rounded division.  Float entries are one ``np.dot``;
+    on exact entries each row is an integer dot product over its lower triangle only.  A mixed
+    exact/float call, or a row holding a float, keeps its own arithmetic.
     """
     E = M._entries if isinstance(M, NormalMatrix) else np.asarray(M)
     size = M.size if E is None else E.shape[0]
@@ -491,8 +513,18 @@ def apply_lower(M, x) -> np.ndarray:
         return xs.astype(object) if M.exact else xs.copy()
     if E is None:
         p, P = M._weights()
-        return suffix_sums((p * xs)[::-1], size)[::-1] / P
+        if M.exact or is_exact(xs):
+            return suffix_sums((p * xs)[::-1], size)[::-1] / P
+        (a, da), (b, db), (c, dc) = (numerators(y) for y in (p, xs, P))
+        up = dc.bit_length() - da.bit_length() - db.bit_length() + 1  # powers of two: dc / (da db) = 2**up
+        sums = itertools.accumulate(map(operator.mul, a, b))
+        out = quotients(map(operator.lshift, sums, itertools.repeat(max(up, 0))), map(operator.lshift, c, itertools.repeat(max(-up, 0))))
+        finite = np.isfinite(xs)  # a non-finite term reaches every later mean as in the float sum
+        return out + (0 if finite.all() else np.cumsum(np.where(finite, 0.0, p * xs)) / P)
     if is_exact(E) or is_exact(xs):
-        return np.asarray([np.dot(E[n, : n + 1], xs[: n + 1]) for n in range(size)], dtype=object)
+        x = numerators(xs) if is_exact(E) and is_exact(xs) else None
+        rows = [(E[n, : n + 1], x and numerators(E[n, : n + 1])) for n in range(size)]
+        dots = [np.dot(r, xs[: r.size]) if q is None else Fraction(sum(map(operator.mul, q[0], x[0])), q[1] * x[1]) for r, q in rows]
+        return np.asarray(dots, dtype=object)
     return np.dot(E, xs)
 

@@ -73,3 +73,28 @@ def ones_factors(count, exact=False):
     if exact:
         return sk.FactorSequence(np.asarray([Fraction(1)] * count, dtype=object))
     return sk.FactorSequence(np.ones(count))
+
+
+def exact_oracle_inputs(seed, order=24):
+    """(A, B, lam, series) of the benchmark's exact-oracle workload: rational row-stochastic A and B,
+    nonzero rational factors through order + 1 and a rational series, drawn in its order from one seed."""
+    rng = np.random.default_rng(seed)
+    A = random_rational_row_stochastic(rng, order)
+    B = random_rational_row_stochastic(rng, order)
+    lam = sk.FactorSequence(np.asarray([random_rational(rng, nonzero=True) for _ in range(order + 2)], dtype=object))
+    return A, B, lam, sk.SeriesSample(random_rational_vector(rng, order + 1))
+
+
+def exact_oracle_calls(A, B, lam, series, k=2):
+    """The library calls of the exact-oracle workload, in its order, and their results by name."""
+    N = A.order
+    out = {"c9": sk.check_c9(A, B, lam, k), "c12": sk.check_c12(A), "c13": sk.check_c13(A), "c14": sk.check_c14(B)}
+    out.update(c15=sk.check_c15(A), c16=sk.check_c16(A, B, lam), decomposition=sk.decompose(A, B, lam, series))
+    out["constant"] = sk.empirical_constant(A, B, lam, k)
+    hat_b, inv_hat_a = sk.hat_of(B), sk.invert_hat(sk.hat_of(A))
+    out["key_gaps"] = [
+        sk.key_identity_check(A, B, lam, n, v, hat_b=hat_b, inv_hat_a=inv_hat_a) for n in range(2, N + 1) for v in range(1, n)
+    ]
+    out["cnv"] = sk.l1_lk_bound(sk.build_cnv(A, B, lam, k), k)
+    out["dnr"] = sk.l1_lk_bound(sk.build_dnr(A, B, lam, k), k)
+    return out

@@ -179,6 +179,14 @@ def test_transform_json_matches_golden(tmp_path):
     assert out.read_bytes() == (GOLDEN / "transform_cesaro_alt_n8_k1.json").read_bytes()
 
 
+def test_transform_mean_in_float_range_with_a_numerator_past_it(tmp_path):
+    # every partial sum is 1e308, so every mean is; the numerator sum_{v<=n} s_v passes float range from n = 1
+    cfg = write_config(tmp_path, base_config(N=3, series={"kind": "explicit", "coefficients": [1e308, 0, 0, 0]}))
+    out = tmp_path / "tr.csv"
+    assert main(["transform", "--config", cfg, "--out", str(out)]) == 0
+    assert [(r["transform"], r["delta"]) for r in read_rows(out)] == [("1e+308", "1e+308")] + [("1e+308", "0")] * 3
+
+
 def test_reports_deterministic_across_runs(tmp_path):
     cfg = write_config(tmp_path, base_config())
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"

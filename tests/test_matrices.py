@@ -387,7 +387,8 @@ def test_apply_lower_identity():
 
 
 def test_apply_lower_reads_a_structure_as_it_is_stored(caplog):
-    # no entries are formed: the identity gives x, a weighted mean one correctly rounded sum per row over P_n
+    # no entries are formed: the identity gives x, a weighted mean one correctly rounded quotient of the exact
+    # sum of the products p_v x_v by P_n
     rng = np.random.default_rng(211)
     x = rng.uniform(-1.0, 1.0, 41)
     A, I = sk.riesz_matrix(helpers.random_positive_weights(rng, 41)), sk.identity_matrix(40)
@@ -396,7 +397,8 @@ def test_apply_lower_reads_a_structure_as_it_is_stored(caplog):
     got = sk.apply_lower(A, x)
     out = sk.apply_lower(I, x)
     assert caplog.records == []
-    assert got.tolist() == [math.fsum(p[: n + 1] * x[: n + 1]) / A.weights.cumulative[n] for n in range(41)]
+    P = A.weights.cumulative
+    assert got.tolist() == [float(sum(map(F.__mul__, map(F, p[: n + 1]), map(F, x[: n + 1]))) / F(P[n])) for n in range(41)]
     assert out.tolist() == x.tolist() and out is not x
     E = sk.riesz_matrix(helpers.random_rational_weights(rng, 9))
     xs = helpers.random_rational_vector(rng, 9)
