@@ -49,6 +49,7 @@ from .matrices import (
     NormalMatrix,
     WeightSequence,
     identity_matrix,
+    leading_section,
     make_normal,
     riesz_matrix,
 )
@@ -196,18 +197,22 @@ def _generated_weights(spec: dict, order: int) -> np.ndarray:
 
 def weights_for(spec: dict, order: int) -> WeightSequence:
     """Weight sequence a riesz-family matrix spec can supply at this order."""
-    kind = spec["kind"]
-    if kind == "cesaro":
+    _check_weights(spec, order)
+    if spec["kind"] == "cesaro":
         return WeightSequence(np.ones(order + 1))
-    if kind != "riesz":
-        raise ConfigError(f"matrix kind {kind!r} has no weight sequence")
     if "weights" in spec:
-        w = spec["weights"]
-        if len(w) < order + 1:
-            raise TailUnavailableError(f"need {order + 1} explicit weights, have {len(w)}")
-        return WeightSequence(_numbers(w[: order + 1], "weights"))
+        return WeightSequence(_numbers(spec["weights"][: order + 1], "weights"))
     with np.errstate(over="ignore"):  # WeightSequence refuses an overflowing weight by name
         return WeightSequence(_generated_weights(spec, order))
+
+
+def _check_weights(spec: dict, order: int) -> None:
+    """Raise the spec's own error unless it supplies a weight sequence through ``order``."""
+    kind = spec["kind"]
+    if kind not in ("cesaro", "riesz"):
+        raise ConfigError(f"matrix kind {kind!r} has no weight sequence")
+    if kind == "riesz" and "weights" in spec and len(spec["weights"]) < order + 1:
+        raise TailUnavailableError(f"need {order + 1} explicit weights, have {len(spec['weights'])}")
 
 
 def matrix_max_order(spec: dict) -> int | None:
@@ -220,14 +225,14 @@ def matrix_max_order(spec: dict) -> int | None:
     return None
 
 
-def build_matrix(spec: dict, order: int, reach: int | None = None) -> NormalMatrix:
-    """The matrix of ``spec`` at ``order``; a weighted mean carries its weights through ``reach`` (``order`` when None)."""
+def build_matrix(spec: dict, order: int) -> NormalMatrix:
+    """The matrix of ``spec`` at ``order``."""
     kind = spec.get("kind")
     if kind == "identity":
         return identity_matrix(order)
     if kind in ("cesaro", "riesz"):
         try:
-            return riesz_matrix(weights_for(spec, order if reach is None else reach), order)
+            return riesz_matrix(weights_for(spec, order))
         except TailUnavailableError as exc:
             # short explicit weights at the base order are a config problem,
             # not a tail problem
@@ -430,33 +435,29 @@ def cmd_check(config: ExperimentConfig) -> int:
     N = config.order
     k = config.k
     A = build_matrix(config.matrix_a, N)
-    # C10, C11 and TA read B to the cutoff, or as far as its spec reaches (a spec short of N fails
-    # with its own message): a weighted mean's weights, the identity's order, an explicit B's rows
+    # B is built once, as the tail carrier C10, C11 and TA read: to the cutoff, or as far as its spec
+    # reaches (a spec short of N fails with its own message). The other checks read its order-N section
     own_max = matrix_max_order(config.matrix_b)
     reach = config.tail.cutoff if own_max is None else max(N, min(config.tail.cutoff, own_max))
-    B = build_matrix(config.matrix_b, N, reach)
-    tail_b = B if B.reach == reach else build_matrix(config.matrix_b, reach)
+    carrier = build_matrix(config.matrix_b, reach)
+    B = leading_section(carrier, N)
     lam = lambda_for(config, N + 2)
+
+    def theorem_a():
+        p = weights_for(config.matrix_a, N)
+        _check_weights(config.matrix_b, config.tail.cutoff)  # so the carrier holds B's weights through the cutoff
+        return check_theorem_a(p, carrier.weights, lam, k, config.tail, n_max=N, delta_mode=config.delta_mode)
 
     checks = {
         "C9": lambda: [check_c9(A, B, lam, k)],
-        "C10": lambda: [check_c10(A, tail_b, lam, k, config.tail, v_max=N)],
-        "C11": lambda: [check_c11(tail_b, lam, k, config.tail, v_max=N)],
+        "C10": lambda: [check_c10(A, carrier, lam, k, config.tail, v_max=N)],
+        "C11": lambda: [check_c11(carrier, lam, k, config.tail, v_max=N)],
         "C12": lambda: [check_c12(A)],
         "C13": lambda: [check_c13(A)],
         "C14": lambda: [check_c14(B)],
         "C15": lambda: [check_c15(A)],
         "C16": lambda: [check_c16(A, B, lam)],
-        "TA": lambda: check_theorem_a(
-            weights_for(config.matrix_a, N),
-            # without weights through the cutoff, weights_for raises the spec's own error
-            B.weights if B.reach == config.tail.cutoff else weights_for(config.matrix_b, config.tail.cutoff),
-            lam,
-            k,
-            config.tail,
-            n_max=N,
-            delta_mode=config.delta_mode,
-        ),
+        "TA": theorem_a,
     }
     reports = [rep for cid in config.conditions for rep in checks[cid]()]
     blocks = [(r.condition_id, r.indices, r.ratios, r.running_sup, r.trend, r.tail_cutoff, r.tail_warning) for r in reports]

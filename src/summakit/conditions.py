@@ -217,7 +217,8 @@ def probe_deltas(H: np.ndarray, lv) -> tuple[np.ndarray, np.ndarray]:
     With BL = H diag(lv), column v of D = BL[:, v] - BL[:, v+1] is the
     transform of the difference probe e_v - e_{v+1} scaled by the factors
     ``lv``, and column v of S = BL[:, v+1] that of the shift probe e_{v+1}.
-    Below row v these are the columns that C10 and C11 sum.
+    Below row v these are the columns that C10 and C11 sum.  ``lv`` None
+    stands for unit factors: BL is H.
     """
     BL = _scaled_columns(H, lv)
     return BL[:, :-1] - BL[:, 1:], BL[:, 1:]
@@ -230,6 +231,8 @@ def _scaled_columns(H: np.ndarray, lv) -> np.ndarray:
     zeros above it stay plain ints, so nothing downstream does rational
     arithmetic on them.
     """
+    if lv is None:
+        return H
     lv = lv[: H.shape[1]]
     if not is_exact(H):
         return H * lv[None, :]
@@ -269,9 +272,8 @@ class DenseProbes(dict):
     m is M's order, else :func:`~summakit.matrices.hat_columns`, so a long
     tail carrier keeps no hat matrix.  Keyed by probe kind, the arrays D
     and S are formed when read and not kept; an array set on the mapping
-    stands in for the one it would form.  Column v is the probe at v:
-    :meth:`column` forms it from hat columns v and v + 1 alone, with the same
-    bits.  On the identity the C10/C11 tails are a closed form (:meth:`tails`).
+    stands in for the one it would form.  Column v is the probe at v.  On
+    the identity the C10/C11 tails are a closed form (:meth:`tails`).
     """
 
     def __init__(self, M: NormalMatrix, lv, m: int):
@@ -288,17 +290,9 @@ class DenseProbes(dict):
     def _arrays(self) -> dict:
         return {**dict(zip(PROBE_KINDS, probe_deltas(self.H, self.lv))), **self}
 
-    def column(self, kind: str, v: int) -> np.ndarray:
-        shift = self.H[:, v + 1] * self.lv[v + 1]
-        return self.H[:, v] * self.lv[v] - shift if kind == PROBE_DIFFERENCE else shift
-
     def pows(self, k) -> dict:
         """Each probe's sum_n n**(k-1) |delta_nv|**k, weight one at n = 0."""
         return {kind: _pows(d, k) for kind, d in self._arrays().items()}
-
-    def pow(self, kind: str, v: int, k):
-        """The probe at v's entry of :meth:`pows`, with the same bits, from its column alone."""
-        return _pows(self.column(kind, v)[:, None], k)[0]
 
     def tails(self, kind: str, k, rows: int):
         """The C10/C11 sums sum_{n=v+1..rows} n**(k-1) |delta_nv|**k of probe ``kind``, and their last terms.
@@ -357,7 +351,7 @@ class WeightedProbes:
     """Both probe kinds at v = 0..m-1 through the weighted mean M, weights q, no column formed.
 
     Column v is ``diag[kind][v]`` at row v and ``rows[n] * scalars[kind][v]``
-    at rows n > v: ``rows`` holds q_n / (Q_n Q_{n-1})
+    at rows n > v: ``rows``, formed on first read, holds q_n / (Q_n Q_{n-1})
     (:meth:`~summakit.matrices.WeightSequence.hat_rows`), and the scalars are
     -Delta_v (difference) and Q_v lam_{v+1} (shift).  Below row v these are
     the columns C10 and C11 sum, so a probe's y-norm**k is its diagonal term
@@ -367,18 +361,14 @@ class WeightedProbes:
 
     def __init__(self, M: NormalMatrix, lv, m: int):
         w = self.weights = M.weights
+        lv = np.ones(M.size, dtype=object if M.exact else float) if lv is None else lv
         self.M, self.lv, self.m = M, lv, m
         shift = w.cumulative[:m] * lv[1 : m + 1]
         self.scalars = {PROBE_DIFFERENCE: -w.delta(lv, m), PROBE_SHIFT: shift}
         self.diag = {PROBE_DIFFERENCE: w.weights[:m] / w.cumulative[:m] * lv[:m], PROBE_SHIFT: np.zeros_like(shift)}
-        self.rows = w.hat_rows(M.size)
         self._pows = {}
 
-    def column(self, kind: str, v: int) -> np.ndarray:
-        col = self.rows * self.scalars[kind][v]
-        col[: v + 1] = 0
-        col[v] = self.diag[kind][v]
-        return col
+    rows = cached_property(lambda self: self.weights.hat_rows(self.M.size))
 
     def tails(self, kind, k, rows: int, scalars=None, index_power=None):
         """|s_v|**k T_v for every v, and |s_v|**k times T_v's last term.
@@ -394,15 +384,11 @@ class WeightedProbes:
     def pows(self, k) -> dict:
         """Each probe's sum_n n**(k-1) |delta_nv|**k: the diagonal term plus its tail through the last row, kept per k."""
         if k not in self._pows:
-            tails = {kind: self.tails(kind, k, self.rows.size - 1)[0] for kind in PROBE_KINDS}
+            tails = {kind: self.tails(kind, k, self.M.order)[0] for kind in PROBE_KINDS}
             self._pows[k] = {
                 kind: norm_weights(t.size, k, is_exact(t)) * abs_pow(self.diag[kind], k) + t for kind, t in tails.items()
             }
         return self._pows[k]
-
-    def pow(self, kind: str, v: int, k):
-        """The probe at v's entry of :meth:`pows`."""
-        return self.pows(k)[kind][v]
 
     def factored_rows(self):
         """:meth:`DenseProbes.factored_rows` in one row standing for every row n > v.
@@ -450,8 +436,9 @@ class WeightedProbes:
 
 
 def probe_columns(M: NormalMatrix, lv, m: int | None = None):
-    """M's probes at v = 0..m-1 (m is M's order when None) with the factors ``lv``: the one switch on how
-    M is stored.  A weighted mean's are read from its weights, any other matrix's from its hat columns."""
+    """M's probes at v = 0..m-1 (m is M's order when None) with the factors ``lv`` (unit factors when None):
+    the one switch on how M is stored.  A weighted mean's are read from its weights, any other matrix's from
+    its hat columns."""
     return (DenseProbes if M.weights is None else WeightedProbes)(M, lv, M.order if m is None else m)
 
 

@@ -30,18 +30,6 @@ _ROW_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ProbeResult:
-    """Deltas and norms produced by one coordinate probe."""
-
-    probe_kind: str
-    v: int
-    delta_x: np.ndarray
-    delta_y: np.ndarray
-    x_norm: float
-    y_norm: float
-
-
-@dataclass(frozen=True)
 class Decomposition:
     """Two-part split of the transformed factored series.
 
@@ -73,26 +61,18 @@ def probe_series(kind: str, v: int, size: int, exact: bool = False) -> SeriesSam
     return SeriesSample(coeffs)
 
 
-def _check_probe_args(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, v: int, k) -> None:
-    check_exponent(k)
-    if not 0 <= v <= A.order - 1:
-        raise IndexOutOfRangeError(f"probe index v={v} needs v+1 <= {A.order}")
-    check_pair(A, B, lam, A.size)
-
-
 class ProbePass:
     """Both probe kinds at every v = 0..N-1, through A and B.
 
     ``delta_x`` and ``delta_y`` are :func:`~summakit.conditions.probe_columns`
-    of A (unit factors) and of B, column v for the probe at v.
-    ``x_norm[kind]`` and ``y_pow[kind]`` hold each probe's x-norm and
-    y-norm**k, reduced on first read; :meth:`probe` reduces the columns at v alone.
+    of A (unit factors: no column is multiplied) and of B, column v for the
+    probe at v.  ``x_norm[kind]`` and ``y_pow[kind]`` hold each probe's
+    x-norm and y-norm**k, reduced on first read.
     """
 
     def __init__(self, A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k):
-        unit = np.ones(A.size, dtype=object if A.exact and B.exact else float)
         self.k, self.b_diag, self.lv = k, B.diagonal, lam.values
-        self.delta_x = probe_columns(A, unit)
+        self.delta_x = probe_columns(A, None)
         self.delta_y = probe_columns(B, lam.values)
 
     x_norm = cached_property(lambda self: self.delta_x.pows(1))
@@ -101,50 +81,25 @@ class ProbePass:
     def _y_norm(self, kind: str, v: int, strict_paper: bool, ypow):
         kf = float(self.k)
         if strict_paper and kind == PROBE_DIFFERENCE:
-            w_v = 1.0 if v == 0 else float(v) ** (kf - 1.0)
+            w_v = float(v) ** (kf - 1.0)
             b, f = float(self.b_diag[v]), float(self.lv[v])
             ypow = float(ypow) - w_v * abs(b * f) ** kf + w_v * abs(b) * abs(f) ** kf
         return ypow if self.k == 1 else float(ypow) ** (1.0 / kf)
 
-    def probe(self, kind: str, v: int, strict_paper: bool = False) -> ProbeResult:
-        """The probe at v; ``strict_paper`` swaps the difference probe's |b_vv lam_v|**k for b_vv |lam_v|**k."""
-        dx, dy = self.delta_x.column(kind, v), self.delta_y.column(kind, v)
-        y_norm = self._y_norm(kind, v, strict_paper, self.delta_y.pow(kind, v, self.k))
-        return ProbeResult(kind, v, dx, dy, self.delta_x.pow(kind, v, 1), y_norm)
-
     def constant(self, strict_paper: bool = False):
-        """(largest ratio, records (kind, v, ratio)) over v = 1..m-1 and both kinds, read from the norms alone."""
-        records = [
-            (kind, v, _ratio(kind, v, self._y_norm(kind, v, strict_paper, self.y_pow[kind][v]), x))
-            for kind in PROBE_KINDS
-            for v, x in enumerate(self.x_norm[kind].tolist()[1:], 1)
-        ]
-        return nan_max(r for _, _, r in records), records
+        """(largest ratio, {kind: float array of the ratios y-norm / x-norm at v = 1..N-1}), read from the norms alone.
+
+        ``strict_paper`` swaps the difference probe's |b_vv lam_v|**k for b_vv |lam_v|**k.
+        """
+        ratios = {}
+        for kind in PROBE_KINDS:
+            norms = enumerate(zip(self.x_norm[kind].tolist()[1:], self.y_pow[kind].tolist()[1:]), 1)
+            ratios[kind] = np.asarray([_ratio(kind, v, self._y_norm(kind, v, strict_paper, y), x) for v, (x, y) in norms])
+        return nan_max(r for kind in PROBE_KINDS for r in ratios[kind].tolist()), ratios
 
     def definition_gap(self) -> float:
         """The largest gap between A's probe deltas and their definition (:meth:`~summakit.conditions.DenseProbes.definition_gap`)."""
         return self.delta_x.definition_gap()
-
-
-def run_probe(
-    A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, v: int, kind: str, k, strict_paper: bool = False
-) -> ProbeResult:
-    """Apply one coordinate probe through both matrices and take the norms.
-
-    The probe at v of one :class:`ProbePass`; ``cli verify`` checks its
-    columns against the definition, the first difference of A applied to
-    the probe's partial sums, in its probe-consistency row.  ``strict_paper``
-    switches the difference-probe y-norm diagonal term from |b_vv lam_v|**k
-    to b_vv |lam_v|**k (first power on b_vv) for side-by-side comparison of
-    the two published readings.
-    """
-    _check_probe_args(A, B, lam, v, k)
-    return ProbePass(A, B, lam, k).probe(kind, v, strict_paper)
-
-
-def inequality20_ratio(probe: ProbeResult) -> float:
-    """Ratio of the probe's y-norm to its x-norm."""
-    return _ratio(probe.probe_kind, probe.v, probe.y_norm, probe.x_norm)
 
 
 def _ratio(kind: str, v: int, y_norm, x_norm) -> float:
@@ -156,15 +111,17 @@ def _ratio(kind: str, v: int, y_norm, x_norm) -> float:
 def empirical_constant(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k, strict_paper: bool = False):
     """Largest probe-norm ratio over v = 1..N-1 and both probe kinds.
 
-    Returns (max ratio, records) where each record is (kind, v, ratio).
-    The value is reported evidence for the bound constant; it is never
-    asserted to converge.  Every probe is one column of the probe
-    matrices of the two full hat matrices; a weighted mean's norms are read
-    from its weights.
+    Returns (max ratio, ratios), ``ratios[kind]`` the float array of the
+    ratios y-norm / x-norm of that kind's probes at v = 1..N-1
+    (:meth:`ProbePass.constant`).  The value is reported evidence for the
+    bound constant; it is never asserted to converge.  Every probe is one
+    column of the probe matrices of the two full hat matrices; a weighted
+    mean's norms are read from its weights.
     """
     if A.order < 2:
-        return 0.0, []
-    _check_probe_args(A, B, lam, A.order - 1, k)
+        return 0.0, {kind: np.zeros(0) for kind in PROBE_KINDS}
+    check_exponent(k)
+    check_pair(A, B, lam, A.size)
     return ProbePass(A, B, lam, k).constant(strict_paper)
 
 

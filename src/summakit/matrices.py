@@ -274,6 +274,14 @@ def cesaro_matrix(order: int, exact: bool = False) -> NormalMatrix:
     return riesz_matrix(WeightSequence(np.full(order + 1, Fraction(1) if exact else 1.0)))
 
 
+def leading_section(M: NormalMatrix, order: int) -> NormalMatrix:
+    """M's leading (order+1) x (order+1) section, held as M is: a weighted mean keeps all its weights, and
+    dense entries are a view of M's."""
+    if M._entries is None:
+        return NormalMatrix.__new__(NormalMatrix)._hold(order + 1, M.exact, M.weights, None)
+    return NormalMatrix(M._entries[: order + 1, : order + 1])
+
+
 def _tail_sums(E: np.ndarray, v_hi: int, difference: bool) -> np.ndarray:
     """Columns 0..v_hi of T's row tail sums sum_{i=v..n} T[n, i], zero for v > n.
 

@@ -173,29 +173,31 @@ def test_criterion_7_probe_formulas():
     ]
     lam = sk.FactorSequence(rng.uniform(-1, 1, N + 2))
     for A, B in matrices:
+        # every probe column at once: D and S of A-hat (unit factors) and of B-hat Lambda
+        dx = dict(zip((sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT), sk.probe_deltas(sk.hat_of(A).entries, None)))
+        dy = dict(zip((sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT), sk.probe_deltas(sk.hat_of(B).entries, lam.values)))
         for kind in (sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT):
             for v in range(N):
-                probe = sk.run_probe(A, B, lam, v, kind, 2)
                 series = sk.probe_series(kind, v, N + 1)
                 gen_x = sk.delta_transform_via_hat(A, series)
                 factored = sk.SeriesSample(series.coefficients * lam.values[: N + 1])
                 gen_y = sk.delta_transform_via_hat(B, factored)
                 worst = max(
                     worst,
-                    float(np.max(np.abs(probe.delta_x - gen_x))),
-                    float(np.max(np.abs(probe.delta_y - gen_y))),
+                    float(np.max(np.abs(dx[kind][:, v] - gen_x))),
+                    float(np.max(np.abs(dy[kind][:, v] - gen_y))),
                 )
     exact_ok = True
     Ax = helpers.random_rational_matrix(rng, 12)
     Bx = helpers.random_rational_matrix(rng, 12)
     lamx = sk.FactorSequence(helpers.random_rational_vector(rng, 14))
+    probes = sk.ProbePass(Ax, Bx, lamx, 2)
     for kind in (sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT):
         for v in range(12):
-            probe = sk.run_probe(Ax, Bx, lamx, v, kind, 2)
             series = sk.probe_series(kind, v, 13, exact=True)
-            exact_ok &= list(probe.delta_x) == list(sk.delta_transform_via_hat(Ax, series))
+            exact_ok &= list(probes.delta_x[kind][:, v]) == list(sk.delta_transform_via_hat(Ax, series))
             factored = sk.SeriesSample(series.coefficients * lamx.values[:13])
-            exact_ok &= list(probe.delta_y) == list(sk.delta_transform_via_hat(Bx, factored))
+            exact_ok &= list(probes.delta_y[kind][:, v]) == list(sk.delta_transform_via_hat(Bx, factored))
     ok = worst <= 1e-12 and exact_ok
     assert _verdict(7, f"probe formulas, max gap {worst:.2e}", ok)
 
@@ -216,8 +218,9 @@ def test_criterion_8_l1_lk_machinery():
 
     A = sk.cesaro_matrix(24)
     lam = sk.FactorSequence(1.0 / (np.arange(26) + 1.0))
-    M, records = sk.empirical_constant(A, A, lam, 2)
-    tautology = all(r <= M for _, _, r in records) and M == max(r for _, _, r in records)
+    M, ratios = sk.empirical_constant(A, A, lam, 2)
+    values = np.concatenate(list(ratios.values()))
+    tautology = bool(np.all(values <= M)) and M == values.max()
     golden = json.loads((GOLDEN / "probe_family_cesaro_n24_k2.json").read_text())
     regression = abs(M - golden["max_ratio"]) <= 1e-12 * golden["max_ratio"]
     ok = exact_ok and tautology and regression

@@ -128,7 +128,26 @@ def test_check_tail_unavailable_exit_code(tmp_path, capsys):
         ),
     )
     assert main(["check", "--config", cfg]) == 3
-    assert "tail unavailable" in capsys.readouterr().err
+    assert capsys.readouterr().err == "tail unavailable: need 65 explicit weights, have 5\n"
+
+
+@pytest.mark.parametrize(
+    "matrix_b, message",
+    [
+        ({"kind": "identity"}, "config error: matrix kind 'identity' has no weight sequence\n"),
+        (
+            {"kind": "explicit", "entries": [[1.0 / (n + 1)] * (n + 1) for n in range(9)]},
+            "config error: matrix kind 'explicit' has no weight sequence\n",
+        ),
+    ],
+    ids=["identity", "explicit"],
+)
+def test_theorem_a_names_what_b_lacks(tmp_path, capsys, matrix_b, message):
+    # TA reads B's weights through the cutoff, and an identity or explicit B has none;
+    # C10 before it reads the same B and passes
+    cfg = write_config(tmp_path, base_config(N=4, tail={"cutoff": 64}, matrix_b=matrix_b, conditions=["C10", "TA"]))
+    assert main(["check", "--config", cfg]) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_transform_identity_running_total(tmp_path):

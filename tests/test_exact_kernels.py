@@ -153,7 +153,7 @@ def test_decompose_on_exact_matrices_with_float_factors_keeps_its_float_arithmet
 
 def test_the_exact_oracle_calls_stay_under_ten_thousand_fraction_operations(monkeypatch):
     # no timing: the count of Fraction additions, subtractions, products and quotients, which dominate the exact
-    # path's time (7,157 on these inputs); a kernel that went back to per-entry Fraction arithmetic passes 10,000
+    # path's time (6,832 on these inputs); a kernel that went back to per-entry Fraction arithmetic passes 10,000
     inputs = helpers.exact_oracle_inputs(seed=1, order=24)
     calls = [0]
 

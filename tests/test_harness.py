@@ -30,18 +30,17 @@ def test_difference_probe_identity_norms():
     # identity hats collapse the probe to two coordinates
     lam = helpers.ones_factors(12)
     for k in (1, 2.0, 3.0):
+        probes = sk.ProbePass(sk.identity_matrix(10), sk.identity_matrix(10), lam, k)
+        ratios = probes.constant()[1][sk.PROBE_DIFFERENCE]
         for v in (1, 4, 8):
-            probe = sk.run_probe(sk.identity_matrix(10), sk.identity_matrix(10), lam, v, sk.PROBE_DIFFERENCE, k)
-            assert probe.x_norm == 2.0
+            assert probes.x_norm[sk.PROBE_DIFFERENCE][v] == 2.0
             expected = (v ** (float(k) - 1.0) + (v + 1) ** (float(k) - 1.0)) ** (1.0 / float(k))
-            np.testing.assert_allclose(probe.y_norm, expected, rtol=1e-13)
+            np.testing.assert_allclose(ratios[v - 1], expected / 2.0, rtol=1e-13)
 
 
 def test_shift_probe_identity_x_norm():
-    probe = sk.run_probe(
-        sk.identity_matrix(10), sk.cesaro_matrix(10), helpers.ones_factors(12), 3, sk.PROBE_SHIFT, 1
-    )
-    assert probe.x_norm == 1.0
+    probes = sk.ProbePass(sk.identity_matrix(10), sk.cesaro_matrix(10), helpers.ones_factors(12), 1)
+    assert probes.x_norm[sk.PROBE_SHIFT][3] == 1.0
 
 
 def test_difference_probe_piecewise_structure():
@@ -49,17 +48,15 @@ def test_difference_probe_piecewise_structure():
     A = helpers.random_normal_matrix(rng, 10)
     B = helpers.random_normal_matrix(rng, 10)
     lam = sk.FactorSequence(rng.uniform(-1, 1, 12))
-    v = 4
-    probe = sk.run_probe(A, B, lam, v, sk.PROBE_DIFFERENCE, 2)
+    probes = sk.ProbePass(A, B, lam, 2)
+    dx, dy = probes.delta_x[sk.PROBE_DIFFERENCE], probes.delta_y[sk.PROBE_DIFFERENCE]
     ah = sk.hat_of(A).entries
-    bh = sk.hat_of(B).entries
-    assert np.all(probe.delta_x[:v] == 0)
-    assert probe.delta_x[v] == ah[v, v]
-    for n in range(v + 1, 11):
-        np.testing.assert_allclose(probe.delta_x[n], ah[n, v] - ah[n, v + 1], rtol=1e-15)
-        np.testing.assert_allclose(
-            probe.delta_y[n], bh[n, v] * lam.values[v] - bh[n, v + 1] * lam.values[v + 1], rtol=1e-15
-        )
+    bl = sk.hat_of(B).entries * lam.values[:11]
+    # column v is zero above row v, a_vv at row v and the difference of two hat columns below it
+    assert np.all(np.triu(dx, 1) == 0)
+    assert np.array_equal(np.diagonal(dx), np.diagonal(ah)[:10])
+    np.testing.assert_allclose(np.tril(dx, -1), np.tril(ah[:, :-1] - ah[:, 1:], -1), rtol=1e-15)
+    np.testing.assert_allclose(np.tril(dy, -1), np.tril(bl[:, :-1] - bl[:, 1:], -1), rtol=1e-15)
 
 
 def test_probe_matches_generic_transform_exactly_rational():
@@ -67,99 +64,96 @@ def test_probe_matches_generic_transform_exactly_rational():
     A = helpers.random_rational_matrix(rng, 8)
     B = helpers.random_rational_matrix(rng, 8)
     lam = sk.FactorSequence(helpers.random_rational_vector(rng, 10))
+    probes = sk.ProbePass(A, B, lam, 2)
     for kind in (sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT):
         for v in range(8):
-            probe = sk.run_probe(A, B, lam, v, kind, 2)
             series = sk.probe_series(kind, v, 9, exact=True)
-            assert list(probe.delta_x) == list(sk.delta_transform_via_hat(A, series))
+            assert list(probes.delta_x[kind][:, v]) == list(sk.delta_transform_via_hat(A, series))
             factored = sk.SeriesSample(series.coefficients * lam.values[:9])
-            assert list(probe.delta_y) == list(sk.delta_transform_via_hat(B, factored))
+            assert list(probes.delta_y[kind][:, v]) == list(sk.delta_transform_via_hat(B, factored))
 
 
 def test_probe_cesaro_exact_small():
+    # a weighted mean's x-norms come from its weights, a dense twin's from its columns
     A = sk.cesaro_matrix(8, exact=True)
     lam = helpers.ones_factors(10, exact=True)
-    probe = sk.run_probe(A, A, lam, 1, sk.PROBE_DIFFERENCE, 1)
+    dense = sk.NormalMatrix(A.entries)
     series = sk.probe_series(sk.PROBE_DIFFERENCE, 1, 9, exact=True)
-    assert list(probe.delta_x) == list(sk.delta_transform_via_hat(A, series))
+    dx = sk.ProbePass(dense, dense, lam, 1).delta_x[sk.PROBE_DIFFERENCE]
+    assert list(dx[:, 1]) == list(sk.delta_transform_via_hat(A, series))
     # x-norm telescopes: a_vv + sum_{n>v} p_v p_n / (P_n P_{n-1}) at v=1
-    assert probe.x_norm == F(1, 2) + (F(1, 2) - F(1, 9))
-
-
-def test_probe_index_out_of_range():
-    with pytest.raises(IndexOutOfRangeError):
-        sk.run_probe(sk.identity_matrix(4), sk.identity_matrix(4), helpers.ones_factors(6), 4, sk.PROBE_SHIFT, 1)
+    for M in (A, dense):
+        assert sk.ProbePass(M, M, lam, 1).x_norm[sk.PROBE_DIFFERENCE][1] == F(1, 2) + (F(1, 2) - F(1, 9))
 
 
 def test_probe_needs_a_factor_for_every_row():
-    # a probe is one column of the pass over every v, which reads lam_0..lam_N
+    # the pass covers every v, which reads lam_0..lam_N
     rng = np.random.default_rng(7)
     for A in (helpers.random_normal_matrix(rng, 8), sk.cesaro_matrix(8)):
         with pytest.raises(LengthMismatchError):
-            sk.run_probe(A, A, helpers.ones_factors(8), 1, sk.PROBE_DIFFERENCE, 1)
+            sk.empirical_constant(A, A, helpers.ones_factors(8), 1)
 
 
 def test_inequality20_zero_factors():
-    probe = sk.run_probe(
-        sk.cesaro_matrix(8), sk.cesaro_matrix(8), sk.FactorSequence(np.zeros(10)), 2, sk.PROBE_DIFFERENCE, 1
-    )
-    assert sk.inequality20_ratio(probe) == 0.0
+    M, ratios = sk.empirical_constant(sk.cesaro_matrix(8), sk.cesaro_matrix(8), sk.FactorSequence(np.zeros(10)), 1)
+    assert M == 0.0
+    assert all(np.all(r == 0.0) for r in ratios.values())
 
 
 def test_inequality20_equal_matrices_k1():
     # k = 1 makes both norms the same absolute sum when A = B, lam = 1
     A = sk.cesaro_matrix(12)
-    probe = sk.run_probe(A, A, helpers.ones_factors(14), 3, sk.PROBE_DIFFERENCE, 1)
-    np.testing.assert_allclose(sk.inequality20_ratio(probe), 1.0, rtol=1e-13)
+    M, ratios = sk.empirical_constant(A, A, helpers.ones_factors(14), 1)
+    for kind in (sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT):
+        np.testing.assert_allclose(ratios[kind], 1.0, rtol=1e-13)
+    np.testing.assert_allclose(M, 1.0, rtol=1e-13)
 
 
 def test_inequality20_degenerate():
-    probe = sk.ProbeResult(sk.PROBE_SHIFT, 0, np.zeros(3), np.zeros(3), 0.0, 0.0)
-    with pytest.raises(DegenerateProbeError):
-        sk.inequality20_ratio(probe)
+    # a probe array set on the mapping stands in for the one it would form: all-zero shift columns have zero x-norm
+    rng = np.random.default_rng(11)
+    A = helpers.random_normal_matrix(rng, 6)
+    probes = sk.ProbePass(A, A, helpers.ones_factors(8), 1)
+    probes.delta_x[sk.PROBE_SHIFT] = np.zeros((7, 6))
+    with pytest.raises(DegenerateProbeError, match="probe shift at v=1 has zero x-norm"):
+        probes.constant()
 
 
 def test_empirical_constant_cesaro_family():
     A = sk.cesaro_matrix(16)
     lam = sk.FactorSequence(1.0 / (np.arange(18) + 1.0))
-    M, records = sk.empirical_constant(A, A, lam, 1)
-    assert len(records) == 2 * 15
-    assert M == max(r for _, _, r in records)
+    M, ratios = sk.empirical_constant(A, A, lam, 1)
+    assert set(ratios) == {sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT}
+    assert all(r.dtype == float and r.shape == (15,) for r in ratios.values())
+    values = np.concatenate(list(ratios.values()))
+    assert M == values.max()
     assert np.isfinite(M) and M > 0
-    for _, _, r in records:
-        assert r <= M
 
 
-def test_empirical_constant_records_equal_run_probe_ratios():
-    # probes read from one full hat matrix give the same bits as run_probe's column slices,
-    # on dense columns and, for a weighted-mean pair, on weights
+def test_empirical_constant_ratios_are_the_generic_transforms_norms():
+    # entry v - 1 of ratios[kind] is the probe at v's y-norm / x-norm, the norms of the generic transforms
+    # of the probe series; strict mode swaps the difference probe's |b_vv lam_v|**k for b_vv |lam_v|**k
     rng = np.random.default_rng(67)
-    lam = sk.FactorSequence(rng.uniform(-1, 1, 16))
+    N, k = 14, 2
+    lam = sk.FactorSequence(rng.uniform(-1, 1, N + 2))
     pairs = [
-        (helpers.random_normal_matrix(rng, 14), helpers.random_normal_matrix(rng, 14)),
-        (sk.cesaro_matrix(14), sk.riesz_matrix(helpers.random_positive_weights(rng, 15, 0.5, 2.0))),
+        (helpers.random_normal_matrix(rng, N), helpers.random_normal_matrix(rng, N)),
+        (sk.cesaro_matrix(N), sk.riesz_matrix(helpers.random_positive_weights(rng, N + 1, 0.5, 2.0))),
     ]
     for A, B in pairs:
         for strict in (False, True):
-            _, records = sk.empirical_constant(A, B, lam, 2, strict_paper=strict)
-            for kind, v, ratio in records:
-                assert ratio == sk.inequality20_ratio(sk.run_probe(A, B, lam, v, kind, 2, strict_paper=strict))
-
-
-def test_run_probe_reduces_only_the_two_columns_it_reads(monkeypatch):
-    # a dense side sums the column of its probe alone, not all N columns of both kinds
-    import summakit.conditions
-
-    real, reduced = summakit.conditions.accurate_sum, []
-    monkeypatch.setattr(summakit.conditions, "accurate_sum", lambda values: reduced.append(len(values)) or real(values))
-    rng = np.random.default_rng(71)
-    N = 20
-    A, B = helpers.random_normal_matrix(rng, N), helpers.random_normal_matrix(rng, N)
-    lam = sk.FactorSequence(rng.uniform(-1, 1, N + 2))
-    for kind in (sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT):
-        reduced.clear()
-        sk.run_probe(A, B, lam, 7, kind, 2)
-        assert reduced == [N + 1, N + 1]  # the x-side column, then the y-side one
+            _, ratios = sk.empirical_constant(A, B, lam, k, strict_paper=strict)
+            for kind in (sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT):
+                want = []
+                for v in range(1, N):
+                    series = sk.probe_series(kind, v, N + 1)
+                    dx = sk.delta_transform_via_hat(A, series)
+                    ypow = sk.y_norm_pow(sk.delta_transform_via_hat(B, sk.factored_series(series, lam)), k)
+                    if strict and kind == sk.PROBE_DIFFERENCE:
+                        b, f = abs(B.diagonal[v]), abs(lam.values[v])
+                        ypow += v ** (k - 1) * (b * f**k - (b * f) ** k)
+                    want.append(ypow ** (1 / k) / sk.x_norm(dx))
+                np.testing.assert_allclose(ratios[kind], want, rtol=1e-12)
 
 
 def test_probe_pass_is_the_definition_exactly_rational():
@@ -174,9 +168,10 @@ def test_probe_pass_is_the_definition_exactly_rational():
     steps = np.cumsum(E[:, ::-1], axis=1)[:, ::-1]
     assert (probes.delta_x[sk.PROBE_DIFFERENCE] == np.diff(E, axis=0, prepend=0)[:, :-1]).all()
     assert (probes.delta_x[sk.PROBE_SHIFT] == np.diff(steps, axis=0, prepend=0)[:, 1:]).all()
-    M_strict, strict = probes.constant(strict_paper=True)
-    assert (M_strict, strict) == sk.empirical_constant(A, B, lam, 2, strict_paper=True)
-    assert probes.constant() == sk.empirical_constant(A, B, lam, 2)
+    for strict in (False, True):
+        M, ratios = probes.constant(strict_paper=strict)
+        M_lib, ratios_lib = sk.empirical_constant(A, B, lam, 2, strict_paper=strict)
+        assert M == M_lib and all(np.array_equal(ratios[kind], ratios_lib[kind]) for kind in ratios)
 
 
 def test_strict_paper_probe_differs_only_for_k_above_one():
@@ -184,12 +179,12 @@ def test_strict_paper_probe_differs_only_for_k_above_one():
     A = helpers.random_positive_matrix(rng, 10)
     B = helpers.random_positive_matrix(rng, 10)
     lam = sk.FactorSequence(rng.uniform(0.5, 1.5, 12))
-    plain_k1 = sk.run_probe(A, B, lam, 3, sk.PROBE_DIFFERENCE, 1)
-    strict_k1 = sk.run_probe(A, B, lam, 3, sk.PROBE_DIFFERENCE, 1, strict_paper=True)
-    np.testing.assert_allclose(float(plain_k1.y_norm), float(strict_k1.y_norm), rtol=1e-15)
-    plain_k2 = sk.run_probe(A, B, lam, 3, sk.PROBE_DIFFERENCE, 2)
-    strict_k2 = sk.run_probe(A, B, lam, 3, sk.PROBE_DIFFERENCE, 2, strict_paper=True)
-    assert abs(plain_k2.y_norm - strict_k2.y_norm) > 1e-12  # b_vv != 1 generically
+    probes = {k: sk.ProbePass(A, B, lam, k) for k in (1, 2)}
+    plain_k1, strict_k1 = (probes[1].constant(strict_paper=strict)[1] for strict in (False, True))
+    np.testing.assert_allclose(plain_k1[sk.PROBE_DIFFERENCE], strict_k1[sk.PROBE_DIFFERENCE], rtol=1e-15)
+    plain_k2, strict_k2 = (probes[2].constant(strict_paper=strict)[1] for strict in (False, True))
+    assert abs(plain_k2[sk.PROBE_DIFFERENCE][2] - strict_k2[sk.PROBE_DIFFERENCE][2]) > 1e-12  # b_vv != 1 generically
+    assert np.array_equal(plain_k2[sk.PROBE_SHIFT], strict_k2[sk.PROBE_SHIFT])
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +204,8 @@ def riesz_pair_with_nan_factor(N, index):
 
 def test_empirical_constant_is_nan_when_a_probe_ratio_is():
     A, B, lam = riesz_pair_with_nan_factor(12, 5)
-    M, records = sk.empirical_constant(A, B, lam, 2)
-    assert any(math.isnan(r) for _, _, r in records)
+    M, ratios = sk.empirical_constant(A, B, lam, 2)
+    assert any(np.isnan(r).any() for r in ratios.values())
     assert math.isnan(M)
 
 
@@ -613,7 +608,7 @@ def test_dnr_column_sums_are_the_dense_column_sums_bit_for_bit(k):
 def test_necessity_wiring_y_norm_and_c10():
     # the y-norm k-th power of a difference probe splits into the diagonal term plus exactly
     # the c10 numerator truncated at the same order, and a shift probe's is its c11 numerator:
-    # on a dense B's probe columns and on a weighted mean's
+    # on the generic transform of the probe series, and on the probe pass over a dense B and a weighted mean
     rng = np.random.default_rng(59)
     N, k = 20, 2
     A = helpers.random_positive_matrix(rng, N)
@@ -622,13 +617,15 @@ def test_necessity_wiring_y_norm_and_c10():
     for B in (helpers.random_positive_matrix(rng, N), weighted):
         c10 = sk.check_c10(A, B, lam, k, sk.TailSpec(N), v_max=N - 1)
         c11 = sk.check_c11(B, lam, k, sk.TailSpec(N), v_max=N - 1)
+        y_pow = sk.ProbePass(A, B, lam, k).y_pow
         for v in range(1, N):
-            probe = sk.run_probe(A, B, lam, v, sk.PROBE_DIFFERENCE, k)
             diag_term = float(v) ** (k - 1.0) * abs(B.diagonal[v] * lam.values[v]) ** k
             numerator = c10.ratios[v] * abs(float(A.diagonal[v])) ** k
-            np.testing.assert_allclose(sk.y_norm_pow(probe.delta_y, k), diag_term + numerator, rtol=1e-12)
-            shift = sk.run_probe(A, B, lam, v, sk.PROBE_SHIFT, k)
-            np.testing.assert_allclose(sk.y_norm_pow(shift.delta_y, k), c11.ratios[v], rtol=1e-12)
+            want = {sk.PROBE_DIFFERENCE: diag_term + numerator, sk.PROBE_SHIFT: c11.ratios[v]}
+            for kind, value in want.items():
+                series = sk.factored_series(sk.probe_series(kind, v, N + 1), lam)
+                np.testing.assert_allclose(sk.y_norm_pow(sk.delta_transform_via_hat(B, series), k), value, rtol=1e-12)
+                np.testing.assert_allclose(y_pow[kind][v], value, rtol=1e-12)
 
 
 def test_t2_bounded_by_c16_and_dnr():

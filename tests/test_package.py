@@ -102,7 +102,7 @@ def test_the_gap_factor_and_the_storage_of_a_matrix_are_read_in_one_place_each()
     assert _storage_reads("harness.py") == set()
     allowed = {"probe_columns", "DenseProbes", "WeightedProbes", "check_theorem_a", "l1_lk_bound"}
     assert {f.split(".")[0] for f, _ in _storage_reads("conditions.py")} <= allowed
-    assert _storage_reads("cli.py") == {("cmd_check", "weights")}
+    assert _storage_reads("cli.py") == {("cmd_check.theorem_a", "weights")}
     modules = [p.name for p in (ROOT / "src" / "summakit").glob("*.py") if p.name != "matrices.py"]
     assert set().union(*map(_storage_branches, modules)) == {"probe_columns"}
     # the identity's one closed form in DenseProbes is its C10/C11 tails
@@ -120,6 +120,21 @@ def test_t1_is_one_product_through_b_hat_and_decompose_reads_no_probe_class():
     ]
     assert sorted(calls) == ["ProbePass.__init__", "ProbePass.__init__", "_tail_report", "cnv_column_sums", "key_identity_gaps"]
     assert _where("conditions.py", lambda n: isinstance(n, ast.FunctionDef) and n.name == "first_part") == []
+
+
+def _public_methods(module, cls):
+    """The names of the functions ``cls`` in ``module``'s source defines, but for private and dunder ones."""
+    tree = ast.parse((ROOT / "src" / "summakit" / module).read_text())
+    body = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls).body
+    return {n.name for n in body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+
+
+def test_the_probe_classes_share_one_protocol():
+    # what a storage form of a matrix gives the probe pass, C10/C11, the key identity and the c_nv sums:
+    # the weighted form has exactly these methods, and the dense form has each of them
+    protocol = {"pows", "tails", "factored_rows", "cnv_sums", "definition_gap"}
+    assert _public_methods("conditions.py", "WeightedProbes") == protocol
+    assert protocol <= _public_methods("conditions.py", "DenseProbes")
 
 
 def test_dense_hat_matrices_are_formed_in_named_places_only():

@@ -31,22 +31,27 @@ def test_weight_native_sums_equal_the_rational_oracles(data):
     A, B = (sk.riesz_matrix(sk.WeightSequence(np.asarray(w, dtype=object))) for w in (p, q))
     lam = sk.FactorSequence(np.asarray(lam_vals, dtype=object))
 
-    probes = sk.ProbePass(A, B, lam, k)
     a_rows, b_rows = oracles.to_rows(A), oracles.to_rows(B)
     ah, bh = oracles.hat_rows(a_rows), oracles.hat_rows(b_rows)
     rows = range(N + 1)
-    for v in range(N):
-        dx = {
-            sk.PROBE_DIFFERENCE: [ah[n][v] - ah[n][v + 1] for n in rows],
-            sk.PROBE_SHIFT: [ah[n][v + 1] for n in rows],
-        }
-        dy = {
-            sk.PROBE_DIFFERENCE: [bh[n][v] * lam_vals[v] - bh[n][v + 1] * lam_vals[v + 1] for n in rows],
-            sk.PROBE_SHIFT: [bh[n][v + 1] * lam_vals[v + 1] for n in rows],
-        }
-        for kind in dx:
-            assert probes.x_norm[kind][v] == oracles.x_abs_norm(dx[kind])
-            assert probes.y_pow[kind][v] == oracles.y_pow_norm(dy[kind], k)
+    # the weight-native pass, and the dense one over the same matrices' entries
+    for probes in (sk.ProbePass(A, B, lam, k), sk.ProbePass(sk.NormalMatrix(A.entries), sk.NormalMatrix(B.entries), lam, k)):
+        ratios = probes.constant()[1]
+        for v in range(N):
+            dx = {
+                sk.PROBE_DIFFERENCE: [ah[n][v] - ah[n][v + 1] for n in rows],
+                sk.PROBE_SHIFT: [ah[n][v + 1] for n in rows],
+            }
+            dy = {
+                sk.PROBE_DIFFERENCE: [bh[n][v] * lam_vals[v] - bh[n][v + 1] * lam_vals[v + 1] for n in rows],
+                sk.PROBE_SHIFT: [bh[n][v + 1] * lam_vals[v + 1] for n in rows],
+            }
+            for kind in dx:
+                x, y = oracles.x_abs_norm(dx[kind]), oracles.y_pow_norm(dy[kind], k)
+                assert probes.x_norm[kind][v] == x
+                assert probes.y_pow[kind][v] == y
+                if k == 1 and v:  # the ratio is the exact y-norm over the exact x-norm, each rounded once
+                    assert ratios[kind][v - 1] == float(y) / float(x)
 
     cnv = sk.cnv_column_sums(A, B, lam, k)
     dnr = sk.dnr_column_sums(A, B, lam, k)
@@ -62,8 +67,8 @@ def test_weight_native_sums_equal_the_rational_oracles(data):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_weight_native_verify_rows_equal_the_dense_rows_exactly(data):
-    # decompose, the key-identity gaps and the probe pass read a weighted side from its weights;
-    # in exact arithmetic every value equals the dense path's on the same matrices' entries
+    # decompose, the key-identity gaps, the c_nv sums and the probe pass's consistency read a weighted side
+    # from its weights; in exact arithmetic every value equals the dense path's on the same matrices' entries
     N = data.draw(st.integers(2, 7), label="N")
     p, q = (data.draw(st.lists(POSITIVE, min_size=N + 1, max_size=N + 1), label=name) for name in "pq")
     lam = sk.FactorSequence(np.asarray(data.draw(st.lists(FACTORS, min_size=N + 2, max_size=N + 2), label="lam"), dtype=object))
@@ -73,8 +78,7 @@ def test_weight_native_verify_rows_equal_the_dense_rows_exactly(data):
     series = sk.SeriesSample(coeffs)
 
     dense = sk.decompose(dense_a, dense_b, lam, series)
-    dense_probes = sk.ProbePass(dense_a, dense_b, lam, 2)
-    assert dense.residual == 0 and dense_probes.definition_gap() == 0
+    assert dense.residual == 0 and sk.ProbePass(dense_a, dense_b, lam, 2).definition_gap() == 0
     for X, Y in ((A, B), (A, dense_b), (dense_a, B)):
         dec = sk.decompose(X, Y, lam, series)
         assert dec.residual == 0
@@ -85,10 +89,4 @@ def test_weight_native_verify_rows_equal_the_dense_rows_exactly(data):
             assert list(sk.cnv_column_sums(X, Y, lam, 1, strict)) == list(cnv)
         gaps = sk.key_identity_gaps(X, Y, lam)
         assert len(gaps) == N - 1 and all(g == 0 for g in gaps)
-        probes = sk.ProbePass(X, Y, lam, 2)
-        assert probes.definition_gap() == 0
-        for kind in (sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT):
-            for v in range(N):
-                got, want = probes.probe(kind, v), dense_probes.probe(kind, v)
-                assert list(got.delta_x) == list(want.delta_x) and list(got.delta_y) == list(want.delta_y)
-                assert (got.x_norm, got.y_norm) == (want.x_norm, want.y_norm)
+        assert sk.ProbePass(X, Y, lam, 2).definition_gap() == 0
