@@ -37,14 +37,7 @@ from .conditions import (
 )
 from ._util import as_float
 from .errors import ConfigError, SummakitError, TailUnavailableError
-from .harness import (
-    cnv_column_sums,
-    decompose,
-    dnr_column_sums,
-    key_identity_gaps,
-    ProbePass,
-    probe_series,
-)
+from .harness import decompose, ProbePass, probe_series
 from .matrices import (
     NormalMatrix,
     WeightSequence,
@@ -262,8 +255,6 @@ def build_lambda(spec: dict, count: int, k: float, diag_a=None, diag_b=None) -> 
             raise ConfigError(f"lambda.values must supply at least {count} entries")
         return FactorSequence(_numbers(vals[:count], "lambda.values"))
     if kind == "riesz_adapted":
-        if diag_a is None or diag_b is None or len(diag_a) < count:
-            raise ConfigError(f"lambda.riesz_adapted needs matrix diagonals through index {count - 1}")
         n = np.arange(count, dtype=float)
         vals = np.abs(np.asarray(diag_a[:count], dtype=float) / np.asarray(diag_b[:count], dtype=float))
         vals[1:] *= n[1:] ** (1.0 / k - 1.0)
@@ -414,18 +405,25 @@ def _meta(config: ExperimentConfig, command: str, extra: dict | None = None) -> 
 # commands
 # ---------------------------------------------------------------------------
 
-def lambda_for(config: ExperimentConfig, count: int) -> FactorSequence:
-    """Build the factor sequence, sourcing diagonals when the spec needs them."""
-    diag_a = diag_b = None
-    if config.lambda_spec.get("kind") == "riesz_adapted":
-        source_order = count - 1
-        max_a = matrix_max_order(config.matrix_a)
-        max_b = matrix_max_order(config.matrix_b)
-        if (max_a is not None and max_a < source_order) or (max_b is not None and max_b < source_order):
-            raise ConfigError(f"lambda.riesz_adapted needs both matrices at order {source_order}")
-        diag_a = build_matrix(config.matrix_a, source_order).diagonal
-        diag_b = build_matrix(config.matrix_b, source_order).diagonal
-    return build_lambda(config.lambda_spec, count, config.k, diag_a, diag_b)
+def pair_for(config: ExperimentConfig, order_b: int):
+    """(A, B, lam, B as built): each matrix spec is built once, and A and B are the order-N sections.
+
+    B is built to ``order_b``, and both matrices one row past N when the
+    riesz_adapted factors read their diagonals there; a spec that reaches
+    less far is built as far as it reaches past N (one short of N fails with
+    its own message).
+    """
+    N = config.order
+    adapted = config.lambda_spec.get("kind") == "riesz_adapted"
+    whole = []
+    for spec, order in ((config.matrix_a, N + adapted), (config.matrix_b, max(order_b, N + adapted))):
+        own_max = matrix_max_order(spec)
+        whole.append(build_matrix(spec, order if own_max is None else max(N, min(order, own_max))))
+    if adapted and min(M.order for M in whole) < N + 1:
+        raise ConfigError(f"lambda.riesz_adapted needs both matrices at order {N + 1}")
+    diags = [leading_section(M, N + 1).diagonal for M in whole] if adapted else ()
+    A, B = (leading_section(M, N) for M in whole)
+    return A, B, build_lambda(config.lambda_spec, N + 2, config.k, *diags), whole[1]
 
 
 CHECK_COLUMNS = ["condition_id", "v_or_n", "ratio", "running_sup", "trend", "tail_cutoff", "tail_warning"]
@@ -434,19 +432,12 @@ CHECK_COLUMNS = ["condition_id", "v_or_n", "ratio", "running_sup", "trend", "tai
 def cmd_check(config: ExperimentConfig) -> int:
     N = config.order
     k = config.k
-    A = build_matrix(config.matrix_a, N)
-    # B is built once, as the tail carrier C10, C11 and TA read: to the cutoff, or as far as its spec
-    # reaches (a spec short of N fails with its own message). The other checks read its order-N section
-    own_max = matrix_max_order(config.matrix_b)
-    reach = config.tail.cutoff if own_max is None else max(N, min(config.tail.cutoff, own_max))
-    carrier = build_matrix(config.matrix_b, reach)
-    B = leading_section(carrier, N)
-    lam = lambda_for(config, N + 2)
+    A, B, lam, carrier = pair_for(config, config.tail.cutoff)  # B as built is the tail carrier C10, C11 and TA read
 
     def theorem_a():
-        p = weights_for(config.matrix_a, N)
+        _check_weights(config.matrix_a, N)
         _check_weights(config.matrix_b, config.tail.cutoff)  # so the carrier holds B's weights through the cutoff
-        return check_theorem_a(p, carrier.weights, lam, k, config.tail, n_max=N, delta_mode=config.delta_mode)
+        return check_theorem_a(A.weights, carrier.weights, lam, k, config.tail, n_max=N, delta_mode=config.delta_mode)
 
     checks = {
         "C9": lambda: [check_c9(A, B, lam, k)],
@@ -486,9 +477,7 @@ VERIFY_COLUMNS = ["check", "value", "tolerance", "status"]
 def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int = 0) -> int:
     N = config.order
     k = config.k
-    A = build_matrix(config.matrix_a, N)
-    B = build_matrix(config.matrix_b, N)
-    lam = lambda_for(config, N + 2)
+    A, B, lam, _ = pair_for(config, N)
     series = build_series(config.series_spec, N + 1)
     scale = max(1.0, float(np.max(np.abs(series.partial_sums))))
 
@@ -510,13 +499,11 @@ def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int =
     record("decomposition-v0-retained", 1.0 if dec.v0_retained else 0.0, informational=True)
 
     # np.max, unlike Python's max, is NaN when any gap or column sum is
-    worst_key = np.max(key_identity_gaps(A, B, lam))
-    record("key-identity", worst_key, VERIFY_TOLERANCES["key-identity"])
-
-    record("cnv-column-bound", np.max(as_float(cnv_column_sums(A, B, lam, k))), informational=True)
-    record("dnr-column-bound", np.max(as_float(dnr_column_sums(A, B, lam, k))), informational=True)
+    record("key-identity", np.max(probes.key_identity_gaps()), VERIFY_TOLERANCES["key-identity"])
+    record("cnv-column-bound", np.max(as_float(probes.cnv_column_sums())), informational=True)
+    record("dnr-column-bound", np.max(as_float(probes.dnr_column_sums())), informational=True)
     if strict_paper:
-        strict_sup = np.max(as_float(cnv_column_sums(A, B, lam, k, strict_paper=True)))
+        strict_sup = np.max(as_float(probes.cnv_column_sums(strict_paper=True)))
         record("cnv-column-bound-strict", strict_sup, informational=True)
         record("strict-vs-plain-bound-gap", abs(M - probes.constant()[0]), informational=True)
 

@@ -62,16 +62,22 @@ def probe_series(kind: str, v: int, size: int, exact: bool = False) -> SeriesSam
 
 
 class ProbePass:
-    """Both probe kinds at every v = 0..N-1, through A and B.
+    """Both probe kinds at every v = 0..N-1, through A and B, and every reading ``verify`` takes of them.
 
+    The constructor checks once that k >= 1, that A and B have one order
+    and that lam holds at least N + 1 factors; no reading checks again.
     ``delta_x`` and ``delta_y`` are :func:`~summakit.conditions.probe_columns`
     of A (unit factors: no column is multiplied) and of B, column v for the
     probe at v.  ``x_norm[kind]`` and ``y_pow[kind]`` hold each probe's
-    x-norm and y-norm**k, reduced on first read.
+    x-norm and y-norm**k, reduced on first read.  The bound constant
+    (:meth:`constant`), the key-identity gaps and the column k-power sums of
+    the c_nv and d_nr arrays are reductions of ``delta_y`` with A's bands.
     """
 
     def __init__(self, A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k):
-        self.k, self.b_diag, self.lv = k, B.diagonal, lam.values
+        check_exponent(k)
+        check_pair(A, B, lam, A.size)
+        self.A, self.B, self.k, self.b_diag, self.lv = A, B, k, B.diagonal, lam.values
         self.delta_x = probe_columns(A, None)
         self.delta_y = probe_columns(B, lam.values)
 
@@ -101,6 +107,55 @@ class ProbePass:
         """The largest gap between A's probe deltas and their definition (:meth:`~summakit.conditions.DenseProbes.definition_gap`)."""
         return self.delta_x.definition_gap()
 
+    def key_identity_gaps(self) -> np.ndarray:
+        """The largest gap of :func:`key_identity_check` in each column of the triangle.
+
+        Entry v - 1 is the largest gap at (n, v) over n = v+1..N, for v = 1..N-1,
+        read from the ``factored_rows`` of ``delta_y``: blocks of the whole
+        triangle, with the same bits as the scalar and row calls, or on a
+        weighted-mean B one row standing for every row, O(N).
+        """
+        A, N = self.A, self.A.order
+        v = np.arange(1, N)
+        inv_d, inv_s = (band[v] for band in hat_inverse_bands(A))
+        worst = np.zeros(max(N - 1, 0))
+        for F, n in self.delta_y.factored_rows():
+            gaps = _key_gaps(F[:, 1:N], F[:, 2:], inv_d, inv_s, A, v)
+            worst = np.maximum(worst, np.where(n[:, None] > v[None, :], gaps, 0).max(axis=0))  # (n, v) with v <= n - 1
+        return worst
+
+    def cnv_column_sums(self, strict_paper: bool = False) -> np.ndarray:
+        """Column k-power sums of :func:`build_cnv`'s array, v = 0..N: the ``cnv_sums`` of ``delta_y``.
+
+        On a weighted-mean B the array is not formed: its column sums are W tails
+        with index power k - 1, or (k - 1) / k with ``strict_paper``.
+        """
+        k = self.k
+        fac, diag = self._row_scaled(strict_paper)
+        return self.delta_y.cnv_sums(self.A, k, fac, diag, (float(k) - 1.0) / float(k) if strict_paper else k - 1)
+
+    def dnr_column_sums(self) -> np.ndarray:
+        """Column k-power sums of :func:`build_dnr`'s array, r = 0..N, from one suffix sweep.
+
+        Column r holds the row value d_n at rows n >= r + 2, so it sums to the
+        suffix sum of |d_n|**k from n = r + 2: the same bits as summing the column.
+        """
+        _, diag = self._row_scaled()
+        return np.concatenate((suffix_sums(abs_pow(diag, self.k), self.A.size), [0, 0]))[2:]
+
+    def _row_scaled(self, strict_paper: bool = False):
+        """Row factors n**e and the diagonal terms n**e b_nn lam_n / a_nn, e = (k-1)/k, or (k-1)/k**2 with ``strict_paper``.
+
+        The shared set-up of the two column sums, :func:`build_cnv` and
+        :func:`build_dnr`; the terms are exact only when both matrices are and
+        the row factors are all one.
+        """
+        A, kf, exact = self.A, float(self.k), self.A.exact and self.B.exact
+        expo = (kf - 1.0) / kf**2 if strict_paper else (kf - 1.0) / kf
+        fac = index_pow(np.arange(A.size), expo, exact)
+        diag = fac * self.b_diag * self.lv[: A.size] / A.diagonal
+        return fac, diag if exact and expo == 0.0 else np.asarray(diag, dtype=float)
+
 
 def _ratio(kind: str, v: int, y_norm, x_norm) -> float:
     if x_norm == 0:
@@ -118,10 +173,6 @@ def empirical_constant(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k,
     column of the probe matrices of the two full hat matrices; a weighted
     mean's norms are read from its weights.
     """
-    if A.order < 2:
-        return 0.0, {kind: np.zeros(0) for kind in PROBE_KINDS}
-    check_exponent(k)
-    check_pair(A, B, lam, A.size)
     return ProbePass(A, B, lam, k).constant(strict_paper)
 
 
@@ -205,25 +256,6 @@ def key_identity_check(
     return _key_gaps(bh[n, v] * f[v], bh[n, v + 1] * f[v + 1], inv_d[v], inv_s[v], A, v)
 
 
-def key_identity_gaps(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> np.ndarray:
-    """The largest gap of :func:`key_identity_check` in each column of the triangle.
-
-    Entry v - 1 is the largest gap at (n, v) over n = v+1..N, for v = 1..N-1,
-    read from the ``factored_rows`` of B's :func:`~summakit.conditions.probe_columns`:
-    blocks of the whole triangle, with the same bits as the scalar and row
-    calls, or on a weighted-mean B one row standing for every row, O(N).
-    """
-    N = A.order
-    check_pair(A, B, lam, N + 1)
-    v = np.arange(1, N)
-    inv_d, inv_s = (band[v] for band in hat_inverse_bands(A))
-    worst = np.zeros(max(N - 1, 0))
-    for F, n in probe_columns(B, lam.values).factored_rows():
-        gaps = _key_gaps(F[:, 1:N], F[:, 2:], inv_d, inv_s, A, v)
-        worst = np.maximum(worst, np.where(n[:, None] > v[None, :], gaps, 0).max(axis=0))  # (n, v) with v <= n - 1
-    return worst
-
-
 def _key_gaps(f_v, f_v1, inv_d, inv_s, A: NormalMatrix, v):
     """|lhs - rhs| of the adjacent-inverse rearrangement at column(s) v, relative to the size of the two sides.
 
@@ -246,21 +278,6 @@ def _key_gaps(f_v, f_v1, inv_d, inv_s, A: NormalMatrix, v):
     return gap / size if size else gap
 
 
-def _row_scaled(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k, strict_paper: bool = False):
-    """Row factors n**e and the diagonal terms n**e b_nn lam_n / a_nn, e = (k-1)/k, or (k-1)/k**2 with ``strict_paper``.
-
-    The shared set-up of :func:`build_cnv` and :func:`build_dnr`; the terms
-    are exact only when both matrices are and the row factors are all one.
-    """
-    check_exponent(k)
-    check_pair(A, B, lam, A.size)
-    kf, exact = float(k), A.exact and B.exact
-    expo = (kf - 1.0) / kf**2 if strict_paper else (kf - 1.0) / kf
-    fac = index_pow(np.arange(A.size), expo, exact)
-    diag = fac * B.diagonal * lam.values[: A.size] / A.diagonal
-    return fac, diag if exact and expo == 0.0 else np.asarray(diag, dtype=float)
-
-
 def build_cnv(
     A: NormalMatrix,
     B: NormalMatrix,
@@ -274,9 +291,9 @@ def build_cnv(
     c_nn = n**(1-1/k) * b_nn lam_n / a_nn, rows n >= 1; zero elsewhere.
     ``strict_paper`` moves the row factor to n**((k-1)/k**2) so that the
     k-th powers carry n**(1-1/k), the literal published weighting.  It is
-    formed through B-hat on every B: the reference :func:`cnv_column_sums` is checked against.
+    formed through B-hat on every B: the reference :meth:`ProbePass.cnv_column_sums` is checked against.
     """
-    return DenseProbes(B, lam.values, B.order).cnv(A, *_row_scaled(A, B, lam, k, strict_paper))
+    return DenseProbes(B, lam.values, B.order).cnv(A, *ProbePass(A, B, lam, k)._row_scaled(strict_paper))
 
 
 def build_dnr(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) -> np.ndarray:
@@ -284,26 +301,5 @@ def build_dnr(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) -> np.nd
 
     d_nr = n**(1-1/k) * b_nn lam_n / a_nn for 0 <= r <= n-2, zero elsewhere.
     """
-    _, diag = _row_scaled(A, B, lam, k)
+    _, diag = ProbePass(A, B, lam, k)._row_scaled()
     return np.where(np.tri(A.size, k=-2, dtype=bool), diag[:, None], 0)
-
-
-def cnv_column_sums(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k, strict_paper: bool = False) -> np.ndarray:
-    """Column k-power sums of :func:`build_cnv`'s array, v = 0..N: the ``cnv_sums`` of B's
-    :func:`~summakit.conditions.probe_columns`.
-
-    On a weighted-mean B the array is not formed: its column sums are W tails
-    with index power k - 1, or (k - 1) / k with ``strict_paper``.
-    """
-    fac, diag = _row_scaled(A, B, lam, k, strict_paper)
-    return probe_columns(B, lam.values).cnv_sums(A, k, fac, diag, (float(k) - 1.0) / float(k) if strict_paper else k - 1)
-
-
-def dnr_column_sums(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) -> np.ndarray:
-    """Column k-power sums of :func:`build_dnr`'s array, r = 0..N, from one suffix sweep.
-
-    Column r holds the row value d_n at rows n >= r + 2, so it sums to the
-    suffix sum of |d_n|**k from n = r + 2: the same bits as summing the column.
-    """
-    _, diag = _row_scaled(A, B, lam, k)
-    return np.concatenate((suffix_sums(abs_pow(diag, k), A.size), [0, 0]))[2:]

@@ -776,6 +776,15 @@ def test_verify_on_the_riesz_pair_computes_no_matrix(tmp_path, caplog, built):
     assert computed(caplog) == ["computed the entries of order 40"] * 2
 
 
+@pytest.mark.parametrize("command, orders", [("check", [41, 640]), ("verify", [41, 41])])
+def test_riesz_adapted_factors_read_the_matrices_each_command_builds(tmp_path, built, command, orders):
+    # riesz_adapted reads the diagonals one row past N, and TA reads A's weights: A and B are built once each
+    config = base_config(N=40, k=2, matrix_b=RIESZ_B, tail={"cutoff": 640}, conditions=ALL_CONDITIONS)
+    cfg = write_config(tmp_path, {**config, "lambda": {"kind": "riesz_adapted"}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "report.csv")]) == 0
+    assert [M.order for M in built] == orders
+
+
 def test_verify_with_an_identity_a_computes_no_hat_inverse(tmp_path, caplog):
     # the identity is its own hat inverse: the key identity and t2 read its ones and zeros
     cfg = write_config(tmp_path, base_config(N=40, k=2, matrix_a={"kind": "identity"}, matrix_b=RIESZ_B))
@@ -787,16 +796,14 @@ def test_verify_with_an_identity_a_computes_no_hat_inverse(tmp_path, caplog):
 
 def test_verify_hides_no_nan_key_identity_gap(tmp_path, monkeypatch):
     # one NaN among the per-v gaps, at v = 3: the row reads nan and fails, and so does the run
-    import summakit.cli as cli
-
-    real = cli.key_identity_gaps
+    real = summakit.ProbePass.key_identity_gaps
 
     def one_nan_gap(*args, **kwargs):
         gaps = np.array(real(*args, **kwargs), dtype=float)
         gaps[2] = np.nan
         return gaps
 
-    monkeypatch.setattr(cli, "key_identity_gaps", one_nan_gap)
+    monkeypatch.setattr(summakit.ProbePass, "key_identity_gaps", one_nan_gap)
     cfg = write_config(tmp_path, base_config(N=12, k=2))
     out = tmp_path / "verify.csv"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 1

@@ -133,7 +133,7 @@ def test_key_identity_gaps_within_their_bound(order, seed):
             gap = (a_rows[v][v] - a_rows[v + 1][v]) / (a_rows[v][v] * a_rows[v + 1][v + 1])
             lhs = bh[n][v] * f[v] * X[v][v] + bh[n][v + 1] * f[v + 1] * X[v + 1][v]
             assert lhs == (bh[n][v] * f[v] - bh[n][v + 1] * f[v + 1]) / a_rows[v][v] + bh[n][v + 1] * f[v + 1] * gap
-    assert np.max(sk.key_identity_gaps(A, B, sk.FactorSequence(lam))) <= 16 * U
+    assert np.max(sk.ProbePass(A, B, sk.FactorSequence(lam), 1).key_identity_gaps()) <= 16 * U
 
 
 class Untouchable:

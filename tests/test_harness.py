@@ -6,7 +6,7 @@ import pytest
 
 import summakit as sk
 from summakit.conditions import column_sums
-from summakit.errors import DegenerateProbeError, IndexOutOfRangeError, LengthMismatchError
+from summakit.errors import BadExponentError, DegenerateProbeError, IndexOutOfRangeError, LengthMismatchError, SizeMismatchError
 
 import helpers
 import oracles
@@ -92,6 +92,32 @@ def test_probe_needs_a_factor_for_every_row():
     for A in (helpers.random_normal_matrix(rng, 8), sk.cesaro_matrix(8)):
         with pytest.raises(LengthMismatchError):
             sk.empirical_constant(A, A, helpers.ones_factors(8), 1)
+
+
+def test_probe_pass_refuses_matrices_of_two_orders():
+    # no reading zips the two orders' norms to the shorter one
+    with pytest.raises(SizeMismatchError, match="matrix orders differ: 10 vs 14"):
+        sk.ProbePass(sk.cesaro_matrix(10), sk.cesaro_matrix(14), sk.FactorSequence(np.ones(16)), 2)
+
+
+def test_probe_pass_refuses_too_few_factors():
+    with pytest.raises(LengthMismatchError, match="need 11 factors, have 5"):
+        sk.ProbePass(sk.cesaro_matrix(10), sk.cesaro_matrix(10), sk.FactorSequence(np.ones(5)), 2)
+
+
+def test_probe_pass_refuses_an_exponent_below_one():
+    with pytest.raises(BadExponentError):
+        sk.ProbePass(sk.cesaro_matrix(10), sk.cesaro_matrix(10), sk.FactorSequence(np.ones(12)), 0.5)
+
+
+def test_probe_pass_below_order_two_has_no_ratio():
+    # v runs over 1..N-1: empty below N = 2, on every storage form
+    lam = helpers.ones_factors(3)
+    for order in (0, 1):
+        for M in (sk.cesaro_matrix(order), sk.NormalMatrix(np.eye(order + 1)), sk.identity_matrix(order)):
+            M_value, ratios = sk.empirical_constant(M, M, lam, 2)
+            assert M_value == 0.0
+            assert all(r.dtype == float and r.size == 0 for r in ratios.values())
 
 
 def test_inequality20_zero_factors():
@@ -247,8 +273,9 @@ def test_each_matrix_computes_its_hat_and_hat_inverse_once(monkeypatch):
     for _ in range(2):
         sk.decompose(A, B, lam, sk.SeriesSample(rng.uniform(-1.0, 1.0, 11)))
     sk.empirical_constant(A, B, lam, 2)
-    sk.key_identity_gaps(A, B, lam)
-    sk.cnv_column_sums(A, B, lam, 2)
+    probes = sk.ProbePass(A, B, lam, 2)
+    probes.key_identity_gaps()
+    probes.cnv_column_sums()
     built = [M for name, M in calls if name == "hat_columns"]
     assert len(built) == 2 and {id(M) for M in built} == {id(A), id(B)}
     assert [id(M) for name, M in calls if name == "_lower_inverse"] == [id(sk.hat_of(A).entries)]
@@ -380,7 +407,7 @@ def test_key_identity_row_vector_matches_scalar_calls():
         lam = sk.FactorSequence(lam_vals)
         hat_b, inv_a = sk.hat_of(B), sk.hat_inverse(A)
         # the whole triangle at once: entry v - 1 is the largest of column v's gaps, bit for bit
-        gaps = sk.key_identity_gaps(A, B, lam)
+        gaps = sk.ProbePass(A, B, lam, 1).key_identity_gaps()
         assert gaps.shape == (A.order - 1,)
         columns = [[] for _ in range(A.order - 1)]
         for n in range(2, A.order + 1):
@@ -401,7 +428,7 @@ def test_key_identity_gap_is_relative_to_the_size_of_its_terms():
     A = sk.NormalMatrix(sk.cesaro_matrix(N).entries)
     B = sk.NormalMatrix(sk.riesz_matrix(sk.WeightSequence((np.arange(N + 1) + 1.0) ** 0.5)).entries)
     lam = helpers.ones_factors(N + 2)
-    assert np.max(sk.key_identity_gaps(A, B, lam)) <= 1e-11
+    assert np.max(sk.ProbePass(A, B, lam, 1).key_identity_gaps()) <= 1e-11
     # a 1e-9 change to one entry of the hat inverse that the identity reads still fails, at any v
     X = sk.hat_inverse(A).entries
     for v in (1, 500, N - 1):
@@ -421,8 +448,8 @@ def test_key_identity_gap_of_zero_terms_is_exactly_zero():
     zeros = sk.FactorSequence(np.asarray([F(0)] * 8, dtype=object))
     for B in (helpers.random_rational_matrix(rng, 6), sk.riesz_matrix(helpers.random_rational_weights(rng, 7))):
         assert sk.key_identity_check(A, B, zeros, 5, 2) == 0
-        assert list(sk.key_identity_gaps(A, B, zeros)) == [0] * 5
-    assert list(sk.key_identity_gaps(sk.cesaro_matrix(6), sk.cesaro_matrix(6), sk.FactorSequence(np.zeros(8)))) == [0.0] * 5
+        assert list(sk.ProbePass(A, B, zeros, 1).key_identity_gaps()) == [0] * 5
+    assert list(sk.ProbePass(sk.cesaro_matrix(6), sk.cesaro_matrix(6), sk.FactorSequence(np.zeros(8)), 1).key_identity_gaps()) == [0.0] * 5
 
 
 def test_bar_algebra_step():
@@ -568,13 +595,13 @@ def test_weight_native_norms_match_dense_columns(k):
             for strict in (False, True):
                 dense_constant = _dense_constant(x_norm, y_pow, B.diagonal, lam_vals, k, strict)
                 np.testing.assert_allclose(native.constant(strict)[0], dense_constant, rtol=1e-13)
-                sums = sk.cnv_column_sums(A, B, lam, k, strict_paper=strict)
+                sums = native.cnv_column_sums(strict_paper=strict)
                 assert sums[0] == 0.0
                 dense_sums = sk.l1_lk_bound(sk.build_cnv(A, B, lam, k, strict), k).column_sums
                 np.testing.assert_allclose(sums, dense_sums, rtol=1e-13)
                 # N + 1 factors are all that either path reads
                 short = sk.FactorSequence(lam_vals[: N + 1])
-                assert np.array_equal(sk.cnv_column_sums(A, B, short, k, strict_paper=strict), sums)
+                assert np.array_equal(sk.ProbePass(A, B, short, k).cnv_column_sums(strict_paper=strict), sums)
 
 
 @pytest.mark.parametrize("k", WEIGHT_NATIVE_K)
@@ -584,10 +611,10 @@ def test_strict_cnv_sums_first_leave_the_plain_sums_bits(k):
         return sk.cesaro_matrix(40), sk.riesz_matrix(sk.WeightSequence((np.arange(41) + 1.0) ** 0.5))
 
     lam = sk.FactorSequence(1.0 / np.sqrt(np.arange(42) + 1.0))
-    plain = sk.cnv_column_sums(*pair(), lam, k)
-    A, B = pair()
-    strict = sk.cnv_column_sums(A, B, lam, k, strict_paper=True)
-    assert sk.cnv_column_sums(A, B, lam, k).tobytes() == plain.tobytes()
+    plain = sk.ProbePass(*pair(), lam, k).cnv_column_sums()
+    probes = sk.ProbePass(*pair(), lam, k)
+    strict = probes.cnv_column_sums(strict_paper=True)
+    assert probes.cnv_column_sums().tobytes() == plain.tobytes()
     assert (strict.tobytes() == plain.tobytes()) == (k == 1)
 
 
@@ -602,7 +629,7 @@ def test_dnr_column_sums_are_the_dense_column_sums_bit_for_bit(k):
     ]
     for A, B in pairs:
         dense = sk.l1_lk_bound(sk.build_dnr(A, B, lam, k), k).column_sums
-        assert np.array_equal(sk.dnr_column_sums(A, B, lam, k), dense)
+        assert np.array_equal(sk.ProbePass(A, B, lam, k).dnr_column_sums(), dense)
 
 
 def test_necessity_wiring_y_norm_and_c10():

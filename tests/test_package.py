@@ -118,7 +118,7 @@ def test_t1_is_one_product_through_b_hat_and_decompose_reads_no_probe_class():
         for path in sorted((ROOT / "src" / "summakit").glob("*.py"))
         for f in _where(path.name, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "probe_columns")
     ]
-    assert sorted(calls) == ["ProbePass.__init__", "ProbePass.__init__", "_tail_report", "cnv_column_sums", "key_identity_gaps"]
+    assert sorted(calls) == ["ProbePass.__init__", "ProbePass.__init__", "_tail_report"]
     assert _where("conditions.py", lambda n: isinstance(n, ast.FunctionDef) and n.name == "first_part") == []
 
 

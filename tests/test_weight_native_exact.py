@@ -53,8 +53,9 @@ def test_weight_native_sums_equal_the_rational_oracles(data):
                 if k == 1 and v:  # the ratio is the exact y-norm over the exact x-norm, each rounded once
                     assert ratios[kind][v - 1] == float(y) / float(x)
 
-    cnv = sk.cnv_column_sums(A, B, lam, k)
-    dnr = sk.dnr_column_sums(A, B, lam, k)
+    weighted = sk.ProbePass(A, B, lam, k)
+    cnv = weighted.cnv_column_sums()
+    dnr = weighted.dnr_column_sums()
     for v in range(N + 1):
         assert cnv[v] == oracles.cnv_colsum_pow(a_rows, b_rows, lam_vals, k, v)
         expected = oracles.dnr_colsum_pow(a_rows, b_rows, lam_vals, k, v)
@@ -86,7 +87,7 @@ def test_weight_native_verify_rows_equal_the_dense_rows_exactly(data):
             assert list(getattr(dec, part)) == list(getattr(dense, part))
         for strict in (False, True):  # at k = 1 the row factors are one: a weighted-mean Y's O(N) sums are exact
             cnv = sk.l1_lk_bound(sk.build_cnv(X, Y, lam, 1, strict), 1).column_sums
-            assert list(sk.cnv_column_sums(X, Y, lam, 1, strict)) == list(cnv)
-        gaps = sk.key_identity_gaps(X, Y, lam)
+            assert list(sk.ProbePass(X, Y, lam, 1).cnv_column_sums(strict)) == list(cnv)
+        gaps = sk.ProbePass(X, Y, lam, 1).key_identity_gaps()
         assert len(gaps) == N - 1 and all(g == 0 for g in gaps)
         assert sk.ProbePass(X, Y, lam, 2).definition_gap() == 0

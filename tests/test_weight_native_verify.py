@@ -104,7 +104,7 @@ def test_weight_native_rows_match_the_40_digit_oracles(beta_a, beta_b):
         assert max(abs(a - b) for a, b in zip(t1, exact_dy)) <= 1e-35 * max(abs(b) for b in exact_dy)
 
     # every gap is round-off on an identity whose exact value is 0
-    assert np.max(sk.key_identity_gaps(A, B, factors)) <= 4 * EPS
+    assert np.max(sk.ProbePass(A, B, factors, 2).key_identity_gaps()) <= 4 * EPS
     assert max(oracles.mp_key_gaps(p, q, lam[: N + 1])) <= 1e-35
 
     probes = sk.ProbePass(A, B, factors, 2)
@@ -144,7 +144,7 @@ def test_cnv_column_sums_match_the_40_digit_oracle(beta_a, beta_b, k):
     for X, bands in ((A, oracles.mp_weighted_mean_bands(p)), (explicit, (explicit.diagonal, explicit.subdiagonal))):
         plain, strict = oracles.mp_cnv_column_sums(bands, q, lam[: N + 1], k, (k - 1, (k - 1) / k))
         for strict_paper, want in ((False, plain), (True, strict)):
-            got = sk.cnv_column_sums(X, B, factors, k, strict_paper=strict_paper)
+            got = sk.ProbePass(X, B, factors, k).cnv_column_sums(strict_paper=strict_paper)
             assert got[0] == 0
             assert elementwise(got[1:], want[1:]) <= 80 * EPS
 
@@ -210,7 +210,7 @@ def test_one_probe_factor_off_by_1e_9_fails_the_probe_consistency_row():
 
 def test_one_hat_inverse_band_entry_off_by_1e_9_fails_the_key_identity_row(monkeypatch):
     A, B, lam = riesz_pair()
-    assert np.max(sk.key_identity_gaps(A, B, lam)) <= 1e-11
+    assert np.max(sk.ProbePass(A, B, lam, 2).key_identity_gaps()) <= 1e-11
     real = summakit.harness.hat_inverse_bands
     for band in (0, 1):
         for v in (1, 20, 39):
@@ -221,5 +221,5 @@ def test_one_hat_inverse_band_entry_off_by_1e_9_fails_the_key_identity_row(monke
                 return bands
 
             monkeypatch.setattr(summakit.harness, "hat_inverse_bands", shifted)
-            assert np.max(sk.key_identity_gaps(A, B, lam)) > 1e-11
+            assert np.max(sk.ProbePass(A, B, lam, 2).key_identity_gaps()) > 1e-11
 
