@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadExponentError, LengthMismatchError, SizeMismatchError
+from .errors import BadExponentError, LengthMismatchError, PowerOverflowError, SizeMismatchError
 
 
 def is_exact(arr: np.ndarray) -> bool:
@@ -150,6 +150,15 @@ def check_pair(A, B, lam, count: int) -> None:
         raise SizeMismatchError(f"matrix orders differ: {A.order} vs {B.order}")
     if len(lam) < count:
         raise LengthMismatchError(f"need {count} factors, have {len(lam)}")
+
+
+def scalar_pow(x: float, p: float, quantity: str, v: int) -> float:
+    """x**p for one float, as Python's ``**`` rounds it: numpy's vectorized power can differ in the last digit.
+    Where ``**`` raises OverflowError, a :class:`~summakit.errors.PowerOverflowError` names ``quantity`` and v."""
+    try:
+        return x**p
+    except OverflowError:
+        raise PowerOverflowError(f"{quantity} at v = {v} is not finite (float overflow)") from None
 
 
 def abs_pow(values, k):

@@ -188,55 +188,31 @@ def _generated_weights(spec: dict, order: int) -> np.ndarray:
     raise ConfigError(f"unknown weight generator {name!r}")
 
 
-def weights_for(spec: dict, order: int) -> WeightSequence:
-    """Weight sequence a riesz-family matrix spec can supply at this order."""
-    _check_weights(spec, order)
-    if spec["kind"] == "cesaro":
-        return WeightSequence(np.ones(order + 1))
-    if "weights" in spec:
-        return WeightSequence(_numbers(spec["weights"][: order + 1], "weights"))
-    with np.errstate(over="ignore"):  # WeightSequence refuses an overflowing weight by name
-        return WeightSequence(_generated_weights(spec, order))
+def build_matrix(spec: dict, order: int, reach: int | None = None) -> NormalMatrix:
+    """The matrix of ``spec`` at ``order``, or past it up to order ``reach`` as far as its weights or rows go.
 
-
-def _check_weights(spec: dict, order: int) -> None:
-    """Raise the spec's own error unless it supplies a weight sequence through ``order``."""
-    kind = spec["kind"]
-    if kind not in ("cesaro", "riesz"):
-        raise ConfigError(f"matrix kind {kind!r} has no weight sequence")
-    if kind == "riesz" and "weights" in spec and len(spec["weights"]) < order + 1:
-        raise TailUnavailableError(f"need {order + 1} explicit weights, have {len(spec['weights'])}")
-
-
-def matrix_max_order(spec: dict) -> int | None:
-    """Largest order this spec can build, or None when unbounded."""
-    kind = spec.get("kind")
-    if kind == "explicit":
-        return len(spec.get("entries", [])) - 1
-    if kind == "riesz" and "weights" in spec:
-        return len(spec["weights"]) - 1
-    return None
-
-
-def build_matrix(spec: dict, order: int) -> NormalMatrix:
-    """The matrix of ``spec`` at ``order``."""
+    A spec that stops short of ``order`` raises its own error.
+    """
+    reach = order if reach is None else reach
     kind = spec.get("kind")
     if kind == "identity":
-        return identity_matrix(order)
-    if kind in ("cesaro", "riesz"):
-        try:
-            return riesz_matrix(weights_for(spec, order))
-        except TailUnavailableError as exc:
-            # short explicit weights at the base order are a config problem,
-            # not a tail problem
-            raise ConfigError(str(exc)) from exc
+        return identity_matrix(reach)
+    if kind == "cesaro":
+        return riesz_matrix(WeightSequence(np.ones(reach + 1)))
+    if kind == "riesz" and "weights" in spec:
+        if len(spec["weights"]) < order + 1:
+            raise ConfigError(f"need {order + 1} explicit weights, have {len(spec['weights'])}")
+        return riesz_matrix(WeightSequence(_numbers(spec["weights"][: reach + 1], "weights")))
+    if kind == "riesz":
+        with np.errstate(over="ignore"):  # WeightSequence refuses an overflowing weight by name
+            return riesz_matrix(WeightSequence(_generated_weights(spec, reach)))
     if kind == "explicit":
         entries = spec.get("entries")
         if not entries:
             raise ConfigError("explicit matrix needs nonempty 'entries'")
         if len(entries) < order + 1:
             raise ConfigError(f"explicit matrix has {len(entries)} rows, need {order + 1}")
-        return make_normal([_numbers(row, f"entries[{n}]") for n, row in enumerate(entries[: order + 1])], order)
+        return make_normal([_numbers(row, f"entries[{n}]") for n, row in enumerate(entries[: reach + 1])])
     raise ConfigError(f"unknown matrix kind {kind!r}")
 
 
@@ -408,17 +384,13 @@ def _meta(config: ExperimentConfig, command: str, extra: dict | None = None) -> 
 def pair_for(config: ExperimentConfig, order_b: int):
     """(A, B, lam, B as built): each matrix spec is built once, and A and B are the order-N sections.
 
-    B is built to ``order_b``, and both matrices one row past N when the
-    riesz_adapted factors read their diagonals there; a spec that reaches
-    less far is built as far as it reaches past N (one short of N fails with
-    its own message).
+    A is built up to N and B up to ``order_b``, and both up to N + 1 when the
+    riesz_adapted factors read their diagonals there, each as far as its
+    spec reaches (:func:`build_matrix`).
     """
     N = config.order
     adapted = config.lambda_spec.get("kind") == "riesz_adapted"
-    whole = []
-    for spec, order in ((config.matrix_a, N + adapted), (config.matrix_b, max(order_b, N + adapted))):
-        own_max = matrix_max_order(spec)
-        whole.append(build_matrix(spec, order if own_max is None else max(N, min(order, own_max))))
+    whole = build_matrix(config.matrix_a, N, N + adapted), build_matrix(config.matrix_b, N, max(order_b, N + adapted))
     if adapted and min(M.order for M in whole) < N + 1:
         raise ConfigError(f"lambda.riesz_adapted needs both matrices at order {N + 1}")
     diags = [leading_section(M, N + 1).diagonal for M in whole] if adapted else ()
@@ -435,8 +407,11 @@ def cmd_check(config: ExperimentConfig) -> int:
     A, B, lam, carrier = pair_for(config, config.tail.cutoff)  # B as built is the tail carrier C10, C11 and TA read
 
     def theorem_a():
-        _check_weights(config.matrix_a, N)
-        _check_weights(config.matrix_b, config.tail.cutoff)  # so the carrier holds B's weights through the cutoff
+        for spec in (config.matrix_a, config.matrix_b):
+            if spec["kind"] not in ("cesaro", "riesz"):
+                raise ConfigError(f"matrix kind {spec['kind']!r} has no weight sequence")
+        if carrier.reach < config.tail.cutoff:  # B's explicit weights stop short of the cutoff
+            raise TailUnavailableError(f"need {config.tail.cutoff + 1} explicit weights, have {carrier.reach + 1}")
         return check_theorem_a(A.weights, carrier.weights, lam, k, config.tail, n_max=N, delta_mode=config.delta_mode)
 
     checks = {

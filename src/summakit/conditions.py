@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, index_pow, is_exact, nan_max, norm_weights
+from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, index_pow, is_exact, nan_max, norm_weights, scalar_pow
 from .errors import (
     LengthMismatchError,
     SizeMismatchError,
@@ -161,8 +161,8 @@ def check_c10(
         v_max = min(A.order, B.order, len(lam) - 2)
     if A.order < v_max:
         raise SizeMismatchError(f"diagonal source of order {A.order} cannot cover v <= {v_max}")
-    # scalar powers: numpy's vectorized power can differ in the last digit
-    denominators = [abs(a) ** float(k) for a in as_float(A.diagonal[: v_max + 1]).tolist()]
+    diagonal = as_float(A.diagonal[: v_max + 1]).tolist()
+    denominators = [scalar_pow(abs(a), float(k), "the C10 denominator |a_vv|**k", v) for v, a in enumerate(diagonal)]
     return _tail_report("C10", B, lam, k, tail, v_max, denominators)
 
 

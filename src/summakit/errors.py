@@ -45,5 +45,9 @@ class WeightOverflowError(SummakitError):
     """A float weight or cumulative weight sum is not finite; the message names the first such index."""
 
 
+class PowerOverflowError(SummakitError):
+    """A scalar float power is past float range; the message names the quantity and its index."""
+
+
 class ConfigError(SummakitError):
     """An experiment configuration failed validation; message names the field."""

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import abs_pow, check_exponent, check_pair, index_pow, nan_max, suffix_sums
+from ._util import abs_pow, check_exponent, check_pair, index_pow, nan_max, scalar_pow, suffix_sums
 from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
@@ -87,9 +87,10 @@ class ProbePass:
     def _y_norm(self, kind: str, v: int, strict_paper: bool, ypow):
         kf = float(self.k)
         if strict_paper and kind == PROBE_DIFFERENCE:
-            w_v = float(v) ** (kf - 1.0)
+            w_v = scalar_pow(float(v), kf - 1.0, "the index weight v**(k-1)", v)
             b, f = float(self.b_diag[v]), float(self.lv[v])
-            ypow = float(ypow) - w_v * abs(b * f) ** kf + w_v * abs(b) * abs(f) ** kf
+            literal = scalar_pow(abs(b * f), kf, "|b_vv lam_v|**k", v)
+            ypow = float(ypow) - w_v * literal + w_v * abs(b) * scalar_pow(abs(f), kf, "|lam_v|**k", v)
         return ypow if self.k == 1 else float(ypow) ** (1.0 / kf)
 
     def constant(self, strict_paper: bool = False):

@@ -275,8 +275,10 @@ def cesaro_matrix(order: int, exact: bool = False) -> NormalMatrix:
 
 
 def leading_section(M: NormalMatrix, order: int) -> NormalMatrix:
-    """M's leading (order+1) x (order+1) section, held as M is: a weighted mean keeps all its weights, and
-    dense entries are a view of M's."""
+    """M's leading (order+1) x (order+1) section, held as M is: M itself at M's order, a weighted mean keeps all
+    its weights, and dense entries are a view of M's."""
+    if order == M.order:
+        return M
     if M._entries is None:
         return NormalMatrix.__new__(NormalMatrix)._hold(order + 1, M.exact, M.weights, None)
     return NormalMatrix(M._entries[: order + 1, : order + 1])

@@ -417,6 +417,115 @@ def test_config_rejects_malformed_shapes(tmp_path, capsys, command, overrides, f
     assert f"config error: {field} must be" in capsys.readouterr().err
 
 
+ROWS_7 = [[0.5] * (n + 1) for n in range(7)]  # an explicit matrix that stops at N = 6
+
+
+@pytest.mark.parametrize(
+    "command, data, line",
+    [
+        # the config as a whole
+        ("check", [1, 2], "config root must be a JSON object"),
+        ("check", base_config(N=1), "N must be an integer >= 2, got 1"),
+        ("check", base_config(N="8"), "N must be an integer >= 2, got '8'"),
+        ("check", base_config(N=6, matrix_a={"weights": [1.0]}), "matrix_a must be an object with a 'kind' tag"),
+        ("check", base_config(N=6, tail=5), "tail must be an object"),
+        ("check", base_config(N=6, output=5), "output must be an object"),
+        ("check", base_config(N=6, tail={"cutoff": 6}), "tail.cutoff must be an integer > N, got 6"),
+        ("check", base_config(N=6, tail={"warn_threshold": 1}), "tail.warn_threshold must lie in (0, 1), got 1"),
+        ("check", base_config(N=6, output={"format": "xml"}), "output.format must be 'csv' or 'json', got 'xml'"),
+        ("check", base_config(N=6, delta_mode="sideways"), "delta_mode must be 'forward' or 'backward', got 'sideways'"),
+        # the spec builders
+        (
+            "check",
+            base_config(N=6, matrix_b={"kind": "riesz", "generator": {"name": "geometric", "ratio": 0}}),
+            "geometric weight ratio must be positive, got 0.0",
+        ),
+        ("check", base_config(N=6, matrix_b={"kind": "riesz", "generator": {"name": "fib"}}), "unknown weight generator 'fib'"),
+        ("check", base_config(N=6, matrix_b={"kind": "riesz", "weights": [1.0] * 6}), "need 7 explicit weights, have 6"),
+        ("check", base_config(N=6, matrix_a={"kind": "explicit", "entries": []}), "explicit matrix needs nonempty 'entries'"),
+        ("check", base_config(N=6, matrix_a={"kind": "explicit", "entries": ROWS_7[:6]}), "explicit matrix has 6 rows, need 7"),
+        (
+            "check",
+            base_config(N=6, matrix_a={"kind": "explicit", "entries": [[1.0], 5] + ROWS_7[2:]}),
+            "entries[1] must be a list of numbers, got 5",
+        ),
+        ("check", base_config(N=6, matrix_b={"kind": "hankel"}), "unknown matrix kind 'hankel'"),
+        ("check", base_config(N=6, **{"lambda": {"kind": "explicit", "values": [1.0] * 7}}), "lambda.values must supply at least 8 entries"),
+        ("check", base_config(N=6, **{"lambda": {"kind": "fib"}}), "unknown lambda kind 'fib'"),
+        (
+            "check",
+            base_config(N=6, matrix_a={"kind": "explicit", "entries": ROWS_7}, **{"lambda": {"kind": "riesz_adapted"}}),
+            "lambda.riesz_adapted needs both matrices at order 7",
+        ),
+        (
+            "verify",
+            base_config(N=6, matrix_b={"kind": "explicit", "entries": ROWS_7}, **{"lambda": {"kind": "riesz_adapted"}}),
+            "lambda.riesz_adapted needs both matrices at order 7",
+        ),
+        (
+            "transform",
+            base_config(N=6, series={"kind": "probe", "v": 0, "probe_kind": "sideways"}),
+            "series.probe_kind must be 'difference' or 'shift', got 'sideways'",
+        ),
+        ("transform", base_config(N=6, series={"kind": "fib"}), "unknown series kind 'fib'"),
+    ],
+)
+def test_each_config_error_is_one_line_and_exit_2(tmp_path, capsys, command, data, line):
+    cfg = write_config(tmp_path, data)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+
+
+def test_a_generator_given_by_name_reads_as_that_generator(tmp_path):
+    # "ones" by name is the unit-weight riesz matrix, the cesaro matrix: the same report bytes
+    reports = []
+    for matrix_b in ({"kind": "riesz", "generator": "ones"}, {"kind": "cesaro"}):
+        out = tmp_path / f"check{len(reports)}.csv"
+        cfg = write_config(tmp_path, base_config(N=12, k=2, matrix_b=matrix_b, conditions=ALL_CONDITIONS))
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+OVERFLOW_BASE = {"N": 20, "matrix_a": {"kind": "cesaro"}, "matrix_b": {"kind": "riesz", "generator": {"name": "power", "alpha": 0.5}}}
+# in verify the vectorized probe-norm powers overflow to inf first, with numpy's warnings (a defect of their own,
+# named in CHANGES.md); these filters let the run reach the scalar power each case is about
+NUMPY_OVERFLOW = [
+    pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning"),
+    pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, overrides, line",
+    [
+        (
+            ["check"],
+            {"k": 2, "conditions": ["C10"], "matrix_a": {"kind": "explicit", "entries": [[1e300] * (n + 1) for n in range(21)]}},
+            "the C10 denominator |a_vv|**k at v = 0 is not finite (float overflow)",
+        ),
+        pytest.param(
+            ["verify", "--strict-paper-mode"],
+            {"k": 300},
+            "the index weight v**(k-1) at v = 11 is not finite (float overflow)",
+            marks=NUMPY_OVERFLOW,
+        ),
+        pytest.param(
+            ["verify", "--strict-paper-mode"],
+            {"k": 2, "lambda": {"kind": "constant", "value": 1e200}},
+            "|b_vv lam_v|**k at v = 1 is not finite (float overflow)",
+            marks=NUMPY_OVERFLOW,
+        ),
+    ],
+    ids=["c10-denominator", "strict-index-weight", "strict-literal-term"],
+)
+def test_a_scalar_power_past_float_range_is_one_line_and_exit_2(tmp_path, capsys, argv, overrides, line):
+    # Python's scalar ** raises OverflowError where numpy returns inf: it ended in a traceback and exit 1
+    cfg = write_config(tmp_path, {**OVERFLOW_BASE, **overrides})
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "report.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+
+
 def test_power_lambda_with_negative_alpha_starts_at_one_without_warnings(tmp_path):
     # n = 0 is never raised to the power: 0**-1 would warn of a division by zero
     from summakit.cli import build_lambda
@@ -712,6 +821,16 @@ def test_check_keeps_only_the_leading_hat_columns_of_a_dense_tail_carrier(tmp_pa
     assert main(["check", "--config", cfg, "--out", str(out)]) == 0
     assert "computed the hat matrix of order 40" not in computed(caplog)
     assert out.read_bytes() == (GOLDEN / "check_explicit_b_n12_k1p5.csv").read_bytes()
+
+
+def test_check_on_an_explicit_pair_that_stops_at_n_computes_each_hat_matrix_once(tmp_path, caplog):
+    # B's rows stop at N, so the tail carrier C10/C11 read is the matrix C16 reads: one hat matrix for A, one for B
+    entries = [[(1 + (3 * n + 5 * v) % 7) / (8 * (n + 1)) for v in range(n + 1)] for n in range(13)]
+    explicit = {"kind": "explicit", "entries": entries}
+    cfg = write_config(tmp_path, base_config(N=12, k=2, matrix_a=explicit, matrix_b=explicit, tail={"cutoff": 40}))
+    caplog.set_level(logging.DEBUG, logger="summakit")
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "check.csv")]) == 0
+    assert [m for m in computed(caplog) if m.startswith("computed the hat matrix")] == ["computed the hat matrix of order 12"] * 2
 
 
 @pytest.fixture

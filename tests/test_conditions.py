@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import summakit as sk
 from summakit._util import suffix_sums
 from summakit.conditions import TREND_BOUNDED, TREND_GROWING, inner_sums
-from summakit.errors import BadExponentError, SizeMismatchError, TailUnavailableError
+from summakit.errors import BadExponentError, LengthMismatchError, SizeMismatchError, TailUnavailableError
 
 import helpers
 import oracles
@@ -65,6 +66,23 @@ def test_c10_identity_closed_form():
         v = np.arange(9)
         expected = (v + 1.0) ** (float(k) - 1.0) * np.abs(lam_vals[1:10]) ** float(k)
         np.testing.assert_allclose(rep.ratios, expected, rtol=1e-13)
+
+
+def test_c10_refuses_too_few_factors_a_carrier_with_no_tail_rows_and_a_short_a():
+    A, lam, tail = sk.cesaro_matrix(6), sk.FactorSequence(np.ones(5)), sk.TailSpec(cutoff=40)
+    with pytest.raises(LengthMismatchError, match=r"^need 8 factors, have 5$"):
+        sk.check_c10(A, A, lam, 2, tail, v_max=6)
+    with pytest.raises(TailUnavailableError, match=r"^carrier of order 0 has no tail rows at all$"):
+        sk.check_c10(A, sk.cesaro_matrix(0), lam, 2, tail, v_max=0)
+    with pytest.raises(SizeMismatchError, match=r"^diagonal source of order 3 cannot cover v <= 5$"):
+        sk.check_c10(sk.cesaro_matrix(3), A, lam, 2, tail, v_max=5)
+
+
+def test_tail_spec_refuses_a_bad_cutoff_and_warn_threshold():
+    with pytest.raises(ValueError, match=r"^tail cutoff must be a positive index, got 0$"):
+        sk.TailSpec(cutoff=0)
+    with pytest.raises(ValueError, match=re.escape("warn_threshold must lie in (0, 1), got 1.5")):
+        sk.TailSpec(cutoff=8, warn_threshold=1.5)
 
 
 def test_c10_riesz_unit_weights_bounded():
@@ -428,6 +446,36 @@ def test_w_sequence_tail_unavailable():
         sk.w_sequence(q, 1, sk.TailSpec(cutoff=50))
 
 
+def test_w_sequence_runs_to_one_short_of_the_cutoff_unless_told():
+    # unit weights and k = 1 telescope: W_n = 1/(n+1) - 1/(cutoff+1), exactly on Fractions
+    q = sk.WeightSequence(np.full(41, F(1)))
+    assert list(sk.w_sequence(q, 1, sk.TailSpec(cutoff=40))) == [F(1, n + 1) - F(1, 41) for n in range(40)]
+    with pytest.raises(TailUnavailableError, match=r"^W_40 has no terms below cutoff 40$"):
+        sk.w_sequence(q, 1, sk.TailSpec(cutoff=40), n_max=40)
+
+
+def test_theorem_a_reads_n_max_from_p_and_the_factors_unless_told():
+    p, q = sk.WeightSequence(np.arange(1.0, 12.0)), sk.WeightSequence(np.ones(41))
+    tail = sk.TailSpec(cutoff=40)
+    for lam_size, n_max in ((9, 7), (20, 10)):  # the shorter of lam (less 2) and p
+        lam = sk.FactorSequence(1.0 / np.arange(1.0, lam_size + 1.0))
+        for default, told in zip(sk.check_theorem_a(p, q, lam, 2, tail), sk.check_theorem_a(p, q, lam, 2, tail, n_max=n_max)):
+            np.testing.assert_array_equal(default.indices, np.arange(1, n_max + 1))
+            np.testing.assert_array_equal(default.ratios, told.ratios)
+
+
+def test_theorem_a_refuses_a_bad_delta_mode_and_short_inputs():
+    p, q, lam, tail = sk.WeightSequence(np.ones(11)), sk.WeightSequence(np.ones(41)), sk.FactorSequence(np.ones(12)), sk.TailSpec(40)
+    with pytest.raises(ValueError, match=r"^delta_mode must be 'forward' or 'backward', got 'sideways'$"):
+        sk.check_theorem_a(p, q, lam, 2, tail, delta_mode="sideways")
+    with pytest.raises(LengthMismatchError, match=r"^need 11 p-weights, have 6$"):
+        sk.check_theorem_a(sk.WeightSequence(np.ones(6)), q, lam, 2, tail, n_max=10)
+    with pytest.raises(LengthMismatchError, match=r"^need 12 factors, have 11$"):
+        sk.check_theorem_a(p, q, sk.FactorSequence(np.ones(11)), 2, tail, n_max=10)
+    with pytest.raises(LengthMismatchError, match=r"^need 12 q-weights, have 11$"):
+        sk.check_theorem_a(p, sk.WeightSequence(np.ones(11)), lam, 2, tail, n_max=10)
+
+
 def test_theorem_a_matched_powers_flat():
     # p = q and lam_n = n**(1/k-1) cancel exactly in condition (a)
     rng = np.random.default_rng(71)
@@ -546,3 +594,4 @@ def test_trend_classifier_shapes():
     assert sk.classify_trend(n, n.astype(float)) == TREND_GROWING
     assert sk.classify_trend(n, np.sqrt(n)) == TREND_GROWING
     assert sk.classify_trend(n, np.log(n + 1.0)) == "inconclusive"
+    assert sk.classify_trend([], []) == "inconclusive"

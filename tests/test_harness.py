@@ -24,6 +24,8 @@ def test_probe_series_shapes():
     np.testing.assert_array_equal(shift.coefficients, [0, 0, 0, 1, 0, 0])
     with pytest.raises(IndexOutOfRangeError):
         sk.probe_series(sk.PROBE_DIFFERENCE, 5, 6)
+    with pytest.raises(ValueError, match=r"^unknown probe kind 'sideways'$"):
+        sk.probe_series("sideways", 2, 6)
 
 
 def test_difference_probe_identity_norms():
@@ -279,6 +281,12 @@ def test_each_matrix_computes_its_hat_and_hat_inverse_once(monkeypatch):
     built = [M for name, M in calls if name == "hat_columns"]
     assert len(built) == 2 and {id(M) for M in built} == {id(A), id(B)}
     assert [id(M) for name, M in calls if name == "_lower_inverse"] == [id(sk.hat_of(A).entries)]
+
+
+def test_decompose_refuses_too_few_coefficients():
+    A, lam = sk.cesaro_matrix(6), sk.FactorSequence(np.ones(8))
+    with pytest.raises(LengthMismatchError, match=r"^need 7 coefficients, have 3$"):
+        sk.decompose(A, A, lam, sk.SeriesSample(np.ones(3)))
 
 
 def test_decompose_identity_matrices():

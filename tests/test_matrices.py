@@ -8,6 +8,7 @@ import pytest
 
 import summakit as sk
 from summakit.errors import LengthMismatchError, ShapeMismatchError, WeightOverflowError, ZeroDiagonalError
+from summakit.matrices import leading_section
 
 import helpers
 import oracles
@@ -30,6 +31,12 @@ def test_make_normal_bad_rows():
         sk.make_normal([[1.0], [0.5, 1.0, 0.3]])
     with pytest.raises(ShapeMismatchError):
         sk.make_normal(np.ones((3, 4)))
+    with pytest.raises(ShapeMismatchError, match=r"^entries must be a sequence of rows$"):
+        sk.make_normal([1.0, 2.0])
+    with pytest.raises(ShapeMismatchError, match=r"^got 3 rows for order 5$"):
+        sk.make_normal([[1.0], [0.5, 1.0], [0.1, 0.2, 1.0]], 5)
+    with pytest.raises(ShapeMismatchError, match=r"^weights must be a nonempty 1-D sequence$"):
+        sk.WeightSequence([])
 
 
 def test_make_normal_cesaro_diagonal():
@@ -40,6 +47,23 @@ def test_make_normal_cesaro_diagonal():
 def test_make_normal_square_input_drops_upper_triangle():
     m = sk.make_normal(np.array([[1.0, 9.0], [0.5, 1.0]]))
     assert m.entries[0, 1] == 0.0
+    assert sk.make_normal([[1.0, 9.0], [0.5, 1.0]]).entries.tolist() == [[1.0, 0.0], [0.5, 1.0]]  # square rows as lists
+
+
+def test_leading_section_at_the_matrix_order_is_the_matrix_itself():
+    # a spec built exactly to N is one matrix, so its kept hat matrix is computed once
+    for M in (sk.cesaro_matrix(6), sk.identity_matrix(6), helpers.random_normal_matrix(np.random.default_rng(5), 6)):
+        assert leading_section(M, 6) is M
+        assert leading_section(M, 5) is not M and leading_section(M, 5).order == 5
+
+
+def test_invert_hat_of_fractions_with_one_float_among_them():
+    # a row holding a float has no integer numerators: forward substitution runs entry by entry on the object array
+    H = sk.make_normal([[F(1)], [0.5, F(2)], [F(1, 3), 0.25, F(4)]])
+    X = sk.invert_hat(H).entries
+    assert H.exact and X.dtype == object
+    assert X[1, 0] == -0.25 and X[1, 1] == F(1, 2) and X[2, 2] == F(1, 4)
+    assert H.entries.dot(X).tolist() == np.eye(3).tolist()  # exactly
 
 
 def test_entries_read_only():

@@ -18,6 +18,13 @@ def test_series_partial_sums():
     assert s.order == 2
 
 
+def test_series_and_factors_refuse_no_values():
+    with pytest.raises(LengthMismatchError, match=r"^a series needs at least one coefficient$"):
+        sk.SeriesSample([])
+    with pytest.raises(LengthMismatchError, match=r"^a factor sequence needs at least one value$"):
+        sk.FactorSequence([])
+
+
 def test_transform_identity_returns_partial_sums():
     rng = np.random.default_rng(1)
     s = sk.SeriesSample(rng.uniform(-1, 1, 6))

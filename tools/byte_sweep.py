@@ -6,11 +6,12 @@ REV (default HEAD) is extracted with ``git archive`` into a temporary
 directory.  Each tree's ``src/`` is then imported in a child process of its
 own, which runs the whole grid in-process through ``summakit.cli.main``:
 ``check``, ``transform``, ``verify`` and ``verify --strict-paper-mode --format
-json`` on every configuration.  The grid takes A and B each from seven
-specs (cesaro, riesz power-0.5, riesz geometric-1.1, identity, a 41-row and a
-15-row explicit matrix, 16 explicit riesz weights), lambda riesz_adapted or
-n**-0.5, k = 1 or 2, at N = 14 with tail cutoff 40; TA is checked wherever
-both matrices are weighted means.  Every run whose report bytes, exit code,
+json`` on every configuration.  The grid takes A and B each from ten
+specs (cesaro, riesz power-0.5, riesz geometric-1.1, riesz with the generator
+named "ones", identity, a 41-row, a 15-row and a 10-row explicit matrix, 16
+and 10 explicit riesz weights: the 10s stop short of N + 1 = 15), lambda
+riesz_adapted or n**-0.5, k = 1 or 2, at N = 14 with tail cutoff 40, 1,600
+runs; TA is checked wherever both matrices are weighted means.  Every run whose report bytes, exit code,
 stderr or warnings differ between the trees is printed, and the exit status
 is 1 when any does.  Needs numpy alone.
 """
@@ -53,10 +54,13 @@ def _matrices() -> dict:
         "cesaro": {"kind": "cesaro"},
         "riesz-power-0.5": {"kind": "riesz", "generator": {"name": "power", "alpha": 0.5}},
         "riesz-geometric-1.1": {"kind": "riesz", "generator": {"name": "geometric", "ratio": 1.1}},
+        "riesz-ones": {"kind": "riesz", "generator": "ones"},
         "identity": {"kind": "identity"},
         "explicit-41": _explicit(CUTOFF + 1, 1),
         "explicit-15": _explicit(N + 1, 2),
+        "explicit-10": _explicit(10, 4),
         "riesz-weights-16": {"kind": "riesz", "weights": np.random.default_rng(3).uniform(0.5, 2.0, 16).tolist()},
+        "riesz-weights-10": {"kind": "riesz", "weights": np.random.default_rng(5).uniform(0.5, 2.0, 10).tolist()},
     }
 
 
