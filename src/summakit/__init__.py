@@ -55,9 +55,8 @@ from .harness import (
 from .matrices import (
     NormalMatrix,
     WeightSequence,
+    apply_hat,
     apply_lower,
-    bar_columns,
-    bar_of,
     cesaro_matrix,
     hat_columns,
     hat_inverse,
@@ -72,12 +71,6 @@ from .series import (
     FactorSequence,
     SeriesSample,
     abs_k_profile,
-    delta_transform_via_hat,
-    factored_series,
-    transform_partial_sums,
-    x_norm,
-    y_norm,
-    y_norm_pow,
 )
 
 __all__ = [
@@ -89,24 +82,17 @@ __all__ = [
     "identity_matrix",
     "cesaro_matrix",
     "riesz_matrix",
-    "bar_of",
-    "bar_columns",
     "hat_of",
     "hat_columns",
     "hat_inverse",
     "invert_hat",
+    "apply_hat",
     "apply_lower",
     # series
     "SeriesSample",
     "FactorSequence",
     "AbsKProfile",
-    "transform_partial_sums",
-    "delta_transform_via_hat",
     "abs_k_profile",
-    "factored_series",
-    "x_norm",
-    "y_norm",
-    "y_norm_pow",
     # conditions
     "TailSpec",
     "ConditionReport",

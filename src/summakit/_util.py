@@ -133,10 +133,11 @@ def _last_running_sums(terms, count: int) -> list:
     return list(collections.deque(itertools.accumulate(terms), maxlen=count))[::-1]
 
 
-def nan_max(values, default=0.0):
-    """Largest of ``values`` (exact scalars stay exact), or NaN if any is NaN: Python's ``max`` skips a NaN not in first place."""
+def nan_max(values):
+    """Largest of ``values`` (exact scalars stay exact), 0.0 for none, or NaN if any is NaN: Python's ``max`` skips a NaN
+    not in first place."""
     vals = list(values)
-    return math.nan if any(x != x for x in vals) else max(vals, default=default)
+    return math.nan if any(x != x for x in vals) else max(vals, default=0.0)
 
 
 def check_exponent(k) -> None:

@@ -41,17 +41,14 @@ from .harness import decompose, ProbePass, probe_series
 from .matrices import (
     NormalMatrix,
     WeightSequence,
+    apply_lower,
+    cesaro_matrix,
     identity_matrix,
     leading_section,
     make_normal,
     riesz_matrix,
 )
-from .series import (
-    FactorSequence,
-    SeriesSample,
-    abs_k_profile,
-    transform_partial_sums,
-)
+from .series import FactorSequence, SeriesSample, abs_k_profile
 
 log = logging.getLogger("summakit")
 
@@ -198,7 +195,7 @@ def build_matrix(spec: dict, order: int, reach: int | None = None) -> NormalMatr
     if kind == "identity":
         return identity_matrix(reach)
     if kind == "cesaro":
-        return riesz_matrix(WeightSequence(np.ones(reach + 1)))
+        return cesaro_matrix(reach)
     if kind == "riesz" and "weights" in spec:
         if len(spec["weights"]) < order + 1:
             raise ConfigError(f"need {order + 1} explicit weights, have {len(spec['weights'])}")
@@ -438,7 +435,7 @@ def cmd_transform(config: ExperimentConfig) -> int:
     N = config.order
     A = build_matrix(config.matrix_a, N)
     series = build_series(config.series_spec, N + 1)
-    transformed = transform_partial_sums(A, series)
+    transformed = apply_lower(A, series.partial_sums)
     profile = abs_k_profile(A, series, config.k)
     term, total = (np.concatenate(([0.0], x)) for x in (profile.terms, profile.running_total))  # from n = 1
     block = (np.arange(N + 1), transformed, profile.deltas, term, total)

@@ -66,11 +66,11 @@ class ConditionReport:
     tail_warning: bool = False
 
 
-def classify_trend(indices, ratios, exact_style: bool = False, tol: float = _EXACT_TOL) -> str:
+def classify_trend(indices, ratios, exact_style: bool = False) -> str:
     """Heuristic verdict on a ratio sequence.
 
     Exact-style conditions are bounded-looking iff all entries are within
-    ``tol`` of zero.  Otherwise: bounded-looking when the last quartile has
+    1e-12 of zero.  Otherwise: bounded-looking when the last quartile has
     nonpositive least-squares slope against log-index; growing when the
     final ratio has (at least) doubled since the half or quarter position;
     inconclusive in between.  Non-finite ratios force "growing".
@@ -81,9 +81,9 @@ def classify_trend(indices, ratios, exact_style: bool = False, tol: float = _EXA
     if not np.all(np.isfinite(r)):
         return TREND_GROWING
     if exact_style:
-        return TREND_BOUNDED if np.max(np.abs(r)) <= tol else TREND_GROWING
+        return TREND_BOUNDED if np.max(np.abs(r)) <= _EXACT_TOL else TREND_GROWING
     if r.size < 8:
-        return TREND_BOUNDED if np.max(np.abs(r)) <= tol else TREND_INCONCLUSIVE
+        return TREND_BOUNDED if np.max(np.abs(r)) <= _EXACT_TOL else TREND_INCONCLUSIVE
     q = 3 * r.size // 4
     logidx = np.log(np.asarray(indices, dtype=float)[q:])
     tail = r[q:]
@@ -366,7 +366,6 @@ class WeightedProbes:
         shift = w.cumulative[:m] * lv[1 : m + 1]
         self.scalars = {PROBE_DIFFERENCE: -w.delta(lv, m), PROBE_SHIFT: shift}
         self.diag = {PROBE_DIFFERENCE: w.weights[:m] / w.cumulative[:m] * lv[:m], PROBE_SHIFT: np.zeros_like(shift)}
-        self._pows = {}
 
     rows = cached_property(lambda self: self.weights.hat_rows(self.M.size))
 
@@ -382,13 +381,9 @@ class WeightedProbes:
         return coef * T, coef * last
 
     def pows(self, k) -> dict:
-        """Each probe's sum_n n**(k-1) |delta_nv|**k: the diagonal term plus its tail through the last row, kept per k."""
-        if k not in self._pows:
-            tails = {kind: self.tails(kind, k, self.M.order)[0] for kind in PROBE_KINDS}
-            self._pows[k] = {
-                kind: norm_weights(t.size, k, is_exact(t)) * abs_pow(self.diag[kind], k) + t for kind, t in tails.items()
-            }
-        return self._pows[k]
+        """Each probe's sum_n n**(k-1) |delta_nv|**k: the diagonal term plus its tail through the last row."""
+        tails = {kind: self.tails(kind, k, self.M.order)[0] for kind in PROBE_KINDS}
+        return {kind: norm_weights(t.size, k, is_exact(t)) * abs_pow(self.diag[kind], k) + t for kind, t in tails.items()}
 
     def factored_rows(self):
         """:meth:`DenseProbes.factored_rows` in one row standing for every row n > v.

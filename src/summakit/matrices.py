@@ -4,10 +4,10 @@ A *normal* matrix here is a lower triangular matrix with nonzero diagonal
 entries, truncated to its leading (N+1) x (N+1) section.  Triangularity
 makes the truncation lossless: every output with row index <= N is exact.
 
-The module also builds the two semimatrices associated with a normal
-matrix A: the series-to-sequence matrix ``bar_of(A)`` whose (n, v) entry is
-the row tail-sum  sum_{i=v..n} a_ni,  and the series-to-series matrix
-``hat_of(A)``, the first difference of bar in n.  Entry (n, v) of the hat
+The module also builds the series-to-series matrix ``hat_of(A)`` of a
+normal matrix A: the first difference in n of the series-to-sequence matrix
+whose (n, v) entry is the row tail sum  sum_{i=v..n} a_ni,  of which only the
+leading column, A's row sums, is read on its own.  Entry (n, v) of the hat
 matrix is the tail sum of row n of A less row n - 1, so it is built by
 differencing rows of A first and then summing each row from its diagonal
 down: no entry is the difference of two larger sums.  The hat matrix
@@ -19,7 +19,7 @@ exactly zero.  Both are computed once per matrix and kept on it, and
 ``invert_hat`` keeps the inverse it computes on the matrix it inverts.  A
 weighted mean's hat matrix is read from its weights: ``apply_hat`` multiplies
 by it and ``hat_inverse_bands`` gives its inverse's two bands in O(N).
-On exact (object) arrays the hat and bar sums, the hat inverse and the
+On exact (object) arrays the hat sums, the hat inverse and the
 products run over the lower triangle only, as integer arithmetic on each
 row's numerators over one denominator (:func:`~summakit._util.numerators`),
 with one Fraction per result entry; a row holding a float keeps its own.
@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import as_float, as_vector, is_exact, numerators, quotients, suffix_sums
+from ._util import accurate_sum, as_float, as_vector, is_exact, numerators, quotients, suffix_sums
 from .errors import LengthMismatchError, ShapeMismatchError, WeightOverflowError, ZeroDiagonalError
 
 log = logging.getLogger("summakit")
@@ -115,7 +115,8 @@ class NormalMatrix:
         """sum_v a_nv for n = 0..N, the leading bar column: exactly one on a weighted mean and the identity."""
         E = self._entries
         if E is not None:
-            return _tail_sums(E, 0, difference=False)[:, 0] if self.exact else E.sum(axis=1)
+            # each exact row summed from its diagonal down, as the hat matrix's tail sums are
+            return np.asarray([accurate_sum(E[n, n::-1]) for n in range(self.size)], dtype=object) if self.exact else E.sum(axis=1)
         return np.ones(self.size, dtype=object if self.exact else float)
 
     def gap(self, v=None):
@@ -284,14 +285,13 @@ def leading_section(M: NormalMatrix, order: int) -> NormalMatrix:
     return NormalMatrix(M._entries[: order + 1, : order + 1])
 
 
-def _tail_sums(E: np.ndarray, v_hi: int, difference: bool) -> np.ndarray:
-    """Columns 0..v_hi of T's row tail sums sum_{i=v..n} T[n, i], zero for v > n.
+def _tail_sums(E: np.ndarray, v_hi: int) -> np.ndarray:
+    """Columns 0..v_hi of the row tail sums sum_{i=v..n} T[n, i] of T, E with each row less the row above, zero for v > n.
 
-    T is the lower-triangular E, or with ``difference`` E with each row less
-    the row above (row 0 as it is).  Each row is summed from its diagonal
-    down to v, so no sum is a difference of two larger ones.  Float rows
-    are one ``cumsum``; exact rows are differenced and summed over their
-    lower triangle only, as numerators over one denominator with the row above.
+    Row 0 is E's own.  Each row is summed from its diagonal down to v, so no
+    sum is a difference of two larger ones.  Float rows are one ``cumsum``;
+    exact rows are differenced and summed over their lower triangle only, as
+    numerators over one denominator with the row above.
     """
     size = E.shape[0]
     v_hi = min(v_hi, size - 1)
@@ -299,35 +299,17 @@ def _tail_sums(E: np.ndarray, v_hi: int, difference: bool) -> np.ndarray:
         out = np.zeros((size, v_hi + 1), dtype=object)
         rows = E.tolist()
         for n, row in enumerate(rows):
-            vals = row[: n + 1] + (rows[n - 1][:n] if difference else [])
+            vals = row[: n + 1] + rows[n - 1][:n]
             nums, den = numerators(vals) or (vals, None)
             terms = nums[: n + 1]
-            terms[: len(vals) - n - 1] = map(operator.sub, terms, nums[n + 1 :])
+            terms[:n] = map(operator.sub, terms, nums[n + 1 :])
             sums = list(itertools.accumulate(reversed(terms)))[::-1][: v_hi + 1]  # sums[v] = sum(terms[v:])
             out[n, : len(sums)] = sums if den is None else [Fraction(x, den) for x in sums]
         return out
-    T = np.diff(E, axis=0, prepend=0.0) if difference else E
+    T = np.diff(E, axis=0, prepend=0.0)
     sums = np.empty(T.shape)
     np.cumsum(T[:, ::-1], axis=1, out=sums[:, ::-1])
     return sums if v_hi == size - 1 else sums[:, : v_hi + 1].copy()
-
-
-def bar_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
-    """Leading columns 0..v_hi of the bar matrix, over all rows of A.
-
-    bar[n, v] = sum_{i=v..n} a_ni, zero for v > n, each row summed from its
-    diagonal down.
-    """
-    return _tail_sums(A.entries, v_hi, difference=False)
-
-
-def bar_of(A: NormalMatrix) -> np.ndarray:
-    """Full series-to-sequence semimatrix as a plain lower-triangular array.
-
-    Not promoted to NormalMatrix: its diagonal equals A's, but nothing else
-    about it is needed as an operator in its own right.
-    """
-    return bar_columns(A, A.order)
 
 
 def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
@@ -348,7 +330,7 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
         idx = np.arange(v_hi + 1)
         hat[idx, idx] = p[: v_hi + 1] / P[: v_hi + 1]
         return hat
-    return _tail_sums(A.entries, v_hi, difference=True)
+    return _tail_sums(A.entries, v_hi)
 
 
 def _kept(A: NormalMatrix, slot: str, name: str, build) -> NormalMatrix:

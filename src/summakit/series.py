@@ -1,10 +1,11 @@
-"""Series objects, partial-sum transforms, and truncated k-norm profiles.
+"""Series objects and truncated k-norm profiles.
 
 A series sample is the coefficient sequence (a_n) together with its cached
-partial sums.  Applying a normal matrix to the partial sums gives the
-sequence-to-sequence transform; differencing that output in n equals the
-hat-matrix transform of the coefficients themselves, which is the quantity
-the absolute k-norm weighs.
+partial sums.  Applying a normal matrix to the partial sums
+(:func:`~summakit.matrices.apply_lower`) gives the sequence-to-sequence
+transform; differencing that output in n equals the hat-matrix transform of
+the coefficients themselves (:func:`~summakit.matrices.apply_hat`), which is
+the quantity the absolute k-norm weighs.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import abs_pow, accurate_sum, as_vector, check_exponent, is_exact, norm_weights, suffix_sums
+from ._util import abs_pow, as_vector, check_exponent, is_exact, norm_weights, suffix_sums
 from .errors import LengthMismatchError
-from .matrices import NormalMatrix, apply_hat, apply_lower
+from .matrices import NormalMatrix, apply_hat
 
 
 class SeriesSample:
@@ -85,51 +86,13 @@ class AbsKProfile:
         return self.running_total[-1]
 
 
-def transform_partial_sums(A: NormalMatrix, s: SeriesSample) -> np.ndarray:
-    """Sequence-to-sequence transform: out_n = sum_{v<=n} a_nv s_v, by :func:`~summakit.matrices.apply_lower`."""
-    return apply_lower(A, s.partial_sums)
-
-
-def delta_transform_via_hat(A: NormalMatrix, a: SeriesSample) -> np.ndarray:
-    """First difference (in n) of the partial-sum transform, via the hat matrix.
-
-    out_0 equals a_00 * a_0; for n >= 1 it matches
-    transform_partial_sums(A, a)[n] - transform_partial_sums(A, a)[n-1]
-    up to rounding.  It is :func:`~summakit.matrices.apply_hat`: O(N) on a weighted mean or the identity.
-    """
-    return apply_hat(A, a.coefficients)
-
-
-def factored_series(a: SeriesSample, lam: FactorSequence) -> SeriesSample:
-    """Coefficientwise product a_n * lambda_n, with partial sums rebuilt."""
-    if len(lam) < len(a):
-        raise LengthMismatchError(f"factor sequence of length {len(lam)} too short for {len(a)} coefficients")
-    return SeriesSample(a.coefficients * lam.values[: len(a)])
-
-
 def abs_k_profile(A: NormalMatrix, a: SeriesSample, k) -> AbsKProfile:
-    """Terms n**(k-1) |delta_n|**k for n = 1..N and their running totals, each correctly rounded (``suffix_sums``)."""
+    """Terms n**(k-1) |delta_n|**k for n = 1..N and their running totals, each correctly rounded (``suffix_sums``).
+
+    delta is the hat-matrix transform of the coefficients, :func:`~summakit.matrices.apply_hat`.
+    """
     check_exponent(k)
-    deltas = delta_transform_via_hat(A, a)
+    deltas = apply_hat(A, a.coefficients)
     w = norm_weights(deltas.size, k, is_exact(deltas))
     terms = w[1:] * abs_pow(deltas[1:], k)
     return AbsKProfile(k=k, terms=terms, running_total=suffix_sums(terms[::-1], terms.size)[::-1], deltas=deltas)
-
-
-def x_norm(deltas) -> float:
-    """Plain absolute sum of a delta sequence, n = 0 included."""
-    return accurate_sum(np.abs(as_vector(deltas)))
-
-
-def y_norm_pow(deltas, k):
-    """Weighted k-th power sum of a delta sequence, n = 0 included at weight 1."""
-    check_exponent(k)
-    d = as_vector(deltas)
-    w = norm_weights(d.size, k, is_exact(d))
-    return accurate_sum(w * abs_pow(d, k))
-
-
-def y_norm(deltas, k) -> float:
-    """k-th root of :func:`y_norm_pow`."""
-    total = y_norm_pow(deltas, k)
-    return float(total) ** (1.0 / float(k))

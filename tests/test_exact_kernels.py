@@ -94,7 +94,6 @@ def test_hat_and_bar_columns_equal_the_oracles(order, seed, cut):
     rows = rational_lower(np.random.default_rng(seed), order)
     M, v_hi = as_matrix(rows), min(cut, order)
     assert sk.hat_columns(M, v_hi).tolist() == [row[: v_hi + 1] for row in oracles.hat_rows(as_fractions(rows))]
-    assert sk.bar_columns(M, v_hi).tolist() == [row[: v_hi + 1] for row in oracles.bar_rows(as_fractions(rows))]
     assert M.row_sums.tolist() == [sum(row, F(0)) for row in rows]
 
 

@@ -164,8 +164,8 @@ def test_riesz_bar_first_column_ones():
     # rows of a weighted mean sum to one, exactly in rational arithmetic
     rng = np.random.default_rng(11)
     w = helpers.random_rational_weights(rng, 9)
-    bar = sk.bar_of(sk.riesz_matrix(w))
-    assert all(x == 1 for x in bar[:, 0])
+    for M in (sk.riesz_matrix(w), sk.NormalMatrix(sk.riesz_matrix(w).entries)):
+        assert all(x == 1 for x in M.row_sums)
 
 
 def test_riesz_too_few_weights():
@@ -174,26 +174,25 @@ def test_riesz_too_few_weights():
 
 
 def test_bar_identity():
-    bar = sk.bar_of(sk.identity_matrix(4))
-    assert np.all(bar == np.tril(np.ones((5, 5))))
+    # the bar matrix (the oracle) of the identity, and its leading column, the row sums
+    assert np.all(np.asarray(oracles.bar_rows(oracles.identity_rows(5))) == np.tril(np.ones((5, 5))))
+    assert sk.identity_matrix(4).row_sums.tolist() == [1.0] * 5
 
 
 def test_bar_cesaro_value():
-    bar = sk.bar_of(sk.cesaro_matrix(3, exact=True))
-    assert bar[3, 1] == F(3, 4)
-    assert float(bar[3, 1]) == 0.75
+    # hat_31 = bar_31 - bar_21 = 3/4 - 2/3
+    bar = oracles.bar_rows(oracles.to_rows(sk.cesaro_matrix(3, exact=True)))
+    assert bar[3][1] == F(3, 4) and bar[2][1] == F(2, 3)
+    assert sk.hat_of(sk.cesaro_matrix(3, exact=True)).entries[3, 1] == F(1, 12)
 
 
 def test_bar_full_row_sums():
     rng = np.random.default_rng(7)
     m = helpers.random_rational_matrix(rng, 6)
-    bar = sk.bar_of(m)
     rows = oracles.to_rows(m)
     expected = oracles.bar_rows(rows)
     for n in range(7):
-        assert bar[n, 0] == sum(rows[n][: n + 1], F(0))
-        for v in range(7):
-            assert bar[n, v] == expected[n][v]
+        assert m.row_sums[n] == sum(rows[n][: n + 1], F(0)) == expected[n][0]
 
 
 def test_hat_identity():

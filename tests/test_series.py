@@ -28,20 +28,20 @@ def test_series_and_factors_refuse_no_values():
 def test_transform_identity_returns_partial_sums():
     rng = np.random.default_rng(1)
     s = sk.SeriesSample(rng.uniform(-1, 1, 6))
-    np.testing.assert_array_equal(sk.transform_partial_sums(sk.identity_matrix(5), s), s.partial_sums)
+    np.testing.assert_array_equal(sk.apply_lower(sk.identity_matrix(5), s.partial_sums), s.partial_sums)
 
 
 def test_transform_cesaro_unit_impulse():
     s = sk.SeriesSample([1.0, 0.0, 0.0, 0.0])
-    np.testing.assert_allclose(sk.transform_partial_sums(sk.cesaro_matrix(3), s), np.ones(4))
+    np.testing.assert_allclose(sk.apply_lower(sk.cesaro_matrix(3), s.partial_sums), np.ones(4))
 
 
 def test_transform_cesaro_alternating():
     s = sk.SeriesSample([1.0, -1.0, 1.0, -1.0])
-    np.testing.assert_allclose(sk.transform_partial_sums(sk.cesaro_matrix(3), s), [1.0, 0.5, 2 / 3, 0.5])
-    exact = sk.transform_partial_sums(
+    np.testing.assert_allclose(sk.apply_lower(sk.cesaro_matrix(3), s.partial_sums), [1.0, 0.5, 2 / 3, 0.5])
+    exact = sk.apply_lower(
         sk.cesaro_matrix(3, exact=True),
-        sk.SeriesSample(np.asarray([F(1), F(-1), F(1), F(-1)], dtype=object)),
+        sk.SeriesSample(np.asarray([F(1), F(-1), F(1), F(-1)], dtype=object)).partial_sums,
     )
     assert list(exact) == [F(1), F(1, 2), F(2, 3), F(1, 2)]
 
@@ -49,7 +49,7 @@ def test_transform_cesaro_alternating():
 def test_delta_identity_returns_coefficients():
     rng = np.random.default_rng(2)
     s = sk.SeriesSample(rng.uniform(-1, 1, 6))
-    np.testing.assert_array_equal(sk.delta_transform_via_hat(sk.identity_matrix(5), s), s.coefficients)
+    np.testing.assert_array_equal(sk.apply_hat(sk.identity_matrix(5), s.coefficients), s.coefficients)
 
 
 def test_delta_cesaro_closed_form():
@@ -57,7 +57,7 @@ def test_delta_cesaro_closed_form():
     rng = np.random.default_rng(3)
     coeffs = helpers.random_rational_vector(rng, 9)
     s = sk.SeriesSample(coeffs)
-    out = sk.delta_transform_via_hat(sk.cesaro_matrix(8, exact=True), s)
+    out = sk.apply_hat(sk.cesaro_matrix(8, exact=True), s.coefficients)
     for n in range(1, 9):
         expected = sum((F(v) * coeffs[v] for v in range(1, n + 1)), F(0)) / (n * (n + 1))
         assert out[n] == expected
@@ -69,7 +69,7 @@ def test_delta_equals_transform_differences_exact():
     m = helpers.random_rational_matrix(rng, 9)
     coeffs = helpers.random_rational_vector(rng, 10)
     s = sk.SeriesSample(coeffs)
-    via_hat = sk.delta_transform_via_hat(m, s)
+    via_hat = sk.apply_hat(m, s.coefficients)
     seq = oracles.seq_transform(oracles.to_rows(m), list(coeffs))
     assert list(via_hat) == oracles.first_differences(seq)
 
@@ -78,23 +78,11 @@ def test_delta_equals_transform_differences_float():
     rng = np.random.default_rng(7)
     m = helpers.random_normal_matrix(rng, 12)
     s = sk.SeriesSample(rng.uniform(-1, 1, 13))
-    via_hat = sk.delta_transform_via_hat(m, s)
-    seq = sk.transform_partial_sums(m, s)
+    via_hat = sk.apply_hat(m, s.coefficients)
+    seq = sk.apply_lower(m, s.partial_sums)
     direct = np.concatenate([[seq[0]], np.diff(seq)])
     scale = max(1.0, np.max(np.abs(s.partial_sums)))
     assert np.max(np.abs(via_hat - direct)) <= 1e-12 * scale
-
-
-def test_factored_series():
-    a = sk.SeriesSample([1.0, 2.0, 3.0])
-    lam = sk.FactorSequence([1.0, 0.5, 1 / 3, 0.25])
-    np.testing.assert_allclose(sk.factored_series(a, lam).coefficients, [1.0, 1.0, 1.0])
-    ident = sk.factored_series(a, sk.FactorSequence(np.ones(3)))
-    np.testing.assert_array_equal(ident.coefficients, a.coefficients)
-    zero = sk.factored_series(a, sk.FactorSequence(np.zeros(3)))
-    assert np.all(zero.coefficients == 0) and np.all(zero.partial_sums == 0)
-    with pytest.raises(LengthMismatchError):
-        sk.factored_series(a, sk.FactorSequence([1.0]))
 
 
 def test_profile_identity_is_weighted_coefficient_sums():
@@ -146,7 +134,7 @@ def test_profile_running_totals_are_correctly_rounded():
     assert prof.running_total.tolist() == [float(s) for s in itertools.accumulate(map(F, terms))]
     for n in (1, 2, 10, 999, N):
         assert prof.running_total[n - 1] == math.fsum(terms[:n])
-    np.testing.assert_array_equal(prof.deltas, sk.delta_transform_via_hat(A, a))
+    np.testing.assert_array_equal(prof.deltas, sk.apply_hat(A, a.coefficients))
 
 
 def test_profile_bad_exponent():
@@ -155,12 +143,13 @@ def test_profile_bad_exponent():
 
 
 def test_norms_known_values():
-    deltas = [1.0, -2.0, 3.0]
-    assert sk.x_norm(deltas) == 6.0
-    # weight 1 at position 0, n**(k-1) beyond
-    assert sk.y_norm_pow(deltas, 2) == 1.0 + 1 * 4.0 + 2 * 9.0
-    np.testing.assert_allclose(sk.y_norm(deltas, 2), np.sqrt(23.0))
-    assert sk.y_norm_pow(deltas, 1) == 6.0
+    # the probe norms weigh n = 0 by one whatever k, n**(k-1) beyond: through the identity the
+    # difference probe at v = 0 has deltas (1, -1, 0, ...) and at v = 2 (0, 0, 1, -1, 0)
+    I = sk.identity_matrix(4)
+    for k in (1, 2, 3.5):
+        probes = sk.ProbePass(I, I, helpers.ones_factors(6), k)
+        assert probes.x_norm[sk.PROBE_DIFFERENCE][[0, 2]].tolist() == [2.0, 2.0]
+        np.testing.assert_allclose(probes.y_pow[sk.PROBE_DIFFERENCE][[0, 2]], [2.0, 2.0 ** (k - 1) + 3.0 ** (k - 1)], rtol=1e-15)
 
 
 def test_reconstruction_via_inverse_hat():
@@ -168,17 +157,17 @@ def test_reconstruction_via_inverse_hat():
     rng = np.random.default_rng(17)
     m = helpers.random_normal_matrix(rng, 32)
     coeffs = rng.uniform(-1, 1, 33)
-    deltas = sk.delta_transform_via_hat(m, sk.SeriesSample(coeffs))
+    deltas = sk.apply_hat(m, coeffs)
     back = sk.apply_lower(sk.invert_hat(sk.hat_of(m)), deltas)
     assert np.max(np.abs(back - coeffs)) <= 1e-9
 
     mx = helpers.random_rational_matrix(rng, 8)
     cx = helpers.random_rational_vector(rng, 9)
-    dx = sk.delta_transform_via_hat(mx, sk.SeriesSample(cx))
+    dx = sk.apply_hat(mx, cx)
     bx = sk.apply_lower(sk.invert_hat(sk.hat_of(mx)), dx)
     assert list(bx) == list(cx)
 
 
 def test_transform_length_mismatch():
     with pytest.raises(LengthMismatchError):
-        sk.transform_partial_sums(sk.identity_matrix(5), sk.SeriesSample([1.0, 2.0]))
+        sk.apply_lower(sk.identity_matrix(5), sk.SeriesSample([1.0, 2.0]).partial_sums)

@@ -125,8 +125,8 @@ def test_transform_rows_match_the_40_digit_oracles():
     p = power_weights(0.5, N)
     a = sk.SeriesSample((-1.0) ** np.arange(N + 1) / (np.arange(N + 1) + 1.0))
     A = sk.riesz_matrix(sk.WeightSequence(p))
-    assert elementwise(sk.transform_partial_sums(A, a), oracles.mp_weighted_mean(p, a.partial_sums)) <= 6 * EPS
-    assert elementwise(sk.delta_transform_via_hat(A, a), oracles.mp_delta_transform(p, a.coefficients)) <= 128 * EPS
+    assert elementwise(sk.apply_lower(A, a.partial_sums), oracles.mp_weighted_mean(p, a.partial_sums)) <= 6 * EPS
+    assert elementwise(sk.apply_hat(A, a.coefficients), oracles.mp_delta_transform(p, a.coefficients)) <= 128 * EPS
 
 
 # (beta of A, beta of B, k): every beta on each side and every k once, each k plain and strict,
