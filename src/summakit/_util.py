@@ -81,7 +81,10 @@ def accurate_sum(values):
     if arr.dtype == object:
         parts = numerators(arr)
         return sum(arr.tolist(), start=0) if parts is None or parts[1] == 1 else Fraction(sum(parts[0]), parts[1])
-    return math.fsum(arr)
+    try:
+        return math.fsum(arr)
+    except OverflowError:  # finite terms whose sum is past float range: rounded, it is +-inf, as in suffix_sums
+        return math.inf if sum(map(Fraction, arr.tolist())) > 0 else -math.inf
 
 
 def suffix_sums(terms, count: int) -> np.ndarray:
@@ -160,6 +163,27 @@ def scalar_pow(x: float, p: float, quantity: str, v: int) -> float:
         return x**p
     except OverflowError:
         raise PowerOverflowError(f"{quantity} at v = {v} is not finite (float overflow)") from None
+
+
+def named_overflow(build, base, quantity: str, index: str = "v", start: int = 0):
+    """``build()``, run with numpy's overflow and invalid-value warnings off, and its float values checked.
+
+    Where a value is inf or NaN and its ``base`` entry is finite, a power or
+    a sum of finite values went past float range, and a
+    :class:`~summakit.errors.PowerOverflowError` names ``quantity`` and the
+    first such index, counted from ``start``.  A 2-D ``base`` stands for one
+    value per column.  A non-finite base passes through as it is.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = build()
+    if not is_exact(values):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            finite = np.isfinite(as_float(base))
+            bad &= finite.all(axis=0) if finite.ndim > bad.ndim else finite
+        if bad.any():
+            raise PowerOverflowError(f"{quantity} at {index} = {start + int(np.argmax(bad))} is not finite (float overflow)")
+    return values
 
 
 def abs_pow(values, k):

@@ -19,7 +19,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, index_pow, is_exact, nan_max, norm_weights, scalar_pow
+from ._util import (
+    abs_pow,
+    accurate_sum,
+    as_float,
+    check_exponent,
+    check_pair,
+    index_pow,
+    is_exact,
+    named_overflow,
+    nan_max,
+    norm_weights,
+    scalar_pow,
+)
 from .errors import (
     LengthMismatchError,
     SizeMismatchError,
@@ -242,24 +254,35 @@ def _scaled_columns(H: np.ndarray, lv) -> np.ndarray:
     return BL
 
 
-def column_sums(M: np.ndarray, k, w=None, lower: bool = False) -> np.ndarray:
+def column_sums(M: np.ndarray, k, w=None, lower: bool = False, quantity: str = "the column k-power sum") -> np.ndarray:
     """accurate_sum(w * |M[:, j]|**k) for every column j; no weights when ``w`` is None or all ones.
 
     With ``lower`` column j is zero above row j, and only rows j.. are read.
+    A float sum past float range over a column of finite entries raises a
+    :class:`~summakit.errors.PowerOverflowError` naming ``quantity`` and v = j.
     """
     if w is not None and np.all(w == 1):
         w = None
-    sums = []
-    for j, col in enumerate(M.T):
-        lo = j if lower else 0
-        terms = abs_pow(col[lo:], k)
-        sums.append(accurate_sum(terms if w is None else w[lo:] * terms))
-    return np.asarray(sums)
+
+    def sums():
+        out = []
+        for j, col in enumerate(M.T):
+            lo = j if lower else 0
+            terms = abs_pow(col[lo:], k)
+            out.append(accurate_sum(terms if w is None else w[lo:] * terms))
+        return np.asarray(out)
+
+    return named_overflow(sums, M, quantity)
 
 
-def _pows(M: np.ndarray, k) -> np.ndarray:
+def _index_weights(count: int, k, exact: bool) -> np.ndarray:
+    """:func:`~summakit._util.norm_weights`; one past float range raises a PowerOverflowError naming its n."""
+    return named_overflow(lambda: norm_weights(count, k, exact), 0.0, "the index weight n**(k-1)", "n")
+
+
+def _pows(M: np.ndarray, k, quantity: str) -> np.ndarray:
     """sum_n n**(k-1) |M_nv|**k for every column v of a probe array, weight one at n = 0."""
-    return column_sums(M, k, norm_weights(M.shape[0], k, is_exact(M)), lower=True)
+    return column_sums(M, k, _index_weights(M.shape[0], k, is_exact(M)), lower=True, quantity=quantity)
 
 
 _ROWS = 256  # rows of the key-identity triangle evaluated at once on a dense B
@@ -292,7 +315,9 @@ class DenseProbes(dict):
 
     def pows(self, k) -> dict:
         """Each probe's sum_n n**(k-1) |delta_nv|**k, weight one at n = 0."""
-        return {kind: _pows(d, k) for kind, d in self._arrays().items()}
+        return {
+            kind: _pows(d, k, f"the {kind} probe's norm sum_n n**(k-1) |delta_nv|**k") for kind, d in self._arrays().items()
+        }
 
     def tails(self, kind: str, k, rows: int):
         """The C10/C11 sums sum_{n=v+1..rows} n**(k-1) |delta_nv|**k of probe ``kind``, and their last terms.
@@ -300,12 +325,14 @@ class DenseProbes(dict):
         On the identity column v is -lam_{v+1} (difference) or lam_{v+1}
         (shift) in row v + 1 alone, so the sum is (v+1)**(k-1) |lam_{v+1}|**k.
         """
+        quantity = f"the {kind} probe's tail sum_n n**(k-1) |delta_nv|**k"
         if self.identity:
-            totals = norm_weights(self.m + 1, k, self.M.exact)[1:] * abs_pow(self.lv[1 : self.m + 1], k)
+            lv = self.lv[1 : self.m + 1]
+            totals = named_overflow(lambda: _index_weights(self.m + 1, k, self.M.exact)[1:] * abs_pow(lv, k), lv, quantity)
             return totals, np.where(np.arange(self.m) == rows - 1, totals, 0)
         D = np.tril(probe_deltas(self.H[: rows + 1], self.lv)[kind == PROBE_SHIFT], -1)
-        w = norm_weights(rows + 1, k, is_exact(D))
-        return column_sums(D, k, w, lower=True), w[-1] * abs_pow(D[-1], k)
+        w = _index_weights(rows + 1, k, is_exact(D))
+        return column_sums(D, k, w, lower=True, quantity=quantity), w[-1] * abs_pow(D[-1], k)
 
     def factored_rows(self):
         """Blocks (F, n) of the key-identity triangle, F[i, v] = bhat_nv lam_v at row n[i], over rows 2..N."""
@@ -327,7 +354,7 @@ class DenseProbes(dict):
         return out
 
     def cnv_sums(self, A: NormalMatrix, k, fac, diag, power) -> np.ndarray:
-        return column_sums(self.cnv(A, fac, diag), k, lower=True)  # power is the weighted form's
+        return column_sums(self.cnv(A, fac, diag), k, lower=True, quantity="the c_nv column sum")  # power is the weighted form's
 
     def definition_gap(self) -> float:
         """Largest gap between the unit-factor deltas and their definition, over every v < m and row n.
@@ -377,13 +404,20 @@ class WeightedProbes:
         """
         s = self.scalars[kind] if scalars is None else scalars
         T, last = self.weights.tail(k, rows, s.size, index_power)
-        coef = abs_pow(s, k)
-        return coef * T, coef * last
+        quantity = f"the {kind} probe's |s_v|**k T_v" if scalars is None else "the c_nv tail |m_v|**k T_v"
+        coef = named_overflow(lambda: abs_pow(s, k), s, quantity)
+        return named_overflow(lambda: coef * T, s, quantity), coef * last
 
     def pows(self, k) -> dict:
         """Each probe's sum_n n**(k-1) |delta_nv|**k: the diagonal term plus its tail through the last row."""
-        tails = {kind: self.tails(kind, k, self.M.order)[0] for kind in PROBE_KINDS}
-        return {kind: norm_weights(t.size, k, is_exact(t)) * abs_pow(self.diag[kind], k) + t for kind, t in tails.items()}
+        pows = {}
+        for kind in PROBE_KINDS:
+            t, d = self.tails(kind, k, self.M.order)[0], self.diag[kind]
+            own = named_overflow(
+                lambda: norm_weights(t.size, k, is_exact(t)) * abs_pow(d, k), d, f"the {kind} probe's diagonal term"
+            )
+            pows[kind] = own + t
+        return pows
 
     def factored_rows(self):
         """:meth:`DenseProbes.factored_rows` in one row standing for every row n > v.
@@ -403,8 +437,11 @@ class WeightedProbes:
         """
         middle = self.scalars[PROBE_DIFFERENCE] / A.diagonal[:-1] + self.scalars[PROBE_SHIFT] * A.gap()
         below = self.tails(None, k, A.order, middle, power)[0]
-        own = abs_pow(self.M.diagonal * self.lv[: A.size] / A.diagonal, k)
-        sums = index_pow(np.arange(A.size), power, is_exact(below)) * own + np.concatenate((below, [0]))
+        ratio = self.M.diagonal * self.lv[: A.size] / A.diagonal
+        own = named_overflow(
+            lambda: index_pow(np.arange(A.size), power, is_exact(below)) * abs_pow(ratio, k), ratio, "the c_nv diagonal term"
+        )
+        sums = own + np.concatenate((below, [0]))
         sums[0] = 0
         return sums
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import abs_pow, check_exponent, check_pair, index_pow, nan_max, scalar_pow, suffix_sums
+from ._util import abs_pow, check_exponent, check_pair, index_pow, named_overflow, nan_max, scalar_pow, suffix_sums
 from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
@@ -142,7 +142,8 @@ class ProbePass:
         suffix sum of |d_n|**k from n = r + 2: the same bits as summing the column.
         """
         _, diag = self._row_scaled()
-        return np.concatenate((suffix_sums(abs_pow(diag, self.k), self.A.size), [0, 0]))[2:]
+        terms = named_overflow(lambda: abs_pow(diag, self.k), diag, "the d_nr row term |d_n|**k", "n")
+        return np.concatenate((suffix_sums(terms, self.A.size), [0, 0]))[2:]
 
     def _row_scaled(self, strict_paper: bool = False):
         """Row factors n**e and the diagonal terms n**e b_nn lam_n / a_nn, e = (k-1)/k, or (k-1)/k**2 with ``strict_paper``.

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import accurate_sum, as_float, as_vector, is_exact, numerators, quotients, suffix_sums
+from ._util import accurate_sum, as_float, as_vector, is_exact, named_overflow, numerators, quotients, suffix_sums
 from .errors import LengthMismatchError, ShapeMismatchError, WeightOverflowError, ZeroDiagonalError
 
 log = logging.getLogger("summakit")
@@ -184,8 +184,10 @@ class WeightSequence:
 
         The index power e is ``index_power``, k - 1 unless given.  The sums come from one
         :func:`~summakit._util.suffix_sums` sweep, exact for exact weights when
-        k and the index power are integers.  Each argument tuple is swept once
-        per sequence: later calls return the same read-only sums.
+        k and the index power are integers.  A float term past float range
+        raises a :class:`~summakit.errors.PowerOverflowError` naming its n.
+        Each argument tuple is swept once per sequence: later calls return the
+        same read-only sums.
         """
         if index_power is None:
             index_power = k - 1
@@ -197,7 +199,10 @@ class WeightSequence:
                 terms = idx ** int(index_power) * (p[1 : rows + 1] / (P[1 : rows + 1] * P[:rows])) ** int(k)
             else:
                 ratio = as_float(p[1 : rows + 1]) / (as_float(P[1 : rows + 1]) * as_float(P[:rows]))
-                terms = np.arange(1, rows + 1, dtype=float) ** float(index_power) * ratio ** float(k)
+                terms = named_overflow(
+                    lambda: np.arange(1, rows + 1, dtype=float) ** float(index_power) * ratio ** float(k),
+                    ratio, "the W-tail term n**e (p_n / (P_n P_{n-1}))**k", "n", 1,
+                )
             sums = suffix_sums(terms, count)
             sums.setflags(write=False)
             self._tails[key] = sums, terms[-1] if rows else 0

@@ -468,6 +468,24 @@ ROWS_7 = [[0.5] * (n + 1) for n in range(7)]  # an explicit matrix that stops at
             "series.probe_kind must be 'difference' or 'shift', got 'sideways'",
         ),
         ("transform", base_config(N=6, series={"kind": "fib"}), "unknown series kind 'fib'"),
+        # generated values past float range
+        ("check", base_config(N=6, **{"lambda": {"kind": "power", "alpha": 400}}), "the lambda factor at n = 6 is not finite (float overflow)"),
+        ("verify", base_config(N=6, **{"lambda": {"kind": "power", "alpha": 400}}), "the lambda factor at n = 6 is not finite (float overflow)"),
+        (
+            "check",
+            base_config(
+                N=6,
+                matrix_a={"kind": "explicit", "entries": [[1e300] * (n + 1) for n in range(8)]},
+                matrix_b={"kind": "explicit", "entries": [[1e-300] * (n + 1) for n in range(8)]},
+                **{"lambda": {"kind": "riesz_adapted"}},
+            ),
+            "the lambda factor at n = 0 is not finite (float overflow)",
+        ),
+        (
+            "transform",
+            base_config(N=6, series={"kind": "alternating", "beta": -400}),
+            "the series coefficient at n = 5 is not finite (float overflow)",
+        ),
     ],
 )
 def test_each_config_error_is_one_line_and_exit_2(tmp_path, capsys, command, data, line):
@@ -488,12 +506,10 @@ def test_a_generator_given_by_name_reads_as_that_generator(tmp_path):
 
 
 OVERFLOW_BASE = {"N": 20, "matrix_a": {"kind": "cesaro"}, "matrix_b": {"kind": "riesz", "generator": {"name": "power", "alpha": 0.5}}}
-# in verify the vectorized probe-norm powers overflow to inf first, with numpy's warnings (a defect of their own,
-# named in CHANGES.md); these filters let the run reach the scalar power each case is about
-NUMPY_OVERFLOW = [
-    pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning"),
-    pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning"),
-]
+
+
+def _rows(count, diagonal=0.5):
+    return {"kind": "explicit", "entries": [[0.5] * n + [diagonal] for n in range(count)]}
 
 
 @pytest.mark.parametrize(
@@ -504,26 +520,103 @@ NUMPY_OVERFLOW = [
             {"k": 2, "conditions": ["C10"], "matrix_a": {"kind": "explicit", "entries": [[1e300] * (n + 1) for n in range(21)]}},
             "the C10 denominator |a_vv|**k at v = 0 is not finite (float overflow)",
         ),
-        pytest.param(
+        # the two strict cases overflow first in the vectorized probe norms, which are evaluated before the strict term
+        (
             ["verify", "--strict-paper-mode"],
             {"k": 300},
-            "the index weight v**(k-1) at v = 11 is not finite (float overflow)",
-            marks=NUMPY_OVERFLOW,
+            "the W-tail term n**e (p_n / (P_n P_{n-1}))**k at n = 11 is not finite (float overflow)",
         ),
-        pytest.param(
+        (
             ["verify", "--strict-paper-mode"],
             {"k": 2, "lambda": {"kind": "constant", "value": 1e200}},
-            "|b_vv lam_v|**k at v = 1 is not finite (float overflow)",
-            marks=NUMPY_OVERFLOW,
+            "the difference probe's |s_v|**k T_v at v = 0 is not finite (float overflow)",
+        ),
+        # |b_vv lam_v|**k stays in range where |lam_v|**k does not: b_vv is about 0.1**v here
+        (
+            ["verify", "--strict-paper-mode"],
+            {
+                "k": 2,
+                "matrix_b": {"kind": "riesz", "weights": [1e-100 * 0.1**v for v in range(21)]},
+                "lambda": {"kind": "power", "alpha": 125},
+            },
+            "|lam_v|**k at v = 18 is not finite (float overflow)",
         ),
     ],
-    ids=["c10-denominator", "strict-index-weight", "strict-literal-term"],
+    ids=["c10-denominator", "strict-index-weight", "strict-literal-term", "strict-factor-power"],
 )
 def test_a_scalar_power_past_float_range_is_one_line_and_exit_2(tmp_path, capsys, argv, overrides, line):
     # Python's scalar ** raises OverflowError where numpy returns inf: it ended in a traceback and exit 1
     cfg = write_config(tmp_path, {**OVERFLOW_BASE, **overrides})
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "report.csv")]) == 2
     assert capsys.readouterr().err == f"config error: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, overrides, line",
+    [
+        (["check"], {"k": 300}, "the W-tail term n**e (p_n / (P_n P_{n-1}))**k at n = 11"),
+        (["check"], {"k": 2, "lambda": {"kind": "constant", "value": 1e200}}, "the difference probe's |s_v|**k T_v at v = 0"),
+        (
+            ["verify"],
+            {"k": 2, "lambda": {"kind": "explicit", "values": [1e200] + [1.0] * 21}},
+            "the difference probe's diagonal term at v = 0",
+        ),
+        (["verify"], {"k": 300, "matrix_b": _rows(21)}, "the index weight n**(k-1) at n = 11"),
+        (["check"], {"k": 300, "matrix_b": {"kind": "identity"}}, "the index weight n**(k-1) at n = 11"),
+        (
+            ["check"],
+            {"k": 2, "matrix_b": {"kind": "identity"}, "lambda": {"kind": "constant", "value": 1e200}},
+            "the difference probe's tail sum_n n**(k-1) |delta_nv|**k at v = 0",
+        ),
+        (
+            ["check"],
+            {"k": 2, "matrix_b": _rows(321), "lambda": {"kind": "constant", "value": 1e200}},
+            "the shift probe's tail sum_n n**(k-1) |delta_nv|**k at v = 0",
+        ),
+        (["verify"], {"k": 120, "matrix_a": _rows(21, 1e-3)}, "the c_nv tail |m_v|**k T_v at v = 0"),
+        (["verify"], {"k": 120, "matrix_a": _rows(21, 1e-3), "matrix_b": _rows(21)}, "the c_nv column sum at v = 1"),
+    ],
+    ids=["w-tail", "tail-coefficient", "diagonal-term", "index-weight", "identity-index-weight", "identity-tail", "dense-tail", "cnv-tail", "cnv-column"],
+)
+def test_a_vectorized_power_past_float_range_is_one_line_and_exit_2(tmp_path, capsys, argv, overrides, line):
+    # numpy's power returns inf with a RuntimeWarning: check read the ratios as "growing" or as a NaN
+    # of no named quantity, and verify reported nan rows with exit 0
+    cfg = write_config(tmp_path, {**OVERFLOW_BASE, **overrides})
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "report.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: {line} is not finite (float overflow)\n"
+
+
+@pytest.mark.parametrize("value", [1e7, 1e200])
+def test_verify_decomposition_tolerance_scales_with_lambda(tmp_path, value):
+    # the residual's round-off is relative to |lam| |s|: a constant lam of 1e7 read "fail" with a tolerance of 1e-10
+    cfg = write_config(tmp_path, {**OVERFLOW_BASE, "k": 1, "lambda": {"kind": "constant", "value": value}})
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    row = next(r for r in read_rows(out) if r["check"] == "decomposition-residual")
+    assert float(row["tolerance"]) == pytest.approx(1e-10 * value) and row["status"] == "pass"
+
+
+def test_verify_decomposition_tolerance_still_fails_a_planted_residual(tmp_path, monkeypatch):
+    import dataclasses
+
+    import summakit.cli
+
+    real = summakit.cli.decompose
+    planted = []
+
+    def decompose(A, B, lam, a):
+        dec = real(A, B, lam, a)
+        if not planted:  # the configured series, not the random sweeps
+            planted.append(1e-9 * max(1.0, np.max(np.abs(a.partial_sums))) * max(1.0, np.max(np.abs(lam.values))))
+            return dataclasses.replace(dec, residual=planted[0])
+        return dec
+
+    monkeypatch.setattr(summakit.cli, "decompose", decompose)
+    cfg = write_config(tmp_path, {**OVERFLOW_BASE, "k": 1, "lambda": {"kind": "constant", "value": 1e7}})
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    row = next(r for r in read_rows(out) if r["check"] == "decomposition-residual")
+    assert float(row["value"]) == planted[0] and row["status"] == "fail"
 
 
 def test_power_lambda_with_negative_alpha_starts_at_one_without_warnings(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 import summakit as sk
 from summakit._util import suffix_sums
 from summakit.conditions import TREND_BOUNDED, TREND_GROWING, inner_sums
-from summakit.errors import BadExponentError, LengthMismatchError, SizeMismatchError, TailUnavailableError
+from summakit.errors import BadExponentError, LengthMismatchError, PowerOverflowError, SizeMismatchError, TailUnavailableError
 
 import helpers
 import oracles
@@ -569,6 +569,12 @@ def test_l1_lk_single_column():
     bound = sk.l1_lk_bound(C, 2)
     assert bound.sup == 4.0
     np.testing.assert_allclose(bound.column_sums, [4.0, 0.0, 0.0, 0.0])
+
+
+def test_a_column_sum_past_float_range_names_its_column_and_a_nan_entry_passes_through():
+    with pytest.raises(PowerOverflowError, match=r"^the column k-power sum at v = 1 is not finite \(float overflow\)$"):
+        sk.l1_lk_bound(np.array([[1.0, 0.0], [1.0, 1e200]]), 2)
+    assert math.isnan(sk.l1_lk_bound(np.array([[1.0, 0.0], [np.nan, 1e200]]), 1).sup)
 
 
 def test_l1_lk_sup_is_nan_when_a_column_sum_is():

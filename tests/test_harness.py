@@ -6,7 +6,14 @@ import pytest
 
 import summakit as sk
 from summakit.conditions import column_sums
-from summakit.errors import BadExponentError, DegenerateProbeError, IndexOutOfRangeError, LengthMismatchError, SizeMismatchError
+from summakit.errors import (
+    BadExponentError,
+    DegenerateProbeError,
+    IndexOutOfRangeError,
+    LengthMismatchError,
+    PowerOverflowError,
+    SizeMismatchError,
+)
 
 import helpers
 import oracles
@@ -637,6 +644,13 @@ def test_dnr_column_sums_are_the_dense_column_sums_bit_for_bit(k):
     for A, B in pairs:
         dense = sk.l1_lk_bound(sk.build_dnr(A, B, lam, k), k).column_sums
         assert np.array_equal(sk.ProbePass(A, B, lam, k).dnr_column_sums(), dense)
+
+
+def test_dnr_row_terms_past_float_range_name_their_row():
+    # d_n = n**(1/2) b_nn lam_n / a_nn is 1e200 sqrt(n) here: its square is past float range from n = 1
+    A = sk.NormalMatrix(np.eye(5) * 1e-200)
+    with pytest.raises(PowerOverflowError, match=r"^the d_nr row term \|d_n\|\*\*k at n = 1 is not finite \(float overflow\)$"):
+        sk.ProbePass(A, sk.identity_matrix(4), helpers.ones_factors(6), 2).dnr_column_sums()
 
 
 def test_necessity_wiring_y_norm_and_c10():

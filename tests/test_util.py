@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from summakit._util import as_float, nan_max, suffix_sums
+from summakit._util import accurate_sum, as_float, nan_max, suffix_sums
 
 
 def test_as_float_rounds_fractions_like_float():
@@ -43,3 +43,10 @@ def test_suffix_sums_past_float_range_are_inf():
     assert got.tolist() == [1.0, -big, -math.inf, -math.inf, -big]  # exact sums 1, 1 - big, 1 - 2 big, -2 big, -big
     assert suffix_sums(np.array([big, 2.0**970, 0.0]), 3).tolist() == [math.inf, 2.0**970, 0.0]
     assert suffix_sums(np.array([big, 2.0**969]), 2).tolist() == [big, 2.0**969]  # below the rounding midpoint
+
+
+def test_accurate_sum_of_finite_terms_past_float_range_is_inf_as_in_suffix_sums():
+    # math.fsum raises an OverflowError here: the correctly rounded sum is +-inf
+    terms = np.array([1e308, 1e308, -1.0])
+    assert accurate_sum(terms) == math.inf == suffix_sums(terms, 1)[0]
+    assert accurate_sum(-terms) == -math.inf

@@ -66,9 +66,64 @@ def _matrices() -> dict:
 
 LAMBDAS = {"riesz_adapted": {"kind": "riesz_adapted"}, "power-0.5": {"kind": "power", "alpha": -0.5}}
 
+# the series and lambda sub-grid: every kind of each, through transform, verify and a check with its cutoff overridden
+SUB_COMMANDS = {
+    "transform": ["transform"],
+    "verify": ["verify"],
+    "check-cutoff-30": ["check", "--tail-cutoff", "30"],
+}
+SUB_PAIRS = (("cesaro", "riesz-power-0.5"), ("cesaro", "explicit-41"), ("explicit-15", "riesz-power-0.5"), ("explicit-15", "explicit-41"))
+
+
+def _series() -> dict:
+    import numpy as np
+
+    return {
+        "alternating-1.5": {"kind": "alternating", "beta": 1.5},
+        "explicit": {"kind": "explicit", "coefficients": np.random.default_rng(6).uniform(-1.0, 1.0, N + 1).tolist()},
+        "probe-difference-3": {"kind": "probe", "v": 3, "probe_kind": "difference"},
+        "probe-shift-5": {"kind": "probe", "v": 5, "probe_kind": "shift"},
+    }
+
+
+def _lambdas() -> dict:
+    import numpy as np
+
+    return {
+        "constant-2": {"kind": "constant", "value": 2.0},
+        "power-0.5": {"kind": "power", "alpha": -0.5},
+        "explicit": {"kind": "explicit", "values": np.random.default_rng(7).uniform(-1.0, 1.0, N + 2).tolist()},
+        "riesz_adapted": {"kind": "riesz_adapted"},
+    }
+
 
 def grid():
     """(label, config, argv tail) of every run, in a fixed order."""
+    yield from _main_grid()
+    yield from _sub_grid()
+
+
+def _sub_grid():
+    matrices = _matrices()
+    for a_name, b_name in SUB_PAIRS:
+        for series_name, series in _series().items():
+            for lam_name, lam in _lambdas().items():
+                for k in (1, 2):
+                    config = {
+                        "N": N,
+                        "k": k,
+                        "matrix_a": matrices[a_name],
+                        "matrix_b": matrices[b_name],
+                        "lambda": lam,
+                        "series": series,
+                        "tail": {"cutoff": CUTOFF},
+                        "conditions": CONDITIONS,
+                    }
+                    for command, argv in SUB_COMMANDS.items():
+                        yield f"{command} A={a_name} B={b_name} series={series_name} lambda={lam_name} k={k}", config, argv
+
+
+def _main_grid():
     matrices = _matrices()
     for a_name, a in matrices.items():
         for b_name, b in matrices.items():
