@@ -166,14 +166,9 @@ def scalar_pow(x: float, p: float, quantity: str, v: int) -> float:
 
 
 def named_overflow(build, base, quantity: str, index: str = "v", start: int = 0):
-    """``build()``, run with numpy's overflow and invalid-value warnings off, and its float values checked.
-
-    Where a value is inf or NaN and its ``base`` entry is finite, a power or
-    a sum of finite values went past float range, and a
-    :class:`~summakit.errors.PowerOverflowError` names ``quantity`` and the
-    first such index, counted from ``start``.  A 2-D ``base`` stands for one
-    value per column.  A non-finite base passes through as it is.
-    """
+    """``build()`` with numpy's overflow and invalid-value warnings off.  A float value that is inf or NaN where its
+    ``base`` entry is finite (a 2-D base: its column) went past float range: a PowerOverflowError names ``quantity``
+    and its first index, counted from ``start``.  A non-finite base passes through."""
     with np.errstate(over="ignore", invalid="ignore"):
         values = build()
     if not is_exact(values):

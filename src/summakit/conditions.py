@@ -19,19 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import (
-    abs_pow,
-    accurate_sum,
-    as_float,
-    check_exponent,
-    check_pair,
-    index_pow,
-    is_exact,
-    named_overflow,
-    nan_max,
-    norm_weights,
-    scalar_pow,
-)
+from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, index_pow, is_exact, named_overflow
+from ._util import nan_max, norm_weights, scalar_pow
 from .errors import (
     LengthMismatchError,
     SizeMismatchError,
