@@ -34,6 +34,7 @@ from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
     LengthMismatchError,
+    MixedArithmeticError,
     PowerOverflowError,
     ShapeMismatchError,
     SizeMismatchError,
@@ -133,5 +134,6 @@ __all__ = [
     "DegenerateProbeError",
     "WeightOverflowError",
     "PowerOverflowError",
+    "MixedArithmeticError",
     "ConfigError",
 ]

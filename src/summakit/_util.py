@@ -1,18 +1,18 @@
 """Small numeric helpers shared across modules.
 
 Every public operation runs on either float64 arrays (the production path)
-or object arrays of ``fractions.Fraction`` (the exact path used by test
-oracles at small truncation orders).  The helpers here keep those two paths
-behind one code surface.  :func:`as_float` is the one point where exact
-values are rounded to float64: each Fraction is rounded once, correctly,
-exactly as ``float(x)`` rounds it, and float64 input passes through uncopied.
-:func:`numerators` is the exact path's one conversion: it writes int and
-Fraction entries as integer numerators over their least common denominator,
-so the exact kernels run as integer arithmetic and form one Fraction per
-result entry.  :func:`check_pair` holds the argument checks shared by every
+or object arrays of int and ``fractions.Fraction`` entries (the exact path
+used by test oracles at small truncation orders): an object array means exact.
+:func:`as_float` is the one point where exact values are rounded to float64:
+each Fraction is rounded once, correctly, as ``float(x)`` rounds it, and
+float64 input passes through uncopied.  :func:`numerators` is the exact path's
+one conversion, to integer numerators over one denominator, and refuses a
+float by name; :func:`on_numerators` runs the float code of a linear operation
+on them, and :func:`same_arithmetic` refuses a matrix meeting values of the
+other arithmetic.  :func:`check_pair` holds the argument checks shared by every
 function that takes a matrix pair and a factor sequence.  :func:`suffix_sums`
-is the exact suffix-sum kernel of the W tails, the d_nr bound and the
-running totals of an absolute k-norm profile.
+is the exact suffix-sum kernel of the W tails, the d_nr bound and the running
+totals of an absolute k-norm profile.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadExponentError, LengthMismatchError, PowerOverflowError, SizeMismatchError
+from .errors import BadExponentError, LengthMismatchError, MixedArithmeticError, PowerOverflowError, SizeMismatchError
 
 
 def is_exact(arr: np.ndarray) -> bool:
@@ -52,17 +52,40 @@ def as_vector(values) -> np.ndarray:
 
 def numerators(values):
     """(nums, den) with values[i] == nums[i] / den, all integers, den the least common denominator of the int and
-    Fraction ``values``, or of a float64 array's dyadic rationals (a non-finite float counts as 0); None for any other
-    entry type, whose values keep their own arithmetic."""
+    Fraction ``values`` (:func:`exact_entries`), or of a float64 array's dyadic rationals (a non-finite float counts as 0)."""
     if isinstance(values, np.ndarray) and not is_exact(values):
         mant, expo = np.frexp(np.where(np.isfinite(values), values, 0.0))
         low = min(int(expo.min(initial=53)) - 53, 0)
         return list(map(operator.lshift, (mant * 2.0**53).astype(np.int64).tolist(), (expo - 53 - low).tolist())), 1 << -low
-    vals = values.tolist() if isinstance(values, np.ndarray) else values
-    if not all(isinstance(x, (int, Fraction)) for x in vals):
-        return None
+    vals = exact_entries(values)
     den = math.lcm(*[x.denominator for x in vals])
     return [x.numerator * (den // x.denominator) for x in vals], den
+
+
+def exact_entries(values) -> list:
+    """The exact ``values`` as a list; an entry that is not an int or a Fraction raises a MixedArithmeticError naming it."""
+    vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    bad = next((i for i, x in enumerate(vals) if not isinstance(x, (int, Fraction))), None)
+    if bad is not None:
+        raise MixedArithmeticError(f"exact entry {bad} is {vals[bad]!r}, not an int or a Fraction")
+    return vals
+
+
+def on_numerators(op, *arrays) -> np.ndarray:
+    """``op(*arrays)`` for exact arrays and an ``op`` linear in each, run on their integer numerators (:func:`numerators`):
+    each nonzero result entry is one Fraction over the product of the denominators, and a zero stays the int 0."""
+    parts = [numerators(a.ravel()) for a in arrays]
+    out = op(*(np.asarray(nums, dtype=object).reshape(a.shape) for a, (nums, _) in zip(arrays, parts)))
+    den = math.prod(d for _, d in parts)
+    return np.asarray([Fraction(x, den) if x else 0 for x in out.ravel().tolist()], dtype=object).reshape(out.shape)
+
+
+def same_arithmetic(exact: bool, values, where: str) -> None:
+    """Refuse ``values`` whose arithmetic is not the matrix's: an exact matrix takes exact values, a float one floats."""
+    if exact != is_exact(values):
+        raise MixedArithmeticError(f"{where}: an {('float', 'exact')[exact]} matrix with {('float', 'exact')[not exact]} values")
+    if exact:
+        exact_entries(values)
 
 
 def quotients(nums, dens) -> np.ndarray:
@@ -79,8 +102,8 @@ def accurate_sum(values):
     """Compensated sum for floats; exact scalars as one integer sum over their common denominator."""
     arr = np.asarray(values)
     if arr.dtype == object:
-        parts = numerators(arr)
-        return sum(arr.tolist(), start=0) if parts is None or parts[1] == 1 else Fraction(sum(parts[0]), parts[1])
+        nums, den = numerators(arr)
+        return sum(arr.tolist(), start=0) if den == 1 else Fraction(sum(nums), den)
     try:
         return math.fsum(arr)
     except OverflowError:  # finite terms whose sum is past float range: rounded, it is +-inf, as in suffix_sums

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, index_pow, is_exact, named_overflow
-from ._util import nan_max, norm_weights, scalar_pow
+from ._util import nan_max, norm_weights, on_numerators, same_arithmetic, scalar_pow
 from .errors import (
     LengthMismatchError,
     SizeMismatchError,
@@ -226,21 +226,12 @@ def probe_deltas(H: np.ndarray, lv) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scaled_columns(H: np.ndarray, lv) -> np.ndarray:
-    """H diag(lv) for the lower-triangular hat columns ``H``.
-
-    On exact (object) arrays only the lower triangle is multiplied: the
-    zeros above it stay plain ints, so nothing downstream does rational
-    arithmetic on them.
-    """
+    """H diag(lv) for the lower-triangular hat columns ``H``; exact, on integer numerators
+    (:func:`~summakit._util.on_numerators`), so the zeros above the diagonal stay plain ints."""
     if lv is None:
         return H
     lv = lv[: H.shape[1]]
-    if not is_exact(H):
-        return H * lv[None, :]
-    BL = np.zeros(H.shape, dtype=object)
-    for n in range(H.shape[0]):
-        BL[n, : n + 1] = H[n, : n + 1] * lv[: n + 1]
-    return BL
+    return on_numerators(np.multiply, H, lv) if is_exact(H) else H * lv
 
 
 def column_sums(M: np.ndarray, k, w=None, lower: bool = False, quantity: str = "the column k-power sum") -> np.ndarray:
@@ -327,7 +318,7 @@ class DenseProbes(dict):
         """Blocks (F, n) of the key-identity triangle, F[i, v] = bhat_nv lam_v at row n[i], over rows 2..N."""
         N = self.M.order
         for lo in range(2, N + 1, _ROWS):  # a block of rows at a time bounds the temporaries
-            F = self.H[lo : lo + _ROWS] * self.lv[None, : N + 1]
+            F = _scaled_columns(self.H[lo : lo + _ROWS], self.lv)
             yield F, np.arange(lo, lo + F.shape[0])
 
     def cnv(self, A: NormalMatrix, fac, diag) -> np.ndarray:
@@ -459,7 +450,9 @@ class WeightedProbes:
 def probe_columns(M: NormalMatrix, lv, m: int | None = None):
     """M's probes at v = 0..m-1 (m is M's order when None) with the factors ``lv`` (unit factors when None):
     the one switch on how M is stored.  A weighted mean's are read from its weights, any other matrix's from
-    its hat columns."""
+    its hat columns.  An exact M takes exact factors and a float one floats (:func:`~summakit._util.same_arithmetic`)."""
+    if lv is not None:
+        same_arithmetic(M.exact, lv, "probe_columns")
     return (DenseProbes if M.weights is None else WeightedProbes)(M, lv, M.order if m is None else m)
 
 
@@ -493,7 +486,10 @@ def check_c16(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> Conditio
     nums = np.zeros(N + 1)
     W = far_inverse(A)
     if W is not None:
-        inner = inner_sums(as_float(np.abs(_scaled_columns(hat_of(B).entries, lv))), as_float(np.abs(W)))
+        H = hat_of(B).entries
+        if is_exact(H) != is_exact(lv):  # a mixed pair is rounded on entry, as C9 and TA round theirs
+            H, lv = as_float(H), as_float(lv)
+        inner = inner_sums(as_float(np.abs(_scaled_columns(H, lv))), as_float(np.abs(W)))
         nums[2:] = [inner[n, : n - 1].max() for n in range(2, N + 1)]
     den = np.abs(as_float(B.diagonal) / as_float(A.diagonal)) * np.abs(as_float(lv))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero denominator is resolved by np.where

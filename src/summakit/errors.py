@@ -49,5 +49,9 @@ class PowerOverflowError(SummakitError):
     """A scalar float power is past float range; the message names the quantity and its index."""
 
 
+class MixedArithmeticError(SummakitError):
+    """An exact (int and Fraction) operand met a float one; the message names the entry or the operation."""
+
+
 class ConfigError(SummakitError):
     """An experiment configuration failed validation; message names the field."""

@@ -205,7 +205,6 @@ def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSa
     N = A.order
     if len(a) < N + 1:
         raise LengthMismatchError(f"need {N + 1} coefficients, have {len(a)}")
-    exact = A.exact and B.exact
     coeffs = a.coefficients[: N + 1]
     lamv = lam.values[: N + 1]
 
@@ -213,7 +212,7 @@ def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSa
     dy = apply_hat(B, coeffs * lamv)
 
     bar0 = B.row_sums  # the leading bar column
-    if exact:
+    if B.exact:  # then A, the series and the factors are exact too: a mixed call is refused
         v0_retained = any(x != 1 for x in bar0.tolist())
     else:
         v0_retained = bool(np.max(np.abs(bar0 - 1.0)) > _ROW_SUM_TOL)

@@ -19,10 +19,9 @@ exactly zero.  Both are computed once per matrix and kept on it, and
 ``invert_hat`` keeps the inverse it computes on the matrix it inverts.  A
 weighted mean's hat matrix is read from its weights: ``apply_hat`` multiplies
 by it and ``hat_inverse_bands`` gives its inverse's two bands in O(N).
-On exact (object) arrays the hat sums, the hat inverse and the
-products run over the lower triangle only, as integer arithmetic on each
-row's numerators over one denominator (:func:`~summakit._util.numerators`),
-with one Fraction per result entry; a row holding a float keeps its own.
+On exact (object) arrays, int and Fraction entries alone, the hat sums and
+the products run their float code on the integer numerators of the lower
+triangle (:mod:`summakit._util`), and the hat inverse is fraction free.
 """
 
 from __future__ import annotations
@@ -35,7 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import accurate_sum, as_float, as_vector, is_exact, named_overflow, numerators, quotients, suffix_sums
+from ._util import accurate_sum, as_float, as_vector, is_exact, named_overflow, numerators, on_numerators, quotients
+from ._util import same_arithmetic, suffix_sums
 from .errors import LengthMismatchError, ShapeMismatchError, WeightOverflowError, ZeroDiagonalError
 
 log = logging.getLogger("summakit")
@@ -293,26 +293,13 @@ def leading_section(M: NormalMatrix, order: int) -> NormalMatrix:
 def _tail_sums(E: np.ndarray, v_hi: int) -> np.ndarray:
     """Columns 0..v_hi of the row tail sums sum_{i=v..n} T[n, i] of T, E with each row less the row above, zero for v > n.
 
-    Row 0 is E's own.  Each row is summed from its diagonal down to v, so no
-    sum is a difference of two larger ones.  Float rows are one ``cumsum``;
-    exact rows are differenced and summed over their lower triangle only, as
-    numerators over one denominator with the row above.
+    Row 0 is E's own.  Each row is summed from its diagonal down to v by one
+    ``cumsum``, so no sum is a difference of two larger ones.
     """
     size = E.shape[0]
     v_hi = min(v_hi, size - 1)
-    if is_exact(E):
-        out = np.zeros((size, v_hi + 1), dtype=object)
-        rows = E.tolist()
-        for n, row in enumerate(rows):
-            vals = row[: n + 1] + rows[n - 1][:n]
-            nums, den = numerators(vals) or (vals, None)
-            terms = nums[: n + 1]
-            terms[:n] = map(operator.sub, terms, nums[n + 1 :])
-            sums = list(itertools.accumulate(reversed(terms)))[::-1][: v_hi + 1]  # sums[v] = sum(terms[v:])
-            out[n, : len(sums)] = sums if den is None else [Fraction(x, den) for x in sums]
-        return out
-    T = np.diff(E, axis=0, prepend=0.0)
-    sums = np.empty(T.shape)
+    T = np.diff(E, axis=0, prepend=0)
+    sums = np.empty(T.shape, dtype=T.dtype)
     np.cumsum(T[:, ::-1], axis=1, out=sums[:, ::-1])
     return sums if v_hi == size - 1 else sums[:, : v_hi + 1].copy()
 
@@ -325,7 +312,8 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
     p_n / P_n of A itself and column 0 exactly zero below row 0.  For other
     matrices hat_nv = bar_nv - bar_{n-1,v} = sum_{i=v..n} (a_ni - a_{n-1,i}):
     the rows of A are differenced first and then summed from the diagonal
-    down, so the diagonal is A's own and no entry cancels two row sums.
+    down, so the diagonal is A's own and no entry cancels two row sums; exact
+    entries on the integer numerators of A's lower triangle (``on_numerators``).
     """
     if A.weights is not None:
         v_hi = min(v_hi, A.size - 1)
@@ -335,6 +323,8 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
         idx = np.arange(v_hi + 1)
         hat[idx, idx] = p[: v_hi + 1] / P[: v_hi + 1]
         return hat
+    if A.exact:
+        return on_numerators(lambda E: _tail_sums(E, v_hi), np.tril(A.entries))
     return _tail_sums(A.entries, v_hi)
 
 
@@ -382,13 +372,15 @@ def invert_hat(H: NormalMatrix) -> NormalMatrix:
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
     size = L.shape[0]
-    rows = [numerators(L[n, : n + 1]) for n in range(size)] if is_exact(L) else [None]
-    if None not in rows:
-        return _fraction_free_inverse(rows)
-    if size <= _BLOCK:
-        return _forward_substitution(L)
+    if is_exact(L):
+        return _fraction_free_inverse([numerators(L[n, : n + 1]) for n in range(size)])
+    X = np.zeros((size, size), dtype=L.dtype)
+    if size <= _BLOCK:  # forward substitution, one row product at a time
+        for n in range(size):
+            X[n, :n] = -(L[n, :n] @ X[:n, :n]) / L[n, n]
+            X[n, n] = 1 / L[n, n]
+        return X
     h = size // 2
-    X = np.zeros_like(L)
     X[:h, :h] = X11 = _lower_inverse(L[:h, :h])
     X[h:, h:] = X22 = _lower_inverse(L[h:, h:])
     X[h:, :h] = -(X22 @ (L[h:, :h] @ X11))
@@ -406,22 +398,6 @@ def _fraction_free_inverse(rows: list) -> np.ndarray:
             ys = [y * r for y in ys] + [-sum(map(operator.mul, R[v:], ys))]
             D *= r
         X[v:, v] = [Fraction(y, D) for y in ys]
-    return X
-
-
-def _forward_substitution(L: np.ndarray) -> np.ndarray:
-    """Float rows of the inverse one product at a time; exact columns entry by entry, over the lower triangle only."""
-    size = L.shape[0]
-    X = np.zeros((size, size), dtype=L.dtype)
-    if not is_exact(L):
-        for n in range(size):
-            X[n, :n] = -(L[n, :n] @ X[:n, :n]) / L[n, n]
-            X[n, n] = 1 / L[n, n]
-        return X
-    for v in range(size):
-        X[v, v] = 1 / L[v, v]
-        for n in range(v + 1, size):
-            X[n, v] = -np.dot(L[n, v:n], X[v:n, v]) / L[n, n]
     return X
 
 
@@ -485,6 +461,7 @@ def apply_hat(A: NormalMatrix, x) -> np.ndarray:
     xs = as_vector(x)
     if xs.size < A.size:
         raise LengthMismatchError(f"need {A.size} values, have {xs.size}")
+    same_arithmetic(A.exact, xs, "apply_hat")
     xs = xs[: A.size]
     terms = np.concatenate(([0], A.weights.cumulative[: A.order])) * xs
     below = np.concatenate(([0], np.cumsum(terms[:-1])))  # below_n = sum_{v<n} terms_v
@@ -494,23 +471,23 @@ def apply_hat(A: NormalMatrix, x) -> np.ndarray:
 def apply_lower(M, x) -> np.ndarray:
     """result_n = sum_{v=0..n} M_nv x_v for a lower-triangular M: an array, or a NormalMatrix read as it is stored.
 
-    A structure forms no matrix and is O(N): the identity gives x itself, a weighted mean
-    (1/P_n) sum_{v<=n} p_v x_v, on floats its numerator summed exactly as integers and divided by
-    P_n in one correctly rounded division.  Float entries are one ``np.dot``;
-    on exact entries each row is an integer dot product over its lower triangle only.  A mixed
-    exact/float call, or a row holding a float, keeps its own arithmetic.
+    A structure forms no matrix and is O(N): the identity gives x itself, a weighted mean (1/P_n) sum_{v<=n} p_v x_v,
+    on floats its numerator summed exactly as integers and divided by P_n in one correctly rounded division.  Float
+    entries are one ``np.dot``; on exact entries each row is an integer dot product over its lower triangle only.  An
+    exact matrix takes exact values and a float one floats: a mixed call raises a MixedArithmeticError.
     """
     E = M._entries if isinstance(M, NormalMatrix) else np.asarray(M)
     size = M.size if E is None else E.shape[0]
     xs = as_vector(x)
     if xs.size < size:
         raise LengthMismatchError(f"need {size} values, have {xs.size}")
+    same_arithmetic(M.exact if E is None else is_exact(E), xs, "apply_lower")
     xs = xs[:size]
     if E is None and M.weights is None:
-        return xs.astype(object) if M.exact else xs.copy()
+        return xs.copy()
     if E is None:
         p, P = M._weights()
-        if M.exact or is_exact(xs):
+        if M.exact:
             return suffix_sums((p * xs)[::-1], size)[::-1] / P
         (a, da), (b, db), (c, dc) = (numerators(y) for y in (p, xs, P))
         up = dc.bit_length() - da.bit_length() - db.bit_length() + 1  # powers of two: dc / (da db) = 2**up
@@ -518,10 +495,8 @@ def apply_lower(M, x) -> np.ndarray:
         out = quotients(map(operator.lshift, sums, itertools.repeat(max(up, 0))), map(operator.lshift, c, itertools.repeat(max(-up, 0))))
         finite = np.isfinite(xs)  # a non-finite term reaches every later mean as in the float sum
         return out + (0 if finite.all() else np.cumsum(np.where(finite, 0.0, p * xs)) / P)
-    if is_exact(E) or is_exact(xs):
-        x = numerators(xs) if is_exact(E) and is_exact(xs) else None
-        rows = [(E[n, : n + 1], x and numerators(E[n, : n + 1])) for n in range(size)]
-        dots = [np.dot(r, xs[: r.size]) if q is None else Fraction(sum(map(operator.mul, q[0], x[0])), q[1] * x[1]) for r, q in rows]
-        return np.asarray(dots, dtype=object)
+    if is_exact(E):
+        x, den = numerators(xs)
+        rows = (numerators(E[n, : n + 1]) for n in range(size))
+        return np.asarray([Fraction(sum(map(operator.mul, q, x)), d * den) for q, d in rows], dtype=object)
     return np.dot(E, xs)
-

@@ -146,11 +146,16 @@ class Untouchable:
 
 
 def test_apply_lower_reads_no_entry_above_the_diagonal():
+    # nor do the hat sums and the hat inverse
     rng = np.random.default_rng(61)
     order = 6
     rational = sk.NormalMatrix(np.asarray(exact_rows(tame_normal(rng, order)), dtype=object))
     E = rational.entries.copy()
     E[np.triu_indices(order + 1, 1)] = Untouchable()
     x = [F(int(i), 7) for i in rng.integers(-9, 10, order + 1)]
-    got = sk.apply_lower(sk.NormalMatrix(E), x)
-    assert got.tolist() == oracles.matvec(exact_rows(rational), x)
+    planted = sk.NormalMatrix(E)
+    assert sk.apply_lower(planted, x).tolist() == oracles.matvec(exact_rows(rational), x)
+    # the hat sums difference whole rows: they run on the lower triangle alone, and so does the inverse
+    hat = oracles.hat_rows(exact_rows(rational))
+    assert sk.hat_of(planted).entries.tolist() == hat
+    assert sk.invert_hat(sk.hat_of(planted)).entries.tolist() == oracles.lower_inverse(hat)

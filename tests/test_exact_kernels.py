@@ -4,7 +4,8 @@ On int and Fraction entries the hat and bar sums, the hat inverse, the
 products and the sums run as integer arithmetic over one denominator per row
 (``_util.numerators``) and form one Fraction per result entry.  Each must give
 exactly the value of the oracle in ``tests/oracles.py``, which does every
-operation in Fractions.  A row holding a float keeps its own arithmetic.
+operation in Fractions.  An exact entry that is a float, and a mixed exact/float
+call into a product or a probe, is refused by name.
 """
 
 import math
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import summakit as sk  # noqa: E402
 from summakit._util import accurate_sum, numerators  # noqa: E402
+from summakit.errors import MixedArithmeticError  # noqa: E402
 from summakit.matrices import _BLOCK  # noqa: E402
 
 import helpers  # noqa: E402
@@ -56,12 +58,14 @@ def test_numerators_write_values_over_their_least_common_denominator(values):
     assert accurate_sum(np.asarray(values, dtype=object)) == sum(values, F(0))
 
 
-def test_numerators_of_floats_are_exact_and_of_a_mixed_row_none():
+def test_numerators_of_floats_are_exact_and_of_a_mixed_row_refused():
     x = np.array([0.1, -3.0, 2.0**-1074, 1e308, math.inf, 0.0])
     nums, den = numerators(x)
     assert [F(n, den) for n in nums] == [F(v) if math.isfinite(v) else 0 for v in x.tolist()]
-    assert numerators([F(1, 3), 0.5]) is None
-    assert numerators(np.asarray([F(1, 3), np.float64(0.5)], dtype=object)) is None
+    with pytest.raises(MixedArithmeticError, match=r"^exact entry 1 is 0\.5, not an int or a Fraction$"):
+        numerators([F(1, 3), 0.5])
+    with pytest.raises(MixedArithmeticError, match="exact entry 1 is "):
+        numerators(np.asarray([F(1, 3), np.float64(0.5)], dtype=object))
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,37 +126,44 @@ def test_weighted_mean_of_floats_is_the_correctly_rounded_quotient(order, seed, 
     assert sk.apply_lower(A, x).tolist() == want
 
 
-def test_a_row_holding_a_float_keeps_its_own_arithmetic():
+def test_a_row_holding_a_float_is_refused_by_name():
     E = np.asarray([[F(1, 2), 0, 0], [F(1, 3), 0.25, 0], [F(-1, 5), F(2, 7), 3]], dtype=object)
-    x = [F(1, 3), F(-2, 9), 5]
-    got = sk.apply_lower(sk.NormalMatrix(E), x).tolist()
-    assert got[0] == F(1, 6) and got[2] == oracles.matvec(E.tolist(), x)[2]
-    assert type(got[1]) is float and got[1] == F(1, 3) * F(1, 3) + 0.25 * F(-2, 9)
+    with pytest.raises(MixedArithmeticError, match="^exact entry 1 is 0.25, not an int or a Fraction$"):
+        sk.apply_lower(sk.NormalMatrix(E), [F(1, 3), F(-2, 9), 5])
+    # an exact matrix with float values, and a float matrix with exact values
+    rows = rational_lower(np.random.default_rng(3), 2)
+    for M, x, kinds in (
+        (as_matrix(rows), np.ones(3), ("exact", "float")),
+        (sk.make_normal(np.eye(3)), [F(1)] * 3, ("float", "exact")),
+        (sk.cesaro_matrix(2, exact=True), np.ones(3), ("exact", "float")),
+        (sk.identity_matrix(2), [F(1)] * 3, ("float", "exact")),
+    ):
+        for call in (sk.apply_lower, sk.apply_hat):  # apply_hat on a dense matrix is apply_lower of its hat matrix
+            with pytest.raises(MixedArithmeticError, match=f"^apply_(lower|hat): an {kinds[0]} matrix with {kinds[1]} values$"):
+                call(M, x)
 
 
-def test_decompose_on_exact_matrices_with_float_factors_keeps_its_float_arithmetic():
-    # A and B exact, lambda float: the products with lambda are floats, so t1, t2 and dy are floats in object
-    # arrays, with these values; a mixed call that went through the integer kernels would give Fractions
+def test_decompose_on_exact_matrices_with_float_factors_is_refused():
+    # A and B exact, lambda float: the factored coefficients meet B's exact hat matrix, and the probes B's hat columns
     rng = np.random.default_rng(5)
     A = helpers.random_rational_row_stochastic(rng, 4)
     B = helpers.random_rational_matrix(rng, 4)
     lam = sk.FactorSequence(rng.uniform(0.5, 1.5, 5).round(3))
-    dec = sk.decompose(A, B, lam, sk.SeriesSample(helpers.random_rational_vector(rng, 5)))
-    want = {
-        "t1": [-4.4415, 16.821, -18.143250000000002, 19.374198192239863, 2.92752823706643],
-        "t2": [-0.0, 0.0, -0.0, -2.890049382716049, -2.867946887860082],
-        "delta_y": [-4.4415, 16.821, -18.143250000000002, 16.484148809523813, 0.059581349206347056],
-    }
-    for name, values in want.items():
-        got = getattr(dec, name)
-        assert got.dtype == object and all(type(x) is float for x in got.tolist())
-        assert np.asarray(got.tolist()).tobytes() == np.asarray(values).tobytes()
-    assert type(dec.residual) is float and dec.residual == 1.3322676295501878e-15 and dec.v0_retained
+    with pytest.raises(MixedArithmeticError, match="^exact entry 0 is "):
+        sk.decompose(A, B, lam, sk.SeriesSample(helpers.random_rational_vector(rng, 5)))
+    with pytest.raises(MixedArithmeticError, match="^probe_columns: an exact matrix with float values$"):
+        sk.ProbePass(A, B, lam, 2)
+    # the checks that round their inputs on entry keep taking float factors
+    exact_lam = sk.FactorSequence(np.asarray([F(x) for x in lam.values.tolist()], dtype=object))
+    for check in (sk.check_c9, sk.check_c16):
+        assert check(A, B, lam, *([2] if check is sk.check_c9 else [])).ratios.tobytes() == check(
+            A, B, exact_lam, *([2] if check is sk.check_c9 else [])
+        ).ratios.tobytes()
 
 
 def test_the_exact_oracle_calls_stay_under_ten_thousand_fraction_operations(monkeypatch):
     # no timing: the count of Fraction additions, subtractions, products and quotients, which dominate the exact
-    # path's time (6,832 on these inputs); a kernel that went back to per-entry Fraction arithmetic passes 10,000
+    # path's time (5,859 on these inputs); a kernel that went back to per-entry Fraction arithmetic passes 10,000
     inputs = helpers.exact_oracle_inputs(seed=1, order=24)
     calls = [0]
 

@@ -58,12 +58,13 @@ def test_leading_section_at_the_matrix_order_is_the_matrix_itself():
 
 
 def test_invert_hat_of_fractions_with_one_float_among_them():
-    # a row holding a float has no integer numerators: forward substitution runs entry by entry on the object array
+    # a row holding a float has no integer numerators: the exact inverse refuses it by name
     H = sk.make_normal([[F(1)], [0.5, F(2)], [F(1, 3), 0.25, F(4)]])
-    X = sk.invert_hat(H).entries
-    assert H.exact and X.dtype == object
-    assert X[1, 0] == -0.25 and X[1, 1] == F(1, 2) and X[2, 2] == F(1, 4)
-    assert H.entries.dot(X).tolist() == np.eye(3).tolist()  # exactly
+    assert H.exact
+    with pytest.raises(sk.MixedArithmeticError, match="^exact entry 0 is 0.5, not an int or a Fraction$"):
+        sk.invert_hat(H)
+    with pytest.raises(sk.MixedArithmeticError, match="^exact entry 3 is 0.5, not an int or a Fraction$"):
+        sk.hat_of(H)
 
 
 def test_entries_read_only():
