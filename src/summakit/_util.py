@@ -189,18 +189,20 @@ def scalar_pow(x: float, p: float, quantity: str, v: int) -> float:
 
 
 def named_overflow(build, base, quantity: str, index: str = "v", start: int = 0):
-    """``build()`` with numpy's overflow and invalid-value warnings off.  A float value that is inf or NaN where its
-    ``base`` entry is finite (a 2-D base: its column) went past float range: a PowerOverflowError names ``quantity``
-    and its first index, counted from ``start``.  A non-finite base passes through."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    """``build()`` with numpy's overflow, divide-by-zero and invalid-value warnings off.  A float value that is inf or NaN
+    where its ``base`` entry is finite (a 2-D base of 1-D values: its column; 2-D values: the whole base) went past float
+    range: a PowerOverflowError names ``quantity`` and its first index (of 2-D values, its row), counted from ``start``.
+    A non-finite base passes through."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         values = build()
     if not is_exact(values):
         bad = ~np.isfinite(values)
         if bad.any():
             finite = np.isfinite(as_float(base))
-            bad &= finite.all(axis=0) if finite.ndim > bad.ndim else finite
+            bad &= finite.all(axis=0) if finite.ndim > bad.ndim else finite.all() if bad.ndim == 2 else finite
         if bad.any():
-            raise PowerOverflowError(f"{quantity} at {index} = {start + int(np.argmax(bad))} is not finite (float overflow)")
+            first = np.argmax(bad.any(axis=1) if bad.ndim == 2 else bad)
+            raise PowerOverflowError(f"{quantity} at {index} = {start + int(first)} is not finite (float overflow)")
     return values
 
 

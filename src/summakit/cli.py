@@ -66,12 +66,30 @@ VERIFY_TOLERANCES = {
 }
 
 
+ROOT_KEYS = ("N", "k", "matrix_a", "matrix_b", "lambda", "series", "tail", "output", "conditions", "delta_mode")
+# the keys a spec of each kind reads besides "kind", and a weight generator of each name besides "name"
+SPEC_KEYS = {
+    "matrix": {"identity": (), "cesaro": (), "riesz": ("generator",), "explicit": ("entries",)},
+    "lambda": {"constant": ("value",), "explicit": ("values",), "power": ("alpha",), "riesz_adapted": ()},
+    "series": {"explicit": ("coefficients",), "alternating": ("beta",), "probe": ("v", "probe_kind")},
+}
+GENERATOR_KEYS = {"ones": (), "power": ("alpha",), "geometric": ("ratio",)}
+
+
+def _only(obj: dict, keys, where: str) -> None:
+    """Refuse the first key of the config object ``obj`` that it does not read: a misspelled key is never dropped."""
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise ConfigError(f"{where} has an unknown key {unknown[0]!r}; it reads {', '.join(keys)}")
+
+
 class ExperimentConfig:
     """Validated experiment description; see README for the JSON schema."""
 
     def __init__(self, data: dict):
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
+        _only(data, ROOT_KEYS, "the config root")
         self.raw = data
         self.order = data.get("N")
         if not isinstance(self.order, int) or self.order < 2:
@@ -90,9 +108,17 @@ class ExperimentConfig:
             for field in ("weights", "entries", "values", "coefficients"):
                 if field in spec and not isinstance(spec[field], list):
                     raise ConfigError(f"{key}.{field} must be a list, got {spec[field]!r}")
+            kinds, gen = SPEC_KEYS["matrix" if key.startswith("matrix") else key], spec.get("generator")
+            if spec["kind"] == "riesz" and "weights" in spec:
+                _only(spec, ("kind", "weights"), key)
+            elif spec["kind"] in kinds:
+                _only(spec, ("kind", *kinds[spec["kind"]]), key)
+            if isinstance(gen, dict) and gen.get("name") in GENERATOR_KEYS:
+                _only(gen, ("name", *GENERATOR_KEYS[gen["name"]]), f"{key}.generator")
         tail = data.get("tail", {})
         if not isinstance(tail, dict):
             raise ConfigError("tail must be an object")
+        _only(tail, ("cutoff", "warn_threshold"), "tail")
         cutoff = tail.get("cutoff", 16 * self.order)
         if not isinstance(cutoff, int) or cutoff <= self.order:
             raise ConfigError(f"tail.cutoff must be an integer > N, got {cutoff!r}")
@@ -103,6 +129,7 @@ class ExperimentConfig:
         out = data.get("output", {})
         if not isinstance(out, dict):
             raise ConfigError("output must be an object")
+        _only(out, ("format", "path"), "output")
         self.out_format = out.get("format", "csv")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"output.format must be 'csv' or 'json', got {self.out_format!r}")

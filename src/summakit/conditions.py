@@ -23,6 +23,7 @@ from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, 
 from ._util import nan_max, norm_weights, on_numerators, same_arithmetic, scalar_pow
 from .errors import (
     LengthMismatchError,
+    PowerOverflowError,
     SizeMismatchError,
     TailUnavailableError,
 )
@@ -145,7 +146,10 @@ def _tail_report(cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v
     v_max = min(v_max, cutoff_eff - 1)
     totals, last = probe_columns(B, lam.values, v_max + 1).tails(PROBE_KINDS[cid == "C11"], k, cutoff_eff)
     warned = warned or bool(np.any(last > tail.warn_threshold * totals))
-    ratios = as_float(totals) / as_float(denominators[: v_max + 1])
+    den = as_float(denominators[: v_max + 1])
+    if not den.all():  # C10's |a_vv|**k with a_vv nonzero: it underflowed, and the ratio would be inf or NaN
+        raise PowerOverflowError(f"the C10 denominator |a_vv|**k at v = {int(np.argmin(den != 0))} is zero (float underflow)")
+    ratios = as_float(totals) / den
     return _report(cid, np.arange(v_max + 1), ratios, tail.cutoff, warned)
 
 

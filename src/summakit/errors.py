@@ -46,7 +46,8 @@ class WeightOverflowError(SummakitError):
 
 
 class PowerOverflowError(SummakitError):
-    """A scalar float power is past float range; the message names the quantity and its index."""
+    """A float power, sum or quotient is past float range, or a divisor underflowed to zero; the message names the
+    quantity and its index."""
 
 
 class MixedArithmeticError(SummakitError):

@@ -125,9 +125,14 @@ class NormalMatrix:
         if self._entries is None:
             g = np.ones(self.order, dtype=object if self.exact else float)
         else:
-            d = self.diagonal
-            g = _kept(self, "_gap", "gap factor", lambda: (d[:-1] - self.subdiagonal) / (d[:-1] * d[1:]))
+            g = _kept(self, "_gap", "gap factor", self._dense_gap)
         return g if v is None else g[v]
+
+    def _dense_gap(self) -> np.ndarray:
+        """The gap factor of dense entries; one past float range raises a PowerOverflowError naming its v."""
+        d, sub = self.diagonal, self.subdiagonal
+        quantity = "the gap factor (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1})"
+        return named_overflow(lambda: (d[:-1] - sub) / (d[:-1] * d[1:]), np.stack((d[:-1], sub, d[1:])), quantity)
 
     def rises(self) -> np.ndarray:
         """max_v max(a_nv - a_{n-1,v}, 0) for n = 1..N, C12's violations: exactly zero on the identity and on a
@@ -365,9 +370,14 @@ def invert_hat(H: NormalMatrix) -> NormalMatrix:
     by forward substitution, and so is a matrix of int and Fraction entries,
     fraction free and unsplit: no product over the zeros of a block.  No
     pivoting is needed: the diagonal is nonzero by the type invariant.  It is
-    computed once per H: later calls return the same read-only matrix.
+    computed once per H: later calls return the same read-only matrix.  A float
+    entry past float range, on finite entries of H, raises a PowerOverflowError naming its row.
     """
-    return _kept(H, "_inverse", "hat inverse", lambda: NormalMatrix(_lower_inverse(H.entries)))
+
+    def inverse():
+        return NormalMatrix(named_overflow(lambda: _lower_inverse(H.entries), H.entries, "the hat inverse", "row n"))
+
+    return _kept(H, "_inverse", "hat inverse", inverse)
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:

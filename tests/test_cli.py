@@ -494,6 +494,56 @@ def test_each_config_error_is_one_line_and_exit_2(tmp_path, capsys, command, dat
     assert capsys.readouterr().err == f"config error: {line}\n"
 
 
+@pytest.mark.parametrize(
+    "command, data, line",
+    [
+        # a misspelled key used to be dropped: the generator defaulted to ones, all eight conditions ran, the cutoff was 16N
+        (
+            "check",
+            base_config(N=6, matrix_b={"kind": "riesz", "generater": {"name": "power", "alpha": 0.5}}),
+            "matrix_b has an unknown key 'generater'; it reads kind, generator",
+        ),
+        (
+            "check",
+            base_config(N=6, condtions=["C9"]),
+            "the config root has an unknown key 'condtions'; it reads N, k, matrix_a, matrix_b, lambda, series, tail, output, "
+            "conditions, delta_mode",
+        ),
+        ("check", base_config(N=6, tail={"cutof": 9}), "tail has an unknown key 'cutof'; it reads cutoff, warn_threshold"),
+        ("check", base_config(N=6, output={"formta": "json"}), "output has an unknown key 'formta'; it reads format, path"),
+        ("check", base_config(N=6, matrix_a={"kind": "cesaro", "weights": [1.0] * 7}), "matrix_a has an unknown key 'weights'; it reads kind"),
+        (
+            "check",
+            base_config(N=6, matrix_b={"kind": "riesz", "weights": [1.0] * 7, "generator": "ones"}),
+            "matrix_b has an unknown key 'generator'; it reads kind, weights",
+        ),
+        ("check", base_config(N=6, matrix_b={"kind": "explicit", "entries": ROWS_7, "order": 6}), "matrix_b has an unknown key 'order'; it reads kind, entries"),
+        ("check", base_config(N=6, matrix_b={"kind": "identity", "size": 7}), "matrix_b has an unknown key 'size'; it reads kind"),
+        (
+            "check",
+            base_config(N=6, matrix_b={"kind": "riesz", "generator": {"name": "power", "alpah": 0.5}}),
+            "matrix_b.generator has an unknown key 'alpah'; it reads name, alpha",
+        ),
+        (
+            "check",
+            base_config(N=6, matrix_b={"kind": "riesz", "generator": {"name": "geometric", "alpha": 1.1}}),
+            "matrix_b.generator has an unknown key 'alpha'; it reads name, ratio",
+        ),
+        ("check", base_config(N=6, **{"lambda": {"kind": "constant", "vlaue": 2.0}}), "lambda has an unknown key 'vlaue'; it reads kind, value"),
+        ("check", base_config(N=6, **{"lambda": {"kind": "power", "beta": 2.0}}), "lambda has an unknown key 'beta'; it reads kind, alpha"),
+        ("check", base_config(N=6, **{"lambda": {"kind": "riesz_adapted", "k": 2}}), "lambda has an unknown key 'k'; it reads kind"),
+        ("check", base_config(N=6, **{"lambda": {"kind": "explicit", "value": [1.0] * 8}}), "lambda has an unknown key 'value'; it reads kind, values"),
+        ("transform", base_config(N=6, series={"kind": "alternating", "alpha": 2.0}), "series has an unknown key 'alpha'; it reads kind, beta"),
+        ("transform", base_config(N=6, series={"kind": "probe", "kind_": "shift"}), "series has an unknown key 'kind_'; it reads kind, v, probe_kind"),
+        ("transform", base_config(N=6, series={"kind": "explicit", "coefficient": [1.0] * 7}), "series has an unknown key 'coefficient'; it reads kind, coefficients"),
+    ],
+)
+def test_an_unknown_config_key_is_one_line_and_exit_2(tmp_path, capsys, command, data, line):
+    cfg = write_config(tmp_path, data)
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", f"config error: {line}\n")
+
+
 def test_a_generator_given_by_name_reads_as_that_generator(tmp_path):
     # "ones" by name is the unit-weight riesz matrix, the cesaro matrix: the same report bytes
     reports = []
@@ -584,6 +634,39 @@ def test_a_vectorized_power_past_float_range_is_one_line_and_exit_2(tmp_path, ca
     cfg = write_config(tmp_path, {**OVERFLOW_BASE, **overrides})
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "report.csv")]) == 2
     assert capsys.readouterr().err == f"config error: {line} is not finite (float overflow)\n"
+
+
+GAP = "the gap factor (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1})"
+
+
+@pytest.mark.parametrize(
+    "argv, overrides, line",
+    [
+        (
+            ["check"],
+            {"k": 120, "matrix_a": _rows(21, 1e-3), "conditions": ["C10"]},
+            "the C10 denominator |a_vv|**k at v = 0 is zero (float underflow)",
+        ),
+        (["verify"], {"k": 1, "matrix_a": _rows(21, 1e-160)}, f"{GAP} at v = 0 is not finite (float overflow)"),
+        (
+            ["check"],
+            {"k": 1, "matrix_a": _rows(21, 1e-160), "conditions": ["C15", "C16"]},
+            f"{GAP} at v = 0 is not finite (float overflow)",
+        ),
+        (
+            ["check"],
+            {"k": 1, "matrix_a": _rows(21, 1e-160), "conditions": ["C16"]},
+            "the hat inverse at row n = 1 is not finite (float overflow)",
+        ),
+    ],
+    ids=["c10-denominator", "verify-gap", "c15-gap", "c16-hat-inverse"],
+)
+def test_a_tiny_diagonal_is_one_line_and_exit_2(tmp_path, capsys, argv, overrides, line):
+    # |a_vv|**k underflowed to 0, and the gap factor and the hat inverse overflowed: check read a NaN of no named
+    # quantity and verify reported nan rows with exit 1, after numpy's warnings (each an error in this suite)
+    cfg = write_config(tmp_path, {**OVERFLOW_BASE, **overrides})
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "report.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
 
 
 @pytest.mark.parametrize("value", [1e7, 1e200])
