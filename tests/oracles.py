@@ -304,6 +304,46 @@ def mp_w_tail(weights, k, rows, count):
         return tails[::-1]
 
 
+def mp_probe_pows(weights, lam, k, strict=False):
+    """Each probe kind's sum_n n**(k-1) |delta_nv|**k (weight one at n = 0) through the weighted mean of ``weights``
+    with the factors ``lam``, at v = 0..N-1, in O(N).
+
+    By definition the deltas of a probe are the hat matrix applied to its
+    factored coefficients, lam_v e_v - lam_{v+1} e_{v+1} (difference) or
+    lam_{v+1} e_{v+1} (shift).  Row n of the hat matrix is bar_n - bar_{n-1},
+    bar_nv = sum_{i=v..n} p_i / P_n = 1 - P_{v-1} / P_n, so hat_nv = P_{v-1} d_n
+    at 1 <= v <= n with d_n = 1/P_{n-1} - 1/P_n (hat_00 = 1): the difference
+    probe is p_v / P_v lam_v at row v and (P_{v-1} lam_v - P_v lam_{v+1}) d_n
+    below it, the shift probe P_v lam_{v+1} d_n below row v.  ``strict``
+    swaps the difference probe's |p_v / P_v lam_v|**k for p_v / P_v |lam_v|**k.
+    """
+    with mpmath.workdps(MP_DIGITS):
+        p, lam, k = mp_list(weights), mp_list(lam), mp_list([k])[0]
+        P = partial_sums(p)
+        out = {"difference": [], "shift": []}
+        tail = mpmath.mpf(0)  # sum_{n=v+1..N} n**(k-1) |d_n|**k
+        for v in range(len(p) - 2, -1, -1):
+            tail += mpmath.mpf(v + 1) ** (k - 1) * abs(1 / P[v] - 1 / P[v + 1]) ** k
+            own = p[v] / P[v] * abs(lam[v]) ** k if strict else abs(p[v] / P[v] * lam[v]) ** k
+            below = abs((P[v - 1] if v else 0) * lam[v] - P[v] * lam[v + 1]) ** k * tail
+            out["difference"].append((mpmath.mpf(v) ** (k - 1) if v else 1) * own + below)
+            out["shift"].append(abs(P[v] * lam[v + 1]) ** k * tail)
+        return {kind: values[::-1] for kind, values in out.items()}
+
+
+def mp_dnr_column_sums(p_weights, q_weights, lam, k):
+    """sum_{n=r+2..N} |d_nr|**k for r = 0..N, d_nr = n**(1-1/k) b_nn lam_n / a_nn with b_nn = q_n / Q_n and
+    a_nn = p_n / P_n, in one backward sweep: the last two columns are empty sums."""
+    with mpmath.workdps(MP_DIGITS):
+        p, q, lam, k = mp_list(p_weights), mp_list(q_weights), mp_list(lam), mp_list([k])[0]
+        P, Q = partial_sums(p), partial_sums(q)
+        sums, total = [mpmath.mpf(0)] * 2, mpmath.mpf(0)
+        for n in range(len(p) - 1, 1, -1):
+            total += abs(mpmath.mpf(n) ** (1 - 1 / k) * (q[n] / Q[n]) * lam[n] / (p[n] / P[n])) ** k
+            sums.append(total)  # column r = n - 2
+        return sums[::-1]
+
+
 def mp_weighted_mean_bands(weights):
     """Diagonal p_v / P_v and subdiagonal p_v / P_{v+1} of the weighted mean of ``weights``."""
     with mpmath.workdps(MP_DIGITS):

@@ -1,9 +1,9 @@
 """The weight-native verify, check and transform rows against 40-digit oracles, and with one factor off by 1e-9.
 
 On a weighted-mean pair, ``decompose``'s hat products and first part, the
-key-identity gaps, the probe-consistency row's factors, ``transform``'s
-columns, the W tail and the C10, C11 and TA rows built on it are read from
-the weights in O(N).  At N = 2000, for power weights
+key-identity gaps, the probe-consistency row's factors, the probe norms and
+the bound constant's ratios, the d_nr sums, ``transform``'s columns, the W
+tail and the C10, C11 and TA rows built on it are read from the weights in O(N).  At N = 2000, for power weights
 (n + 1)**beta, each is checked against the mpmath oracles of ``oracles.py``
 within a stated bound in units of eps (about four times the worst error
 measured, or below the error of the dense path it replaced; CHANGES.md gives
@@ -78,6 +78,18 @@ def test_mp_oracles_are_the_rational_definitions():
     assert close(d, [(a_rows[n - 1][0] - a_rows[n][0]) / p[0] for n in range(1, N + 1)])
     assert all(abs(g) <= 1e-35 for g in oracles.mp_key_gaps(p, q, lam))
     assert close(oracles.mp_w_tail(q, 2, N, N), [oracles.w_tail_pow(q, 2, v, N) for v in range(N)])
+    # the probe norms: each column of the probe matrices of the hat matrices, the d_nr sums: |d_n|**k summed down
+    columns = {"difference": lambda H, f, v: [H[n][v] * f[v] - H[n][v + 1] * f[v + 1] for n in range(N + 1)]}
+    columns["shift"] = lambda H, f, v: [H[n][v + 1] * f[v + 1] for n in range(N + 1)]
+    x, y = oracles.mp_probe_pows(p, [1] * (N + 1), 1), oracles.mp_probe_pows(q, lam, 2)
+    for kind, column in columns.items():
+        assert close(x[kind], [oracles.x_abs_norm(column(ah, [1] * (N + 1), v)) for v in range(N)])
+        assert close(y[kind], [oracles.y_pow_norm(column(bh, lam, v), 2) for v in range(N)])
+    strict = oracles.mp_probe_pows(q, lam, 2, strict=True)["difference"]
+    literal = [v * (b_rows[v][v] * lam[v]) ** 2 - v * b_rows[v][v] * lam[v] ** 2 for v in range(N)]
+    assert close(strict, [oracles.y_pow_norm(columns["difference"](bh, lam, v), 2) - t for v, t in enumerate(literal)])
+    dnr = [oracles.dnr_colsum_pow(a_rows, b_rows, lam, 2, r) for r in range(N + 1)]
+    assert close(oracles.mp_dnr_column_sums(p, q, lam, 2), dnr)
 
 
 @pytest.mark.parametrize("beta_a, beta_b", POWER_PAIRS)
@@ -147,6 +159,35 @@ def test_cnv_column_sums_match_the_40_digit_oracle(beta_a, beta_b, k):
             got = sk.ProbePass(X, B, factors, k).cnv_column_sums(strict_paper=strict_paper)
             assert got[0] == 0
             assert elementwise(got[1:], want[1:]) <= 80 * EPS
+
+
+# the worst errors measured over CNV_CASES, in eps: 5.9 (x-norms, beta_a = 0.5), 21.7 (y-norms**k, shift probe at
+# k = 3.7), 7.4 (plain ratios y-norm / x-norm) and 7.3 (strict ratios), both at k = 1.5, and 11.0 (d_nr sums, k = 3.7)
+PROBE_BOUNDS = {"x": 24, "y": 88, "ratio": 32, "dnr": 48}
+
+
+@pytest.mark.parametrize("beta_a, beta_b, k", CNV_CASES)
+def test_probe_norms_and_dnr_sums_match_the_40_digit_oracles(beta_a, beta_b, k):
+    # both probe kinds' x-norms and y-norms**k, the ratios of the bound constant plain and strict, and the d_nr sums
+    N = N_MP
+    p, q, lam = power_weights(beta_a, N), power_weights(beta_b, N), power_factors(N)
+    A, B = sk.riesz_matrix(sk.WeightSequence(p)), sk.riesz_matrix(sk.WeightSequence(q))
+    probes = sk.ProbePass(A, B, sk.FactorSequence(lam), k)
+    x = oracles.mp_probe_pows(p, [1] * (N + 1), 1)
+    for strict_paper in (False, True):
+        y = oracles.mp_probe_pows(q, lam[: N + 1], k, strict=strict_paper)
+        ratios = probes.constant(strict_paper)[1]
+        with mpmath.workdps(oracles.MP_DIGITS):
+            root = 1 / oracles.mp_list([k])[0]
+            for kind in (sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT):
+                assert elementwise(probes.x_norm[kind], x[kind]) <= PROBE_BOUNDS["x"] * EPS
+                if not strict_paper:
+                    assert elementwise(probes.y_pow[kind], y[kind]) <= PROBE_BOUNDS["y"] * EPS
+                want = [y[kind][v] ** root / x[kind][v] for v in range(1, N)]
+                assert elementwise(ratios[kind], want) <= PROBE_BOUNDS["ratio"] * EPS
+    got = probes.dnr_column_sums()
+    assert got[-2:].tolist() == [0, 0]
+    assert elementwise(got[:-2], oracles.mp_dnr_column_sums(p, q, lam[: N + 1], k)[:-2]) <= PROBE_BOUNDS["dnr"] * EPS
 
 
 # (beta of B, k): every beta at k = 2, and beta = 0.5 at k = 1.5; the worst errors measured, in eps, were
