@@ -83,6 +83,18 @@ def _only(obj: dict, keys, where: str) -> None:
         raise ConfigError(f"{where} has an unknown key {unknown[0]!r}; it reads {', '.join(keys)}")
 
 
+def _spec_keys(spec: dict, key: str) -> None:
+    """Refuse a key that the matrix, lambda or series ``spec`` under ``key`` does not read for its kind (a riesz spec
+    reads its weights or else its generator), or that its generator object does not read for its name."""
+    kinds, gen = SPEC_KEYS["matrix" if key.startswith("matrix") else key], spec.get("generator")
+    if spec["kind"] == "riesz" and "weights" in spec:
+        _only(spec, ("kind", "weights"), key)
+    elif spec["kind"] in kinds:
+        _only(spec, ("kind", *kinds[spec["kind"]]), key)
+    if isinstance(gen, dict) and gen.get("name") in GENERATOR_KEYS:
+        _only(gen, ("name", *GENERATOR_KEYS[gen["name"]]), f"{key}.generator")
+
+
 class ExperimentConfig:
     """Validated experiment description; see README for the JSON schema."""
 
@@ -108,13 +120,7 @@ class ExperimentConfig:
             for field in ("weights", "entries", "values", "coefficients"):
                 if field in spec and not isinstance(spec[field], list):
                     raise ConfigError(f"{key}.{field} must be a list, got {spec[field]!r}")
-            kinds, gen = SPEC_KEYS["matrix" if key.startswith("matrix") else key], spec.get("generator")
-            if spec["kind"] == "riesz" and "weights" in spec:
-                _only(spec, ("kind", "weights"), key)
-            elif spec["kind"] in kinds:
-                _only(spec, ("kind", *kinds[spec["kind"]]), key)
-            if isinstance(gen, dict) and gen.get("name") in GENERATOR_KEYS:
-                _only(gen, ("name", *GENERATOR_KEYS[gen["name"]]), f"{key}.generator")
+            _spec_keys(spec, key)
         tail = data.get("tail", {})
         if not isinstance(tail, dict):
             raise ConfigError("tail must be an object")
