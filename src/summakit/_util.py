@@ -199,7 +199,11 @@ def named_overflow(build, base, quantity: str, index: str = "v", start: int = 0)
         bad = ~np.isfinite(values)
         if bad.any():
             finite = np.isfinite(as_float(base))
-            bad &= finite.all(axis=0) if finite.ndim > bad.ndim else finite.all() if bad.ndim == 2 else finite
+            if bad.ndim == 2:  # each row of a triangular inverse reads the rows above it: the whole base
+                finite = finite.all()
+            elif finite.ndim > bad.ndim:
+                finite = finite.all(axis=0)
+            bad &= finite
         if bad.any():
             first = np.argmax(bad.any(axis=1) if bad.ndim == 2 else bad)
             raise PowerOverflowError(f"{quantity} at {index} = {start + int(first)} is not finite (float overflow)")

@@ -153,12 +153,12 @@ def test_decompose_on_exact_matrices_with_float_factors_is_refused():
         sk.decompose(A, B, lam, sk.SeriesSample(helpers.random_rational_vector(rng, 5)))
     with pytest.raises(MixedArithmeticError, match="^probe_columns: an exact matrix with float values$"):
         sk.ProbePass(A, B, lam, 2)
-    # the checks that round their inputs on entry keep taking float factors
+    # the checks that round their inputs on entry keep taking float factors: C9 gives the bits of the exact factors,
+    # C16 rounds B-hat before its product with lam, where the exact factors round the product once
     exact_lam = sk.FactorSequence(np.asarray([F(x) for x in lam.values.tolist()], dtype=object))
-    for check in (sk.check_c9, sk.check_c16):
-        assert check(A, B, lam, *([2] if check is sk.check_c9 else [])).ratios.tobytes() == check(
-            A, B, exact_lam, *([2] if check is sk.check_c9 else [])
-        ).ratios.tobytes()
+    assert sk.check_c9(A, B, lam, 2).ratios.tobytes() == sk.check_c9(A, B, exact_lam, 2).ratios.tobytes()
+    c16, exact_c16 = sk.check_c16(A, B, lam).ratios, sk.check_c16(A, B, exact_lam).ratios
+    assert np.any(c16) and np.allclose(c16, exact_c16, rtol=8 * np.finfo(float).eps, atol=0)
 
 
 def test_the_exact_oracle_calls_stay_under_ten_thousand_fraction_operations(monkeypatch):
