@@ -146,7 +146,6 @@ class Untouchable:
 
 
 def test_apply_lower_reads_no_entry_above_the_diagonal():
-    # nor do the hat sums and the hat inverse
     rng = np.random.default_rng(61)
     order = 6
     rational = sk.NormalMatrix(np.asarray(exact_rows(tame_normal(rng, order)), dtype=object))
