@@ -3,16 +3,16 @@
 Every public operation runs on either float64 arrays (the production path)
 or object arrays of int and ``fractions.Fraction`` entries (the exact path
 used by test oracles at small truncation orders): an object array means exact.
-:func:`as_float` is the one point where exact values are rounded to float64:
-each Fraction is rounded once, correctly, as ``float(x)`` rounds it, and
-float64 input passes through uncopied.  :func:`numerators` is the exact path's
-one conversion, to integer numerators over one denominator, and refuses a
-float by name; :func:`on_numerators` runs the float code of a linear operation
-on them, and :func:`same_arithmetic` refuses a matrix meeting values of the
-other arithmetic.  :func:`check_pair` holds the argument checks shared by every
-function that takes a matrix pair and a factor sequence.  :func:`suffix_sums`
-is the exact suffix-sum kernel of the W tails, the d_nr bound and the running
-totals of an absolute k-norm profile.
+:func:`numerators` is the exact path's one conversion, to integer numerators
+over one denominator, and refuses a float by name.  Exact kernels run on such
+integer arrays (:func:`on_numerators`) and form each result once: one Fraction
+per nonzero entry (:func:`fractions_over`), or one float rounded correctly, as
+``float(x)`` rounds (:func:`floats_over`; :func:`as_float` rounds Fractions,
+and passes float64 through uncopied).  :func:`same_arithmetic` refuses a
+matrix meeting values of the other arithmetic, and :func:`check_pair` holds the
+argument checks of every function that takes a matrix pair and factors.
+:func:`suffix_sums` is the exact suffix-sum kernel of the W tails, the d_nr
+bound and the running totals of an absolute k-norm profile.
 """
 
 from __future__ import annotations
@@ -63,21 +63,32 @@ def numerators(values):
 
 
 def exact_entries(values) -> list:
-    """The exact ``values`` as a list; an entry that is not an int or a Fraction raises a MixedArithmeticError naming it."""
-    vals = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    """The exact ``values`` as a flat list; an entry that is not an int or a Fraction raises a MixedArithmeticError naming
+    it, by (n, v) in a 2-D array."""
+    vals = values.ravel().tolist() if isinstance(values, np.ndarray) else list(values)
     bad = next((i for i, x in enumerate(vals) if not isinstance(x, (int, Fraction))), None)
     if bad is not None:
-        raise MixedArithmeticError(f"exact entry {bad} is {vals[bad]!r}, not an int or a Fraction")
+        where = divmod(bad, values.shape[1]) if getattr(values, "ndim", 1) == 2 else bad
+        raise MixedArithmeticError(f"exact entry {where} is {vals[bad]!r}, not an int or a Fraction")
     return vals
 
 
-def on_numerators(op, *arrays) -> np.ndarray:
-    """``op(*arrays)`` for exact arrays and an ``op`` linear in each, run on their integer numerators (:func:`numerators`):
-    each nonzero result entry is one Fraction over the product of the denominators, and a zero stays the int 0."""
-    parts = [numerators(a.ravel()) for a in arrays]
+def on_numerators(op, *arrays) -> tuple[np.ndarray, int]:
+    """(op(*nums), den) for exact arrays and an ``op`` linear in each, run on their integer numerators (:func:`numerators`)
+    as arrays of their shapes: op(*arrays) is that integer array over den, the product of the denominators."""
+    parts = [numerators(a) for a in arrays]
     out = op(*(np.asarray(nums, dtype=object).reshape(a.shape) for a, (nums, _) in zip(arrays, parts)))
-    den = math.prod(d for _, d in parts)
-    return np.asarray([Fraction(x, den) if x else 0 for x in out.ravel().tolist()], dtype=object).reshape(out.shape)
+    return out, math.prod(d for _, d in parts)
+
+
+def fractions_over(nums, den) -> np.ndarray:
+    """nums / den for an integer array: one Fraction per nonzero entry, a zero the int 0."""
+    return np.asarray([Fraction(x, den) if x else 0 for x in nums.ravel().tolist()], dtype=object).reshape(nums.shape)
+
+
+def floats_over(nums, den) -> np.ndarray:
+    """nums / den for an integer array and a positive den, each entry correctly rounded (:func:`quotients`)."""
+    return quotients(nums.ravel().tolist(), itertools.repeat(den, nums.size)).reshape(nums.shape)
 
 
 def same_arithmetic(exact: bool, values, where: str) -> None:

@@ -14,13 +14,15 @@ requested cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, index_pow, is_exact, named_overflow
-from ._util import nan_max, norm_weights, on_numerators, same_arithmetic, scalar_pow
+from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, floats_over, fractions_over, index_pow
+from ._util import is_exact, named_overflow, nan_max, norm_weights, numerators, on_numerators, quotients, same_arithmetic
+from ._util import scalar_pow
 from .errors import (
     LengthMismatchError,
     PowerOverflowError,
@@ -223,30 +225,48 @@ def probe_deltas(H: np.ndarray, lv) -> tuple[np.ndarray, np.ndarray]:
     transform of the difference probe e_v - e_{v+1} scaled by the factors
     ``lv``, and column v of S = BL[:, v+1] that of the shift probe e_{v+1}.
     Below row v these are the columns that C10 and C11 sum.  ``lv`` None
-    stands for unit factors: BL is H.
+    stands for unit factors: BL is H.  Exact ones are formed on integer numerators, one Fraction per nonzero entry.
     """
+    arrays = _probe_arrays(H, lv)
+    return tuple(fractions_over(*pair) for pair in arrays) if is_exact(H) else arrays
+
+
+def _probe_arrays(H: np.ndarray, lv) -> tuple:
+    """:func:`probe_deltas`, exact ones as (integer numerators, their one denominator): no Fraction is formed."""
+    if is_exact(H):
+        BL, den = on_numerators(np.asarray, H) if lv is None else on_numerators(np.multiply, H, lv[: H.shape[1]])
+        return (BL[:, :-1] - BL[:, 1:], den), (BL[:, 1:], den)
     BL = _scaled_columns(H, lv)
     return BL[:, :-1] - BL[:, 1:], BL[:, 1:]
 
 
 def _scaled_columns(H: np.ndarray, lv) -> np.ndarray:
-    """H diag(lv) for the lower-triangular hat columns ``H``; exact, on integer numerators
-    (:func:`~summakit._util.on_numerators`), so the zeros above the diagonal stay plain ints."""
+    """H diag(lv) for the lower-triangular hat columns ``H``; exact, one Fraction per nonzero entry of its integer
+    numerators (:func:`~summakit._util.on_numerators`), so the zeros above the diagonal stay plain ints."""
     if lv is None:
         return H
     lv = lv[: H.shape[1]]
-    return on_numerators(np.multiply, H, lv) if is_exact(H) else H * lv
+    return fractions_over(*on_numerators(np.multiply, H, lv)) if is_exact(H) else H * lv
 
 
-def column_sums(M: np.ndarray, k, w=None, lower: bool = False, quantity: str = "the column k-power sum") -> np.ndarray:
+def column_sums(M, k, w=None, lower: bool = False, quantity: str = "the column k-power sum") -> np.ndarray:
     """accurate_sum(w * |M[:, j]|**k) for every column j; no weights when ``w`` is None or all ones.
 
     With ``lower`` column j is zero above row j, and only rows j.. are read.
+    Exact entries, or (integer numerators, one denominator), are summed as integers into one Fraction (0: an int)
+    per column over den**k when k is an integer and the weights exact; else each is rounded to float64 once, first.
     A float sum past float range over a column of finite entries raises a
     :class:`~summakit.errors.PowerOverflowError` naming ``quantity`` and v = j.
     """
     if w is not None and np.all(w == 1):
         w = None
+    if isinstance(M, tuple) or is_exact(M):
+        nums, den = M if isinstance(M, tuple) else on_numerators(np.asarray, M)
+        if float(k).is_integer() and (w is None or is_exact(w)):  # w |num|**k, column j from row j on with ``lower``
+            (ws, scale), k = numerators(w) if w is not None else ([1] * len(nums), 1), int(k)
+            sums = [sum(a * abs(x) ** k for a, x in zip(ws[lower * j :], col[lower * j :])) for j, col in enumerate(nums.T.tolist())]
+            return fractions_over(np.asarray(sums, dtype=object), scale * den**k)
+        M = floats_over(nums, den)
 
     def sums():
         out = []
@@ -264,11 +284,6 @@ def _index_weights(count: int, k, exact: bool) -> np.ndarray:
     return named_overflow(lambda: norm_weights(count, k, exact), 0.0, "the index weight n**(k-1)", "n")
 
 
-def _pows(M: np.ndarray, k, quantity: str) -> np.ndarray:
-    """sum_n n**(k-1) |M_nv|**k for every column v of a probe array, weight one at n = 0."""
-    return column_sums(M, k, _index_weights(M.shape[0], k, is_exact(M)), lower=True, quantity=quantity)
-
-
 _ROWS = 256  # rows of the key-identity triangle evaluated at once on a dense B
 
 
@@ -278,9 +293,11 @@ class DenseProbes(dict):
     The hat columns 0..m are formed on first read: M's kept hat matrix when
     m is M's order, else :func:`~summakit.matrices.hat_columns`, so a long
     tail carrier keeps no hat matrix.  Keyed by probe kind, the arrays D
-    and S are formed when read and not kept; an array set on the mapping
-    stands in for the one it would form.  Column v is the probe at v.  On
-    the identity the C10/C11 tails are a closed form (:meth:`tails`).
+    and S are formed when read and not kept, exact ones as integer numerators
+    over one denominator, so each norm, tail sum and c_nv entry is formed or
+    rounded once; an array set on the mapping stands in for the one it would
+    form.  Column v is the probe at v.  On the identity the C10/C11 tails are
+    a closed form (:meth:`tails`).
     """
 
     def __init__(self, M: NormalMatrix, lv, m: int):
@@ -292,16 +309,13 @@ class DenseProbes(dict):
         return hat_of(self.M).entries if self.m == self.M.order else hat_columns(self.M, self.m)
 
     def __missing__(self, kind: str) -> np.ndarray:
-        return self._arrays()[kind]
-
-    def _arrays(self) -> dict:
-        return {**dict(zip(PROBE_KINDS, probe_deltas(self.H, self.lv))), **self}
+        return dict(zip(PROBE_KINDS, probe_deltas(self.H, self.lv)))[kind]
 
     def pows(self, k) -> dict:
         """Each probe's sum_n n**(k-1) |delta_nv|**k, weight one at n = 0."""
-        return {
-            kind: _pows(d, k, f"the {kind} probe's norm sum_n n**(k-1) |delta_nv|**k") for kind, d in self._arrays().items()
-        }
+        w = _index_weights(self.M.size, k, self.M.exact)
+        arrays = {**dict(zip(PROBE_KINDS, _probe_arrays(self.H, self.lv))), **self}
+        return {kind: column_sums(d, k, w, True, f"the {kind} probe's norm sum_n n**(k-1) |delta_nv|**k") for kind, d in arrays.items()}
 
     def tails(self, kind: str, k, rows: int):
         """The C10/C11 sums sum_{n=v+1..rows} n**(k-1) |delta_nv|**k of probe ``kind``, and their last terms.
@@ -314,9 +328,11 @@ class DenseProbes(dict):
             lv = self.lv[1 : self.m + 1]
             totals = named_overflow(lambda: _index_weights(self.m + 1, k, self.M.exact)[1:] * abs_pow(lv, k), lv, quantity)
             return totals, np.where(np.arange(self.m) == rows - 1, totals, 0)
-        D = np.tril(probe_deltas(self.H[: rows + 1], self.lv)[kind == PROBE_SHIFT], -1)
-        w = _index_weights(rows + 1, k, is_exact(D))
-        return column_sums(D, k, w, lower=True, quantity=quantity), w[-1] * abs_pow(D[-1], k)
+        D, exact = _probe_arrays(self.H[: rows + 1], self.lv)[kind == PROBE_SHIFT], self.M.exact
+        D = (np.tril(D[0], -1), D[1]) if exact else np.tril(D, -1)
+        w = _index_weights(rows + 1, k, exact)
+        last = fractions_over(D[0][-1], D[1]) if exact else D[-1]
+        return column_sums(D, k, w, lower=True, quantity=quantity), w[-1] * abs_pow(last, k)
 
     def factored_rows(self):
         """Blocks (F, n) of the key-identity triangle, F[i, v] = bhat_nv lam_v at row n[i], over rows 2..N."""
@@ -327,12 +343,21 @@ class DenseProbes(dict):
 
     def cnv(self, A: NormalMatrix, fac, diag) -> np.ndarray:
         """The c_nv array: fac_n times the middle summand D / a_vv + S gap_v (A's gap) at 1 <= v < n, diag_n at v = n >= 1;
-        each row is formed at 1 <= v < n alone, so no arithmetic touches the zeros around it."""
+        only 1 <= v < n is formed, so no arithmetic touches the zeros around it.  On an exact pair each summand is one
+        quotient of integers (:func:`_probe_arrays`), rounded once where ``fac`` is float."""
         out = np.zeros((A.size, A.size), dtype=diag.dtype)
-        BL, d, gap = _scaled_columns(self.H, self.lv), A.diagonal, A.gap()
-        for n in range(2, A.size):
-            S = BL[n, 2 : n + 1]
-            out[n, 1:n] = ((BL[n, 1:n] - S) / d[1:n] + S * gap[1:n]) * fac[n]
+        if self.M.exact and A.exact:  # (D / b) / (dn / dd) + (S / b) (gn / gd) over b gd |dn|, dn's sign in the numerator
+            n, v = np.nonzero(np.tri(A.size, k=-1) * (np.arange(A.size) > 0))
+            (D, b), (S, _) = _probe_arrays(self.H, self.lv)
+            (dn, dd), (gn, gd) = (on_numerators(lambda x: x[v], x) for x in (A.diagonal, A.gap()))
+            nums = ((D[n, v] * (dd * gd) + S[n, v] * gn * dn) * np.sign(dn)).tolist()
+            dens, f = (np.abs(dn) * (b * gd)).tolist(), fac[n]
+            out[n, v] = [Fraction(x * g, y) for x, y, g in zip(nums, dens, f.tolist())] if is_exact(fac) else quotients(nums, dens) * f
+        else:
+            BL, d, gap = _scaled_columns(self.H, self.lv), A.diagonal, A.gap()
+            for n in range(2, A.size):
+                S = BL[n, 2 : n + 1]
+                out[n, 1:n] = ((BL[n, 1:n] - S) / d[1:n] + S * gap[1:n]) * fac[n]
         idx = np.arange(1, A.size)
         out[idx, idx] = diag[1:]
         return out
@@ -493,7 +518,8 @@ def check_c16(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> Conditio
         H = hat_of(B).entries
         if is_exact(H) != is_exact(lv):  # a mixed pair is rounded on entry, as C9 and TA round theirs
             H, lv = as_float(H), as_float(lv)
-        inner = inner_sums(as_float(np.abs(_scaled_columns(H, lv))), as_float(np.abs(W)))
+        BL = floats_over(*on_numerators(lambda h, f: np.abs(h * f), H, lv)) if is_exact(H) else np.abs(H * lv)
+        inner = inner_sums(BL, np.abs(as_float(W)))
         nums[2:] = [inner[n, : n - 1].max() for n in range(2, N + 1)]
     den = np.abs(as_float(B.diagonal) / as_float(A.diagonal)) * np.abs(as_float(lv))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero denominator is resolved by np.where

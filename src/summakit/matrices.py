@@ -34,8 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import accurate_sum, as_float, as_vector, is_exact, named_overflow, numerators, on_numerators, quotients
-from ._util import same_arithmetic, suffix_sums
+from ._util import accurate_sum, as_float, as_vector, exact_entries, fractions_over, is_exact, named_overflow, numerators
+from ._util import on_numerators, quotients, same_arithmetic, suffix_sums
 from .errors import LengthMismatchError, ShapeMismatchError, WeightOverflowError, ZeroDiagonalError
 
 log = logging.getLogger("summakit")
@@ -53,6 +53,7 @@ class NormalMatrix:
 
     def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries)
+        entries = entries if is_exact(entries) else entries.astype(float, copy=False)  # the one float conversion
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ShapeMismatchError(f"expected a square array, got shape {entries.shape}")
         self._hold(entries.shape[0], is_exact(entries), None, entries)
@@ -242,7 +243,7 @@ def make_normal(entries, order: int | None = None) -> NormalMatrix:
     a_n0..a_nn) or a full square array whose upper triangle is discarded.
     """
     if isinstance(entries, np.ndarray) and entries.ndim == 2:
-        square = entries.copy() if entries.dtype == object else entries.astype(float)
+        square = entries  # np.tril below copies it
     else:
         rows = list(entries)
         if any(np.ndim(r) == 0 for r in rows):
@@ -329,7 +330,7 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
         hat[idx, idx] = p[: v_hi + 1] / P[: v_hi + 1]
         return hat
     if A.exact:
-        return on_numerators(lambda E: _tail_sums(E, v_hi), np.tril(A.entries))
+        return fractions_over(*on_numerators(lambda E: _tail_sums(E, v_hi), np.tril(A.entries)))
     return _tail_sums(A.entries, v_hi)
 
 
@@ -383,6 +384,7 @@ def invert_hat(H: NormalMatrix) -> NormalMatrix:
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
     size = L.shape[0]
     if is_exact(L):
+        exact_entries(np.tril(L))  # names a float entry by (n, v)
         return _fraction_free_inverse([numerators(L[n, : n + 1]) for n in range(size)])
     X = np.zeros((size, size), dtype=L.dtype)
     if size <= _BLOCK:  # forward substitution, one row product at a time
@@ -507,6 +509,7 @@ def apply_lower(M, x) -> np.ndarray:
         return out + (0 if finite.all() else np.cumsum(np.where(finite, 0.0, p * xs)) / P)
     if is_exact(E):
         x, den = numerators(xs)
+        exact_entries(np.tril(E))  # names a float entry by (n, v)
         rows = (numerators(E[n, : n + 1]) for n in range(size))
         return np.asarray([Fraction(sum(map(operator.mul, q, x)), d * den) for q, d in rows], dtype=object)
     return np.dot(E, xs)

@@ -92,6 +92,27 @@ def y_pow_norm(deltas, k):
     return total
 
 
+def probe_rows(bh, lam=None):
+    """(D, S) from their definition, v = 0..N-1: D_nv = bh_nv lam_v - bh_{n,v+1} lam_{v+1} (the difference probe)
+    and S_nv = bh_{n,v+1} lam_{v+1} (the shift probe); unit factors when ``lam`` is None."""
+    size = len(bh)
+    lam = [Fraction(1)] * size if lam is None else lam
+    D = [[bh[n][v] * lam[v] - bh[n][v + 1] * lam[v + 1] for v in range(size - 1)] for n in range(size)]
+    S = [[bh[n][v + 1] * lam[v + 1] for v in range(size - 1)] for n in range(size)]
+    return D, S
+
+
+def column_pow_sums(rows, k, w=None, lower=False):
+    """sum_n w_n |rows[n][v]|**k for every column v, from row v on when ``lower``; unit weights when ``w`` is None."""
+    out = []
+    for v in range(len(rows[0])):
+        total = Fraction(0)
+        for n in range(v if lower else 0, len(rows)):
+            total += (1 if w is None else w[n]) * abs(rows[n][v]) ** k
+        out.append(total)
+    return out
+
+
 def c10_tail(bh, lam, k, v, cutoff):
     total = Fraction(0)
     for n in range(v + 1, cutoff + 1):
@@ -179,6 +200,18 @@ def _middle_summand(a_rows, bh, lam, n, v):
     dv = bh[n][v] * lam[v] - bh[n][v + 1] * lam[v + 1]
     gap = (a_rows[v][v] - a_rows[v + 1][v]) / (a_rows[v][v] * a_rows[v + 1][v + 1])
     return dv / a_rows[v][v] + bh[n][v + 1] * lam[v + 1] * gap
+
+
+def cnv_rows(a_rows, b_rows, lam):
+    """The first part's array at k = 1: the middle summand at 1 <= v < n, b_nn lam_n / a_nn at v = n >= 1, zero elsewhere."""
+    size = len(a_rows)
+    bh = hat_rows(b_rows)
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for n in range(1, size):
+        rows[n][n] = b_rows[n][n] * lam[n] / a_rows[n][n]
+        for v in range(1, n):
+            rows[n][v] = _middle_summand(a_rows, bh, lam, n, v)
+    return rows
 
 
 def cnv_colsum_pow(a_rows, b_rows, lam, k, v):

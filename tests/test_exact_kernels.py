@@ -128,7 +128,7 @@ def test_weighted_mean_of_floats_is_the_correctly_rounded_quotient(order, seed, 
 
 def test_a_row_holding_a_float_is_refused_by_name():
     E = np.asarray([[F(1, 2), 0, 0], [F(1, 3), 0.25, 0], [F(-1, 5), F(2, 7), 3]], dtype=object)
-    with pytest.raises(MixedArithmeticError, match="^exact entry 1 is 0.25, not an int or a Fraction$"):
+    with pytest.raises(MixedArithmeticError, match=r"^exact entry \(1, 1\) is 0.25, not an int or a Fraction$"):
         sk.apply_lower(sk.NormalMatrix(E), [F(1, 3), F(-2, 9), 5])
     # an exact matrix with float values, and a float matrix with exact values
     rows = rational_lower(np.random.default_rng(3), 2)
@@ -163,7 +163,7 @@ def test_decompose_on_exact_matrices_with_float_factors_is_refused():
 
 def test_the_exact_oracle_calls_stay_under_ten_thousand_fraction_operations(monkeypatch):
     # no timing: the count of Fraction additions, subtractions, products and quotients, which dominate the exact
-    # path's time (5,859 on these inputs); a kernel that went back to per-entry Fraction arithmetic passes 10,000
+    # path's time (3,208 on these inputs); a kernel that went back to per-entry Fraction arithmetic passes 10,000
     inputs = helpers.exact_oracle_inputs(seed=1, order=24)
     calls = [0]
 

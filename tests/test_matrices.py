@@ -50,6 +50,15 @@ def test_make_normal_square_input_drops_upper_triangle():
     assert sk.make_normal([[1.0, 9.0], [0.5, 1.0]]).entries.tolist() == [[1.0, 0.0], [0.5, 1.0]]  # square rows as lists
 
 
+def test_an_integer_array_is_float_entries():
+    # an int64 array is not exact: it is converted to float64 once, so the float kernels never compute in integers
+    M = sk.NormalMatrix(np.array([[2, 0], [1, 2]]))
+    assert M.entries.dtype == np.float64 and not M.exact
+    want = sk.invert_hat(sk.make_normal([[2], [1, 2]])).entries
+    assert sk.invert_hat(M).entries.tobytes() == want.tobytes()
+    assert sk.invert_hat(M).entries.tolist() == [[0.5, 0.0], [-0.25, 0.5]]
+
+
 def test_leading_section_at_the_matrix_order_is_the_matrix_itself():
     # a spec built exactly to N is one matrix, so its kept hat matrix is computed once
     for M in (sk.cesaro_matrix(6), sk.identity_matrix(6), helpers.random_normal_matrix(np.random.default_rng(5), 6)):
@@ -58,13 +67,12 @@ def test_leading_section_at_the_matrix_order_is_the_matrix_itself():
 
 
 def test_invert_hat_of_fractions_with_one_float_among_them():
-    # a row holding a float has no integer numerators: the exact inverse refuses it by name
+    # a row holding a float has no integer numerators: the exact inverse and the hat sums refuse it by (n, v)
     H = sk.make_normal([[F(1)], [0.5, F(2)], [F(1, 3), 0.25, F(4)]])
     assert H.exact
-    with pytest.raises(sk.MixedArithmeticError, match="^exact entry 0 is 0.5, not an int or a Fraction$"):
-        sk.invert_hat(H)
-    with pytest.raises(sk.MixedArithmeticError, match="^exact entry 3 is 0.5, not an int or a Fraction$"):
-        sk.hat_of(H)
+    for call in (sk.invert_hat, sk.hat_of):
+        with pytest.raises(sk.MixedArithmeticError, match=r"^exact entry \(1, 0\) is 0.5, not an int or a Fraction$"):
+            call(H)
 
 
 def test_entries_read_only():

@@ -173,6 +173,8 @@ def test_every_imported_name_is_used():
 
 
 def test_readme_quick_start_runs():
-    text = (ROOT / "README.md").read_text()
-    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(block, "README.md", "exec"), {})
+    # every python block of the section, in order, in one namespace
+    text = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    namespace = {}
+    for block in [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]:
+        exec(compile(block, "README.md", "exec"), namespace)
