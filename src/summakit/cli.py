@@ -67,13 +67,18 @@ VERIFY_TOLERANCES = {
 
 
 ROOT_KEYS = ("N", "k", "matrix_a", "matrix_b", "lambda", "series", "tail", "output", "conditions", "delta_mode")
-# the keys a spec of each kind reads besides "kind", and a weight generator of each name besides "name"
-SPEC_KEYS = {
-    "matrix": {"identity": (), "cesaro": (), "riesz": ("generator",), "explicit": ("entries",)},
-    "lambda": {"constant": ("value",), "explicit": ("values",), "power": ("alpha",), "riesz_adapted": ()},
-    "series": {"explicit": ("coefficients",), "alternating": ("beta",), "probe": ("v", "probe_kind")},
+# Each spec kind's keys but its tag, with their defaults: a float marks a number (read by _number), a list a list whose
+# shape is checked with the config.  A riesz spec with weights reads ("riesz", "weights").  The generator is a table.
+SCHEMA = {
+    "matrix": {"identity": {}, "cesaro": {}, "riesz": {"generator": "ones"}, ("riesz", "weights"): {"weights": []}, "explicit": {"entries": []}},
+    "lambda": {"constant": {"value": 1.0}, "explicit": {"values": []}, "power": {"alpha": 0.0}, "riesz_adapted": {}},
+    "series": {"explicit": {"coefficients": []}, "alternating": {"beta": 1.0}, "probe": {"v": 0, "probe_kind": PROBE_DIFFERENCE}},
+    "generator": {"ones": {}, "power": {"alpha": 0.0}, "geometric": {"ratio": 1.0}},
 }
-GENERATOR_KEYS = {"ones": (), "power": ("alpha",), "geometric": ("ratio",)}
+TAGS = {"generator": "name"}  # the key that names a spec's row: "kind" but in these tables
+_DEFAULTS = {key: x for rows in SCHEMA.values() for row in rows.values() for key, x in row.items()}
+LIST_KEYS = [key for key, x in _DEFAULTS.items() if isinstance(x, list)]
+NESTED = [table for table in SCHEMA if table in _DEFAULTS]  # a key holding an object of its table (or its name)
 
 
 def _only(obj: dict, keys, where: str) -> None:
@@ -83,16 +88,45 @@ def _only(obj: dict, keys, where: str) -> None:
         raise ConfigError(f"{where} has an unknown key {unknown[0]!r}; it reads {', '.join(keys)}")
 
 
-def _spec_keys(spec: dict, key: str) -> None:
-    """Refuse a key that the matrix, lambda or series ``spec`` under ``key`` does not read for its kind (a riesz spec
-    reads its weights or else its generator), or that its generator object does not read for its name."""
-    kinds, gen = SPEC_KEYS["matrix" if key.startswith("matrix") else key], spec.get("generator")
-    if spec["kind"] == "riesz" and "weights" in spec:
-        _only(spec, ("kind", "weights"), key)
-    elif spec["kind"] in kinds:
-        _only(spec, ("kind", *kinds[spec["kind"]]), key)
-    if isinstance(gen, dict) and gen.get("name") in GENERATOR_KEYS:
-        _only(gen, ("name", *GENERATOR_KEYS[gen["name"]]), f"{key}.generator")
+def _kind(table: str, spec: dict):
+    """The tag of ``spec`` and the key of its row of ``SCHEMA[table]``: None for an unknown tag or a tag not a string."""
+    tag = spec.get(TAGS.get(table, "kind"))
+    key = (tag, "weights") if tag == "riesz" and "weights" in spec else tag
+    return tag, key if isinstance(tag, str) and key in SCHEMA[table] else None
+
+
+def _spec(data: dict, key: str, kind: str) -> dict:
+    """The spec under ``key`` (``{"kind": kind}`` when absent).  A list key that is not a list, or a key that the row of
+    the spec or of an object in it does not read, is a config error; an unknown kind is left to its builder."""
+    spec = data.get(key, {"kind": kind})
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError(f"{key} must be an object with a 'kind' tag")
+    for field in LIST_KEYS:
+        if field in spec and not isinstance(spec[field], list):
+            raise ConfigError(f"{key}.{field} must be a list, got {spec[field]!r}")
+    objects = [(key.split("_")[0], spec, key)] + [(t, spec[t], f"{key}.{t}") for t in NESTED if isinstance(spec.get(t), dict)]
+    for table, obj, where in objects:
+        row = _kind(table, obj)[1]
+        if row is not None:
+            _only(obj, (TAGS.get(table, "kind"), *SCHEMA[table][row]), where)
+    return spec
+
+
+def _read(table: str, spec: dict):
+    """The key of ``spec``'s row of ``SCHEMA[table]`` and the row's values, each as given or its default (a number by
+    :func:`_number`); an unknown tag is a config error."""
+    tag, row = _kind(table, spec)
+    if row is None:
+        raise ConfigError(f"unknown weight generator {tag!r}" if table == "generator" else f"unknown {table} kind {tag!r}")
+    return row, [_number(spec, key, x, table) if isinstance(x, float) else spec.get(key, x) for key, x in SCHEMA[table][row].items()]
+
+
+def _setting(obj: dict, key: str, default, ok, what: str, where: str = ""):
+    """``obj[key]``, or ``default`` when it is absent; a value ``ok`` refuses is a config error saying what it must."""
+    value = obj.get(key, default)
+    if not ok(value):
+        raise ConfigError(f"{where}{key} must {what}, got {value!r}")
+    return value
 
 
 class ExperimentConfig:
@@ -103,53 +137,30 @@ class ExperimentConfig:
             raise ConfigError("config root must be a JSON object")
         _only(data, ROOT_KEYS, "the config root")
         self.raw = data
-        self.order = data.get("N")
-        if not isinstance(self.order, int) or self.order < 2:
-            raise ConfigError(f"N must be an integer >= 2, got {self.order!r}")
-        self.k = _finite(data.get("k", 1.0))
-        if self.k is None or not self.k >= 1:
-            raise ConfigError(f"k must be a number >= 1, got {data.get('k')!r}")
-        self.matrix_a = data.get("matrix_a", {"kind": "cesaro"})
-        self.matrix_b = data.get("matrix_b", {"kind": "cesaro"})
-        self.lambda_spec = data.get("lambda", {"kind": "constant", "value": 1.0})
-        self.series_spec = data.get("series", {"kind": "alternating", "beta": 1.0})
-        for key in ("matrix_a", "matrix_b", "lambda", "series"):
-            spec = getattr(self, key if key in ("matrix_a", "matrix_b") else key + "_spec")
-            if not isinstance(spec, dict) or "kind" not in spec:
-                raise ConfigError(f"{key} must be an object with a 'kind' tag")
-            for field in ("weights", "entries", "values", "coefficients"):
-                if field in spec and not isinstance(spec[field], list):
-                    raise ConfigError(f"{key}.{field} must be a list, got {spec[field]!r}")
-            _spec_keys(spec, key)
+        N = self.order = _setting(data, "N", None, lambda n: isinstance(n, int) and n >= 2, "be an integer >= 2")
+        self.k = _finite(_setting(data, "k", 1.0, lambda k: (_finite(k) or 0.0) >= 1, "be a number >= 1"))
+        self.matrix_a, self.matrix_b, self.lambda_spec, self.series_spec = (
+            _spec(data, key, kind) for key, kind in (("matrix_a", "cesaro"), ("matrix_b", "cesaro"), ("lambda", "constant"), ("series", "alternating"))
+        )
         tail = data.get("tail", {})
         if not isinstance(tail, dict):
             raise ConfigError("tail must be an object")
         _only(tail, ("cutoff", "warn_threshold"), "tail")
-        cutoff = tail.get("cutoff", 16 * self.order)
-        if not isinstance(cutoff, int) or cutoff <= self.order:
-            raise ConfigError(f"tail.cutoff must be an integer > N, got {cutoff!r}")
-        warn = tail.get("warn_threshold", 1e-6)
-        if not isinstance(warn, (int, float)) or not 0 < warn < 1:
-            raise ConfigError(f"tail.warn_threshold must lie in (0, 1), got {warn!r}")
+        cutoff = _setting(tail, "cutoff", 16 * N, lambda c: isinstance(c, int) and c > N, "be an integer > N", "tail.")
+        warn = _setting(tail, "warn_threshold", 1e-6, lambda w: isinstance(w, (int, float)) and 0 < w < 1, "lie in (0, 1)", "tail.")
         self.tail = TailSpec(cutoff=cutoff, warn_threshold=float(warn))
         out = data.get("output", {})
         if not isinstance(out, dict):
             raise ConfigError("output must be an object")
         _only(out, ("format", "path"), "output")
-        self.out_format = out.get("format", "csv")
-        if self.out_format not in ("csv", "json"):
-            raise ConfigError(f"output.format must be 'csv' or 'json', got {self.out_format!r}")
-        self.out_path = out.get("path")
-        if self.out_path is not None and not isinstance(self.out_path, str):
-            raise ConfigError(f"output.path must be a string, got {self.out_path!r}")
+        self.out_format = _setting(out, "format", "csv", lambda f: f in ("csv", "json"), "be 'csv' or 'json'", "output.")
+        self.out_path = _setting(out, "path", None, lambda p: p is None or isinstance(p, str), "be a string", "output.")
         conds = data.get("conditions", list(CONDITION_IDS))
         known = set(CONDITION_IDS) | {"TA"}
         if not isinstance(conds, list) or not conds or any(not isinstance(c, str) or c not in known for c in conds):
             raise ConfigError(f"conditions must be a nonempty list drawn from {sorted(known)}")
         self.conditions = conds
-        self.delta_mode = data.get("delta_mode", "forward")
-        if self.delta_mode not in ("forward", "backward"):
-            raise ConfigError(f"delta_mode must be 'forward' or 'backward', got {self.delta_mode!r}")
+        self.delta_mode = _setting(data, "delta_mode", "forward", lambda m: m in ("forward", "backward"), "be 'forward' or 'backward'")
 
 
 # ---------------------------------------------------------------------------
@@ -197,25 +208,21 @@ def _numbers(values, where: str) -> np.ndarray:
     raise ConfigError(f"{where}[{i}] must be a number, got {values[i]!r}")
 
 
-def _generated_weights(spec: dict, order: int) -> np.ndarray:
-    gen = spec.get("generator", "ones")
+def _generated_weights(gen, order: int) -> np.ndarray:
     if isinstance(gen, str):
         gen = {"name": gen}
     if not isinstance(gen, dict):
         raise ConfigError(f"generator must be a name or an object, got {gen!r}")
-    name = gen.get("name")
+    name, args = _read("generator", gen)
     n = np.arange(order + 1, dtype=float)
     if name == "ones":
         return np.ones(order + 1)
     if name == "power":
-        alpha = _number(gen, "alpha", 0.0, "generator")
-        return (n + 1.0) ** alpha
-    if name == "geometric":
-        ratio = _number(gen, "ratio", 1.0, "generator")
-        if ratio <= 0:
-            raise ConfigError(f"geometric weight ratio must be positive, got {ratio!r}")
-        return ratio**n
-    raise ConfigError(f"unknown weight generator {name!r}")
+        return (n + 1.0) ** args[0]
+    (ratio,) = args
+    if ratio <= 0:
+        raise ConfigError(f"geometric weight ratio must be positive, got {ratio!r}")
+    return ratio**n
 
 
 def build_matrix(spec: dict, order: int, reach: int | None = None) -> NormalMatrix:
@@ -224,26 +231,25 @@ def build_matrix(spec: dict, order: int, reach: int | None = None) -> NormalMatr
     A spec that stops short of ``order`` raises its own error.
     """
     reach = order if reach is None else reach
-    kind = spec.get("kind")
+    kind, args = _read("matrix", spec)
     if kind == "identity":
         return identity_matrix(reach)
     if kind == "cesaro":
         return cesaro_matrix(reach)
-    if kind == "riesz" and "weights" in spec:
-        if len(spec["weights"]) < order + 1:
-            raise ConfigError(f"need {order + 1} explicit weights, have {len(spec['weights'])}")
-        return riesz_matrix(WeightSequence(_numbers(spec["weights"][: reach + 1], "weights")))
     if kind == "riesz":
         with np.errstate(over="ignore"):  # WeightSequence refuses an overflowing weight by name
-            return riesz_matrix(WeightSequence(_generated_weights(spec, reach)))
+            return riesz_matrix(WeightSequence(_generated_weights(*args, reach)))
     if kind == "explicit":
-        entries = spec.get("entries")
+        (entries,) = args
         if not entries:
             raise ConfigError("explicit matrix needs nonempty 'entries'")
         if len(entries) < order + 1:
             raise ConfigError(f"explicit matrix has {len(entries)} rows, need {order + 1}")
         return make_normal([_numbers(row, f"entries[{n}]") for n, row in enumerate(entries[: reach + 1])])
-    raise ConfigError(f"unknown matrix kind {kind!r}")
+    (weights,) = args  # a riesz spec with weights
+    if len(weights) < order + 1:
+        raise ConfigError(f"need {order + 1} explicit weights, have {len(weights)}")
+    return riesz_matrix(WeightSequence(_numbers(weights[: reach + 1], "weights")))
 
 
 def _generated(values: np.ndarray, where: str) -> np.ndarray:
@@ -255,49 +261,43 @@ def _generated(values: np.ndarray, where: str) -> np.ndarray:
 
 
 def build_lambda(spec: dict, count: int, k: float, diag_a=None, diag_b=None) -> FactorSequence:
-    kind = spec.get("kind")
+    kind, args = _read("lambda", spec)
     if kind == "constant":
-        return FactorSequence(np.full(count, _number(spec, "value", 1.0, "lambda")))
+        return FactorSequence(np.full(count, *args))
     if kind == "explicit":
-        vals = spec.get("values")
-        if vals is None or len(vals) < count:
+        (vals,) = args
+        if len(vals) < count:
             raise ConfigError(f"lambda.values must supply at least {count} entries")
         return FactorSequence(_numbers(vals[:count], "lambda.values"))
     with np.errstate(over="ignore", divide="ignore"):  # a factor past float range is refused by name below
         if kind == "power":
             vals = np.ones(count)
-            vals[1:] = np.arange(1, count, dtype=float) ** _number(spec, "alpha", 0.0, "lambda")
-        elif kind == "riesz_adapted":
+            vals[1:] = np.arange(1, count, dtype=float) ** args[0]
+        else:  # riesz_adapted
             n = np.arange(count, dtype=float)
             vals = np.abs(np.asarray(diag_a[:count], dtype=float) / np.asarray(diag_b[:count], dtype=float))
             vals[1:] *= n[1:] ** (1.0 / k - 1.0)
-        else:
-            raise ConfigError(f"unknown lambda kind {kind!r}")
     return FactorSequence(_generated(vals, "lambda factor"))
 
 
 def build_series(spec: dict, size: int) -> SeriesSample:
-    kind = spec.get("kind")
+    kind, args = _read("series", spec)
     if kind == "explicit":
-        coeffs = spec.get("coefficients")
-        if not coeffs or len(coeffs) < size:
+        (coeffs,) = args
+        if len(coeffs) < size:
             raise ConfigError(f"series.coefficients must supply at least {size} entries")
         return SeriesSample(_numbers(coeffs[:size], "series.coefficients"))
     if kind == "alternating":
-        beta = _number(spec, "beta", 1.0, "series")
         n = np.arange(size, dtype=float)
         with np.errstate(over="ignore", divide="ignore"):  # a coefficient past float range is refused by name below
-            coeffs = (-1.0) ** np.arange(size) / (n + 1.0) ** beta
+            coeffs = (-1.0) ** np.arange(size) / (n + 1.0) ** args[0]
         return SeriesSample(_generated(coeffs, "series coefficient"))
-    if kind == "probe":
-        v = spec.get("v", 0)
-        probe_kind = spec.get("probe_kind", PROBE_DIFFERENCE)
-        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= size - 2:
-            raise ConfigError(f"series.probe v must be an integer in [0, {size - 2}], got {v!r}")
-        if probe_kind not in PROBE_KINDS:
-            raise ConfigError(f"series.probe_kind must be 'difference' or 'shift', got {probe_kind!r}")
-        return probe_series(probe_kind, v, size)
-    raise ConfigError(f"unknown series kind {kind!r}")
+    v, probe_kind = args
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= size - 2:
+        raise ConfigError(f"series.probe v must be an integer in [0, {size - 2}], got {v!r}")
+    if probe_kind not in PROBE_KINDS:
+        raise ConfigError(f"series.probe_kind must be 'difference' or 'shift', got {probe_kind!r}")
+    return probe_series(probe_kind, v, size)
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +576,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.command == "check" and args.tail_cutoff is not None:
-            data = dict(data)
-            data["tail"] = dict(data.get("tail", {}), cutoff=args.tail_cutoff)
+        if args.command == "check" and args.tail_cutoff is not None and isinstance(data, dict) and isinstance(data.get("tail", {}), dict):
+            data = {**data, "tail": {**data.get("tail", {}), "cutoff": args.tail_cutoff}}  # else ExperimentConfig names the fault
         config = ExperimentConfig(data)
         if args.out:
             config.out_path = args.out

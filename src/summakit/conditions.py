@@ -254,7 +254,8 @@ def column_sums(M, k, w=None, lower: bool = False, quantity: str = "the column k
 
     With ``lower`` column j is zero above row j, and only rows j.. are read.
     Exact entries, or (integer numerators, one denominator), are summed as integers into one Fraction (0: an int)
-    per column over den**k when k is an integer and the weights exact; else each is rounded to float64 once, first.
+    per column over den**k when k is an integer and the weights exact; else each, and each weight, is rounded to
+    float64 once, first.
     A float sum past float range over a column of finite entries raises a
     :class:`~summakit.errors.PowerOverflowError` naming ``quantity`` and v = j.
     """
@@ -266,7 +267,7 @@ def column_sums(M, k, w=None, lower: bool = False, quantity: str = "the column k
             (ws, scale), k = numerators(w) if w is not None else ([1] * len(nums), 1), int(k)
             sums = [sum(a * abs(x) ** k for a, x in zip(ws[lower * j :], col[lower * j :])) for j, col in enumerate(nums.T.tolist())]
             return fractions_over(np.asarray(sums, dtype=object), scale * den**k)
-        M = floats_over(nums, den)
+        M, w = floats_over(nums, den), None if w is None else as_float(w)
 
     def sums():
         out = []

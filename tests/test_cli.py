@@ -468,6 +468,12 @@ ROWS_7 = [[0.5] * (n + 1) for n in range(7)]  # an explicit matrix that stops at
             "series.probe_kind must be 'difference' or 'shift', got 'sideways'",
         ),
         ("transform", base_config(N=6, series={"kind": "fib"}), "unknown series kind 'fib'"),
+        # a kind or generator name that is not a string is an unknown one: a list or object ended in a traceback, exit 1
+        ("check", base_config(N=6, matrix_b={"kind": ["riesz"]}), "unknown matrix kind ['riesz']"),
+        ("transform", base_config(N=6, matrix_a={"kind": []}), "unknown matrix kind []"),
+        ("check", base_config(N=6, **{"lambda": {"kind": {"a": 1}}}), "unknown lambda kind {'a': 1}"),
+        ("verify", base_config(N=6, series={"kind": ["probe"]}), "unknown series kind ['probe']"),
+        ("check", base_config(N=6, matrix_b={"kind": "riesz", "generator": {"name": ["power"]}}), "unknown weight generator ['power']"),
         # generated values past float range
         ("check", base_config(N=6, **{"lambda": {"kind": "power", "alpha": 400}}), "the lambda factor at n = 6 is not finite (float overflow)"),
         ("verify", base_config(N=6, **{"lambda": {"kind": "power", "alpha": 400}}), "the lambda factor at n = 6 is not finite (float overflow)"),
@@ -491,6 +497,20 @@ ROWS_7 = [[0.5] * (n + 1) for n in range(7)]  # an explicit matrix that stops at
 def test_each_config_error_is_one_line_and_exit_2(tmp_path, capsys, command, data, line):
     cfg = write_config(tmp_path, data)
     assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+
+
+@pytest.mark.parametrize("kind", [5, ["riesz"], {"a": 1}])
+def test_transform_never_builds_matrix_b(tmp_path, kind):
+    cfg = write_config(tmp_path, base_config(N=6, matrix_b={"kind": kind}))
+    assert main(["transform", "--config", cfg, "--out", str(tmp_path / "report.csv")]) == 0
+
+
+@pytest.mark.parametrize("data, line", [([[1, 2]], "config root must be a JSON object"), (base_config(N=6, tail=5), "tail must be an object")])
+def test_a_cutoff_override_leaves_a_malformed_root_or_tail_to_the_config_check(tmp_path, capsys, data, line):
+    # the override was merged in first: a list root read as the object {1: 2}, and a tail of 5 ended in a traceback
+    cfg = write_config(tmp_path, data)
+    assert main(["check", "--config", cfg, "--tail-cutoff", "30"]) == 2
     assert capsys.readouterr().err == f"config error: {line}\n"
 
 

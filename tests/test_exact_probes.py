@@ -86,8 +86,9 @@ def test_column_sums_equal_the_oracle(seed, size, width, k, lower):
     bound = sk.l1_lk_bound(M, k)
     assert bound.column_sums.tolist() == oracles.column_pow_sums(rows, k)
     assert bound.sup == float(max(oracles.column_pow_sums(rows, k)))
-    # a non-integer k rounds each exact entry once, then sums as the float path does
-    assert column_sums(M, 1.5, None, lower).tobytes() == column_sums(M.astype(float), 1.5, None, lower).tobytes()
+    # a non-integer k rounds each exact entry and each exact weight once, then sums as the float path does
+    for weights, floats in ((None, None), (w, w.astype(float))):
+        assert column_sums(M, 1.5, weights, lower).tobytes() == column_sums(M.astype(float), 1.5, floats, lower).tobytes()
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,6 +1,8 @@
 """Checks that read the package's source and the README as files."""
 
 import ast
+import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -178,3 +180,32 @@ def test_readme_quick_start_runs():
     namespace = {}
     for block in [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_each_config_key_is_named_once_in_the_schema_table():
+    # a spec or generator key is read through cli.SCHEMA alone: no .get(...) argument or subscript in cli.py names one
+    keys = {"weights", "generator", "entries", "value", "values", "alpha", "ratio", "beta", "v", "probe_kind"}
+    found = []
+    for node in ast.walk(ast.parse((ROOT / "src" / "summakit" / "cli.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+            read = node.args
+        elif isinstance(node, ast.Subscript):
+            read = [node.slice]
+        else:
+            continue
+        found += [f"{n.lineno} {n.value!r}" for arg in read for n in ast.walk(arg) if isinstance(n, ast.Constant) and n.value in keys]
+    assert found == []
+
+
+def test_the_readme_spec_table_is_the_schema_table():
+    # one row per kind: its tag (and ``weights`` for the riesz weights row), then each key with its JSON default
+    from summakit.cli import SCHEMA
+
+    table = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == 3 and cells[0] in SCHEMA:
+            kind = tuple(re.findall(r"`(\w+)`", cells[1]))
+            keys = re.findall(r"`(\w+)`: (?:`([^`]*)`|a list)", cells[2])
+            table.setdefault(cells[0], {})[kind if len(kind) > 1 else kind[0]] = {key: json.loads(x) if x else [] for key, x in keys}
+    assert table == SCHEMA

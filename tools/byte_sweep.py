@@ -15,10 +15,14 @@ runs; TA is checked wherever both matrices are weighted means.  A sub-grid
 runs every series kind (alternating, explicit, a difference and a shift
 probe) and every lambda kind (constant, power, explicit, riesz_adapted), at
 k = 1 and 2, on four pairs of the specs above, through ``transform``,
-``verify`` and ``check --tail-cutoff 30``: 384 runs, 1,984 in all, about 5 s
-per tree on a 2-core x86-64 host.  Every run whose report bytes, exit code,
-stderr or warnings differ between the trees is printed, and the exit status
-is 1 when any does.  Needs numpy alone.
+``verify`` and ``check --tail-cutoff 30``: 384 runs.  A last sub-grid runs 91
+invalid configs at N = 6 through ``check``, ``transform``, ``verify`` and
+``check --tail-cutoff 30``: each config error the CLI tests pin, and 14 with
+two faults, so which error wins is compared too; 364 runs, 2,348 in all,
+about 8 s per tree on a 2-core x86-64 host.  An exception that escapes
+``main`` is recorded as that run's outcome, its type and message.  Every
+run whose report bytes, exit code, stderr or warnings differ between the
+trees is printed, and the exit status is 1 when any does.  Needs numpy alone.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -77,6 +82,8 @@ SUB_COMMANDS = {
     "verify": ["verify"],
     "check-cutoff-30": ["check", "--tail-cutoff", "30"],
 }
+# the invalid configs: every command, and a check whose cutoff override meets a malformed root or tail
+FAULT_COMMANDS = {"check": ["check"], "transform": ["transform"], "verify": ["verify"], "check-cutoff-30": ["check", "--tail-cutoff", "30"]}
 SUB_PAIRS = (("cesaro", "riesz-power-0.5"), ("cesaro", "explicit-41"), ("explicit-15", "riesz-power-0.5"), ("explicit-15", "explicit-41"))
 
 
@@ -102,10 +109,63 @@ def _lambdas() -> dict:
     }
 
 
+def _faults() -> dict:
+    """Invalid configs at N = 6: each config error the CLI tests pin, then a few with two faults, where the first
+    one the CLI checks wins."""
+    rows7 = [[0.5] * (n + 1) for n in range(7)]
+    power = {"name": "power", "alpha": 0.5}
+    specs = {  # one fault in one spec each
+        "matrix_a": [{"weights": [1.0]}, {"kind": "explicit", "entries": 5}, {"kind": "explicit", "entries": []},
+                     {"kind": "explicit", "entries": rows7[:6]}, {"kind": "explicit", "entries": [[1.0], 5] + rows7[2:]},
+                     {"kind": "explicit", "entries": [[1.0], [0.5, True]] + rows7[2:]},
+                     {"kind": "explicit", "entries": [[1.0], [0.5, 0.5], [0.5, 10**400, 0.5]] + rows7[3:]},
+                     {"kind": "cesaro", "weights": [1.0] * 7}, {"kind": []}, {"kind": 5}],
+        "matrix_b": [{"kind": "riesz", "weights": 5}, {"kind": "riesz", "generator": 5}, {"kind": "riesz", "weights": [1.0] * 6},
+                     {"kind": "riesz", "generator": {"name": "geometric", "ratio": 0}}, {"kind": "riesz", "generator": {"name": "fib"}},
+                     {"kind": "riesz", "generator": {"name": "power", "alpha": True}}, {"kind": "riesz", "generator": {"name": "power", "alpha": math.inf}},
+                     {"kind": "riesz", "generator": {"name": "geometric", "ratio": True}}, {"kind": "riesz", "weights": [1.0, 2.0, True] + [1.0] * 200},
+                     {"kind": "riesz", "weights": [1.0, math.inf] + [1.0] * 200}, {"kind": "riesz", "weights": [1.0, 2.0, 1.0, "2.0"] + [1.0] * 200},
+                     {"kind": "hankel"}, {"kind": "riesz", "generater": power}, {"kind": "riesz", "weights": [1.0] * 7, "generator": "ones"},
+                     {"kind": "explicit", "entries": rows7, "order": 6}, {"kind": "identity", "size": 7},
+                     {"kind": "riesz", "generator": {"name": "power", "alpah": 0.5}}, {"kind": "riesz", "generator": {"name": "geometric", "alpha": 1.1}},
+                     {"kind": ["riesz"]}, {"kind": {"a": 1}}, {"kind": "riesz", "generator": {"name": ["power"]}}],
+        "lambda": [{"kind": "explicit", "values": 5}, {"kind": "explicit", "values": [1.0] * 7}, {"kind": "fib"},
+                   {"kind": "power", "alpha": True}, {"kind": "constant", "value": "1"}, {"kind": "explicit", "values": [1.0, True] + [1.0] * 6},
+                   {"kind": "constant", "value": math.nan}, {"kind": "constant", "value": 10**400}, {"kind": "power", "alpha": 400},
+                   {"kind": "explicit", "values": [1.0] * 4 + [None] + [1.0] * 3}, {"kind": "constant", "vlaue": 2.0},
+                   {"kind": "power", "beta": 2.0}, {"kind": "riesz_adapted", "k": 2}, {"kind": "explicit", "value": [1.0] * 8}, {"kind": {"a": 1}}],
+        "series": [{"kind": "explicit", "coefficients": 5}, {"kind": "probe", "v": 0, "probe_kind": "sideways"}, {"kind": "probe", "v": 6},
+                   {"kind": "probe", "v": True}, {"kind": "fib"}, {"kind": "alternating", "beta": True}, {"kind": "alternating", "beta": -400},
+                   {"kind": "explicit", "coefficients": [True] + [1.0] * 6}, {"kind": "explicit", "coefficients": [1.0] * 6},
+                   {"kind": "alternating", "alpha": 2.0}, {"kind": "probe", "kind_": "shift"}, {"kind": "explicit", "coefficient": [1.0] * 7},
+                   {"kind": ["probe"]}],
+    }
+    roots = [{"N": 1}, {"N": "8"}, {"tail": 5}, {"output": 5}, {"tail": {"cutoff": 6}}, {"tail": {"warn_threshold": 1}},
+             {"output": {"format": "xml"}}, {"output": {"path": ["report.csv"]}}, {"delta_mode": "sideways"}, {"conditions": [["C9"]]},
+             {"k": math.inf}, {"k": 10**400}, {"condtions": ["C9"]}, {"tail": {"cutof": 9}}, {"output": {"formta": "json"}},
+             {"matrix_a": {"kind": "explicit", "entries": rows7}, "lambda": {"kind": "riesz_adapted"}},
+             {"matrix_b": {"kind": "explicit", "entries": rows7}, "lambda": {"kind": "riesz_adapted"}}]
+    roots += [{key: spec} for key, faults in specs.items() for spec in faults]
+    roots += [  # two faults
+        {"N": 1, "condtions": ["C9"]}, {"k": 0, "matrix_a": {"kind": "hankel", "x": 1}}, {"matrix_a": {"kind": "cesaro", "weights": 5}},
+        {"matrix_b": {"kind": "hankel", "generator": {"name": "power", "x": 1}}}, {"lambda": {"kind": "fib", "generator": {"name": "power", "x": 1}}},
+        {"matrix_b": {"kind": "riesz", "weights": 5, "generator": "ones"}}, {"matrix_b": {"kind": ["riesz"], "x": 1}},
+        {"matrix_a": {"kind": "explicit", "entries": [], "order": 6}}, {"lambda": {"kind": "constant", "value": "1", "x": 1}},
+        {"series": {"kind": "probe", "v": 9, "probe_kind": "sideways"}}, {"tail": {"cutoff": 6}, "output": {"format": "xml"}},
+        {"matrix_b": {"kind": "hankel"}, "lambda": {"kind": "fib"}}, {"matrix_a": {"kind": "fib"}, "series": {"kind": "fib"}},
+        {"lambda": {"kind": "power", "alpha": True}, "delta_mode": "sideways"},
+    ]
+    base = {"N": 6, "k": 1, "matrix_a": {"kind": "cesaro"}, "matrix_b": {"kind": "cesaro"}, "tail": {"cutoff": CUTOFF}}
+    return {json.dumps(overrides): {**base, **overrides} for overrides in roots} | {"[[1, 2]]": [[1, 2]]}
+
+
 def grid():
     """(label, config, argv tail) of every run, in a fixed order."""
     yield from _main_grid()
     yield from _sub_grid()
+    for label, config in _faults().items():
+        for command, argv in FAULT_COMMANDS.items():
+            yield f"{command} invalid {label}", config, argv
 
 
 def _sub_grid():
@@ -166,6 +226,8 @@ def run_grid() -> dict:
                     code = main([*argv, "--config", "config.json", "--out", str(report)])
                 except SystemExit as exc:
                     code = exc.code
+                except Exception as exc:  # a traceback in one tree is a difference, not a crashed sweep
+                    code = f"raised {type(exc).__name__}: {exc}"
             seen = [f"{w.category.__name__}: {w.message}" for w in caught]
             results[label] = (code, report.read_bytes() if report.exists() else None, err.getvalue(), seen)
     return results
