@@ -468,12 +468,6 @@ ROWS_7 = [[0.5] * (n + 1) for n in range(7)]  # an explicit matrix that stops at
             "series.probe_kind must be 'difference' or 'shift', got 'sideways'",
         ),
         ("transform", base_config(N=6, series={"kind": "fib"}), "unknown series kind 'fib'"),
-        # a kind or generator name that is not a string is an unknown one: a list or object ended in a traceback, exit 1
-        ("check", base_config(N=6, matrix_b={"kind": ["riesz"]}), "unknown matrix kind ['riesz']"),
-        ("transform", base_config(N=6, matrix_a={"kind": []}), "unknown matrix kind []"),
-        ("check", base_config(N=6, **{"lambda": {"kind": {"a": 1}}}), "unknown lambda kind {'a': 1}"),
-        ("verify", base_config(N=6, series={"kind": ["probe"]}), "unknown series kind ['probe']"),
-        ("check", base_config(N=6, matrix_b={"kind": "riesz", "generator": {"name": ["power"]}}), "unknown weight generator ['power']"),
         # generated values past float range
         ("check", base_config(N=6, **{"lambda": {"kind": "power", "alpha": 400}}), "the lambda factor at n = 6 is not finite (float overflow)"),
         ("verify", base_config(N=6, **{"lambda": {"kind": "power", "alpha": 400}}), "the lambda factor at n = 6 is not finite (float overflow)"),
@@ -492,6 +486,12 @@ ROWS_7 = [[0.5] * (n + 1) for n in range(7)]  # an explicit matrix that stops at
             base_config(N=6, series={"kind": "alternating", "beta": -400}),
             "the series coefficient at n = 5 is not finite (float overflow)",
         ),
+        # a kind or generator name that is not a string is an unknown one: a list or object ended in a traceback, exit 1
+        ("check", base_config(N=6, matrix_b={"kind": ["riesz"]}), "unknown matrix kind ['riesz']"),
+        ("transform", base_config(N=6, matrix_a={"kind": []}), "unknown matrix kind []"),
+        ("check", base_config(N=6, **{"lambda": {"kind": {"a": 1}}}), "unknown lambda kind {'a': 1}"),
+        ("verify", base_config(N=6, series={"kind": ["probe"]}), "unknown series kind ['probe']"),
+        ("check", base_config(N=6, matrix_b={"kind": "riesz", "generator": {"name": ["power"]}}), "unknown weight generator ['power']"),
     ],
 )
 def test_each_config_error_is_one_line_and_exit_2(tmp_path, capsys, command, data, line):
