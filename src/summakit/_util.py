@@ -66,6 +66,8 @@ def exact_entries(values) -> list:
     """The exact ``values`` as a flat list; an entry that is not an int or a Fraction raises a MixedArithmeticError naming
     it, by (n, v) in a 2-D array."""
     vals = values.ravel().tolist() if isinstance(values, np.ndarray) else list(values)
+    if {int, Fraction}.issuperset(map(type, vals)):  # the common case, with no loop in Python
+        return vals
     bad = next((i for i, x in enumerate(vals) if not isinstance(x, (int, Fraction))), None)
     if bad is not None:
         where = divmod(bad, values.shape[1]) if getattr(values, "ndim", 1) == 2 else bad

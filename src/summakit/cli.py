@@ -66,6 +66,7 @@ VERIFY_TOLERANCES = {
 }
 
 
+MAX_ORDER = np.iinfo(np.intp).max // 8 - 1  # numpy sizes a float64 array of at most MAX_ORDER + 1 entries
 ROOT_KEYS = ("N", "k", "matrix_a", "matrix_b", "lambda", "series", "tail", "output", "conditions", "delta_mode")
 # Each spec kind's keys but its tag, with their defaults: a float marks a number (read by _number), a list a list whose
 # shape is checked with the config.  A riesz spec with weights reads ("riesz", "weights").  The generator is a table.
@@ -138,6 +139,7 @@ class ExperimentConfig:
         _only(data, ROOT_KEYS, "the config root")
         self.raw = data
         N = self.order = _setting(data, "N", None, lambda n: isinstance(n, int) and n >= 2, "be an integer >= 2")
+        _setting(data, "N", N, lambda n: n <= MAX_ORDER, f"be at most {MAX_ORDER}, past which numpy cannot size its arrays")
         self.k = _finite(_setting(data, "k", 1.0, lambda k: (_finite(k) or 0.0) >= 1, "be a number >= 1"))
         self.matrix_a, self.matrix_b, self.lambda_spec, self.series_spec = (
             _spec(data, key, kind) for key, kind in (("matrix_a", "cesaro"), ("matrix_b", "cesaro"), ("lambda", "constant"), ("series", "alternating"))
@@ -147,6 +149,7 @@ class ExperimentConfig:
             raise ConfigError("tail must be an object")
         _only(tail, ("cutoff", "warn_threshold"), "tail")
         cutoff = _setting(tail, "cutoff", 16 * N, lambda c: isinstance(c, int) and c > N, "be an integer > N", "tail.")
+        _setting(tail, "cutoff", cutoff, lambda c: c <= MAX_ORDER, f"be at most {MAX_ORDER}, past which numpy cannot size its arrays", "tail.")
         warn = _setting(tail, "warn_threshold", 1e-6, lambda w: isinstance(w, (int, float)) and 0 < w < 1, "lie in (0, 1)", "tail.")
         self.tail = TailSpec(cutoff=cutoff, warn_threshold=float(warn))
         out = data.get("output", {})

@@ -336,10 +336,12 @@ class DenseProbes(dict):
         return column_sums(D, k, w, lower=True, quantity=quantity), w[-1] * abs_pow(last, k)
 
     def factored_rows(self):
-        """Blocks (F, n) of the key-identity triangle, F[i, v] = bhat_nv lam_v at row n[i], over rows 2..N."""
+        """Blocks (F, n) of the key-identity triangle, F[i, v] = bhat_nv lam_v at row n[i], over rows 2..N; exact ones
+        as integer numerators over one positive denominator per block, which no relative gap reads."""
         N = self.M.order
         for lo in range(2, N + 1, _ROWS):  # a block of rows at a time bounds the temporaries
-            F = _scaled_columns(self.H[lo : lo + _ROWS], self.lv)
+            H = self.H[lo : lo + _ROWS]
+            F = on_numerators(np.multiply, H, self.lv[: H.shape[1]])[0] if self.M.exact else _scaled_columns(H, self.lv)
             yield F, np.arange(lo, lo + F.shape[0])
 
     def cnv(self, A: NormalMatrix, fac, diag) -> np.ndarray:
@@ -435,7 +437,8 @@ class WeightedProbes:
         bhat_nv lam_v is ``rows[n]`` times Q_{v-1} lam_v, the shift scalar at
         v - 1, so the factor of row n cancels from every relative gap.
         """
-        yield np.concatenate(([0], self.scalars[PROBE_SHIFT]))[None, :], np.array([self.m])
+        F = np.concatenate(([0], self.scalars[PROBE_SHIFT]))[None, :]
+        yield on_numerators(np.asarray, F)[0] if self.M.exact else F, np.array([self.m])
 
     def cnv_sums(self, A: NormalMatrix, k, fac, diag, power) -> np.ndarray:
         """The column k-power sums of :meth:`DenseProbes.cnv`'s array, which is not formed, nor ``fac`` and ``diag`` read.

@@ -6,17 +6,19 @@ constant linking the two probe norms, the two-part decomposition of the
 transformed factored series, the adjacent-inverse algebraic identity, and
 the two triangular arrays whose columnwise k-power sums control each part.
 Everything here is a finite, checkable computation; nothing asserts the
-infinite statements themselves.
+infinite statements themselves.  On exact inputs each gap of the identity is
+one integer expression over its terms' numerators, a Fraction only where nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from ._util import abs_pow, check_exponent, check_pair, index_pow, named_overflow, nan_max, scalar_pow, suffix_sums
+from ._util import abs_pow, check_exponent, check_pair, index_pow, named_overflow, nan_max, on_numerators, same_arithmetic, scalar_pow, suffix_sums
 from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
@@ -27,6 +29,7 @@ from .matrices import NormalMatrix, apply_hat, apply_lower, far_inverse, hat_inv
 from .series import FactorSequence, SeriesSample
 
 _ROW_SUM_TOL = 1e-12
+_ZERO = Fraction(0)  # every zero exact key-identity gap
 
 
 @dataclass(frozen=True)
@@ -113,15 +116,18 @@ class ProbePass:
 
         Entry v - 1 is the largest gap at (n, v) over n = v+1..N, for v = 1..N-1,
         read from the ``factored_rows`` of ``delta_y``: blocks of the whole
-        triangle, with the same bits as the scalar and row calls, or on a
-        weighted-mean B one row standing for every row, O(N).
+        triangle, with the same values as the scalar and row calls, or on a
+        weighted-mean B one row standing for every row, O(N).  A's bands take
+        B's arithmetic (:func:`~summakit._util.same_arithmetic`).
         """
         A, N = self.A, self.A.order
         v = np.arange(1, N)
-        inv_d, inv_s = (band[v] for band in hat_inverse_bands(A))
+        bands = np.array([*(band[v] for band in hat_inverse_bands(A)), A.diagonal[v], A.gap(v)], dtype=object if self.B.exact else None)
+        same_arithmetic(self.B.exact, bands, "key_identity_gaps")
+        bands = on_numerators(np.asarray, bands) if self.B.exact else (bands, None)
         worst = np.zeros(max(N - 1, 0))
         for F, n in self.delta_y.factored_rows():
-            gaps = _key_gaps(F[:, 1:N], F[:, 2:], inv_d, inv_s, A, v)
+            gaps = _key_gaps(F[:, 1:N], F[:, 2:], *bands[0], bands[1])
             worst = np.maximum(worst, np.where(n[:, None] > v[None, :], gaps, 0).max(axis=0))  # (n, v) with v <= n - 1
         return worst
 
@@ -245,31 +251,47 @@ def key_identity_check(
     absolute values of the terms each one adds (see :func:`_key_gaps`).
     ``v`` may also be an integer array, giving the gaps of row n at each
     of its entries.  ``hat_b`` / ``inv_hat_a``, when given, stand in for
-    the hat matrix B keeps and the hat inverse A keeps.
+    the hat matrix B keeps and the hat inverse A keeps.  Every value read
+    takes A's arithmetic (:func:`~summakit._util.same_arithmetic`).
     """
     v_lo, v_hi = (np.min(v), np.max(v)) if np.ndim(v) else (v, v)
     if not (1 <= v_lo and v_hi <= n - 1 and n <= A.order):
         raise IndexOutOfRangeError(f"need 1 <= v <= n-1 and n <= {A.order}, got n={n}, v={v}")
     check_pair(A, B, lam, v_hi + 2)
-    bh = (hat_b or hat_of(B)).entries
-    f = lam.values
+    bh, f = (hat_b or hat_of(B)).entries, lam.values
     inv_d, inv_s = (inv_hat_a.diagonal, inv_hat_a.subdiagonal) if inv_hat_a else hat_inverse_bands(A)
-    return _key_gaps(bh[n, v] * f[v], bh[n, v + 1] * f[v + 1], inv_d[v], inv_s[v], A, v)
+    values = np.array([bh[n, v], f[v], bh[n, v + 1], f[v + 1], inv_d[v], inv_s[v], A.diagonal[v], A.gap(v)], dtype=object if A.exact else None)
+    same_arithmetic(A.exact, values, "key_identity_check")
+    (h_v, l_v, h_w, l_w, *bands), den = on_numerators(np.asarray, values) if A.exact else (values, None)
+    return _key_gaps(h_v * l_v, h_w * l_w, *bands, den)
 
 
-def _key_gaps(f_v, f_v1, inv_d, inv_s, A: NormalMatrix, v):
+def _key_gaps(f_v, f_v1, inv_d, inv_s, d, g, den=None):
     """|lhs - rhs| of the adjacent-inverse rearrangement at column(s) v, relative to the size of the two sides.
 
     ``f_v`` and ``f_v1`` are the factored B-hat entries at v and v + 1 of one
     row, or of every row, column j holding v[j]; ``inv_d`` and ``inv_s`` are
-    the A-hat inverse's entries (v, v) and (v + 1, v).  The size is the sum
-    of the absolute values of the terms the two sides add, with
-    (f_v - f_v1) / a_vv counted as its two terms: the scale of their
-    round-off.  A gap whose terms are all zero is 0.
+    the A-hat inverse's entries (v, v) and (v + 1, v), ``d`` and ``g`` A's
+    diagonal and gap factor at v.  The size is the sum of the absolute values
+    of the terms the two sides add, with (f_v - f_v1) / a_vv counted as its
+    two terms: the scale of their round-off.  A gap whose terms are all zero is 0.
+    Exact, all six are integer numerators, f_v and f_v1 over one positive
+    denominator and A's four over ``den``: times both denominators and d,
+    lhs - rhs and the size are each one integer expression, and a Fraction is
+    formed only where the first is nonzero.
     """
-    d = A.diagonal[v]
+    if den is not None:
+        c_d, c_s, c_q, c_g = inv_d * d, inv_s * d, den * den, g * d  # the terms' coefficients of f_v and f_v1
+        gap = f_v * (c_d - c_q) + f_v1 * (c_s + c_q - c_g)
+        size = lambda: abs(f_v) * (abs(c_d) + c_q) + abs(f_v1) * (abs(c_s) + c_q + abs(c_g))  # noqa: E731
+        if not isinstance(gap, np.ndarray):
+            return Fraction(abs(gap), size()) if gap else _ZERO
+        out = np.full(gap.shape, _ZERO, dtype=object)
+        hit = gap != 0
+        out[hit] = [Fraction(abs(x), y) for x, y in zip(gap[hit].tolist(), size()[hit].tolist())]
+        return out
     lhs = f_v * inv_d, f_v1 * inv_s
-    shift = f_v1 * A.gap(v)
+    shift = f_v1 * g
     gap = abs(lhs[0] + lhs[1] - ((f_v - f_v1) / d + shift))
     if not np.ndim(gap) and gap == 0:  # 0 / size is 0: the size is not needed
         return gap

@@ -21,20 +21,22 @@ weighted mean's hat matrix is read from its weights: ``apply_hat`` multiplies
 by it and ``hat_inverse_bands`` gives its inverse's two bands in O(N).
 On exact (object) arrays, int and Fraction entries alone, the hat sums and
 the products run their float code on the integer numerators of the lower
-triangle (:mod:`summakit._util`), and the hat inverse is fraction free.
+triangle (:mod:`summakit._util`), and the hat inverse is fraction free: all
+read the integers an exact matrix converts once and keeps (:meth:`NormalMatrix.numerators`).
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 import operator
 import time
 from fractions import Fraction
 
 import numpy as np
 
-from ._util import accurate_sum, as_float, as_vector, exact_entries, fractions_over, is_exact, named_overflow, numerators
+from ._util import as_float, as_vector, fractions_over, is_exact, named_overflow, numerators
 from ._util import on_numerators, quotients, same_arithmetic, suffix_sums
 from .errors import LengthMismatchError, ShapeMismatchError, WeightOverflowError, ZeroDiagonalError
 
@@ -49,7 +51,7 @@ class NormalMatrix:
     keep them; the diagonal, subdiagonal, row sums and gap factor read the structure in O(N).
     """
 
-    __slots__ = ("size", "exact", "weights", "_entries", "_built", "_hat", "_hat_inverse", "_inverse", "_gap")
+    __slots__ = ("size", "exact", "weights", "_entries", "_built", "_hat", "_hat_inverse", "_inverse", "_gap", "_ints")
 
     def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries)
@@ -115,10 +117,14 @@ class NormalMatrix:
     def row_sums(self) -> np.ndarray:
         """sum_v a_nv for n = 0..N, the leading bar column: exactly one on a weighted mean and the identity."""
         E = self._entries
-        if E is not None:
-            # each exact row summed from its diagonal down, as the hat matrix's tail sums are
-            return np.asarray([accurate_sum(E[n, n::-1]) for n in range(self.size)], dtype=object) if self.exact else E.sum(axis=1)
-        return np.ones(self.size, dtype=object if self.exact else float)
+        if E is not None and self.exact:  # the rows' integer sums over the one denominator
+            nums, den = self.numerators()
+            return fractions_over(nums.sum(axis=1), den)
+        return np.ones(self.size, dtype=object if self.exact else float) if E is None else E.sum(axis=1)
+
+    def numerators(self) -> tuple[np.ndarray, int]:
+        """:func:`~summakit._util.numerators` of an exact matrix's lower triangle, converted and checked once and kept."""
+        return _kept(self, "_ints", "integer numerators", lambda: on_numerators(np.asarray, np.tril(self.entries)))
 
     def gap(self, v=None):
         """(a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}) for v < N, or at ``v``: exactly 1 on a weighted mean and the identity,
@@ -330,7 +336,8 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
         hat[idx, idx] = p[: v_hi + 1] / P[: v_hi + 1]
         return hat
     if A.exact:
-        return fractions_over(*on_numerators(lambda E: _tail_sums(E, v_hi), np.tril(A.entries)))
+        nums, den = A.numerators()
+        return fractions_over(_tail_sums(nums, v_hi), den)
     return _tail_sums(A.entries, v_hi)
 
 
@@ -340,8 +347,9 @@ def _kept(A: NormalMatrix, slot: str, name: str, build) -> NormalMatrix:
     if M is None:
         start = time.perf_counter()
         M = build()
-        if isinstance(M, np.ndarray):
-            M.setflags(write=False)
+        for x in M if isinstance(M, tuple) else (M,):
+            if isinstance(x, np.ndarray):
+                x.setflags(write=False)
         log.debug("computed the %s of order %d in %.6f s", name, A.order, time.perf_counter() - start)
         object.__setattr__(A, slot, M)
     return M
@@ -375,7 +383,9 @@ def invert_hat(H: NormalMatrix) -> NormalMatrix:
     entry past float range, on finite entries of H, raises a PowerOverflowError naming its row.
     """
 
-    def inverse():
+    def inverse():  # an exact H from its kept integer numerators
+        if H.exact:
+            return NormalMatrix(_fraction_free_inverse(*H.numerators()))
         return NormalMatrix(named_overflow(lambda: _lower_inverse(H.entries), H.entries, "the hat inverse", "row n"))
 
     return _kept(H, "_inverse", "hat inverse", inverse)
@@ -383,9 +393,6 @@ def invert_hat(H: NormalMatrix) -> NormalMatrix:
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
     size = L.shape[0]
-    if is_exact(L):
-        exact_entries(np.tril(L))  # names a float entry by (n, v)
-        return _fraction_free_inverse([numerators(L[n, : n + 1]) for n in range(size)])
     X = np.zeros((size, size), dtype=L.dtype)
     if size <= _BLOCK:  # forward substitution, one row product at a time
         for n in range(size):
@@ -399,9 +406,12 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     return X
 
 
-def _fraction_free_inverse(rows: list) -> np.ndarray:
-    """The inverse of rows R_n / d_n of integers (:func:`~summakit._util.numerators`): column v solves R x = d_v e_v, its
-    entries through row n numerators over R_v[v] ... R_n[n], the running product of the scaled diagonal."""
+def _fraction_free_inverse(nums: np.ndarray, den: int) -> np.ndarray:
+    """The inverse of the lower triangle nums / den of integers, each row n first written as R_n / d_n in lowest terms:
+    column v solves R x = d_v e_v, its entries through row n numerators over R_v[v] ... R_n[n], the running product of
+    the scaled diagonal."""
+    rows = [row[: n + 1] for n, row in enumerate(nums.tolist())]
+    rows = [([x // g for x in R], den // g) for R in rows for g in [math.gcd(den, *R)]]  # each row in lowest terms
     X = np.zeros((len(rows), len(rows)), dtype=object)
     for v in range(len(rows)):
         ys, D = [rows[v][1]], rows[v][0][v]
@@ -508,8 +518,7 @@ def apply_lower(M, x) -> np.ndarray:
         finite = np.isfinite(xs)  # a non-finite term reaches every later mean as in the float sum
         return out + (0 if finite.all() else np.cumsum(np.where(finite, 0.0, p * xs)) / P)
     if is_exact(E):
-        x, den = numerators(xs)
-        exact_entries(np.tril(E))  # names a float entry by (n, v)
-        rows = (numerators(E[n, : n + 1]) for n in range(size))
-        return np.asarray([Fraction(sum(map(operator.mul, q, x)), d * den) for q, d in rows], dtype=object)
+        nums, den = M.numerators() if isinstance(M, NormalMatrix) else on_numerators(np.asarray, np.tril(E))
+        x, x_den = on_numerators(np.asarray, xs)
+        return np.asarray([Fraction(s, den * x_den) for s in np.dot(nums, x).tolist()], dtype=object)
     return np.dot(E, xs)

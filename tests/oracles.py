@@ -160,6 +160,24 @@ def lower_inverse(rows):
     return inv
 
 
+def key_gap(a_rows, bh, inv, lam, n, v):
+    """The relative gap of the adjacent-inverse rearrangement at (n, v), one Fraction per operation.
+
+    lhs = f_v inv_vv + f_{v+1} inv_{v+1,v} and rhs = (f_v - f_{v+1}) / a_vv + f_{v+1} gap_v, with
+    f_v = bh_nv lam_v and gap_v = (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}): |lhs - rhs| over the sum of
+    the absolute values of the terms the two sides add, (f_v - f_{v+1}) / a_vv counted as its two
+    terms, and 0 (a Fraction) where lhs == rhs.  ``inv`` is the inverse of hat(A), or a stand-in.
+    """
+    f_v, f_v1 = Fraction(bh[n][v]) * lam[v], Fraction(bh[n][v + 1]) * lam[v + 1]
+    d = Fraction(a_rows[v][v])
+    lhs = f_v * inv[v][v], f_v1 * inv[v + 1][v]
+    shift = f_v1 * ((d - a_rows[v + 1][v]) / (d * a_rows[v + 1][v + 1]))
+    gap = abs(lhs[0] + lhs[1] - ((f_v - f_v1) / d + shift))
+    if gap == 0:
+        return gap
+    return gap / (abs(lhs[0]) + abs(lhs[1]) + (abs(f_v) + abs(f_v1)) / abs(d) + abs(shift))
+
+
 def decompose_parts(a_rows, b_rows, lam, coeffs):
     """(dx, dy, t1, t2) of the two-part split, every sum from its definition.
 

@@ -418,6 +418,8 @@ def test_config_rejects_malformed_shapes(tmp_path, capsys, command, overrides, f
 
 
 ROWS_7 = [[0.5] * (n + 1) for n in range(7)]  # an explicit matrix that stops at N = 6
+MAX_ORDER = 2**60 - 2  # numpy sizes no float64 array of more than MAX_ORDER + 1 entries: 8 of them pass 2**63 - 1 bytes
+UNSIZED = ", past which numpy cannot size its arrays"
 
 
 @pytest.mark.parametrize(
@@ -492,6 +494,12 @@ ROWS_7 = [[0.5] * (n + 1) for n in range(7)]  # an explicit matrix that stops at
         ("check", base_config(N=6, **{"lambda": {"kind": {"a": 1}}}), "unknown lambda kind {'a': 1}"),
         ("verify", base_config(N=6, series={"kind": ["probe"]}), "unknown series kind ['probe']"),
         ("check", base_config(N=6, matrix_b={"kind": "riesz", "generator": {"name": ["power"]}}), "unknown weight generator ['power']"),
+        # an order or cutoff past what numpy can size: numpy's own message named no field
+        ("check", base_config(N=10**30), f"N must be at most {MAX_ORDER}{UNSIZED}, got {10**30}"),
+        ("transform", base_config(N=MAX_ORDER + 1), f"N must be at most {MAX_ORDER}{UNSIZED}, got {MAX_ORDER + 1}"),
+        ("check", base_config(N=6, tail={"cutoff": 2**62}), f"tail.cutoff must be at most {MAX_ORDER}{UNSIZED}, got {2**62}"),
+        ("check", base_config(N=6, tail={"cutoff": 10**400}), f"tail.cutoff must be at most {MAX_ORDER}{UNSIZED}, got {10**400}"),
+        ("verify", base_config(N=MAX_ORDER, tail={}), f"tail.cutoff must be at most {MAX_ORDER}{UNSIZED}, got {16 * MAX_ORDER}"),
     ],
 )
 def test_each_config_error_is_one_line_and_exit_2(tmp_path, capsys, command, data, line):
@@ -512,6 +520,20 @@ def test_a_cutoff_override_leaves_a_malformed_root_or_tail_to_the_config_check(t
     cfg = write_config(tmp_path, data)
     assert main(["check", "--config", cfg, "--tail-cutoff", "30"]) == 2
     assert capsys.readouterr().err == f"config error: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "cutoff, start",
+    [
+        (2**62, f"config error: tail.cutoff must be at most {MAX_ORDER}{UNSIZED}, got {2**62}\n"),
+        (MAX_ORDER + 1, f"config error: tail.cutoff must be at most {MAX_ORDER}{UNSIZED}, got {MAX_ORDER + 1}\n"),
+        (2**59, "out of memory: check at N = 6: Unable to allocate 4.00 EiB"),  # numpy sizes it: no memory holds it
+    ],
+)
+def test_a_cutoff_override_numpy_cannot_size_is_named(tmp_path, capsys, cutoff, start):
+    cfg = write_config(tmp_path, base_config(N=6, matrix_b={"kind": "riesz", "generator": {"name": "ones"}}, conditions=["C10"]))
+    assert main(["check", "--config", cfg, "--tail-cutoff", str(cutoff)]) == 2
+    assert capsys.readouterr().err.startswith(start)
 
 
 @pytest.mark.parametrize(

@@ -64,6 +64,7 @@ def test_numerators_of_floats_are_exact_and_of_a_mixed_row_refused():
     assert [F(n, den) for n in nums] == [F(v) if math.isfinite(v) else 0 for v in x.tolist()]
     with pytest.raises(MixedArithmeticError, match=r"^exact entry 1 is 0\.5, not an int or a Fraction$"):
         numerators([F(1, 3), 0.5])
+    assert numerators([True, F(1, 3)]) == ([3, 1], 3)  # a bool is an int
     with pytest.raises(MixedArithmeticError, match="exact entry 1 is "):
         numerators(np.asarray([F(1, 3), np.float64(0.5)], dtype=object))
 

@@ -367,21 +367,26 @@ def test_invert_hat_keeps_its_inverse_on_the_inverted_matrix(monkeypatch):
     import summakit.matrices
 
     inverted = []
-    real = summakit.matrices._lower_inverse
 
-    def counting(L):
-        inverted.append(id(L))
-        return real(L)
+    def counting(name):  # a float matrix is inverted from its entries, an exact one from its kept integer numerators
+        real = getattr(summakit.matrices, name)
 
-    monkeypatch.setattr(summakit.matrices, "_lower_inverse", counting)
+        def run(L, *den):
+            inverted.append(id(L))
+            return real(L, *den)
+
+        monkeypatch.setattr(summakit.matrices, name, run)
+
+    counting("_lower_inverse")
+    counting("_fraction_free_inverse")
     rng = np.random.default_rng(101)
     A = helpers.random_rational_matrix(rng, 8)
     X = sk.hat_inverse(A)
     assert sk.invert_hat(sk.hat_of(A)) is X and sk.hat_inverse(A) is X
-    assert inverted == [id(sk.hat_of(A).entries)]
+    assert inverted == [id(sk.hat_of(A).numerators()[0])]
     M = helpers.random_normal_matrix(rng, 6)  # any normal matrix keeps its own inverse
     assert sk.invert_hat(M) is sk.invert_hat(M)
-    assert inverted == [id(sk.hat_of(A).entries), id(M.entries)]
+    assert inverted == [id(sk.hat_of(A).numerators()[0]), id(M.entries)]
 
 
 def test_hat_inverse_bands_of_a_weighted_mean_form_no_matrix(caplog):
