@@ -96,7 +96,7 @@ def floats_over(nums, den) -> np.ndarray:
 def same_arithmetic(exact: bool, values, where: str) -> None:
     """Refuse ``values`` whose arithmetic is not the matrix's: an exact matrix takes exact values, a float one floats."""
     if exact != is_exact(values):
-        raise MixedArithmeticError(f"{where}: an {('float', 'exact')[exact]} matrix with {('float', 'exact')[not exact]} values")
+        raise MixedArithmeticError(f"{where}: {('a float', 'an exact')[exact]} matrix with {('float', 'exact')[not exact]} values")
     if exact:
         exact_entries(values)
 

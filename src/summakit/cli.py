@@ -217,9 +217,9 @@ def _generated_weights(gen, order: int) -> np.ndarray:
     if not isinstance(gen, dict):
         raise ConfigError(f"generator must be a name or an object, got {gen!r}")
     name, args = _read("generator", gen)
-    n = np.arange(order + 1, dtype=float)
     if name == "ones":
         return np.ones(order + 1)
+    n = np.cumsum(np.ones(order + 1)) - 1.0  # 0..order: numpy sizes an arange, of ints too, in floats, short near MAX_ORDER
     if name == "power":
         return (n + 1.0) ** args[0]
     (ratio,) = args

@@ -29,7 +29,7 @@ from .errors import (
     SizeMismatchError,
     TailUnavailableError,
 )
-from .matrices import NormalMatrix, WeightSequence, far_inverse, hat_columns, hat_of
+from .matrices import IdentityMatrix, NormalMatrix, WeightedMean, WeightSequence, far_inverse, hat_columns, hat_of
 from .series import FactorSequence
 
 TREND_BOUNDED = "bounded-looking"
@@ -231,13 +231,24 @@ def probe_deltas(H: np.ndarray, lv) -> tuple[np.ndarray, np.ndarray]:
     return tuple(fractions_over(*pair) for pair in arrays) if is_exact(H) else arrays
 
 
-def _probe_arrays(H: np.ndarray, lv) -> tuple:
-    """:func:`probe_deltas`, exact ones as (integer numerators, their one denominator): no Fraction is formed."""
-    if is_exact(H):
-        BL, den = on_numerators(np.asarray, H) if lv is None else on_numerators(np.multiply, H, lv[: H.shape[1]])
+def _probe_arrays(H, lv) -> tuple:
+    """:func:`probe_deltas`, exact ones as (integer numerators, their one denominator): no Fraction is formed.  An
+    exact ``H`` may come as its own (integer numerators, denominator)."""
+    if isinstance(H, tuple) or is_exact(H):
+        BL, den = _scaled_numerators(H, lv)
         return (BL[:, :-1] - BL[:, 1:], den), (BL[:, 1:], den)
     BL = _scaled_columns(H, lv)
     return BL[:, :-1] - BL[:, 1:], BL[:, 1:]
+
+
+def _scaled_numerators(H, lv) -> tuple[np.ndarray, int]:
+    """H diag(lv) as (integer numerators, one denominator) (:func:`~summakit._util.on_numerators`) for exact hat columns
+    ``H``, or H's own (integer numerators, denominator), and the factors ``lv``, unit factors when None."""
+    BL, den = H if isinstance(H, tuple) else on_numerators(np.asarray, H)
+    if lv is None:
+        return BL, den
+    f, f_den = on_numerators(np.asarray, lv[: BL.shape[1]])
+    return BL * f, den * f_den
 
 
 def _scaled_columns(H: np.ndarray, lv) -> np.ndarray:
@@ -246,7 +257,7 @@ def _scaled_columns(H: np.ndarray, lv) -> np.ndarray:
     if lv is None:
         return H
     lv = lv[: H.shape[1]]
-    return fractions_over(*on_numerators(np.multiply, H, lv)) if is_exact(H) else H * lv
+    return fractions_over(*_scaled_numerators(H, lv)) if is_exact(H) else H * lv
 
 
 def column_sums(M, k, w=None, lower: bool = False, quantity: str = "the column k-power sum") -> np.ndarray:
@@ -297,17 +308,21 @@ class DenseProbes(dict):
     and S are formed when read and not kept, exact ones as integer numerators
     over one denominator, so each norm, tail sum and c_nv entry is formed or
     rounded once; an array set on the mapping stands in for the one it would
-    form.  Column v is the probe at v.  On the identity the C10/C11 tails are
-    a closed form (:meth:`tails`).
+    form.  Column v is the probe at v.
     """
 
     def __init__(self, M: NormalMatrix, lv, m: int):
         super().__init__()
-        self.M, self.lv, self.m, self.identity = M, lv, m, M.is_identity
+        self.M, self.lv, self.m = M, lv, m
 
     @cached_property
     def H(self) -> np.ndarray:
         return hat_of(self.M).entries if self.m == self.M.order else hat_columns(self.M, self.m)
+
+    def _hat(self):
+        """:attr:`H`, an exact one as (integer numerators, denominator): the ones M's hat matrix keeps when H is all of it
+        (:meth:`~summakit.matrices.NormalMatrix.numerators`), so no norm or c_nv array converts it again."""
+        return hat_of(self.M).numerators() if self.M.exact and self.m == self.M.order else self.H
 
     def __missing__(self, kind: str) -> np.ndarray:
         return dict(zip(PROBE_KINDS, probe_deltas(self.H, self.lv)))[kind]
@@ -315,20 +330,12 @@ class DenseProbes(dict):
     def pows(self, k) -> dict:
         """Each probe's sum_n n**(k-1) |delta_nv|**k, weight one at n = 0."""
         w = _index_weights(self.M.size, k, self.M.exact)
-        arrays = {**dict(zip(PROBE_KINDS, _probe_arrays(self.H, self.lv))), **self}
+        arrays = {**dict(zip(PROBE_KINDS, _probe_arrays(self._hat(), self.lv))), **self}
         return {kind: column_sums(d, k, w, True, f"the {kind} probe's norm sum_n n**(k-1) |delta_nv|**k") for kind, d in arrays.items()}
 
     def tails(self, kind: str, k, rows: int):
-        """The C10/C11 sums sum_{n=v+1..rows} n**(k-1) |delta_nv|**k of probe ``kind``, and their last terms.
-
-        On the identity column v is -lam_{v+1} (difference) or lam_{v+1}
-        (shift) in row v + 1 alone, so the sum is (v+1)**(k-1) |lam_{v+1}|**k.
-        """
+        """The C10/C11 sums sum_{n=v+1..rows} n**(k-1) |delta_nv|**k of probe ``kind``, and their last terms."""
         quantity = f"the {kind} probe's tail sum_n n**(k-1) |delta_nv|**k"
-        if self.identity:
-            lv = self.lv[1 : self.m + 1]
-            totals = named_overflow(lambda: _index_weights(self.m + 1, k, self.M.exact)[1:] * abs_pow(lv, k), lv, quantity)
-            return totals, np.where(np.arange(self.m) == rows - 1, totals, 0)
         D, exact = _probe_arrays(self.H[: rows + 1], self.lv)[kind == PROBE_SHIFT], self.M.exact
         D = (np.tril(D[0], -1), D[1]) if exact else np.tril(D, -1)
         w = _index_weights(rows + 1, k, exact)
@@ -341,7 +348,7 @@ class DenseProbes(dict):
         N = self.M.order
         for lo in range(2, N + 1, _ROWS):  # a block of rows at a time bounds the temporaries
             H = self.H[lo : lo + _ROWS]
-            F = on_numerators(np.multiply, H, self.lv[: H.shape[1]])[0] if self.M.exact else _scaled_columns(H, self.lv)
+            F = _scaled_numerators(H, self.lv)[0] if self.M.exact else _scaled_columns(H, self.lv)
             yield F, np.arange(lo, lo + F.shape[0])
 
     def cnv(self, A: NormalMatrix, fac, diag) -> np.ndarray:
@@ -351,7 +358,7 @@ class DenseProbes(dict):
         out = np.zeros((A.size, A.size), dtype=diag.dtype)
         if self.M.exact and A.exact:  # (D / b) / (dn / dd) + (S / b) (gn / gd) over b gd |dn|, dn's sign in the numerator
             n, v = np.nonzero(np.tri(A.size, k=-1) * (np.arange(A.size) > 0))
-            (D, b), (S, _) = _probe_arrays(self.H, self.lv)
+            (D, b), (S, _) = _probe_arrays(self._hat(), self.lv)
             (dn, dd), (gn, gd) = (on_numerators(lambda x: x[v], x) for x in (A.diagonal, A.gap()))
             nums = ((D[n, v] * (dd * gd) + S[n, v] * gn * dn) * np.sign(dn)).tolist()
             dens, f = (np.abs(dn) * (b * gd)).tolist(), fac[n]
@@ -384,6 +391,17 @@ class DenseProbes(dict):
                 np.max(np.abs(self[PROBE_SHIFT] - np.diff(steps, axis=0, prepend=0.0)[:, 1 : m + 1])),
             )
         )
+
+
+class IdentityProbes(DenseProbes):
+    """:class:`DenseProbes` through the identity, whose C10/C11 tails are a closed form."""
+
+    def tails(self, kind: str, k, rows: int):
+        """:meth:`DenseProbes.tails`: column v is -lam_{v+1} (difference) or lam_{v+1} (shift) in row v + 1 alone,
+        so the sum is (v+1)**(k-1) |lam_{v+1}|**k."""
+        lv, quantity = self.lv[1 : self.m + 1], f"the {kind} probe's tail sum_n n**(k-1) |delta_nv|**k"
+        totals = named_overflow(lambda: _index_weights(self.m + 1, k, self.M.exact)[1:] * abs_pow(lv, k), lv, quantity)
+        return totals, np.where(np.arange(self.m) == rows - 1, totals, 0)
 
 
 class WeightedProbes:
@@ -480,13 +498,16 @@ class WeightedProbes:
         return nan_max(gaps)
 
 
+_PROBES = {NormalMatrix: DenseProbes, WeightedMean: WeightedProbes, IdentityMatrix: IdentityProbes}
+
+
 def probe_columns(M: NormalMatrix, lv, m: int | None = None):
-    """M's probes at v = 0..m-1 (m is M's order when None) with the factors ``lv`` (unit factors when None):
-    the one switch on how M is stored.  A weighted mean's are read from its weights, any other matrix's from
+    """M's probes at v = 0..m-1 (m is M's order when None) with the factors ``lv`` (unit factors when None), of the
+    probe class of M's form (:data:`_PROBES`): a weighted mean's are read from its weights, any other matrix's from
     its hat columns.  An exact M takes exact factors and a float one floats (:func:`~summakit._util.same_arithmetic`)."""
     if lv is not None:
         same_arithmetic(M.exact, lv, "probe_columns")
-    return (DenseProbes if M.weights is None else WeightedProbes)(M, lv, M.order if m is None else m)
+    return _PROBES[type(M)](M, lv, M.order if m is None else m)
 
 
 def inner_sums(BL: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -519,10 +540,9 @@ def check_c16(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> Conditio
     nums = np.zeros(N + 1)
     W = far_inverse(A)
     if W is not None:
-        H = hat_of(B).entries
-        if is_exact(H) != is_exact(lv):  # a mixed pair is rounded on entry, as C9 and TA round theirs
-            H, lv = as_float(H), as_float(lv)
-        BL = floats_over(*on_numerators(lambda h, f: np.abs(h * f), H, lv)) if is_exact(H) else np.abs(H * lv)
+        hat = hat_of(B)  # exact, its kept integer numerators; a mixed pair is rounded on entry, as C9 and TA round theirs
+        exact = hat.exact and is_exact(lv)
+        BL = np.abs(floats_over(*_scaled_numerators(hat.numerators(), lv)) if exact else as_float(hat.entries) * as_float(lv))
         inner = inner_sums(BL, np.abs(as_float(W)))
         nums[2:] = [inner[n, : n - 1].max() for n in range(2, N + 1)]
     den = np.abs(as_float(B.diagonal) / as_float(A.diagonal)) * np.abs(as_float(lv))

@@ -4,6 +4,20 @@ A *normal* matrix here is a lower triangular matrix with nonzero diagonal
 entries, truncated to its leading (N+1) x (N+1) section.  Triangularity
 makes the truncation lossless: every output with row index <= N is exact.
 
+A matrix is held in one of three forms, one class each, and the class is how
+it is stored: :class:`NormalMatrix`, the general form, holds dense entries; a
+:class:`WeightedMean` holds its :class:`WeightSequence`, and an
+:class:`IdentityMatrix` its order alone.  Every form gives the same reads
+(``size``, ``exact``, ``weights``, ``entries``, ``order``, ``reach``,
+``diagonal``, ``subdiagonal``, ``row_sums``, ``numerators``, ``gap`` and
+``rises``).  The module functions a structure computes otherwise
+(``leading_section``, ``hat_columns``, ``hat_of``, ``hat_inverse``,
+``far_inverse``, ``hat_inverse_bands``, ``apply_hat`` and ``apply_lower``)
+are :func:`functools.singledispatch` functions: their own body is the dense
+form's, and a structure's body is registered on them.  A new form is one
+class with its ``_dense`` and ``_band``, its registrations and the function
+that makes it.
+
 The module also builds the series-to-series matrix ``hat_of(A)`` of a
 normal matrix A: the first difference in n of the series-to-sequence matrix
 whose (n, v) entry is the row tail sum  sum_{i=v..n} a_ni,  of which only the
@@ -27,6 +41,7 @@ read the integers an exact matrix converts once and keeps (:meth:`NormalMatrix.n
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -44,31 +59,30 @@ log = logging.getLogger("summakit")
 
 
 class NormalMatrix:
-    """Lower-triangular matrix with a nonzero diagonal, held as dense ``entries``
-    (float64, or object dtype for exact rational work), as the WeightSequence
-    ``weights`` of a weighted mean (it may run past the order), or as its order
-    alone (the identity).  The last two compute ``entries`` on first read and
-    keep them; the diagonal, subdiagonal, row sums and gap factor read the structure in O(N).
+    """Lower-triangular matrix with a nonzero diagonal, held as dense ``entries`` (float64, or object dtype for exact
+    rational work): the general form and the public constructor.  A structure is a subclass that holds less, a
+    :class:`WeightedMean` its weight sequence and an :class:`IdentityMatrix` its order; every form gives the same
+    reads, and each module function that a form computes otherwise has that form's body registered on it.
     """
 
-    __slots__ = ("size", "exact", "weights", "_entries", "_built", "_hat", "_hat_inverse", "_inverse", "_gap", "_ints")
+    __slots__ = ("size", "exact", "weights", "entries", "_hat", "_inverse", "_gap", "_ints")
 
     def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries)
         entries = entries if is_exact(entries) else entries.astype(float, copy=False)  # the one float conversion
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ShapeMismatchError(f"expected a square array, got shape {entries.shape}")
-        self._hold(entries.shape[0], is_exact(entries), None, entries)
+        object.__setattr__(self, "entries", entries)
+        self._hold(entries.shape[0], is_exact(entries))
         entries.setflags(write=False)
 
-    def _hold(self, *values) -> NormalMatrix:
-        """Set size, exact, weights and entries, and check the diagonal; a structure skips ``__init__`` for this."""
-        for name, value in zip(("size", "exact", "weights", "_entries"), values):
+    def _hold(self, size: int, exact: bool, weights=None) -> None:
+        """Set size, exact and weights (None but on a weighted mean), and check the diagonal: a structure's constructor."""
+        for name, value in zip(("size", "exact", "weights"), (size, exact, weights)):
             object.__setattr__(self, name, value)
         zeros = np.flatnonzero(self.diagonal == 0)
         if zeros.size:
             raise ZeroDiagonalError(int(zeros[0]))
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalMatrix is immutable")
@@ -78,61 +92,32 @@ class NormalMatrix:
         return self.size - 1
 
     @property
-    def is_identity(self) -> bool:
-        """True for a matrix built by :func:`identity_matrix`, which holds only its order."""
-        return self._entries is None and self.weights is None
-
-    @property
     def reach(self) -> int:
         """The last row the matrix can be read to: its weights' order on a weighted mean, else its order."""
-        return self.order if self.weights is None else self.weights.order
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The (N+1) x (N+1) array; when computed from a structure it is kept beside it, and no other read uses it."""
-        return self._entries if self._entries is not None else _kept(self, "_built", "entries", self._dense)
-
-    def _weights(self):
-        return self.weights.weights[: self.size], self.weights.cumulative[: self.size]
-
-    def _dense(self) -> np.ndarray:
-        if self.weights is None:
-            return np.eye(self.size, dtype=object if self.exact else float)
-        p, P = self._weights()
-        return np.tril(p[None, :] / P[:, None])
+        return self.order
 
     def _band(self, offset: int) -> np.ndarray:
         """a_{n+offset,n} for n = 0..N-offset."""
-        if self._entries is not None:
-            return np.diagonal(self._entries, -offset)
-        if self.weights is None:
-            return np.full(self.size - offset, 1 - offset, dtype=object if self.exact else float)
-        p, P = self._weights()
-        return p[: self.size - offset] / P[offset:]
+        return np.diagonal(self.entries, -offset)
 
     diagonal = property(lambda self: self._band(0), doc="a_nn for n = 0..N.")
     subdiagonal = property(lambda self: self._band(1), doc="a_{n+1,n} for n = 0..N-1.")
 
     @property
     def row_sums(self) -> np.ndarray:
-        """sum_v a_nv for n = 0..N, the leading bar column: exactly one on a weighted mean and the identity."""
-        E = self._entries
-        if E is not None and self.exact:  # the rows' integer sums over the one denominator
+        """sum_v a_nv for n = 0..N, the leading bar column; exact, the rows' integer sums over the one denominator."""
+        if self.exact:
             nums, den = self.numerators()
             return fractions_over(nums.sum(axis=1), den)
-        return np.ones(self.size, dtype=object if self.exact else float) if E is None else E.sum(axis=1)
+        return self.entries.sum(axis=1)
 
     def numerators(self) -> tuple[np.ndarray, int]:
         """:func:`~summakit._util.numerators` of an exact matrix's lower triangle, converted and checked once and kept."""
         return _kept(self, "_ints", "integer numerators", lambda: on_numerators(np.asarray, np.tril(self.entries)))
 
     def gap(self, v=None):
-        """(a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}) for v < N, or at ``v``: exactly 1 on a weighted mean and the identity,
-        on dense entries evaluated once, in O(N), and kept read-only."""
-        if self._entries is None:
-            g = np.ones(self.order, dtype=object if self.exact else float)
-        else:
-            g = _kept(self, "_gap", "gap factor", self._dense_gap)
+        """(a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}) for v < N, or at ``v``: evaluated once, in O(N), and kept read-only."""
+        g = _kept(self, "_gap", "gap factor", self._dense_gap)
         return g if v is None else g[v]
 
     def _dense_gap(self) -> np.ndarray:
@@ -142,15 +127,62 @@ class NormalMatrix:
         return named_overflow(lambda: (d[:-1] - sub) / (d[:-1] * d[1:]), np.stack((d[:-1], sub, d[1:])), quantity)
 
     def rises(self) -> np.ndarray:
-        """max_v max(a_nv - a_{n-1,v}, 0) for n = 1..N, C12's violations: exactly zero on the identity and on a
-        weighted mean, where a_{n-1,v} - a_nv = p_v (1/P_{n-1} - 1/P_n) >= 0 holds in floats too."""
-        if self._entries is None:
-            return np.zeros(self.order)
-        E = as_float(self._entries)
+        """max_v max(a_nv - a_{n-1,v}, 0) for n = 1..N, C12's violations."""
+        E = as_float(self.entries)
         return np.tril(np.maximum(E[1:] - E[:-1], 0.0)).max(axis=1)
 
     def __repr__(self):
         return f"NormalMatrix(order={self.order}, exact={self.exact})"
+
+
+class _Structured(NormalMatrix):
+    """What the weighted mean and the identity share: ``entries`` computed on first read and kept beside the
+    structure, which no other read uses; rows that sum to one, a gap factor of one and no rises, exactly; and a
+    bidiagonal hat inverse, so no far inverse."""
+
+    __slots__ = ("_built",)
+    __init__ = NormalMatrix._hold  # a structure holds its order, its arithmetic and its weights alone
+
+    entries = property(lambda self: _kept(self, "_built", "entries", self._dense), doc="The (N+1) x (N+1) array.")
+    row_sums = property(lambda self: np.ones(self.size, dtype=object if self.exact else float))
+
+    def gap(self, v=None):
+        g = np.ones(self.order, dtype=object if self.exact else float)
+        return g if v is None else g[v]
+
+    def rises(self) -> np.ndarray:
+        """Zero: on a weighted mean a_{n-1,v} - a_nv = p_v (1/P_{n-1} - 1/P_n) >= 0 holds in floats too."""
+        return np.zeros(self.order)
+
+
+class WeightedMean(_Structured):
+    """The weighted mean a_nv = p_v / P_n, held as the WeightSequence ``weights``, which may run past its order."""
+
+    __slots__ = ("_hat_inverse",)
+    reach = property(lambda self: self.weights.order)
+
+    def _weights(self):
+        return self.weights.weights[: self.size], self.weights.cumulative[: self.size]
+
+    def _dense(self) -> np.ndarray:
+        p, P = self._weights()
+        return np.tril(p[None, :] / P[:, None])
+
+    def _band(self, offset: int) -> np.ndarray:
+        p, P = self._weights()
+        return p[: self.size - offset] / P[offset:]
+
+
+class IdentityMatrix(_Structured):
+    """The identity, held as its order and arithmetic: its own hat matrix and hat inverse."""
+
+    __slots__ = ()
+
+    def _dense(self) -> np.ndarray:
+        return np.eye(self.size, dtype=object if self.exact else float)
+
+    def _band(self, offset: int) -> np.ndarray:
+        return np.full(self.size - offset, 1 - offset, dtype=object if self.exact else float)
 
 
 class WeightSequence:
@@ -271,7 +303,7 @@ def make_normal(entries, order: int | None = None) -> NormalMatrix:
 
 
 def identity_matrix(order: int, exact: bool = False) -> NormalMatrix:
-    return NormalMatrix.__new__(NormalMatrix)._hold(order + 1, exact, None, None)
+    return IdentityMatrix(order + 1, exact)
 
 
 def riesz_matrix(w: WeightSequence, order: int | None = None) -> NormalMatrix:
@@ -284,7 +316,7 @@ def riesz_matrix(w: WeightSequence, order: int | None = None) -> NormalMatrix:
         order = w.order
     if w.order < order:
         raise LengthMismatchError(f"need {order + 1} weights, have {len(w)}")
-    return NormalMatrix.__new__(NormalMatrix)._hold(order + 1, is_exact(w.weights), w, None)
+    return WeightedMean(order + 1, is_exact(w.weights), w)
 
 
 def cesaro_matrix(order: int, exact: bool = False) -> NormalMatrix:
@@ -292,14 +324,16 @@ def cesaro_matrix(order: int, exact: bool = False) -> NormalMatrix:
     return riesz_matrix(WeightSequence(np.full(order + 1, Fraction(1) if exact else 1.0)))
 
 
+@functools.singledispatch
 def leading_section(M: NormalMatrix, order: int) -> NormalMatrix:
-    """M's leading (order+1) x (order+1) section, held as M is: M itself at M's order, a weighted mean keeps all
-    its weights, and dense entries are a view of M's."""
-    if order == M.order:
-        return M
-    if M._entries is None:
-        return NormalMatrix.__new__(NormalMatrix)._hold(order + 1, M.exact, M.weights, None)
-    return NormalMatrix(M._entries[: order + 1, : order + 1])
+    """M's leading (order+1) x (order+1) section, held as M is: M itself at M's order, a structure of its own form
+    (a weighted mean keeps all its weights), and dense entries are a view of M's."""
+    return M if order == M.order else NormalMatrix(M.entries[: order + 1, : order + 1])
+
+
+@leading_section.register(_Structured)
+def _(M, order: int) -> NormalMatrix:
+    return M if order == M.order else type(M)(order + 1, M.exact, M.weights)
 
 
 def _tail_sums(E: np.ndarray, v_hi: int) -> np.ndarray:
@@ -316,6 +350,7 @@ def _tail_sums(E: np.ndarray, v_hi: int) -> np.ndarray:
     return sums if v_hi == size - 1 else sums[:, : v_hi + 1].copy()
 
 
+@functools.singledispatch
 def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
     """Leading columns 0..v_hi of the hat matrix, over all rows of A.
 
@@ -327,18 +362,21 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
     down, so the diagonal is A's own and no entry cancels two row sums; exact
     entries on the integer numerators of A's lower triangle (``on_numerators``).
     """
-    if A.weights is not None:
-        v_hi = min(v_hi, A.size - 1)
-        p, P = A._weights()
-        coef = A.weights.hat_rows(A.size)  # row 0 is its diagonal alone
-        hat = np.tril(coef[:, None] * np.concatenate(([0], P[:v_hi]))[None, :])
-        idx = np.arange(v_hi + 1)
-        hat[idx, idx] = p[: v_hi + 1] / P[: v_hi + 1]
-        return hat
     if A.exact:
         nums, den = A.numerators()
         return fractions_over(_tail_sums(nums, v_hi), den)
     return _tail_sums(A.entries, v_hi)
+
+
+@hat_columns.register(WeightedMean)
+def _(A, v_hi: int) -> np.ndarray:
+    v_hi = min(v_hi, A.size - 1)
+    p, P = A._weights()
+    coef = A.weights.hat_rows(A.size)  # row 0 is its diagonal alone
+    hat = np.tril(coef[:, None] * np.concatenate(([0], P[:v_hi]))[None, :])
+    idx = np.arange(v_hi + 1)
+    hat[idx, idx] = p[: v_hi + 1] / P[: v_hi + 1]
+    return hat
 
 
 def _kept(A: NormalMatrix, slot: str, name: str, build) -> NormalMatrix:
@@ -355,6 +393,7 @@ def _kept(A: NormalMatrix, slot: str, name: str, build) -> NormalMatrix:
     return M
 
 
+@functools.singledispatch
 def hat_of(A: NormalMatrix) -> NormalMatrix:
     """Series-to-series semimatrix: row n holds the tail sums of row n of A less row n - 1 (:func:`hat_columns`).
 
@@ -362,9 +401,10 @@ def hat_of(A: NormalMatrix) -> NormalMatrix:
     computed once per A: later calls return the same read-only matrix.  The
     identity is its own hat matrix.
     """
-    if A.is_identity:
-        return A
     return _kept(A, "_hat", "hat matrix", lambda: NormalMatrix(hat_columns(A, A.order)))
+
+
+hat_of.register(IdentityMatrix, lambda A: A)
 
 
 _BLOCK = 64
@@ -423,6 +463,7 @@ def _fraction_free_inverse(nums: np.ndarray, den: int) -> np.ndarray:
     return X
 
 
+@functools.singledispatch
 def hat_inverse(A: NormalMatrix) -> NormalMatrix:
     """Inverse of ``hat_of(A)``, in closed form when A is a weighted mean.
 
@@ -433,19 +474,24 @@ def hat_inverse(A: NormalMatrix) -> NormalMatrix:
     It is computed once per A, like the hat matrix; :func:`invert_hat`
     keeps its result on the hat matrix.  The identity is its own hat inverse.
     """
-    if A.is_identity:
-        return A
-    if A.weights is None:
-        return invert_hat(hat_of(A))
-    return _kept(A, "_hat_inverse", "hat inverse", lambda: _bidiagonal_inverse(A))
+    return invert_hat(hat_of(A))
 
 
+hat_inverse.register(IdentityMatrix, lambda A: A)
+hat_inverse.register(WeightedMean, lambda A: _kept(A, "_hat_inverse", "hat inverse", lambda: _bidiagonal_inverse(A)))
+
+
+@functools.singledispatch
 def far_inverse(A: NormalMatrix) -> np.ndarray | None:
     """``hat_inverse(A)`` below its subdiagonal (entries (n, r), r <= n - 2), or None when that inverse is
     bidiagonal, on a weighted mean and on the identity: every sum over it is then empty or a sum of zeros."""
-    return None if A._entries is None else np.tril(hat_inverse(A).entries, -2)
+    return np.tril(hat_inverse(A).entries, -2)
 
 
+far_inverse.register(_Structured, lambda A: None)
+
+
+@functools.singledispatch
 def hat_inverse_bands(A: NormalMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal (n, n) for n = 0..N and subdiagonal (n+1, n) for n = 0..N-1 of ``hat_inverse(A)``.
 
@@ -453,9 +499,12 @@ def hat_inverse_bands(A: NormalMatrix) -> tuple[np.ndarray, np.ndarray]:
     from its weights with no matrix formed; other matrices' are read off
     their hat inverse.
     """
-    if A.weights is None:
-        X = hat_inverse(A)
-        return X.diagonal, X.subdiagonal
+    X = hat_inverse(A)
+    return X.diagonal, X.subdiagonal
+
+
+@hat_inverse_bands.register(WeightedMean)
+def _(A) -> tuple[np.ndarray, np.ndarray]:
     p, P = A._weights()
     return P / p, np.concatenate(([0], -P[:-2] / p[1:-1]))[: A.order]
 
@@ -469,6 +518,7 @@ def _bidiagonal_inverse(A: NormalMatrix) -> NormalMatrix:
     return NormalMatrix(X)
 
 
+@functools.singledispatch
 def apply_hat(A: NormalMatrix, x) -> np.ndarray:
     """``hat_of(A)`` applied to x: result_n = sum_{v=0..n} hat_nv x_v.
 
@@ -478,18 +528,18 @@ def apply_hat(A: NormalMatrix, x) -> np.ndarray:
     term a_nn x_n.  Other matrices multiply their hat matrix by :func:`apply_lower`:
     the identity is its own, so its product is x itself, O(N) too.
     """
-    if A.weights is None:
-        return apply_lower(hat_of(A), x)
-    xs = as_vector(x)
-    if xs.size < A.size:
-        raise LengthMismatchError(f"need {A.size} values, have {xs.size}")
-    same_arithmetic(A.exact, xs, "apply_hat")
-    xs = xs[: A.size]
+    return apply_lower(hat_of(A), x)
+
+
+@apply_hat.register(WeightedMean)
+def _(A, x) -> np.ndarray:
+    xs = _operand(x, A.size, A.exact, "apply_hat")
     terms = np.concatenate(([0], A.weights.cumulative[: A.order])) * xs
     below = np.concatenate(([0], np.cumsum(terms[:-1])))  # below_n = sum_{v<n} terms_v
     return A.weights.hat_rows(A.size) * below + A.diagonal * xs
 
 
+@functools.singledispatch
 def apply_lower(M, x) -> np.ndarray:
     """result_n = sum_{v=0..n} M_nv x_v for a lower-triangular M: an array, or a NormalMatrix read as it is stored.
 
@@ -498,27 +548,43 @@ def apply_lower(M, x) -> np.ndarray:
     entries are one ``np.dot``; on exact entries each row is an integer dot product over its lower triangle only.  An
     exact matrix takes exact values and a float one floats: a mixed call raises a MixedArithmeticError.
     """
-    E = M._entries if isinstance(M, NormalMatrix) else np.asarray(M)
-    size = M.size if E is None else E.shape[0]
+    xs = _operand(x, M.size, M.exact, "apply_lower")
+    return _exact_product(*M.numerators(), xs) if M.exact else np.dot(M.entries, xs)
+
+
+@apply_lower.register(np.ndarray)
+def _(M, x) -> np.ndarray:
+    xs = _operand(x, M.shape[0], is_exact(M), "apply_lower")
+    return _exact_product(*on_numerators(np.asarray, np.tril(M)), xs) if is_exact(M) else np.dot(M, xs)
+
+
+apply_lower.register(IdentityMatrix, lambda M, x: _operand(x, M.size, M.exact, "apply_lower").copy())
+
+
+@apply_lower.register(WeightedMean)
+def _(M, x) -> np.ndarray:
+    xs = _operand(x, M.size, M.exact, "apply_lower")
+    p, P = M._weights()
+    if M.exact:
+        return suffix_sums((p * xs)[::-1], M.size)[::-1] / P
+    (a, da), (b, db), (c, dc) = (numerators(y) for y in (p, xs, P))
+    up = dc.bit_length() - da.bit_length() - db.bit_length() + 1  # powers of two: dc / (da db) = 2**up
+    sums = itertools.accumulate(map(operator.mul, a, b))
+    out = quotients(map(operator.lshift, sums, itertools.repeat(max(up, 0))), map(operator.lshift, c, itertools.repeat(max(-up, 0))))
+    finite = np.isfinite(xs)  # a non-finite term reaches every later mean as in the float sum
+    return out + (0 if finite.all() else np.cumsum(np.where(finite, 0.0, p * xs)) / P)
+
+
+def _operand(x, size: int, exact: bool, where: str) -> np.ndarray:
+    """The first ``size`` values of x, which must hold that many, in the arithmetic of the matrix ``where`` applies."""
     xs = as_vector(x)
     if xs.size < size:
         raise LengthMismatchError(f"need {size} values, have {xs.size}")
-    same_arithmetic(M.exact if E is None else is_exact(E), xs, "apply_lower")
-    xs = xs[:size]
-    if E is None and M.weights is None:
-        return xs.copy()
-    if E is None:
-        p, P = M._weights()
-        if M.exact:
-            return suffix_sums((p * xs)[::-1], size)[::-1] / P
-        (a, da), (b, db), (c, dc) = (numerators(y) for y in (p, xs, P))
-        up = dc.bit_length() - da.bit_length() - db.bit_length() + 1  # powers of two: dc / (da db) = 2**up
-        sums = itertools.accumulate(map(operator.mul, a, b))
-        out = quotients(map(operator.lshift, sums, itertools.repeat(max(up, 0))), map(operator.lshift, c, itertools.repeat(max(-up, 0))))
-        finite = np.isfinite(xs)  # a non-finite term reaches every later mean as in the float sum
-        return out + (0 if finite.all() else np.cumsum(np.where(finite, 0.0, p * xs)) / P)
-    if is_exact(E):
-        nums, den = M.numerators() if isinstance(M, NormalMatrix) else on_numerators(np.asarray, np.tril(E))
-        x, x_den = on_numerators(np.asarray, xs)
-        return np.asarray([Fraction(s, den * x_den) for s in np.dot(nums, x).tolist()], dtype=object)
-    return np.dot(E, xs)
+    same_arithmetic(exact, xs, where)
+    return xs[:size]
+
+
+def _exact_product(nums: np.ndarray, den: int, xs: np.ndarray) -> np.ndarray:
+    """(nums / den) xs for exact xs: one integer dot product per row, and one Fraction per result entry."""
+    x, x_den = on_numerators(np.asarray, xs)
+    return np.asarray([Fraction(s, den * x_den) for s in np.dot(nums, x).tolist()], dtype=object)

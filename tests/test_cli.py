@@ -528,6 +528,9 @@ def test_a_cutoff_override_leaves_a_malformed_root_or_tail_to_the_config_check(t
         (2**62, f"config error: tail.cutoff must be at most {MAX_ORDER}{UNSIZED}, got {2**62}\n"),
         (MAX_ORDER + 1, f"config error: tail.cutoff must be at most {MAX_ORDER}{UNSIZED}, got {MAX_ORDER + 1}\n"),
         (2**59, "out of memory: check at N = 6: Unable to allocate 4.00 EiB"),  # numpy sizes it: no memory holds it
+        # just under MAX_ORDER: the index of the generated weights has all cutoff + 1 entries, and numpy refuses their
+        # allocation at once. An arange is sized in floats: it came out 2**60 entries long (too big) or 63 short
+        *((c, f"out of memory: check at N = 6: Unable to allocate 8.00 EiB for an array with shape ({c + 1},)") for c in (MAX_ORDER, 2**60 - 65)),
     ],
 )
 def test_a_cutoff_override_numpy_cannot_size_is_named(tmp_path, capsys, cutoff, start):

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import summakit as sk  # noqa: E402
 from summakit._util import accurate_sum, numerators  # noqa: E402
+from summakit.conditions import DenseProbes  # noqa: E402
 from summakit.errors import MixedArithmeticError  # noqa: E402
 from summakit.matrices import _BLOCK  # noqa: E402
 
@@ -140,7 +141,8 @@ def test_a_row_holding_a_float_is_refused_by_name():
         (sk.identity_matrix(2), [F(1)] * 3, ("float", "exact")),
     ):
         for call in (sk.apply_lower, sk.apply_hat):  # apply_hat on a dense matrix is apply_lower of its hat matrix
-            with pytest.raises(MixedArithmeticError, match=f"^apply_(lower|hat): an {kinds[0]} matrix with {kinds[1]} values$"):
+            article = "an" if kinds[0] == "exact" else "a"
+            with pytest.raises(MixedArithmeticError, match=f"^apply_(lower|hat): {article} {kinds[0]} matrix with {kinds[1]} values$"):
                 call(M, x)
 
 
@@ -183,3 +185,26 @@ def test_the_exact_oracle_calls_stay_under_ten_thousand_fraction_operations(monk
     monkeypatch.undo()
     assert out["decomposition"].residual == 0 and not any(out["key_gaps"])
     assert calls[0] <= 10_000
+
+
+def test_the_exact_oracle_calls_convert_each_whole_matrix_once(monkeypatch):
+    # a whole (N+1) x (N+1) array is converted to integer numerators four times, once for each of A, B and their hat
+    # matrices, which keep them, and once for A's far inverse: the probe norms, the c_nv array and C16 read the kept
+    # ones, with the values of a conversion per read
+    inputs = helpers.exact_oracle_inputs(seed=1, order=24)
+    monkeypatch.setattr(DenseProbes, "_hat", lambda self: self.H)  # each probe reading converts its hat columns anew
+    fresh = helpers.exact_oracle_calls(*helpers.exact_oracle_inputs(seed=1, order=24))
+    monkeypatch.undo()
+    whole = []
+    for module in (sk.matrices, sk.conditions, sk.harness):
+        convert = module.on_numerators
+
+        def counted(op, *arrays, convert=convert):
+            whole.extend(a for a in arrays if np.shape(a) == (25, 25))
+            return convert(op, *arrays)
+
+        monkeypatch.setattr(module, "on_numerators", counted)
+    out = helpers.exact_oracle_calls(*inputs)
+    monkeypatch.undo()
+    assert len(whole) <= 5
+    assert repr(out) == repr(fresh) and out["key_gaps"] == fresh["key_gaps"]

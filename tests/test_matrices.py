@@ -59,6 +59,30 @@ def test_an_integer_array_is_float_entries():
     assert sk.invert_hat(M).entries.tolist() == [[0.5, 0.0], [-0.25, 0.5]]
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: helpers.random_rational_matrix(rng, 8),
+        lambda rng: sk.riesz_matrix(helpers.random_rational_weights(rng, 12), 8),
+        lambda rng: sk.identity_matrix(8, exact=True),
+    ],
+    ids=["dense", "weighted", "identity"],
+)
+def test_a_leading_section_keeps_the_form_and_no_kept_value(make):
+    # a section is held as its matrix is (a weighted mean by the same weights) and computes its own hat matrix,
+    # hat inverse, gap factor, integer numerators and entries: none of the larger matrix's kept values is reused
+    M = make(np.random.default_rng(7))
+    sk.hat_of(M), sk.hat_inverse(M), M.gap(), M.numerators(), M.entries
+    S = leading_section(M, 5)
+    slots = {slot for cls in type(M).__mro__ for slot in getattr(cls, "__slots__", ()) if slot.startswith("_")}
+    assert type(S) is type(M) and S.order == 5 and S.weights is M.weights
+    assert all(getattr(S, slot, None) is None for slot in slots)
+    square = [(sk.hat_of(X).entries, sk.hat_inverse(X).entries, X.entries) for X in (S, M)]
+    assert all(mine.tolist() == whole[:6, :6].tolist() for mine, whole in zip(*square))
+    nums, den = S.numerators()
+    assert S.gap().tolist() == M.gap()[:5].tolist() and [[F(x, den) for x in row] for row in nums.tolist()] == S.entries.tolist()
+
+
 def test_leading_section_at_the_matrix_order_is_the_matrix_itself():
     # a spec built exactly to N is one matrix, so its kept hat matrix is computed once
     for M in (sk.cesaro_matrix(6), sk.identity_matrix(6), helpers.random_normal_matrix(np.random.default_rng(5), 6)):

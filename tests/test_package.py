@@ -69,27 +69,56 @@ def _attribute_reads(module, attr, of=(ast.AST,)):
     return _where(module, lambda n: isinstance(n, ast.Attribute) and n.attr == attr and isinstance(n.value, of))
 
 
-def _storage_reads(module):
-    """(function, attribute) of each read of how a matrix is stored: its weights, its cumulative weights, whether
-    it is the identity, and its entries, unless read off a call result such as hat_of(B), which is always dense."""
-    reads = {(f, attr) for attr in ("weights", "cumulative", "is_identity") for f in _attribute_reads(module, attr)}
-    return reads | {(f, "entries") for f in _attribute_reads(module, "entries", (ast.Name, ast.Attribute))}
+def _forms():
+    """The names of the storage forms of a matrix: the subclasses of NormalMatrix that matrices.py defines."""
+    from summakit.matrices import NormalMatrix
+
+    found, todo = set(), [NormalMatrix]
+    while todo:
+        subs = [c for c in todo.pop().__subclasses__() if c.__module__ == "summakit.matrices"]
+        found.update(c.__name__ for c in subs)
+        todo += subs
+    return found
 
 
-def _storage_branches(module):
-    """The functions whose if-tests read ``.weights`` or ``.is_identity``."""
-    found = set()
+_MAKERS = {"identity_matrix", "riesz_matrix"}
 
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            scope = scope + (node.name,)
-        if isinstance(node, (ast.If, ast.IfExp, ast.While)):
-            if any(isinstance(n, ast.Attribute) and n.attr in ("weights", "is_identity") for n in ast.walk(node.test)):
-                found.add(".".join(scope))
+
+def _storage_tests(source, forms):
+    """Each test of how a matrix is stored in ``source``, as "line what": a comparison of ``_entries``, ``weights``
+    or a local read off ``entries`` or ``_entries`` with None; a read of ``is_identity`` or ``identity``; and a form
+    named outside its class, the function that makes it, a ``register`` call and the probe table ``_PROBES``."""
+    found = []
+
+    def entries_locals(scope):
+        reads = lambda value: any(isinstance(n, ast.Attribute) and n.attr in ("entries", "_entries") for n in ast.walk(value))  # noqa: E731
+        return {t.id for n in ast.walk(scope) if isinstance(n, ast.Assign) and reads(n.value) for t in n.targets if isinstance(t, ast.Name)}
+
+    def visit(node, local, allowed):
+        if isinstance(node, (ast.FunctionDef, ast.Module)):
+            local = entries_locals(node)
+        allowed = allowed or (
+            (isinstance(node, ast.ClassDef) and node.name in forms | {"NormalMatrix"})
+            or (isinstance(node, ast.FunctionDef) and node.name in _MAKERS)
+            or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "register")
+            or (isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_PROBES"])
+        )
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(isinstance(n, ast.Constant) and n.value is None for n in sides):
+                found.extend(
+                    f"{node.lineno} {ast.unparse(n)} against None"
+                    for n in sides
+                    if (isinstance(n, ast.Attribute) and n.attr in ("_entries", "weights")) or (isinstance(n, ast.Name) and n.id in local)
+                )
+        if isinstance(node, ast.Attribute) and node.attr in ("is_identity", "identity"):
+            found.append(f"{node.lineno} .{node.attr}")
+        if isinstance(node, ast.Name) and node.id in forms and not allowed:
+            found.append(f"{node.lineno} {node.id}")
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            visit(child, local, allowed)
 
-    visit(ast.parse((ROOT / "src" / "summakit" / module).read_text()), ())
+    visit(ast.parse(source), set(), False)
     return found
 
 
@@ -98,18 +127,27 @@ def test_the_gap_factor_and_the_storage_of_a_matrix_are_read_in_one_place_each()
     # subdiagonal but the stand-in hat inverse key_identity_check accepts
     assert _attribute_reads("conditions.py", "subdiagonal") == []
     assert set(_attribute_reads("harness.py", "subdiagonal")) == {"key_identity_check"}
-    # a matrix is dense entries, a weight sequence or the identity's order: outside matrices.py the
-    # path is picked by conditions.probe_columns and its two probe classes alone. check_theorem_a takes
-    # weight sequences and l1_lk_bound an array or a matrix, by contract; cli hands TA B's weights
-    assert _storage_reads("harness.py") == set()
-    allowed = {"probe_columns", "DenseProbes", "WeightedProbes", "check_theorem_a", "l1_lk_bound"}
-    assert {f.split(".")[0] for f, _ in _storage_reads("conditions.py")} <= allowed
-    assert _storage_reads("cli.py") == {("cmd_check.theorem_a", "weights")}
-    modules = [p.name for p in (ROOT / "src" / "summakit").glob("*.py") if p.name != "matrices.py"]
-    assert set().union(*map(_storage_branches, modules)) == {"probe_columns"}
-    # the identity's one closed form in DenseProbes is its C10/C11 tails
-    reads = _where("conditions.py", lambda n: isinstance(n, ast.Attribute) and n.attr == "identity" and isinstance(n.ctx, ast.Load))
-    assert reads == ["DenseProbes.tails"]
+    # how a matrix is stored is its class, one per form: no function tests for a form's storage, and a form
+    # class is named where it is defined, built, registered on a module function and given its probe class
+    forms = _forms()
+    assert forms == {"_Structured", "WeightedMean", "IdentityMatrix"}
+    found = {path.name: _storage_tests(path.read_text(), forms) for path in sorted((ROOT / "src" / "summakit").glob("*.py"))}
+    assert {name: tests for name, tests in found.items() if tests} == {}
+
+
+def test_the_storage_pin_finds_the_storage_tests_of_one_matrix_class():
+    # the one-class form of matrices.py tested each form's storage by None: the pin above finds every kind of such a test
+    source = """
+def reach(self):
+    return self.order if self.weights is None else self.weights.order
+def apply(M, x):
+    E = M._entries if isinstance(M, NormalMatrix) else np.asarray(M)
+    if E is None and self.is_identity:
+        return WeightedMean(x)
+"""
+    assert _storage_tests(source, {"WeightedMean"}) == [
+        "3 self.weights against None", "6 E against None", "6 .is_identity", "7 WeightedMean"
+    ]
 
 
 def test_t1_is_one_product_through_b_hat_and_decompose_reads_no_probe_class():
@@ -139,6 +177,36 @@ def test_the_probe_classes_share_one_protocol():
     assert protocol <= _public_methods("conditions.py", "DenseProbes")
 
 
+def test_the_matrix_forms_share_one_protocol():
+    # what every module reads of a matrix, whatever its form: a structure's base overrides the reads that are exact
+    # constants on it, and each structure gives its entries and bands (_dense, _band) from what it holds
+    from summakit import matrices
+
+    reads = {"size", "exact", "weights", "entries", "order", "reach", "diagonal", "subdiagonal", "row_sums", "numerators", "gap", "rises"}
+    classes = [matrices.NormalMatrix, *(getattr(matrices, name) for name in sorted(_forms()))]
+    assert all({n for n in dir(cls) if not n.startswith("_")} == reads for cls in classes)
+    own = {cls.__name__: {n for n in vars(cls) if not n.endswith("__")} for cls in classes[1:]}
+    assert own == {
+        "_Structured": {"_built", "entries", "row_sums", "gap", "rises"},
+        "WeightedMean": {"_hat_inverse", "reach", "_weights", "_dense", "_band"},
+        "IdentityMatrix": {"_dense", "_band"},
+    }
+    # the module functions a form computes otherwise, each with the body registered for that form
+    registered = {
+        name: {cls.__name__ for cls in fn.registry} - {"object"} for name, fn in vars(matrices).items() if hasattr(fn, "registry")
+    }
+    assert registered == {
+        "leading_section": {"_Structured"},
+        "hat_columns": {"WeightedMean"},
+        "hat_of": {"IdentityMatrix"},
+        "hat_inverse": {"IdentityMatrix", "WeightedMean"},
+        "far_inverse": {"_Structured"},
+        "hat_inverse_bands": {"WeightedMean"},
+        "apply_hat": {"WeightedMean"},
+        "apply_lower": {"ndarray", "IdentityMatrix", "WeightedMean"},
+    }
+
+
 def test_dense_hat_matrices_are_formed_in_named_places_only():
     # a product with A or A-hat is matrices.apply_lower or apply_hat, which read how A is stored. A dense hat
     # matrix is formed where a dense B is read column by column, and for key_identity_check's stand-ins
@@ -148,7 +216,9 @@ def test_dense_hat_matrices_are_formed_in_named_places_only():
         if path.name != "matrices.py"
         for f in _where(path.name, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "hat_of")
     }
-    assert calls == {("conditions.py", "DenseProbes.H"), ("conditions.py", "check_c16"), ("harness.py", "key_identity_check")}
+    # DenseProbes._hat and check_c16 read the integer numerators an exact hat matrix keeps
+    kept = {("conditions.py", "DenseProbes._hat"), ("conditions.py", "check_c16")}
+    assert calls == {("conditions.py", "DenseProbes.H"), ("harness.py", "key_identity_check")} | kept
     assert _attribute_reads("series.py", "entries") == []
 
 
