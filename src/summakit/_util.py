@@ -127,40 +127,53 @@ def suffix_sums(terms, count: int) -> np.ndarray:
     """sum(terms[j:]) for j = 0..count-1, in one backward pass.
 
     Exact scalars are added exactly.  A float64 term is a dyadic rational
-    d * 2**e, so the floats are added exactly as integers on their smallest
-    exponent and each suffix is rounded once, by correctly rounded integer
-    division: every value is bit-identical to ``math.fsum(terms[j:])``.  A
-    suffix holding an inf or NaN term is inf or NaN, as with fsum, and one
-    whose finite terms add up past float range rounds to inf, where fsum
-    raises an OverflowError.  The
-    terms are split a chunk at a time, and those past ``count`` go into one
-    running sum, so only ``count`` suffixes are ever held.
+    m * 2**(e - 53), with m a 53-bit integer, so the floats are added exactly
+    as integers on their smallest exponent and each suffix is rounded once,
+    by correctly rounded integer division: every value is bit-identical to
+    ``math.fsum(terms[j:])``.  A suffix holding an inf or NaN term is inf or
+    NaN, as with fsum, and one whose finite terms add up past float range
+    rounds to inf, where fsum raises an OverflowError.  The terms past
+    ``count`` become no Python integer each: they are added per exponent
+    (:func:`_binned`), and their sum, one Python integer, starts the backward
+    scan of the first ``count`` terms.  Only ``count`` suffixes are ever held.
     """
     count = min(count, len(terms))
     if is_exact(terms):
         return np.asarray(_last_running_sums(reversed(terms.tolist()), count), dtype=object)
     t = as_float(terms)
     finite = np.isfinite(t)
-
-    def frexp(lo, hi):
-        return np.frexp(np.where(finite[lo:hi], t[lo:hi], 0.0))
-
-    chunks = range(0, t.size, _CHUNK)
-    low = min(min((int(frexp(i, i + _CHUNK)[1].min()) for i in chunks), default=53) - 53, 0)  # 53: no terms
-
-    def ints(lo, hi):
-        mant, expo = frexp(lo, hi)
-        return map(operator.lshift, (mant * 2.0**53).astype(np.int64).tolist(), (expo - 53 - low).tolist())
-
-    rest = itertools.chain.from_iterable(ints(i, i + _CHUNK) for i in range(count, t.size, _CHUNK))
-    sums = _last_running_sums(itertools.chain(rest, reversed(list(ints(0, count)))), count)
+    mant, expo = np.frexp(np.where(finite[:count], t[:count], 0.0))
+    far_expo, far_sums = _binned(t[count:], finite[count:])
+    low = min(int(expo.min(initial=53)), min(far_expo, default=53)) - 53  # every shift below is nonnegative (53: no terms)
+    rest = sum(map(operator.lshift, far_sums, [e - 53 - low for e in far_expo]))
+    head = map(operator.lshift, (mant * 2.0**53).astype(np.int64).tolist(), (expo - 53 - low).tolist())
+    sums = _last_running_sums(itertools.chain((rest,), reversed(list(head))), count)
     out = quotients(sums, itertools.repeat(1 << -low, len(sums)))
     if not finite.all():
         out = out + np.cumsum(np.where(finite, 0.0, t)[::-1])[::-1][:count]
     return out
 
 
+def _binned(t: np.ndarray, finite: np.ndarray) -> tuple[list, list]:
+    """The finite terms t = m * 2**(e - 53) added per exponent e, m a 53-bit integer: each e that has a nonzero sum,
+    and that sum of its m, a Python integer.
+
+    A chunk at a time, the halves m >> 26 and m & (2**26 - 1) are added per e by ``np.bincount``: at most _CHUNK
+    integers below 2**27 in size, so each float64 bin is exact (below 2**43), and so are the int64 totals for fewer
+    than 2**20 chunks.
+    """
+    high, low = (np.zeros(_EXPO + 1025, dtype=np.int64) for _ in range(2))  # frexp's exponents: -1073..1024
+    for i in range(0, t.size, _CHUNK):
+        mant, expo = np.frexp(np.where(finite[i : i + _CHUNK], t[i : i + _CHUNK], 0.0))
+        m, at = (mant * 2.0**53).astype(np.int64), expo + _EXPO
+        high += np.bincount(at, weights=m >> 26, minlength=high.size).astype(np.int64)
+        low += np.bincount(at, weights=m & (2**26 - 1), minlength=low.size).astype(np.int64)
+    at = np.flatnonzero(high | low)
+    return (at - _EXPO).tolist(), [(h << 26) + x for h, x in zip(high[at].tolist(), low[at].tolist())]
+
+
 _CHUNK = 1 << 16
+_EXPO = 1073  # minus the least exponent np.frexp gives: 5e-324 is 0.5 * 2**-1073
 
 
 def _last_running_sums(terms, count: int) -> list:

@@ -354,16 +354,44 @@ def _size(block: tuple) -> int:
     return next(len(v) for v in block if isinstance(v, (np.ndarray, list)))
 
 
+def _texts(field: str, values: list) -> list[str]:
+    """The cell texts of ``values`` in a row-template field: one ``%`` template, split on line breaks."""
+    return values if field == "%s" else ((field + "\n") * len(values) % tuple(values)).split("\n")[:-1]
+
+
+def _running_rows(source, values) -> np.ndarray | None:
+    """For a float column each of whose values is, bit for bit, the value of the float column ``source`` before it at
+    the last row where the two agree, as a running maximum's are (``running_sup`` of ``ratio``): that row for each row,
+    whose text it takes, or -1 before the first such row, where each value is the column's own first.  None for any
+    other column, so a text is only ever reused for the float it spells.
+    """
+    if not all(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in (source, values)) or not values.size:
+        return None
+    src, run = source.view(np.int64), values.view(np.int64)
+    at = np.maximum.accumulate(np.where(src == run, np.arange(run.size), -1))
+    return at if (np.where(at >= 0, src[at], run[0]) == run).all() else None
+
+
 def _block(block: tuple, fmt: str) -> tuple[list[str], int, tuple]:
-    """A block's row-template fields, its row count, and its per-row values row after row; constants are baked in."""
+    """A block's row-template fields, its row count, and its per-row values row after row; constants are baked in.
+
+    A running maximum's column (:func:`_running_rows`) takes its texts from the column before it, which is then
+    formatted once, through one template.
+    """
     fields, columns = [], []
-    for v in block:
-        if isinstance(v, (np.ndarray, list)):
+    for j, v in enumerate(block):
+        if not isinstance(v, (np.ndarray, list)):
+            fields.append((json.dumps(v) if fmt == "json" else _csv_cell(v)).replace("%", "%%"))
+            continue
+        at = _running_rows(block[j - 1], v) if j else None
+        if at is None:
             field, values = _field(v, fmt)
-            columns.append(values)
         else:
-            field = (json.dumps(v) if fmt == "json" else _csv_cell(v)).replace("%", "%%")
+            texts = _texts(fields[-1], columns[-1])
+            fields[-1], columns[-1] = "%s", texts
+            field, values = "%s", list(map([*texts, *_texts(*_field(v[:1], fmt))].__getitem__, at.tolist()))
         fields.append(field)
+        columns.append(values)
     size = _size(block)
     flat = [None] * (size * len(columns))
     for j, values in enumerate(columns):
@@ -371,24 +399,36 @@ def _block(block: tuple, fmt: str) -> tuple[list[str], int, tuple]:
     return fields, size, tuple(flat)
 
 
+_ROWS = 1 << 16  # a block is formatted this many rows at a time, so that one slice's texts are held at once
+
+
+def _slices(block: tuple):
+    """The block in slices of at most _ROWS rows."""
+    size = _size(block)
+    for lo in range(0, size, _ROWS):
+        yield tuple(v[lo : lo + _ROWS] if isinstance(v, (np.ndarray, list)) else v for v in block)
+
+
 def _report_texts(columns: list[str], blocks: list[tuple], meta: dict, fmt: str):
-    """The report's text: its head, then one text per block, then (JSON) its close."""
+    """The report's text: its head, then one text per block slice, then (JSON) its close."""
     if fmt == "csv":
         yield ",".join(map(_csv_cell, columns)) + "\n"
         for block in blocks:
-            fields, size, values = _block(block, fmt)
-            yield ((",".join(fields) + "\n") * size) % values
+            for part in _slices(block):
+                fields, size, values = _block(part, fmt)
+                yield ((",".join(fields) + "\n") * size) % values
         return
     # the layout of json.dumps({"meta": meta, "rows": rows}, indent=2), which closes an object with "\n}"
     yield json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "rows": ['
     keys = [json.dumps(c).replace("%", "%%") for c in columns]
     rows = 0
     for block in blocks:
-        fields, size, values = _block(block, fmt)
-        row = ",\n    {\n" + ",\n".join("      %s: %s" % kv for kv in zip(keys, fields)) + "\n    }"
-        text = (row * size) % values
-        yield text if rows else text[1:]  # no comma before the first row
-        rows += size
+        for part in _slices(block):
+            fields, size, values = _block(part, fmt)
+            row = ",\n    {\n" + ",\n".join("      %s: %s" % kv for kv in zip(keys, fields)) + "\n    }"
+            text = (row * size) % values
+            yield text if rows else text[1:]  # no comma before the first row
+            rows += size
     yield "\n  ]\n}\n" if rows else "]\n}\n"
 
 
@@ -397,7 +437,8 @@ def write_rows(columns: list[str], blocks: list[tuple], meta: dict, fmt: str, pa
 
     Each block is a run of rows with one entry per column: an array or list
     of per-row values, or a value constant within the block.  A block is
-    formatted through one row template and written before the next is formatted.
+    formatted through one row template, a slice of at most 2**16 rows at a
+    time, and each slice is written before the next is formatted.
     """
     texts = _report_texts(columns, blocks, meta, fmt)
     if path:

@@ -13,6 +13,7 @@ requested cutoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -89,10 +90,13 @@ def classify_trend(indices, ratios, exact_style: bool = False) -> str:
     if r.size < 8:
         return TREND_BOUNDED if np.max(np.abs(r)) <= _EXACT_TOL else TREND_INCONCLUSIVE
     q = 3 * r.size // 4
-    logidx = np.log(np.asarray(indices, dtype=float)[q:])
-    tail = r[q:]
-    slope = np.polyfit(logidx, tail, 1)[0]
-    if slope <= 1e-9 * max(1.0, float(np.mean(np.abs(tail)))):
+    x = np.log(np.asarray(indices, dtype=float)[q:])
+    x -= x.mean()
+    # the tail scaled by 2**-e to at most 1 in size, so that no sum overflows; the test's right side is scaled alike
+    e = max(int(np.frexp(np.max(np.abs(r[q:])))[1]), 0)
+    tail = np.ldexp(r[q:], -e)
+    slope = np.sum(x * (tail - tail.mean())) / np.sum(x * x)  # the least-squares slope against log-index, centered
+    if slope <= 1e-9 * max(math.ldexp(1.0, -e), float(np.mean(np.abs(tail)))):
         return TREND_BOUNDED
     r_end = r[-1]
     if r_end >= 2.0 * r[r.size // 2 - 1] * _DOUBLING_MARGIN:

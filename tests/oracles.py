@@ -6,8 +6,9 @@ so it can serve as the reference side of every comparison.  The ``mp_``
 oracles of a weighted-mean pair run in O(N) at 40 significant digits
 (mpmath), from the definitions rather than the library's factored forms: a
 float input is converted exactly, so their values differ from the exact
-ones by about 1e-40 relative, far below float64 round-off.  ``report_text``
-is the reference side of the report writer.
+ones by about 1e-40 relative, far below float64 round-off.  ``polyfit_trend``
+is the reference side of the trend verdict, and ``report_text`` that of the
+report writer.
 """
 
 import csv
@@ -437,6 +438,35 @@ def mp_cnv_column_sums(a_bands, q_weights, lam, k, index_powers):
                 tail += index * row[v - 1]
             out.append([mpmath.mpf(0)] + sums[::-1])
         return out
+
+
+# ---------------------------------------------------------------------------
+# the trend verdict through np.polyfit
+# ---------------------------------------------------------------------------
+
+
+def polyfit_trend(indices, ratios, exact_style=False):
+    """``classify_trend`` with the last quartile's slope fitted by ``np.polyfit`` (LAPACK least squares), as it was
+    computed before the closed form."""
+    r = np.asarray(ratios, dtype=float)
+    if r.size == 0:
+        return "inconclusive"
+    if not np.all(np.isfinite(r)):
+        return "growing"
+    if exact_style:
+        return "bounded-looking" if np.max(np.abs(r)) <= 1e-12 else "growing"
+    if r.size < 8:
+        return "bounded-looking" if np.max(np.abs(r)) <= 1e-12 else "inconclusive"
+    q = 3 * r.size // 4
+    logidx = np.log(np.asarray(indices, dtype=float)[q:])
+    tail = r[q:]
+    slope = np.polyfit(logidx, tail, 1)[0]
+    if slope <= 1e-9 * max(1.0, float(np.mean(np.abs(tail)))):
+        return "bounded-looking"
+    r_end = r[-1]
+    if r_end >= 2.0 * r[r.size // 2 - 1] * (1.0 - 1e-9) or r_end >= 2.0 * r[r.size // 4 - 1] * (1.0 - 1e-9):
+        return "growing"
+    return "inconclusive"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import summakit as sk
-from summakit._util import suffix_sums
+from summakit._util import _CHUNK, suffix_sums
 from summakit.conditions import TREND_BOUNDED, TREND_GROWING, inner_sums
 from summakit.errors import BadExponentError, LengthMismatchError, PowerOverflowError, SizeMismatchError, TailUnavailableError
 
@@ -184,6 +184,21 @@ def test_suffix_sums_bit_equal_to_fsum():
     assert suffix_sums(decades, 7).tobytes() == np.asarray([math.fsum(decades[j:]) for j in range(7)]).tobytes()
     special = np.array([1.0, np.nan, 2.0, np.inf, 3.0])
     np.testing.assert_array_equal(suffix_sums(special, 5), [math.fsum(special[j:]) for j in range(5)])
+    # past one chunk: the terms beyond count are added per exponent, a chunk at a time; about 20 j per case
+    size = 3 * _CHUNK + 7
+    far = rng.choice([-1.0, 1.0], size) * rng.uniform(1.0, 2.0, size) * 2.0 ** rng.integers(-1074, 1000, size)
+    # every m at its largest on one exponent, one sign a chunk and a half long: the bins at their largest, either sign
+    one_exponent = np.where(np.arange(size) < size // 2, 1.0, -1.0) * (2.0 - 2.0**-52)
+    at = sorted({0, _CHUNK - 2, _CHUNK - 1, _CHUNK, size - 1, *rng.integers(0, size, 15).tolist()})
+    for terms in (far, one_exponent):
+        want = {j: np.float64(math.fsum(terms[j:])).tobytes() for j in at}
+        for count in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, size):
+            got = suffix_sums(terms, count)
+            assert got.size == count
+            assert all(got[j].tobytes() == want[j] for j in at if j < count), count
+    for bad in (np.inf, np.nan):  # past count, in the last chunk
+        terms = np.concatenate([np.ones(_CHUNK + 3), [bad], np.ones(5)])
+        np.testing.assert_array_equal(suffix_sums(terms, 9), [math.fsum(terms[j:]) for j in range(9)])
 
 
 def test_suffix_sums_exact_on_fractions():
@@ -601,3 +616,32 @@ def test_trend_classifier_shapes():
     assert sk.classify_trend(n, np.sqrt(n)) == TREND_GROWING
     assert sk.classify_trend(n, np.log(n + 1.0)) == "inconclusive"
     assert sk.classify_trend([], []) == "inconclusive"
+
+
+def test_trend_verdicts_equal_the_polyfit_fit():
+    # the closed-form slope against np.polyfit's, on seeded tails of every shape, constants and 1e306 magnitudes
+    rng = np.random.default_rng(86)
+    seen = set()
+    for trial in range(600):
+        n = int(rng.integers(8, 2000))
+        x = np.arange(1.0, n + 1.0)
+        shape = trial % 4
+        if shape == 0:  # flat, with noise of any size
+            r = rng.uniform(0.1, 10.0) + rng.normal(0.0, 10.0 ** rng.uniform(-15, 0), n)
+        elif shape == 1:  # log-linear, either way
+            r = rng.uniform(-2.0, 2.0) * np.log(x) + rng.uniform(-5.0, 5.0)
+        elif shape == 2:  # power law, decaying to growing
+            r = rng.uniform(0.1, 3.0) * x ** rng.uniform(-2.0, 2.0)
+        else:  # alternating about a level
+            r = rng.uniform(0.0, 2.0) + rng.uniform(0.0, 1.0) * (-1.0) ** x
+        huge = [r * (1e306 / np.max(np.abs(r)))] if n <= 700 else []  # its last quartile adds up within float range
+        for tail in (r, np.full(n, r[0]), *huge):
+            verdict = sk.classify_trend(x, tail)
+            assert verdict == oracles.polyfit_trend(x, tail), (trial, n)
+            seen.add(verdict)
+    assert seen == {TREND_BOUNDED, TREND_GROWING, "inconclusive"}
+    # where the last quartile's |ratios| add up past float range, polyfit's test compared with an infinite bound
+    grow = 1e306 * np.sqrt(np.arange(1.0, 401.0))
+    with np.errstate(over="ignore"):
+        assert oracles.polyfit_trend(np.arange(1, 401), grow) == TREND_BOUNDED
+    assert sk.classify_trend(np.arange(1, 401), grow) == TREND_GROWING

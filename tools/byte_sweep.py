@@ -5,21 +5,21 @@
 REV (default HEAD) is extracted with ``git archive`` into a temporary
 directory.  Each tree's ``src/`` is then imported in a child process of its
 own, which runs the whole grid in-process through ``summakit.cli.main``:
-``check``, ``transform``, ``verify`` and ``verify --strict-paper-mode --format
-json`` on every configuration.  The grid takes A and B each from ten
-specs (cesaro, riesz power-0.5, riesz geometric-1.1, riesz with the generator
-named "ones", identity, a 41-row, a 15-row and a 10-row explicit matrix, 16
-and 10 explicit riesz weights: the 10s stop short of N + 1 = 15), lambda
-riesz_adapted or n**-0.5, k = 1 or 2, at N = 14 with tail cutoff 40, 1,600
-runs; TA is checked wherever both matrices are weighted means.  A sub-grid
+``check``, ``check --format json``, ``transform``, ``verify`` and ``verify
+--strict-paper-mode --format json`` on every configuration.  The grid takes A
+and B each from ten specs (cesaro, riesz power-0.5, riesz geometric-1.1,
+riesz with the generator named "ones", identity, a 41-row, a 15-row and a
+10-row explicit matrix, 16 and 10 explicit riesz weights: the 10s stop short
+of N + 1 = 15), lambda riesz_adapted or n**-0.5, k = 1 or 2, at N = 14 with
+tail cutoff 40, 2,000 runs; TA is checked wherever both matrices are weighted means.  A sub-grid
 runs every series kind (alternating, explicit, a difference and a shift
 probe) and every lambda kind (constant, power, explicit, riesz_adapted), at
 k = 1 and 2, on four pairs of the specs above, through ``transform``,
 ``verify`` and ``check --tail-cutoff 30``: 384 runs.  A last sub-grid runs 91
 invalid configs at N = 6 through ``check``, ``transform``, ``verify`` and
 ``check --tail-cutoff 30``: each config error the CLI tests pin, and 14 with
-two faults, so which error wins is compared too; 364 runs, 2,348 in all,
-about 8 s per tree on a 2-core x86-64 host.  An exception that escapes
+two faults, so which error wins is compared too; 364 runs, 2,748 in all,
+about 9 s per tree on a 2-core x86-64 host.  An exception that escapes
 ``main`` is recorded as that run's outcome, its type and message.  Every
 run whose report bytes, exit code, stderr or warnings differ between the
 trees is printed, and the exit status is 1 when any does.  Needs numpy alone.
@@ -43,6 +43,7 @@ N, CUTOFF = 14, 40
 CONDITIONS = ["C9", "C10", "C11", "C12", "C13", "C14", "C15", "C16"]
 COMMANDS = {
     "check": ["check"],
+    "check-json": ["check", "--format", "json"],
     "transform": ["transform"],
     "verify": ["verify"],
     "verify-strict-json": ["verify", "--strict-paper-mode", "--format", "json"],

@@ -54,11 +54,11 @@ def statements(source: str) -> list[tuple[int, range]]:
     return sorted(found)
 
 
-def trace(pytest_args: list[str]) -> tuple[int, dict[Path, set[int]]]:
-    """Run pytest under the tracer: (its exit code, {module path: the lines of it that ran})."""
+def trace(pytest_args: list[str], paths) -> tuple[int, dict[Path, set[int]]]:
+    """Run pytest under the tracer: (its exit code, {module path: the lines of it that ran}) for the modules at ``paths``."""
     import pytest
 
-    ran = {path: set() for path in PACKAGE.glob("*.py")}
+    ran = {path: set() for path in paths}
 
     def local_for(lines):
         def local(frame, event, arg):
@@ -86,12 +86,14 @@ def trace(pytest_args: list[str]) -> tuple[int, dict[Path, set[int]]]:
 
 
 def main(argv: list[str]) -> int:
-    code, ran = trace(argv)
+    # every module is read and parsed before the tests run: a file edited while they run is reported as it was imported
+    sources = {path: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    found = {path: statements(source) for path, source in sources.items()}
+    code, ran = trace(argv, sources)
     total = 0
-    for path, lines in sorted(ran.items()):
-        source = path.read_text()
-        text = source.splitlines()
-        missed = [first for first, span in statements(source) if lines.isdisjoint(span)]
+    for path, lines in ran.items():
+        text = sources[path].splitlines()
+        missed = [first for first, span in found[path] if lines.isdisjoint(span)]
         total += len(missed)
         if missed:
             print(f"{path.relative_to(ROOT)}: {len(missed)} unexecuted")
