@@ -26,7 +26,6 @@ from .conditions import (
     classify_trend,
     l1_lk_bound,
     probe_deltas,
-    w_sequence,
 )
 from .errors import (
     BadExponentError,
@@ -108,7 +107,6 @@ __all__ = [
     "check_c15",
     "check_c16",
     "check_theorem_a",
-    "w_sequence",
     "l1_lk_bound",
     "probe_deltas",
     # harness

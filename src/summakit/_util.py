@@ -39,15 +39,20 @@ def as_float(values) -> np.ndarray:
 
 
 def as_vector(values) -> np.ndarray:
-    """1-D array; float64 for plain numbers, object dtype for exact scalars."""
+    """1-D array; float64 for plain numbers, object dtype for exact scalars.
+
+    An entry that is not a real number, or is a bool, raises a MixedArithmeticError naming it, as
+    :func:`exact_entries` does.  A float among exact scalars passes: :func:`exact_entries` names it, by (n, v) in a
+    matrix, where its arithmetic is read.
+    """
     arr = np.asarray(values)
-    if arr.dtype == object:
-        return arr
-    if not np.issubdtype(arr.dtype, np.number):
-        # e.g. a list of Fractions arrives as dtype object already; anything
-        # else non-numeric is a caller bug worth surfacing as-is
-        return np.asarray(values, dtype=object)
-    return arr.astype(float)
+    if np.issubdtype(arr.dtype, np.number):
+        return arr.astype(float)
+    vals = arr.ravel().tolist()
+    bad = next((i for i, x in enumerate(vals) if isinstance(x, bool) or not isinstance(x, numbers.Real)), None)
+    if bad is not None:
+        raise MixedArithmeticError(f"exact entry {bad} is {vals[bad]!r}, not an int or a Fraction")
+    return arr
 
 
 def numerators(values):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -67,7 +68,7 @@ VERIFY_TOLERANCES = {
 
 
 MAX_ORDER = np.iinfo(np.intp).max // 8 - 1  # numpy sizes a float64 array of at most MAX_ORDER + 1 entries
-ROOT_KEYS = ("N", "k", "matrix_a", "matrix_b", "lambda", "series", "tail", "output", "conditions", "delta_mode")
+ROOT_KEYS = ("N", "k", "matrix_a", "matrix_b", "lambda", "series", "tail", "output", "conditions")
 # Each spec kind's keys but its tag, with their defaults: a float marks a number (read by _number), a list a list whose
 # shape is checked with the config.  A riesz spec with weights reads ("riesz", "weights").  The generator is a table.
 SCHEMA = {
@@ -163,7 +164,6 @@ class ExperimentConfig:
         if not isinstance(conds, list) or not conds or any(not isinstance(c, str) or c not in known for c in conds):
             raise ConfigError(f"conditions must be a nonempty list drawn from {sorted(known)}")
         self.conditions = conds
-        self.delta_mode = _setting(data, "delta_mode", "forward", lambda m: m in ("forward", "backward"), "be 'forward' or 'backward'")
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +488,8 @@ CHECK_COLUMNS = ["condition_id", "v_or_n", "ratio", "running_sup", "trend", "tai
 def cmd_check(config: ExperimentConfig) -> int:
     N = config.order
     k = config.k
-    A, B, lam, carrier = pair_for(config, config.tail.cutoff)  # B as built is the tail carrier C10, C11 and TA read
+    tailed = not {"C10", "C11", "TA"}.isdisjoint(config.conditions)  # only these read B past N
+    A, B, lam, carrier = pair_for(config, config.tail.cutoff if tailed else N)
 
     def theorem_a():
         for spec in (config.matrix_a, config.matrix_b):
@@ -496,7 +497,7 @@ def cmd_check(config: ExperimentConfig) -> int:
                 raise ConfigError(f"matrix kind {spec['kind']!r} has no weight sequence")
         if carrier.reach < config.tail.cutoff:  # B's explicit weights stop short of the cutoff
             raise TailUnavailableError(f"need {config.tail.cutoff + 1} explicit weights, have {carrier.reach + 1}")
-        return check_theorem_a(A.weights, carrier.weights, lam, k, config.tail, n_max=N, delta_mode=config.delta_mode)
+        return check_theorem_a(*(report(cid)[0] for cid in ("C9", "C10", "C11")), k)
 
     checks = {
         "C9": lambda: [check_c9(A, B, lam, k)],
@@ -509,8 +510,9 @@ def cmd_check(config: ExperimentConfig) -> int:
         "C16": lambda: [check_c16(A, B, lam)],
         "TA": theorem_a,
     }
-    reports = [rep for cid in config.conditions for rep in checks[cid]()]
-    blocks = [(r.condition_id, r.indices, r.ratios, r.running_sup, r.trend, r.tail_cutoff, r.tail_warning) for r in reports]
+    report = functools.cache(lambda cid: checks[cid]())  # each condition once, TA's C9-C11 included
+    rows = [rep for cid in config.conditions for rep in report(cid)]
+    blocks = [(r.condition_id, r.indices, r.ratios, r.running_sup, r.trend, r.tail_cutoff, r.tail_warning) for r in rows]
     write_rows(CHECK_COLUMNS, blocks, _meta(config, "check"), config.out_format, config.out_path)
     return EXIT_OK
 

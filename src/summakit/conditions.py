@@ -14,7 +14,7 @@ requested cutoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -30,7 +30,7 @@ from .errors import (
     SizeMismatchError,
     TailUnavailableError,
 )
-from .matrices import IdentityMatrix, NormalMatrix, WeightedMean, WeightSequence, far_inverse, hat_columns, hat_of
+from .matrices import IdentityMatrix, NormalMatrix, WeightedMean, far_inverse, hat_columns, hat_of
 from .series import FactorSequence
 
 TREND_BOUNDED = "bounded-looking"
@@ -555,83 +555,27 @@ def check_c16(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> Conditio
     return _report("C16", np.arange(1, N + 1), ratios[1:])
 
 
-def w_sequence(q: WeightSequence, k, tail: TailSpec, n_max: int | None = None):
-    """Tail quantity W_n = {sum_{v>n} v**(k-1) (q_v/(Q_v Q_{v-1}))**k}**(1/k).
+def check_theorem_a(c9: ConditionReport, c10: ConditionReport, c11: ConditionReport, k):
+    """Riesz-pair specialization: the three factor conditions TA_a/TA_b/TA_c, read from C9, C10 and C11.
 
-    Truncated at ``tail.cutoff``: the k-th root of :meth:`WeightSequence.tail`
-    through that row, exact for exact weights when k = 1.
+    On weighted means A and B, weights p and q, bhat_nv = Q_{v-1} q_n / (Q_n Q_{n-1}), so with
+    W_n**k the W tail T_n and Delta_n = Q_{n-1} lam_n - Q_n lam_{n+1} the conditions are
+
+    (a)  |lam_n| against n**(1/k-1) p_n Q_n / (P_n q_n): C9 with a_nn = p_n/P_n and
+         b_nn = q_n/Q_n, so C9's report under the id TA_a;
+    (b)  |W_n Delta_n| against p_n / P_n: C10_n = (W_n |Delta_n| P_n / p_n)**k;
+    (c)  Q_n |lam_{n+1}| W_n against 1: C11_n = (Q_n |lam_{n+1}| W_n)**k.
+
+    TA_b and TA_c are the k-th roots of C10's and C11's ratios at n >= 1, each by Python's ``**``, with their
+    report's tail cutoff and warning.
     """
     check_exponent(k)
-    cutoff = tail.cutoff
-    if q.order < cutoff:
-        raise TailUnavailableError(f"need weights through index {cutoff}, have order {q.order}")
-    if n_max is None:
-        n_max = cutoff - 1
-    if n_max > cutoff - 1:
-        raise TailUnavailableError(f"W_{n_max} has no terms below cutoff {cutoff}")
-    T = q.tail(k, cutoff, n_max + 1)[0]
-    if is_exact(T) and k == 1:
-        return T.copy()
-    return np.asarray([float(t) ** (1.0 / float(k)) for t in T.tolist()])
+    root = 1.0 / float(k)
 
+    def rooted(cid: str, rep: ConditionReport) -> ConditionReport:
+        return _report(cid, rep.indices[1:], [x**root for x in rep.ratios[1:].tolist()], rep.tail_cutoff, rep.tail_warning)
 
-def check_theorem_a(
-    p: WeightSequence,
-    q: WeightSequence,
-    lam: FactorSequence,
-    k,
-    tail: TailSpec,
-    n_max: int | None = None,
-    delta_mode: str = "forward",
-) -> tuple[ConditionReport, ConditionReport, ConditionReport]:
-    """Riesz-pair specialization: the three factor conditions TA_a/TA_b/TA_c.
-
-    (a)  |lam_n| against n**(1/k-1) p_n Q_n / (P_n q_n), which is exactly
-         the general diagonal bound with a_nn = p_n/P_n and b_nn = q_n/Q_n
-         substituted (so TA_a ratios coincide with check_c9 ratios on the
-         corresponding weighted-mean matrices);
-    (b)  |W_n * delta(Q_{n-1} lam_n)| against p_n / P_n;
-    (c)  Q_n |lam_{n+1}| W_n against 1.
-
-    ``delta_mode`` picks the difference convention for (b): "forward" is
-    Q_{n-1} lam_n - Q_n lam_{n+1}; "backward" is Q_{n-1} lam_n -
-    Q_{n-2} lam_{n-1}.  Both are evaluated without cancellation, by the
-    same formula as C10's difference.
-    """
-    check_exponent(k)
-    if delta_mode not in ("forward", "backward"):
-        raise ValueError(f"delta_mode must be 'forward' or 'backward', got {delta_mode!r}")
-    if n_max is None:
-        n_max = min(p.order, len(lam) - 2)
-    if p.order < n_max:
-        raise LengthMismatchError(f"need {n_max + 1} p-weights, have {len(p)}")
-    if len(lam) < n_max + 2:
-        raise LengthMismatchError(f"need {n_max + 2} factors, have {len(lam)}")
-    if q.order < n_max + 1:
-        raise LengthMismatchError(f"need {n_max + 2} q-weights, have {len(q)}")
-    Wf = as_float(w_sequence(q, k, tail, n_max=n_max))
-    T, last = q.tail(k, tail.cutoff, n_max + 1)  # W's own sums: a still material last term warns
-    pv = as_float(p.weights[: n_max + 1])
-    P = as_float(p.cumulative[: n_max + 1])
-    qv = as_float(q.weights[: n_max + 2])
-    Q = as_float(q.cumulative[: n_max + 2])
-    lv = as_float(lam.values[: n_max + 2])
-
-    n = np.arange(1, n_max + 1)
-    denom_a = n.astype(float) ** (1.0 / float(k) - 1.0) * np.abs(pv[1:] * Q[1:-1] / (P[1:] * qv[1:-1]))
-    rep_a = _report("TA_a", n, np.abs(lv[1:-1]) / denom_a)
-
-    if delta_mode == "forward":
-        delta = as_float(q.delta(lam.values, n_max + 1)[1:])
-    else:
-        delta = as_float(q.delta(lam.values, n_max))
-    ratios_b = np.abs(Wf[1:] * delta) * P[1:] / pv[1:]
-    warned = bool(np.any(last > tail.warn_threshold * T[1:]))
-    rep_b = _report("TA_b", n, ratios_b, tail.cutoff, warned)
-
-    ratios_c = Q[1:-1] * np.abs(lv[2:]) * Wf[1:]
-    rep_c = _report("TA_c", n, ratios_c, tail.cutoff, warned)
-    return rep_a, rep_b, rep_c
+    return replace(c9, condition_id="TA_a"), rooted("TA_b", c10), rooted("TA_c", c11)
 
 
 class L1LkBound(NamedTuple):

@@ -98,3 +98,11 @@ def exact_oracle_calls(A, B, lam, series, k=2):
     out["cnv"] = sk.l1_lk_bound(sk.build_cnv(A, B, lam, k), k)
     out["dnr"] = sk.l1_lk_bound(sk.build_dnr(A, B, lam, k), k)
     return out
+
+
+def theorem_a_rows(p, q, lam, k, tail, N):
+    """TA_a, TA_b and TA_c of the Riesz pair of weights p (A) and q (B, its tail carrier), read from C9, C10 and C11
+    at v_max = N, as ``check`` reads them."""
+    A, B = sk.riesz_matrix(p, order=N), sk.riesz_matrix(q, order=N)
+    c10, c11 = sk.check_c10(A, B, lam, k, tail, v_max=N), sk.check_c11(B, lam, k, tail, v_max=N)
+    return sk.check_theorem_a(sk.check_c9(A, B, lam, k), c10, c11, k)

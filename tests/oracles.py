@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -438,6 +439,43 @@ def mp_cnv_column_sums(a_bands, q_weights, lam, k, index_powers):
                 tail += index * row[v - 1]
             out.append([mpmath.mpf(0)] + sums[::-1])
         return out
+
+
+# ---------------------------------------------------------------------------
+# Sarigol's Riesz-pair conditions from the weights
+# ---------------------------------------------------------------------------
+
+
+def w_sequence(q, k, cutoff, count):
+    """W_n = T_n**(1/k) for n < count, T_n = sum_{v=n+1..cutoff} v**(k-1) (q_v / (Q_v Q_{v-1}))**k, from the weights
+    ``q`` (floats or Fractions): each float T_n by ``math.fsum`` and rooted by Python's ``**``, a Fraction one exact
+    and, at k = 1, not rooted.  The formula the TA rows were computed by before they were read from C10 and C11."""
+    Q = partial_sums(q)
+    k = int(k) if float(k).is_integer() else k
+    terms = [v ** (k - 1) * (q[v] / (Q[v] * Q[v - 1])) ** k for v in range(1, cutoff + 1)]
+    if not isinstance(terms[0], Fraction):
+        return [math.fsum(terms[n:]) ** (1 / k) for n in range(count)]
+    tails = list(itertools.accumulate(reversed(terms)))[::-1][:count]
+    return tails if k == 1 else [float(t) ** (1 / k) for t in tails]
+
+
+def theorem_a(p, q, lam, k, cutoff, n_max):
+    """The TA_a, TA_b and TA_c ratios at n = 1..n_max of the Riesz pair of weights p (A) and q (B, through ``cutoff``)
+    and the factors ``lam``, by Sarigol's formulas with W from :func:`w_sequence`:
+
+    (a)  |lam_n| / (n**(1/k-1) p_n Q_n / (P_n q_n));
+    (b)  |W_n Delta_n| P_n / p_n, Delta_n = Q_n lam_{n+1} - Q_{n-1} lam_n taken as
+         q_n lam_{n+1} + Q_{n-1} (lam_{n+1} - lam_n), which does not cancel;
+    (c)  Q_n |lam_{n+1}| W_n.
+
+    Exact on Fractions at k = 1.
+    """
+    P, Q, W = partial_sums(p), partial_sums(q), w_sequence(q, k, cutoff, n_max + 1)
+    n = range(1, n_max + 1)
+    ta = [abs(lam[i]) / ((1 if k == 1 else i ** (1 / k - 1)) * abs(p[i] * Q[i] / (P[i] * q[i]))) for i in n]
+    tb = [abs(W[i] * (q[i] * lam[i + 1] + Q[i - 1] * (lam[i + 1] - lam[i]))) * P[i] / p[i] for i in n]
+    tc = [Q[i] * abs(lam[i + 1]) * W[i] for i in n]
+    return ta, tb, tc
 
 
 # ---------------------------------------------------------------------------

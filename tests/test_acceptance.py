@@ -128,6 +128,7 @@ def test_criterion_4_key_identity():
 
 
 def test_criterion_5_riesz_reduction():
+    # C9 and C11 on a Riesz pair against Sarigol's condition (a) and Q_n |lam_{n+1}| W_n from the weights (oracles.py)
     rng = np.random.default_rng(105)
     N = 100
     cutoff = 16 * N
@@ -140,11 +141,11 @@ def test_criterion_5_riesz_reduction():
         q = helpers.random_positive_weights(rng, cutoff + 1)
         lam = sk.FactorSequence(1.0 / (np.arange(N + 2) + 1.0))
         rep9 = sk.check_c9(sk.riesz_matrix(p, order=N), sk.riesz_matrix(q, order=N), lam, k)
-        ta, _, _ = sk.check_theorem_a(p, q, lam, k, tail, n_max=N)
-        worst_a = max(worst_a, float(np.max(np.abs(rep9.ratios / ta.ratios - 1.0))))
+        ta = oracles.theorem_a(p.weights.tolist(), q.weights.tolist(), lam.values.tolist(), k, cutoff, N)[0]
+        worst_a = max(worst_a, float(np.max(np.abs(rep9.ratios / ta - 1.0))))
 
         rep11 = sk.check_c11(sk.riesz_matrix(q, order=cutoff), lam, k, tail, v_max=N)
-        W = sk.w_sequence(q, k, tail, n_max=N)
+        W = np.asarray(oracles.w_sequence(q.weights.tolist(), k, cutoff, N + 1))
         Q = q.cumulative
         expected = (Q[: N + 1] * np.abs(lam.values[1 : N + 2])) ** k * W ** k
         worst_c11 = max(worst_c11, float(np.max(np.abs(rep11.ratios / expected - 1.0))))
@@ -153,11 +154,12 @@ def test_criterion_5_riesz_reduction():
 
 
 def test_criterion_6_w_telescoping():
-    cutoff = 1600
+    # unit weights, k = 1 and unit factors: TA_c_n = Q_n W_n = (n+1) W_n with W_n = 1/(n+1) - 1/(cutoff+1)
+    N, cutoff = 100, 1600
     q = sk.WeightSequence(np.ones(cutoff + 1))
-    W = sk.w_sequence(q, 1, sk.TailSpec(cutoff), n_max=100)
-    n = np.arange(101)
-    worst = float(np.max(np.abs(W - (1.0 / (n + 1.0) - 1.0 / (cutoff + 1.0)))))
+    tc = helpers.theorem_a_rows(q, q, helpers.ones_factors(N + 2), 1, sk.TailSpec(cutoff), N)[2]
+    n = np.arange(1, N + 1)
+    worst = float(np.max(np.abs(tc.ratios / (n + 1.0) - (1.0 / (n + 1.0) - 1.0 / (cutoff + 1.0)))))
     ok = worst <= 1e-14
     assert _verdict(6, f"W telescoping, max err {worst:.2e}", ok)
 

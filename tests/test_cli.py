@@ -143,7 +143,7 @@ def test_check_tail_unavailable_exit_code(tmp_path, capsys):
     ids=["identity", "explicit"],
 )
 def test_theorem_a_names_what_b_lacks(tmp_path, capsys, matrix_b, message):
-    # TA reads B's weights through the cutoff, and an identity or explicit B has none;
+    # TA is the Riesz-pair corollary, and an identity or explicit B carries no weights;
     # C10 before it reads the same B and passes
     cfg = write_config(tmp_path, base_config(N=4, tail={"cutoff": 64}, matrix_b=matrix_b, conditions=["C10", "TA"]))
     assert main(["check", "--config", cfg]) == 2
@@ -435,7 +435,12 @@ UNSIZED = ", past which numpy cannot size its arrays"
         ("check", base_config(N=6, tail={"cutoff": 6}), "tail.cutoff must be an integer > N, got 6"),
         ("check", base_config(N=6, tail={"warn_threshold": 1}), "tail.warn_threshold must lie in (0, 1), got 1"),
         ("check", base_config(N=6, output={"format": "xml"}), "output.format must be 'csv' or 'json', got 'xml'"),
-        ("check", base_config(N=6, delta_mode="sideways"), "delta_mode must be 'forward' or 'backward', got 'sideways'"),
+        (
+            "check",
+            base_config(N=6, delta_mode="forward"),
+            "the config root has an unknown key 'delta_mode'; it reads N, k, matrix_a, matrix_b, lambda, series, tail, output, "
+            "conditions",
+        ),
         # the spec builders
         (
             "check",
@@ -552,7 +557,7 @@ def test_a_cutoff_override_numpy_cannot_size_is_named(tmp_path, capsys, cutoff, 
             "check",
             base_config(N=6, condtions=["C9"]),
             "the config root has an unknown key 'condtions'; it reads N, k, matrix_a, matrix_b, lambda, series, tail, output, "
-            "conditions, delta_mode",
+            "conditions",
         ),
         ("check", base_config(N=6, tail={"cutof": 9}), "tail has an unknown key 'cutof'; it reads cutoff, warn_threshold"),
         ("check", base_config(N=6, output={"formta": "json"}), "output has an unknown key 'formta'; it reads format, path"),

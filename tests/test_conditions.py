@@ -162,7 +162,7 @@ def test_c11_riesz_equals_w_tail_product():
     lam = sk.FactorSequence(1.0 / (np.arange(N + 2) + 1.0))
     tail = sk.TailSpec(cutoff)
     rep = sk.check_c11(sk.riesz_matrix(q), lam, k, tail, v_max=N)
-    W = sk.w_sequence(q, k, tail, n_max=N)
+    W = oracles.w_sequence(q.weights.tolist(), k, cutoff, N + 1)
     Q = q.cumulative
     for v in range(1, N + 1):
         expected = (Q[v] * abs(lam.values[v + 1])) ** k * W[v] ** k
@@ -232,7 +232,7 @@ def test_c10_c11_float_riesz_match_exact_oracle_at_long_cutoff():
 
 
 def test_c10_is_theorem_a_condition_b_to_the_k():
-    # riesz pair: C10_v = |Delta_v|**k T_v / a_vv**k and TA_b_v = |W_v Delta_v| P_v / p_v, W_v**k = T_v
+    # riesz pair: C10_v = |Delta_v|**k T_v / a_vv**k and TA_b_v = |W_v Delta_v| P_v / p_v, W_v**k = T_v, by Sarigol's formula
     rng = np.random.default_rng(86)
     N, cutoff = 40, 640
     tail = sk.TailSpec(cutoff)
@@ -241,8 +241,8 @@ def test_c10_is_theorem_a_condition_b_to_the_k():
         q = helpers.random_positive_weights(rng, cutoff + 1)
         lam = sk.FactorSequence(rng.uniform(-1.0, 1.0, N + 2))
         c10 = sk.check_c10(sk.riesz_matrix(p), sk.riesz_matrix(q, order=N), lam, k, tail, v_max=N)
-        _, tb, _ = sk.check_theorem_a(p, q, lam, k, tail, n_max=N, delta_mode="forward")
-        np.testing.assert_allclose(c10.ratios[1:], tb.ratios**k, rtol=1e-13)
+        tb = oracles.theorem_a(p.weights.tolist(), q.weights.tolist(), lam.values.tolist(), k, cutoff, N)[1]
+        np.testing.assert_allclose(c10.ratios[1:], np.asarray(tb) ** k, rtol=1e-13)
 
 
 def test_c12_riesz_never_violates():
@@ -427,68 +427,87 @@ def test_c16_zero_denominator_reports_growing():
 
 
 def test_w_sequence_unit_weights_telescopes():
-    cutoff = 400
+    # unit weights and k = 1 telescope: W_n = 1/(n+1) - 1/(cutoff+1), and with unit factors TA_c_n = Q_n W_n = (n+1) W_n
+    N, cutoff = 50, 400
     q = sk.WeightSequence(np.ones(cutoff + 1))
-    W = sk.w_sequence(q, 1, sk.TailSpec(cutoff), n_max=50)
-    n = np.arange(51)
-    np.testing.assert_allclose(W, 1.0 / (n + 1.0) - 1.0 / (cutoff + 1.0), atol=1e-15)
+    n = np.arange(N + 1)
+    W = 1.0 / (n + 1.0) - 1.0 / (cutoff + 1.0)
+    np.testing.assert_allclose(oracles.w_sequence(q.weights.tolist(), 1, cutoff, N + 1), W, atol=1e-15)
+    tc = helpers.theorem_a_rows(q, q, helpers.ones_factors(N + 2), 1, sk.TailSpec(cutoff), N)[2]
+    np.testing.assert_allclose(tc.ratios, (n[1:] + 1.0) * W[1:], atol=1e-14)
 
 
 def test_w_sequence_geometric_matches_rational_oracle():
-    cutoff = 40
+    # exact weights at k = 1: C11 and so TA_c = Q_n W_n are the exact value rounded once
+    N, cutoff = 10, 40
     weights = [F(2) ** i for i in range(cutoff + 1)]
     q = sk.WeightSequence(np.asarray(weights, dtype=object))
-    W = sk.w_sequence(q, 1, sk.TailSpec(cutoff), n_max=10)
-    for n in range(11):
-        assert W[n] == oracles.w_tail_pow(weights, 1, n, cutoff)
+    W = oracles.w_sequence(weights, 1, cutoff, N + 1)
+    assert W == [oracles.w_tail_pow(weights, 1, n, cutoff) for n in range(N + 1)]
+    tc = helpers.theorem_a_rows(q, q, helpers.ones_factors(N + 2, exact=True), 1, sk.TailSpec(cutoff), N)[2]
+    Q = oracles.partial_sums(weights)
+    assert tc.ratios.tolist() == [float(Q[n] * W[n]) for n in range(1, N + 1)]
 
 
 def test_w_sequence_single_term():
+    # at the last n before the cutoff, W_n and so TA_c_n / (Q_n |lam_{n+1}|) hold the one term at v = n + 1
     rng = np.random.default_rng(67)
     q = helpers.random_positive_weights(rng, 13)
     n = 11
     tail = sk.TailSpec(cutoff=n + 1)
-    W = sk.w_sequence(q, 2, tail, n_max=n)
+    lam = sk.FactorSequence(rng.uniform(0.5, 1.0, n + 2))
     v = n + 1
     Q = q.cumulative
     expected = (v ** 1.0 * (q.weights[v] / (Q[v] * Q[v - 1])) ** 2) ** 0.5
-    np.testing.assert_allclose(W[n], expected, rtol=1e-13)
+    np.testing.assert_allclose(oracles.w_sequence(q.weights.tolist(), 2, n + 1, n + 1)[n], expected, rtol=1e-13)
+    tc = helpers.theorem_a_rows(q, q, lam, 2, tail, n)[2]
+    np.testing.assert_allclose(tc.ratios[-1], Q[n] * lam.values[n + 1] * expected, rtol=1e-13)
 
 
 def test_w_sequence_tail_unavailable():
+    # weights that stop short of the cutoff: C10 and C11 sum to their last row and warn, and TA_b and TA_c carry it
     q = sk.WeightSequence(np.ones(10))
-    with pytest.raises(TailUnavailableError):
-        sk.w_sequence(q, 1, sk.TailSpec(cutoff=50))
+    _, tb, tc = helpers.theorem_a_rows(q, q, helpers.ones_factors(11), 1, sk.TailSpec(cutoff=50), 8)
+    assert tb.tail_warning and tc.tail_warning
+    assert tb.tail_cutoff == tc.tail_cutoff == 50
 
 
 def test_w_sequence_runs_to_one_short_of_the_cutoff_unless_told():
-    # unit weights and k = 1 telescope: W_n = 1/(n+1) - 1/(cutoff+1), exactly on Fractions
+    # unit weights and k = 1 telescope: W_n = 1/(n+1) - 1/(cutoff+1), exactly on Fractions; the rows stop at cutoff - 1
     q = sk.WeightSequence(np.full(41, F(1)))
-    assert list(sk.w_sequence(q, 1, sk.TailSpec(cutoff=40))) == [F(1, n + 1) - F(1, 41) for n in range(40)]
-    with pytest.raises(TailUnavailableError, match=r"^W_40 has no terms below cutoff 40$"):
-        sk.w_sequence(q, 1, sk.TailSpec(cutoff=40), n_max=40)
+    assert oracles.w_sequence(q.weights.tolist(), 1, 40, 40) == [F(1, n + 1) - F(1, 41) for n in range(40)]
+    _, tb, tc = helpers.theorem_a_rows(q, q, helpers.ones_factors(42, exact=True), 1, sk.TailSpec(cutoff=40), 40)
+    for rep in (tb, tc):
+        np.testing.assert_array_equal(rep.indices, np.arange(1, 40))
+        assert rep.tail_warning  # v_max = 40 is past the cutoff's last row
+    assert tc.ratios.tolist() == [float(F(n + 1) * (F(1, n + 1) - F(1, 41))) for n in range(1, 40)]
 
 
 def test_theorem_a_reads_n_max_from_p_and_the_factors_unless_told():
+    # TA_b and TA_c run over C10's and C11's v >= 1: by default the shorter of lam (less 2) and the matrices
     p, q = sk.WeightSequence(np.arange(1.0, 12.0)), sk.WeightSequence(np.ones(41))
     tail = sk.TailSpec(cutoff=40)
-    for lam_size, n_max in ((9, 7), (20, 10)):  # the shorter of lam (less 2) and p
+    A, B = sk.riesz_matrix(p), sk.riesz_matrix(q, order=10)
+    for lam_size, n_max in ((9, 7), (20, 10)):
         lam = sk.FactorSequence(1.0 / np.arange(1.0, lam_size + 1.0))
-        for default, told in zip(sk.check_theorem_a(p, q, lam, 2, tail), sk.check_theorem_a(p, q, lam, 2, tail, n_max=n_max)):
-            np.testing.assert_array_equal(default.indices, np.arange(1, n_max + 1))
-            np.testing.assert_array_equal(default.ratios, told.ratios)
+        c9 = sk.check_c9(sk.riesz_matrix(p, order=n_max), sk.riesz_matrix(q, order=n_max), lam, 2)
+        default = sk.check_theorem_a(c9, sk.check_c10(A, B, lam, 2, tail), sk.check_c11(B, lam, 2, tail), 2)
+        told = sk.check_theorem_a(c9, sk.check_c10(A, B, lam, 2, tail, v_max=n_max), sk.check_c11(B, lam, 2, tail, v_max=n_max), 2)
+        for got, want in zip(default, told):
+            np.testing.assert_array_equal(got.indices, np.arange(1, n_max + 1))
+            np.testing.assert_array_equal(got.ratios, want.ratios)
 
 
-def test_theorem_a_refuses_a_bad_delta_mode_and_short_inputs():
+def test_theorem_a_refuses_short_inputs():
+    # C10 refuses too few p-weights or factors, and TA with it; a k below 1 is refused before any row is read
     p, q, lam, tail = sk.WeightSequence(np.ones(11)), sk.WeightSequence(np.ones(41)), sk.FactorSequence(np.ones(12)), sk.TailSpec(40)
-    with pytest.raises(ValueError, match=r"^delta_mode must be 'forward' or 'backward', got 'sideways'$"):
-        sk.check_theorem_a(p, q, lam, 2, tail, delta_mode="sideways")
-    with pytest.raises(LengthMismatchError, match=r"^need 11 p-weights, have 6$"):
-        sk.check_theorem_a(sk.WeightSequence(np.ones(6)), q, lam, 2, tail, n_max=10)
+    with pytest.raises(SizeMismatchError, match=r"^diagonal source of order 5 cannot cover v <= 10$"):
+        sk.check_c10(sk.riesz_matrix(sk.WeightSequence(np.ones(6))), sk.riesz_matrix(q, order=10), lam, 2, tail, v_max=10)
     with pytest.raises(LengthMismatchError, match=r"^need 12 factors, have 11$"):
-        sk.check_theorem_a(p, q, sk.FactorSequence(np.ones(11)), 2, tail, n_max=10)
-    with pytest.raises(LengthMismatchError, match=r"^need 12 q-weights, have 11$"):
-        sk.check_theorem_a(p, sk.WeightSequence(np.ones(11)), lam, 2, tail, n_max=10)
+        helpers.theorem_a_rows(p, q, sk.FactorSequence(np.ones(11)), 2, tail, 10)
+    reports = [sk.check_c9(sk.riesz_matrix(p), sk.riesz_matrix(q, order=10), lam, 2)] * 3
+    with pytest.raises(BadExponentError, match=r"^k must be a real exponent >= 1, got 0.5$"):
+        sk.check_theorem_a(*reports, 0.5)
 
 
 def test_theorem_a_matched_powers_flat():
@@ -499,7 +518,7 @@ def test_theorem_a_matched_powers_flat():
     k = 2
     lam_vals = np.ones(22)
     lam_vals[1:] = np.arange(1, 22) ** (1.0 / k - 1.0)
-    ta, _tb, _tc = sk.check_theorem_a(p, p, sk.FactorSequence(lam_vals), k, sk.TailSpec(cutoff), n_max=20)
+    ta, _tb, _tc = helpers.theorem_a_rows(p, p, sk.FactorSequence(lam_vals), k, sk.TailSpec(cutoff), 20)
     np.testing.assert_allclose(ta.ratios, np.ones(20), rtol=1e-12)
 
 
@@ -508,7 +527,7 @@ def test_theorem_a_unit_weights_harmonic_factors():
     p = sk.WeightSequence(np.ones(N + 1))
     q = sk.WeightSequence(np.ones(cutoff + 1))
     lam = sk.FactorSequence(1.0 / (np.arange(N + 2) + 1.0))
-    ta, tb, tc = sk.check_theorem_a(p, q, lam, 1, sk.TailSpec(cutoff), n_max=N)
+    ta, tb, tc = helpers.theorem_a_rows(p, q, lam, 1, sk.TailSpec(cutoff), N)
     n = np.arange(1, N + 1)
     W = 1.0 / (n + 1.0) - 1.0 / (cutoff + 1.0)
     # (c): Q_n lam_{n+1} W_n = (n+1)/(n+2) * W_n, about 1/(n+2)
@@ -521,30 +540,63 @@ def test_theorem_a_unit_weights_harmonic_factors():
     assert ta.trend == TREND_BOUNDED
 
 
-def test_theorem_a_backward_delta_mode():
-    N, cutoff = 20, 320
-    p = sk.WeightSequence(np.ones(cutoff + 1))
-    lam = sk.FactorSequence(1.0 / (np.arange(N + 2) + 1.0))
-    _, tb_f, _ = sk.check_theorem_a(p, p, lam, 1, sk.TailSpec(cutoff), n_max=N, delta_mode="forward")
-    _, tb_b, _ = sk.check_theorem_a(p, p, lam, 1, sk.TailSpec(cutoff), n_max=N, delta_mode="backward")
-    n = np.arange(1, N + 1)
-    W = 1.0 / (n + 1.0) - 1.0 / (cutoff + 1.0)
-    delta_b = n / (n + 1.0) - (n - 1.0) / n  # Q_{n-1} lam_n - Q_{n-2} lam_{n-1}
-    np.testing.assert_allclose(tb_b.ratios, np.abs(W * delta_b) * (n + 1.0), rtol=1e-12)
-    assert not np.allclose(tb_f.ratios, tb_b.ratios)
-
-
 def test_riesz_reduction_c9_equals_theorem_a_condition_a():
+    # TA_a is C9's report, and on a Riesz pair that is Sarigol's condition (a) from the weights
     rng = np.random.default_rng(73)
     N, cutoff, k = 40, 640, 1.5
     p = helpers.random_positive_weights(rng, cutoff + 1)
     q = helpers.random_positive_weights(rng, cutoff + 1)
     lam = sk.FactorSequence(rng.uniform(0.1, 2.0, N + 2))
-    A = sk.riesz_matrix(p, order=N)
-    B = sk.riesz_matrix(q, order=N)
-    rep9 = sk.check_c9(A, B, lam, k)
-    ta, _, _ = sk.check_theorem_a(p, q, lam, k, sk.TailSpec(cutoff), n_max=N)
-    np.testing.assert_allclose(rep9.ratios, ta.ratios, rtol=1e-12)
+    rep9 = sk.check_c9(sk.riesz_matrix(p, order=N), sk.riesz_matrix(q, order=N), lam, k)
+    ta = helpers.theorem_a_rows(p, q, lam, k, sk.TailSpec(cutoff), N)[0]
+    assert ta.condition_id == "TA_a" and (ta.trend, ta.sup_ratio) == (rep9.trend, rep9.sup_ratio)
+    for field in ("indices", "ratios", "running_sup"):
+        assert getattr(ta, field).tobytes() == getattr(rep9, field).tobytes()
+    want = oracles.theorem_a(p.weights.tolist(), q.weights.tolist(), lam.values.tolist(), k, cutoff, N)[0]
+    np.testing.assert_allclose(rep9.ratios, want, rtol=1e-12)
+
+
+def ulps(got, want) -> float:
+    """The largest |got - want| in units of the last place of want."""
+    want = np.asarray([float(x) for x in want])
+    return float(np.max(np.abs(np.asarray(got) - want) / np.spacing(np.abs(want))))
+
+
+# the worst measured over the seeds below, in ulps of the formula's value, was 4 (TA_a), 8 (TA_b) and 5 (TA_c)
+TA_ULPS = {"TA_a": 8, "TA_b": 16, "TA_c": 10}
+
+
+def test_theorem_a_rows_are_the_corollary_of_c9_c10_and_c11():
+    # on random Riesz pairs the rows read from C9, C10 and C11 are Sarigol's formulas from the weights, within TA_ULPS
+    rng = np.random.default_rng(87)
+    N, cutoff = 40, 640
+    worst = dict.fromkeys(TA_ULPS, 0.0)
+    for trial in range(8):
+        for k in (1, 1.5, 2, 3.7):
+            p = helpers.random_positive_weights(rng, N + 1)
+            q = helpers.random_positive_weights(rng, cutoff + 1)
+            lam = sk.FactorSequence(rng.uniform(-1.0, 1.0, N + 2))
+            rows = helpers.theorem_a_rows(p, q, lam, k, sk.TailSpec(cutoff), N)
+            want = oracles.theorem_a(p.weights.tolist(), q.weights.tolist(), lam.values.tolist(), k, cutoff, N)
+            for rep, formula in zip(rows, want):
+                worst[rep.condition_id] = max(worst[rep.condition_id], ulps(rep.ratios, formula))
+    assert all(worst[cid] <= bound for cid, bound in TA_ULPS.items()), worst
+
+
+def test_theorem_a_rows_equal_the_exact_formulas_at_k_1():
+    # dyadic exact weights and factors: every value either side forms is a float, so the rows equal the formulas
+    # evaluated in Fractions.  Each P_n is a power of two, so a_nn = 1 - 2**-m is too, and the sums stay within 53 bits
+    rng = np.random.default_rng(88)
+    N, cutoff = 12, 16
+    for trial in range(6):
+        steps = rng.integers(1, 3, cutoff + 1)
+        weights = [F(1)] + [F(2) ** int(steps[1:n].sum()) * (2 ** int(steps[n]) - 1) for n in range(1, cutoff + 1)]
+        lam = [F(int(x), 16) for x in rng.integers(-16, 17, N + 2)]
+        q = sk.WeightSequence(np.asarray(weights, dtype=object))
+        rows = helpers.theorem_a_rows(q, q, sk.FactorSequence(np.asarray(lam, dtype=object)), 1, sk.TailSpec(cutoff), N)
+        want = oracles.theorem_a(weights, weights, lam, 1, cutoff, N)
+        for rep, formula in zip(rows, want):
+            assert rep.ratios.tolist() == [float(x) for x in formula], rep.condition_id
 
 
 def test_scaling_laws():

@@ -53,7 +53,6 @@ CONFIGS = st.fixed_dictionaries(
         "tail": st.fixed_dictionaries({}, optional={"cutoff": st.integers(-40, 40) | JSON, "warn_threshold": st.floats(0.0, 1.0) | JSON}) | JSON,
         "output": st.fixed_dictionaries({}, optional={"format": st.sampled_from(["csv", "json"]) | JSON, "path": JSON}) | JSON,
         "conditions": st.lists(st.sampled_from([*CONDITION_IDS, "TA"]), max_size=3) | JSON,
-        "delta_mode": st.sampled_from(["forward", "backward"]) | JSON,
     },
 )
 

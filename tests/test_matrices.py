@@ -18,6 +18,7 @@ def test_make_normal_identity():
     m = sk.make_normal([[1.0], [0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]], 3)
     np.testing.assert_array_equal(m.entries, np.eye(4))
     assert m.order == 3 and m.size == 4
+    assert repr(m) == "NormalMatrix(order=3, exact=False)"
 
 
 def test_make_normal_zero_diagonal():
@@ -112,6 +113,8 @@ def test_weight_sequence_validation():
         sk.WeightSequence([1.0, 0.0, 2.0])
     w = sk.WeightSequence([1, 2, 4])
     np.testing.assert_allclose(w.cumulative, [1.0, 3.0, 7.0])
+    with pytest.raises(AttributeError, match=r"^WeightSequence is immutable$"):
+        w.weights = np.ones(3)
 
 
 @pytest.mark.parametrize(
@@ -168,8 +171,7 @@ def test_weight_tail_is_swept_once_and_kept_read_only():
     exact = sk.WeightSequence(np.asarray([F(n + 1) for n in range(9)], dtype=object))
     T, last = exact.tail(1, 8, 8)
     assert T.dtype == object and not T.flags.writeable
-    W = sk.w_sequence(exact, 1, sk.TailSpec(8), n_max=7)  # the caller's own copy
-    assert W.tolist() == T.tolist() and W.flags.writeable and W is not T
+    assert T.tolist() == [oracles.w_tail_pow(exact.weights.tolist(), 1, v, 8) for v in range(8)]
 
 
 def test_exact_identity_entries_are_ints():

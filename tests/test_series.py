@@ -16,6 +16,8 @@ def test_series_partial_sums():
     s = sk.SeriesSample([1.0, -2.0, 0.5])
     np.testing.assert_allclose(s.partial_sums, [1.0, -1.0, -0.5])
     assert s.order == 2
+    with pytest.raises(AttributeError, match=r"^SeriesSample is immutable$"):
+        s.coefficients = np.zeros(3)
 
 
 def test_series_and_factors_refuse_no_values():
@@ -23,6 +25,14 @@ def test_series_and_factors_refuse_no_values():
         sk.SeriesSample([])
     with pytest.raises(LengthMismatchError, match=r"^a factor sequence needs at least one value$"):
         sk.FactorSequence([])
+    # nor values that are not numbers: strings were summed as strings, and bools taken as exact
+    with pytest.raises(sk.MixedArithmeticError, match=r"^exact entry 0 is '1', not an int or a Fraction$"):
+        sk.SeriesSample(["1", "2"])
+    for values, bad in ((["0.5"] * 7, "0 is '0.5'"), ([True] * 7, "0 is True"), ([F(1), F(1, 2), True, 3], "2 is True")):
+        with pytest.raises(sk.MixedArithmeticError, match=rf"^exact entry {bad}, not an int or a Fraction$"):
+            sk.FactorSequence(values)
+    with pytest.raises(AttributeError, match=r"^FactorSequence is immutable$"):
+        sk.FactorSequence([1.0]).values = np.zeros(1)
 
 
 def test_transform_identity_returns_partial_sums():
@@ -99,6 +109,7 @@ def test_profile_identity_is_weighted_coefficient_sums():
 def test_profile_zero_series():
     prof = sk.abs_k_profile(sk.cesaro_matrix(5), sk.SeriesSample(np.zeros(6)), 1.5)
     assert prof.total == 0.0
+    assert sk.abs_k_profile(sk.cesaro_matrix(0), sk.SeriesSample([1.0]), 1.5).total == 0.0  # N = 0: no term
 
 
 def test_profile_cesaro_alternating_matches_rational_oracle():

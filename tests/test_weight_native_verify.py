@@ -4,7 +4,7 @@ On a weighted-mean pair, ``decompose``'s hat products and first part, the
 key-identity gaps, the probe-consistency row's factors, the probe norms and
 the bound constant's ratios, the d_nr sums, ``transform``'s columns, the W
 tail and the C10, C11 and TA rows built on it are read from the weights in O(N).  At N = 2000, for power weights
-(n + 1)**beta, each is checked against the mpmath oracles of ``oracles.py``
+(n + 1)**beta (and geometric ones for the W tail), each is checked against the mpmath oracles of ``oracles.py``
 within a stated bound in units of eps (about four times the worst error
 measured, or below the error of the dense path it replaced; CHANGES.md gives
 the measured values).  The exact-arithmetic comparison with the dense path
@@ -190,17 +190,22 @@ def test_probe_norms_and_dnr_sums_match_the_40_digit_oracles(beta_a, beta_b, k):
     assert elementwise(got[:-2], oracles.mp_dnr_column_sums(p, q, lam[: N + 1], k)[:-2]) <= PROBE_BOUNDS["dnr"] * EPS
 
 
-# (beta of B, k): every beta at k = 2, and beta = 0.5 at k = 1, 1.5 and 3.7; the worst errors measured, in eps, were
-# 22.5 (T), 10.5 (W), 30.7 (C10), 20.2 (C11), 12.6 (TA_b) and 8.7 (TA_c), each at beta = 0.5 and k = 3.7
-W_CASES = [(0.0, 2), (0.5, 2), (2.0, 2), (0.5, 1.5), (0.5, 1), (0.5, 3.7)]
+# (weights of B, k): power weights (n + 1)**beta for every beta at k = 2, and beta = 0.5 at k = 1, 1.5 and 3.7; geometric
+# weights 1.01**n at k = 2 and 1.5.  The worst errors measured, in eps, were 22.5 (T), 10.5 (W), 30.7 (C10), 20.2 (C11)
+# and 9.6 (TA_b), each at beta = 0.5 and k = 3.7, and 7.0 (TA_c) at beta = 0.5 and k = 1; every geometric row was within 8.9
+W_CASES = [("power", 0.0, 2), ("power", 0.5, 2), ("power", 2.0, 2), ("power", 0.5, 1.5), ("power", 0.5, 1), ("power", 0.5, 3.7)]
+W_CASES += [("geometric", 1.01, 2), ("geometric", 1.01, 1.5)]
 W_BOUNDS = {"T": 40, "W": 28, "C10": 56, "C11": 48, "TA_b": 32, "TA_c": 24}
 
 
-@pytest.mark.parametrize("beta, k", W_CASES)
-def test_w_tail_c10_c11_and_ta_match_the_40_digit_oracle(beta, k):
-    # a cesaro A and a riesz power-beta B carrying its weights to the cutoff 16 N: one oracle sweep per case
+@pytest.mark.parametrize(
+    "kind, x, k", W_CASES, ids=[f"{x}-{k}" if kind == "power" else f"{kind}-{x}-{k}" for kind, x, k in W_CASES]
+)
+def test_w_tail_c10_c11_and_ta_match_the_40_digit_oracle(kind, x, k):
+    # a cesaro A and a riesz B carrying its weights to the cutoff 16 N: one oracle sweep per case
     N, cutoff = N_MP, 16 * N_MP
-    q, lam = power_weights(beta, cutoff), power_factors(N)
+    q = power_weights(x, cutoff) if kind == "power" else x ** np.arange(cutoff + 1.0)
+    lam = power_factors(N)
     T = oracles.mp_w_tail(q, k, cutoff, N + 1)
     with mpmath.workdps(oracles.MP_DIGITS):
         Q, f, kk = oracles.partial_sums(oracles.mp_list(q[: N + 2])), oracles.mp_list(lam), oracles.mp_list([k])[0]
@@ -216,12 +221,14 @@ def test_w_tail_c10_c11_and_ta_match_the_40_digit_oracle(beta, k):
         }
     weights, tail, factors = sk.WeightSequence(q), sk.TailSpec(cutoff), sk.FactorSequence(lam)
     A, B = sk.cesaro_matrix(N), sk.riesz_matrix(weights, order=N)
-    _, ta_b, ta_c = sk.check_theorem_a(A.weights, weights, factors, k, tail, n_max=N)
+    c9, c10, c11 = sk.check_c9(A, B, factors, k), sk.check_c10(A, B, factors, k, tail, v_max=N), sk.check_c11(B, factors, k, tail, v_max=N)
+    _, ta_b, ta_c = sk.check_theorem_a(c9, c10, c11, k)
+    T = weights.tail(k, cutoff, N + 1)[0]
     got = {
-        "T": weights.tail(k, cutoff, N + 1)[0],
-        "W": sk.w_sequence(weights, k, tail, n_max=N),
-        "C10": sk.check_c10(A, B, factors, k, tail, v_max=N).ratios,
-        "C11": sk.check_c11(B, factors, k, tail, v_max=N).ratios,
+        "T": T,
+        "W": [t ** (1 / k) for t in T.tolist()],  # the root TA_b and TA_c take, by Python's **
+        "C10": c10.ratios,
+        "C11": c11.ratios,
         "TA_b": ta_b.ratios,
         "TA_c": ta_c.ratios,
     }

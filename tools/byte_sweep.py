@@ -22,13 +22,18 @@ two faults, so which error wins is compared too; 364 runs, 2,748 in all,
 about 9 s per tree on a 2-core x86-64 host.  An exception that escapes
 ``main`` is recorded as that run's outcome, its type and message.  Every
 run whose report bytes, exit code, stderr or warnings differ between the
-trees is printed, and the exit status is 1 when any does.  Needs numpy alone.
+trees is printed, and the exit status is 1 when any does.  A run whose report
+differs is printed with the rows that differ, CSV or JSON, each named once by
+its first cell: the condition_id of a ``check`` row, the check of a ``verify``
+row, the n of a ``transform`` row.  Needs numpy alone.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -243,6 +248,22 @@ def _sweep(src: Path) -> dict:
     return pickle.loads(out)
 
 
+def _rows(report: bytes | None) -> list[tuple]:
+    """A report's rows as tuples of cell texts: a CSV's rows past its header, or the values of a JSON report's rows."""
+    if report is None:
+        return []
+    text = report.decode()
+    if text.startswith("{"):
+        return [tuple(v if isinstance(v, str) else json.dumps(v) for v in row.values()) for row in json.loads(text)["rows"]]
+    return [tuple(row) for row in csv.reader(io.StringIO(text))][1:]
+
+
+def differing_rows(old: bytes | None, new: bytes | None) -> list[str]:
+    """The first cell of each row that differs between two reports, or that one of them lacks, each named once."""
+    pairs = itertools.zip_longest(_rows(old), _rows(new))
+    return list(dict.fromkeys((a or b)[0] for a, b in pairs if a != b))
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--run"]:
         sys.stdout.buffer.write(pickle.dumps(run_grid()))
@@ -260,7 +281,8 @@ def main(argv: list[str]) -> int:
         fields = [name for name, x, y in zip(("exit code", "report", "stderr", "warnings"), old, new) if x != y]
         if fields:
             differing += 1
-            print(f"DIFF {label}: {', '.join(fields)} (exit {old[0]} -> {new[0]})")
+            rows = f"; rows {', '.join(differing_rows(old[1], new[1]))}" if "report" in fields else ""
+            print(f"DIFF {label}: {', '.join(fields)} (exit {old[0]} -> {new[0]}){rows}")
     ok = sum(1 for code, *_ in before.values() if code == 0)
     print(f"{len(before)} runs, {ok} exit 0 at {rev}, {differing} differing")
     return 1 if differing else 0
