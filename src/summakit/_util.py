@@ -4,11 +4,11 @@ Every public operation runs on either float64 arrays (the production path)
 or object arrays of int and ``fractions.Fraction`` entries (the exact path
 used by test oracles at small truncation orders): an object array means exact.
 :func:`numerators` is the exact path's one conversion, to integer numerators
-over one denominator, and refuses a float by name.  Exact kernels run on such
-integer arrays (:func:`on_numerators`) and form each result once: one Fraction
-per nonzero entry (:func:`fractions_over`), or one float rounded correctly, as
-``float(x)`` rounds (:func:`floats_over`; :func:`as_float` rounds Fractions,
-and passes float64 through uncopied).  :func:`same_arithmetic` refuses a
+over one denominator, and refuses a float or a bool by name.  Exact kernels run
+on such integer arrays (:func:`on_numerators`) and form each result once: one
+Fraction per nonzero entry (:func:`fractions_over`), or one float rounded
+correctly, as ``float(x)`` rounds (:func:`floats_over`; :func:`as_float` rounds
+Fractions, and passes float64 through uncopied).  :func:`same_arithmetic` refuses a
 matrix meeting values of the other arithmetic, and :func:`check_pair` holds the
 argument checks of every function that takes a matrix pair and factors.
 :func:`suffix_sums` is the exact suffix-sum kernel of the W tails, the d_nr
@@ -63,17 +63,18 @@ def numerators(values):
         low = min(int(expo.min(initial=53)) - 53, 0)
         return list(map(operator.lshift, (mant * 2.0**53).astype(np.int64).tolist(), (expo - 53 - low).tolist())), 1 << -low
     vals = exact_entries(values)
-    den = math.lcm(*[x.denominator for x in vals])
-    return [x.numerator * (den // x.denominator) for x in vals], den
+    dens = [x.denominator for x in vals]
+    den = math.lcm(*dens)
+    return [x.numerator * (den // d) for x, d in zip(vals, dens)], den
 
 
 def exact_entries(values) -> list:
-    """The exact ``values`` as a flat list; an entry that is not an int or a Fraction raises a MixedArithmeticError naming
-    it, by (n, v) in a 2-D array."""
+    """The exact ``values`` as a flat list; an entry that is not an int or a Fraction, or is a bool, raises a
+    MixedArithmeticError naming it, by (n, v) in a 2-D array."""
     vals = values.ravel().tolist() if isinstance(values, np.ndarray) else list(values)
     if {int, Fraction}.issuperset(map(type, vals)):  # the common case, with no loop in Python
         return vals
-    bad = next((i for i, x in enumerate(vals) if not isinstance(x, (int, Fraction))), None)
+    bad = next((i for i, x in enumerate(vals) if isinstance(x, bool) or not isinstance(x, (int, Fraction))), None)
     if bad is not None:
         where = divmod(bad, values.shape[1]) if getattr(values, "ndim", 1) == 2 else bad
         raise MixedArithmeticError(f"exact entry {where} is {vals[bad]!r}, not an int or a Fraction")
@@ -88,9 +89,13 @@ def on_numerators(op, *arrays) -> tuple[np.ndarray, int]:
     return out, math.prod(d for _, d in parts)
 
 
-def fractions_over(nums, den) -> np.ndarray:
-    """nums / den for an integer array: one Fraction per nonzero entry, a zero the int 0."""
-    return np.asarray([Fraction(x, den) if x else 0 for x in nums.ravel().tolist()], dtype=object).reshape(nums.shape)
+def fractions_over(nums, den, lower: bool = False) -> np.ndarray:
+    """nums / den for an integer array: one Fraction per nonzero entry, a zero the int 0.  With ``lower`` every entry on
+    and below the diagonal of a 2-D array, and every entry of a 1-D one (a band of it), is a Fraction, zero too."""
+    held = (np.tri(*nums.shape, dtype=bool) if nums.ndim == 2 else np.ones(nums.shape, dtype=bool)) if lower else nums != 0
+    out = np.zeros(nums.shape, dtype=object)
+    out[held] = [Fraction(x, den) for x in nums[held].tolist()]
+    return out
 
 
 def floats_over(nums, den) -> np.ndarray:

@@ -152,7 +152,9 @@ def _tail_report(cid, B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v
     v_max = min(v_max, cutoff_eff - 1)
     totals, last = probe_columns(B, lam.values, v_max + 1).tails(PROBE_KINDS[cid == "C11"], k, cutoff_eff)
     warned = warned or bool(np.any(last > tail.warn_threshold * totals))
-    den = as_float(denominators[: v_max + 1])
+    den = denominators[: v_max + 1]
+    if is_exact(den):  # C10 on an exact pair at an integer k: each ratio divided exactly and rounded once
+        return _report(cid, np.arange(v_max + 1), as_float(totals / den), tail.cutoff, warned)
     if not den.all():  # C10's |a_vv|**k with a_vv nonzero: it underflowed, and the ratio would be inf or NaN
         raise PowerOverflowError(f"the C10 denominator |a_vv|**k at v = {int(np.argmin(den != 0))} is zero (float underflow)")
     ratios = as_float(totals) / den
@@ -172,9 +174,11 @@ def check_c10(
         v_max = min(A.order, B.order, len(lam) - 2)
     if A.order < v_max:
         raise SizeMismatchError(f"diagonal source of order {A.order} cannot cover v <= {v_max}")
+    if A.exact and B.exact and float(k).is_integer():  # exact sums over an exact |a_vv|**k
+        return _tail_report("C10", B, lam, k, tail, v_max, abs_pow(A.diagonal[: v_max + 1], k))
     diagonal = as_float(A.diagonal[: v_max + 1]).tolist()
     denominators = [scalar_pow(abs(a), float(k), "the C10 denominator |a_vv|**k", v) for v, a in enumerate(diagonal)]
-    return _tail_report("C10", B, lam, k, tail, v_max, denominators)
+    return _tail_report("C10", B, lam, k, tail, v_max, np.asarray(denominators))
 
 
 def check_c11(B: NormalMatrix, lam: FactorSequence, k, tail: TailSpec, v_max: int | None = None) -> ConditionReport:
@@ -255,13 +259,12 @@ def _scaled_numerators(H, lv) -> tuple[np.ndarray, int]:
     return BL * f, den * f_den
 
 
-def _scaled_columns(H: np.ndarray, lv) -> np.ndarray:
-    """H diag(lv) for the lower-triangular hat columns ``H``; exact, one Fraction per nonzero entry of its integer
-    numerators (:func:`~summakit._util.on_numerators`), so the zeros above the diagonal stay plain ints."""
-    if lv is None:
-        return H
-    lv = lv[: H.shape[1]]
-    return fractions_over(*_scaled_numerators(H, lv)) if is_exact(H) else H * lv
+def _scaled_columns(H, lv) -> np.ndarray:
+    """H diag(lv) for the lower-triangular hat columns ``H``; exact ones, or their (integer numerators, denominator),
+    one Fraction per nonzero entry of their numerators, so the zeros above the diagonal stay plain ints."""
+    if isinstance(H, tuple) or is_exact(H):
+        return fractions_over(*_scaled_numerators(H, lv))
+    return H if lv is None else H * lv[: H.shape[1]]
 
 
 def column_sums(M, k, w=None, lower: bool = False, quantity: str = "the column k-power sum") -> np.ndarray:
@@ -306,13 +309,14 @@ _ROWS = 256  # rows of the key-identity triangle evaluated at once on a dense B
 class DenseProbes(dict):
     """The probes at v = 0..m-1 through M's hat columns and the factors ``lv`` (:func:`probe_deltas`).
 
-    The hat columns 0..m are formed on first read: M's kept hat matrix when
-    m is M's order, else :func:`~summakit.matrices.hat_columns`, so a long
-    tail carrier keeps no hat matrix.  Keyed by probe kind, the arrays D
-    and S are formed when read and not kept, exact ones as integer numerators
-    over one denominator, so each norm, tail sum and c_nv entry is formed or
-    rounded once; an array set on the mapping stands in for the one it would
-    form.  Column v is the probe at v.
+    The hat columns 0..m are read on first use, exact ones as (integer
+    numerators, denominator): M's kept hat matrix when m is M's order, else
+    :func:`~summakit.matrices.hat_columns`, so a long tail carrier keeps no
+    hat matrix.  Keyed by probe kind, the arrays D and S are formed when
+    read and not kept, exact ones as integer numerators over one
+    denominator, so each norm, tail sum and c_nv entry is formed or rounded
+    once; an array set on the mapping stands in for the one it would form.
+    Column v is the probe at v.
     """
 
     def __init__(self, M: NormalMatrix, lv, m: int):
@@ -320,27 +324,31 @@ class DenseProbes(dict):
         self.M, self.lv, self.m = M, lv, m
 
     @cached_property
-    def H(self) -> np.ndarray:
-        return hat_of(self.M).entries if self.m == self.M.order else hat_columns(self.M, self.m)
+    def H(self):
+        if self.m == self.M.order:
+            hat = hat_of(self.M)
+            return hat.numerators() if hat.exact else hat.entries
+        H = hat_columns(self.M, self.m)
+        return on_numerators(np.asarray, H) if self.M.exact else H
 
-    def _hat(self):
-        """:attr:`H`, an exact one as (integer numerators, denominator): the ones M's hat matrix keeps when H is all of it
-        (:meth:`~summakit.matrices.NormalMatrix.numerators`), so no norm or c_nv array converts it again."""
-        return hat_of(self.M).numerators() if self.M.exact and self.m == self.M.order else self.H
+    def _rows(self, lo: int, hi: int):
+        """Rows lo..hi-1 of :attr:`H`, exact ones over its one denominator."""
+        return (self.H[0][lo:hi], self.H[1]) if self.M.exact else self.H[lo:hi]
 
     def __missing__(self, kind: str) -> np.ndarray:
-        return dict(zip(PROBE_KINDS, probe_deltas(self.H, self.lv)))[kind]
+        D = _probe_arrays(self.H, self.lv)[kind == PROBE_SHIFT]
+        return fractions_over(*D) if self.M.exact else D
 
     def pows(self, k) -> dict:
         """Each probe's sum_n n**(k-1) |delta_nv|**k, weight one at n = 0."""
         w = _index_weights(self.M.size, k, self.M.exact)
-        arrays = {**dict(zip(PROBE_KINDS, _probe_arrays(self._hat(), self.lv))), **self}
+        arrays = {**dict(zip(PROBE_KINDS, _probe_arrays(self.H, self.lv))), **self}
         return {kind: column_sums(d, k, w, True, f"the {kind} probe's norm sum_n n**(k-1) |delta_nv|**k") for kind, d in arrays.items()}
 
     def tails(self, kind: str, k, rows: int):
         """The C10/C11 sums sum_{n=v+1..rows} n**(k-1) |delta_nv|**k of probe ``kind``, and their last terms."""
         quantity = f"the {kind} probe's tail sum_n n**(k-1) |delta_nv|**k"
-        D, exact = _probe_arrays(self.H[: rows + 1], self.lv)[kind == PROBE_SHIFT], self.M.exact
+        D, exact = _probe_arrays(self._rows(0, rows + 1), self.lv)[kind == PROBE_SHIFT], self.M.exact
         D = (np.tril(D[0], -1), D[1]) if exact else np.tril(D, -1)
         w = _index_weights(rows + 1, k, exact)
         last = fractions_over(D[0][-1], D[1]) if exact else D[-1]
@@ -351,7 +359,7 @@ class DenseProbes(dict):
         as integer numerators over one positive denominator per block, which no relative gap reads."""
         N = self.M.order
         for lo in range(2, N + 1, _ROWS):  # a block of rows at a time bounds the temporaries
-            H = self.H[lo : lo + _ROWS]
+            H = self._rows(lo, lo + _ROWS)
             F = _scaled_numerators(H, self.lv)[0] if self.M.exact else _scaled_columns(H, self.lv)
             yield F, np.arange(lo, lo + F.shape[0])
 
@@ -362,7 +370,7 @@ class DenseProbes(dict):
         out = np.zeros((A.size, A.size), dtype=diag.dtype)
         if self.M.exact and A.exact:  # (D / b) / (dn / dd) + (S / b) (gn / gd) over b gd |dn|, dn's sign in the numerator
             n, v = np.nonzero(np.tri(A.size, k=-1) * (np.arange(A.size) > 0))
-            (D, b), (S, _) = _probe_arrays(self._hat(), self.lv)
+            (D, b), (S, _) = _probe_arrays(self.H, self.lv)
             (dn, dd), (gn, gd) = (on_numerators(lambda x: x[v], x) for x in (A.diagonal, A.gap()))
             nums = ((D[n, v] * (dd * gd) + S[n, v] * gn * dn) * np.sign(dn)).tolist()
             dens, f = (np.abs(dn) * (b * gd)).tolist(), fac[n]
@@ -547,7 +555,7 @@ def check_c16(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> Conditio
         hat = hat_of(B)  # exact, its kept integer numerators; a mixed pair is rounded on entry, as C9 and TA round theirs
         exact = hat.exact and is_exact(lv)
         BL = np.abs(floats_over(*_scaled_numerators(hat.numerators(), lv)) if exact else as_float(hat.entries) * as_float(lv))
-        inner = inner_sums(BL, np.abs(as_float(W)))
+        inner = inner_sums(BL, np.abs(floats_over(*W) if A.exact else W))
         nums[2:] = [inner[n, : n - 1].max() for n in range(2, N + 1)]
     den = np.abs(as_float(B.diagonal) / as_float(A.diagonal)) * np.abs(as_float(lv))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero denominator is resolved by np.where

@@ -18,14 +18,15 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import abs_pow, check_exponent, check_pair, index_pow, named_overflow, nan_max, on_numerators, same_arithmetic, scalar_pow, suffix_sums
+from ._util import abs_pow, check_exponent, check_pair, index_pow, named_overflow, nan_max, numerators, on_numerators, same_arithmetic
+from ._util import scalar_pow, suffix_sums
 from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
     LengthMismatchError,
 )
 from .conditions import PROBE_DIFFERENCE, PROBE_KINDS, DenseProbes, probe_columns
-from .matrices import NormalMatrix, apply_hat, apply_lower, far_inverse, hat_inverse_bands, hat_of
+from .matrices import NormalMatrix, apply_hat, apply_lower, far_inverse, hat_inverse, hat_inverse_bands, hat_of
 from .series import FactorSequence, SeriesSample
 
 _ROW_SUM_TOL = 1e-12
@@ -120,14 +121,12 @@ class ProbePass:
         weighted-mean B one row standing for every row, O(N).  A's bands take
         B's arithmetic (:func:`~summakit._util.same_arithmetic`).
         """
-        A, N = self.A, self.A.order
+        N = self.A.order
         v = np.arange(1, N)
-        bands = np.array([*(band[v] for band in hat_inverse_bands(A)), A.diagonal[v], A.gap(v)], dtype=object if self.B.exact else None)
-        same_arithmetic(self.B.exact, bands, "key_identity_gaps")
-        bands = on_numerators(np.asarray, bands) if self.B.exact else (bands, None)
+        _, bands, den = _a_bands(self.A, v, self.B.exact, "key_identity_gaps")
         worst = np.zeros(max(N - 1, 0))
         for F, n in self.delta_y.factored_rows():
-            gaps = _key_gaps(F[:, 1:N], F[:, 2:], *bands[0], bands[1])
+            gaps = _key_gaps(F[:, 1:N], F[:, 2:], *bands, den)
             worst = np.maximum(worst, np.where(n[:, None] > v[None, :], gaps, 0).max(axis=0))  # (n, v) with v <= n - 1
         return worst
 
@@ -252,18 +251,49 @@ def key_identity_check(
     ``v`` may also be an integer array, giving the gaps of row n at each
     of its entries.  ``hat_b`` / ``inv_hat_a``, when given, stand in for
     the hat matrix B keeps and the hat inverse A keeps.  Every value read
-    takes A's arithmetic (:func:`~summakit._util.same_arithmetic`).
+    takes A's arithmetic (:func:`~summakit._util.same_arithmetic`); an exact
+    matrix's entries are read off the integer numerators it keeps.
     """
-    v_lo, v_hi = (np.min(v), np.max(v)) if np.ndim(v) else (v, v)
+    v = np.asarray(v) if np.ndim(v) else v
+    v_lo, v_hi = (np.min(v), np.max(v)) if isinstance(v, np.ndarray) else (v, v)
     if not (1 <= v_lo and v_hi <= n - 1 and n <= A.order):
         raise IndexOutOfRangeError(f"need 1 <= v <= n-1 and n <= {A.order}, got n={n}, v={v}")
     check_pair(A, B, lam, v_hi + 2)
-    bh, f = (hat_b or hat_of(B)).entries, lam.values
-    inv_d, inv_s = (inv_hat_a.diagonal, inv_hat_a.subdiagonal) if inv_hat_a else hat_inverse_bands(A)
-    values = np.array([bh[n, v], f[v], bh[n, v + 1], f[v + 1], inv_d[v], inv_s[v], A.diagonal[v], A.gap(v)], dtype=object if A.exact else None)
-    same_arithmetic(A.exact, values, "key_identity_check")
-    (h_v, l_v, h_w, l_w, *bands), den = on_numerators(np.asarray, values) if A.exact else (values, None)
+    hb, f, w = hat_b or hat_of(B), lam.values, v + 1
+    h_v, h_w = (_stand_in(v),) * 2 if hb.exact else (hb.entries[n, v], hb.entries[n, w])
+    (h_v, l_v, h_w, l_w), bands, den = _a_bands(A, v, A.exact, "key_identity_check", inv_hat_a or hat_inverse(A), (h_v, f[v], h_w, f[w]))
+    if A.exact:  # B-hat's entries off the numerators it keeps
+        H = hb.numerators()[0]
+        h_v, h_w = H[n, v], H[n, w]
     return _key_gaps(h_v * l_v, h_w * l_w, *bands, den)
+
+
+def _stand_in(v):
+    """An exact zero in the shape of v, for the entries of an exact matrix, which are read off its numerators."""
+    return np.full(v.shape, _ZERO) if isinstance(v, np.ndarray) else _ZERO
+
+
+def _a_bands(A, v, exact: bool, where: str, inverse: NormalMatrix | None = None, head=()):
+    """(head, bands, den): the values ``head``, then A's four bands of the key identity at v, the entries (v, v) and
+    (v + 1, v) of the hat inverse ``inverse`` (an exact one's off its numerators), or else of
+    :func:`~summakit.matrices.hat_inverse_bands`, a_vv and the gap factor.  A value not in the arithmetic ``exact`` is
+    refused by its place in that list; exact, all are integer numerators, the bands' over ``den``, else den is None."""
+    held = inverse is not None and inverse.exact
+    if held:
+        inv = (_stand_in(v),) * 2
+    else:
+        inv = (band[v] for band in ((inverse.diagonal, inverse.subdiagonal) if inverse else hat_inverse_bands(A)))
+    values = [*head, *inv, A.diagonal[v], A.gap(v)]
+    if not exact:
+        values = np.array(values)
+        same_arithmetic(False, values, where)
+        return values[: len(head)], values[len(head) :], None
+    nums, den = on_numerators(np.asarray, np.array(values, dtype=object)) if isinstance(v, np.ndarray) else numerators(values)
+    *head, inv_d, inv_s, d, g = nums
+    if held:  # the inverse's two over its own denominator: all four over the product
+        X, x_den = inverse.numerators()
+        return head, (X[v, v] * den, X[v + 1, v] * den, d * x_den, g * x_den), den * x_den
+    return head, (inv_d, inv_s, d, g), den
 
 
 def _key_gaps(f_v, f_v1, inv_d, inv_s, d, g, den=None):

@@ -5,7 +5,7 @@ entries, truncated to its leading (N+1) x (N+1) section.  Triangularity
 makes the truncation lossless: every output with row index <= N is exact.
 
 A matrix is held in one of three forms, one class each, and the class is how
-it is stored: :class:`NormalMatrix`, the general form, holds dense entries; a
+it is stored: :class:`NormalMatrix`, the general form, holds dense entries (or, exact, their numerators); a
 :class:`WeightedMean` holds its :class:`WeightSequence`, and an
 :class:`IdentityMatrix` its order alone.  Every form gives the same reads
 (``size``, ``exact``, ``weights``, ``entries``, ``order``, ``reach``,
@@ -36,7 +36,8 @@ by it and ``hat_inverse_bands`` gives its inverse's two bands in O(N).
 On exact (object) arrays, int and Fraction entries alone, the hat sums and
 the products run their float code on the integer numerators of the lower
 triangle (:mod:`summakit._util`), and the hat inverse is fraction free: all
-read the integers an exact matrix converts once and keeps (:meth:`NormalMatrix.numerators`).
+read the integers an exact matrix keeps (:meth:`NormalMatrix.numerators`),
+and make such integers.
 """
 
 from __future__ import annotations
@@ -65,16 +66,29 @@ class NormalMatrix:
     reads, and each module function that a form computes otherwise has that form's body registered on it.
     """
 
-    __slots__ = ("size", "exact", "weights", "entries", "_hat", "_inverse", "_gap", "_ints")
+    __slots__ = ("size", "exact", "weights", "_entries", "_hat", "_inverse", "_gap", "_ints", "_lower")
 
     def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries)
         entries = entries if is_exact(entries) else entries.astype(float, copy=False)  # the one float conversion
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ShapeMismatchError(f"expected a square array, got shape {entries.shape}")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_entries", entries)
         self._hold(entries.shape[0], is_exact(entries))
         entries.setflags(write=False)
+
+    @classmethod
+    def _born(cls, nums: np.ndarray, den: int, lower: bool = False) -> NormalMatrix:
+        """An exact kernel's result nums / den, kept in lowest terms; its entries (``lower``: all Fractions) formed
+        when read."""
+        g = math.gcd(den, *nums.ravel().tolist()) * (1 if den > 0 else -1)
+        nums, den = (nums // g, den // g) if g != 1 else (nums, den)
+        nums.setflags(write=False)
+        M = object.__new__(cls)
+        names = ("size", "exact", "weights", "_entries", "_ints", "_lower")
+        for name, value in zip(names, (len(nums), True, None, None, (nums, den), lower)):
+            object.__setattr__(M, name, value)
+        return M
 
     def _hold(self, size: int, exact: bool, weights=None) -> None:
         """Set size, exact and weights (None but on a weighted mean), and check the diagonal: a structure's constructor."""
@@ -83,6 +97,11 @@ class NormalMatrix:
         zeros = np.flatnonzero(self.diagonal == 0)
         if zeros.size:
             raise ZeroDiagonalError(int(zeros[0]))
+
+    entries = property(lambda self: _kept(self, "_entries", "entries", self._dense), doc="The (N+1) x (N+1) array.")
+
+    def _dense(self) -> np.ndarray:  # of a matrix born as numerators
+        return fractions_over(*self._ints, self._lower)
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalMatrix is immutable")
@@ -140,10 +159,9 @@ class _Structured(NormalMatrix):
     structure, which no other read uses; rows that sum to one, a gap factor of one and no rises, exactly; and a
     bidiagonal hat inverse, so no far inverse."""
 
-    __slots__ = ("_built",)
+    __slots__ = ()
     __init__ = NormalMatrix._hold  # a structure holds its order, its arithmetic and its weights alone
 
-    entries = property(lambda self: _kept(self, "_built", "entries", self._dense), doc="The (N+1) x (N+1) array.")
     row_sums = property(lambda self: np.ones(self.size, dtype=object if self.exact else float))
 
     def gap(self, v=None):
@@ -198,6 +216,8 @@ class WeightSequence:
         w = as_vector(weights)
         if w.ndim != 1 or w.size == 0:
             raise ShapeMismatchError("weights must be a nonempty 1-D sequence")
+        if is_exact(w):  # an int / int quotient is a float, a Fraction one is not
+            w = np.asarray([Fraction(x) if isinstance(x, int) else x for x in w.tolist()], dtype=object)
         if not np.all(w > 0):  # a NaN is not positive either
             n = int(np.argmin(w > 0))
             raise ValueError(f"weight p_{n} = {w[n]} is not positive")
@@ -401,10 +421,18 @@ def hat_of(A: NormalMatrix) -> NormalMatrix:
     computed once per A: later calls return the same read-only matrix.  The
     identity is its own hat matrix.
     """
-    return _kept(A, "_hat", "hat matrix", lambda: NormalMatrix(hat_columns(A, A.order)))
+
+    def build():
+        if A.exact:
+            nums, den = A.numerators()
+            return NormalMatrix._born(_tail_sums(nums, A.order), den)
+        return NormalMatrix(hat_columns(A, A.order))
+
+    return _kept(A, "_hat", "hat matrix", build)
 
 
 hat_of.register(IdentityMatrix, lambda A: A)
+hat_of.register(WeightedMean, lambda A: _kept(A, "_hat", "hat matrix", lambda: NormalMatrix(hat_columns(A, A.order))))
 
 
 _BLOCK = 64
@@ -423,9 +451,9 @@ def invert_hat(H: NormalMatrix) -> NormalMatrix:
     entry past float range, on finite entries of H, raises a PowerOverflowError naming its row.
     """
 
-    def inverse():  # an exact H from its kept integer numerators
+    def inverse():  # an exact H from and to integer numerators
         if H.exact:
-            return NormalMatrix(_fraction_free_inverse(*H.numerators()))
+            return NormalMatrix._born(*_fraction_free_inverse(*H.numerators()), lower=True)
         return NormalMatrix(named_overflow(lambda: _lower_inverse(H.entries), H.entries, "the hat inverse", "row n"))
 
     return _kept(H, "_inverse", "hat inverse", inverse)
@@ -446,21 +474,21 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     return X
 
 
-def _fraction_free_inverse(nums: np.ndarray, den: int) -> np.ndarray:
-    """The inverse of the lower triangle nums / den of integers, each row n first written as R_n / d_n in lowest terms:
-    column v solves R x = d_v e_v, its entries through row n numerators over R_v[v] ... R_n[n], the running product of
-    the scaled diagonal."""
+def _fraction_free_inverse(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """(numerators, denominator) of the inverse of the lower triangle nums / den of integers, each row n first written
+    as R_n / d_n in lowest terms: column v solves R x = d_v e_v, its entries through row n numerators over R_v[v] ...
+    R_n[n], the running product of the scaled diagonal, so over R_0[0] ... R_N[N] times R_0[0] ... R_{v-1}[v-1]."""
     rows = [row[: n + 1] for n, row in enumerate(nums.tolist())]
     rows = [([x // g for x in R], den // g) for R in rows for g in [math.gcd(den, *R)]]  # each row in lowest terms
-    X = np.zeros((len(rows), len(rows)), dtype=object)
+    X, head = np.zeros((len(rows), len(rows)), dtype=object), 1
     for v in range(len(rows)):
-        ys, D = [rows[v][1]], rows[v][0][v]
+        ys = [rows[v][1]]
         for R, _ in rows[v + 1 :]:
             r = R[v + len(ys)]
             ys = [y * r for y in ys] + [-sum(map(operator.mul, R[v:], ys))]
-            D *= r
-        X[v:, v] = [Fraction(y, D) for y in ys]
-    return X
+        X[v:, v] = [y * head for y in ys]
+        head *= rows[v][0][v]
+    return X, head
 
 
 @functools.singledispatch
@@ -482,10 +510,14 @@ hat_inverse.register(WeightedMean, lambda A: _kept(A, "_hat_inverse", "hat inver
 
 
 @functools.singledispatch
-def far_inverse(A: NormalMatrix) -> np.ndarray | None:
-    """``hat_inverse(A)`` below its subdiagonal (entries (n, r), r <= n - 2), or None when that inverse is
-    bidiagonal, on a weighted mean and on the identity: every sum over it is then empty or a sum of zeros."""
-    return np.tril(hat_inverse(A).entries, -2)
+def far_inverse(A: NormalMatrix) -> np.ndarray | tuple | None:
+    """``hat_inverse(A)`` below its subdiagonal (entries (n, r), r <= n - 2), exact as (numerators, denominator), or
+    None when that inverse is bidiagonal, on a weighted mean and on the identity: every sum over it is empty or zero."""
+    X = hat_inverse(A)
+    if A.exact:
+        nums, den = X.numerators()
+        return np.tril(nums, -2), den
+    return np.tril(X.entries, -2)
 
 
 far_inverse.register(_Structured, lambda A: None)
@@ -497,10 +529,16 @@ def hat_inverse_bands(A: NormalMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     A weighted mean's are P_n / p_n and -P_{n-1} / p_n (0 at n = 0), read
     from its weights with no matrix formed; other matrices' are read off
-    their hat inverse.
+    their hat inverse, exact ones off its numerators.
     """
     X = hat_inverse(A)
+    if A.exact:
+        nums, den = X.numerators()
+        return fractions_over(np.diagonal(nums), den, True), fractions_over(np.diagonal(nums, -1), den, True)
     return X.diagonal, X.subdiagonal
+
+
+hat_inverse_bands.register(IdentityMatrix, lambda A: (A.diagonal, A.subdiagonal))
 
 
 @hat_inverse_bands.register(WeightedMean)
@@ -559,6 +597,7 @@ def _(M, x) -> np.ndarray:
 
 
 apply_lower.register(IdentityMatrix, lambda M, x: _operand(x, M.size, M.exact, "apply_lower").copy())
+apply_lower.register(tuple, lambda M, x: _exact_product(*M, _operand(x, M[0].shape[0], True, "apply_lower")))
 
 
 @apply_lower.register(WeightedMean)

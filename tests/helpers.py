@@ -5,6 +5,7 @@ so that inverse-based identities are testable at double precision; the
 rational generators have no such restriction.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -106,3 +107,33 @@ def theorem_a_rows(p, q, lam, k, tail, N):
     A, B = sk.riesz_matrix(p, order=N), sk.riesz_matrix(q, order=N)
     c10, c11 = sk.check_c10(A, B, lam, k, tail, v_max=N), sk.check_c11(B, lam, k, tail, v_max=N)
     return sk.check_theorem_a(sk.check_c9(A, B, lam, k), c10, c11, k)
+
+
+def leaves(value, path="", out=None):
+    """Each number in ``value`` by its place: the name of its type and its exact value, a Fraction's numerator and
+    denominator, a float's hex, a float array's dtype, shape and bytes.  Two results are the same in value and type,
+    to the last bit, when their leaves are equal."""
+    out = {} if out is None else out
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        out[path] = (str(value.dtype), value.shape, value.tobytes())
+    elif isinstance(value, np.ndarray):
+        out[path] = ("object", value.shape)
+        for i, x in enumerate(value.ravel().tolist()):
+            leaves(x, f"{path}[{i}]", out)
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            leaves(getattr(value, field.name), f"{path}.{field.name}", out)
+    elif isinstance(value, dict):
+        for key, x in value.items():
+            leaves(x, f"{path}.{key}", out)
+    elif isinstance(value, (list, tuple)):
+        out[path] = (type(value).__name__, len(value))
+        for i, x in enumerate(value):
+            leaves(x, f"{path}[{i}]", out)
+    elif isinstance(value, float):
+        out[path] = (type(value).__name__, float.hex(value))
+    elif isinstance(value, Fraction):
+        out[path] = ("Fraction", value.numerator, value.denominator)
+    else:
+        out[path] = (type(value).__name__, repr(value))
+    return out

@@ -137,6 +137,30 @@ def test_c10_c11_riesz_fraction_weights_match_rational_oracle():
                 np.testing.assert_allclose(c11.ratios[v], float(want11), rtol=1e-12)
 
 
+def test_exact_c10_and_ta_b_are_the_exact_quotient_rounded_once():
+    # on an exact pair at an integer k each C10 ratio is its tail sum divided by |a_vv|**k exactly, then rounded once,
+    # and TA_b, its k-th root, reads it: rounding the sum and the denominator first is one ulp off in about a quarter
+    w = sk.WeightSequence(np.asarray([F(x) for x in (1, 2, 3, 5, 7, 11)], dtype=object))
+    lam = sk.FactorSequence(np.asarray([F(1), F(1, 3), F(2, 7), F(1, 5), F(3, 11)], dtype=object))
+    A = sk.riesz_matrix(w)
+    c10 = sk.check_c10(A, A, lam, 1, sk.TailSpec(5))
+    assert c10.ratios[1] == 0.2348111658456486  # rounded twice, 0.23481116584564862
+    rng = np.random.default_rng(97)
+    for trial in range(40):
+        p, q = (helpers.random_rational_weights(rng, 8) for _ in range(2))
+        lam_vals = helpers.random_rational_vector(rng, 8)
+        kinds = (sk.riesz_matrix(p), sk.riesz_matrix(q)), (helpers.random_rational_matrix(rng, 7), helpers.random_rational_matrix(rng, 7))
+        A, B = kinds[trial % 2]
+        bh = oracles.hat_rows(oracles.to_rows(B))
+        lam = sk.FactorSequence(lam_vals)
+        for k in (1, 2):
+            c10 = sk.check_c10(A, B, lam, k, sk.TailSpec(7))
+            want = [float(oracles.c10_tail(bh, list(lam_vals), k, v, 7) / abs(A.diagonal[v]) ** k) for v in range(7)]
+            assert c10.ratios.tolist() == want
+            ta_b = sk.check_theorem_a(sk.check_c9(A, B, lam, k), c10, sk.check_c11(B, lam, k, sk.TailSpec(7)), k)[1]
+            assert ta_b.ratios.tolist() == [x ** (1.0 / k) for x in want[1:]]
+
+
 def test_c10_caps_at_matrix_size_with_warning():
     A = sk.cesaro_matrix(8)
     B = sk.cesaro_matrix(16)

@@ -18,10 +18,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import summakit as sk  # noqa: E402
-from summakit._util import accurate_sum, numerators  # noqa: E402
-from summakit.conditions import DenseProbes  # noqa: E402
+from summakit import _util  # noqa: E402
+from summakit._util import accurate_sum, fractions_over, numerators  # noqa: E402
 from summakit.errors import MixedArithmeticError  # noqa: E402
-from summakit.matrices import _BLOCK  # noqa: E402
+from summakit.matrices import _BLOCK, far_inverse, hat_inverse_bands  # noqa: E402
 
 import helpers  # noqa: E402
 import oracles  # noqa: E402
@@ -65,7 +65,17 @@ def test_numerators_of_floats_are_exact_and_of_a_mixed_row_refused():
     assert [F(n, den) for n in nums] == [F(v) if math.isfinite(v) else 0 for v in x.tolist()]
     with pytest.raises(MixedArithmeticError, match=r"^exact entry 1 is 0\.5, not an int or a Fraction$"):
         numerators([F(1, 3), 0.5])
-    assert numerators([True, F(1, 3)]) == ([3, 1], 3)  # a bool is an int
+    with pytest.raises(MixedArithmeticError, match=r"^exact entry 0 is True, not an int or a Fraction$"):
+        numerators([True, F(1, 3)])  # a bool is not an int here, as in as_vector
+
+    class Count(int):  # another subclass of int is an int
+        pass
+
+    assert numerators([Count(2), F(1, 3)]) == ([6, 1], 3)
+    bools = sk.NormalMatrix(np.asarray([[True, 0], [F(1, 2), True]], dtype=object))
+    for read in (bools.numerators, lambda: sk.hat_of(bools), lambda: sk.invert_hat(bools)):
+        with pytest.raises(MixedArithmeticError, match=r"^exact entry \(0, 0\) is True, not an int or a Fraction$"):
+            read()
     with pytest.raises(MixedArithmeticError, match="exact entry 1 is "):
         numerators(np.asarray([F(1, 3), np.float64(0.5)], dtype=object))
 
@@ -188,23 +198,96 @@ def test_the_exact_oracle_calls_stay_under_ten_thousand_fraction_operations(monk
 
 
 def test_the_exact_oracle_calls_convert_each_whole_matrix_once(monkeypatch):
-    # a whole (N+1) x (N+1) array is converted to integer numerators four times, once for each of A, B and their hat
-    # matrices, which keep them, and once for A's far inverse: the probe norms, the c_nv array and C16 read the kept
-    # ones, with the values of a conversion per read
-    inputs = helpers.exact_oracle_inputs(seed=1, order=24)
-    monkeypatch.setattr(DenseProbes, "_hat", lambda self: self.H)  # each probe reading converts its hat columns anew
-    fresh = helpers.exact_oracle_calls(*helpers.exact_oracle_inputs(seed=1, order=24))
+    # A and B, given as Fractions, are converted to integer numerators once each; the hat matrices and the inverse are
+    # born as integer numerators and never converted.  Born as Fractions and converted again when read, each kernel's
+    # result gives the same values of the same types, to the last bit of every float
+    size = (25, 25)
+    monkeypatch.setattr(sk.NormalMatrix, "_born", classmethod(lambda cls, nums, den, lower=False: cls(fractions_over(nums, den, lower))))
+    formed = helpers.exact_oracle_calls(*helpers.exact_oracle_inputs(seed=1, order=24))
     monkeypatch.undo()
+    A, B, lam, series = helpers.exact_oracle_inputs(seed=1, order=24)
     whole = []
-    for module in (sk.matrices, sk.conditions, sk.harness):
-        convert = module.on_numerators
+    real = _util.numerators
 
-        def counted(op, *arrays, convert=convert):
-            whole.extend(a for a in arrays if np.shape(a) == (25, 25))
-            return convert(op, *arrays)
+    def counted(values):
+        if np.shape(values) == size:
+            whole.append(values)
+        return real(values)
 
-        monkeypatch.setattr(module, "on_numerators", counted)
-    out = helpers.exact_oracle_calls(*inputs)
+    for module in (_util, sk.matrices, sk.conditions, sk.harness):  # each one binds the name
+        monkeypatch.setattr(module, "numerators", counted)
+    out = helpers.exact_oracle_calls(A, B, lam, series)
     monkeypatch.undo()
-    assert len(whole) <= 5
-    assert repr(out) == repr(fresh) and out["key_gaps"] == fresh["key_gaps"]
+    assert helpers.leaves(out) == helpers.leaves(formed)
+    assert [x.tolist() for x in whole] == [np.tril(M.entries).tolist() for M in (A, B)]
+    assert all(M._entries is None for M in (sk.hat_of(A), sk.hat_of(B), sk.hat_inverse(A)))  # no entry of theirs formed
+
+
+def typed(rows, lower):
+    """The oracle's Fraction rows typed as an exact kernel forms its result: a Fraction at every entry of the lower
+    triangle with ``lower``, else at every nonzero one, and the int 0 elsewhere."""
+    return [[F(x) if (v <= n if lower else x) else 0 for v, x in enumerate(row)] for n, row in enumerate(rows)]
+
+
+def kinds(rows):
+    return [[type(x) for x in row] for row in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(order=st.integers(0, 10), seed=SEEDS)
+def test_born_matrices_equal_the_oracle_in_value_and_type(order, seed):
+    # the hat matrix, the hat inverse, its bands and its far part of a random rational explicit matrix: the bands and
+    # the far part are read off the numerators the inverse keeps, before any entry of it is formed
+    rows = rational_lower(np.random.default_rng(seed), order)
+    A = as_matrix(rows)
+    hat = oracles.hat_rows(as_fractions(rows))
+    inv = oracles.lower_inverse(hat)
+    diag, sub = hat_inverse_bands(A)
+    assert diag.tolist() == [inv[n][n] for n in range(order + 1)] and sub.tolist() == [inv[n + 1][n] for n in range(order)]
+    assert {type(x) for x in [*diag.tolist(), *sub.tolist()]} <= {F}
+    nums, den = far_inverse(A)
+    assert [[F(x, den) for x in row] for row in nums.tolist()] == [[x if v <= n - 2 else 0 for v, x in enumerate(row)] for n, row in enumerate(inv)]
+    for M, want, lower in ((sk.hat_of(A), hat, False), (sk.hat_inverse(A), inv, True)):
+        got = M.entries.tolist()
+        assert got == want and kinds(got) == kinds(typed(want, lower))
+        # the entries and the numerators round-trip: the entries' numerators are the ones the matrix was born with
+        nums, den = M.numerators()
+        again, again_den = sk.NormalMatrix(M.entries).numerators()
+        assert (again.tolist(), again_den) == (nums.tolist(), den) and den > 0 and M.weights is None
+        assert fractions_over(nums, den, lower).tolist() == got
+
+
+def test_reading_the_inverse_bands_forms_no_whole_matrix_fractions(monkeypatch):
+    # the bands form one Fraction per entry of the two, the far part none, and the inverse's entries are not formed
+    A = helpers.exact_oracle_inputs(seed=2, order=24)[0]
+    X = sk.hat_inverse(A)
+    formed = [0]
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        formed[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    bands = hat_inverse_bands(A)
+    assert formed[0] == 2 * 25 - 1
+    far_inverse(A)
+    assert formed[0] == 2 * 25 - 1 and X._entries is None
+    monkeypatch.undo()
+    assert [b.tolist() for b in bands] == [X.diagonal.tolist(), X.subdiagonal.tolist()]
+
+
+def test_c_nv_of_a_float_a_and_an_exact_b_meets_b_hat_as_fractions():
+    # B-hat diag(lam), read off the numerators B's hat matrix keeps, is formed as one Fraction per nonzero entry and
+    # met by A's floats, in the order of the float path
+    rng = np.random.default_rng(3)
+    A, B = helpers.random_normal_matrix(rng, 5), helpers.random_rational_matrix(rng, 5)
+    lv = helpers.random_rational_vector(rng, 7).tolist()
+    BL = np.asarray([[x * f for x, f in zip(row, lv)] for row in oracles.hat_rows(oracles.to_rows(B))], dtype=object)
+    d, gap, fac = A.diagonal, A.gap(), np.arange(6.0) ** 0.5
+    want = np.zeros((6, 6))
+    for n in range(2, 6):
+        S = BL[n, 2 : n + 1]
+        want[n, 1:n] = ((BL[n, 1:n] - S) / d[1:n] + S * gap[1:n]) * fac[n]
+    got = sk.build_cnv(A, B, sk.FactorSequence(np.asarray(lv, dtype=object)), 2)
+    assert np.tril(got, -1).tobytes() == want.tobytes()

@@ -77,7 +77,8 @@ def test_a_leading_section_keeps_the_form_and_no_kept_value(make):
     S = leading_section(M, 5)
     slots = {slot for cls in type(M).__mro__ for slot in getattr(cls, "__slots__", ()) if slot.startswith("_")}
     assert type(S) is type(M) and S.order == 5 and S.weights is M.weights
-    assert all(getattr(S, slot, None) is None for slot in slots)
+    held = {"_entries"} if type(M) is sk.NormalMatrix else set()  # a dense section holds its entries, a view of M's
+    assert all(getattr(S, slot, None) is None for slot in slots - held)
     square = [(sk.hat_of(X).entries, sk.hat_inverse(X).entries, X.entries) for X in (S, M)]
     assert all(mine.tolist() == whole[:6, :6].tolist() for mine, whole in zip(*square))
     nums, den = S.numerators()

@@ -85,8 +85,8 @@ _MAKERS = {"identity_matrix", "riesz_matrix"}
 
 
 def _storage_tests(source, forms):
-    """Each test of how a matrix is stored in ``source``, as "line what": a comparison of ``_entries``, ``weights``
-    or a local read off ``entries`` or ``_entries`` with None; a read of ``is_identity`` or ``identity``; and a form
+    """Each test of how a matrix is stored in ``source``, as "line what": a comparison of ``_entries``, ``_ints``,
+    ``weights`` or a local read off ``entries`` or ``_entries`` with None; a read of ``is_identity`` or ``identity``; and a form
     named outside its class, the function that makes it, a ``register`` call and the probe table ``_PROBES``."""
     found = []
 
@@ -109,7 +109,7 @@ def _storage_tests(source, forms):
                 found.extend(
                     f"{node.lineno} {ast.unparse(n)} against None"
                     for n in sides
-                    if (isinstance(n, ast.Attribute) and n.attr in ("_entries", "weights")) or (isinstance(n, ast.Name) and n.id in local)
+                    if (isinstance(n, ast.Attribute) and n.attr in ("_entries", "_ints", "weights")) or (isinstance(n, ast.Name) and n.id in local)
                 )
         if isinstance(node, ast.Attribute) and node.attr in ("is_identity", "identity"):
             found.append(f"{node.lineno} .{node.attr}")
@@ -124,9 +124,9 @@ def _storage_tests(source, forms):
 
 def test_the_gap_factor_and_the_storage_of_a_matrix_are_read_in_one_place_each():
     # (a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}) is NormalMatrix.gap: conditions and harness read no
-    # subdiagonal but the stand-in hat inverse key_identity_check accepts
+    # subdiagonal but that of the stand-in hat inverse key_identity_check accepts, read where A's bands are
     assert _attribute_reads("conditions.py", "subdiagonal") == []
-    assert set(_attribute_reads("harness.py", "subdiagonal")) == {"key_identity_check"}
+    assert set(_attribute_reads("harness.py", "subdiagonal")) == {"_a_bands"}
     # how a matrix is stored is its class, one per form: no function tests for a form's storage, and a form
     # class is named where it is defined, built, registered on a module function and given its probe class
     forms = _forms()
@@ -179,7 +179,8 @@ def test_the_probe_classes_share_one_protocol():
 
 def test_the_matrix_forms_share_one_protocol():
     # what every module reads of a matrix, whatever its form: a structure's base overrides the reads that are exact
-    # constants on it, and each structure gives its entries and bands (_dense, _band) from what it holds
+    # constants on it, and each structure gives its entries and bands (_dense, _band) from what it holds; entries are
+    # one kept read on every form, of what the form holds
     from summakit import matrices
 
     reads = {"size", "exact", "weights", "entries", "order", "reach", "diagonal", "subdiagonal", "row_sums", "numerators", "gap", "rises"}
@@ -187,7 +188,7 @@ def test_the_matrix_forms_share_one_protocol():
     assert all({n for n in dir(cls) if not n.startswith("_")} == reads for cls in classes)
     own = {cls.__name__: {n for n in vars(cls) if not n.endswith("__")} for cls in classes[1:]}
     assert own == {
-        "_Structured": {"_built", "entries", "row_sums", "gap", "rises"},
+        "_Structured": {"row_sums", "gap", "rises"},
         "WeightedMean": {"_hat_inverse", "reach", "_weights", "_dense", "_band"},
         "IdentityMatrix": {"_dense", "_band"},
     }
@@ -198,12 +199,12 @@ def test_the_matrix_forms_share_one_protocol():
     assert registered == {
         "leading_section": {"_Structured"},
         "hat_columns": {"WeightedMean"},
-        "hat_of": {"IdentityMatrix"},
+        "hat_of": {"IdentityMatrix", "WeightedMean"},
         "hat_inverse": {"IdentityMatrix", "WeightedMean"},
         "far_inverse": {"_Structured"},
-        "hat_inverse_bands": {"WeightedMean"},
+        "hat_inverse_bands": {"IdentityMatrix", "WeightedMean"},
         "apply_hat": {"WeightedMean"},
-        "apply_lower": {"ndarray", "IdentityMatrix", "WeightedMean"},
+        "apply_lower": {"ndarray", "tuple", "IdentityMatrix", "WeightedMean"},
     }
 
 
@@ -216,10 +217,13 @@ def test_dense_hat_matrices_are_formed_in_named_places_only():
         if path.name != "matrices.py"
         for f in _where(path.name, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "hat_of")
     }
-    # DenseProbes._hat and check_c16 read the integer numerators an exact hat matrix keeps
-    kept = {("conditions.py", "DenseProbes._hat"), ("conditions.py", "check_c16")}
+    # DenseProbes.H and check_c16 read the integer numerators an exact hat matrix keeps
+    kept = {("conditions.py", "check_c16")}
     assert calls == {("conditions.py", "DenseProbes.H"), ("harness.py", "key_identity_check")} | kept
     assert _attribute_reads("series.py", "entries") == []
+    # an exact matrix is born as integer numerators by the two exact kernels that make one, and nowhere else
+    born = {(path.name, f) for path in (ROOT / "src" / "summakit").glob("*.py") for f in _attribute_reads(path.name, "_born")}
+    assert born == {("matrices.py", "hat_of.build"), ("matrices.py", "invert_hat.inverse")}
 
 
 def _names_used(tree):

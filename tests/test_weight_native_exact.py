@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import summakit as sk  # noqa: E402
 
+import helpers  # noqa: E402
 import oracles  # noqa: E402
 
 POSITIVE = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
@@ -91,3 +92,24 @@ def test_weight_native_verify_rows_equal_the_dense_rows_exactly(data):
         gaps = sk.ProbePass(X, Y, lam, 1).key_identity_gaps()
         assert len(gaps) == N - 1 and all(g == 0 for g in gaps)
         assert sk.ProbePass(X, Y, lam, 2).definition_gap() == 0
+
+
+def test_int_weights_give_the_results_of_fraction_weights():
+    # int / int is a float: int weights once made an "exact" weighted mean of float entries, whose C10 and C11 were
+    # off in the last bit and whose decomposition was refused.  Every quotient of exact weights is a Fraction
+    ints = [1, 2, 3, 5, 7, 11, 13]
+    rng = np.random.default_rng(29)
+    lam = sk.FactorSequence(helpers.random_rational_vector(rng, 8))
+    series = sk.SeriesSample(helpers.random_rational_vector(rng, 7))
+    tail = sk.TailSpec(6)
+
+    def results(weights):
+        A = sk.riesz_matrix(sk.WeightSequence(np.asarray(weights, dtype=object)))
+        reads = (A.entries, A.diagonal, A.subdiagonal, A.row_sums, A.gap(), sk.hat_of(A).entries, sk.hat_inverse(A).entries)
+        checks = (sk.check_c10(A, A, lam, 2, tail), sk.check_c11(A, lam, 1, tail), sk.decompose(A, A, lam, series))
+        return A.exact, reads, checks, sk.ProbePass(A, A, lam, 2).key_identity_gaps(), A.weights.tail(2, 6, 6)
+
+    exact, reads, *rest = results(ints)
+    assert exact and {type(x) for read in reads for x in read.ravel().tolist()} <= {F, int}
+    assert helpers.leaves(results(ints)) == helpers.leaves(results([F(x) for x in ints]))
+    assert sk.WeightSequence(np.asarray([1.0, 2.0])).weights.dtype == float  # float weights are left as they are

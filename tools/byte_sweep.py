@@ -25,7 +25,16 @@ run whose report bytes, exit code, stderr or warnings differ between the
 trees is printed, and the exit status is 1 when any does.  A run whose report
 differs is printed with the rows that differ, CSV or JSON, each named once by
 its first cell: the condition_id of a ``check`` row, the check of a ``verify``
-row, the n of a ``transform`` row.  Needs numpy alone.
+row, the n of a ``transform`` row.
+
+Each tree also runs the library calls of the exact-oracle benchmark
+(``tests/helpers.exact_oracle_calls``, read from the working tree) on the
+inputs of seeds 1-3 at N = 6 and 24.  Every value they return is compared by
+its type and exact value: a Fraction by numerator and denominator, a float by
+its bits, a float array by its dtype, shape and bytes, so a change in the last
+bit or from an int 0 to a Fraction(0) shows.  Each value that differs is
+printed by its call and place, and counts toward the exit status.  Needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -239,9 +248,24 @@ def run_grid() -> dict:
     return results
 
 
+EXACT_INPUTS = [(seed, order) for seed in (1, 2, 3) for order in (6, 24)]
+
+
+def run_exact() -> dict:
+    """The exact-oracle library calls on every input of :data:`EXACT_INPUTS`: place -> (type, exact value)
+    (``helpers.leaves``)."""
+    import helpers
+
+    out = {}
+    for seed, order in EXACT_INPUTS:
+        out.update(helpers.leaves(helpers.exact_oracle_calls(*helpers.exact_oracle_inputs(seed, order)), f"seed={seed} N={order} "))
+    return out
+
+
 def _sweep(src: Path) -> dict:
-    """Run the grid in a child process that imports summakit from ``src``."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    """Run the grid and the exact calls in a child process that imports summakit from ``src``."""
+    tests = Path(__file__).resolve().parents[1] / "tests"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(tests))), PYTHONHASHSEED="0")
     out = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--run"], env=env, check=True, stdout=subprocess.PIPE
     ).stdout
@@ -266,15 +290,16 @@ def differing_rows(old: bytes | None, new: bytes | None) -> list[str]:
 
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--run"]:
-        sys.stdout.buffer.write(pickle.dumps(run_grid()))
+        exact = run_exact()
+        sys.stdout.buffer.write(pickle.dumps((run_grid(), exact)))
         return 0
     rev = argv[0] if argv else "HEAD"
     root = Path(__file__).resolve().parents[1]
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", str(root), "archive", rev, "src"], check=True, stdout=subprocess.PIPE).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        before = _sweep(Path(tmp) / "src")
-    after = _sweep(root / "src")
+        before, exact_before = _sweep(Path(tmp) / "src")
+    after, exact_after = _sweep(root / "src")
     differing = 0
     for label, old in before.items():
         new = after[label]
@@ -285,7 +310,11 @@ def main(argv: list[str]) -> int:
             print(f"DIFF {label}: {', '.join(fields)} (exit {old[0]} -> {new[0]}){rows}")
     ok = sum(1 for code, *_ in before.values() if code == 0)
     print(f"{len(before)} runs, {ok} exit 0 at {rev}, {differing} differing")
-    return 1 if differing else 0
+    values = [place for place in exact_before.keys() | exact_after.keys() if exact_before.get(place) != exact_after.get(place)]
+    for place in sorted(values):
+        print(f"DIFF exact {place}: {exact_before.get(place)} -> {exact_after.get(place)}")
+    print(f"{len(exact_before)} exact-oracle values, {len(values)} differing")
+    return 1 if differing or values else 0
 
 
 if __name__ == "__main__":
