@@ -12,7 +12,8 @@ Fractions, and passes float64 through uncopied).  :func:`same_arithmetic` refuse
 matrix meeting values of the other arithmetic, and :func:`check_pair` holds the
 argument checks of every function that takes a matrix pair and factors.
 :func:`suffix_sums` is the exact suffix-sum kernel of the W tails, the d_nr
-bound and the running totals of an absolute k-norm profile.
+bound and the running totals of an absolute k-norm profile.  :func:`power` is
+every power of the package: the one place that picks its kernel.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def numerators(values):
     if isinstance(values, np.ndarray) and not is_exact(values):
         mant, expo = np.frexp(np.where(np.isfinite(values), values, 0.0))
         low = min(int(expo.min(initial=53)) - 53, 0)
-        return list(map(operator.lshift, (mant * 2.0**53).astype(np.int64).tolist(), (expo - 53 - low).tolist())), 1 << -low
+        return list(map(operator.lshift, (mant * _SCALE).astype(np.int64).tolist(), (expo - 53 - low).tolist())), 1 << -low
     vals = exact_entries(values)
     dens = [x.denominator for x in vals]
     den = math.lcm(*dens)
@@ -118,7 +119,7 @@ def quotients(nums, dens) -> np.ndarray:
         return np.asarray(list(map(operator.truediv, nums, dens)), dtype=float)
     except OverflowError:  # int division raises where the rounded quotient is inf
         inf = [math.inf if (n > 0) == (d > 0) else -math.inf for n, d in zip(nums, dens)]
-        return np.asarray([n / d if abs(n) < (2**1024 - 2**970) * abs(d) else i for n, d, i in zip(nums, dens, inf)])
+        return np.asarray([n / d if abs(n) < ((1 << 1024) - (1 << 970)) * abs(d) else i for n, d, i in zip(nums, dens, inf)])
 
 
 def accurate_sum(values):
@@ -156,7 +157,7 @@ def suffix_sums(terms, count: int) -> np.ndarray:
     far_expo, far_sums = _binned(t[count:], finite[count:])
     low = min(int(expo.min(initial=53)), min(far_expo, default=53)) - 53  # every shift below is nonnegative (53: no terms)
     rest = sum(map(operator.lshift, far_sums, [e - 53 - low for e in far_expo]))
-    head = map(operator.lshift, (mant * 2.0**53).astype(np.int64).tolist(), (expo - 53 - low).tolist())
+    head = map(operator.lshift, (mant * _SCALE).astype(np.int64).tolist(), (expo - 53 - low).tolist())
     sums = _last_running_sums(itertools.chain((rest,), reversed(list(head))), count)
     out = quotients(sums, itertools.repeat(1 << -low, len(sums)))
     if not finite.all():
@@ -175,14 +176,15 @@ def _binned(t: np.ndarray, finite: np.ndarray) -> tuple[list, list]:
     high, low = (np.zeros(_EXPO + 1025, dtype=np.int64) for _ in range(2))  # frexp's exponents: -1073..1024
     for i in range(0, t.size, _CHUNK):
         mant, expo = np.frexp(np.where(finite[i : i + _CHUNK], t[i : i + _CHUNK], 0.0))
-        m, at = (mant * 2.0**53).astype(np.int64), expo + _EXPO
+        m, at = (mant * _SCALE).astype(np.int64), expo + _EXPO
         high += np.bincount(at, weights=m >> 26, minlength=high.size).astype(np.int64)
-        low += np.bincount(at, weights=m & (2**26 - 1), minlength=low.size).astype(np.int64)
+        low += np.bincount(at, weights=m & ((1 << 26) - 1), minlength=low.size).astype(np.int64)
     at = np.flatnonzero(high | low)
     return (at - _EXPO).tolist(), [(h << 26) + x for h, x in zip(high[at].tolist(), low[at].tolist())]
 
 
 _CHUNK = 1 << 16
+_SCALE = float(1 << 53)  # 2**53: np.frexp's significand times it is a 53-bit integer
 _EXPO = 1073  # minus the least exponent np.frexp gives: 5e-324 is 0.5 * 2**-1073
 
 
@@ -215,15 +217,6 @@ def check_pair(A, B, lam, count: int) -> None:
         raise LengthMismatchError(f"need {count} factors, have {len(lam)}")
 
 
-def scalar_pow(x: float, p: float, quantity: str, v: int) -> float:
-    """x**p for one float, as Python's ``**`` rounds it: numpy's vectorized power can differ in the last digit.
-    Where ``**`` raises OverflowError, a :class:`~summakit.errors.PowerOverflowError` names ``quantity`` and v."""
-    try:
-        return x**p
-    except OverflowError:
-        raise PowerOverflowError(f"{quantity} at v = {v} is not finite (float overflow)") from None
-
-
 def named_overflow(build, base, quantity: str, index: str = "v", start: int = 0):
     """``build()`` with numpy's overflow, divide-by-zero and invalid-value warnings off.  A float value that is inf or NaN
     where its ``base`` entry is finite (a 2-D base of 1-D values: its column; 2-D values: the whole base) went past float
@@ -246,33 +239,45 @@ def named_overflow(build, base, quantity: str, index: str = "v", start: int = 0)
     return values
 
 
-def abs_pow(values, k):
-    """Elementwise |x|**k, staying exact for object arrays with integer k."""
-    arr = np.asarray(values)
-    if arr.dtype == object and float(k).is_integer():
-        return np.abs(arr) if k == 1 else np.abs(arr) ** int(k)
-    return np.abs(as_float(arr)) ** float(k)
+def power(base, expo, quantity: str | None = None, index: str = "v", start: int = 0):
+    """base**expo: the one place that picks a power's kernel, by the operands' types.
 
+    - An ndarray exponent: numpy's ``**`` on the base as it is.
+    - An ndarray base: exact, one Python ``**`` per entry, for an object array and an integral exponent >= 0; else
+      numpy's ``**`` on the base as float64 (:func:`as_float`) and float(expo).
+    - A list: Python's ``**`` on each value, in order.
+    - A number: Python's ``**``, exact on an int or a Fraction and an integral exponent.
 
-def index_pow(indices, expo, exact: bool):
-    """n**expo for an integer index array; exact integers when possible.
-
-    Zero indices are the caller's responsibility (0**0 is taken as 1 by
-    both numpy and Python, which is the convention used throughout).
+    numpy's vectorized loops and glibc's ``pow``, which Python's ``**`` calls, can differ in the last digit; each site
+    keeps its kernel by the type it passes.  With ``quantity`` a value past float range raises a PowerOverflowError
+    naming ``quantity`` and its first index, counted from ``start``: an inf or NaN of numpy's on a finite base
+    (:func:`named_overflow`), or an OverflowError of Python's.
     """
-    idx = np.asarray(indices)
-    if exact and float(expo).is_integer() and expo >= 0:
-        return idx.astype(object) ** int(expo)
-    return idx.astype(float) ** float(expo)
+    if isinstance(expo, np.ndarray):
+        return base**expo
+    if isinstance(base, np.ndarray):
+        exact = is_exact(base) and float(expo).is_integer() and expo >= 0
+        build = (lambda: base ** int(expo)) if exact else (lambda: as_float(base) ** float(expo))
+        return build() if quantity is None else named_overflow(build, base, quantity, index, start)
+    out = []
+    for i, x in enumerate(base if isinstance(base, list) else [base]):
+        try:
+            out.append(x**expo)
+        except OverflowError:
+            if quantity is None:
+                raise
+            raise PowerOverflowError(f"{quantity} at {index} = {start + i} is not finite (float overflow)") from None
+    return out if isinstance(base, list) else out[0]
 
 
 def norm_weights(count: int, k, exact: bool) -> np.ndarray:
-    """Index weights (1, 1**(k-1), 2**(k-1), ...) used by the k-norms.
+    """Index weights (1, 1**(k-1), 2**(k-1), ...) used by the k-norms; one past float range raises a
+    PowerOverflowError naming its n.
 
     Position 0 carries weight 1 regardless of k, the continuous-in-k
     convention for the single place the 0-th term ever enters a norm.
     """
-    w = index_pow(np.arange(count), k - 1, exact)
+    w = power(np.arange(count, dtype=object if exact else float), k - 1, "the index weight n**(k-1)", "n")
     if count > 0:
         w[0] = 1 if is_exact(w) else 1.0
     return w

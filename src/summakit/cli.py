@@ -36,7 +36,7 @@ from .conditions import (
     check_c16,
     check_theorem_a,
 )
-from ._util import as_float
+from ._util import as_float, power
 from .errors import ConfigError, SummakitError, TailUnavailableError
 from .harness import decompose, ProbePass, probe_series
 from .matrices import (
@@ -221,11 +221,11 @@ def _generated_weights(gen, order: int) -> np.ndarray:
         return np.ones(order + 1)
     n = np.cumsum(np.ones(order + 1)) - 1.0  # 0..order: numpy sizes an arange, of ints too, in floats, short near MAX_ORDER
     if name == "power":
-        return (n + 1.0) ** args[0]
+        return power(n + 1.0, args[0])
     (ratio,) = args
     if ratio <= 0:
         raise ConfigError(f"geometric weight ratio must be positive, got {ratio!r}")
-    return ratio**n
+    return power(ratio, n)
 
 
 def build_matrix(spec: dict, order: int, reach: int | None = None) -> NormalMatrix:
@@ -275,11 +275,11 @@ def build_lambda(spec: dict, count: int, k: float, diag_a=None, diag_b=None) -> 
     with np.errstate(over="ignore", divide="ignore"):  # a factor past float range is refused by name below
         if kind == "power":
             vals = np.ones(count)
-            vals[1:] = np.arange(1, count, dtype=float) ** args[0]
+            vals[1:] = power(np.arange(1, count, dtype=float), args[0])
         else:  # riesz_adapted
             n = np.arange(count, dtype=float)
             vals = np.abs(np.asarray(diag_a[:count], dtype=float) / np.asarray(diag_b[:count], dtype=float))
-            vals[1:] *= n[1:] ** (1.0 / k - 1.0)
+            vals[1:] *= power(n[1:], 1.0 / k - 1.0)
     return FactorSequence(_generated(vals, "lambda factor"))
 
 
@@ -293,7 +293,7 @@ def build_series(spec: dict, size: int) -> SeriesSample:
     if kind == "alternating":
         n = np.arange(size, dtype=float)
         with np.errstate(over="ignore", divide="ignore"):  # a coefficient past float range is refused by name below
-            coeffs = (-1.0) ** np.arange(size) / (n + 1.0) ** args[0]
+            coeffs = power(-1.0, np.arange(size)) / power(n + 1.0, args[0])
         return SeriesSample(_generated(coeffs, "series coefficient"))
     v, probe_kind = args
     if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= size - 2:

@@ -14,6 +14,7 @@ requested cutoff.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -21,9 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import abs_pow, accurate_sum, as_float, check_exponent, check_pair, floats_over, fractions_over, index_pow
-from ._util import is_exact, named_overflow, nan_max, norm_weights, numerators, on_numerators, quotients, same_arithmetic
-from ._util import scalar_pow
+from ._util import accurate_sum, as_float, check_exponent, check_pair, floats_over, fractions_over, is_exact, named_overflow
+from ._util import nan_max, norm_weights, numerators, on_numerators, power, quotients, same_arithmetic
 from .errors import (
     LengthMismatchError,
     PowerOverflowError,
@@ -128,7 +128,7 @@ def check_c9(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k) -> Condit
     da = as_float(A.diagonal[1:])
     db = as_float(B.diagonal[1:])
     lv = as_float(lam.values[1 : A.size])
-    denom = n.astype(float) ** (1.0 / float(k) - 1.0) * np.abs(da / db)
+    denom = power(n, 1.0 / float(k) - 1.0) * np.abs(da / db)
     return _report("C9", n, np.abs(lv) / denom)
 
 
@@ -175,9 +175,8 @@ def check_c10(
     if A.order < v_max:
         raise SizeMismatchError(f"diagonal source of order {A.order} cannot cover v <= {v_max}")
     if A.exact and B.exact and float(k).is_integer():  # exact sums over an exact |a_vv|**k
-        return _tail_report("C10", B, lam, k, tail, v_max, abs_pow(A.diagonal[: v_max + 1], k))
-    diagonal = as_float(A.diagonal[: v_max + 1]).tolist()
-    denominators = [scalar_pow(abs(a), float(k), "the C10 denominator |a_vv|**k", v) for v, a in enumerate(diagonal)]
+        return _tail_report("C10", B, lam, k, tail, v_max, power(np.abs(A.diagonal[: v_max + 1]), k))
+    denominators = power(np.abs(as_float(A.diagonal[: v_max + 1])).tolist(), float(k), "the C10 denominator |a_vv|**k")
     return _tail_report("C10", B, lam, k, tail, v_max, np.asarray(denominators))
 
 
@@ -282,25 +281,21 @@ def column_sums(M, k, w=None, lower: bool = False, quantity: str = "the column k
     if isinstance(M, tuple) or is_exact(M):
         nums, den = M if isinstance(M, tuple) else on_numerators(np.asarray, M)
         if float(k).is_integer() and (w is None or is_exact(w)):  # w |num|**k, column j from row j on with ``lower``
-            (ws, scale), k = numerators(w) if w is not None else ([1] * len(nums), 1), int(k)
-            sums = [sum(a * abs(x) ** k for a, x in zip(ws[lower * j :], col[lower * j :])) for j, col in enumerate(nums.T.tolist())]
-            return fractions_over(np.asarray(sums, dtype=object), scale * den**k)
+            ws, scale = numerators(w) if w is not None else ([1] * len(nums), 1)
+            cols = power(np.abs(nums), k).T.tolist()
+            sums = [sum(map(operator.mul, ws[lower * j :], col[lower * j :])) for j, col in enumerate(cols)]
+            return fractions_over(np.asarray(sums, dtype=object), scale * power(den, int(k)))
         M, w = floats_over(nums, den), None if w is None else as_float(w)
 
     def sums():
         out = []
         for j, col in enumerate(M.T):
             lo = j if lower else 0
-            terms = abs_pow(col[lo:], k)
+            terms = power(np.abs(col[lo:]), k)
             out.append(accurate_sum(terms if w is None else w[lo:] * terms))
         return np.asarray(out)
 
     return named_overflow(sums, M, quantity)
-
-
-def _index_weights(count: int, k, exact: bool) -> np.ndarray:
-    """:func:`~summakit._util.norm_weights`; one past float range raises a PowerOverflowError naming its n."""
-    return named_overflow(lambda: norm_weights(count, k, exact), 0.0, "the index weight n**(k-1)", "n")
 
 
 _ROWS = 256  # rows of the key-identity triangle evaluated at once on a dense B
@@ -311,8 +306,9 @@ class DenseProbes(dict):
 
     The hat columns 0..m are read on first use, exact ones as (integer
     numerators, denominator): M's kept hat matrix when m is M's order, else
-    :func:`~summakit.matrices.hat_columns`, so a long tail carrier keeps no
-    hat matrix.  Keyed by probe kind, the arrays D and S are formed when
+    :func:`~summakit.matrices.hat_columns` of M, an exact one's of its kept
+    numerators, so a long tail carrier keeps no hat matrix and forms no
+    Fraction.  Keyed by probe kind, the arrays D and S are formed when
     read and not kept, exact ones as integer numerators over one
     denominator, so each norm, tail sum and c_nv entry is formed or rounded
     once; an array set on the mapping stands in for the one it would form.
@@ -328,8 +324,7 @@ class DenseProbes(dict):
         if self.m == self.M.order:
             hat = hat_of(self.M)
             return hat.numerators() if hat.exact else hat.entries
-        H = hat_columns(self.M, self.m)
-        return on_numerators(np.asarray, H) if self.M.exact else H
+        return hat_columns(self.M.numerators() if self.M.exact else self.M, self.m)
 
     def _rows(self, lo: int, hi: int):
         """Rows lo..hi-1 of :attr:`H`, exact ones over its one denominator."""
@@ -341,7 +336,7 @@ class DenseProbes(dict):
 
     def pows(self, k) -> dict:
         """Each probe's sum_n n**(k-1) |delta_nv|**k, weight one at n = 0."""
-        w = _index_weights(self.M.size, k, self.M.exact)
+        w = norm_weights(self.M.size, k, self.M.exact)
         arrays = {**dict(zip(PROBE_KINDS, _probe_arrays(self.H, self.lv))), **self}
         return {kind: column_sums(d, k, w, True, f"the {kind} probe's norm sum_n n**(k-1) |delta_nv|**k") for kind, d in arrays.items()}
 
@@ -350,9 +345,9 @@ class DenseProbes(dict):
         quantity = f"the {kind} probe's tail sum_n n**(k-1) |delta_nv|**k"
         D, exact = _probe_arrays(self._rows(0, rows + 1), self.lv)[kind == PROBE_SHIFT], self.M.exact
         D = (np.tril(D[0], -1), D[1]) if exact else np.tril(D, -1)
-        w = _index_weights(rows + 1, k, exact)
+        w = norm_weights(rows + 1, k, exact)
         last = fractions_over(D[0][-1], D[1]) if exact else D[-1]
-        return column_sums(D, k, w, lower=True, quantity=quantity), w[-1] * abs_pow(last, k)
+        return column_sums(D, k, w, lower=True, quantity=quantity), w[-1] * power(np.abs(last), k)
 
     def factored_rows(self):
         """Blocks (F, n) of the key-identity triangle, F[i, v] = bhat_nv lam_v at row n[i], over rows 2..N; exact ones
@@ -384,8 +379,8 @@ class DenseProbes(dict):
         out[idx, idx] = diag[1:]
         return out
 
-    def cnv_sums(self, A: NormalMatrix, k, fac, diag, power) -> np.ndarray:
-        return column_sums(self.cnv(A, fac, diag), k, lower=True, quantity="the c_nv column sum")  # power is the weighted form's
+    def cnv_sums(self, A: NormalMatrix, k, fac, diag, index_power) -> np.ndarray:
+        return column_sums(self.cnv(A, fac, diag), k, lower=True, quantity="the c_nv column sum")  # index_power is the weighted form's
 
     def definition_gap(self) -> float:
         """Largest gap between the unit-factor deltas and their definition, over every v < m and row n.
@@ -412,7 +407,7 @@ class IdentityProbes(DenseProbes):
         """:meth:`DenseProbes.tails`: column v is -lam_{v+1} (difference) or lam_{v+1} (shift) in row v + 1 alone,
         so the sum is (v+1)**(k-1) |lam_{v+1}|**k."""
         lv, quantity = self.lv[1 : self.m + 1], f"the {kind} probe's tail sum_n n**(k-1) |delta_nv|**k"
-        totals = named_overflow(lambda: _index_weights(self.m + 1, k, self.M.exact)[1:] * abs_pow(lv, k), lv, quantity)
+        totals = named_overflow(lambda: norm_weights(self.m + 1, k, self.M.exact)[1:] * power(np.abs(lv), k), lv, quantity)
         return totals, np.where(np.arange(self.m) == rows - 1, totals, 0)
 
 
@@ -447,7 +442,7 @@ class WeightedProbes:
         s = self.scalars[kind] if scalars is None else scalars
         T, last = self.weights.tail(k, rows, s.size, index_power)
         quantity = f"the {kind} probe's |s_v|**k T_v" if scalars is None else "the c_nv tail |m_v|**k T_v"
-        coef = named_overflow(lambda: abs_pow(s, k), s, quantity)
+        coef = power(np.abs(s), k, quantity)
         return named_overflow(lambda: coef * T, s, quantity), coef * last
 
     def pows(self, k) -> dict:
@@ -455,9 +450,7 @@ class WeightedProbes:
         pows = {}
         for kind in PROBE_KINDS:
             t, d = self.tails(kind, k, self.M.order)[0], self.diag[kind]
-            own = named_overflow(
-                lambda: norm_weights(t.size, k, is_exact(t)) * abs_pow(d, k), d, f"the {kind} probe's diagonal term"
-            )
+            own = named_overflow(lambda: norm_weights(t.size, k, is_exact(t)) * power(np.abs(d), k), d, f"the {kind} probe's diagonal term")
             pows[kind] = own + t
         return pows
 
@@ -470,20 +463,19 @@ class WeightedProbes:
         F = np.concatenate(([0], self.scalars[PROBE_SHIFT]))[None, :]
         yield on_numerators(np.asarray, F)[0] if self.M.exact else F, np.array([self.m])
 
-    def cnv_sums(self, A: NormalMatrix, k, fac, diag, power) -> np.ndarray:
+    def cnv_sums(self, A: NormalMatrix, k, fac, diag, index_power) -> np.ndarray:
         """The column k-power sums of :meth:`DenseProbes.cnv`'s array, which is not formed, nor ``fac`` and ``diag`` read.
 
         Below the diagonal column v is n**e rows[n] m_v, the middle summand with
         m_v = -Delta_v / a_vv + Q_v lam_{v+1} gap_v, so column v >= 1 sums to
-        v**power |b_vv lam_v / a_vv|**k + |m_v|**k T_v, T_v the W tail through
-        row N with index power ``power`` = e k.
+        v**e' |b_vv lam_v / a_vv|**k + |m_v|**k T_v, T_v the W tail through
+        row N with index power e' = ``index_power`` = e k.
         """
         middle = self.scalars[PROBE_DIFFERENCE] / A.diagonal[:-1] + self.scalars[PROBE_SHIFT] * A.gap()
-        below = self.tails(None, k, A.order, middle, power)[0]
+        below = self.tails(None, k, A.order, middle, index_power)[0]
         ratio = self.M.diagonal * self.lv[: A.size] / A.diagonal
-        own = named_overflow(
-            lambda: index_pow(np.arange(A.size), power, is_exact(below)) * abs_pow(ratio, k), ratio, "the c_nv diagonal term"
-        )
+        v = np.arange(A.size, dtype=object if is_exact(below) else float)
+        own = named_overflow(lambda: power(v, index_power) * power(np.abs(ratio), k), ratio, "the c_nv diagonal term")
         sums = own + np.concatenate((below, [0]))
         sums[0] = 0
         return sums
@@ -574,14 +566,14 @@ def check_theorem_a(c9: ConditionReport, c10: ConditionReport, c11: ConditionRep
     (b)  |W_n Delta_n| against p_n / P_n: C10_n = (W_n |Delta_n| P_n / p_n)**k;
     (c)  Q_n |lam_{n+1}| W_n against 1: C11_n = (Q_n |lam_{n+1}| W_n)**k.
 
-    TA_b and TA_c are the k-th roots of C10's and C11's ratios at n >= 1, each by Python's ``**``, with their
-    report's tail cutoff and warning.
+    TA_b and TA_c are the k-th roots of C10's and C11's ratios at n >= 1, each by Python's ``**`` (a list to
+    :func:`~summakit._util.power`), with their report's tail cutoff and warning.
     """
     check_exponent(k)
     root = 1.0 / float(k)
 
     def rooted(cid: str, rep: ConditionReport) -> ConditionReport:
-        return _report(cid, rep.indices[1:], [x**root for x in rep.ratios[1:].tolist()], rep.tail_cutoff, rep.tail_warning)
+        return _report(cid, rep.indices[1:], power(rep.ratios[1:].tolist(), root), rep.tail_cutoff, rep.tail_warning)
 
     return replace(c9, condition_id="TA_a"), rooted("TA_b", c10), rooted("TA_c", c11)
 

@@ -18,8 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import abs_pow, check_exponent, check_pair, index_pow, named_overflow, nan_max, numerators, on_numerators, same_arithmetic
-from ._util import scalar_pow, suffix_sums
+from ._util import as_float, check_exponent, check_pair, nan_max, numerators, on_numerators, power, same_arithmetic, suffix_sums
 from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
@@ -88,14 +87,17 @@ class ProbePass:
     x_norm = cached_property(lambda self: self.delta_x.pows(1))
     y_pow = cached_property(lambda self: self.delta_y.pows(self.k))
 
-    def _y_norm(self, kind: str, v: int, strict_paper: bool, ypow):
-        kf = float(self.k)
+    def _y_norms(self, kind: str, strict_paper: bool) -> list:
+        """The y-norms of probe ``kind`` at v = 1..N-1, floats, by Python's ``**`` (a list to :func:`~summakit._util.power`)."""
+        kf, N = float(self.k), self.A.order
+        ypow = [float(y) for y in self.y_pow[kind].tolist()[1:]]
         if strict_paper and kind == PROBE_DIFFERENCE:
-            w_v = scalar_pow(float(v), kf - 1.0, "the index weight v**(k-1)", v)
-            b, f = float(self.b_diag[v]), float(self.lv[v])
-            literal = scalar_pow(abs(b * f), kf, "|b_vv lam_v|**k", v)
-            ypow = float(ypow) - w_v * literal + w_v * abs(b) * scalar_pow(abs(f), kf, "|lam_v|**k", v)
-        return ypow if self.k == 1 else float(ypow) ** (1.0 / kf)
+            b, f = as_float(self.b_diag[1:N]).tolist(), as_float(self.lv[1:N]).tolist()
+            w = power(np.arange(1.0, N).tolist(), kf - 1.0, "the index weight v**(k-1)", start=1)
+            literal = power([abs(x * y) for x, y in zip(b, f)], kf, "|b_vv lam_v|**k", start=1)
+            lam_k = power([abs(y) for y in f], kf, "|lam_v|**k", start=1)
+            ypow = [y - w_v * t + w_v * abs(x) * g for y, w_v, t, x, g in zip(ypow, w, literal, b, lam_k)]
+        return ypow if self.k == 1 else power(ypow, 1.0 / kf)
 
     def constant(self, strict_paper: bool = False):
         """(largest ratio, {kind: float array of the ratios y-norm / x-norm at v = 1..N-1}), read from the norms alone.
@@ -104,8 +106,8 @@ class ProbePass:
         """
         ratios = {}
         for kind in PROBE_KINDS:
-            norms = enumerate(zip(self.x_norm[kind].tolist()[1:], self.y_pow[kind].tolist()[1:]), 1)
-            ratios[kind] = np.asarray([_ratio(kind, v, self._y_norm(kind, v, strict_paper, y), x) for v, (x, y) in norms])
+            norms = enumerate(zip(self.x_norm[kind].tolist()[1:], self._y_norms(kind, strict_paper)), 1)
+            ratios[kind] = np.asarray([_ratio(kind, v, y, x) for v, (x, y) in norms])
         return nan_max(r for kind in PROBE_KINDS for r in ratios[kind].tolist()), ratios
 
     def definition_gap(self) -> float:
@@ -147,7 +149,7 @@ class ProbePass:
         suffix sum of |d_n|**k from n = r + 2: the same bits as summing the column.
         """
         _, diag = self._row_scaled()
-        terms = named_overflow(lambda: abs_pow(diag, self.k), diag, "the d_nr row term |d_n|**k", "n")
+        terms = power(np.abs(diag), self.k, "the d_nr row term |d_n|**k", "n")
         return np.concatenate((suffix_sums(terms, self.A.size), [0, 0]))[2:]
 
     def _row_scaled(self, strict_paper: bool = False):
@@ -158,8 +160,8 @@ class ProbePass:
         the row factors are all one.
         """
         A, kf, exact = self.A, float(self.k), self.A.exact and self.B.exact
-        expo = (kf - 1.0) / kf**2 if strict_paper else (kf - 1.0) / kf
-        fac = index_pow(np.arange(A.size), expo, exact)
+        expo = (kf - 1.0) / power(kf, 2) if strict_paper else (kf - 1.0) / kf
+        fac = power(np.arange(A.size, dtype=object if exact else float), expo)
         diag = fac * self.b_diag * self.lv[: A.size] / A.diagonal
         return fac, diag if exact and expo == 0.0 else np.asarray(diag, dtype=float)
 

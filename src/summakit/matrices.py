@@ -53,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._util import as_float, as_vector, fractions_over, is_exact, named_overflow, numerators
-from ._util import on_numerators, quotients, same_arithmetic, suffix_sums
+from ._util import on_numerators, power, quotients, same_arithmetic, suffix_sums
 from .errors import LengthMismatchError, ShapeMismatchError, WeightOverflowError, ZeroDiagonalError
 
 log = logging.getLogger("summakit")
@@ -66,7 +66,7 @@ class NormalMatrix:
     reads, and each module function that a form computes otherwise has that form's body registered on it.
     """
 
-    __slots__ = ("size", "exact", "weights", "_entries", "_hat", "_inverse", "_gap", "_ints", "_lower")
+    __slots__ = ("size", "exact", "weights", "_entries", "_hat", "_inverse", "_gap", "_ints", "_lower", "_diagonal")
 
     def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries)
@@ -94,7 +94,7 @@ class NormalMatrix:
         """Set size, exact and weights (None but on a weighted mean), and check the diagonal: a structure's constructor."""
         for name, value in zip(("size", "exact", "weights"), (size, exact, weights)):
             object.__setattr__(self, name, value)
-        zeros = np.flatnonzero(self.diagonal == 0)
+        zeros = np.flatnonzero(self._band(0) == 0)
         if zeros.size:
             raise ZeroDiagonalError(int(zeros[0]))
 
@@ -119,7 +119,14 @@ class NormalMatrix:
         """a_{n+offset,n} for n = 0..N-offset."""
         return np.diagonal(self.entries, -offset)
 
-    diagonal = property(lambda self: self._band(0), doc="a_nn for n = 0..N.")
+    @property
+    def diagonal(self) -> np.ndarray:
+        """a_nn for n = 0..N; exact, kept, with an int as a Fraction: int / int is a float."""
+        if not self.exact:
+            return self._band(0)
+        fractions = lambda: np.asarray([Fraction(x) if isinstance(x, int) else x for x in self._band(0).tolist()], dtype=object)  # noqa: E731
+        return _kept(self, "_diagonal", "exact diagonal", fractions)
+
     subdiagonal = property(lambda self: self._band(1), doc="a_{n+1,n} for n = 0..N-1.")
 
     @property
@@ -257,16 +264,11 @@ class WeightSequence:
             index_power = k - 1
         key = (k, rows, count, index_power)
         if key not in self._tails:
-            p, P = self.weights, self.cumulative
-            if is_exact(p) and float(k).is_integer() and float(index_power).is_integer():
-                idx = np.arange(1, rows + 1, dtype=object)
-                terms = idx ** int(index_power) * (p[1 : rows + 1] / (P[1 : rows + 1] * P[:rows])) ** int(k)
-            else:
-                ratio = as_float(p[1 : rows + 1]) / (as_float(P[1 : rows + 1]) * as_float(P[:rows]))
-                terms = named_overflow(
-                    lambda: np.arange(1, rows + 1, dtype=float) ** float(index_power) * ratio ** float(k),
-                    ratio, "the W-tail term n**e (p_n / (P_n P_{n-1}))**k", "n", 1,
-                )
+            exact = is_exact(self.weights) and float(k).is_integer() and float(index_power).is_integer()
+            p, P = (self.weights, self.cumulative) if exact else (as_float(self.weights), as_float(self.cumulative))
+            ratio, n = p[1 : rows + 1] / (P[1 : rows + 1] * P[:rows]), np.arange(1, rows + 1, dtype=object if exact else float)
+            quantity = "the W-tail term n**e (p_n / (P_n P_{n-1}))**k"
+            terms = named_overflow(lambda: power(n, index_power) * power(ratio, k), ratio, quantity, "n", 1)
             sums = suffix_sums(terms, count)
             sums.setflags(write=False)
             self._tails[key] = sums, terms[-1] if rows else 0
@@ -380,12 +382,14 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
     matrices hat_nv = bar_nv - bar_{n-1,v} = sum_{i=v..n} (a_ni - a_{n-1,i}):
     the rows of A are differenced first and then summed from the diagonal
     down, so the diagonal is A's own and no entry cancels two row sums; exact
-    entries on the integer numerators of A's lower triangle (``on_numerators``).
+    entries on the integer numerators of A's lower triangle (``on_numerators``), which give (nums, den) of the hat.
     """
     if A.exact:
-        nums, den = A.numerators()
-        return fractions_over(_tail_sums(nums, v_hi), den)
+        return fractions_over(*hat_columns(A.numerators(), v_hi))
     return _tail_sums(A.entries, v_hi)
+
+
+hat_columns.register(tuple, lambda A, v_hi: (_tail_sums(A[0], v_hi), A[1]))
 
 
 @hat_columns.register(WeightedMean)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import abs_pow, as_vector, check_exponent, is_exact, norm_weights, suffix_sums
+from ._util import as_vector, check_exponent, is_exact, power, suffix_sums
 from .errors import LengthMismatchError
 from .matrices import NormalMatrix, apply_hat
 
@@ -93,6 +93,6 @@ def abs_k_profile(A: NormalMatrix, a: SeriesSample, k) -> AbsKProfile:
     """
     check_exponent(k)
     deltas = apply_hat(A, a.coefficients)
-    w = norm_weights(deltas.size, k, is_exact(deltas))
-    terms = w[1:] * abs_pow(deltas[1:], k)
+    n = np.arange(1, deltas.size, dtype=object if is_exact(deltas) else float)
+    terms = power(n, k - 1) * power(np.abs(deltas[1:]), k)
     return AbsKProfile(k=k, terms=terms, running_total=suffix_sums(terms[::-1], terms.size)[::-1], deltas=deltas)

@@ -174,6 +174,19 @@ def test_decompose_on_exact_matrices_with_float_factors_is_refused():
     assert np.any(c16) and np.allclose(c16, exact_c16, rtol=8 * np.finfo(float).eps, atol=0)
 
 
+def test_an_int_diagonal_is_read_as_fractions_so_no_quotient_by_it_is_a_float():
+    # int / int is a float: an int diagonal gave a float gap factor, which the key identity and decompose refused as
+    # a mixed call, and on the exact identity decompose's y = dx / a_vv was refused the same way
+    A = as_matrix([[1, 0, 0], [0, 2, 0], [1, 1, 3]])
+    assert A.gap().tolist() == [F(1, 2), F(1, 6)] and {type(x) for x in [*A.gap().tolist(), *A.diagonal.tolist()]} == {F}
+    lam = sk.FactorSequence(np.asarray([1, 2, 3, 4], dtype=object))
+    assert sk.key_identity_check(A, A, lam, 2, 1) == 0
+    for M, series in ((A, [1, -1, 2]), (sk.identity_matrix(3, exact=True), [1, -1, 2, 5])):
+        dec = sk.decompose(M, M, lam, sk.SeriesSample(np.asarray(series, dtype=object)))
+        assert dec.residual == 0 and not any(isinstance(x, float) for x in [*dec.t1.tolist(), *dec.t2.tolist()])
+    assert dec.delta_y.tolist() == dec.t1.tolist() == [1, -2, 6, 20]
+
+
 def test_the_exact_oracle_calls_stay_under_ten_thousand_fraction_operations(monkeypatch):
     # no timing: the count of Fraction additions, subtractions, products and quotients, which dominate the exact
     # path's time (3,208 on these inputs); a kernel that went back to per-entry Fraction arithmetic passes 10,000

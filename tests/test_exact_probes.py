@@ -17,8 +17,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import summakit as sk  # noqa: E402
-from summakit._util import on_numerators  # noqa: E402
-from summakit.conditions import column_sums, inner_sums, probe_columns  # noqa: E402
+from summakit import _util  # noqa: E402
+from summakit._util import fractions_over, on_numerators  # noqa: E402
+from summakit.conditions import DenseProbes, column_sums, inner_sums, probe_columns  # noqa: E402
 
 import helpers  # noqa: E402
 import oracles  # noqa: E402
@@ -146,3 +147,26 @@ def test_the_probe_norms_and_cnv_form_no_fraction_per_entry(monkeypatch):
     monkeypatch.undo()
     assert norms <= 4 * 24
     assert made[0] == 0 and C.dtype == float
+
+
+def test_a_tail_carriers_hat_columns_are_summed_on_its_numerators(monkeypatch):
+    # C10 on a 41-row exact carrier at v_max = 6: the carrier is converted to integer numerators once, and its leading
+    # hat columns are summed on them and read so, with no Fraction formed per entry and none converted back
+    rng = np.random.default_rng(11)
+    A, B = helpers.random_rational_matrix(rng, 6), helpers.random_rational_matrix(rng, 40)
+    lam = sk.FactorSequence(helpers.random_rational_vector(rng, 41))
+    want = sk.hat_columns(B, 7)
+    B = sk.NormalMatrix(B.entries)  # nothing kept on it yet
+    converted, real = [], _util.numerators
+
+    def counted(values):
+        converted.append(np.shape(values))
+        return real(values)
+
+    monkeypatch.setattr(_util, "numerators", counted)
+    H = DenseProbes(B, lam.values, 7).H
+    assert converted == [(41, 41)] and isinstance(H, tuple)
+    sk.check_c10(A, B, lam, 2, sk.TailSpec(cutoff=40), v_max=6)
+    assert [shape for shape in converted if len(shape) == 2 and shape[0] == 41] == [(41, 41)]
+    monkeypatch.undo()
+    assert fractions_over(*H).tolist() == want.tolist()

@@ -48,6 +48,62 @@ def test_only_matrices_and_conditions_read_a_weight_sequences_formulas():
     assert found == []
 
 
+_POWER_NAMES = {"pow", "power", "float_power", "__pow__", "__rpow__"}
+
+
+def _literal(node):
+    """The number a literal node holds, a negated one too, or None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = _literal(node.operand)
+        return None if value is None else -value
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)) else None
+
+
+def _powers(source):
+    """Each power in ``source`` outside a function named ``power``, as "line text", but a ``**`` of two literals whose
+    exponent is 1 or 2: a ``**`` or ``**=``, and a ``pow``, ``np.power``, ``math.pow``, ``operator.pow`` or
+    ``__pow__`` named, called or not."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "power":
+            return
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            base, expo = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.target, node.value)
+            if _literal(base) is None or _literal(expo) not in (1, 2):
+                found.append(f"{node.lineno} {ast.unparse(node)}")
+        elif (isinstance(node, ast.Name) and node.id == "pow") or (isinstance(node, ast.Attribute) and node.attr in _POWER_NAMES):
+            found.append(f"{node.lineno} {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_every_power_goes_through_util_power():
+    # which kernel rounds a power, numpy's loops or glibc's pow under Python's **, decides the last bit of a report:
+    # _util.power picks it by its operands' types, and is the one function that raises anything to a power
+    found = {path.name: _powers(path.read_text()) for path in sorted((ROOT / "src" / "summakit").glob("*.py"))}
+    assert {name: powers for name, powers in found.items() if powers} == {}
+    source = (ROOT / "src" / "summakit" / "_util.py").read_text()
+    assert [n.name for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef) and n.name == "power"] == ["power"]
+
+
+def test_the_power_pin_finds_every_kind_of_power():
+    source = """
+def f(x, k):
+    y = x**k + 2.0**53 + x**2 + 3**2 + (-1.0) ** 2 + 2**0.5
+    y **= 2
+    return pow(x, k), np.power(x, k), math.pow(x, 2), map(operator.pow, x, k), x.__pow__(k)
+def power(x, k):
+    return x**k
+"""
+    assert _powers(source) == [
+        "3 x ** k", "3 2.0 ** 53", "3 x ** 2", "3 2 ** 0.5", "4 y **= 2", "5 pow", "5 np.power", "5 math.pow", "5 operator.pow", "5 x.__pow__"
+    ]
+
+
 def _where(module, match):
     """The qualified name of the function around each node of ``module``'s source that ``match`` accepts."""
     found = []
@@ -198,7 +254,7 @@ def test_the_matrix_forms_share_one_protocol():
     }
     assert registered == {
         "leading_section": {"_Structured"},
-        "hat_columns": {"WeightedMean"},
+        "hat_columns": {"WeightedMean", "tuple"},
         "hat_of": {"IdentityMatrix", "WeightedMean"},
         "hat_inverse": {"IdentityMatrix", "WeightedMean"},
         "far_inverse": {"_Structured"},

@@ -10,15 +10,15 @@ own, which runs the whole grid in-process through ``summakit.cli.main``:
 and B each from ten specs (cesaro, riesz power-0.5, riesz geometric-1.1,
 riesz with the generator named "ones", identity, a 41-row, a 15-row and a
 10-row explicit matrix, 16 and 10 explicit riesz weights: the 10s stop short
-of N + 1 = 15), lambda riesz_adapted or n**-0.5, k = 1 or 2, at N = 14 with
-tail cutoff 40, 2,000 runs; TA is checked wherever both matrices are weighted means.  A sub-grid
+of N + 1 = 15), lambda riesz_adapted or n**-0.5, k = 1, 1.5 or 2, at N = 14 with
+tail cutoff 40, 3,000 runs; TA is checked wherever both matrices are weighted means.  A sub-grid
 runs every series kind (alternating, explicit, a difference and a shift
 probe) and every lambda kind (constant, power, explicit, riesz_adapted), at
-k = 1 and 2, on four pairs of the specs above, through ``transform``,
-``verify`` and ``check --tail-cutoff 30``: 384 runs.  A last sub-grid runs 91
+k = 1, 1.5 and 2, on four pairs of the specs above, through ``transform``,
+``verify`` and ``check --tail-cutoff 30``: 576 runs.  A last sub-grid runs 91
 invalid configs at N = 6 through ``check``, ``transform``, ``verify`` and
 ``check --tail-cutoff 30``: each config error the CLI tests pin, and 14 with
-two faults, so which error wins is compared too; 364 runs, 2,748 in all,
+two faults, so which error wins is compared too; 364 runs, 3,940 in all,
 about 9 s per tree on a 2-core x86-64 host.  An exception that escapes
 ``main`` is recorded as that run's outcome, its type and message.  Every
 run whose report bytes, exit code, stderr or warnings differ between the
@@ -54,6 +54,10 @@ import warnings
 from pathlib import Path
 
 N, CUTOFF = 14, 40
+# numpy's and Python's ``**`` differ on about 5% of 200,000 uniform values in [0, 100) at the exponents 1.5, 2/3 and -1/3
+# of k = 1.5, and on 0.1% at the exponents 2 and 0.5 of k = 2 (AVX-512 host): at k = 1.5 a swapped kernel shows in the
+# k-th powers, the TA roots and C9
+KS = (1, 1.5, 2)
 CONDITIONS = ["C9", "C10", "C11", "C12", "C13", "C14", "C15", "C16"]
 COMMANDS = {
     "check": ["check"],
@@ -188,7 +192,7 @@ def _sub_grid():
     for a_name, b_name in SUB_PAIRS:
         for series_name, series in _series().items():
             for lam_name, lam in _lambdas().items():
-                for k in (1, 2):
+                for k in KS:
                     config = {
                         "N": N,
                         "k": k,
@@ -209,7 +213,7 @@ def _main_grid():
         for b_name, b in matrices.items():
             weighted = a["kind"] in ("cesaro", "riesz") and b["kind"] in ("cesaro", "riesz")
             for lam_name, lam in LAMBDAS.items():
-                for k in (1, 2):
+                for k in KS:
                     config = {
                         "N": N,
                         "k": k,
