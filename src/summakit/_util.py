@@ -14,6 +14,8 @@ argument checks of every function that takes a matrix pair and factors.
 :func:`suffix_sums` is the exact suffix-sum kernel of the W tails, the d_nr
 bound and the running totals of an absolute k-norm profile.  :func:`power` is
 every power of the package: the one place that picks its kernel.
+:func:`uniform` draws ``verify``'s random sweeps from SplitMix64, in integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def quotients(nums, dens) -> np.ndarray:
         return np.asarray(list(map(operator.truediv, nums, dens)), dtype=float)
     except OverflowError:  # int division raises where the rounded quotient is inf
         inf = [math.inf if (n > 0) == (d > 0) else -math.inf for n, d in zip(nums, dens)]
-        return np.asarray([n / d if abs(n) < ((1 << 1024) - (1 << 970)) * abs(d) else i for n, d, i in zip(nums, dens, inf)])
+        return np.asarray([n / d if abs(n) < _PAST_FLOAT * abs(d) else i for n, d, i in zip(nums, dens, inf)])
 
 
 def accurate_sum(values):
@@ -139,8 +141,8 @@ def suffix_sums(terms, count: int) -> np.ndarray:
 
     Exact scalars are added exactly.  A float64 term is a dyadic rational
     m * 2**(e - 53), with m a 53-bit integer, so the floats are added exactly
-    as integers on their smallest exponent and each suffix is rounded once,
-    by correctly rounded integer division: every value is bit-identical to
+    as integers on their smallest exponent and each suffix is rounded once
+    (:func:`_scaled`): every value is bit-identical to
     ``math.fsum(terms[j:])``.  A suffix holding an inf or NaN term is inf or
     NaN, as with fsum, and one whose finite terms add up past float range
     rounds to inf, where fsum raises an OverflowError.  The terms past
@@ -158,10 +160,28 @@ def suffix_sums(terms, count: int) -> np.ndarray:
     low = min(int(expo.min(initial=53)), min(far_expo, default=53)) - 53  # every shift below is nonnegative (53: no terms)
     rest = sum(map(operator.lshift, far_sums, [e - 53 - low for e in far_expo]))
     head = map(operator.lshift, (mant * _SCALE).astype(np.int64).tolist(), (expo - 53 - low).tolist())
-    sums = _last_running_sums(itertools.chain((rest,), reversed(list(head))), count)
-    out = quotients(sums, itertools.repeat(1 << -low, len(sums)))
+    out = _scaled(_last_running_sums(itertools.chain((rest,), reversed(list(head))), count), low)
     if not finite.all():
         out = out + np.cumsum(np.where(finite, 0.0, t)[::-1])[::-1][:count]
+    return out
+
+
+def _scaled(sums: list, low: int) -> np.ndarray:
+    """sums[i] * 2**low for integers and low <= 0, each correctly rounded to float64.
+
+    ``float(int)`` rounds correctly, and ``np.ldexp`` then scales exactly while the result is a normal float.  A
+    subnormal result takes the correctly rounded division (:func:`quotients`), and so does an integer past float range,
+    which ``float`` refuses.
+    """
+    try:
+        head = np.fromiter(map(float, sums), float, len(sums))
+    except OverflowError:
+        head = np.fromiter((float(x) if abs(x) < _PAST_FLOAT else math.inf for x in sums), float, len(sums))
+    out = np.ldexp(head, low)
+    size = np.abs(out)
+    redo = np.flatnonzero((head != 0) & ((size < _TINY) | (size == math.inf)))
+    if redo.size:
+        out[redo] = quotients([sums[i] for i in redo.tolist()], itertools.repeat(1 << -low, redo.size))
     return out
 
 
@@ -186,6 +206,8 @@ def _binned(t: np.ndarray, finite: np.ndarray) -> tuple[list, list]:
 _CHUNK = 1 << 16
 _SCALE = float(1 << 53)  # 2**53: np.frexp's significand times it is a 53-bit integer
 _EXPO = 1073  # minus the least exponent np.frexp gives: 5e-324 is 0.5 * 2**-1073
+_TINY = np.finfo(float).tiny  # 2**-1022, the least normal float64
+_PAST_FLOAT = (1 << 1024) - (1 << 970)  # the least integer float() refuses: it would round to 2**1024
 
 
 def _last_running_sums(terms, count: int) -> list:
@@ -199,7 +221,12 @@ def _last_running_sums(terms, count: int) -> list:
 
 def nan_max(values):
     """Largest of ``values`` (exact scalars stay exact), 0.0 for none, or NaN if any is NaN: Python's ``max`` skips a NaN
-    not in first place."""
+    not in first place.  A float64 array is reduced as an array, to a Python float: the first of its largest values,
+    as ``max`` takes it."""
+    if isinstance(values, np.ndarray) and not is_exact(values):
+        if np.isnan(values).any():
+            return math.nan
+        return float(values.flat[values.argmax()]) if values.size else 0.0
     vals = list(values)
     return math.nan if any(x != x for x in vals) else max(vals, default=0.0)
 
@@ -259,14 +286,17 @@ def power(base, expo, quantity: str | None = None, index: str = "v", start: int 
         exact = is_exact(base) and float(expo).is_integer() and expo >= 0
         build = (lambda: base ** int(expo)) if exact else (lambda: as_float(base) ** float(expo))
         return build() if quantity is None else named_overflow(build, base, quantity, index, start)
-    out = []
-    for i, x in enumerate(base if isinstance(base, list) else [base]):
-        try:
-            out.append(x**expo)
-        except OverflowError:
-            if quantity is None:
-                raise
-            raise PowerOverflowError(f"{quantity} at {index} = {start + i} is not finite (float overflow)") from None
+    values = base if isinstance(base, list) else [base]
+    try:
+        out = list(map(operator.pow, values, itertools.repeat(expo)))
+    except OverflowError:
+        if quantity is None:
+            raise
+        for i, x in enumerate(values):  # the first value whose power raises again
+            try:
+                x**expo
+            except OverflowError:
+                raise PowerOverflowError(f"{quantity} at {index} = {start + i} is not finite (float overflow)") from None
     return out if isinstance(base, list) else out[0]
 
 
@@ -281,3 +311,28 @@ def norm_weights(count: int, k, exact: bool) -> np.ndarray:
     if count > 0:
         w[0] = 1 if is_exact(w) else 1.0
     return w
+
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's increment: the odd integer nearest 2**64 over the golden ratio
+
+
+def splitmix64(state: int, counters) -> np.ndarray:
+    """SplitMix64's outputs from ``state`` at ``counters``, the i-th output at counter i, from 1 (Steele, Lea and Flood,
+    OOPSLA 2014): the finalizer of Vigna's ``splitmix64.c`` on state + i * gamma, in uint64 arithmetic, which wraps
+    modulo 2**64 as the generator does."""
+    z = np.uint64(state) + np.asarray(counters, dtype=np.uint64) * _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def uniform(seed: int, stream: int, size: int) -> np.ndarray:
+    """``size`` draws uniform on [-1, 1) of stream ``stream`` of ``seed``, a seed in [0, 2**64).
+
+    The stream starts at SplitMix64's output at counter stream + 1 from ``seed`` (:func:`splitmix64`), and its draws
+    are the outputs at counters 1..size from there: the 53 high bits m of each give m * 2**-52 - 1, exactly.
+    Every step is integer arithmetic, so the bits depend on neither the CPU nor the numpy version.
+    """
+    start = splitmix64(seed, [stream + 1])[0]
+    high = splitmix64(start, np.arange(1, size + 1, dtype=np.uint64)) >> np.uint64(11)
+    return np.ldexp(high.astype(float), -52) - 1.0

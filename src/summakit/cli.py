@@ -36,7 +36,7 @@ from .conditions import (
     check_c16,
     check_theorem_a,
 )
-from ._util import as_float, power
+from ._util import as_float, power, uniform
 from .errors import ConfigError, SummakitError, TailUnavailableError
 from .harness import decompose, ProbePass, probe_series
 from .matrices import (
@@ -536,6 +536,8 @@ VERIFY_COLUMNS = ["check", "value", "tolerance", "status"]
 
 
 def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int = 0) -> int:
+    if not 0 <= seed < 1 << 64:  # the sweeps' generator takes a 64-bit state
+        raise ConfigError(f"--seed must be in [0, 2**64), got {seed}")
     N = config.order
     k = config.k
     A, B, lam, _ = pair_for(config, N)
@@ -570,11 +572,9 @@ def cmd_verify(config: ExperimentConfig, strict_paper: bool = False, seed: int =
         record("cnv-column-bound-strict", strict_sup, informational=True)
         record("strict-vs-plain-bound-gap", abs(M - probes.constant()[0]), informational=True)
 
-    rng = np.random.default_rng(seed)
-    for sweep in range(3):
-        coeffs = rng.uniform(-1.0, 1.0, size=N + 1)
-        rand_lam = FactorSequence(rng.uniform(-1.0, 1.0, size=N + 2))
-        rand_series = SeriesSample(coeffs)
+    for sweep in range(3):  # streams 2 sweep and 2 sweep + 1 of the seed: the coefficients and the factors
+        rand_series = SeriesSample(uniform(seed, 2 * sweep, N + 1))
+        rand_lam = FactorSequence(uniform(seed, 2 * sweep + 1, N + 2))
         sweep_scale = max(1.0, float(np.max(np.abs(rand_series.partial_sums))))
         rand_dec = decompose(A, B, rand_lam, rand_series)
         record(

@@ -87,28 +87,35 @@ class ProbePass:
     x_norm = cached_property(lambda self: self.delta_x.pows(1))
     y_pow = cached_property(lambda self: self.delta_y.pows(self.k))
 
-    def _y_norms(self, kind: str, strict_paper: bool) -> list:
-        """The y-norms of probe ``kind`` at v = 1..N-1, floats, by Python's ``**`` (a list to :func:`~summakit._util.power`)."""
+    def _y_norms(self, kind: str, strict_paper: bool) -> np.ndarray:
+        """The y-norms of probe ``kind`` at v = 1..N-1, floats, rooted by Python's ``**`` (a list to
+        :func:`~summakit._util.power`); the strict-paper terms are powered so too, and combined as arrays."""
         kf, N = float(self.k), self.A.order
-        ypow = [float(y) for y in self.y_pow[kind].tolist()[1:]]
+        ypow = as_float(self.y_pow[kind][1:])
         if strict_paper and kind == PROBE_DIFFERENCE:
-            b, f = as_float(self.b_diag[1:N]).tolist(), as_float(self.lv[1:N]).tolist()
-            w = power(np.arange(1.0, N).tolist(), kf - 1.0, "the index weight v**(k-1)", start=1)
-            literal = power([abs(x * y) for x, y in zip(b, f)], kf, "|b_vv lam_v|**k", start=1)
-            lam_k = power([abs(y) for y in f], kf, "|lam_v|**k", start=1)
-            ypow = [y - w_v * t + w_v * abs(x) * g for y, w_v, t, x, g in zip(ypow, w, literal, b, lam_k)]
-        return ypow if self.k == 1 else power(ypow, 1.0 / kf)
+            b, f = as_float(self.b_diag[1:N]), as_float(self.lv[1:N])
+            with np.errstate(over="ignore", invalid="ignore"):  # Python's float arithmetic: inf and NaN, no warning
+                w = as_float(power(np.arange(1.0, N).tolist(), kf - 1.0, "the index weight v**(k-1)", start=1))
+                literal = as_float(power(np.abs(b * f).tolist(), kf, "|b_vv lam_v|**k", start=1))
+                lam_k = as_float(power(np.abs(f).tolist(), kf, "|lam_v|**k", start=1))
+                ypow = ypow - w * literal + w * np.abs(b) * lam_k
+        return ypow if self.k == 1 else as_float(power(ypow.tolist(), 1.0 / kf))
 
     def constant(self, strict_paper: bool = False):
         """(largest ratio, {kind: float array of the ratios y-norm / x-norm at v = 1..N-1}), read from the norms alone.
 
-        ``strict_paper`` swaps the difference probe's |b_vv lam_v|**k for b_vv |lam_v|**k.
+        ``strict_paper`` swaps the difference probe's |b_vv lam_v|**k for b_vv |lam_v|**k.  A zero x-norm raises a
+        DegenerateProbeError naming the first v of its kind.
         """
         ratios = {}
         for kind in PROBE_KINDS:
-            norms = enumerate(zip(self.x_norm[kind].tolist()[1:], self._y_norms(kind, strict_paper)), 1)
-            ratios[kind] = np.asarray([_ratio(kind, v, y, x) for v, (x, y) in norms])
-        return nan_max(r for kind in PROBE_KINDS for r in ratios[kind].tolist()), ratios
+            y, x = self._y_norms(kind, strict_paper), self.x_norm[kind][1:]
+            zero = np.flatnonzero(x == 0)
+            if zero.size:
+                raise DegenerateProbeError(f"probe {kind} at v={int(zero[0]) + 1} has zero x-norm")
+            with np.errstate(over="ignore", invalid="ignore"):  # inf / inf is NaN, as in Python
+                ratios[kind] = y / as_float(x)
+        return nan_max(np.concatenate([ratios[kind] for kind in PROBE_KINDS])), ratios
 
     def definition_gap(self) -> float:
         """The largest gap between A's probe deltas and their definition (:meth:`~summakit.conditions.DenseProbes.definition_gap`)."""
@@ -164,12 +171,6 @@ class ProbePass:
         fac = power(np.arange(A.size, dtype=object if exact else float), expo)
         diag = fac * self.b_diag * self.lv[: A.size] / A.diagonal
         return fac, diag if exact and expo == 0.0 else np.asarray(diag, dtype=float)
-
-
-def _ratio(kind: str, v: int, y_norm, x_norm) -> float:
-    if x_norm == 0:
-        raise DegenerateProbeError(f"probe {kind} at v={v} has zero x-norm")
-    return float(y_norm) / float(x_norm)
 
 
 def empirical_constant(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, k, strict_paper: bool = False):
@@ -230,7 +231,7 @@ def decompose(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence, a: SeriesSa
     W = far_inverse(A)  # the inner sums of C16 applied to dx, as two matrix-vector products
     t2 = np.zeros_like(dx) if W is None else apply_hat(B, lamv * apply_lower(W, dx))
 
-    residual = nan_max(abs(x) for x in (dy - t1 - t2).tolist())
+    residual = nan_max(np.abs(dy - t1 - t2))
     return Decomposition(t1=t1, t2=t2, delta_y=dy, residual=residual, v0_retained=v0_retained)
 
 

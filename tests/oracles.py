@@ -545,3 +545,30 @@ def report_text(columns, blocks, meta, fmt):
         return buf.getvalue()
     rows = [dict(zip(columns, row)) for row in rows]
     return json.dumps({"meta": meta, "rows": rows}, indent=2, allow_nan=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# verify's sweep draws: SplitMix64 one output at a time, in Python integers
+# ---------------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _splitmix64_next(state):
+    """(new state, output) of one step of Vigna's ``splitmix64.c``: add gamma, then mix."""
+    state = (state + _GAMMA) & _MASK64
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return state, z ^ (z >> 31)
+
+
+def splitmix_uniform(seed, stream, size):
+    """``size`` floats in [-1, 1): the generator started from ``seed`` jumps to the state before its output number
+    stream + 1, whose output seeds the stream; each of the stream's outputs keeps its 53 high bits m, as m / 2**52 - 1."""
+    start = _splitmix64_next((seed + stream * _GAMMA) & _MASK64)[1]
+    out = []
+    for _ in range(size):
+        start, z = _splitmix64_next(start)
+        out.append(math.ldexp(z >> 11, -52) - 1.0)
+    return out

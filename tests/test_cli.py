@@ -289,6 +289,25 @@ def test_verify_seed_changes_sweeps_deterministically(tmp_path):
     assert outs[0] != outs[2]
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_verify_refuses_a_seed_outside_64_bits_by_name(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, base_config())
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == 2
+    assert capsys.readouterr().err == f"config error: --seed must be in [0, 2**64), got {seed}\n"
+    assert not out.exists()
+
+
+def test_verify_takes_both_ends_of_the_seed_range(tmp_path):
+    cfg = write_config(tmp_path, base_config())
+    reports = []
+    for seed in (0, 2**64 - 1):
+        out = tmp_path / f"{seed}.csv"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] != reports[1]
+
+
 def test_tail_cutoff_flag_overrides(tmp_path):
     cfg = write_config(tmp_path, base_config(conditions=["C11"]))
     out = tmp_path / "r.csv"

@@ -190,6 +190,68 @@ def test_empirical_constant_ratios_are_the_generic_transforms_norms():
                 np.testing.assert_allclose(ratios[kind], want, rtol=1e-12)
 
 
+def _loop_constant(probes, strict):
+    """ProbePass.constant one v at a time in Python floats: the per-element reference its array form keeps bit for bit."""
+    kf, N, ratios = float(probes.k), probes.A.order, {}
+    for kind in (sk.PROBE_DIFFERENCE, sk.PROBE_SHIFT):
+        ypow = [float(y) for y in probes.y_pow[kind].tolist()[1:]]
+        if strict and kind == sk.PROBE_DIFFERENCE:
+            b, f = [float(x) for x in probes.b_diag[1:N].tolist()], [float(x) for x in probes.lv[1:N].tolist()]
+            w = [float(v) ** (kf - 1.0) for v in range(1, N)]
+            ypow = [y - w_v * abs(x * g) ** kf + w_v * abs(x) * abs(g) ** kf for y, w_v, x, g in zip(ypow, w, b, f)]
+        y_norms = ypow if probes.k == 1 else [y ** (1.0 / kf) for y in ypow]
+        ratios[kind] = []
+        for v, (x, y) in enumerate(zip(probes.x_norm[kind].tolist()[1:], y_norms), 1):
+            if x == 0:
+                raise DegenerateProbeError(f"probe {kind} at v={v} has zero x-norm")
+            ratios[kind].append(float(y) / float(x))
+    values = ratios[sk.PROBE_DIFFERENCE] + ratios[sk.PROBE_SHIFT]
+    return (math.nan if any(r != r for r in values) else max(values, default=0.0)), ratios
+
+
+def test_probe_constant_is_the_per_element_loop_bit_for_bit():
+    # the ratios and their largest are formed as arrays, and the y-norm roots and strict terms by Python's **:
+    # on float and exact pairs, every storage form, k = 1 to 3.7 and both readings, the same bits as the loop
+    rng = np.random.default_rng(71)
+    N = 13
+    weights = helpers.random_positive_weights(rng, N + 1, 0.5, 2.0)
+    float_pairs = [
+        (helpers.random_normal_matrix(rng, N), helpers.random_normal_matrix(rng, N)),
+        (sk.cesaro_matrix(N), sk.riesz_matrix(weights)),
+        (sk.identity_matrix(N), helpers.random_normal_matrix(rng, N)),
+    ]
+    exact_pairs = [(helpers.random_rational_matrix(rng, N), helpers.random_rational_matrix(rng, N))]
+    lams = [sk.FactorSequence(rng.uniform(-1.5, 1.5, N + 2)), sk.FactorSequence(helpers.random_rational_vector(rng, N + 2))]
+    nan = sk.FactorSequence(np.where(np.arange(N + 2) == 4, np.nan, rng.uniform(0.5, 1.5, N + 2)))
+    runs = [(A, B, lam) for A, B in float_pairs for lam in (lams[0], nan)] + [(A, B, lams[1]) for A, B in exact_pairs]
+    for A, B, lam in runs:
+        for k in (1, 1.5, 2, 3.7):
+            probes = sk.ProbePass(A, B, lam, k)
+            for strict in (False, True):
+                M, ratios = probes.constant(strict)
+                M_loop, ratios_loop = _loop_constant(probes, strict)
+                assert type(M) is float and np.float64(M).tobytes() == np.float64(M_loop).tobytes()
+                assert all(ratios[kind].tobytes() == np.asarray(ratios_loop[kind]).tobytes() for kind in ratios)
+    # a zero x-norm is named at its first v, as the loop names it
+    probes = sk.ProbePass(*float_pairs[0], lams[0], 2)
+    probes.x_norm[sk.PROBE_DIFFERENCE][[3, 5]] = 0.0
+    for constant in (probes.constant, lambda: _loop_constant(probes, False)):
+        with pytest.raises(DegenerateProbeError, match="^probe difference at v=3 has zero x-norm$"):
+            constant()
+
+
+def test_decompose_residual_is_the_per_element_loop():
+    # nan_max of |dy - t1 - t2| as an array: the value and type of Python's max over the gaps, NaN where one is
+    rng = np.random.default_rng(73)
+    A, B = helpers.random_normal_matrix(rng, 11), helpers.random_normal_matrix(rng, 11)
+    series = sk.SeriesSample(rng.uniform(-1.0, 1.0, 12))
+    for values in (rng.uniform(-1.0, 1.0, 12), np.where(np.arange(12) == 6, np.nan, 1.0)):
+        dec = sk.decompose(A, B, sk.FactorSequence(values), series)
+        gaps = [abs(x) for x in (dec.delta_y - dec.t1 - dec.t2).tolist()]
+        want = math.nan if any(x != x for x in gaps) else max(gaps)
+        assert type(dec.residual) is float and np.float64(dec.residual).tobytes() == np.float64(want).tobytes()
+
+
 def test_probe_pass_is_the_definition_exactly_rational():
     # the x-side deltas are the first difference in n of A applied to the partial
     # sums: column v of A for e_v - e_{v+1}, A's reversed row cumulative sum for e_{v+1}

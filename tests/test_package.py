@@ -90,6 +90,38 @@ def test_every_power_goes_through_util_power():
     assert [n.name for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef) and n.name == "power"] == ["power"]
 
 
+def _numpy_random_reads(source):
+    """Each read of numpy's ``random`` in ``source``, as "line text": an attribute ``random`` of ``np`` or ``numpy``, and
+    an import of ``numpy.random`` or of a name from it, or of ``random`` from numpy."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy"):
+            found.append(f"{node.lineno} {ast.unparse(node)}")
+        elif isinstance(node, ast.Import) and any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names):
+            found.append(f"{node.lineno} {ast.unparse(node)}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            if (node.module or "").split(".")[:2] == ["numpy", "random"] or any(a.name == "random" for a in node.names):
+                found.append(f"{node.lineno} {ast.unparse(node)}")
+    return found
+
+
+def test_no_module_reads_numpy_random():
+    # importing numpy.random (its bit generators and the legacy mtrand) costs a verify run more than its sweeps:
+    # they draw from _util.uniform, integer arithmetic whose bits depend on neither the CPU nor the numpy version
+    found = {path.name: _numpy_random_reads(path.read_text()) for path in sorted((ROOT / "src" / "summakit").glob("*.py"))}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+    source = """
+import numpy.random
+from numpy.random import default_rng
+from numpy import random
+rng = np.random.default_rng(0)
+x = numpy.random.uniform()
+"""
+    assert _numpy_random_reads(source) == [
+        "2 import numpy.random", "3 from numpy.random import default_rng", "4 from numpy import random", "5 np.random", "6 numpy.random"
+    ]
+
+
 def test_the_power_pin_finds_every_kind_of_power():
     source = """
 def f(x, k):
