@@ -3,11 +3,11 @@
 Every public operation runs on either float64 arrays (the production path)
 or object arrays of int and ``fractions.Fraction`` entries (the exact path
 used by test oracles at small truncation orders): an object array means exact.
-:func:`numerators` is the exact path's one conversion, to integer numerators
-over one denominator, and refuses a float or a bool by name.  Exact kernels run
-on such integer arrays (:func:`on_numerators`) and form each result once: one
-Fraction per nonzero entry (:func:`fractions_over`), or one float rounded
-correctly, as ``float(x)`` rounds (:func:`floats_over`; :func:`as_float` rounds
+:class:`Rational`, an integer array over one positive denominator, is the
+exact path's one carrier: :meth:`Rational.of` is its one conversion (through
+:func:`numerators`, which refuses a float or a bool by name), exact kernels run
+on it, and each result is formed once: one Fraction per nonzero entry, or one
+float rounded correctly, as ``float(x)`` rounds (:func:`as_float` rounds
 Fractions, and passes float64 through uncopied).  :func:`same_arithmetic` refuses a
 matrix meeting values of the other arithmetic, and :func:`check_pair` holds the
 argument checks of every function that takes a matrix pair and factors.
@@ -84,26 +84,72 @@ def exact_entries(values) -> list:
     return vals
 
 
-def on_numerators(op, *arrays) -> tuple[np.ndarray, int]:
-    """(op(*nums), den) for exact arrays and an ``op`` linear in each, run on their integer numerators (:func:`numerators`)
-    as arrays of their shapes: op(*arrays) is that integer array over den, the product of the denominators."""
-    parts = [numerators(a) for a in arrays]
-    out = op(*(np.asarray(nums, dtype=object).reshape(a.shape) for a, (nums, _) in zip(arrays, parts)))
-    return out, math.prod(d for _, d in parts)
+class Rational:
+    """Exact values as the integer array ``nums`` over the one positive integer ``den``: the exact path's carrier.
 
+    :meth:`of` converts int and Fraction values, in lowest terms.  A kernel makes a new carrier of integer arithmetic
+    on ``nums`` and ``den`` or by the operations below, which keep the denominator positive but do not reduce it
+    (:meth:`lowest` does); values are formed only where they are read, as Fractions or as correctly rounded floats.
+    """
 
-def fractions_over(nums, den, lower: bool = False) -> np.ndarray:
-    """nums / den for an integer array: one Fraction per nonzero entry, a zero the int 0.  With ``lower`` every entry on
-    and below the diagonal of a 2-D array, and every entry of a 1-D one (a band of it), is a Fraction, zero too."""
-    held = (np.tri(*nums.shape, dtype=bool) if nums.ndim == 2 else np.ones(nums.shape, dtype=bool)) if lower else nums != 0
-    out = np.zeros(nums.shape, dtype=object)
-    out[held] = [Fraction(x, den) for x in nums[held].tolist()]
-    return out
+    __slots__ = ("nums", "den")
 
+    def __init__(self, nums, den: int = 1):
+        self.nums, self.den = nums, den
 
-def floats_over(nums, den) -> np.ndarray:
-    """nums / den for an integer array and a positive den, each entry correctly rounded (:func:`quotients`)."""
-    return quotients(nums.ravel().tolist(), itertools.repeat(den, nums.size)).reshape(nums.shape)
+    @classmethod
+    def of(cls, values) -> Rational:
+        """int and Fraction ``values`` over their least common denominator (:func:`numerators`), as an array of their
+        shape, or a list for a list: the few values of one scalar check."""
+        nums, den = numerators(values)
+        return cls(np.array(nums, dtype=object).reshape(values.shape) if isinstance(values, np.ndarray) else nums, den)
+
+    def lowest(self) -> Rational:
+        """The same values in lowest terms, over a positive denominator."""
+        g = math.gcd(self.den, *self.nums.ravel().tolist()) * (1 if self.den > 0 else -1)
+        return self if g == 1 else Rational(self.nums // g, self.den // g)
+
+    shape = property(lambda self: self.nums.shape)
+
+    def __getitem__(self, key) -> Rational:
+        return Rational(self.nums[key], self.den)
+
+    def tril(self, k: int = 0) -> Rational:
+        return Rational(np.tril(self.nums, k), self.den)
+
+    def __matmul__(self, other: Rational) -> Rational:
+        """The matrix or matrix-vector product, one integer dot product per entry."""
+        return Rational(np.dot(self.nums, other.nums), self.den * other.den)
+
+    def __mul__(self, values) -> Rational:
+        """Entrywise by int and Fraction values (:meth:`of`), broadcast as numpy does."""
+        other = Rational.of(values)
+        return Rational(self.nums * other.nums, self.den * other.den)
+
+    def __sub__(self, other: Rational) -> Rational:
+        """The difference of two carriers over one denominator, as two slices of one carrier are."""
+        return Rational(self.nums - other.nums, self.den)
+
+    def column_sums(self, k: int, w: Rational | None = None, lower: bool = False) -> Rational:
+        """sum_n w_n |x_nj|**k for every column j, from row j on with ``lower``: unweighted when ``w`` is None, and
+        exact for an integer k >= 0, one integer sum per column over den**k times w's denominator."""
+        ws = [1] * len(self.nums) if w is None else w.nums.tolist()
+        cols = power(np.abs(self.nums), k).T.tolist()
+        sums = [sum(map(operator.mul, ws[lower * j :], col[lower * j :])) for j, col in enumerate(cols)]
+        return Rational(np.asarray(sums, dtype=object), power(self.den, k) * (1 if w is None else w.den))
+
+    def fractions(self, lower: bool = False) -> np.ndarray:
+        """The values: one Fraction per nonzero entry, a zero the int 0.  With ``lower`` every entry on and below the
+        diagonal of a 2-D array, and every entry of a 1-D one (a band of it), is a Fraction, zero too."""
+        nums = self.nums
+        held = (np.tri(*nums.shape, dtype=bool) if nums.ndim == 2 else np.ones(nums.shape, dtype=bool)) if lower else nums != 0
+        out = np.zeros(nums.shape, dtype=object)
+        out[held] = [Fraction(x, self.den) for x in nums[held].tolist()]
+        return out
+
+    def floats(self) -> np.ndarray:
+        """The values as float64, each correctly rounded (:func:`quotients`)."""
+        return quotients(self.nums.ravel().tolist(), itertools.repeat(self.den, self.nums.size)).reshape(self.nums.shape)
 
 
 def same_arithmetic(exact: bool, values, where: str) -> None:
@@ -128,8 +174,8 @@ def accurate_sum(values):
     """Compensated sum for floats; exact scalars as one integer sum over their common denominator."""
     arr = np.asarray(values)
     if arr.dtype == object:
-        nums, den = numerators(arr)
-        return sum(arr.tolist(), start=0) if den == 1 else Fraction(sum(nums), den)
+        ints = Rational.of(arr)
+        return sum(arr.tolist(), start=0) if ints.den == 1 else Fraction(sum(ints.nums.tolist()), ints.den)
     try:
         return math.fsum(arr)
     except OverflowError:  # finite terms whose sum is past float range: rounded, it is +-inf, as in suffix_sums

@@ -14,7 +14,6 @@ requested cutoff.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -22,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import accurate_sum, as_float, check_exponent, check_pair, floats_over, fractions_over, is_exact, named_overflow
-from ._util import nan_max, norm_weights, numerators, on_numerators, power, quotients, same_arithmetic
+from ._util import Rational, accurate_sum, as_float, check_exponent, check_pair, is_exact, named_overflow, nan_max
+from ._util import norm_weights, power, quotients, same_arithmetic
 from .errors import (
     LengthMismatchError,
     PowerOverflowError,
@@ -234,35 +233,21 @@ def probe_deltas(H: np.ndarray, lv) -> tuple[np.ndarray, np.ndarray]:
     Below row v these are the columns that C10 and C11 sum.  ``lv`` None
     stands for unit factors: BL is H.  Exact ones are formed on integer numerators, one Fraction per nonzero entry.
     """
-    arrays = _probe_arrays(H, lv)
-    return tuple(fractions_over(*pair) for pair in arrays) if is_exact(H) else arrays
+    if is_exact(H):
+        return tuple(D.fractions() for D in _probe_arrays(Rational.of(H), lv))
+    return _probe_arrays(H, lv)
 
 
 def _probe_arrays(H, lv) -> tuple:
-    """:func:`probe_deltas`, exact ones as (integer numerators, their one denominator): no Fraction is formed.  An
-    exact ``H`` may come as its own (integer numerators, denominator)."""
-    if isinstance(H, tuple) or is_exact(H):
-        BL, den = _scaled_numerators(H, lv)
-        return (BL[:, :-1] - BL[:, 1:], den), (BL[:, 1:], den)
+    """:func:`probe_deltas` of float hat columns ``H``, or of exact ones given as their
+    :class:`~summakit._util.Rational`, each probe array then a Rational over one denominator: no Fraction is formed."""
     BL = _scaled_columns(H, lv)
     return BL[:, :-1] - BL[:, 1:], BL[:, 1:]
 
 
-def _scaled_numerators(H, lv) -> tuple[np.ndarray, int]:
-    """H diag(lv) as (integer numerators, one denominator) (:func:`~summakit._util.on_numerators`) for exact hat columns
-    ``H``, or H's own (integer numerators, denominator), and the factors ``lv``, unit factors when None."""
-    BL, den = H if isinstance(H, tuple) else on_numerators(np.asarray, H)
-    if lv is None:
-        return BL, den
-    f, f_den = on_numerators(np.asarray, lv[: BL.shape[1]])
-    return BL * f, den * f_den
-
-
-def _scaled_columns(H, lv) -> np.ndarray:
-    """H diag(lv) for the lower-triangular hat columns ``H``; exact ones, or their (integer numerators, denominator),
-    one Fraction per nonzero entry of their numerators, so the zeros above the diagonal stay plain ints."""
-    if isinstance(H, tuple) or is_exact(H):
-        return fractions_over(*_scaled_numerators(H, lv))
+def _scaled_columns(H, lv):
+    """H diag(lv) for the lower-triangular hat columns ``H``, float64 or a Rational, and the factors ``lv``, unit
+    factors when None."""
     return H if lv is None else H * lv[: H.shape[1]]
 
 
@@ -270,22 +255,19 @@ def column_sums(M, k, w=None, lower: bool = False, quantity: str = "the column k
     """accurate_sum(w * |M[:, j]|**k) for every column j; no weights when ``w`` is None or all ones.
 
     With ``lower`` column j is zero above row j, and only rows j.. are read.
-    Exact entries, or (integer numerators, one denominator), are summed as integers into one Fraction (0: an int)
-    per column over den**k when k is an integer and the weights exact; else each, and each weight, is rounded to
-    float64 once, first.
+    Exact entries, int and Fraction ones or a :class:`~summakit._util.Rational`, are summed as integers into one
+    Fraction (0: an int) per column (:meth:`~summakit._util.Rational.column_sums`) when k is an integer and the
+    weights exact; else each, and each weight, is rounded to float64 once, first.
     A float sum past float range over a column of finite entries raises a
     :class:`~summakit.errors.PowerOverflowError` naming ``quantity`` and v = j.
     """
     if w is not None and np.all(w == 1):
         w = None
-    if isinstance(M, tuple) or is_exact(M):
-        nums, den = M if isinstance(M, tuple) else on_numerators(np.asarray, M)
-        if float(k).is_integer() and (w is None or is_exact(w)):  # w |num|**k, column j from row j on with ``lower``
-            ws, scale = numerators(w) if w is not None else ([1] * len(nums), 1)
-            cols = power(np.abs(nums), k).T.tolist()
-            sums = [sum(map(operator.mul, ws[lower * j :], col[lower * j :])) for j, col in enumerate(cols)]
-            return fractions_over(np.asarray(sums, dtype=object), scale * power(den, int(k)))
-        M, w = floats_over(nums, den), None if w is None else as_float(w)
+    M = Rational.of(M) if isinstance(M, np.ndarray) and is_exact(M) else M
+    if isinstance(M, Rational):
+        if float(k).is_integer() and (w is None or is_exact(w)):
+            return M.column_sums(int(k), None if w is None else Rational.of(w), lower).fractions()
+        M, w = M.floats(), None if w is None else as_float(w)
 
     def sums():
         out = []
@@ -304,13 +286,13 @@ _ROWS = 256  # rows of the key-identity triangle evaluated at once on a dense B
 class DenseProbes(dict):
     """The probes at v = 0..m-1 through M's hat columns and the factors ``lv`` (:func:`probe_deltas`).
 
-    The hat columns 0..m are read on first use, exact ones as (integer
-    numerators, denominator): M's kept hat matrix when m is M's order, else
-    :func:`~summakit.matrices.hat_columns` of M, an exact one's of its kept
-    numerators, so a long tail carrier keeps no hat matrix and forms no
-    Fraction.  Keyed by probe kind, the arrays D and S are formed when
-    read and not kept, exact ones as integer numerators over one
-    denominator, so each norm, tail sum and c_nv entry is formed or rounded
+    The hat columns 0..m are read on first use, exact ones as their
+    :class:`~summakit._util.Rational`: M's kept hat matrix when m is M's
+    order, else :func:`~summakit.matrices.hat_columns` of M, an exact one's
+    summed on its kept carrier, so a long tail carrier keeps no hat matrix
+    and forms no Fraction.  Keyed by probe kind, the arrays D and S are
+    formed when read and not kept; every other reading takes exact ones as
+    a Rational, so each norm, tail sum and c_nv entry is formed or rounded
     once; an array set on the mapping stands in for the one it would form.
     Column v is the probe at v.
     """
@@ -324,15 +306,11 @@ class DenseProbes(dict):
         if self.m == self.M.order:
             hat = hat_of(self.M)
             return hat.numerators() if hat.exact else hat.entries
-        return hat_columns(self.M.numerators() if self.M.exact else self.M, self.m)
-
-    def _rows(self, lo: int, hi: int):
-        """Rows lo..hi-1 of :attr:`H`, exact ones over its one denominator."""
-        return (self.H[0][lo:hi], self.H[1]) if self.M.exact else self.H[lo:hi]
+        return hat_columns(self.M, self.m)
 
     def __missing__(self, kind: str) -> np.ndarray:
         D = _probe_arrays(self.H, self.lv)[kind == PROBE_SHIFT]
-        return fractions_over(*D) if self.M.exact else D
+        return D.fractions() if self.M.exact else D
 
     def pows(self, k) -> dict:
         """Each probe's sum_n n**(k-1) |delta_nv|**k, weight one at n = 0."""
@@ -343,19 +321,18 @@ class DenseProbes(dict):
     def tails(self, kind: str, k, rows: int):
         """The C10/C11 sums sum_{n=v+1..rows} n**(k-1) |delta_nv|**k of probe ``kind``, and their last terms."""
         quantity = f"the {kind} probe's tail sum_n n**(k-1) |delta_nv|**k"
-        D, exact = _probe_arrays(self._rows(0, rows + 1), self.lv)[kind == PROBE_SHIFT], self.M.exact
-        D = (np.tril(D[0], -1), D[1]) if exact else np.tril(D, -1)
+        D, exact = _probe_arrays(self.H[: rows + 1], self.lv)[kind == PROBE_SHIFT], self.M.exact
+        D = D.tril(-1) if exact else np.tril(D, -1)
         w = norm_weights(rows + 1, k, exact)
-        last = fractions_over(D[0][-1], D[1]) if exact else D[-1]
+        last = D[-1].fractions() if exact else D[-1]
         return column_sums(D, k, w, lower=True, quantity=quantity), w[-1] * power(np.abs(last), k)
 
     def factored_rows(self):
         """Blocks (F, n) of the key-identity triangle, F[i, v] = bhat_nv lam_v at row n[i], over rows 2..N; exact ones
-        as integer numerators over one positive denominator per block, which no relative gap reads."""
+        as a Rational per block, whose denominator no relative gap reads."""
         N = self.M.order
         for lo in range(2, N + 1, _ROWS):  # a block of rows at a time bounds the temporaries
-            H = self._rows(lo, lo + _ROWS)
-            F = _scaled_numerators(H, self.lv)[0] if self.M.exact else _scaled_columns(H, self.lv)
+            F = _scaled_columns(self.H[lo : lo + _ROWS], self.lv)
             yield F, np.arange(lo, lo + F.shape[0])
 
     def cnv(self, A: NormalMatrix, fac, diag) -> np.ndarray:
@@ -365,13 +342,14 @@ class DenseProbes(dict):
         out = np.zeros((A.size, A.size), dtype=diag.dtype)
         if self.M.exact and A.exact:  # (D / b) / (dn / dd) + (S / b) (gn / gd) over b gd |dn|, dn's sign in the numerator
             n, v = np.nonzero(np.tri(A.size, k=-1) * (np.arange(A.size) > 0))
-            (D, b), (S, _) = _probe_arrays(self.H, self.lv)
-            (dn, dd), (gn, gd) = (on_numerators(lambda x: x[v], x) for x in (A.diagonal, A.gap()))
-            nums = ((D[n, v] * (dd * gd) + S[n, v] * gn * dn) * np.sign(dn)).tolist()
-            dens, f = (np.abs(dn) * (b * gd)).tolist(), fac[n]
+            D, S = _probe_arrays(self.H, self.lv)
+            a, gap = (Rational.of(x)[v] for x in (A.diagonal, A.gap()))
+            nums = ((D.nums[n, v] * (a.den * gap.den) + S.nums[n, v] * gap.nums * a.nums) * np.sign(a.nums)).tolist()
+            dens, f = (np.abs(a.nums) * (D.den * gap.den)).tolist(), fac[n]
             out[n, v] = [Fraction(x * g, y) for x, y, g in zip(nums, dens, f.tolist())] if is_exact(fac) else quotients(nums, dens) * f
         else:
             BL, d, gap = _scaled_columns(self.H, self.lv), A.diagonal, A.gap()
+            BL = BL.fractions() if self.M.exact else BL  # an exact B met by a float A: B-hat diag(lam) as Fractions
             for n in range(2, A.size):
                 S = BL[n, 2 : n + 1]
                 out[n, 1:n] = ((BL[n, 1:n] - S) / d[1:n] + S * gap[1:n]) * fac[n]
@@ -461,7 +439,7 @@ class WeightedProbes:
         v - 1, so the factor of row n cancels from every relative gap.
         """
         F = np.concatenate(([0], self.scalars[PROBE_SHIFT]))[None, :]
-        yield on_numerators(np.asarray, F)[0] if self.M.exact else F, np.array([self.m])
+        yield Rational.of(F) if self.M.exact else F, np.array([self.m])
 
     def cnv_sums(self, A: NormalMatrix, k, fac, diag, index_power) -> np.ndarray:
         """The column k-power sums of :meth:`DenseProbes.cnv`'s array, which is not formed, nor ``fac`` and ``diag`` read.
@@ -544,10 +522,10 @@ def check_c16(A: NormalMatrix, B: NormalMatrix, lam: FactorSequence) -> Conditio
     nums = np.zeros(N + 1)
     W = far_inverse(A)
     if W is not None:
-        hat = hat_of(B)  # exact, its kept integer numerators; a mixed pair is rounded on entry, as C9 and TA round theirs
+        hat = hat_of(B)  # exact, its kept carrier; a mixed pair is rounded on entry, as C9 and TA round theirs
         exact = hat.exact and is_exact(lv)
-        BL = np.abs(floats_over(*_scaled_numerators(hat.numerators(), lv)) if exact else as_float(hat.entries) * as_float(lv))
-        inner = inner_sums(BL, np.abs(floats_over(*W) if A.exact else W))
+        BL = np.abs(_scaled_columns(hat.numerators(), lv).floats() if exact else as_float(hat.entries) * as_float(lv))
+        inner = inner_sums(BL, np.abs(W.floats() if A.exact else W))
         nums[2:] = [inner[n, : n - 1].max() for n in range(2, N + 1)]
     den = np.abs(as_float(B.diagonal) / as_float(A.diagonal)) * np.abs(as_float(lv))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero denominator is resolved by np.where

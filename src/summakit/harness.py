@@ -7,7 +7,7 @@ transformed factored series, the adjacent-inverse algebraic identity, and
 the two triangular arrays whose columnwise k-power sums control each part.
 Everything here is a finite, checkable computation; nothing asserts the
 infinite statements themselves.  On exact inputs each gap of the identity is
-one integer expression over its terms' numerators, a Fraction only where nonzero.
+one integer expression over its terms' carriers, a Fraction only where nonzero.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._util import as_float, check_exponent, check_pair, nan_max, numerators, on_numerators, power, same_arithmetic, suffix_sums
+from ._util import Rational, as_float, check_exponent, check_pair, nan_max, power, same_arithmetic, suffix_sums
 from .errors import (
     DegenerateProbeError,
     IndexOutOfRangeError,
@@ -132,10 +132,11 @@ class ProbePass:
         """
         N = self.A.order
         v = np.arange(1, N)
-        _, bands, den = _a_bands(self.A, v, self.B.exact, "key_identity_gaps")
+        bands = _a_bands(self.A, v, self.B.exact, "key_identity_gaps")
         worst = np.zeros(max(N - 1, 0))
         for F, n in self.delta_y.factored_rows():
-            gaps = _key_gaps(F[:, 1:N], F[:, 2:], *bands, den)
+            F = F.nums if self.B.exact else F  # exact, integers over one denominator, which no relative gap reads
+            gaps = _key_gaps(F[:, 1:N], F[:, 2:], bands)
             worst = np.maximum(worst, np.where(n[:, None] > v[None, :], gaps, 0).max(axis=0))  # (n, v) with v <= n - 1
         return worst
 
@@ -255,65 +256,60 @@ def key_identity_check(
     of its entries.  ``hat_b`` / ``inv_hat_a``, when given, stand in for
     the hat matrix B keeps and the hat inverse A keeps.  Every value read
     takes A's arithmetic (:func:`~summakit._util.same_arithmetic`); an exact
-    matrix's entries are read off the integer numerators it keeps.
+    matrix's entries are read off the carrier it keeps.
     """
-    v = np.asarray(v) if np.ndim(v) else v
+    v = v if type(v) is int or not np.ndim(v) else np.asarray(v)  # an int passes as it is, and fast
     v_lo, v_hi = (np.min(v), np.max(v)) if isinstance(v, np.ndarray) else (v, v)
     if not (1 <= v_lo and v_hi <= n - 1 and n <= A.order):
         raise IndexOutOfRangeError(f"need 1 <= v <= n-1 and n <= {A.order}, got n={n}, v={v}")
     check_pair(A, B, lam, v_hi + 2)
     hb, f, w = hat_b or hat_of(B), lam.values, v + 1
-    h_v, h_w = (_stand_in(v),) * 2 if hb.exact else (hb.entries[n, v], hb.entries[n, w])
-    (h_v, l_v, h_w, l_w), bands, den = _a_bands(A, v, A.exact, "key_identity_check", inv_hat_a or hat_inverse(A), (h_v, f[v], h_w, f[w]))
-    if A.exact:  # B-hat's entries off the numerators it keeps
-        H = hb.numerators()[0]
-        h_v, h_w = H[n, v], H[n, w]
-    return _key_gaps(h_v * l_v, h_w * l_w, *bands, den)
-
-
-def _stand_in(v):
-    """An exact zero in the shape of v, for the entries of an exact matrix, which are read off its numerators."""
-    return np.full(v.shape, _ZERO) if isinstance(v, np.ndarray) else _ZERO
+    H = hb.numerators().nums if A.exact and hb.exact else hb.entries  # an exact B-hat's entries as its integers
+    terms = _a_bands(A, v, A.exact, "key_identity_check", inv_hat_a or hat_inverse(A), (H[n, v], f[v], H[n, w], f[w]))
+    h_v, l_v, h_w, l_w = terms.nums[:4] if A.exact else terms[:4]  # exact, integers over one denominator, as above
+    return _key_gaps(h_v * l_v, h_w * l_w, terms[4:])
 
 
 def _a_bands(A, v, exact: bool, where: str, inverse: NormalMatrix | None = None, head=()):
-    """(head, bands, den): the values ``head``, then A's four bands of the key identity at v, the entries (v, v) and
-    (v + 1, v) of the hat inverse ``inverse`` (an exact one's off its numerators), or else of
-    :func:`~summakit.matrices.hat_inverse_bands`, a_vv and the gap factor.  A value not in the arithmetic ``exact`` is
-    refused by its place in that list; exact, all are integer numerators, the bands' over ``den``, else den is None."""
-    held = inverse is not None and inverse.exact
-    if held:
-        inv = (_stand_in(v),) * 2
+    """The values ``head``, then A's four bands of the key identity at v, the entries (v, v) and (v + 1, v) of the hat
+    inverse ``inverse``, or else of :func:`~summakit.matrices.hat_inverse_bands`, a_vv and the gap factor: floats, or
+    exact one Rational.  A value not in the arithmetic ``exact`` is refused by its place in that list.  An exact
+    inverse's entries are given as its carrier's integers, so a_vv and the gap factor are scaled by its denominator:
+    the bands are exact, and a head of B-hat's integers is right up to a positive factor, which no relative gap reads."""
+    X = inverse.numerators() if exact and inverse is not None and inverse.exact else None
+    if X is not None:
+        inv = (X.nums[v, v], X.nums[v + 1, v])
     else:
         inv = (band[v] for band in ((inverse.diagonal, inverse.subdiagonal) if inverse else hat_inverse_bands(A)))
     values = [*head, *inv, A.diagonal[v], A.gap(v)]
     if not exact:
         values = np.array(values)
         same_arithmetic(False, values, where)
-        return values[: len(head)], values[len(head) :], None
-    nums, den = on_numerators(np.asarray, np.array(values, dtype=object)) if isinstance(v, np.ndarray) else numerators(values)
-    *head, inv_d, inv_s, d, g = nums
-    if held:  # the inverse's two over its own denominator: all four over the product
-        X, x_den = inverse.numerators()
-        return head, (X[v, v] * den, X[v + 1, v] * den, d * x_den, g * x_den), den * x_den
-    return head, (inv_d, inv_s, d, g), den
+        return values
+    terms = Rational.of(np.array(values, dtype=object) if isinstance(v, np.ndarray) else values)
+    if X is not None:  # a_vv and the gap factor, the last two, as an item or a row each
+        terms.nums[-2] *= X.den
+        terms.nums[-1] *= X.den
+        terms.den *= X.den
+    return terms
 
 
-def _key_gaps(f_v, f_v1, inv_d, inv_s, d, g, den=None):
+def _key_gaps(f_v, f_v1, bands):
     """|lhs - rhs| of the adjacent-inverse rearrangement at column(s) v, relative to the size of the two sides.
 
     ``f_v`` and ``f_v1`` are the factored B-hat entries at v and v + 1 of one
-    row, or of every row, column j holding v[j]; ``inv_d`` and ``inv_s`` are
-    the A-hat inverse's entries (v, v) and (v + 1, v), ``d`` and ``g`` A's
-    diagonal and gap factor at v.  The size is the sum of the absolute values
+    row, or of every row, column j holding v[j]; ``bands`` holds the A-hat
+    inverse's entries (v, v) and (v + 1, v), inv_d and inv_s, and A's
+    diagonal d and gap factor g at v.  The size is the sum of the absolute values
     of the terms the two sides add, with (f_v - f_v1) / a_vv counted as its
     two terms: the scale of their round-off.  A gap whose terms are all zero is 0.
-    Exact, all six are integer numerators, f_v and f_v1 over one positive
-    denominator and A's four over ``den``: times both denominators and d,
-    lhs - rhs and the size are each one integer expression, and a Fraction is
-    formed only where the first is nonzero.
+    Exact, f_v and f_v1 are integers over one positive denominator and the
+    bands a Rational: times both denominators and d, lhs - rhs and the size
+    are each one integer expression, and a Fraction is formed only where the
+    first is nonzero.
     """
-    if den is not None:
+    if isinstance(bands, Rational):
+        (inv_d, inv_s, d, g), den = bands.nums, bands.den
         c_d, c_s, c_q, c_g = inv_d * d, inv_s * d, den * den, g * d  # the terms' coefficients of f_v and f_v1
         gap = f_v * (c_d - c_q) + f_v1 * (c_s + c_q - c_g)
         size = lambda: abs(f_v) * (abs(c_d) + c_q) + abs(f_v1) * (abs(c_s) + c_q + abs(c_g))  # noqa: E731
@@ -323,6 +319,7 @@ def _key_gaps(f_v, f_v1, inv_d, inv_s, d, g, den=None):
         hit = gap != 0
         out[hit] = [Fraction(abs(x), y) for x, y in zip(gap[hit].tolist(), size()[hit].tolist())]
         return out
+    inv_d, inv_s, d, g = bands
     lhs = f_v * inv_d, f_v1 * inv_s
     shift = f_v1 * g
     gap = abs(lhs[0] + lhs[1] - ((f_v - f_v1) / d + shift))

@@ -5,7 +5,7 @@ entries, truncated to its leading (N+1) x (N+1) section.  Triangularity
 makes the truncation lossless: every output with row index <= N is exact.
 
 A matrix is held in one of three forms, one class each, and the class is how
-it is stored: :class:`NormalMatrix`, the general form, holds dense entries (or, exact, their numerators); a
+it is stored: :class:`NormalMatrix`, the general form, holds dense entries (or, exact, their carrier); a
 :class:`WeightedMean` holds its :class:`WeightSequence`, and an
 :class:`IdentityMatrix` its order alone.  Every form gives the same reads
 (``size``, ``exact``, ``weights``, ``entries``, ``order``, ``reach``,
@@ -34,10 +34,9 @@ exactly zero.  Both are computed once per matrix and kept on it, and
 weighted mean's hat matrix is read from its weights: ``apply_hat`` multiplies
 by it and ``hat_inverse_bands`` gives its inverse's two bands in O(N).
 On exact (object) arrays, int and Fraction entries alone, the hat sums and
-the products run their float code on the integer numerators of the lower
-triangle (:mod:`summakit._util`), and the hat inverse is fraction free: all
-read the integers an exact matrix keeps (:meth:`NormalMatrix.numerators`),
-and make such integers.
+the products run their float code on the integers of the lower triangle's
+carrier (:class:`~summakit._util.Rational`, :meth:`NormalMatrix.numerators`),
+and the hat inverse is fraction free: each reads one, and makes one.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._util import as_float, as_vector, fractions_over, is_exact, named_overflow, numerators
-from ._util import on_numerators, power, quotients, same_arithmetic, suffix_sums
+from ._util import Rational, as_float, as_vector, is_exact, named_overflow, numerators, power, quotients, same_arithmetic
+from ._util import suffix_sums
 from .errors import LengthMismatchError, ShapeMismatchError, WeightOverflowError, ZeroDiagonalError
 
 log = logging.getLogger("summakit")
@@ -63,12 +62,20 @@ class NormalMatrix:
     """Lower-triangular matrix with a nonzero diagonal, held as dense ``entries`` (float64, or object dtype for exact
     rational work): the general form and the public constructor.  A structure is a subclass that holds less, a
     :class:`WeightedMean` its weight sequence and an :class:`IdentityMatrix` its order; every form gives the same
-    reads, and each module function that a form computes otherwise has that form's body registered on it.
+    reads, and each module function that a form computes otherwise has that form's body registered on it.  An exact
+    kernel's result is given as its :class:`~summakit._util.Rational`, kept in lowest terms as :meth:`numerators`, and
+    its entries are formed when read (``lower``: every entry on and below the diagonal a Fraction, zero too).
     """
 
     __slots__ = ("size", "exact", "weights", "_entries", "_hat", "_inverse", "_gap", "_ints", "_lower", "_diagonal")
 
-    def __init__(self, entries: np.ndarray):
+    def __init__(self, entries: np.ndarray, lower: bool = False):
+        if isinstance(entries, Rational):  # a kernel's result on a normal matrix, so normal too
+            ints = entries.lowest()
+            ints.nums.setflags(write=False)
+            for name, value in zip(("size", "exact", "weights", "_entries", "_ints", "_lower"), (ints.shape[0], True, None, None, ints, lower)):
+                object.__setattr__(self, name, value)
+            return
         entries = np.asarray(entries)
         entries = entries if is_exact(entries) else entries.astype(float, copy=False)  # the one float conversion
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
@@ -76,19 +83,6 @@ class NormalMatrix:
         object.__setattr__(self, "_entries", entries)
         self._hold(entries.shape[0], is_exact(entries))
         entries.setflags(write=False)
-
-    @classmethod
-    def _born(cls, nums: np.ndarray, den: int, lower: bool = False) -> NormalMatrix:
-        """An exact kernel's result nums / den, kept in lowest terms; its entries (``lower``: all Fractions) formed
-        when read."""
-        g = math.gcd(den, *nums.ravel().tolist()) * (1 if den > 0 else -1)
-        nums, den = (nums // g, den // g) if g != 1 else (nums, den)
-        nums.setflags(write=False)
-        M = object.__new__(cls)
-        names = ("size", "exact", "weights", "_entries", "_ints", "_lower")
-        for name, value in zip(names, (len(nums), True, None, None, (nums, den), lower)):
-            object.__setattr__(M, name, value)
-        return M
 
     def _hold(self, size: int, exact: bool, weights=None) -> None:
         """Set size, exact and weights (None but on a weighted mean), and check the diagonal: a structure's constructor."""
@@ -100,8 +94,8 @@ class NormalMatrix:
 
     entries = property(lambda self: _kept(self, "_entries", "entries", self._dense), doc="The (N+1) x (N+1) array.")
 
-    def _dense(self) -> np.ndarray:  # of a matrix born as numerators
-        return fractions_over(*self._ints, self._lower)
+    def _dense(self) -> np.ndarray:  # of a matrix given as its carrier
+        return self._ints.fractions(self._lower)
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalMatrix is immutable")
@@ -133,13 +127,12 @@ class NormalMatrix:
     def row_sums(self) -> np.ndarray:
         """sum_v a_nv for n = 0..N, the leading bar column; exact, the rows' integer sums over the one denominator."""
         if self.exact:
-            nums, den = self.numerators()
-            return fractions_over(nums.sum(axis=1), den)
+            return (self.numerators() @ Rational(np.ones(self.size, dtype=object))).fractions()
         return self.entries.sum(axis=1)
 
-    def numerators(self) -> tuple[np.ndarray, int]:
-        """:func:`~summakit._util.numerators` of an exact matrix's lower triangle, converted and checked once and kept."""
-        return _kept(self, "_ints", "integer numerators", lambda: on_numerators(np.asarray, np.tril(self.entries)))
+    def numerators(self) -> Rational:
+        """An exact matrix's lower triangle as its :class:`~summakit._util.Rational`, converted and checked once and kept."""
+        return _kept(self, "_ints", "integer numerators", lambda: Rational.of(np.tril(self.entries)))
 
     def gap(self, v=None):
         """(a_vv - a_{v+1,v}) / (a_vv a_{v+1,v+1}) for v < N, or at ``v``: evaluated once, in O(N), and kept read-only."""
@@ -266,9 +259,10 @@ class WeightSequence:
         if key not in self._tails:
             exact = is_exact(self.weights) and float(k).is_integer() and float(index_power).is_integer()
             p, P = (self.weights, self.cumulative) if exact else (as_float(self.weights), as_float(self.cumulative))
-            ratio, n = p[1 : rows + 1] / (P[1 : rows + 1] * P[:rows]), np.arange(1, rows + 1, dtype=object if exact else float)
+            ratio, dtype = p[1 : rows + 1] / (P[1 : rows + 1] * P[:rows]), object if exact else float
             quantity = "the W-tail term n**e (p_n / (P_n P_{n-1}))**k"
-            terms = named_overflow(lambda: power(n, index_power) * power(ratio, k), ratio, quantity, "n", 1)
+            # the index is formed in the lambda and freed once powered: ratio, n**e and ratio**k are the peak's arrays
+            terms = named_overflow(lambda: power(np.arange(1, rows + 1, dtype=dtype), index_power) * power(ratio, k), ratio, quantity, "n", 1)
             sums = suffix_sums(terms, count)
             sums.setflags(write=False)
             self._tails[key] = sums, terms[-1] if rows else 0
@@ -381,15 +375,13 @@ def hat_columns(A: NormalMatrix, v_hi: int) -> np.ndarray:
     p_n / P_n of A itself and column 0 exactly zero below row 0.  For other
     matrices hat_nv = bar_nv - bar_{n-1,v} = sum_{i=v..n} (a_ni - a_{n-1,i}):
     the rows of A are differenced first and then summed from the diagonal
-    down, so the diagonal is A's own and no entry cancels two row sums; exact
-    entries on the integer numerators of A's lower triangle (``on_numerators``), which give (nums, den) of the hat.
+    down, so the diagonal is A's own and no entry cancels two row sums; on an
+    exact A, on its carrier (:meth:`NormalMatrix.numerators`), into a :class:`~summakit._util.Rational`.
     """
     if A.exact:
-        return fractions_over(*hat_columns(A.numerators(), v_hi))
+        ints = A.numerators()
+        return Rational(_tail_sums(ints.nums, v_hi), ints.den)
     return _tail_sums(A.entries, v_hi)
-
-
-hat_columns.register(tuple, lambda A, v_hi: (_tail_sums(A[0], v_hi), A[1]))
 
 
 @hat_columns.register(WeightedMean)
@@ -409,7 +401,7 @@ def _kept(A: NormalMatrix, slot: str, name: str, build) -> NormalMatrix:
     if M is None:
         start = time.perf_counter()
         M = build()
-        for x in M if isinstance(M, tuple) else (M,):
+        for x in (M, getattr(M, "nums", None)):  # an array, or a carrier's
             if isinstance(x, np.ndarray):
                 x.setflags(write=False)
         log.debug("computed the %s of order %d in %.6f s", name, A.order, time.perf_counter() - start)
@@ -425,18 +417,10 @@ def hat_of(A: NormalMatrix) -> NormalMatrix:
     computed once per A: later calls return the same read-only matrix.  The
     identity is its own hat matrix.
     """
-
-    def build():
-        if A.exact:
-            nums, den = A.numerators()
-            return NormalMatrix._born(_tail_sums(nums, A.order), den)
-        return NormalMatrix(hat_columns(A, A.order))
-
-    return _kept(A, "_hat", "hat matrix", build)
+    return _kept(A, "_hat", "hat matrix", lambda: NormalMatrix(hat_columns(A, A.order)))
 
 
 hat_of.register(IdentityMatrix, lambda A: A)
-hat_of.register(WeightedMean, lambda A: _kept(A, "_hat", "hat matrix", lambda: NormalMatrix(hat_columns(A, A.order))))
 
 
 _BLOCK = 64
@@ -455,9 +439,9 @@ def invert_hat(H: NormalMatrix) -> NormalMatrix:
     entry past float range, on finite entries of H, raises a PowerOverflowError naming its row.
     """
 
-    def inverse():  # an exact H from and to integer numerators
+    def inverse():  # an exact H from and to its carrier
         if H.exact:
-            return NormalMatrix._born(*_fraction_free_inverse(*H.numerators()), lower=True)
+            return NormalMatrix(_fraction_free_inverse(H.numerators()), lower=True)
         return NormalMatrix(named_overflow(lambda: _lower_inverse(H.entries), H.entries, "the hat inverse", "row n"))
 
     return _kept(H, "_inverse", "hat inverse", inverse)
@@ -478,12 +462,12 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
     return X
 
 
-def _fraction_free_inverse(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    """(numerators, denominator) of the inverse of the lower triangle nums / den of integers, each row n first written
-    as R_n / d_n in lowest terms: column v solves R x = d_v e_v, its entries through row n numerators over R_v[v] ...
-    R_n[n], the running product of the scaled diagonal, so over R_0[0] ... R_N[N] times R_0[0] ... R_{v-1}[v-1]."""
-    rows = [row[: n + 1] for n, row in enumerate(nums.tolist())]
-    rows = [([x // g for x in R], den // g) for R in rows for g in [math.gcd(den, *R)]]  # each row in lowest terms
+def _fraction_free_inverse(L: Rational) -> Rational:
+    """The inverse of the lower triangle L, its integers over one denominator, each row n first written as R_n / d_n
+    in lowest terms: column v solves R x = d_v e_v, its entries through row n numerators over R_v[v] ... R_n[n], the
+    running product of the scaled diagonal, so over R_0[0] ... R_N[N] times R_0[0] ... R_{v-1}[v-1]."""
+    rows = [row[: n + 1] for n, row in enumerate(L.nums.tolist())]
+    rows = [([x // g for x in R], L.den // g) for R in rows for g in [math.gcd(L.den, *R)]]  # each row in lowest terms
     X, head = np.zeros((len(rows), len(rows)), dtype=object), 1
     for v in range(len(rows)):
         ys = [rows[v][1]]
@@ -492,7 +476,7 @@ def _fraction_free_inverse(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]
             ys = [y * r for y in ys] + [-sum(map(operator.mul, R[v:], ys))]
         X[v:, v] = [y * head for y in ys]
         head *= rows[v][0][v]
-    return X, head
+    return Rational(X, head)
 
 
 @functools.singledispatch
@@ -514,14 +498,11 @@ hat_inverse.register(WeightedMean, lambda A: _kept(A, "_hat_inverse", "hat inver
 
 
 @functools.singledispatch
-def far_inverse(A: NormalMatrix) -> np.ndarray | tuple | None:
-    """``hat_inverse(A)`` below its subdiagonal (entries (n, r), r <= n - 2), exact as (numerators, denominator), or
-    None when that inverse is bidiagonal, on a weighted mean and on the identity: every sum over it is empty or zero."""
+def far_inverse(A: NormalMatrix) -> np.ndarray | Rational | None:
+    """``hat_inverse(A)`` below its subdiagonal (entries (n, r), r <= n - 2), exact as a part of its carrier, or None
+    when that inverse is bidiagonal, on a weighted mean and on the identity: every sum over it is empty or zero."""
     X = hat_inverse(A)
-    if A.exact:
-        nums, den = X.numerators()
-        return np.tril(nums, -2), den
-    return np.tril(X.entries, -2)
+    return X.numerators().tril(-2) if A.exact else np.tril(X.entries, -2)
 
 
 far_inverse.register(_Structured, lambda A: None)
@@ -533,12 +514,12 @@ def hat_inverse_bands(A: NormalMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     A weighted mean's are P_n / p_n and -P_{n-1} / p_n (0 at n = 0), read
     from its weights with no matrix formed; other matrices' are read off
-    their hat inverse, exact ones off its numerators.
+    their hat inverse, exact ones off its carrier.
     """
     X = hat_inverse(A)
     if A.exact:
-        nums, den = X.numerators()
-        return fractions_over(np.diagonal(nums), den, True), fractions_over(np.diagonal(nums, -1), den, True)
+        ints, n = X.numerators(), np.arange(A.size)
+        return ints[n, n].fractions(True), ints[n[1:], n[:-1]].fractions(True)
     return X.diagonal, X.subdiagonal
 
 
@@ -587,21 +568,24 @@ def apply_lower(M, x) -> np.ndarray:
 
     A structure forms no matrix and is O(N): the identity gives x itself, a weighted mean (1/P_n) sum_{v<=n} p_v x_v,
     on floats its numerator summed exactly as integers and divided by P_n in one correctly rounded division.  Float
-    entries are one ``np.dot``; on exact entries each row is an integer dot product over its lower triangle only.  An
-    exact matrix takes exact values and a float one floats: a mixed call raises a MixedArithmeticError.
+    entries are one ``np.dot``; exact ones are read as the carrier of their lower triangle (:func:`far_inverse`'s comes
+    as one), one integer dot product per row and one Fraction per result entry.  An exact matrix takes exact values
+    and a float one floats: a mixed call raises a MixedArithmeticError.
     """
-    xs = _operand(x, M.size, M.exact, "apply_lower")
-    return _exact_product(*M.numerators(), xs) if M.exact else np.dot(M.entries, xs)
+    return apply_lower(M.numerators(), x) if M.exact else np.dot(M.entries, _operand(x, M.size, False, "apply_lower"))
 
 
 @apply_lower.register(np.ndarray)
 def _(M, x) -> np.ndarray:
-    xs = _operand(x, M.shape[0], is_exact(M), "apply_lower")
-    return _exact_product(*on_numerators(np.asarray, np.tril(M)), xs) if is_exact(M) else np.dot(M, xs)
+    return apply_lower(Rational.of(np.tril(M)), x) if is_exact(M) else np.dot(M, _operand(x, M.shape[0], False, "apply_lower"))
+
+
+@apply_lower.register(Rational)
+def _(M, x) -> np.ndarray:
+    return (M @ Rational.of(_operand(x, M.shape[0], True, "apply_lower"))).fractions(lower=True)
 
 
 apply_lower.register(IdentityMatrix, lambda M, x: _operand(x, M.size, M.exact, "apply_lower").copy())
-apply_lower.register(tuple, lambda M, x: _exact_product(*M, _operand(x, M[0].shape[0], True, "apply_lower")))
 
 
 @apply_lower.register(WeightedMean)
@@ -625,9 +609,3 @@ def _operand(x, size: int, exact: bool, where: str) -> np.ndarray:
         raise LengthMismatchError(f"need {size} values, have {xs.size}")
     same_arithmetic(exact, xs, where)
     return xs[:size]
-
-
-def _exact_product(nums: np.ndarray, den: int, xs: np.ndarray) -> np.ndarray:
-    """(nums / den) xs for exact xs: one integer dot product per row, and one Fraction per result entry."""
-    x, x_den = on_numerators(np.asarray, xs)
-    return np.asarray([Fraction(s, den * x_den) for s in np.dot(nums, x).tolist()], dtype=object)

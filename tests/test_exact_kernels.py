@@ -2,7 +2,7 @@
 
 On int and Fraction entries the hat and bar sums, the hat inverse, the
 products and the sums run as integer arithmetic over one denominator per row
-(``_util.numerators``) and form one Fraction per result entry.  Each must give
+(``_util.Rational``) and form one Fraction per result entry.  Each must give
 exactly the value of the oracle in ``tests/oracles.py``, which does every
 operation in Fractions.  An exact entry that is a float, and a mixed exact/float
 call into a product or a probe, is refused by name.
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import summakit as sk  # noqa: E402
 from summakit import _util  # noqa: E402
-from summakit._util import accurate_sum, fractions_over, numerators  # noqa: E402
+from summakit._util import Rational, accurate_sum, numerators  # noqa: E402
 from summakit.errors import MixedArithmeticError  # noqa: E402
 from summakit.matrices import _BLOCK, far_inverse, hat_inverse_bands  # noqa: E402
 
@@ -109,7 +109,8 @@ def test_an_exact_inverse_past_the_block_size_is_not_split(monkeypatch):
 def test_hat_and_bar_columns_equal_the_oracles(order, seed, cut):
     rows = rational_lower(np.random.default_rng(seed), order)
     M, v_hi = as_matrix(rows), min(cut, order)
-    assert sk.hat_columns(M, v_hi).tolist() == [row[: v_hi + 1] for row in oracles.hat_rows(as_fractions(rows))]
+    # an exact matrix's hat columns are its kernel's carrier, formed as Fractions where read
+    assert sk.hat_columns(M, v_hi).fractions().tolist() == [row[: v_hi + 1] for row in oracles.hat_rows(as_fractions(rows))]
     assert M.row_sums.tolist() == [sum(row, F(0)) for row in rows]
 
 
@@ -211,11 +212,16 @@ def test_the_exact_oracle_calls_stay_under_ten_thousand_fraction_operations(monk
 
 
 def test_the_exact_oracle_calls_convert_each_whole_matrix_once(monkeypatch):
-    # A and B, given as Fractions, are converted to integer numerators once each; the hat matrices and the inverse are
-    # born as integer numerators and never converted.  Born as Fractions and converted again when read, each kernel's
-    # result gives the same values of the same types, to the last bit of every float
+    # A and B, given as Fractions, are converted to their carriers once each; the hat matrices and the inverse are
+    # given as their kernels' carriers and never converted.  Given as Fractions and converted again when read, each
+    # kernel's result gives the same values of the same types, to the last bit of every float
     size = (25, 25)
-    monkeypatch.setattr(sk.NormalMatrix, "_born", classmethod(lambda cls, nums, den, lower=False: cls(fractions_over(nums, den, lower))))
+    init = sk.NormalMatrix.__init__
+
+    def as_fractions(self, entries, lower=False):
+        init(self, entries.fractions(lower) if isinstance(entries, Rational) else entries)
+
+    monkeypatch.setattr(sk.NormalMatrix, "__init__", as_fractions)
     formed = helpers.exact_oracle_calls(*helpers.exact_oracle_inputs(seed=1, order=24))
     monkeypatch.undo()
     A, B, lam, series = helpers.exact_oracle_inputs(seed=1, order=24)
@@ -227,8 +233,7 @@ def test_the_exact_oracle_calls_convert_each_whole_matrix_once(monkeypatch):
             whole.append(values)
         return real(values)
 
-    for module in (_util, sk.matrices, sk.conditions, sk.harness):  # each one binds the name
-        monkeypatch.setattr(module, "numerators", counted)
+    monkeypatch.setattr(_util, "numerators", counted)  # the one conversion of the exact path, Rational.of, reads it
     out = helpers.exact_oracle_calls(A, B, lam, series)
     monkeypatch.undo()
     assert helpers.leaves(out) == helpers.leaves(formed)
@@ -250,7 +255,7 @@ def kinds(rows):
 @given(order=st.integers(0, 10), seed=SEEDS)
 def test_born_matrices_equal_the_oracle_in_value_and_type(order, seed):
     # the hat matrix, the hat inverse, its bands and its far part of a random rational explicit matrix: the bands and
-    # the far part are read off the numerators the inverse keeps, before any entry of it is formed
+    # the far part are read off the carrier the inverse keeps, before any entry of it is formed
     rows = rational_lower(np.random.default_rng(seed), order)
     A = as_matrix(rows)
     hat = oracles.hat_rows(as_fractions(rows))
@@ -258,16 +263,16 @@ def test_born_matrices_equal_the_oracle_in_value_and_type(order, seed):
     diag, sub = hat_inverse_bands(A)
     assert diag.tolist() == [inv[n][n] for n in range(order + 1)] and sub.tolist() == [inv[n + 1][n] for n in range(order)]
     assert {type(x) for x in [*diag.tolist(), *sub.tolist()]} <= {F}
-    nums, den = far_inverse(A)
-    assert [[F(x, den) for x in row] for row in nums.tolist()] == [[x if v <= n - 2 else 0 for v, x in enumerate(row)] for n, row in enumerate(inv)]
+    W = far_inverse(A)
+    assert [[F(x, W.den) for x in row] for row in W.nums.tolist()] == [[x if v <= n - 2 else 0 for v, x in enumerate(row)] for n, row in enumerate(inv)]
     for M, want, lower in ((sk.hat_of(A), hat, False), (sk.hat_inverse(A), inv, True)):
         got = M.entries.tolist()
         assert got == want and kinds(got) == kinds(typed(want, lower))
-        # the entries and the numerators round-trip: the entries' numerators are the ones the matrix was born with
-        nums, den = M.numerators()
-        again, again_den = sk.NormalMatrix(M.entries).numerators()
-        assert (again.tolist(), again_den) == (nums.tolist(), den) and den > 0 and M.weights is None
-        assert fractions_over(nums, den, lower).tolist() == got
+        # the entries and the carrier round-trip: the entries' carrier is the one the matrix was given, in lowest terms
+        ints = M.numerators()
+        again = sk.NormalMatrix(M.entries).numerators()
+        assert (again.nums.tolist(), again.den) == (ints.nums.tolist(), ints.den) and ints.den > 0 and M.weights is None
+        assert ints.fractions(lower).tolist() == got
 
 
 def test_reading_the_inverse_bands_forms_no_whole_matrix_fractions(monkeypatch):
@@ -291,7 +296,7 @@ def test_reading_the_inverse_bands_forms_no_whole_matrix_fractions(monkeypatch):
 
 
 def test_c_nv_of_a_float_a_and_an_exact_b_meets_b_hat_as_fractions():
-    # B-hat diag(lam), read off the numerators B's hat matrix keeps, is formed as one Fraction per nonzero entry and
+    # B-hat diag(lam), read off the carrier B's hat matrix keeps, is formed as one Fraction per nonzero entry and
     # met by A's floats, in the order of the float path
     rng = np.random.default_rng(3)
     A, B = helpers.random_normal_matrix(rng, 5), helpers.random_rational_matrix(rng, 5)

@@ -1,7 +1,7 @@
 """The exact probe kernels against per-entry Fraction oracles, on random rational pairs.
 
-On an exact pair the probe arrays are integer numerators over one
-denominator, and each probe norm, tail sum, column sum and c_nv entry is
+On an exact pair the probe arrays are carriers, integers over one
+denominator (``_util.Rational``), and each probe norm, tail sum, column sum and c_nv entry is
 formed from them once: one Fraction (or int) per result, or one correctly
 rounded float.  Exact results must equal the oracles of ``tests/oracles.py``,
 which form a Fraction per operation, and a float result must have the bits
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import summakit as sk  # noqa: E402
 from summakit import _util  # noqa: E402
-from summakit._util import fractions_over, on_numerators  # noqa: E402
+from summakit._util import Rational  # noqa: E402
 from summakit.conditions import DenseProbes, column_sums, inner_sums, probe_columns  # noqa: E402
 
 import helpers  # noqa: E402
@@ -82,8 +82,8 @@ def test_column_sums_equal_the_oracle(seed, size, width, k, lower):
         got = column_sums(M, k, weights, lower)
         assert got.tolist() == oracles.column_pow_sums(rows, k, None if weights is None else w.tolist(), lower)
         assert got[0] == 0 and (weights is not None or F(got[1]).denominator == 1)
-        # the same values given as integer numerators over one denominator
-        assert column_sums(on_numerators(np.asarray, M), k, weights, lower).tolist() == got.tolist()
+        # the same values given as their carrier, integers over one denominator
+        assert column_sums(Rational.of(M), k, weights, lower).tolist() == got.tolist()
     bound = sk.l1_lk_bound(M, k)
     assert bound.column_sums.tolist() == oracles.column_pow_sums(rows, k)
     assert bound.sup == float(max(oracles.column_pow_sums(rows, k)))
@@ -150,12 +150,12 @@ def test_the_probe_norms_and_cnv_form_no_fraction_per_entry(monkeypatch):
 
 
 def test_a_tail_carriers_hat_columns_are_summed_on_its_numerators(monkeypatch):
-    # C10 on a 41-row exact carrier at v_max = 6: the carrier is converted to integer numerators once, and its leading
+    # C10 on a 41-row exact carrier at v_max = 6: the carrier is converted to integers once, and its leading
     # hat columns are summed on them and read so, with no Fraction formed per entry and none converted back
     rng = np.random.default_rng(11)
     A, B = helpers.random_rational_matrix(rng, 6), helpers.random_rational_matrix(rng, 40)
     lam = sk.FactorSequence(helpers.random_rational_vector(rng, 41))
-    want = sk.hat_columns(B, 7)
+    want = sk.hat_columns(B, 7).fractions()
     B = sk.NormalMatrix(B.entries)  # nothing kept on it yet
     converted, real = [], _util.numerators
 
@@ -165,8 +165,8 @@ def test_a_tail_carriers_hat_columns_are_summed_on_its_numerators(monkeypatch):
 
     monkeypatch.setattr(_util, "numerators", counted)
     H = DenseProbes(B, lam.values, 7).H
-    assert converted == [(41, 41)] and isinstance(H, tuple)
+    assert converted == [(41, 41)] and isinstance(H, Rational)
     sk.check_c10(A, B, lam, 2, sk.TailSpec(cutoff=40), v_max=6)
     assert [shape for shape in converted if len(shape) == 2 and shape[0] == 41] == [(41, 41)]
     monkeypatch.undo()
-    assert fractions_over(*H).tolist() == want.tolist()
+    assert H.fractions().tolist() == want.tolist()

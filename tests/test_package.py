@@ -286,13 +286,13 @@ def test_the_matrix_forms_share_one_protocol():
     }
     assert registered == {
         "leading_section": {"_Structured"},
-        "hat_columns": {"WeightedMean", "tuple"},
-        "hat_of": {"IdentityMatrix", "WeightedMean"},
+        "hat_columns": {"WeightedMean"},
+        "hat_of": {"IdentityMatrix"},
         "hat_inverse": {"IdentityMatrix", "WeightedMean"},
         "far_inverse": {"_Structured"},
         "hat_inverse_bands": {"IdentityMatrix", "WeightedMean"},
         "apply_hat": {"WeightedMean"},
-        "apply_lower": {"ndarray", "tuple", "IdentityMatrix", "WeightedMean"},
+        "apply_lower": {"ndarray", "Rational", "IdentityMatrix", "WeightedMean"},
     }
 
 
@@ -305,13 +305,82 @@ def test_dense_hat_matrices_are_formed_in_named_places_only():
         if path.name != "matrices.py"
         for f in _where(path.name, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "hat_of")
     }
-    # DenseProbes.H and check_c16 read the integer numerators an exact hat matrix keeps
+    # DenseProbes.H and check_c16 read the carrier an exact hat matrix keeps
     kept = {("conditions.py", "check_c16")}
     assert calls == {("conditions.py", "DenseProbes.H"), ("harness.py", "key_identity_check")} | kept
     assert _attribute_reads("series.py", "entries") == []
-    # an exact matrix is born as integer numerators by the two exact kernels that make one, and nowhere else
-    born = {(path.name, f) for path in (ROOT / "src" / "summakit").glob("*.py") for f in _attribute_reads(path.name, "_born")}
-    assert born == {("matrices.py", "hat_of.build"), ("matrices.py", "invert_hat.inverse")}
+
+
+def test_only_hat_of_and_invert_hat_build_an_exact_matrix_from_a_kernels_carrier(monkeypatch):
+    # a matrix given a Rational is an exact kernel's result: the hat matrix and the hat inverse of an exact matrix, and
+    # no other. Each such construction is named by the first public function of matrices.py on its stack
+    import sys
+
+    import numpy as np
+
+    import helpers
+    import summakit as sk
+    from summakit import matrices
+    from summakit._util import Rational
+
+    init, built = matrices.NormalMatrix.__init__, []
+
+    def recording(self, entries, *args, **kwargs):
+        if isinstance(entries, Rational):
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename != matrices.__file__ or not hasattr(matrices, frame.f_code.co_name) or _private(frame.f_code.co_name):
+                frame = frame.f_back
+            built.append(frame.f_code.co_name)
+        init(self, entries, *args, **kwargs)
+
+    monkeypatch.setattr(matrices.NormalMatrix, "__init__", recording)
+    rng = np.random.default_rng(5)
+    A, B, lam, series = helpers.exact_oracle_inputs(seed=1, order=8)
+    helpers.exact_oracle_calls(A, B, lam, series)
+    sk.ProbePass(A, sk.riesz_matrix(helpers.random_rational_weights(rng, 9)), lam, 2).key_identity_gaps()
+    carrier = helpers.random_rational_matrix(rng, 20)  # C10 reads the leading hat columns of a longer exact carrier
+    sk.check_c10(A, carrier, sk.FactorSequence(helpers.random_rational_vector(rng, 21)), 2, sk.TailSpec(cutoff=20), v_max=6)
+    sk.hat_inverse(matrices.leading_section(B, 5)), sk.hat_inverse(sk.identity_matrix(5, exact=True))
+    assert sorted(set(built)) == ["hat_of", "invert_hat"] and len(built) == 5
+
+
+def _tuple_tests(source):
+    """Each ``isinstance`` call in ``source`` whose class argument names ``tuple``, as "line text"."""
+    return [
+        f"{n.lineno} {ast.unparse(n)}"
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "isinstance" and len(n.args) == 2
+        and any(isinstance(m, ast.Name) and m.id == "tuple" for m in ast.walk(n.args[1]))
+    ]
+
+
+def test_no_function_tests_an_operand_for_a_tuple():
+    # an exact operand is a Rational, the one carrier of integers over a denominator: no kernel takes a
+    # (numerators, denominator) pair, so none tests whether an operand is a tuple
+    found = {path.name: _tuple_tests(path.read_text()) for path in sorted((ROOT / "src" / "summakit").glob("*.py"))}
+    assert {name: tests for name, tests in found.items() if tests} == {}
+    assert _tuple_tests("if isinstance(M, tuple) or f(x):\n    y = isinstance(H, (np.ndarray, tuple)), isinstance(x, list)") == [
+        "1 isinstance(M, tuple)", "2 isinstance(H, (np.ndarray, tuple))"
+    ]
+
+
+_ARITHMETIC = {"exact", "is_exact", "tuple"}
+
+
+def _arithmetic_branches(source):
+    """Each ``if`` statement and conditional expression in ``source`` whose test reads a name or an attribute named
+    ``exact``, ``is_exact`` or ``tuple``, as its line."""
+    reads = lambda test: any(getattr(n, "id", getattr(n, "attr", None)) in _ARITHMETIC for n in ast.walk(test))  # noqa: E731
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, (ast.If, ast.IfExp)) and reads(n.test)]
+
+
+def test_the_arithmetic_is_branched_on_in_few_places():
+    # every branch on the arithmetic, float or exact, is a place where the two paths differ: the pinned count moves
+    # only on purpose, and a new branch is weighed against the carrier (_util.Rational) that serves both
+    found = {path.name: _arithmetic_branches(path.read_text()) for path in sorted((ROOT / "src" / "summakit").glob("*.py"))}
+    assert sum(map(len, found.values())) == 57
+    source = "if A.exact:\n    x = 1 if is_exact(y) else 2\nz = f(exact) if k else g\nif isinstance(M, tuple) and w:\n    pass\n"
+    assert _arithmetic_branches(source) == [1, 4, 2]
 
 
 def _names_used(tree):
